@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
-
-import numpy as np
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .core import Idag, In, NodeRef, Out
 from .errors import (
     IndexOutOfRange,
+    InvalidWeight,
     NotAdjacentTransposition,
     NotATopologicalSorting,
 )
@@ -50,6 +49,10 @@ from .terms import (
     ten_all,
 )
 from .weights import INT, NAT
+
+# encode_relation spells an entry w out as |w| wire copies; this caps the
+# copies of one matrix, so a huge weight raises instead of exhausting memory
+MAX_RELATION_COPIES = 10**5
 
 
 @dataclass(frozen=True)
@@ -101,33 +104,46 @@ def topological_sortings(d: Idag) -> Iterator[TopSort]:
     succ, pred = _node_succ_pred(d)
     indeg = {nid: len(pred[nid]) for nid in d.node_ids}
     order: list[str] = []
-    n = len(d.nodes)
+    placed: set[str] = set()
 
-    def rec() -> Iterator[TopSort]:
-        if len(order) == n:
-            yield TopSort(tuple(order))
-            return
-        placed = set(order)
-        ready = sorted(
-            nid for nid, k in indeg.items() if k == 0 and nid not in placed
+    def ready() -> list[str]:
+        # untried candidates for the next position, smallest id last
+        return sorted(
+            (nid for nid, k in indeg.items() if k == 0 and nid not in placed),
+            reverse=True,
         )
-        for nid in ready:
-            order.append(nid)
-            for nxt in succ[nid]:
-                indeg[nxt] -= 1
-            yield from rec()
+
+    # pending[j] holds the untried candidates for position j; an explicit
+    # stack, since sortings are as deep as the idag has nodes
+    pending = [ready()]
+    while True:
+        if len(order) == len(indeg):
+            yield TopSort(tuple(order))
+        while not pending[-1]:
+            pending.pop()
+            if not pending:
+                return
+            nid = order.pop()
+            placed.discard(nid)
             for nxt in succ[nid]:
                 indeg[nxt] += 1
-            order.pop()
-
-    return rec()
+        nid = pending[-1].pop()
+        order.append(nid)
+        placed.add(nid)
+        for nxt in succ[nid]:
+            indeg[nxt] -= 1
+        pending.append(ready())
 
 
 def default_sorting(d: Idag) -> TopSort:
     return next(topological_sortings(d))
 
 
-def count_topological_sortings(d: Idag) -> int:
+def _extension_counter(
+    d: Idag,
+) -> tuple[dict[str, set[str]], Callable[[frozenset], int]]:
+    """d's node predecessors, and a memoised count of the topological
+    sortings of any down-closed set of remaining nodes."""
     _, pred = _node_succ_pred(d)
     memo: dict[frozenset, int] = {}
 
@@ -143,27 +159,18 @@ def count_topological_sortings(d: Idag) -> int:
         memo[remaining] = total
         return total
 
+    return pred, count
+
+
+def count_topological_sortings(d: Idag) -> int:
+    _, count = _extension_counter(d)
     return count(frozenset(d.node_ids))
 
 
 def sample_topological_sorting(d: Idag, rng: random.Random) -> TopSort:
     """One topological sorting drawn uniformly, by linear-extension
     counting."""
-    _, pred = _node_succ_pred(d)
-    memo: dict[frozenset, int] = {}
-
-    def count(remaining: frozenset) -> int:
-        if not remaining:
-            return 1
-        if remaining in memo:
-            return memo[remaining]
-        total = 0
-        for nid in remaining:
-            if not (pred[nid] & remaining):
-                total += count(remaining - {nid})
-        memo[remaining] = total
-        return total
-
+    pred, count = _extension_counter(d)
     order: list[str] = []
     remaining = frozenset(d.node_ids)
     while remaining:
@@ -197,23 +204,19 @@ def layer(d: Idag, sort: SortLike, k: int) -> MatrixMorphism:
     total = len(ts.order)
     if not 0 <= k <= total:
         raise IndexOutOfRange(f"layer index {k} not in 0..{total}")
+    live = [In(i) for i in range(n)] + [NodeRef(nid) for nid in ts.order[:k]]
     if k < total:
         new = NodeRef(ts.order[k])
-        arr = np.zeros((n + k, n + k + 1), dtype=np.int64)
-        for r in range(n + k):
-            arr[r, r] = 1
-        for i in range(n):
-            arr[i, n + k] = d.weight(In(i), new)
-        for ell in range(k):
-            arr[n + ell, n + k] = d.weight(NodeRef(ts.order[ell]), new)
-        return MatrixMorphism(d.weights, arr)
-    arr = np.zeros((n + total, d.n_out), dtype=np.int64)
-    for j in range(d.n_out):
-        for i in range(n):
-            arr[i, j] = d.weight(In(i), Out(j))
-        for ell in range(total):
-            arr[n + ell, j] = d.weight(NodeRef(ts.order[ell]), Out(j))
-    return MatrixMorphism(d.weights, arr)
+        rows = [{r: 1} for r in range(n + k)]
+        for r, src in enumerate(live):
+            w = d.weight(src, new)
+            if w:
+                rows[r][n + k] = w
+        return MatrixMorphism(d.weights, tuple(rows), n + k + 1)
+    rows = [
+        {j: w for j in range(d.n_out) if (w := d.weight(src, Out(j)))} for src in live
+    ]
+    return MatrixMorphism(d.weights, tuple(rows), d.n_out)
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +294,26 @@ def encode_relation(mat: MatrixMorphism) -> Expression:
     copies pass through anti, a routing permutation rearranges copies to
     target-major order, and merges fan in per output. An identity matrix
     encodes as id(n).
+
+    Raises InvalidWeight, before building anything, when the copies would
+    number more than MAX_RELATION_COPIES.
     """
-    entries = mat.entries
     n, m = mat.n_in, mat.n_out
+    r = [sum(abs(w) for w in row.values()) for row in mat.rows]
+    if sum(r) > MAX_RELATION_COPIES:
+        raise InvalidWeight(
+            f"a {n} x {m} matrix with absolute entries summing to {sum(r)} needs "
+            f"that many wire copies; the limit is {MAX_RELATION_COPIES}"
+        )
+    c = [0] * m
     copies: list[tuple[int, int]] = []  # (source, target), multiplicity |w|
     negatives: list[bool] = []
-    for i in range(n):
-        for j in range(m):
-            w = entries[i][j]
-            for _ in range(abs(w)):
-                copies.append((i, j))
-                negatives.append(w < 0)
-    r = [sum(abs(entries[i][j]) for j in range(m)) for i in range(n)]
-    c = [sum(abs(entries[i][j]) for i in range(n)) for j in range(m)]
+    for i, row in enumerate(mat.rows):
+        for j in sorted(row):
+            w = row[j]
+            c[j] += abs(w)
+            copies.extend([(i, j)] * abs(w))
+            negatives.extend([w < 0] * abs(w))
 
     parts: list[Expression] = []
     if n > 0 and any(x != 1 for x in r):

@@ -10,18 +10,15 @@ diagonal). LoopsModel interprets only wires, crossings and boxes: a morphism
 is a permutation together with one label word per input, composition
 composing permutations and concatenating words.
 
-Matrix arithmetic is backed by numpy int64 arrays. That is exact for the
-integer magnitudes this package works at; BOOL products are computed as
-ordinary products and clipped to {0, 1}, which agrees with the saturating
-semiring because BOOL matrices have no negative entries.
+Matrices are sparse rows of Python ints, so their arithmetic is exact at
+every magnitude. A BOOL product sets every entry it reaches to 1, which agrees
+with the saturating semiring because BOOL matrices have no negative entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
-
-import numpy as np
 
 from . import core
 from .core import Idag, In, NodeRef, Out, canonical_form
@@ -48,32 +45,25 @@ from .terms import (
 from .weights import BOOL, NAT, WeightSystem
 
 
-def _as_array(rows: Sequence[Sequence[int]], n: int, m: int) -> np.ndarray:
-    arr = np.zeros((n, m), dtype=np.int64)
-    if n and m:
-        arr[:, :] = np.asarray(rows, dtype=np.int64).reshape(n, m)
-    return arr
-
-
 @dataclass(frozen=True)
 class MatrixMorphism:
     """An (n_in, n_out) morphism of the matrix model: an n_in x n_out integer
-    matrix over a weight system. Treat instances as immutable."""
+    matrix over a weight system, stored sparsely as one {column: entry} dict
+    per row. Rows hold nonzero entries only, so equal matrices have equal
+    rows. Treat instances as immutable."""
 
     weights: WeightSystem
-    array: np.ndarray
+    rows: tuple[dict[int, int], ...]
+    n_out: int
 
     @property
     def n_in(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def n_out(self) -> int:
-        return self.array.shape[1]
+        return len(self.rows)
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(x) for x in row) for row in self.array)
+        cols = range(self.n_out)
+        return tuple(tuple(row.get(j, 0) for j in cols) for row in self.rows)
 
     def then(self, other: "MatrixMorphism") -> "MatrixMorphism":
         if self.weights is not other.weights:
@@ -82,31 +72,41 @@ class MatrixMorphism:
             raise InterfaceMismatch(
                 f"cannot feed {self.n_out} outputs into {other.n_in} inputs"
             )
-        prod = self.array @ other.array
-        if self.weights is BOOL:
-            prod = (prod != 0).astype(np.int64)
-        return MatrixMorphism(self.weights, prod)
+        saturate = self.weights is BOOL
+        rows = []
+        for row in self.rows:
+            acc: dict[int, int] = {}
+            for k, a in row.items():
+                for j, b in other.rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            # BOOL entries are positive, so every sum reached is nonzero
+            if saturate:
+                acc = dict.fromkeys(acc, 1)
+            else:
+                acc = {j: x for j, x in acc.items() if x}
+            rows.append(acc)
+        return MatrixMorphism(self.weights, tuple(rows), other.n_out)
 
     def tensor(self, other: "MatrixMorphism") -> "MatrixMorphism":
         if self.weights is not other.weights:
             raise ModeMismatch(f"{self.weights!r} vs {other.weights!r}")
-        a, b = self.array, other.array
-        out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.int64)
-        out[: a.shape[0], : a.shape[1]] = a
-        out[a.shape[0] :, a.shape[1] :] = b
-        return MatrixMorphism(self.weights, out)
+        shift = self.n_out
+        shifted = tuple({shift + j: x for j, x in row.items()} for row in other.rows)
+        return MatrixMorphism(self.weights, self.rows + shifted, shift + other.n_out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatrixMorphism):
             return NotImplemented
         return (
             self.weights is other.weights
-            and self.array.shape == other.array.shape
-            and bool(np.array_equal(self.array, other.array))
+            and self.n_out == other.n_out
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.weights, self.array.shape, self.entries))
+        return hash(
+            (self.weights, self.n_out, tuple(tuple(sorted(r.items())) for r in self.rows))
+        )
 
     def __repr__(self) -> str:
         return f"MatrixMorphism({self.weights!r}, {self.entries!r})"
@@ -126,7 +126,7 @@ def matrix(
     n: Optional[int] = None,
     m: Optional[int] = None,
 ) -> MatrixMorphism:
-    """Build and validate an n x m matrix morphism from nested rows.
+    """Build and validate an n x m matrix morphism from nested dense rows.
 
     The shape defaults to the shape of rows; pass n and m explicitly when
     rows cannot determine it (no rows, or rows of width zero)."""
@@ -136,25 +136,27 @@ def matrix(
         if not rows:
             raise InvalidWeight("cannot infer the output arity of an empty matrix")
         m = len(rows[0])
-    mor = MatrixMorphism(weights, _as_array(rows, n, m))
-    for row in mor.entries:
+    if len(rows) != n or any(len(row) != m for row in rows):
+        raise InvalidWeight(
+            f"rows of lengths {[len(row) for row in rows]} do not form an {n} x {m} matrix"
+        )
+    for row in rows:
         for x in row:
             weights.check_value(x)
-    return mor
+    return MatrixMorphism(
+        weights, tuple({j: x for j, x in enumerate(row) if x} for row in rows), m
+    )
 
 
 def matrix_identity(n: int, weights: WeightSystem) -> MatrixMorphism:
-    return MatrixMorphism(weights, np.eye(n, dtype=np.int64))
+    return MatrixMorphism(weights, tuple({i: 1} for i in range(n)), n)
 
 
 def matrix_permutation(perm: Sequence[int], weights: WeightSystem) -> MatrixMorphism:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise NotBijective(f"{list(perm)!r} is not a permutation")
-    arr = np.zeros((n, n), dtype=np.int64)
-    for i, j in enumerate(perm):
-        arr[i, j] = 1
-    return MatrixMorphism(weights, arr)
+    return MatrixMorphism(weights, tuple({j: 1} for j in perm), n)
 
 
 @dataclass(frozen=True)
@@ -275,11 +277,10 @@ class FreeIdagModel(Model):
 
     def relation(self, mat: MatrixMorphism) -> Idag:
         edges: dict = {}
-        for i, row in enumerate(mat.entries):
-            for j, w in enumerate(row):
-                if w:
-                    self.mode.check_edge_weight(w)
-                    edges[(In(i), Out(j))] = w
+        for i, row in enumerate(mat.rows):
+            for j, w in sorted(row.items()):
+                self.mode.check_edge_weight(w)
+                edges[(In(i), Out(j))] = w
         return Idag(self.mode, mat.n_in, mat.n_out, (), core._attach(edges))
 
     def equal(self, a: Idag, b: Idag) -> bool:
@@ -303,7 +304,7 @@ class MatrixModel(Model):
                 raise ModeMismatch(
                     f"lambda image for {label!r}: {img.weights!r} vs {self.weights!r}"
                 )
-            if img.array.shape != (1, 1):
+            if (img.n_in, img.n_out) != (1, 1):
                 raise InterfaceMismatch(f"lambda image for {label!r} must be 1x1")
             return img
         self.weights.check_value(img)
@@ -318,11 +319,11 @@ class MatrixModel(Model):
 
     def generator(self, gen: Expression) -> MatrixMorphism:
         if isinstance(gen, Eta):
-            return MatrixMorphism(self.weights, np.zeros((0, 1), dtype=np.int64))
+            return MatrixMorphism(self.weights, (), 1)
         if isinstance(gen, Nabla):
             return matrix([[1], [1]], self.weights, 2, 1)
         if isinstance(gen, Eps):
-            return MatrixMorphism(self.weights, np.zeros((1, 0), dtype=np.int64))
+            return MatrixMorphism(self.weights, ({},), 0)
         if isinstance(gen, Delta):
             return matrix([[1, 1]], self.weights, 1, 2)
         if isinstance(gen, Node):
@@ -342,10 +343,10 @@ class MatrixModel(Model):
         return a.tensor(b)
 
     def relation(self, mat: MatrixMorphism) -> MatrixMorphism:
-        for row in mat.entries:
-            for x in row:
+        for row in mat.rows:
+            for x in row.values():
                 self.weights.check_value(x)
-        return MatrixMorphism(self.weights, mat.array)
+        return MatrixMorphism(self.weights, mat.rows, mat.n_out)
 
     def equal(self, a: MatrixMorphism, b: MatrixMorphism) -> bool:
         return a == b

@@ -30,10 +30,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TypeVar
 
+from .core import DEFAULT_LABEL
 from .errors import ExprSyntaxError, TypeMismatch, UnsupportedGenerator
 from .weights import WeightSystem
-
-DEFAULT_LABEL = "•"
 
 
 class Expression:

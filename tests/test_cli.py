@@ -134,6 +134,28 @@ def test_entry_point_subprocess():
     assert r.stdout.startswith("equal")
 
 
+def test_import_does_not_load_numpy():
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, idag; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
+def test_decompose_huge_weight_is_a_clean_error():
+    d = {
+        "mode": "nat", "inputs": 1, "outputs": 1, "nodes": [{"id": "p"}],
+        "edges": [{"src": {"in": 0}, "dst": {"node": "p"}, "w": 10**20},
+                  {"src": {"node": "p"}, "dst": {"out": 0}}],
+    }
+    r = run_cli("decompose", json.dumps(d), "--mode", "nat")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
 def test_stdin_input():
     r = subprocess.run(
         [sys.executable, "-m", "idag", "closure", "-"],

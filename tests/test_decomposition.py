@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idag.core import In, Out, canonical_form, identity, make_idag
+import idag.decomposition as decomposition
+from idag.core import In, NodeRef, Out, canonical_form, identity, make_idag
 from idag.decomposition import (
+    MAX_RELATION_COPIES,
     TopSort,
     count_topological_sortings,
     decompose,
@@ -18,7 +20,7 @@ from idag.decomposition import (
     topological_sortings,
     transposition_identities,
 )
-from idag.errors import IndexOutOfRange, NotAdjacentTransposition, NotATopologicalSorting
+from idag.errors import IndexOutOfRange, InvalidWeight, NotAdjacentTransposition, NotATopologicalSorting
 from idag.models import FreeIdagModel, MatrixModel, evaluate, matrix, matrix_identity
 from idag.randgen import random_idag
 from idag.terms import Delta, Id, Nabla, Seq, print_expression
@@ -40,6 +42,13 @@ def _sortings_by_filter(d):
         ):
             out.append(tuple(perm))
     return out
+
+
+def _chain(weights, mode):
+    """input -> n1 -> ... -> output, one edge per weight."""
+    ids = [f"n{k}" for k in range(1, len(weights))]
+    verts = [In(0)] + [NodeRef(i) for i in ids] + [Out(0)]
+    return make_idag(1, 1, ids, [(verts[k], verts[k + 1], w) for k, w in enumerate(weights)], mode)
 
 
 def test_five_sortings(dag31):
@@ -69,6 +78,11 @@ def test_chain_has_one_sorting():
     assert [s.order for s in topological_sortings(d)] == [("p", "q", "r")]
 
 
+def test_default_sorting_of_a_long_chain():
+    d = _chain([1] * 1201, BOOL)
+    assert default_sorting(d).order == tuple(f"n{k}" for k in range(1, 1201))
+
+
 def test_counting_matches_enumeration(rng):
     for _ in range(30):
         d = random_idag(rng, rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 6), 0.4, BOOL)
@@ -76,6 +90,7 @@ def test_counting_matches_enumeration(rng):
         assert count_topological_sortings(d) == len(sortings)
         assert len(set(s.order for s in sortings)) == len(sortings)
         assert all(is_topological_sorting(d, s) for s in sortings)
+        assert [s.order for s in sortings] == _sortings_by_filter(d)
 
 
 def test_sampling_is_valid_and_covers(dag31, rng):
@@ -191,6 +206,17 @@ def test_encode_inverts_through_eval(seed):
     assert evaluate(encode_relation(m), MatrixModel(ws)) == m
 
 
+def test_encode_caps_unary_copies(monkeypatch):
+    with pytest.raises(InvalidWeight):
+        encode_relation(matrix([[MAX_RELATION_COPIES, 1]], NAT))
+    with pytest.raises(InvalidWeight):
+        encode_relation(matrix([[10**20]], NAT))
+    monkeypatch.setattr(decomposition, "MAX_RELATION_COPIES", 3)
+    assert evaluate(encode_relation(matrix([[2, -1]], INT)), MatrixModel(INT)).entries == ((2, -1),)
+    with pytest.raises(InvalidWeight):
+        encode_relation(matrix([[2, -2]], INT))
+
+
 # ---------------------------------------------------------------------------
 # decompose / interpret
 
@@ -231,6 +257,20 @@ def test_interpret_matches_eval_of_decompose(rng):
         e = decompose(d, s)
         for model in (FreeIdagModel(ws), MatrixModel(ws, {"x": 2 if ws is not BOOL else 0})):
             assert model.equal(interpret(d, s, model), evaluate(e, model))
+
+
+def test_interpret_is_exact_below_int64():
+    want = (-3) ** 41
+    assert want < -(2**63)
+    d = _chain([-3] * 41, INT)
+    assert interpret(d, default_sorting(d), MatrixModel(INT)).entries == ((want,),)
+
+
+def test_huge_weight_interprets_but_does_not_decompose():
+    d = _chain([10**20, 1], NAT)
+    assert interpret(d, default_sorting(d), MatrixModel(NAT)).entries == ((10**20,),)
+    with pytest.raises(InvalidWeight):
+        decompose(d, default_sorting(d))
 
 
 def test_interpret_worked_example_all_sortings(dag31):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import idag.models as models
 from idag.core import In, NodeRef, Out, make_idag, transitive_closure
-from idag.errors import InterfaceMismatch, ModeMismatch, UnsupportedGenerator
+from idag.errors import InterfaceMismatch, InvalidWeight, ModeMismatch, UnsupportedGenerator
 from idag.models import (
     FreeIdagModel,
     LoopsModel,
@@ -65,6 +65,13 @@ def test_matrix_examples():
     hopf = parse("delta ; (anti * id(1)) ; nabla")
     assert evaluate(hopf, MatrixModel(INT)).entries == ((0,),)
     assert evaluate(hopf, MatrixModel(INT)) == evaluate(parse("eps ; eta"), MatrixModel(INT))
+    assert hash(evaluate(hopf, MatrixModel(INT))) == hash(evaluate(parse("eps ; eta"), MatrixModel(INT)))
+
+
+def test_matrix_is_exact_beyond_int64():
+    e = seq_all([Seq(Delta(), Nabla())] * 64)
+    assert evaluate(e, MatrixModel(NAT)).entries == ((2**64,),)
+    assert evaluate(e, FreeIdagModel(NAT)).weight(In(0), Out(0)) == 2**64
 
 
 def test_matrix_constructors():
@@ -73,6 +80,11 @@ def test_matrix_constructors():
     assert matrix_identity(3, INT).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert matrix_permutation([1, 0], BOOL).entries == ((0, 1), (1, 0))
     assert matrix([], NAT, n=0, m=2).n_out == 2
+
+
+def test_matrix_rejects_ragged_rows():
+    with pytest.raises(InvalidWeight):
+        matrix([[1, 2], [3]], NAT)
 
 
 def test_matrix_then_errors():
