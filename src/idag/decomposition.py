@@ -10,6 +10,11 @@ the outputs. decompose() renders each slice with encode_relation and
 interleaves node boxes; interpret() skips the syntax and composes the slices
 directly in any model. Both exist so tests can play them against each other.
 
+A slice's encoding copies, routes and merges wires. Routing moves each
+edge's copies as one block crossing, so a decomposition holds at most one
+crossing per edge and O(N + E) atoms (weights bounded), and the sorting is
+checked once per call.
+
 Different sortings yield different expressions with equal value in every
 model; transposition_identities() checks the five local identities that drive
 that invariance for one adjacent swap.
@@ -19,14 +24,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .core import Idag, In, NodeRef, Out
+from .core import Idag, In, NodeRef, Out, Vertex
 from .errors import (
     IndexOutOfRange,
     InvalidWeight,
     NotAdjacentTransposition,
     NotATopologicalSorting,
+    NotBijective,
 )
 from .models import (
     MatrixModel,
@@ -145,19 +152,24 @@ def _extension_counter(
     """d's node predecessors, and a memoised count of the topological
     sortings of any down-closed set of remaining nodes."""
     _, pred = _node_succ_pred(d)
-    memo: dict[frozenset, int] = {}
+    memo: dict[frozenset, int] = {frozenset(): 1}
 
     def count(remaining: frozenset) -> int:
-        if not remaining:
-            return 1
-        if remaining in memo:
-            return memo[remaining]
-        total = 0
-        for nid in remaining:
-            if not (pred[nid] & remaining):
-                total += count(remaining - {nid})
-        memo[remaining] = total
-        return total
+        # an explicit stack, since a chain of nodes nests as deep as it is long
+        stack = [remaining]
+        while stack:
+            rem = stack[-1]
+            if rem in memo:
+                stack.pop()
+                continue
+            rests = [rem - {nid} for nid in rem if not (pred[nid] & rem)]
+            todo = [r for r in rests if r not in memo]
+            if todo:
+                stack.extend(todo)
+            else:
+                memo[rem] = sum(memo[r] for r in rests)
+                stack.pop()
+        return memo[remaining]
 
     return pred, count
 
@@ -200,23 +212,34 @@ def layer(d: Idag, sort: SortLike, k: int) -> MatrixMorphism:
     the shape is (n+|N|) x m, the weights of edges into the outputs.
     """
     ts = _require_sorting(d, sort)
-    n = d.n_in
     total = len(ts.order)
     if not 0 <= k <= total:
         raise IndexOutOfRange(f"layer index {k} not in 0..{total}")
-    live = [In(i) for i in range(n)] + [NodeRef(nid) for nid in ts.order[:k]]
-    if k < total:
-        new = NodeRef(ts.order[k])
-        rows = [{r: 1} for r in range(n + k)]
-        for r, src in enumerate(live):
-            w = d.weight(src, new)
-            if w:
+    return _slicer(d, ts)(k)
+
+
+def _slicer(d: Idag, ts: TopSort) -> Callable[[int], MatrixMorphism]:
+    """layer(d, ts, k) as a function of k, for a sorting already checked."""
+    n = d.n_in
+    row: dict[Vertex, int] = {In(i): i for i in range(n)}
+    row.update((NodeRef(nid), n + k) for k, nid in enumerate(ts.order))
+    into: dict[Vertex, list[tuple[int, int]]] = {}
+    for (src, dst), w in d.edges.items():
+        into.setdefault(dst, []).append((row[src], w))
+
+    def slice_(k: int) -> MatrixMorphism:
+        if k < len(ts.order):
+            rows: list[dict[int, int]] = [{r: 1} for r in range(n + k)]
+            for r, w in into.get(NodeRef(ts.order[k]), ()):
                 rows[r][n + k] = w
-        return MatrixMorphism(d.weights, tuple(rows), n + k + 1)
-    rows = [
-        {j: w for j in range(d.n_out) if (w := d.weight(src, Out(j)))} for src in live
-    ]
-    return MatrixMorphism(d.weights, tuple(rows), d.n_out)
+            return MatrixMorphism(d.weights, tuple(rows), n + k + 1)
+        rows = [{} for _ in range(n + k)]
+        for j in range(d.n_out):
+            for r, w in into.get(Out(j), ()):
+                rows[r][j] = w
+        return MatrixMorphism(d.weights, tuple(rows), d.n_out)
+
+    return slice_
 
 
 # ---------------------------------------------------------------------------
@@ -239,49 +262,75 @@ def _fan_in(c: int) -> Expression:
     return seq_all([Ten(Nabla(), Id(q)) for q in range(c - 2, 0, -1)] + [Nabla()])
 
 
-def _perm_layers(perm: Sequence[int]) -> list[list[int]]:
-    # Odd-even transposition sort; each returned layer lists the left
-    # positions of disjoint adjacent swaps.
-    cur = list(perm)
-    n = len(cur)
-    target = list(range(n))
-    layers: list[list[int]] = []
-    for rnd in range(n):
-        if cur == target:
-            break
-        swaps: list[int] = []
-        q = rnd % 2
-        while q + 1 < n:
-            if cur[q] > cur[q + 1]:
-                cur[q], cur[q + 1] = cur[q + 1], cur[q]
-                swaps.append(q)
-            q += 2
-        if swaps:
-            layers.append(swaps)
-    assert cur == target
-    return layers
-
-
 def permutation_expression(perm: Sequence[int]) -> Expression:
-    """An id/sym(1,1) expression routing input s to output perm[s]."""
-    n = len(perm)
-    layers = _perm_layers(perm)
-    if not layers:
-        return Id(n)
-    parts = []
-    for swaps in layers:
-        swapset = set(swaps)
-        pieces: list[Expression] = []
-        q = 0
-        while q < n:
-            if q in swapset:
-                pieces.append(Sym(1, 1))
-                q += 2
-            else:
-                pieces.append(Id(1))
-                q += 1
-        parts.append(ten_all(pieces))
-    return seq_all(parts)
+    """An expression of identities and block crossings routing input s to
+    output perm[s].
+
+    Outputs are filled from the last. The wires bound for the highest open
+    outputs that sit next to each other in order move as one block, by
+    id(p) * sym(k,q) * id(r), past the q open wires after them, and stay
+    there. So each maximal run of perm (consecutive inputs bound for
+    consecutive outputs) crosses at most once. Open wires keep their input
+    order, so a wire's position is its input index less the placed wires
+    before it, which a Fenwick tree counts: routing c wires takes
+    O(c log c) time.
+
+    Raises NotBijective if perm is not a permutation of 0..len(perm)-1.
+    """
+    c = len(perm)
+    if sorted(perm) != list(range(c)):
+        raise NotBijective(f"{list(perm)!r} is not a permutation of 0..{c - 1}")
+    wire = [0] * c  # wire[t]: the input bound for output t
+    for s, t in enumerate(perm):
+        wire[t] = s
+    # open wires as a doubly linked list in input order; routing ends when
+    # no open wire is followed by one bound for a lower output
+    prev = list(range(-1, c - 1))
+    succ = list(range(1, c + 1))
+    descents = sum(perm[s] > perm[s + 1] for s in range(c - 1))
+    placed = [0] * (c + 1)  # Fenwick tree over input indices
+
+    def placed_before(s: int) -> int:
+        total = 0
+        while s:
+            total += placed[s]
+            s &= s - 1
+        return total
+
+    def place(s: int) -> None:
+        s += 1
+        while s <= c:
+            placed[s] += 1
+            s += s & -s
+
+    steps: list[Expression] = []
+    top = c - 1  # highest open output; open wires fill positions 0..top
+    while descents:
+        last = wire[top]
+        first = last
+        while prev[first] >= 0 and perm[prev[first]] == perm[first] - 1:
+            first = prev[first]
+        k = perm[last] - perm[first] + 1
+        p = first - placed_before(first)
+        q = top + 1 - p - k
+        if q:
+            steps.append(ten_all([Id(p), Sym(k, q), Id(c - 1 - top)]))
+        before, after = prev[first], succ[last]
+        if before >= 0 and perm[before] > perm[first]:
+            descents -= 1
+        if after < c:
+            descents -= 1
+            prev[after] = before
+        if before >= 0:
+            succ[before] = after
+            if after < c and perm[before] > perm[after]:
+                descents += 1
+        s = first
+        for _ in range(k):
+            place(s)
+            s = succ[s]
+        top -= k
+    return seq_all(steps) if steps else Id(c)
 
 
 def encode_relation(mat: MatrixMorphism) -> Expression:
@@ -299,32 +348,37 @@ def encode_relation(mat: MatrixMorphism) -> Expression:
     number more than MAX_RELATION_COPIES.
     """
     n, m = mat.n_in, mat.n_out
-    r = [sum(abs(w) for w in row.values()) for row in mat.rows]
+    r = [sum(map(abs, row.values())) for row in mat.rows]
     if sum(r) > MAX_RELATION_COPIES:
         raise InvalidWeight(
             f"a {n} x {m} matrix with absolute entries summing to {sum(r)} needs "
             f"that many wire copies; the limit is {MAX_RELATION_COPIES}"
         )
     c = [0] * m
-    copies: list[tuple[int, int]] = []  # (source, target), multiplicity |w|
-    negatives: list[bool] = []
-    for i, row in enumerate(mat.rows):
+    for row in mat.rows:
+        for j, w in row.items():
+            c[j] += abs(w)
+    # copies sit in source-major order; perm sends each to its target-major
+    # position, and next_slot[j] is the next free position among output j's
+    next_slot = list(accumulate(c, initial=0))
+    perm: list[int] = []
+    negatives: set[int] = set()
+    for row in mat.rows:
         for j in sorted(row):
             w = row[j]
-            c[j] += abs(w)
-            copies.extend([(i, j)] * abs(w))
-            negatives.extend([w < 0] * abs(w))
+            a = abs(w)
+            if w < 0:
+                negatives.update(range(len(perm), len(perm) + a))
+            perm.extend(range(next_slot[j], next_slot[j] + a))
+            next_slot[j] += a
 
     parts: list[Expression] = []
     if n > 0 and any(x != 1 for x in r):
         parts.append(ten_all([_fan_out(x) for x in r]))
-    if any(negatives):
-        parts.append(ten_all([Anti() if neg else Id(1) for neg in negatives]))
-    # copies sit in source-major order; rank each by target-major position
-    tgt_rank = sorted(range(len(copies)), key=lambda s: (copies[s][1], copies[s][0]))
-    perm = [0] * len(copies)
-    for t, s in enumerate(tgt_rank):
-        perm[s] = t
+    if negatives:
+        parts.append(
+            ten_all([Anti() if s in negatives else Id(1) for s in range(len(perm))])
+        )
     if perm != list(range(len(perm))):
         parts.append(permutation_expression(perm))
     if m > 0 and any(x != 1 for x in c):
@@ -343,14 +397,16 @@ def decompose(d: Idag, sort: SortLike) -> Expression:
     exactly in matrix models): encoded slices interleaved with one node box
     per sorted node."""
     ts = _require_sorting(d, sort)
+    slice_ = _slicer(d, ts)
+    labels = dict(d.nodes)
     n = d.n_in
-    parts: list[Expression] = [encode_relation(layer(d, ts, 0))]
+    parts: list[Expression] = [encode_relation(slice_(0))]
     for k, nid in enumerate(ts.order):
-        box: Expression = Node(d.label_of(nid))
+        box: Expression = Node(labels[nid])
         if n + k > 0:
             box = Ten(Id(n + k), box)
         parts.append(box)
-        parts.append(encode_relation(layer(d, ts, k + 1)))
+        parts.append(encode_relation(slice_(k + 1)))
     return seq_all(parts)
 
 
@@ -361,14 +417,16 @@ def interpret(d: Idag, sort: SortLike, model: Model):
     with interpret(d, s, model) in every model, which the tests exercise.
     """
     ts = _require_sorting(d, sort)
+    slice_ = _slicer(d, ts)
+    labels = dict(d.nodes)
     n = d.n_in
-    mor = model.relation(layer(d, ts, 0))
+    mor = model.relation(slice_(0))
     for k, nid in enumerate(ts.order):
-        box = model.generator(Node(d.label_of(nid)))
+        box = model.generator(Node(labels[nid]))
         if n + k > 0:
             box = model.tensor(model.identity(n + k), box)
         mor = model.compose(mor, box)
-        mor = model.compose(mor, model.relation(layer(d, ts, k + 1)))
+        mor = model.compose(mor, model.relation(slice_(k + 1)))
     return mor
 
 
@@ -441,8 +499,8 @@ def transposition_identities(
         )
     n = d.n_in
     ws = d.weights
-    la = [layer(d, sa, k) for k in range(total + 1)]
-    lb = [layer(d, sb, k) for k in range(total + 1)]
+    la = list(map(_slicer(d, sa), range(total + 1)))
+    lb = list(map(_slicer(d, sb), range(total + 1)))
 
     prefix = all(la[j] == lb[j] for j in range(i))
 
@@ -462,10 +520,11 @@ def transposition_identities(
     final_ok = pre_final.then(la[total]) == lb[total]
 
     check_model = model if model is not None else _default_check_model(d)
+    labels = dict(d.nodes)
     node_ok = True
-    for ts in (sa, sb):
-        mid = check_model.relation(layer(d, ts, i + 1))
-        box = check_model.generator(Node(d.label_of(ts.order[i])))
+    for ts, slices in ((sa, la), (sb, lb)):
+        mid = check_model.relation(slices[i + 1])
+        box = check_model.generator(Node(labels[ts.order[i]]))
         left = check_model.compose(
             check_model.tensor(check_model.identity(n + i), box), mid
         )

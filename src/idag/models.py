@@ -3,12 +3,15 @@
 Three models ship with the package. FreeIdagModel interprets every generator
 as a small idag and composes with concat/juxt; it is free, so two expressions
 are equal modulo the equational theory iff their images here are isomorphic.
-MatrixModel interprets wires as coordinates and morphisms as matrices over
-the weight system (an (n, m) morphism is an n x m matrix; sequential
-composition is matrix product with rows indexed by inputs, tensor is block
-diagonal). LoopsModel interprets only wires, crossings and boxes: a morphism
-is a permutation together with one label word per input, composition
-composing permutations and concatenating words.
+evaluate() does not fold FreeIdagModel's concat/juxt, which copy the idag
+built so far at every step: it runs the expression on a list of border wires,
+and each atom touches only the wires it consumes. MatrixModel interprets
+wires as coordinates and morphisms as matrices over the weight system (an
+(n, m) morphism is an n x m matrix; sequential composition is matrix product
+with rows indexed by inputs, tensor is block diagonal). LoopsModel interprets
+only wires, crossings and boxes: a morphism is a permutation together with
+one label word per input, composition composing permutations and
+concatenating words.
 
 Matrices are sparse rows of Python ints, so their arithmetic is exact at
 every magnitude. A BOOL product sets every entry it reaches to 1, which agrees
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 from . import core
-from .core import Idag, In, NodeRef, Out, canonical_form
+from .core import Idag, In, NodeRef, Out, Vertex, canonical_form
 from .errors import (
     InterfaceMismatch,
     InvalidWeight,
@@ -38,7 +41,9 @@ from .terms import (
     Id,
     Nabla,
     Node,
+    Seq,
     Sym,
+    Ten,
     arity_of,
     fold,
 )
@@ -399,6 +404,10 @@ def evaluate(e: Expression, model: Model):
     Raises TypeMismatch if e is ill-typed and UnsupportedGenerator if the
     model lacks an image for a generator occurring in e.
     """
+    if type(model) is FreeIdagModel:
+        left_widths: dict[int, int] = {}
+        n_in, _ = arity_of(e, left_widths)
+        return _evaluate_free(e, model.mode, n_in, left_widths)
     arity_of(e)
 
     def atom(a: Expression):
@@ -414,6 +423,84 @@ def evaluate(e: Expression, model: Model):
         lambda _n, a, b: model.compose(a, b),
         lambda _n, a, b: model.tensor(a, b),
     )
+
+
+def _evaluate_free(
+    e: Expression, mode: WeightSystem, n_in: int, left_widths: Mapping[int, int]
+) -> Idag:
+    """e evaluated in FreeIdagModel(mode): isomorphic to the compose/tensor
+    fold, without copying the idag built so far at every step.
+
+    The walk carries the border of the idag built so far as a list of wires,
+    each a {edge source: nonzero weight} dict, and runs every atom on
+    the slice of wires it consumes. Nodes and their in-edges are final once
+    emitted; the last border becomes the edges into the outputs. left_widths
+    holds the output width of the left factor of every tensor in e, keyed by
+    id(), as arity_of records it.
+    """
+    wires: list[dict[Vertex, int]] = [{In(i): 1} for i in range(n_in)]
+    nodes: list[tuple[str, str]] = []
+    edges: dict = {}
+    images: dict[tuple, Idag] = {}
+    stack: list[tuple[Expression, int]] = [(e, 0)]
+    while stack:
+        x, at = stack.pop()
+        if isinstance(x, Seq):
+            stack.append((x.then, at))
+            stack.append((x.first, at))
+        elif isinstance(x, Ten):
+            # left runs first, so right's wires start after left's outputs
+            stack.append((x.right, at + left_widths[id(x)]))
+            stack.append((x.left, at))
+        elif isinstance(x, Sym):
+            mid, end = at + x.n, at + x.n + x.m
+            wires[at:end] = wires[mid:end] + wires[at:mid]
+        elif not isinstance(x, Id):
+            key = (type(x), getattr(x, "label", None))
+            img = images.get(key)
+            if img is None:
+                img = images[key] = _checked_image(x, mode)
+            end = at + img.n_in
+            wires[at:end] = _apply_image(img, wires[at:end], mode, nodes, edges)
+    for j, wire in enumerate(wires):
+        for src, w in wire.items():
+            edges[(src, Out(j))] = w
+    return Idag(mode, n_in, len(wires), tuple(nodes), core._attach(edges))
+
+
+def _checked_image(gen: Expression, mode: WeightSystem) -> Idag:
+    img = free_generator_image(gen, mode)
+    n, m = arity_of(gen)
+    if (img.n_in, img.n_out) != (n, m):
+        raise InterfaceMismatch(
+            f"free image of {gen!r} is {img.n_in} -> {img.n_out}, not {n} -> {m}"
+        )
+    return img
+
+
+def _apply_image(
+    img: Idag, ins: list[dict[Vertex, int]], ws: WeightSystem, nodes: list, edges: dict
+) -> list[dict[Vertex, int]]:
+    """Graft a copy of img onto the input wires ins: append its nodes, under
+    fresh ids, with their in-edges, and return its output wires."""
+    fresh = {nid: str(len(nodes) + k) for k, (nid, _) in enumerate(img.nodes)}
+    nodes.extend((fresh[nid], lbl) for nid, lbl in img.nodes)
+    sums: dict[Vertex, dict[Vertex, int]] = {}
+    for (src, dst), w in img.edges.items():
+        wire = ins[src.index] if isinstance(src, In) else {NodeRef(fresh[src.id]): 1}
+        acc = sums.setdefault(dst, {})
+        for s, v in wire.items():
+            acc[s] = ws.add(acc.get(s, ws.zero), ws.mul(v, w))
+    outs: list[dict[Vertex, int]] = [{} for _ in range(img.n_out)]
+    for dst, acc in sums.items():
+        acc = {s: v for s, v in acc.items() if not ws.is_zero(v)}
+        if isinstance(dst, Out):
+            outs[dst.index] = acc
+        else:
+            target = NodeRef(fresh[dst.id])
+            for s, v in acc.items():
+                edges[(s, target)] = v
+    return outs
 
 
 def loops_eval(e: Expression) -> LoopsMorphism:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .core import DEFAULT_LABEL
 from .errors import ExprSyntaxError, TypeMismatch, UnsupportedGenerator
@@ -241,27 +241,16 @@ _ATOM_ARITIES: dict[type, tuple[int, int]] = {
 }
 
 
-def arity_of(e: Expression) -> tuple[int, int]:
+def arity_of(
+    e: Expression, left_widths: Optional[dict[int, int]] = None
+) -> tuple[int, int]:
     """(inputs, outputs) of e; raises TypeMismatch at the first ill-typed
     sequential composite (leftmost-innermost), naming its position by an
-    attribute path from the root."""
-    # Arities with positions, so the error can say where. Positions are built
-    # top-down in a prepass.
-    pos: dict[int, str] = {id(e): "expr"}
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        here = pos[id(node)]
-        if isinstance(node, Seq):
-            pos[id(node.first)] = here + ".first"
-            pos[id(node.then)] = here + ".then"
-            stack.append(node.then)
-            stack.append(node.first)
-        elif isinstance(node, Ten):
-            pos[id(node.left)] = here + ".left"
-            pos[id(node.right)] = here + ".right"
-            stack.append(node.right)
-            stack.append(node.left)
+    attribute path from the root.
+
+    If left_widths is given, it receives the output width of the left factor
+    of every tensor in e, keyed by the tensor's id().
+    """
 
     def atom(a: Expression) -> tuple[int, int]:
         if isinstance(a, Id):
@@ -279,13 +268,40 @@ def arity_of(e: Expression) -> tuple[int, int]:
 
     def seq(node: Seq, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         if a[1] != b[0]:
-            raise TypeMismatch(pos[id(node)], a[1], b[0])
+            raise TypeMismatch(_path_to(e, node), a[1], b[0])
         return (a[0], b[1])
 
-    def ten(_node: Ten, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    def ten(node: Ten, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        if left_widths is not None:
+            left_widths[id(node)] = a[1]
         return (a[0] + b[0], a[1] + b[1])
 
     return fold(e, atom, seq, ten)
+
+
+def _path_to(root: Expression, target: Expression) -> str:
+    """The attribute path from root to the first occurrence of target in
+    pre-order. A shared target occurs more than once; an occurrence before
+    another in pre-order cannot contain it (no expression contains itself),
+    so it also comes first in post-order. The first occurrence in pre-order
+    is thus the first ill-typed composite arity_of reaches."""
+    # each entry carries its path as a (parent path, attribute) chain
+    stack: list[tuple[Expression, Optional[tuple]]] = [(root, None)]
+    while stack:
+        node, path = stack.pop()
+        if node is target:
+            names: list[str] = []
+            while path is not None:
+                path, name = path
+                names.append(name)
+            return ".".join(["expr"] + names[::-1])
+        if isinstance(node, Seq):
+            stack.append((node.then, (path, "then")))
+            stack.append((node.first, (path, "first")))
+        elif isinstance(node, Ten):
+            stack.append((node.right, (path, "right")))
+            stack.append((node.left, (path, "left")))
+    raise ValueError(f"{target!r} does not occur in the expression")
 
 
 def validate_for_mode(e: Expression, mode: WeightSystem, labels=None) -> None:
@@ -511,13 +527,17 @@ def ten_all(parts: Sequence[Expression]) -> Expression:
     """Left-associated tensor chain, collapsing adjacent identities; an empty
     list gives id(0)."""
     merged: list[Expression] = []
+    wires = 0  # width of the identities since the last other part
     for p in parts:
-        if isinstance(p, Id) and p.n == 0:
+        if isinstance(p, Id):
+            wires += p.n
             continue
-        if merged and isinstance(p, Id) and isinstance(merged[-1], Id):
-            merged[-1] = Id(merged[-1].n + p.n)
-        else:
-            merged.append(p)
+        if wires:
+            merged.append(Id(wires))
+            wires = 0
+        merged.append(p)
+    if wires:
+        merged.append(Id(wires))
     if not merged:
         return Id(0)
     e = merged[0]

@@ -1,5 +1,6 @@
-"""Shared generators for the test suite."""
+"""Shared generators and models for the test suite."""
 
+from idag.models import Model
 from idag.terms import Delta, Eps, Eta, Id, Nabla, Node, Sym, ten_all
 
 
@@ -43,3 +44,33 @@ def consume_row(rng, width, wiring_only):
     if not wiring_only and rng.random() < 0.3:
         parts.append(Eta())
     return ten_all(parts)
+
+
+class Forwarding(Model):
+    """Passes every call to the wrapped model. evaluate() sees only a Model,
+    so it folds compose and tensor even around a FreeIdagModel: the
+    reference for the free model's wire-list evaluation."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def identity(self, n):
+        return self.inner.identity(n)
+
+    def symmetry(self, n, m):
+        return self.inner.symmetry(n, m)
+
+    def generator(self, gen):
+        return self.inner.generator(gen)
+
+    def compose(self, first, then):
+        return self.inner.compose(first, then)
+
+    def tensor(self, a, b):
+        return self.inner.tensor(a, b)
+
+    def relation(self, mat):
+        return self.inner.relation(mat)
+
+    def equal(self, a, b):
+        return self.inner.equal(a, b)

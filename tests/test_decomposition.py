@@ -1,11 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import idag.decomposition as decomposition
-from idag.core import In, NodeRef, Out, canonical_form, identity, make_idag
+from idag.core import In, NodeRef, Out, canonical_form, identity, is_isomorphic, make_idag
 from idag.decomposition import (
     MAX_RELATION_COPIES,
     TopSort,
@@ -16,14 +17,21 @@ from idag.decomposition import (
     interpret,
     is_topological_sorting,
     layer,
+    permutation_expression,
     sample_topological_sorting,
     topological_sortings,
     transposition_identities,
 )
-from idag.errors import IndexOutOfRange, InvalidWeight, NotAdjacentTransposition, NotATopologicalSorting
-from idag.models import FreeIdagModel, MatrixModel, evaluate, matrix, matrix_identity
+from idag.errors import (
+    IndexOutOfRange,
+    InvalidWeight,
+    NotAdjacentTransposition,
+    NotATopologicalSorting,
+    NotBijective,
+)
+from idag.models import FreeIdagModel, LoopsModel, MatrixModel, evaluate, matrix, matrix_identity
 from idag.randgen import random_idag
-from idag.terms import Delta, Id, Nabla, Seq, print_expression
+from idag.terms import Delta, Id, Nabla, Seq, Sym, atoms, print_expression
 from idag.weights import BOOL, INT, NAT
 
 
@@ -81,6 +89,12 @@ def test_chain_has_one_sorting():
 def test_default_sorting_of_a_long_chain():
     d = _chain([1] * 1201, BOOL)
     assert default_sorting(d).order == tuple(f"n{k}" for k in range(1, 1201))
+
+
+def test_counting_and_sampling_a_long_chain(rng):
+    d = _chain([1] * 1201, BOOL)
+    assert count_topological_sortings(d) == 1
+    assert sample_topological_sorting(d, rng) == default_sorting(d)
 
 
 def test_counting_matches_enumeration(rng):
@@ -206,6 +220,28 @@ def test_encode_inverts_through_eval(seed):
     assert evaluate(encode_relation(m), MatrixModel(ws)) == m
 
 
+def test_permutation_expression_routes_every_permutation():
+    for n in range(6):
+        for perm in itertools.permutations(range(n)):
+            e = permutation_expression(perm)
+            assert evaluate(e, LoopsModel()).perm == perm
+            # one crossing at most per maximal run of consecutive targets
+            runs = sum(1 for s in range(n) if s == 0 or perm[s] != perm[s - 1] + 1)
+            assert sum(isinstance(a, Sym) for a in atoms(e)) <= runs
+    assert permutation_expression([1, 0]) == Sym(1, 1)
+    with pytest.raises(NotBijective):
+        permutation_expression([0, 0])
+
+
+def test_encode_a_heavy_entry_in_linear_time():
+    w = 20_000
+    mat = matrix([[1, 0, w], [0, 1, 0]], NAT)
+    t0 = time.perf_counter()
+    e = encode_relation(mat)
+    assert time.perf_counter() - t0 < 2.0
+    assert sum(isinstance(a, Sym) for a in atoms(e)) == 1
+
+
 def test_encode_caps_unary_copies(monkeypatch):
     with pytest.raises(InvalidWeight):
         encode_relation(matrix([[MAX_RELATION_COPIES, 1]], NAT))
@@ -241,6 +277,26 @@ def test_decompose_other_sorting_same_value(dag31):
     assert print_expression(a) != print_expression(b)
     free = FreeIdagModel(BOOL)
     assert canonical_form(evaluate(a, free)) == canonical_form(evaluate(b, free))
+
+
+def test_decomposition_is_linear_in_size(rng):
+    for k in range(30):
+        ws = (BOOL, NAT, INT)[k % 3]
+        n = rng.randint(0, 48)
+        d = random_idag(rng, rng.randint(0, 4), rng.randint(0, 4), n, min(1.0, 3 / (n / 2 + 2)), ws)
+        e = decompose(d, sample_topological_sorting(d, rng) if n < 12 else default_sorting(d))
+        parts = list(atoms(e))
+        assert sum(isinstance(a, Sym) for a in parts) <= len(d.edges)
+        assert len(parts) <= 16 * (n + len(d.edges) + d.n_in + d.n_out)
+
+
+def test_decompose_and_evaluate_400_nodes():
+    rng = random.Random(400)
+    d = random_idag(rng, 3, 3, 400, 3 / (399 / 2 + 3), NAT, labels=("x", "y"))
+    t0 = time.perf_counter()
+    back = evaluate(decompose(d, default_sorting(d)), FreeIdagModel(NAT))
+    assert is_isomorphic(back, d) is not None
+    assert time.perf_counter() - t0 < 20.0
 
 
 def test_interpret_identity():

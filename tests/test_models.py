@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idag.models as models
-from idag.core import In, NodeRef, Out, make_idag, transitive_closure
+from idag.core import In, NodeRef, Out, is_isomorphic, make_idag, transitive_closure
 from idag.errors import InterfaceMismatch, InvalidWeight, ModeMismatch, UnsupportedGenerator
 from idag.models import (
     FreeIdagModel,
@@ -18,6 +18,7 @@ from idag.models import (
     matrix_identity,
     matrix_permutation,
 )
+from idag.randgen import random_expression
 from idag.terms import (
     Anti,
     Delta,
@@ -188,7 +189,7 @@ def test_loops_agrees_with_free_model(seed):
 # PROP laws, uniformly over models
 
 
-from helpers import consume_row as _consume_row  # noqa: E402
+from helpers import Forwarding, consume_row as _consume_row  # noqa: E402
 
 
 def _models_for(seed):
@@ -235,6 +236,20 @@ def test_model_interchange_and_symmetry(seed):
         assert model.equal(nat_l, nat_r)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**9))
+def test_free_evaluation_matches_the_fold(seed):
+    # evaluate() runs FreeIdagModel on a wire list; a wrapped model takes the
+    # compose/tensor fold, which stays the reference
+    rng = random.Random(seed)
+    ws = (BOOL, NAT, INT)[seed % 3]
+    e = random_expression(rng, max_depth=rng.randint(1, 5), allow_anti=ws is INT)
+    free = FreeIdagModel(ws)
+    fast = evaluate(e, free)
+    assert (fast.n_in, fast.n_out) == arity_of(e)
+    assert is_isomorphic(fast, evaluate(e, Forwarding(free))) is not None
+
+
 # ---------------------------------------------------------------------------
 # bridge: BOOL matrix = interface reachability of the free value
 
@@ -278,6 +293,25 @@ def test_mutant_images_fail_axioms(monkeypatch):
     monkeypatch.setattr(selftest, "REDUCED", selftest.REDUCED[:1])
     assert selftest.run_selftest(seed=0, out=lines.append) is False
     assert any("axioms" in ln and "FAIL" in ln for ln in lines)
+
+
+def test_free_evaluation_drops_cancelled_edges():
+    hopf = parse("delta ; (anti * id(1)) ; nabla")
+    assert dict(evaluate(hopf, FreeIdagModel(INT)).edges) == {}
+    twice = parse("delta ; (node[x] * id(1)) ; (id(1) * anti) ; nabla")
+    d = evaluate(Seq(twice, hopf), FreeIdagModel(INT))
+    assert len(d.nodes) == 1 and len(d.edges) == 1
+
+
+def test_free_evaluation_checks_image_interfaces(monkeypatch):
+    real = models.free_generator_image
+    monkeypatch.setattr(
+        models,
+        "free_generator_image",
+        lambda gen, mode: real(Delta() if isinstance(gen, Nabla) else gen, mode),
+    )
+    with pytest.raises(InterfaceMismatch):
+        evaluate(parse("delta ; nabla"), FreeIdagModel(NAT))
 
 
 def test_evaluate_type_checks_first():

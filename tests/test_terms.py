@@ -57,7 +57,7 @@ def test_type_error_position():
     bad = Seq(Ten(Seq(Nabla(), Nabla()), Id(1)), Id(2))
     with pytest.raises(TypeMismatch) as exc:
         arity_of(bad)
-    assert "first" in exc.value.position
+    assert exc.value.position == "expr.first.left"
 
 
 def test_parse_basics():
