@@ -432,8 +432,8 @@ def _evaluate_free(
     fold, without copying the idag built so far at every step.
 
     The walk carries the border of the idag built so far as a list of wires,
-    each a {edge source: nonzero weight} dict, and runs every atom on
-    the slice of wires it consumes. Nodes and their in-edges are final once
+    each a {edge source: nonzero weight} dict, and runs every atom on the
+    slice of wires it consumes. Nodes and their in-edges are final once
     emitted; the last border becomes the edges into the outputs. left_widths
     holds the output width of the left factor of every tensor in e, keyed by
     id(), as arity_of records it.
@@ -459,23 +459,18 @@ def _evaluate_free(
             key = (type(x), getattr(x, "label", None))
             img = images.get(key)
             if img is None:
-                img = images[key] = _checked_image(x, mode)
+                img = images[key] = free_generator_image(x, mode)
+                if (img.n_in, img.n_out) != arity_of(x):
+                    raise InterfaceMismatch(
+                        f"free image of {x!r} has interface "
+                        f"{(img.n_in, img.n_out)}, not {arity_of(x)}"
+                    )
             end = at + img.n_in
             wires[at:end] = _apply_image(img, wires[at:end], mode, nodes, edges)
     for j, wire in enumerate(wires):
         for src, w in wire.items():
             edges[(src, Out(j))] = w
     return Idag(mode, n_in, len(wires), tuple(nodes), core._attach(edges))
-
-
-def _checked_image(gen: Expression, mode: WeightSystem) -> Idag:
-    img = free_generator_image(gen, mode)
-    n, m = arity_of(gen)
-    if (img.n_in, img.n_out) != (n, m):
-        raise InterfaceMismatch(
-            f"free image of {gen!r} is {img.n_in} -> {img.n_out}, not {n} -> {m}"
-        )
-    return img
 
 
 def _apply_image(
