@@ -15,11 +15,9 @@ is_isomorphic and canonical_form decide.
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     BadEndpoint,
@@ -347,216 +345,315 @@ def edge_sort_key(d: Idag) -> Callable[[Edge], tuple]:
 # Isomorphism and canonical form
 
 
-def _joint_refinement(ds: Sequence[Idag]) -> list[dict[str, int]]:
-    """Partition refinement over the nodes of several idags at once.
+_Adjacency = list[list[tuple[int, int]]]
+
+
+def _dense_ranks(structured: Sequence) -> list[int]:
+    """Ranks of the values in sorted order: equal values share a rank."""
+    rank = {c: k for k, c in enumerate(sorted(set(structured)))}
+    return [rank[c] for c in structured]
+
+
+def _refine(colors: list[int], preds: _Adjacency, succs: _Adjacency) -> list[int]:
+    """Partition refinement (one-dimensional Weisfeiler-Leman): recolour every
+    node by its color and its sorted weighted in- and out-neighbour colors
+    until no cell splits. New colors are ranks of the sorted profiles, which
+    lead with the old color, so cells split in place and the result does not
+    depend on node numbering."""
+    count = len(set(colors))
+    while True:
+        colors = _dense_ranks(
+            [
+                (
+                    c,
+                    tuple(sorted([(colors[j], w) for j, w in preds[i]])),
+                    tuple(sorted([(colors[j], w) for j, w in succs[i]])),
+                )
+                for i, c in enumerate(colors)
+            ]
+        )
+        new_count = len(set(colors))
+        if new_count == count:
+            return colors
+        count = new_count
+
+
+def _split_twins(colors: list[int], twin: list[int]) -> list[int]:
+    """Split every cell made of one twin class into singletons, in node order.
+    Twins have the same label, neighbours, weights and interface edges, so
+    any order of them gives the same key, and the partition stays
+    equitable."""
+    cells: dict[int, list[int]] = {}
+    for i, c in enumerate(colors):
+        cells.setdefault(c, []).append(i)
+    pure = [m for m in cells.values() if len(m) > 1 and len({twin[i] for i in m}) == 1]
+    if not pure:
+        return colors
+    key = [(c, 0) for c in colors]
+    for members in pure:
+        for k, i in enumerate(members):
+            key[i] = (colors[i], k)
+    return _dense_ranks(key)
+
+
+@dataclass
+class _Frame:
+    """A node of the search tree: its equitable coloring, the nodes
+    individualized on the way to it, and the children of its target cell."""
+
+    colors: list[int]
+    path: tuple[int, ...]
+    on_first_path: bool
+    candidates: Iterator[int]
+    tried: list[int] = field(default_factory=list)
+
+
+def _search(
+    colors: list[int],
+    preds: _Adjacency,
+    succs: _Adjacency,
+    twin: list[int],
+    steps: list[int],
+    exhausted: str,
+) -> tuple[tuple, list[int]]:
+    """Canonical labelling of one connected tied part by
+    individualization-refinement (McKay & Piperno, Practical graph
+    isomorphism II, 2014).
+
+    Each tree node individualizes one member of the first non-singleton
+    cell and refines; leaves are discrete colorings, and the canonical one
+    has the least sorted edge list. Two leaves with equal edge lists give an
+    automorphism: its orbits prune the children of nodes on the first path,
+    and a leaf equal to the first leaf abandons its branch back to where
+    that branch left the first path. Children twin to a tried child are
+    skipped everywhere. steps[0] counts down the tree nodes left.
+
+    Returns the least edge list and the node order producing it.
+    """
+    n = len(colors)
+
+    def equitable(cs: list[int]) -> list[int]:
+        steps[0] -= 1
+        if steps[0] < 0:
+            raise SearchBudgetExceeded(exhausted)
+        return _split_twins(_refine(cs, preds, succs), twin)
+
+    def edge_list(cs: list[int]) -> tuple:
+        return tuple(sorted([(cs[i], cs[j], w) for i in range(n) for j, w in succs[i]]))
+
+    orbit = list(range(n))
+
+    def find(x: int) -> int:
+        while orbit[x] != x:
+            orbit[x] = orbit[orbit[x]]
+            x = orbit[x]
+        return x
+
+    def merge_automorphism(a: list[int], b: list[int]) -> None:
+        # a and b are discrete colorings with equal edge lists: node i of a
+        # and the node of b with the same color play the same part.
+        at_color = [0] * n
+        for j, c in enumerate(b):
+            at_color[c] = j
+        for i, c in enumerate(a):
+            orbit[find(i)] = find(at_color[c])
+
+    # Twin transpositions fix every other node, so twins share an orbit.
+    first_of_twin: dict[int, int] = {}
+    for i in range(n):
+        orbit[i] = first_of_twin.setdefault(twin[i], i)
+
+    def frame(cs: list[int], path: tuple[int, ...], on_first_path: bool) -> _Frame:
+        size: dict[int, int] = {}
+        for c in cs:
+            size[c] = size.get(c, 0) + 1
+        target = min(c for c, k in size.items() if k > 1)
+        cell = [i for i in range(n) if cs[i] == target]
+        return _Frame(cs, path, on_first_path, iter(cell))
+
+    def next_child(f: _Frame) -> Optional[int]:
+        for v in f.candidates:
+            if any(twin[u] == twin[v] for u in f.tried):
+                continue
+            if f.on_first_path and find(v) in {find(u) for u in f.tried}:
+                continue
+            f.tried.append(v)
+            return v
+        return None
+
+    root = equitable(colors)
+    if len(set(root)) == n:
+        return edge_list(root), sorted(range(n), key=root.__getitem__)
+    first = best = None
+    frames = [frame(root, (), True)]
+    while frames:
+        f = frames[-1]
+        v = next_child(f)
+        if v is None:
+            frames.pop()
+            continue
+        cs = f.colors
+        cv = cs[v]
+        child = equitable([c + 1 if c > cv or (c == cv and i != v) else c for i, c in enumerate(cs)])
+        path = f.path + (v,)
+        if len(set(child)) < n:
+            frames.append(frame(child, path, first is None))
+            continue
+        code = edge_list(child)
+        if first is None:
+            first = best = (code, child, path)
+        elif code == first[0]:
+            merge_automorphism(first[1], child)
+            common = 0
+            while path[common] == first[2][common]:
+                common += 1
+            del frames[common + 1 :]
+        elif code == best[0]:
+            merge_automorphism(best[1], child)
+        elif code < best[0]:
+            best = (code, child, path)
+    return best[0], sorted(range(n), key=best[1].__getitem__)
+
+
+def _break_ties(
+    colors: list[int], preds: _Adjacency, succs: _Adjacency, budget: int
+) -> list[int]:
+    """A discrete coloring refining the equitable coloring `colors` that is
+    canonical: isomorphic idags get the same key under it.
+
+    Cells of twins are split in node order. What is still tied falls apart
+    into connected parts; nodes outside them are fixed, and every member of
+    a cell has the same edges to fixed nodes and to the interface, so each
+    part is labelled on its own (by _search) and equal parts, which can be
+    swapped, are ordered by their codes.
+    """
+    n = len(colors)
+    twin = _dense_ranks(
+        [(colors[i], tuple(sorted(preds[i])), tuple(sorted(succs[i]))) for i in range(n)]
+    )
+    colors = _split_twins(colors, twin)
+    size: dict[int, int] = {}
+    for c in colors:
+        size[c] = size.get(c, 0) + 1
+    tied = {i for i in range(n) if size[colors[i]] > 1}
+    if not tied:
+        return colors
+    tied_sizes = sorted((k for k in size.values() if k > 1), reverse=True)
+    exhausted = (
+        f"canonical search exceeded its budget of {budget} tree nodes "
+        f"(N = {n} nodes; cells tied after refinement: {tied_sizes})"
+    )
+
+    steps = [budget]
+    parts: list[tuple[tuple, list[int]]] = []
+    seen: set[int] = set()
+    for start in sorted(tied):
+        if start in seen:
+            continue
+        seen.add(start)
+        members = [start]
+        for i in members:
+            for j, _ in preds[i] + succs[i]:
+                if j in tied and j not in seen:
+                    seen.add(j)
+                    members.append(j)
+        local = {i: k for k, i in enumerate(members)}
+        code, order = _search(
+            _dense_ranks([colors[i] for i in members]),
+            [[(local[j], w) for j, w in preds[i] if j in local] for i in members],
+            [[(local[j], w) for j, w in succs[i] if j in local] for i in members],
+            [twin[i] for i in members],
+            steps,
+            exhausted,
+        )
+        parts.append(((tuple(colors[members[k]] for k in order), code), [members[k] for k in order]))
+    parts.sort(key=lambda part: part[0])
+    place = list(range(n))
+    for k, i in enumerate(i for _, order in parts for i in order):
+        place[i] = n + k
+    return _dense_ranks([(colors[i], place[i]) for i in range(n)])
+
+
+def _labelling(d: Idag, budget: int) -> tuple[tuple, list[str]]:
+    """The canonical key of d, (labels, sorted edge triples), and the node
+    order that produces it.
 
     Colors start from (label, exact weighted interface profiles) and are
-    refined by sorted weighted neighbour-color profiles until stable. Ranks
-    are assigned by sorting the structured colors, so they are comparable
-    across the supplied idags and invariant under node renaming.
+    refined to an equitable partition; nodes are ordered by refined color.
+    When colors tie, _break_ties orders the tied nodes canonically.
     """
-    ins: list[dict[str, list[tuple[int, int]]]] = []
-    outs: list[dict[str, list[tuple[int, int]]]] = []
-    nbr_in: list[dict[str, list[tuple[str, int]]]] = []
-    nbr_out: list[dict[str, list[tuple[str, int]]]] = []
-    for d in ds:
-        i_prof: dict[str, list[tuple[int, int]]] = {nid: [] for nid in d.node_ids}
-        o_prof: dict[str, list[tuple[int, int]]] = {nid: [] for nid in d.node_ids}
-        n_in_: dict[str, list[tuple[str, int]]] = {nid: [] for nid in d.node_ids}
-        n_out_: dict[str, list[tuple[str, int]]] = {nid: [] for nid in d.node_ids}
-        for (src, dst), w in d.edges.items():
-            if isinstance(src, In) and isinstance(dst, NodeRef):
-                i_prof[dst.id].append((src.index, w))
-            elif isinstance(src, NodeRef) and isinstance(dst, Out):
-                o_prof[src.id].append((dst.index, w))
-            elif isinstance(src, NodeRef) and isinstance(dst, NodeRef):
-                n_out_[src.id].append((dst.id, w))
-                n_in_[dst.id].append((src.id, w))
-        ins.append(i_prof)
-        outs.append(o_prof)
-        nbr_in.append(n_in_)
-        nbr_out.append(n_out_)
-
-    color: list[dict[str, tuple]] = [
-        {
-            nid: (
-                d.label_of(nid),
-                tuple(sorted(ins[k][nid])),
-                tuple(sorted(outs[k][nid])),
-            )
-            for nid in d.node_ids
-        }
-        for k, d in enumerate(ds)
-    ]
-
-    def densify(structured: list[dict[str, tuple]]) -> list[dict[str, int]]:
-        universe = sorted({c for per in structured for c in per.values()})
-        rank = {c: i for i, c in enumerate(universe)}
-        return [{nid: rank[c] for nid, c in per.items()} for per in structured]
-
-    ranks = densify(color)
-    total = sum(len(d.nodes) for d in ds)
-    for _ in range(total + 1):
-        new_color = [
-            {
-                nid: (
-                    ranks[k][nid],
-                    tuple(sorted((ranks[k][src], w) for src, w in nbr_in[k][nid])),
-                    tuple(sorted((ranks[k][dst], w) for dst, w in nbr_out[k][nid])),
-                )
-                for nid in d.node_ids
-            }
-            for k, d in enumerate(ds)
-        ]
-        new_ranks = densify(new_color)
-        if new_ranks == ranks:
-            break
-        ranks = new_ranks
-    return ranks
-
-
-def _basic_signature(d: Idag) -> tuple:
-    labels = sorted(lbl for _, lbl in d.nodes)
-    return (d.weights.name, d.n_in, d.n_out, len(d.nodes), labels, len(d.edges))
-
-
-def is_isomorphic(d1: Idag, d2: Idag) -> Optional[dict[str, str]]:
-    """A node bijection matching labels and all weighted edges pointwise, or
-    None. Interfaces must match exactly (inputs and outputs are never
-    permuted)."""
-    if _basic_signature(d1) != _basic_signature(d2):
-        return None
-    # Edges between interface vertices are untouched by any node bijection,
-    # so they must coincide exactly.
-    io1 = {
-        e: w
-        for e, w in d1.edges.items()
-        if not isinstance(e[0], NodeRef) and not isinstance(e[1], NodeRef)
-    }
-    io2 = {
-        e: w
-        for e, w in d2.edges.items()
-        if not isinstance(e[0], NodeRef) and not isinstance(e[1], NodeRef)
-    }
-    if io1 != io2:
-        return None
-    r1, r2 = _joint_refinement([d1, d2])
-    by_rank1: dict[int, list[str]] = {}
-    by_rank2: dict[int, list[str]] = {}
-    for nid, r in r1.items():
-        by_rank1.setdefault(r, []).append(nid)
-    for nid, r in r2.items():
-        by_rank2.setdefault(r, []).append(nid)
-    if set(by_rank1) != set(by_rank2):
-        return None
-    if any(len(by_rank1[r]) != len(by_rank2[r]) for r in by_rank1):
-        return None
-
-    nn1: dict[tuple[str, str], int] = {}
-    nn2: dict[tuple[str, str], int] = {}
-    for (src, dst), w in d1.edges.items():
-        if isinstance(src, NodeRef) and isinstance(dst, NodeRef):
-            nn1[(src.id, dst.id)] = w
-    for (src, dst), w in d2.edges.items():
-        if isinstance(src, NodeRef) and isinstance(dst, NodeRef):
-            nn2[(src.id, dst.id)] = w
-
-    # Most-constrained-first: smallest color classes get assigned early.
-    order = sorted(d1.node_ids, key=lambda nid: (len(by_rank1[r1[nid]]), nid))
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def consistent(a: str, b: str) -> bool:
-        for a2, b2 in mapping.items():
-            if nn1.get((a, a2), 0) != nn2.get((b, b2), 0):
-                return False
-            if nn1.get((a2, a), 0) != nn2.get((b2, b), 0):
-                return False
-        return True
-
-    def assign(k: int) -> bool:
-        if k == len(order):
-            return True
-        a = order[k]
-        for b in by_rank2[r1[a]]:
-            if b in used or not consistent(a, b):
-                continue
-            mapping[a] = b
-            used.add(b)
-            if assign(k + 1):
-                return True
-            del mapping[a]
-            used.remove(b)
-        return False
-
-    if assign(0):
-        return dict(mapping)
-    return None
-
-
-def _ordering_key(d: Idag, order: Sequence[str]) -> tuple:
-    pos = {nid: k for k, nid in enumerate(order)}
+    ids = d.node_ids
+    index = {nid: i for i, nid in enumerate(ids)}
+    preds: _Adjacency = [[] for _ in ids]
+    succs: _Adjacency = [[] for _ in ids]
+    in_prof: _Adjacency = [[] for _ in ids]
+    out_prof: _Adjacency = [[] for _ in ids]
+    for (src, dst), w in d.edges.items():
+        if isinstance(src, NodeRef):
+            i = index[src.id]
+            if isinstance(dst, NodeRef):
+                succs[i].append((index[dst.id], w))
+                preds[index[dst.id]].append((i, w))
+            else:
+                out_prof[i].append((dst.index, w))
+        elif isinstance(dst, NodeRef):
+            in_prof[index[dst.id]].append((src.index, w))
+    labels = [lbl for _, lbl in d.nodes]
+    colors = _refine(
+        _dense_ranks(
+            [
+                (labels[i], tuple(sorted(in_prof[i])), tuple(sorted(out_prof[i])))
+                for i in range(len(ids))
+            ]
+        ),
+        preds,
+        succs,
+    )
+    if len(set(colors)) < len(ids):
+        colors = _break_ties(colors, preds, succs, budget)
+    order = sorted(range(len(ids)), key=colors.__getitem__)
 
     def vkey(v: Vertex) -> tuple[int, int]:
         if isinstance(v, In):
             return (0, v.index)
         if isinstance(v, NodeRef):
-            return (1, pos[v.id])
+            return (1, colors[index[v.id]])
         return (2, v.index)
 
-    labels = tuple(d.label_of(nid) for nid in order)
-    edges = tuple(
-        sorted((vkey(src), vkey(dst), w) for (src, dst), w in d.edges.items())
+    key = (
+        tuple(labels[i] for i in order),
+        tuple(sorted((vkey(src), vkey(dst), w) for (src, dst), w in d.edges.items())),
     )
-    return (labels, edges)
+    return key, [ids[i] for i in order]
+
+
+def is_isomorphic(d1: Idag, d2: Idag) -> Optional[dict[str, str]]:
+    """A node bijection matching labels and all weighted edges pointwise, or
+    None. Interfaces must match exactly (inputs and outputs are never
+    permuted). Compares the canonical labellings of d1 and d2 and maps node
+    to node by position; SearchBudgetExceeded as for canonical_form."""
+    shape1 = (d1.weights.name, d1.n_in, d1.n_out, len(d1.nodes), len(d1.edges))
+    shape2 = (d2.weights.name, d2.n_in, d2.n_out, len(d2.nodes), len(d2.edges))
+    if shape1 != shape2:
+        return None
+    key1, order1 = _labelling(d1, CANONICAL_SEARCH_BUDGET)
+    key2, order2 = _labelling(d2, CANONICAL_SEARCH_BUDGET)
+    if key1 != key2:
+        return None
+    return dict(zip(order1, order2))
 
 
 def canonical_form(d: Idag, budget: int = CANONICAL_SEARCH_BUDGET) -> Idag:
     """A canonical representative of d's isomorphism class.
 
     Nodes are renamed "0".."N-1"; two idags are isomorphic iff their canonical
-    forms are equal. Same-color nodes left undistinguished by partition
-    refinement are ordered by exhaustive search for the lexicographically
-    minimal labelled edge list, counting each candidate node placement against
-    the step budget (SearchBudgetExceeded beyond).
+    forms are equal. Nodes are ordered by partition-refinement color; where
+    colors tie, twins are ordered freely, independent tied parts are
+    labelled separately, and the rest is searched by
+    individualization-refinement, counting each search-tree node against the
+    budget (SearchBudgetExceeded beyond).
     """
-    (ranks,) = _joint_refinement([d])
-    classes: dict[int, list[str]] = {}
-    for nid in d.node_ids:
-        classes.setdefault(ranks[nid], []).append(nid)
-    class_list = [sorted(classes[r]) for r in sorted(classes)]
-
-    if all(len(c) == 1 for c in class_list):
-        best_order = [c[0] for c in class_list]
-        best_key = _ordering_key(d, best_order)
-    else:
-        best_key = None
-        best_order = None
-        steps = 0
-        n = len(d.nodes)
-        # itertools.product materializes its argument iterables, so refuse
-        # oversized searches before enumerating anything.
-        total = n * math.prod(math.factorial(len(c)) for c in class_list)
-        if total > budget:
-            raise SearchBudgetExceeded(
-                f"canonical search exceeded {budget} extension steps"
-            )
-        for combo in itertools.product(
-            *(itertools.permutations(c) for c in class_list)
-        ):
-            steps += n
-            if steps > budget:
-                raise SearchBudgetExceeded(
-                    f"canonical search exceeded {budget} extension steps"
-                )
-            order = [nid for group in combo for nid in group]
-            key = _ordering_key(d, order)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_order = order
-        assert best_order is not None and best_key is not None
-
-    labels, edge_triples = best_key
+    (labels, edge_triples), _ = _labelling(d, budget)
     nodes = tuple((str(k), lbl) for k, lbl in enumerate(labels))
 
     def unkey(vk: tuple[int, int]) -> Vertex:

@@ -49,8 +49,9 @@ class ModeMismatch(IdagError):
 
 
 class SearchBudgetExceeded(IdagError):
-    """Canonicalization gave up after the configured number of extension
-    steps."""
+    """Canonicalization gave up after the configured number of search-tree
+    nodes; the message names N, the budget and the sizes of the cells that
+    were still tied when the search began."""
 
 
 class TypeMismatch(IdagError):

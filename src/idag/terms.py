@@ -19,9 +19,10 @@ Concrete syntax:
 both associate to the left. Labels are identifier or number tokens; a bare
 "node" carries the default label.
 
-Walks over expressions (arity checking, printing, evaluation) are iterative,
-so deeply chained composites produced by decomposition do not hit the
-interpreter recursion limit.
+Parsing and walks over expressions (arity checking, printing, evaluation)
+are iterative, so deeply parenthesized text and the deeply chained
+composites produced by decomposition do not hit the interpreter recursion
+limit.
 """
 
 from __future__ import annotations
@@ -367,10 +368,12 @@ def print_expression(e: Expression) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[;*()\[\],]|\S")
+# One scan per line: each match skips whitespace, then takes a token or, in
+# the last group, a character no token starts with.
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[0-9]+|[;*()\[\],])|(\S))")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Token:
     text: str
     line: int
@@ -380,20 +383,12 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     for lineno, line in enumerate(text.splitlines() or [""], start=1):
-        idx = 0
-        while idx < len(line):
-            if line[idx].isspace():
-                idx += 1
-                continue
-            m = _TOKEN_RE.match(line, idx)
-            assert m is not None
-            tok = m.group(0)
-            if tok not in {";", "*", "(", ")", "[", "]", ","} and not re.match(
-                r"[A-Za-z_0-9]", tok
-            ):
-                raise ExprSyntaxError(lineno, idx + 1, f"unexpected character {tok!r}")
-            tokens.append(_Token(tok, lineno, idx + 1))
-            idx = m.end()
+        for m in _TOKEN_RE.finditer(line):
+            if m.group(2) is not None:
+                raise ExprSyntaxError(
+                    lineno, m.start(2) + 1, f"unexpected character {m.group(2)!r}"
+                )
+            tokens.append(_Token(m.group(1), lineno, m.start(1) + 1))
     return tokens
 
 
@@ -439,18 +434,35 @@ class _Parser:
         return int(tok.text)
 
     def expr(self) -> Expression:
-        e = self.ten()
-        while self.peek() == ";":
-            self.take()
-            e = Seq(e, self.ten())
-        return e
-
-    def ten(self) -> Expression:
-        e = self.atom()
-        while self.peek() == "*":
-            self.take()
-            e = Ten(e, self.atom())
-        return e
+        """expr := ten (";" ten)*, ten := atom ("*" atom)*, where an atom may
+        be a parenthesized expr. Iterative: each open parenthesis pushes the
+        enclosing expression's partial chains, so nesting depth is not
+        limited by the interpreter's recursion limit."""
+        enclosing: list[tuple[Optional[Expression], Optional[Expression]]] = []
+        chain: Optional[Expression] = None  # completed tens, joined by ";"
+        row: Optional[Expression] = None  # atoms of the current ten, by "*"
+        while True:
+            if self.peek() == "(":
+                self.take()
+                enclosing.append((chain, row))
+                chain = row = None
+                continue
+            a = self.atom()
+            while True:
+                row = a if row is None else Ten(row, a)
+                if self.peek() == "*":
+                    self.take()
+                    break
+                chain = row if chain is None else Seq(chain, row)
+                row = None
+                if self.peek() == ";":
+                    self.take()
+                    break
+                if not enclosing:
+                    return chain
+                self.expect(")")
+                a = chain
+                chain, row = enclosing.pop()
 
     def atom(self) -> Expression:
         tok = self.take()
@@ -486,10 +498,6 @@ class _Parser:
             m = self.nat()
             self.expect(")")
             return Sym(n, m)
-        if text == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
         raise ExprSyntaxError(tok.line, tok.column, f"unexpected token {text!r}")
 
 

@@ -53,6 +53,20 @@ def test_parse_error_exit(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_deeply_nested_eq(capsys):
+    depth = 1000
+    assert main(["eq", "(" * depth + "id(1)" + ")" * depth, "id(1)"]) == 0
+
+
+def test_normalize_many_interchangeable_copies(capsys):
+    for k in (9, 12):
+        text = " * ".join(["(eta ; node ; eps)"] * k)
+        for mode in ("bool", "nat"):
+            assert main(["normalize", text, "--mode", mode]) == 0
+            d = idag_from_json(capsys.readouterr().out)
+            assert (len(d.nodes), len(d.edges)) == (k, 0)
+
+
 def test_anti_needs_int_mode(capsys):
     assert main(["normalize", "anti"]) == 2
     assert main(["normalize", "anti", "--mode", "int"]) == 0

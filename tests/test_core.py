@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from idag.errors import (
     ZeroWeight,
 )
 from idag.randgen import random_idag
+from idag.selftest import _brute_force_iso, _scramble
 from idag.weights import BOOL, INT, NAT
 
 
@@ -265,10 +267,134 @@ def test_canonical_idempotent(rng):
         assert canonical_form(c) == c
 
 
+def _crown(k, mode=BOOL, prefix=""):
+    """a_i -> b_j for all i != j. Refinement leaves two cells of k nodes, no
+    two nodes are twins and the graph is connected, so only the search can
+    order it."""
+    a = [f"{prefix}a{i}" for i in range(k)]
+    b = [f"{prefix}b{i}" for i in range(k)]
+    edges = [(NodeRef(a[i]), NodeRef(b[j])) for i in range(k) for j in range(k) if i != j]
+    return make_idag(0, 0, a + b, edges, mode)
+
+
+def _twin_blow_up(rng, d):
+    """d with every node replaced by 1-3 twins wired like it."""
+    copies = {nid: [f"{nid}_{k}" for k in range(rng.randint(1, 3))] for nid in d.node_ids}
+    nodes = [(c, lbl) for nid, lbl in d.nodes for c in copies[nid]]
+
+    def ends(v):
+        return [NodeRef(c) for c in copies[v.id]] if isinstance(v, NodeRef) else [v]
+
+    edges = {(s, t): w for (src, dst), w in d.edges.items() for s in ends(src) for t in ends(dst)}
+    return make_idag(d.n_in, d.n_out, nodes, edges, d.weights)
+
+
+def _assert_witness(d1, d2, witness):
+    assert witness is not None and sorted(witness.values()) == sorted(d2.node_ids)
+
+    def ren(v):
+        return NodeRef(witness[v.id]) if isinstance(v, NodeRef) else v
+
+    assert {(ren(s), ren(t)): w for (s, t), w in d1.edges.items()} == dict(d2.edges)
+    labels1, labels2 = dict(d1.nodes), dict(d2.nodes)
+    assert all(labels1[x] == labels2[y] for x, y in witness.items())
+
+
 def test_canonical_search_budget():
-    d = make_idag(0, 0, [f"p{i}" for i in range(12)], {})
-    with pytest.raises(SearchBudgetExceeded):
-        canonical_form(d)
+    d = _crown(4)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        canonical_form(d, budget=3)
+    assert "budget of 3 " in str(exc.value)
+    assert "N = 8 " in str(exc.value) and "[4, 4]" in str(exc.value)
+    shuffled = _scramble(random.Random(4), d, "s")
+    assert canonical_form(shuffled) == canonical_form(d)
+    _assert_witness(d, shuffled, is_isomorphic(d, shuffled))
+
+
+def test_canonical_search_prunes_by_automorphisms():
+    # the crown's automorphism group is S_8; the pruned tree has 36 nodes
+    d = _crown(8)
+    assert canonical_form(d, budget=72) == canonical_form(d)
+
+
+def _regular_layers(rng, layers, width, degree, mode, prefix="v"):
+    """Layers of `width` nodes, each node wired to `degree` distinct nodes of
+    the next layer and fed by `degree` of the previous one. Refinement keeps
+    each layer one cell, and most such dags have no symmetry at all."""
+    nodes = [[f"{prefix}{l}_{i}" for i in range(width)] for l in range(layers)]
+    edges = {}
+    for l in range(layers - 1):
+        used = set()
+        for _ in range(degree):
+            perm = list(range(width))
+            rng.shuffle(perm)
+            while any((i, perm[i]) in used for i in range(width)):
+                rng.shuffle(perm)
+            for i in range(width):
+                used.add((i, perm[i]))
+                edges[(NodeRef(nodes[l][i]), NodeRef(nodes[l + 1][perm[i]]))] = 1
+    return make_idag(0, 0, [n for layer in nodes for n in layer], edges, mode)
+
+
+def test_canonical_form_is_invariant_on_regular_dags(rng):
+    for trial in range(12):
+        layers, width, degree = rng.choice([(2, 6, 2), (3, 5, 2), (2, 8, 3), (4, 4, 2)])
+        mode = (BOOL, NAT, INT)[trial % 3]
+        # two independent parts that refinement cannot tell apart
+        d = juxt(
+            _regular_layers(rng, layers, width, degree, mode, "p"),
+            _regular_layers(rng, layers, width, degree, mode, "q"),
+        )
+        c = canonical_form(d)
+        for k in range(3):
+            shuffled = _scramble(rng, d, f"s{k}_")
+            assert canonical_form(shuffled) == c
+            _assert_witness(d, shuffled, is_isomorphic(d, shuffled))
+
+
+@pytest.mark.parametrize("n", [400, 800])
+def test_canonical_form_of_sparse_random_idags(n):
+    rng = random.Random(n)
+    d = random_idag(rng, 2, 2, n, 3.0 / n, NAT, labels=("a", "b"))
+    start = time.process_time()
+    c = canonical_form(d)
+    assert time.process_time() - start < 1.0
+    shuffled = _scramble(rng, d, "s")
+    assert canonical_form(shuffled) == c
+    _assert_witness(d, shuffled, is_isomorphic(d, shuffled))
+
+
+def _symmetric_idag(rng):
+    """A small idag with repeated components, twin sets or crowns."""
+    mode = rng.choice((BOOL, NAT, INT))
+    kind = rng.randrange(4)
+    if kind == 0:
+        part = random_idag(rng, rng.randint(0, 2), rng.randint(0, 2), rng.randint(1, 3), 0.5, mode, labels=("x", "y"))
+        d = part
+        for _ in range(rng.randint(1, 2)):
+            d = juxt(d, part)
+        return d
+    if kind == 1:
+        return _twin_blow_up(rng, random_idag(rng, rng.randint(0, 2), rng.randint(0, 2), rng.randint(1, 3), 0.5, mode, labels=("x", "y")))
+    if kind == 2:
+        d = _crown(rng.randint(2, 3), mode)
+        return juxt(d, _crown(2, mode, "c")) if len(d.nodes) == 4 and rng.random() < 0.5 else d
+    return random_idag(rng, rng.randint(0, 2), rng.randint(0, 2), rng.randint(2, 7), 0.4, mode, labels=("x",))
+
+
+def test_canonical_labelling_matches_brute_force_on_symmetric_idags(rng):
+    pool = [_symmetric_idag(rng) for _ in range(60)]
+    pool = [d for d in pool if len(d.nodes) <= 7]
+    pool += [_scramble(rng, d, "s") for d in pool[:30]]
+    canon = [canonical_form(d) for d in pool]
+    for a, b in itertools.combinations(range(len(pool)), 2):
+        d1, d2 = pool[a], pool[b]
+        oracle = _brute_force_iso(d1, d2)
+        assert (canon[a] == canon[b]) == (oracle is not None)
+        witness = is_isomorphic(d1, d2)
+        assert (witness is not None) == (oracle is not None)
+        if witness is not None:
+            _assert_witness(d1, d2, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -172,3 +172,15 @@ def test_cheap_invariants_agree_with_decision(seed):
     w1 = sum(w for (s, t), w in v1.edges.items() if isinstance(t, Out))
     w2 = sum(w for (s, t), w in v2.edges.items() if isinstance(t, Out))
     assert w1 == w2
+
+
+def test_many_interchangeable_copies():
+    def copies(k):
+        return parse(" * ".join(["(eta ; node ; eps)"] * k))
+
+    for k in (9, 12):
+        for mode in (BOOL, NAT):
+            nf = normalize(copies(k), mode)
+            assert (len(nf.nodes), len(nf.edges)) == (k, 0)
+        assert equal_mod_theory(copies(k), copies(k), NAT).equal
+        assert not equal_mod_theory(copies(k), copies(k + 1), NAT).equal

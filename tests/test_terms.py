@@ -8,6 +8,7 @@ from idag.errors import ExprSyntaxError, TypeMismatch, UnsupportedGenerator
 from idag.models import FreeIdagModel, MatrixModel, evaluate
 from idag.randgen import random_expression
 from idag.terms import (
+    _tokenize,
     Anti,
     Delta,
     Eps,
@@ -165,3 +166,89 @@ def test_deep_chain_no_recursion_limit():
     assert arity_of(e) == (1, 1)
     text = print_expression(e)
     assert parse(text) == e
+
+
+def test_deeply_nested_parentheses():
+    depth = 10_000
+    assert parse("(" * depth + "id(1)" + ")" * depth) == Id(1)
+    assert parse("(" * depth + "eta ; (node ; (eps))" + ")" * depth) == Seq(Eta(), Seq(Node(), Eps()))
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("(" * depth + "id(1)" + ")" * (depth - 1))
+    assert (exc.value.line, exc.value.column) == (1, 2 * depth + 5)
+
+
+def _reference_tokens(text):
+    """Character-by-character tokenizer: skip whitespace, take the longest
+    identifier or number, or one punctuation character."""
+    tokens = []
+    for lineno, line in enumerate(text.splitlines() or [""], start=1):
+        idx = 0
+        while idx < len(line):
+            ch = line[idx]
+            if ch.isspace():
+                idx += 1
+                continue
+            end = idx + 1
+            if ch.isascii() and (ch.isalpha() or ch == "_"):
+                while end < len(line) and line[end].isascii() and (line[end].isalnum() or line[end] == "_"):
+                    end += 1
+            elif ch in "0123456789":
+                while end < len(line) and line[end] in "0123456789":
+                    end += 1
+            elif ch not in ";*()[],":
+                raise ExprSyntaxError(lineno, idx + 1, f"unexpected character {ch!r}")
+            tokens.append((line[idx:end], lineno, idx + 1))
+            idx = end
+    return tokens
+
+
+def test_tokens_match_the_reference_tokenizer():
+    rng = random.Random(11)
+    texts = []
+    for _ in range(300):
+        text = print_expression(random_expression(rng, max_depth=6, allow_anti=True))
+        texts.append(text)
+        for _ in range(2):
+            i = rng.randrange(len(text) + 1)
+            texts.append(text[:i] + rng.choice(["\n  ", "\t", " - ", "é", "(", "x1", "$"]) + text[i:])
+    texts += ["", "\n", "  \t", "eta\x1c;eps", "12abc_3 ;", "node[ü]"]
+    for text in texts:
+        try:
+            want = _reference_tokens(text)
+        except ExprSyntaxError as exc:
+            with pytest.raises(ExprSyntaxError) as got:
+                _tokenize(text)
+            assert (got.value.line, got.value.column, got.value.message) == (
+                exc.line,
+                exc.column,
+                exc.message,
+            )
+            continue
+        assert [(t.text, t.line, t.column) for t in _tokenize(text)] == want
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("", 1, 1, "empty expression"),
+        ("delta ;", 1, 8, "unexpected end of input"),
+        ("delta nabla", 1, 7, "trailing input 'nabla'"),
+        ("id(-1)", 1, 4, "unexpected character '-'"),
+        ("sym(1)", 1, 6, "expected ','"),
+        ("node[", 1, 6, "unexpected end of input"),
+        ("(delta", 1, 7, "expected ')'"),
+        ("delta ;\n; nabla", 2, 1, "unexpected token ';'"),
+        ("eta *", 1, 6, "unexpected end of input"),
+        ("eta ;\n  eta $ eps", 2, 7, "unexpected character '$'"),
+        ("((eta)", 1, 7, "expected ')'"),
+        ("node[;]", 1, 6, "expected a label"),
+        ("id(x)", 1, 4, "expected a number, got 'x'"),
+        ("(eta * (eta ; nabla)", 1, 21, "expected ')'"),
+        ("eta\t;\t\t%", 1, 8, "unexpected character '%'"),
+        ("id(1) )", 1, 7, "trailing input ')'"),
+    ],
+)
+def test_syntax_error_positions(text, line, column, message):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
