@@ -6,14 +6,19 @@ single-node boxes: before node k is emitted, the live wires are the n inputs
 plus the k nodes already emitted, and the k-th slice is the
 (n+k) x (n+k+1) matrix keeping every live wire and adding one column with the
 in-weights of node sigma_k; a final (n+|N|) x m matrix routes live wires into
-the outputs. decompose() renders each slice with encode_relation and
+the outputs. decompose() renders each slice as encode_relation does and
 interleaves node boxes; interpret() skips the syntax and composes the slices
 directly in any model. Both exist so tests can play them against each other.
 
 A slice's encoding copies, routes and merges wires. Routing moves each
 edge's copies as one block crossing, so a decomposition holds at most one
-crossing per edge and O(N + E) atoms (weights bounded), and the sorting is
-checked once per call.
+crossing per edge and O(N + E) atoms (weights bounded). decompose() builds
+the encoding of a node slice straight from the node's in-edges, without its
+matrix, so its time is linear in its output too; the sorting is checked
+once per call.
+
+Counting and uniform sampling of sortings are exact, and raise
+SearchBudgetExceeded beyond MAX_DOWN_SETS down-sets.
 
 Different sortings yield different expressions with equal value in every
 model; transposition_identities() checks the five local identities that drive
@@ -34,6 +39,7 @@ from .errors import (
     NotAdjacentTransposition,
     NotATopologicalSorting,
     NotBijective,
+    SearchBudgetExceeded,
 )
 from .models import (
     MatrixModel,
@@ -60,6 +66,10 @@ from .weights import INT, NAT
 # encode_relation spells an entry w out as |w| wire copies; this caps the
 # copies of one matrix, so a huge weight raises instead of exhausting memory
 MAX_RELATION_COPIES = 10**5
+# counting linear extensions is #P-complete, and the exact counter memoises
+# every down-set it meets; this caps them, so a wide idag raises instead of
+# running for hours or exhausting memory
+MAX_DOWN_SETS = 10**5
 
 
 @dataclass(frozen=True)
@@ -148,21 +158,40 @@ def default_sorting(d: Idag) -> TopSort:
 
 def _extension_counter(
     d: Idag,
-) -> tuple[dict[str, set[str]], Callable[[frozenset], int]]:
-    """d's node predecessors, and a memoised count of the topological
-    sortings of any down-closed set of remaining nodes."""
-    _, pred = _node_succ_pred(d)
-    memo: dict[frozenset, int] = {frozenset(): 1}
+) -> tuple[list[str], list[int], Callable[[int], int]]:
+    """d's node ids in sorted order, the predecessors of each as a bit mask
+    over that order, and a memoised count of the topological sortings of any
+    down-closed set of remaining nodes, given as such a mask.
 
-    def count(remaining: frozenset) -> int:
+    Raises SearchBudgetExceeded once the count holds more than
+    MAX_DOWN_SETS down-sets, memoised or waiting on the stack.
+    """
+    _, pred = _node_succ_pred(d)
+    ids = sorted(d.node_ids)
+    bit = {nid: 1 << k for k, nid in enumerate(ids)}
+    below = [sum(bit[p] for p in pred[nid]) for nid in ids]
+    memo: dict[int, int] = {0: 1}
+
+    def count(remaining: int) -> int:
         # an explicit stack, since a chain of nodes nests as deep as it is long
         stack = [remaining]
         while stack:
+            if len(memo) + len(stack) > MAX_DOWN_SETS:
+                raise SearchBudgetExceeded(
+                    f"counting the topological sortings of {len(ids)} nodes "
+                    f"needs more than {MAX_DOWN_SETS} down-sets"
+                )
             rem = stack[-1]
             if rem in memo:
                 stack.pop()
                 continue
-            rests = [rem - {nid} for nid in rem if not (pred[nid] & rem)]
+            rests = []
+            left = rem
+            while left:
+                low = left & -left
+                if not below[low.bit_length() - 1] & rem:
+                    rests.append(rem ^ low)
+                left ^= low
             todo = [r for r in rests if r not in memo]
             if todo:
                 stack.extend(todo)
@@ -171,29 +200,33 @@ def _extension_counter(
                 stack.pop()
         return memo[remaining]
 
-    return pred, count
+    return ids, below, count
 
 
 def count_topological_sortings(d: Idag) -> int:
-    _, count = _extension_counter(d)
-    return count(frozenset(d.node_ids))
+    """The number of topological sortings of d, counted exactly.
+
+    Raises SearchBudgetExceeded when d has more than MAX_DOWN_SETS down-sets
+    (counting linear extensions is #P-complete)."""
+    ids, _, count = _extension_counter(d)
+    return count((1 << len(ids)) - 1)
 
 
 def sample_topological_sorting(d: Idag, rng: random.Random) -> TopSort:
     """One topological sorting drawn uniformly, by linear-extension
-    counting."""
-    pred, count = _extension_counter(d)
+    counting; raises SearchBudgetExceeded where counting does."""
+    ids, below, count = _extension_counter(d)
     order: list[str] = []
-    remaining = frozenset(d.node_ids)
+    remaining = (1 << len(ids)) - 1
     while remaining:
         r = rng.randrange(count(remaining))
-        for nid in sorted(remaining):
-            if pred[nid] & remaining:
+        for k, nid in enumerate(ids):
+            if not (remaining >> k) & 1 or below[k] & remaining:
                 continue
-            c = count(remaining - {nid})
+            c = count(remaining ^ (1 << k))
             if r < c:
                 order.append(nid)
-                remaining = remaining - {nid}
+                remaining ^= 1 << k
                 break
             r -= c
     return TopSort(tuple(order))
@@ -218,14 +251,36 @@ def layer(d: Idag, sort: SortLike, k: int) -> MatrixMorphism:
     return _slicer(d, ts)(k)
 
 
-def _slicer(d: Idag, ts: TopSort) -> Callable[[int], MatrixMorphism]:
-    """layer(d, ts, k) as a function of k, for a sorting already checked."""
+def _rows_into(d: Idag, ts: TopSort) -> dict[Vertex, list[tuple[int, int]]]:
+    """The (row, weight) of every vertex's in-edges, in row order. Rows
+    number the slices' live wires: input i is row i, the l-th node of ts
+    row n+l."""
     n = d.n_in
     row: dict[Vertex, int] = {In(i): i for i in range(n)}
     row.update((NodeRef(nid), n + k) for k, nid in enumerate(ts.order))
     into: dict[Vertex, list[tuple[int, int]]] = {}
     for (src, dst), w in d.edges.items():
         into.setdefault(dst, []).append((row[src], w))
+    for ins in into.values():
+        ins.sort()
+    return into
+
+
+def _output_slice(
+    d: Idag, into: dict[Vertex, list[tuple[int, int]]], live: int
+) -> MatrixMorphism:
+    """The last slice: the live x m weights of the edges into the outputs."""
+    rows: list[dict[int, int]] = [{} for _ in range(live)]
+    for j in range(d.n_out):
+        for r, w in into.get(Out(j), ()):
+            rows[r][j] = w
+    return MatrixMorphism(d.weights, tuple(rows), d.n_out)
+
+
+def _slicer(d: Idag, ts: TopSort) -> Callable[[int], MatrixMorphism]:
+    """layer(d, ts, k) as a function of k, for a sorting already checked."""
+    n = d.n_in
+    into = _rows_into(d, ts)
 
     def slice_(k: int) -> MatrixMorphism:
         if k < len(ts.order):
@@ -233,11 +288,7 @@ def _slicer(d: Idag, ts: TopSort) -> Callable[[int], MatrixMorphism]:
             for r, w in into.get(NodeRef(ts.order[k]), ()):
                 rows[r][n + k] = w
             return MatrixMorphism(d.weights, tuple(rows), n + k + 1)
-        rows = [{} for _ in range(n + k)]
-        for j in range(d.n_out):
-            for r, w in into.get(Out(j), ()):
-                rows[r][j] = w
-        return MatrixMorphism(d.weights, tuple(rows), d.n_out)
+        return _output_slice(d, into, n + k)
 
     return slice_
 
@@ -333,6 +384,14 @@ def permutation_expression(perm: Sequence[int]) -> Expression:
     return seq_all(steps) if steps else Id(c)
 
 
+def _check_copies(n: int, m: int, copies: int) -> None:
+    if copies > MAX_RELATION_COPIES:
+        raise InvalidWeight(
+            f"a {n} x {m} matrix with absolute entries summing to {copies} needs "
+            f"that many wire copies; the limit is {MAX_RELATION_COPIES}"
+        )
+
+
 def encode_relation(mat: MatrixMorphism) -> Expression:
     """An expression over copy/discard/merge/unit (plus anti for negative
     entries) and wire crossings whose evaluation in any matrix model is
@@ -349,11 +408,7 @@ def encode_relation(mat: MatrixMorphism) -> Expression:
     """
     n, m = mat.n_in, mat.n_out
     r = [sum(map(abs, row.values())) for row in mat.rows]
-    if sum(r) > MAX_RELATION_COPIES:
-        raise InvalidWeight(
-            f"a {n} x {m} matrix with absolute entries summing to {sum(r)} needs "
-            f"that many wire copies; the limit is {MAX_RELATION_COPIES}"
-        )
+    _check_copies(n, m, sum(r))
     c = [0] * m
     for row in mat.rows:
         for j, w in row.items():
@@ -388,6 +443,56 @@ def encode_relation(mat: MatrixMorphism) -> Expression:
     return seq_all(parts)
 
 
+def _encode_node_slice(live: int, ins: Sequence[tuple[int, int]]) -> Expression:
+    """encode_relation of a node slice, built from the node's in-edges in
+    O(len(ins) + copies) time instead of from its matrix.
+
+    The slice is the live x (live+1) matrix that keeps each live wire and
+    adds a last column with weight w in row r for each (r, w) of ins, which
+    is sorted by row. The result is the expression encode_relation gives
+    for that matrix, term for term: each fed row r fans out to its own copy
+    followed by |w| copies bound for the node; anti negates the negative
+    ones; one block crossing per in-edge, from the highest row down, moves
+    a row's copies for the node past the live-1-r wires of the later rows;
+    one fan-in merges all copies for the node.
+    """
+    total = sum(abs(w) for _, w in ins)
+    _check_copies(live, live + 1, live + total)
+    # starts[t]: the position of the first copy for the node from ins[t]
+    starts: list[int] = []
+    before = 0
+    for r, w in ins:
+        starts.append(r + 1 + before)
+        before += abs(w)
+    parts: list[Expression] = []
+    if ins:
+        fans: list[Expression] = []
+        at = 0
+        for r, w in ins:
+            fans += [Id(r - at), _fan_out(1 + abs(w))]
+            at = r + 1
+        parts.append(ten_all(fans + [Id(live - at)]))
+    if any(w < 0 for _, w in ins):
+        antis: list[Expression] = []
+        at = 0
+        for (_, w), start in zip(ins, starts):
+            if w < 0:
+                antis += [Id(start - at)] + [Anti() for _ in range(-w)]
+                at = start - w
+        parts.append(ten_all(antis + [Id(live + total - at)]))
+    crossings: list[Expression] = []
+    placed = 0
+    for (r, w), start in zip(reversed(ins), reversed(starts)):
+        if r < live - 1:
+            crossings.append(ten_all([Id(start), Sym(abs(w), live - 1 - r), Id(placed)]))
+        placed += abs(w)
+    if crossings:
+        parts.append(seq_all(crossings))
+    if total != 1:
+        parts.append(ten_all([Id(live), _fan_in(total)]))
+    return seq_all(parts)
+
+
 # ---------------------------------------------------------------------------
 # Decomposition and direct interpretation
 
@@ -397,16 +502,17 @@ def decompose(d: Idag, sort: SortLike) -> Expression:
     exactly in matrix models): encoded slices interleaved with one node box
     per sorted node."""
     ts = _require_sorting(d, sort)
-    slice_ = _slicer(d, ts)
+    into = _rows_into(d, ts)
     labels = dict(d.nodes)
     n = d.n_in
-    parts: list[Expression] = [encode_relation(slice_(0))]
+    parts: list[Expression] = []
     for k, nid in enumerate(ts.order):
+        parts.append(_encode_node_slice(n + k, into.get(NodeRef(nid), [])))
         box: Expression = Node(labels[nid])
         if n + k > 0:
             box = Ten(Id(n + k), box)
         parts.append(box)
-        parts.append(encode_relation(slice_(k + 1)))
+    parts.append(encode_relation(_output_slice(d, into, n + len(ts.order))))
     return seq_all(parts)
 
 

@@ -49,9 +49,12 @@ class ModeMismatch(IdagError):
 
 
 class SearchBudgetExceeded(IdagError):
-    """Canonicalization gave up after the configured number of search-tree
-    nodes; the message names N, the budget and the sizes of the cells that
-    were still tied when the search began."""
+    """A search gave up at its budget. Canonicalization stops after the
+    configured number of search-tree nodes, and its message names N, the
+    budget and the sizes of the cells that were still tied when the search
+    began. Counting or sampling topological sortings stops once it holds
+    more down-sets than decomposition.MAX_DOWN_SETS, and its message names N
+    and that bound."""
 
 
 class TypeMismatch(IdagError):

@@ -3,15 +3,19 @@
 Three models ship with the package. FreeIdagModel interprets every generator
 as a small idag and composes with concat/juxt; it is free, so two expressions
 are equal modulo the equational theory iff their images here are isomorphic.
-evaluate() does not fold FreeIdagModel's concat/juxt, which copy the idag
-built so far at every step: it runs the expression on a list of border wires,
-and each atom touches only the wires it consumes. MatrixModel interprets
-wires as coordinates and morphisms as matrices over the weight system (an
-(n, m) morphism is an n x m matrix; sequential composition is matrix product
-with rows indexed by inputs, tensor is block diagonal). LoopsModel interprets
-only wires, crossings and boxes: a morphism is a permutation together with
-one label word per input, composition composing permutations and
-concatenating words.
+MatrixModel interprets wires as coordinates and morphisms as matrices over
+the weight system (an (n, m) morphism is an n x m matrix; sequential
+composition is matrix product with rows indexed by inputs, tensor is block
+diagonal). LoopsModel interprets only wires, crossings and boxes: a morphism
+is a permutation together with one label word per input, composition
+composing permutations and concatenating words.
+
+evaluate() runs FreeIdagModel and MatrixModel on a list of wires, and each
+atom touches only the wires it consumes: a free wire is a border edge source
+with its weights, a matrix wire a column of the matrix built so far. So
+neither model copies the idag built so far, nor builds each id(n) as an n x n
+matrix, at every step. Other models, subclasses and wrapping models take the
+compose/tensor fold, which tests use as the reference.
 
 Matrices are sparse rows of Python ints, so their arithmetic is exact at
 every magnitude. A BOOL product sets every entry it reaches to 1, which agrees
@@ -21,7 +25,7 @@ with the saturating semiring because BOOL matrices have no negative entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from . import core
 from .core import Idag, In, NodeRef, Out, Vertex, canonical_form
@@ -404,10 +408,13 @@ def evaluate(e: Expression, model: Model):
     Raises TypeMismatch if e is ill-typed and UnsupportedGenerator if the
     model lacks an image for a generator occurring in e.
     """
-    if type(model) is FreeIdagModel:
+    kind = type(model)
+    if kind is FreeIdagModel or kind is MatrixModel:
         left_widths: dict[int, int] = {}
         n_in, _ = arity_of(e, left_widths)
-        return _evaluate_free(e, model.mode, n_in, left_widths)
+        if kind is FreeIdagModel:
+            return _evaluate_free(e, model.mode, n_in, left_widths)
+        return _evaluate_matrix(e, model, n_in, left_widths)
     arity_of(e)
 
     def atom(a: Expression):
@@ -425,23 +432,22 @@ def evaluate(e: Expression, model: Model):
     )
 
 
-def _evaluate_free(
-    e: Expression, mode: WeightSystem, n_in: int, left_widths: Mapping[int, int]
-) -> Idag:
-    """e evaluated in FreeIdagModel(mode): isomorphic to the compose/tensor
-    fold, without copying the idag built so far at every step.
+def _walk(
+    e: Expression,
+    wires: list[dict],
+    left_widths: Mapping[int, int],
+    image: Callable[[Expression], Union[Idag, MatrixMorphism]],
+    apply: Callable[[Any, list[dict]], list[dict]],
+) -> list[dict]:
+    """Run e on a list of wires and return the wires it ends with.
 
-    The walk carries the border of the idag built so far as a list of wires,
-    each a {edge source: nonzero weight} dict, and runs every atom on the
-    slice of wires it consumes. Nodes and their in-edges are final once
-    emitted; the last border becomes the edges into the outputs. left_widths
-    holds the output width of the left factor of every tensor in e, keyed by
-    id(), as arity_of records it.
+    Each atom runs only on the slice of wires it consumes: id is skipped, a
+    crossing reorders the slice, and any other atom's image (cached per type
+    and label, its interface checked) maps its input wires to its output
+    wires through apply. left_widths holds the output width of the left
+    factor of every tensor in e, keyed by id(), as arity_of records it.
     """
-    wires: list[dict[Vertex, int]] = [{In(i): 1} for i in range(n_in)]
-    nodes: list[tuple[str, str]] = []
-    edges: dict = {}
-    images: dict[tuple, Idag] = {}
+    images: dict[tuple, Any] = {}
     stack: list[tuple[Expression, int]] = [(e, 0)]
     while stack:
         x, at = stack.pop()
@@ -459,18 +465,78 @@ def _evaluate_free(
             key = (type(x), getattr(x, "label", None))
             img = images.get(key)
             if img is None:
-                img = images[key] = free_generator_image(x, mode)
+                img = images[key] = image(x)
                 if (img.n_in, img.n_out) != arity_of(x):
                     raise InterfaceMismatch(
-                        f"free image of {x!r} has interface "
+                        f"image of {x!r} has interface "
                         f"{(img.n_in, img.n_out)}, not {arity_of(x)}"
                     )
             end = at + img.n_in
-            wires[at:end] = _apply_image(img, wires[at:end], mode, nodes, edges)
+            wires[at:end] = apply(img, wires[at:end])
+    return wires
+
+
+def _evaluate_free(
+    e: Expression, mode: WeightSystem, n_in: int, left_widths: Mapping[int, int]
+) -> Idag:
+    """e evaluated in FreeIdagModel(mode): isomorphic to the compose/tensor
+    fold, without copying the idag built so far at every step.
+
+    A wire is a {edge source: nonzero weight} dict on the border of the idag
+    built so far. Nodes and their in-edges are final once emitted; the last
+    border becomes the edges into the outputs.
+    """
+    nodes: list[tuple[str, str]] = []
+    edges: dict = {}
+    wires = _walk(
+        e,
+        [{In(i): 1} for i in range(n_in)],
+        left_widths,
+        lambda x: free_generator_image(x, mode),
+        lambda img, ins: _apply_image(img, ins, mode, nodes, edges),
+    )
     for j, wire in enumerate(wires):
         for src, w in wire.items():
             edges[(src, Out(j))] = w
     return Idag(mode, n_in, len(wires), tuple(nodes), core._attach(edges))
+
+
+def _evaluate_matrix(
+    e: Expression, model: MatrixModel, n_in: int, left_widths: Mapping[int, int]
+) -> MatrixMorphism:
+    """e evaluated in a MatrixModel: equal to the compose/tensor fold,
+    without building a matrix per atom.
+
+    A wire is a {input index: nonzero coefficient} dict, a column of the
+    matrix built so far; the last wires, transposed, are its rows.
+    """
+    ws = model.weights
+    wires = _walk(
+        e,
+        [{i: 1} for i in range(n_in)],
+        left_widths,
+        model.generator,
+        lambda img, ins: _apply_matrix(img, ins, ws),
+    )
+    rows: list[dict[int, int]] = [{} for _ in range(n_in)]
+    for j, wire in enumerate(wires):
+        for i, v in wire.items():
+            rows[i][j] = v
+    return MatrixMorphism(ws, tuple(rows), len(wires))
+
+
+def _apply_matrix(
+    img: MatrixMorphism, ins: list[dict[int, int]], ws: WeightSystem
+) -> list[dict[int, int]]:
+    """The output wires of img fed the input wires ins: outs[j] is the sum
+    over i of ins[i] times img's entry (i, j), zero sums dropped."""
+    outs: list[dict[int, int]] = [{} for _ in range(img.n_out)]
+    for wire, row in zip(ins, img.rows):
+        for j, b in row.items():
+            acc = outs[j]
+            for s, a in wire.items():
+                acc[s] = ws.add(acc.get(s, ws.zero), ws.mul(a, b))
+    return [{s: v for s, v in acc.items() if not ws.is_zero(v)} for acc in outs]
 
 
 def _apply_image(

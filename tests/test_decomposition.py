@@ -28,10 +28,11 @@ from idag.errors import (
     NotAdjacentTransposition,
     NotATopologicalSorting,
     NotBijective,
+    SearchBudgetExceeded,
 )
 from idag.models import FreeIdagModel, LoopsModel, MatrixModel, evaluate, matrix, matrix_identity
 from idag.randgen import random_idag
-from idag.terms import Delta, Id, Nabla, Seq, Sym, atoms, print_expression
+from idag.terms import Delta, Id, Nabla, Node, Seq, Sym, Ten, atoms, print_expression, seq_all
 from idag.weights import BOOL, INT, NAT
 
 
@@ -95,6 +96,17 @@ def test_counting_and_sampling_a_long_chain(rng):
     d = _chain([1] * 1201, BOOL)
     assert count_topological_sortings(d) == 1
     assert sample_topological_sorting(d, rng) == default_sorting(d)
+
+
+def test_counting_is_bounded():
+    # an antichain has 2^N down-sets; counting its sortings must raise, not
+    # run for hours or exhaust memory
+    d = make_idag(0, 0, [f"n{k}" for k in range(60)], [])
+    for run in (count_topological_sortings, lambda d: sample_topological_sorting(d, random.Random(0))):
+        t0 = time.perf_counter()
+        with pytest.raises(SearchBudgetExceeded, match=f"60 nodes .* {decomposition.MAX_DOWN_SETS} down-sets"):
+            run(d)
+        assert time.perf_counter() - t0 < 2.0
 
 
 def test_counting_matches_enumeration(rng):
@@ -234,10 +246,13 @@ def test_permutation_expression_routes_every_permutation():
 
 
 def test_encode_a_heavy_entry_in_linear_time():
+    # matrix evaluation of the encoding is linear in the copies as well
     w = 20_000
     mat = matrix([[1, 0, w], [0, 1, 0]], NAT)
     t0 = time.perf_counter()
     e = encode_relation(mat)
+    assert time.perf_counter() - t0 < 2.0
+    assert evaluate(e, MatrixModel(NAT)) == mat
     assert time.perf_counter() - t0 < 2.0
     assert sum(isinstance(a, Sym) for a in atoms(e)) == 1
 
@@ -277,6 +292,56 @@ def test_decompose_other_sorting_same_value(dag31):
     assert print_expression(a) != print_expression(b)
     free = FreeIdagModel(BOOL)
     assert canonical_form(evaluate(a, free)) == canonical_form(evaluate(b, free))
+
+
+def _decompose_by_slice_matrices(d, s):
+    # the reference: encode_relation of every slice matrix
+    labels = dict(d.nodes)
+    parts = [encode_relation(layer(d, s, 0))]
+    for k, nid in enumerate(s.order):
+        box = Node(labels[nid])
+        if d.n_in + k > 0:
+            box = Ten(Id(d.n_in + k), box)
+        parts += [box, encode_relation(layer(d, s, k + 1))]
+    return seq_all(parts)
+
+
+def test_decompose_matches_the_slice_matrices(rng):
+    seen = set()
+    for k in range(240):
+        ws = (BOOL, NAT, INT)[k % 3]
+        n = rng.randint(0, 10)
+        d = random_idag(rng, rng.randint(0, 3), rng.randint(0, 3), n, rng.choice((0.15, 0.4, 0.8)), ws)
+        s = sample_topological_sorting(d, rng)
+        got, want = decompose(d, s), _decompose_by_slice_matrices(d, s)
+        assert got == want
+        assert print_expression(got) == print_expression(want)
+        fed = {dst.id for _, dst in d.edges if isinstance(dst, NodeRef)}
+        if any(w < 0 for w in d.edges.values()):
+            seen.add("negative")
+        if set(d.node_ids) - fed:
+            seen.add("unfed node")
+        if 0 in (d.n_in, d.n_out):
+            seen.add("width 0")
+    assert seen == {"negative", "unfed node", "width 0"}
+
+
+def test_decompose_caps_copies_on_inner_edges(monkeypatch):
+    d = _chain([1, MAX_RELATION_COPIES + 1, 1], NAT)
+    with pytest.raises(InvalidWeight):
+        decompose(d, default_sorting(d))
+    # node n2's slice keeps 2 live wires and adds |w| copies for the node
+    monkeypatch.setattr(decomposition, "MAX_RELATION_COPIES", 5)
+    for w, fits in ((3, True), (-3, True), (4, False), (-4, False)):
+        d = _chain([1, w, 1], INT)
+        s = default_sorting(d)
+        if fits:
+            assert decompose(d, s) == _decompose_by_slice_matrices(d, s)
+        else:
+            with pytest.raises(InvalidWeight):
+                decompose(d, s)
+            with pytest.raises(InvalidWeight):
+                _decompose_by_slice_matrices(d, s)
 
 
 def test_decomposition_is_linear_in_size(rng):

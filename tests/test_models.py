@@ -250,6 +250,40 @@ def test_free_evaluation_matches_the_fold(seed):
     assert is_isomorphic(fast, evaluate(e, Forwarding(free))) is not None
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**9))
+def test_matrix_evaluation_matches_the_fold(seed):
+    # MatrixModel runs on a wire list as well; the fold stays the reference.
+    # "x" has an int image, "y" a matrix image, the default label none
+    rng = random.Random(seed)
+    ws = (BOOL, NAT, INT)[seed % 3]
+    e = random_expression(rng, max_depth=rng.randint(1, 5), allow_anti=ws is INT)
+    lo, hi = {BOOL: (0, 1), NAT: (0, 3), INT: (-3, 3)}[ws]
+    model = MatrixModel(ws, {"x": rng.randint(lo, hi), "y": matrix([[rng.randint(lo, hi)]], ws)})
+    fast = evaluate(e, model)
+    assert (fast.n_in, fast.n_out) == arity_of(e)
+    assert fast == evaluate(e, Forwarding(model))
+
+
+def test_matrix_walk_and_fold_raise_alike():
+    from idag.errors import TypeMismatch
+
+    hopf = parse("delta ; (anti * id(1)) ; nabla")
+    boxed = parse("delta ; (id(1) * node[x]) ; nabla")
+    cases = [
+        (Seq(Nabla(), Nabla()), MatrixModel(NAT), TypeMismatch),
+        (hopf, MatrixModel(NAT), UnsupportedGenerator),
+        (hopf, MatrixModel(BOOL), UnsupportedGenerator),
+        (boxed, MatrixModel(NAT, {"x": matrix([[2]], INT)}), ModeMismatch),
+        (boxed, MatrixModel(NAT, {"x": matrix([[1, 1]], NAT)}), InterfaceMismatch),
+        (boxed, MatrixModel(NAT, {"x": -1}), InvalidWeight),
+    ]
+    for e, model, error in cases:
+        for route in (model, Forwarding(model)):
+            with pytest.raises(error):
+                evaluate(e, route)
+
+
 # ---------------------------------------------------------------------------
 # bridge: BOOL matrix = interface reachability of the free value
 
