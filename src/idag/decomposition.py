@@ -7,8 +7,9 @@ plus the k nodes already emitted, and the k-th slice is the
 (n+k) x (n+k+1) matrix keeping every live wire and adding one column with the
 in-weights of node sigma_k; a final (n+|N|) x m matrix routes live wires into
 the outputs. decompose() renders each slice as encode_relation does and
-interleaves node boxes; interpret() skips the syntax and composes the slices
-directly in any model. Both exist so tests can play them against each other.
+interleaves node boxes; interpret() skips the syntax, summing paths along
+sigma in MatrixModel and composing the slices in other models. Both exist so
+tests can play them against each other.
 
 A slice's encoding copies, routes and merges wires. Routing moves each
 edge's copies as one block crossing, so a decomposition holds at most one
@@ -45,6 +46,7 @@ from .models import (
     MatrixModel,
     MatrixMorphism,
     Model,
+    _path_sums,
     matrix_permutation,
 )
 from .terms import (
@@ -519,13 +521,27 @@ def decompose(d: Idag, sort: SortLike) -> Expression:
 def interpret(d: Idag, sort: SortLike, model: Model):
     """Compose d's slices directly in a model, bypassing expression syntax.
 
-    Independent of decompose(); evaluate(decompose(d, s), model) must agree
-    with interpret(d, s, model) in every model, which the tests exercise.
+    In MatrixModel one path-sum pass along the sorting, O(in-degree x
+    inputs) per node, replaces the slice products. Independent of
+    decompose(); evaluate(decompose(d, s), model) must agree with
+    interpret(d, s, model) in every model, which the tests exercise.
     """
     ts = _require_sorting(d, sort)
-    slice_ = _slicer(d, ts)
     labels = dict(d.nodes)
     n = d.n_in
+    if type(model) is MatrixModel:
+        # rows number the pass's sources (input i, then sorted node l at n+l).
+        # Weights are checked in the order the slices check them, the output
+        # slice's by relation itself, so errors match the fold's
+        into = _rows_into(d, ts)
+        ends = [NodeRef(nid) for nid in ts.order] + [Out(j) for j in range(d.n_out)]
+        wires = [dict(into.get(v, ())) for v in ends]
+        for wire in wires[: len(ts)]:
+            for w in wire.values():
+                model.weights.check_value(w)
+        model.relation(_output_slice(d, into, n + len(ts)))
+        return _path_sums(n, [labels[nid] for nid in ts.order], wires, model)
+    slice_ = _slicer(d, ts)
     mor = model.relation(slice_(0))
     for k, nid in enumerate(ts.order):
         box = model.generator(Node(labels[nid]))

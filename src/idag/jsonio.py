@@ -65,11 +65,11 @@ def _vertex_from_obj(obj: Any, side: str) -> Vertex:
         raise SchemaError(f"bad {side} endpoint {obj!r}")
     (kind, val), = obj.items()
     if kind == "in" and side == "src":
-        if not isinstance(val, int):
+        if type(val) is not int:
             raise SchemaError(f"input index must be an integer, got {val!r}")
         return In(val)
     if kind == "out" and side == "dst":
-        if not isinstance(val, int):
+        if type(val) is not int:
             raise SchemaError(f"output index must be an integer, got {val!r}")
         return Out(val)
     if kind == "node":
@@ -93,7 +93,8 @@ def idag_from_obj(obj: Any) -> Idag:
     if mode_name not in BY_NAME:
         raise SchemaError(f"unknown mode {mode_name!r}")
     mode = BY_NAME[mode_name]
-    if not isinstance(obj["inputs"], int) or not isinstance(obj["outputs"], int):
+    # type(x) is int, not isinstance: JSON true/false load as bool, an int
+    if type(obj["inputs"]) is not int or type(obj["outputs"]) is not int:
         raise SchemaError("inputs/outputs must be integers")
     if not isinstance(obj["nodes"], list) or not isinstance(obj["edges"], list):
         raise SchemaError("nodes and edges must be arrays")
@@ -119,7 +120,7 @@ def idag_from_obj(obj: Any) -> Idag:
         if extra:
             raise SchemaError(f"unknown edge fields {sorted(extra)}")
         w = entry.get("w", 1)
-        if not isinstance(w, int) or isinstance(w, bool):
+        if type(w) is not int:
             raise SchemaError(f"edge weight must be an integer, got {w!r}")
         edges.append(
             (_vertex_from_obj(entry["src"], "src"), _vertex_from_obj(entry["dst"], "dst"), w)

@@ -10,12 +10,13 @@ diagonal). LoopsModel interprets only wires, crossings and boxes: a morphism
 is a permutation together with one label word per input, composition
 composing permutations and concatenating words.
 
-evaluate() runs FreeIdagModel and MatrixModel on a list of wires, and each
-atom touches only the wires it consumes: a free wire is a border edge source
-with its weights, a matrix wire a column of the matrix built so far. So
-neither model copies the idag built so far, nor builds each id(n) as an n x n
-matrix, at every step. Other models, subclasses and wrapping models take the
-compose/tensor fold, which tests use as the reference.
+evaluate() runs FreeIdagModel and MatrixModel through one walk that builds
+e's free image on a list of wires, each atom touching only the wires it
+consumes, so no idag built so far is copied at every step. The free model
+returns that image; the matrix model takes its path sums, as initiality
+says it must: entry (i, j) sums, over the paths from input i to output j,
+edge weights times node images. Other models, subclasses and wrapping models
+take the compose/tensor fold, which tests use as the reference.
 
 Matrices are sparse rows of Python ints, so their arithmetic is exact at
 every magnitude. A BOOL product sets every entry it reaches to 1, which agrees
@@ -25,10 +26,10 @@ with the saturating semiring because BOOL matrices have no negative entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from . import core
-from .core import Idag, In, NodeRef, Out, Vertex, canonical_form
+from .core import Idag, In, NodeRef, Out, canonical_form
 from .errors import (
     InterfaceMismatch,
     InvalidWeight,
@@ -412,9 +413,14 @@ def evaluate(e: Expression, model: Model):
     if kind is FreeIdagModel or kind is MatrixModel:
         left_widths: dict[int, int] = {}
         n_in, _ = arity_of(e, left_widths)
-        if kind is FreeIdagModel:
-            return _evaluate_free(e, model.mode, n_in, left_widths)
-        return _evaluate_matrix(e, model, n_in, left_widths)
+        if kind is MatrixModel:
+            return _path_sums(n_in, *_walk(e, n_in, left_widths, model.weights), model)
+        labels, wires = _walk(e, n_in, left_widths, model.mode)
+        nodes = tuple((str(k), lbl) for k, lbl in enumerate(labels))
+        refs = [In(i) for i in range(n_in)] + [NodeRef(nid) for nid, _ in nodes]
+        ends = refs[n_in:] + [Out(j) for j in range(len(wires) - len(nodes))]
+        edges = {(refs[s], t): w for t, wire in zip(ends, wires) for s, w in wire.items()}
+        return Idag(model.mode, n_in, len(ends) - len(nodes), nodes, core._attach(edges))
     arity_of(e)
 
     def atom(a: Expression):
@@ -433,21 +439,25 @@ def evaluate(e: Expression, model: Model):
 
 
 def _walk(
-    e: Expression,
-    wires: list[dict],
-    left_widths: Mapping[int, int],
-    image: Callable[[Expression], Union[Idag, MatrixMorphism]],
-    apply: Callable[[Any, list[dict]], list[dict]],
-) -> list[dict]:
-    """Run e on a list of wires and return the wires it ends with.
+    e: Expression, n_in: int, left_widths: Mapping[int, int], mode: WeightSystem
+) -> tuple[list[str], list[dict[int, int]]]:
+    """The free image of e: its node labels, and the in-wires of its nodes
+    followed by its output wires.
 
-    Each atom runs only on the slice of wires it consumes: id is skipped, a
-    crossing reorders the slice, and any other atom's image (cached per type
-    and label, its interface checked) maps its input wires to its output
-    wires through apply. left_widths holds the output width of the left
-    factor of every tensor in e, keyed by id(), as arity_of records it.
+    Sources are numbered: inputs 0..n_in-1, then nodes in the order they are
+    emitted, which is topological. A wire is a {source: nonzero weight}
+    dict, never changed once made. Each atom runs only on the wires it
+    consumes: id is skipped, a crossing reorders them, and any other atom's
+    free image (compiled once per type and label, its interface checked)
+    appends its nodes and maps its input wires to its output wires.
+    left_widths holds the output width of the left factor of every tensor
+    in e, keyed by id(), as arity_of records it.
     """
-    images: dict[tuple, Any] = {}
+    saturate = mode is BOOL
+    labels: list[str] = []
+    ins: list[dict[int, int]] = []
+    wires = [{i: 1} for i in range(n_in)]
+    images: dict[tuple, tuple] = {}
     stack: list[tuple[Expression, int]] = [(e, 0)]
     while stack:
         x, at = stack.pop()
@@ -465,103 +475,75 @@ def _walk(
             key = (type(x), getattr(x, "label", None))
             img = images.get(key)
             if img is None:
-                img = images[key] = image(x)
-                if (img.n_in, img.n_out) != arity_of(x):
-                    raise InterfaceMismatch(
-                        f"image of {x!r} has interface "
-                        f"{(img.n_in, img.n_out)}, not {arity_of(x)}"
-                    )
-            end = at + img.n_in
-            wires[at:end] = apply(img, wires[at:end])
-    return wires
+                img = images[key] = _compile_image(x, mode)
+            width, img_labels, node_terms, out_terms = img
+            end = at + width
+            local = wires[at:end]
+            for lbl, terms in zip(img_labels, node_terms):
+                ins.append(_weighted_sum([(local[s], w) for s, w in terms], saturate))
+                local.append({n_in + len(labels): 1})
+                labels.append(lbl)
+            wires[at:end] = [
+                _weighted_sum([(local[s], w) for s, w in terms], saturate)
+                for terms in out_terms
+            ]
+    return labels, ins + wires
 
 
-def _evaluate_free(
-    e: Expression, mode: WeightSystem, n_in: int, left_widths: Mapping[int, int]
-) -> Idag:
-    """e evaluated in FreeIdagModel(mode): isomorphic to the compose/tensor
-    fold, without copying the idag built so far at every step.
-
-    A wire is a {edge source: nonzero weight} dict on the border of the idag
-    built so far. Nodes and their in-edges are final once emitted; the last
-    border becomes the edges into the outputs.
-    """
-    nodes: list[tuple[str, str]] = []
-    edges: dict = {}
-    wires = _walk(
-        e,
-        [{In(i): 1} for i in range(n_in)],
-        left_widths,
-        lambda x: free_generator_image(x, mode),
-        lambda img, ins: _apply_image(img, ins, mode, nodes, edges),
-    )
-    for j, wire in enumerate(wires):
-        for src, w in wire.items():
-            edges[(src, Out(j))] = w
-    return Idag(mode, n_in, len(wires), tuple(nodes), core._attach(edges))
-
-
-def _evaluate_matrix(
-    e: Expression, model: MatrixModel, n_in: int, left_widths: Mapping[int, int]
-) -> MatrixMorphism:
-    """e evaluated in a MatrixModel: equal to the compose/tensor fold,
-    without building a matrix per atom.
-
-    A wire is a {input index: nonzero coefficient} dict, a column of the
-    matrix built so far; the last wires, transposed, are its rows.
-    """
-    ws = model.weights
-    wires = _walk(
-        e,
-        [{i: 1} for i in range(n_in)],
-        left_widths,
-        model.generator,
-        lambda img, ins: _apply_matrix(img, ins, ws),
-    )
-    rows: list[dict[int, int]] = [{} for _ in range(n_in)]
-    for j, wire in enumerate(wires):
-        for i, v in wire.items():
-            rows[i][j] = v
-    return MatrixMorphism(ws, tuple(rows), len(wires))
-
-
-def _apply_matrix(
-    img: MatrixMorphism, ins: list[dict[int, int]], ws: WeightSystem
-) -> list[dict[int, int]]:
-    """The output wires of img fed the input wires ins: outs[j] is the sum
-    over i of ins[i] times img's entry (i, j), zero sums dropped."""
-    outs: list[dict[int, int]] = [{} for _ in range(img.n_out)]
-    for wire, row in zip(ins, img.rows):
-        for j, b in row.items():
-            acc = outs[j]
-            for s, a in wire.items():
-                acc[s] = ws.add(acc.get(s, ws.zero), ws.mul(a, b))
-    return [{s: v for s, v in acc.items() if not ws.is_zero(v)} for acc in outs]
-
-
-def _apply_image(
-    img: Idag, ins: list[dict[Vertex, int]], ws: WeightSystem, nodes: list, edges: dict
-) -> list[dict[Vertex, int]]:
-    """Graft a copy of img onto the input wires ins: append its nodes, under
-    fresh ids, with their in-edges, and return its output wires."""
-    fresh = {nid: str(len(nodes) + k) for k, (nid, _) in enumerate(img.nodes)}
-    nodes.extend((fresh[nid], lbl) for nid, lbl in img.nodes)
-    sums: dict[Vertex, dict[Vertex, int]] = {}
+def _compile_image(x: Expression, mode: WeightSystem) -> tuple:
+    """x's free image as (inputs, node labels, in-terms of each node, terms
+    of each output): a term is a (source, weight) pair, and sources number
+    the image's inputs, then its nodes."""
+    img = free_generator_image(x, mode)
+    if (img.n_in, img.n_out) != arity_of(x):
+        raise InterfaceMismatch(
+            f"image of {x!r} has interface {(img.n_in, img.n_out)}, not {arity_of(x)}"
+        )
+    ids = [NodeRef(nid) for nid in img.node_ids]
+    terms: dict = {v: [] for v in ids + [Out(j) for j in range(img.n_out)]}
     for (src, dst), w in img.edges.items():
-        wire = ins[src.index] if isinstance(src, In) else {NodeRef(fresh[src.id]): 1}
-        acc = sums.setdefault(dst, {})
+        s = src.index if isinstance(src, In) else img.n_in + ids.index(src)
+        terms[dst].append((s, w))
+    targets = list(terms.values())
+    return img.n_in, [lbl for _, lbl in img.nodes], targets[: len(ids)], targets[len(ids) :]
+
+
+def _weighted_sum(terms: list[tuple[dict, int]], saturate: bool) -> dict[int, int]:
+    """The sum of w times wire over the (wire, w) terms, zero sums dropped;
+    saturate sums to 1, as BOOL does (its weights are never negative)."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        return terms[0][0]
+    acc: dict[int, int] = {}
+    for wire, w in terms:
         for s, v in wire.items():
-            acc[s] = ws.add(acc.get(s, ws.zero), ws.mul(v, w))
-    outs: list[dict[Vertex, int]] = [{} for _ in range(img.n_out)]
-    for dst, acc in sums.items():
-        acc = {s: v for s, v in acc.items() if not ws.is_zero(v)}
-        if isinstance(dst, Out):
-            outs[dst.index] = acc
-        else:
-            target = NodeRef(fresh[dst.id])
-            for s, v in acc.items():
-                edges[(s, target)] = v
-    return outs
+            acc[s] = acc.get(s, 0) + v * w
+    if saturate:
+        return dict.fromkeys(acc, 1)
+    return {s: v for s, v in acc.items() if v}
+
+
+def _path_sums(
+    n_in: int, labels: Sequence[str], wires: Sequence[dict[int, int]], model: MatrixModel
+) -> MatrixMorphism:
+    """The value in model of a free image, given as _walk gives it: entry
+    (i, j) sums, over the paths from input i to output j, the product of
+    their edge weights and node images. One pass in topological order gives
+    each source, then each output, its {input: coefficient} value; node
+    images come from model.generator, once per label."""
+    saturate = model.weights is BOOL
+    scalar = {
+        lbl: model.generator(Node(lbl)).rows[0].get(0, 0) for lbl in dict.fromkeys(labels)
+    }
+    n_out = len(wires) - len(labels)
+    values = [{i: 1} for i in range(n_in)]
+    for c, wire in zip([scalar[lbl] for lbl in labels] + [1] * n_out, wires):
+        terms = [(values[s], w * c) for s, w in wire.items() if c]
+        values.append(_weighted_sum(terms, saturate))
+    rows: list[dict[int, int]] = [{} for _ in range(n_in)]
+    for j, column in enumerate(values[len(values) - n_out :]):
+        for i, x in column.items():
+            rows[i][j] = x
+    return MatrixMorphism(model.weights, tuple(rows), n_out)
 
 
 def loops_eval(e: Expression) -> LoopsMorphism:

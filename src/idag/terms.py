@@ -341,7 +341,7 @@ def print_expression(e: Expression) -> str:
             if a.label == DEFAULT_LABEL:
                 return ("node", 0)
             if not _IDENT_RE.match(a.label):
-                raise ValueError(
+                raise UnsupportedGenerator(
                     f"label {a.label!r} has no expression syntax; "
                     "use identifier or number labels"
                 )

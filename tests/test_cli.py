@@ -170,6 +170,18 @@ def test_decompose_huge_weight_is_a_clean_error():
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
 
 
+def test_decompose_unprintable_label_is_a_clean_error(capsys):
+    # a valid idag whose label has no expression syntax: an error, not a
+    # traceback, and exit 2, not the exit 1 that means "unequal"
+    d = {
+        "mode": "bool", "inputs": 1, "outputs": 1, "nodes": [{"id": "p", "label": "a b"}],
+        "edges": [{"src": {"in": 0}, "dst": {"node": "p"}}, {"src": {"node": "p"}, "dst": {"out": 0}}],
+    }
+    assert main(["decompose", json.dumps(d)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'a b'" in err
+
+
 def test_stdin_input():
     r = subprocess.run(
         [sys.executable, "-m", "idag", "closure", "-"],

@@ -24,7 +24,9 @@ from idag.decomposition import (
 )
 from idag.errors import (
     IndexOutOfRange,
+    InterfaceMismatch,
     InvalidWeight,
+    ModeMismatch,
     NotAdjacentTransposition,
     NotATopologicalSorting,
     NotBijective,
@@ -34,6 +36,8 @@ from idag.models import FreeIdagModel, LoopsModel, MatrixModel, evaluate, matrix
 from idag.randgen import random_idag
 from idag.terms import Delta, Id, Nabla, Node, Seq, Sym, Ten, atoms, print_expression, seq_all
 from idag.weights import BOOL, INT, NAT
+
+from helpers import Forwarding
 
 
 def _sortings_by_filter(d):
@@ -378,6 +382,56 @@ def test_interpret_matches_eval_of_decompose(rng):
         e = decompose(d, s)
         for model in (FreeIdagModel(ws), MatrixModel(ws, {"x": 2 if ws is not BOOL else 0})):
             assert model.equal(interpret(d, s, model), evaluate(e, model))
+
+
+def test_interpret_path_sums_match_the_fold(rng):
+    # MatrixModel interprets by one path-sum pass; a wrapped model takes the
+    # slice-by-slice fold, which stays the reference. Labels: "x" has an int
+    # image, "y" a matrix image, "z" the zero image, "•" none
+    seen = set()
+    for k in range(150):
+        ws = (BOOL, NAT, INT)[k % 3]
+        lo, hi = {BOOL: (0, 1), NAT: (0, 3), INT: (-3, 3)}[ws]
+        images = {"x": rng.randint(lo, hi), "y": matrix([[rng.randint(lo, hi)]], ws), "z": 0}
+        model = MatrixModel(ws, images)
+        labels = ("•", "x", "y", "z")
+        d = random_idag(
+            rng, rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 9), rng.choice((0.2, 0.5)), ws, labels
+        )
+        s = sample_topological_sorting(d, rng)
+        got = interpret(d, s, model)
+        assert got == interpret(d, s, Forwarding(model))
+        assert (got.n_in, got.n_out) == (d.n_in, d.n_out)
+        if any(w < 0 for w in d.edges.values()):
+            seen.add("negative")
+        seen.update(lbl for _, lbl in d.nodes)
+    assert seen == {"negative", "•", "x", "y", "z"}
+
+
+def test_interpret_path_sums_and_fold_raise_alike():
+    node = make_idag(1, 1, [("p", "x")], [(In(0), NodeRef("p")), (NodeRef("p"), Out(0))], NAT)
+    negative = _chain([1, -2], INT)
+    cases = [
+        (node, MatrixModel(NAT, {"x": matrix([[2]], INT)}), ModeMismatch),
+        (node, MatrixModel(NAT, {"x": matrix([[1, 1]], NAT)}), InterfaceMismatch),
+        (node, MatrixModel(NAT, {"x": -1}), InvalidWeight),
+        (node, MatrixModel(BOOL, {"x": 2}), InvalidWeight),
+        # d's weights must be entries of the model's weight system
+        (negative, MatrixModel(NAT), InvalidWeight),
+        (_chain([2, 1], NAT), MatrixModel(BOOL), InvalidWeight),
+        (_chain([1, 2], NAT), MatrixModel(BOOL), InvalidWeight),
+        # several bad weights: the first one the slices meet is reported
+        (_chain([-2, -3], INT), MatrixModel(NAT), InvalidWeight),
+        (make_idag(2, 2, [], {(In(1), Out(0)): -3, (In(0), Out(1)): -2}, INT), MatrixModel(NAT), InvalidWeight),
+    ]
+    for d, model, error in cases:
+        s = default_sorting(d)
+        raised = []
+        for route in (model, Forwarding(model)):
+            with pytest.raises(error) as info:
+                interpret(d, s, route)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
 
 
 def test_interpret_is_exact_below_int64():

@@ -77,6 +77,21 @@ def test_parse_errors():
         )
 
 
+def test_booleans_are_not_integers():
+    # bool is an int in Python; accepted, true/false would be echoed back, so
+    # equal idags would serialize to different bytes
+    def doc(inputs=1, outputs=1, src=0, dst=0):
+        return json.dumps({
+            "mode": "bool", "inputs": inputs, "outputs": outputs, "nodes": [],
+            "edges": [{"src": {"in": src}, "dst": {"out": dst}}],
+        })
+
+    assert idag_to_json(idag_from_json(doc())) == doc().replace(" ", "")
+    for bad in ({"inputs": True}, {"outputs": True}, {"src": False}, {"dst": False}):
+        with pytest.raises(SchemaError):
+            idag_from_json(doc(**bad))
+
+
 def test_validation_errors_pass_through():
     from idag.errors import CycleDetected
 

@@ -100,7 +100,7 @@ def test_print_examples():
 
 
 def test_print_rejects_unprintable_label():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedGenerator):
         print_expression(Node("two words"))
 
 
