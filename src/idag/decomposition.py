@@ -7,9 +7,10 @@ plus the k nodes already emitted, and the k-th slice is the
 (n+k) x (n+k+1) matrix keeping every live wire and adding one column with the
 in-weights of node sigma_k; a final (n+|N|) x m matrix routes live wires into
 the outputs. decompose() renders each slice as encode_relation does and
-interleaves node boxes; interpret() skips the syntax, summing paths along
-sigma in MatrixModel and composing the slices in other models. Both exist so
-tests can play them against each other.
+interleaves node boxes; interpret() skips the syntax: FreeIdagModel and
+MatrixModel read d's own wires along sigma as a free image, through the
+reader evaluate() ends in, and other models compose the slices. Both exist
+so tests can play them against each other.
 
 A slice's encoding copies, routes and merges wires. Routing moves each
 edge's copies as one block crossing, so a decomposition holds at most one
@@ -42,13 +43,7 @@ from .errors import (
     NotBijective,
     SearchBudgetExceeded,
 )
-from .models import (
-    MatrixModel,
-    MatrixMorphism,
-    Model,
-    _path_sums,
-    matrix_permutation,
-)
+from .models import FreeIdagModel, MatrixModel, MatrixMorphism, Model, matrix_permutation
 from .terms import (
     Anti,
     Delta,
@@ -519,28 +514,28 @@ def decompose(d: Idag, sort: SortLike) -> Expression:
 
 
 def interpret(d: Idag, sort: SortLike, model: Model):
-    """Compose d's slices directly in a model, bypassing expression syntax.
+    """d's value in a model along the sorting, bypassing expression syntax.
 
-    In MatrixModel one path-sum pass along the sorting, O(in-degree x
-    inputs) per node, replaces the slice products. Independent of
+    FreeIdagModel and MatrixModel read d's own wires along the sorting as a
+    free image: the free model in O(N + E), path sums in O(in-degree x
+    inputs) per node. Other models compose the slices. Independent of
     decompose(); evaluate(decompose(d, s), model) must agree with
     interpret(d, s, model) in every model, which the tests exercise.
     """
     ts = _require_sorting(d, sort)
     labels = dict(d.nodes)
     n = d.n_in
-    if type(model) is MatrixModel:
-        # rows number the pass's sources (input i, then sorted node l at n+l).
-        # Weights are checked in the order the slices check them, the output
-        # slice's by relation itself, so errors match the fold's
+    if type(model) in (FreeIdagModel, MatrixModel):
+        # rows number the image's sources (input i, then sorted node l at
+        # n+l). d's weights go through relation in the order the slices meet
+        # them, so errors match the fold's: the nodes' in-weights, one row
+        # per node, then the output slice
         into = _rows_into(d, ts)
         ends = [NodeRef(nid) for nid in ts.order] + [Out(j) for j in range(d.n_out)]
         wires = [dict(into.get(v, ())) for v in ends]
-        for wire in wires[: len(ts)]:
-            for w in wire.values():
-                model.weights.check_value(w)
+        model.relation(MatrixMorphism(d.weights, tuple(wires[: len(ts)]), n + len(ts)))
         model.relation(_output_slice(d, into, n + len(ts)))
-        return _path_sums(n, [labels[nid] for nid in ts.order], wires, model)
+        return model._read_image(n, [labels[nid] for nid in ts.order], wires)
     slice_ = _slicer(d, ts)
     mor = model.relation(slice_(0))
     for k, nid in enumerate(ts.order):

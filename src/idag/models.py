@@ -10,13 +10,14 @@ diagonal). LoopsModel interprets only wires, crossings and boxes: a morphism
 is a permutation together with one label word per input, composition
 composing permutations and concatenating words.
 
-evaluate() runs FreeIdagModel and MatrixModel through one walk that builds
-e's free image on a list of wires, each atom touching only the wires it
-consumes, so no idag built so far is copied at every step. The free model
-returns that image; the matrix model takes its path sums, as initiality
-says it must: entry (i, j) sums, over the paths from input i to output j,
-edge weights times node images. Other models, subclasses and wrapping models
-take the compose/tensor fold, which tests use as the reference.
+The free model is initial, so FreeIdagModel and MatrixModel read a value off
+a free image, node labels and wires (see _walk), each with one reader,
+_read_image: the free model returns the image as an idag, the matrix model
+its path sums (entry (i, j) sums, over the paths from input i to output j,
+edge weights times node images). evaluate() builds e's image by one walk
+that touches only the wires each atom consumes; decomposition.interpret()
+takes d's own wires along the sorting. Other models, subclasses and wrapping
+models take the compose/tensor fold, which tests use as the reference.
 
 Matrices are sparse rows of Python ints, so their arithmetic is exact at
 every magnitude. A BOOL product sets every entry it reaches to 1, which agrees
@@ -296,6 +297,17 @@ class FreeIdagModel(Model):
     def equal(self, a: Idag, b: Idag) -> bool:
         return canonical_form(a) == canonical_form(b)
 
+    def _read_image(
+        self, n_in: int, labels: Sequence[str], wires: Sequence[dict[int, int]]
+    ) -> Idag:
+        """The free image as an idag (see _walk for its form); node k gets
+        the id str(k)."""
+        nodes = tuple((str(k), lbl) for k, lbl in enumerate(labels))
+        refs = [In(i) for i in range(n_in)] + [NodeRef(nid) for nid, _ in nodes]
+        ends = refs[n_in:] + [Out(j) for j in range(len(wires) - len(nodes))]
+        edges = {(refs[s], t): w for t, wire in zip(ends, wires) for s, w in wire.items()}
+        return Idag(self.mode, n_in, len(ends) - len(nodes), nodes, core._attach(edges))
+
 
 @dataclass(frozen=True)
 class MatrixModel(Model):
@@ -361,6 +373,29 @@ class MatrixModel(Model):
     def equal(self, a: MatrixMorphism, b: MatrixMorphism) -> bool:
         return a == b
 
+    def _read_image(
+        self, n_in: int, labels: Sequence[str], wires: Sequence[dict[int, int]]
+    ) -> MatrixMorphism:
+        """The value of a free image (see _walk for its form): entry (i, j)
+        sums, over the paths from input i to output j, the product of their
+        edge weights and node images. One pass in topological order gives
+        each source, then each output, its {input: coefficient} value; node
+        images come from self.generator, once per label."""
+        saturate = self.weights is BOOL
+        scalar = {
+            lbl: self.generator(Node(lbl)).rows[0].get(0, 0) for lbl in dict.fromkeys(labels)
+        }
+        n_out = len(wires) - len(labels)
+        values = [{i: 1} for i in range(n_in)]
+        for c, wire in zip([scalar[lbl] for lbl in labels] + [1] * n_out, wires):
+            terms = [(values[s], w * c) for s, w in wire.items() if c]
+            values.append(_weighted_sum(terms, saturate))
+        rows: list[dict[int, int]] = [{} for _ in range(n_in)]
+        for j, column in enumerate(values[len(values) - n_out :]):
+            for i, x in column.items():
+                rows[i][j] = x
+        return MatrixMorphism(self.weights, tuple(rows), n_out)
+
 
 @dataclass(frozen=True)
 class LoopsModel(Model):
@@ -411,16 +446,9 @@ def evaluate(e: Expression, model: Model):
     """
     kind = type(model)
     if kind is FreeIdagModel or kind is MatrixModel:
-        left_widths: dict[int, int] = {}
-        n_in, _ = arity_of(e, left_widths)
-        if kind is MatrixModel:
-            return _path_sums(n_in, *_walk(e, n_in, left_widths, model.weights), model)
-        labels, wires = _walk(e, n_in, left_widths, model.mode)
-        nodes = tuple((str(k), lbl) for k, lbl in enumerate(labels))
-        refs = [In(i) for i in range(n_in)] + [NodeRef(nid) for nid, _ in nodes]
-        ends = refs[n_in:] + [Out(j) for j in range(len(wires) - len(nodes))]
-        edges = {(refs[s], t): w for t, wire in zip(ends, wires) for s, w in wire.items()}
-        return Idag(model.mode, n_in, len(ends) - len(nodes), nodes, core._attach(edges))
+        n_in, _ = arity_of(e)
+        mode = model.mode if kind is FreeIdagModel else model.weights
+        return model._read_image(n_in, *_walk(e, n_in, mode))
     arity_of(e)
 
     def atom(a: Expression):
@@ -438,9 +466,7 @@ def evaluate(e: Expression, model: Model):
     )
 
 
-def _walk(
-    e: Expression, n_in: int, left_widths: Mapping[int, int], mode: WeightSystem
-) -> tuple[list[str], list[dict[int, int]]]:
+def _walk(e: Expression, n_in: int, mode: WeightSystem) -> tuple[list[str], list[dict[int, int]]]:
     """The free image of e: its node labels, and the in-wires of its nodes
     followed by its output wires.
 
@@ -450,43 +476,46 @@ def _walk(
     consumes: id is skipped, a crossing reorders them, and any other atom's
     free image (compiled once per type and label, its interface checked)
     appends its nodes and maps its input wires to its output wires.
-    left_widths holds the output width of the left factor of every tensor
-    in e, keyed by id(), as arity_of records it.
+    Atoms run left to right, so a tensor's right factor starts where the
+    outputs of its left factor's last atom end.
     """
     saturate = mode is BOOL
     labels: list[str] = []
     ins: list[dict[int, int]] = []
     wires = [{i: 1} for i in range(n_in)]
     images: dict[tuple, tuple] = {}
-    stack: list[tuple[Expression, int]] = [(e, 0)]
+    stack: list[tuple[Expression, Optional[int]]] = [(e, 0)]
+    end = 0  # where the last atom's outputs end; a start of None means here
     while stack:
         x, at = stack.pop()
+        at = end if at is None else at
         if isinstance(x, Seq):
             stack.append((x.then, at))
             stack.append((x.first, at))
         elif isinstance(x, Ten):
-            # left runs first, so right's wires start after left's outputs
-            stack.append((x.right, at + left_widths[id(x)]))
+            stack.append((x.right, None))
             stack.append((x.left, at))
+        elif isinstance(x, Id):
+            end = at + x.n
         elif isinstance(x, Sym):
             mid, end = at + x.n, at + x.n + x.m
             wires[at:end] = wires[mid:end] + wires[at:mid]
-        elif not isinstance(x, Id):
+        else:
             key = (type(x), getattr(x, "label", None))
             img = images.get(key)
             if img is None:
                 img = images[key] = _compile_image(x, mode)
             width, img_labels, node_terms, out_terms = img
-            end = at + width
-            local = wires[at:end]
+            local = wires[at : at + width]
             for lbl, terms in zip(img_labels, node_terms):
                 ins.append(_weighted_sum([(local[s], w) for s, w in terms], saturate))
                 local.append({n_in + len(labels): 1})
                 labels.append(lbl)
-            wires[at:end] = [
+            wires[at : at + width] = [
                 _weighted_sum([(local[s], w) for s, w in terms], saturate)
                 for terms in out_terms
             ]
+            end = at + len(out_terms)
     return labels, ins + wires
 
 
@@ -520,30 +549,6 @@ def _weighted_sum(terms: list[tuple[dict, int]], saturate: bool) -> dict[int, in
     if saturate:
         return dict.fromkeys(acc, 1)
     return {s: v for s, v in acc.items() if v}
-
-
-def _path_sums(
-    n_in: int, labels: Sequence[str], wires: Sequence[dict[int, int]], model: MatrixModel
-) -> MatrixMorphism:
-    """The value in model of a free image, given as _walk gives it: entry
-    (i, j) sums, over the paths from input i to output j, the product of
-    their edge weights and node images. One pass in topological order gives
-    each source, then each output, its {input: coefficient} value; node
-    images come from model.generator, once per label."""
-    saturate = model.weights is BOOL
-    scalar = {
-        lbl: model.generator(Node(lbl)).rows[0].get(0, 0) for lbl in dict.fromkeys(labels)
-    }
-    n_out = len(wires) - len(labels)
-    values = [{i: 1} for i in range(n_in)]
-    for c, wire in zip([scalar[lbl] for lbl in labels] + [1] * n_out, wires):
-        terms = [(values[s], w * c) for s, w in wire.items() if c]
-        values.append(_weighted_sum(terms, saturate))
-    rows: list[dict[int, int]] = [{} for _ in range(n_in)]
-    for j, column in enumerate(values[len(values) - n_out :]):
-        for i, x in column.items():
-            rows[i][j] = x
-    return MatrixMorphism(model.weights, tuple(rows), n_out)
 
 
 def loops_eval(e: Expression) -> LoopsMorphism:

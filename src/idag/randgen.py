@@ -12,6 +12,7 @@ import random
 from typing import Sequence
 
 from .core import DEFAULT_LABEL, Idag, In, NodeRef, Out, Vertex, make_idag
+from .errors import BadEndpoint
 from .models import MatrixMorphism, matrix
 from .terms import (
     Anti,
@@ -51,7 +52,10 @@ def random_idag(
     """A random idag, acyclic by construction: nodes are generated in a fixed
     order and node-to-node edges only point forward in it. Every admissible
     edge is included independently with probability edge_prob; nat/int
-    weights are drawn uniformly from {1..3} / {-3..-1, 1..3}."""
+    weights are drawn uniformly from {1..3} / {-3..-1, 1..3}. Raises
+    BadEndpoint on a negative width or node count."""
+    if n_nodes < 0:
+        raise BadEndpoint(f"negative node count {n_nodes}")
     node_ids = [f"{id_prefix}{k}" for k in range(n_nodes)]
     nodes = [(nid, rng.choice(list(labels))) for nid in node_ids]
     edges: list[tuple[Vertex, Vertex, int]] = []

@@ -231,6 +231,9 @@ def suite_figure() -> SuiteResult:
 # Randomized suites
 
 _LABELS = ("•", "x", "y")
+# suite_sort_invariance sends this many sortings of each idag through the
+# full expression (decompose + evaluate), the rest through interpret
+_EXPR_ROUTE = 2
 
 
 def _gather_sortings(
@@ -244,15 +247,13 @@ def _gather_sortings(
     return sorts
 
 
-def suite_sort_invariance(
-    seed: int = 3, n_idags: int = 120, max_sortings: int = 6, expr_route: int = 2
-) -> SuiteResult:
+def suite_sort_invariance(seed: int = 3, n_idags: int = 120, max_sortings: int = 6) -> SuiteResult:
     """Decomposition value does not depend on the sorting: every sorting of a
     random BOOL idag evaluates to the same value in the free model and in
-    NAT/INT matrix models with random node images. The first expr_route
+    NAT/INT matrix models with random node images. The first _EXPR_ROUTE
     sortings go through the full expression (decompose + evaluate); the rest
-    compose slices directly (interpret), which also cross-checks the two
-    routes against each other."""
+    go through interpret, which never builds an expression, so the suite also
+    cross-checks the two routes against each other."""
     rng = random.Random(seed)
     failures: list[str] = []
     free = FreeIdagModel(BOOL)
@@ -271,7 +272,7 @@ def suite_sort_invariance(
         sorts = _gather_sortings(d, max_sortings, rng)
         ref_free = ref_nat = ref_int = None
         for si, s in enumerate(sorts):
-            if si < expr_route:
+            if si < _EXPR_ROUTE:
                 e = decompose(d, s)
                 values = (evaluate(e, free), evaluate(e, nat), evaluate(e, intm))
             else:

@@ -242,26 +242,16 @@ _ATOM_ARITIES: dict[type, tuple[int, int]] = {
 }
 
 
-def arity_of(
-    e: Expression, left_widths: Optional[dict[int, int]] = None
-) -> tuple[int, int]:
-    """(inputs, outputs) of e; raises TypeMismatch at the first ill-typed
-    sequential composite (leftmost-innermost), naming its position by an
-    attribute path from the root.
-
-    If left_widths is given, it receives the output width of the left factor
-    of every tensor in e, keyed by the tensor's id().
-    """
+def arity_of(e: Expression) -> tuple[int, int]:
+    """(inputs, outputs) of e; raises UnsupportedGenerator on an id or sym
+    whose widths are not non-negative ints, and TypeMismatch at the first
+    ill-typed sequential composite (leftmost-innermost), naming its position
+    by an attribute path from the root."""
 
     def atom(a: Expression) -> tuple[int, int]:
-        if isinstance(a, Id):
-            if a.n < 0:
-                raise UnsupportedGenerator(f"id({a.n})")
-            return (a.n, a.n)
-        if isinstance(a, Sym):
-            if a.n < 0 or a.m < 0:
-                raise UnsupportedGenerator(f"sym({a.n},{a.m})")
-            return (a.n + a.m, a.m + a.n)
+        if isinstance(a, (Id, Sym)):
+            width = _wiring_width(a)
+            return (width, width)
         try:
             return _ATOM_ARITIES[type(a)]
         except KeyError:
@@ -272,12 +262,22 @@ def arity_of(
             raise TypeMismatch(_path_to(e, node), a[1], b[0])
         return (a[0], b[1])
 
-    def ten(node: Ten, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        if left_widths is not None:
-            left_widths[id(node)] = a[1]
+    def ten(_node: Ten, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         return (a[0] + b[0], a[1] + b[1])
 
     return fold(e, atom, seq, ten)
+
+
+def _wiring_width(a: Id | Sym) -> int:
+    """The wires an id or sym spans; raises UnsupportedGenerator unless its
+    widths are non-negative ints (a bool is not one)."""
+    if isinstance(a, Id):
+        n, m = a.n, 0
+    else:
+        n, m = a.n, a.m
+    if type(n) is not int or type(m) is not int or n < 0 or m < 0:
+        raise UnsupportedGenerator(f"id({n})" if isinstance(a, Id) else f"sym({n},{m})")
+    return n + m
 
 
 def _path_to(root: Expression, target: Expression) -> str:
@@ -327,6 +327,9 @@ def print_expression(e: Expression) -> str:
 
     def atom(a: Expression) -> tuple[str, int]:
         # levels: 0 atom, 1 tensor chain, 2 seq chain
+        if isinstance(a, (Id, Sym)):
+            _wiring_width(a)  # no syntax for other widths
+            return (f"id({a.n})" if isinstance(a, Id) else f"sym({a.n},{a.m})", 0)
         if isinstance(a, Eta):
             return ("eta", 0)
         if isinstance(a, Nabla):
@@ -346,10 +349,6 @@ def print_expression(e: Expression) -> str:
                     "use identifier or number labels"
                 )
             return (f"node[{a.label}]", 0)
-        if isinstance(a, Id):
-            return (f"id({a.n})", 0)
-        if isinstance(a, Sym):
-            return (f"sym({a.n},{a.m})", 0)
         raise UnsupportedGenerator(f"unknown atom {a!r}")
 
     def wrap(part: tuple[str, int], max_level: int) -> str:
@@ -566,8 +565,7 @@ def map_atoms(e: Expression, fn: Callable[[Expression], Expression]) -> Expressi
 
 def expand_symmetry(n: int, m: int) -> Expression:
     """Sym(n, m) written with only sym(1,1), identities, ; and *."""
-    if n < 0 or m < 0:
-        raise UnsupportedGenerator(f"sym({n},{m})")
+    _wiring_width(Sym(n, m))
     if n == 0 or m == 0:
         return Id(n + m)
 

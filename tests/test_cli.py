@@ -142,6 +142,13 @@ def test_random_determinism(capsys):
     assert main(["random", "1", "1", "1", "1.5"]) == 2
 
 
+def test_random_negative_node_count_is_a_clean_error(capsys):
+    assert main(["random", "2", "2", "-3", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: negative node count -3\n"
+
+
 def test_entry_point_subprocess():
     r = run_cli("eq", "sym(1,1) ; sym(1,1)", "id(2)")
     assert r.returncode == 0, r.stderr

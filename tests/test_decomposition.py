@@ -23,6 +23,7 @@ from idag.decomposition import (
     transposition_identities,
 )
 from idag.errors import (
+    AntipodeWeight,
     IndexOutOfRange,
     InterfaceMismatch,
     InvalidWeight,
@@ -385,9 +386,10 @@ def test_interpret_matches_eval_of_decompose(rng):
 
 
 def test_interpret_path_sums_match_the_fold(rng):
-    # MatrixModel interprets by one path-sum pass; a wrapped model takes the
-    # slice-by-slice fold, which stays the reference. Labels: "x" has an int
-    # image, "y" a matrix image, "z" the zero image, "•" none
+    # FreeIdagModel and MatrixModel read d's wires as a free image (the matrix
+    # model by one path-sum pass); a wrapped model takes the slice-by-slice
+    # fold, which stays the reference. Labels: "x" has an int image, "y" a
+    # matrix image, "z" the zero image, "•" none
     seen = set()
     for k in range(150):
         ws = (BOOL, NAT, INT)[k % 3]
@@ -402,6 +404,10 @@ def test_interpret_path_sums_match_the_fold(rng):
         got = interpret(d, s, model)
         assert got == interpret(d, s, Forwarding(model))
         assert (got.n_in, got.n_out) == (d.n_in, d.n_out)
+        free = FreeIdagModel(ws)
+        image = interpret(d, s, free)
+        assert canonical_form(image) == canonical_form(interpret(d, s, Forwarding(free)))
+        assert canonical_form(image) == canonical_form(d)
         if any(w < 0 for w in d.edges.values()):
             seen.add("negative")
         seen.update(lbl for _, lbl in d.nodes)
@@ -423,6 +429,12 @@ def test_interpret_path_sums_and_fold_raise_alike():
         # several bad weights: the first one the slices meet is reported
         (_chain([-2, -3], INT), MatrixModel(NAT), InvalidWeight),
         (make_idag(2, 2, [], {(In(1), Out(0)): -3, (In(0), Out(1)): -2}, INT), MatrixModel(NAT), InvalidWeight),
+        # the free model checks d's weights as edge weights of its own mode
+        (negative, FreeIdagModel(NAT), AntipodeWeight),
+        (_chain([2, 1], NAT), FreeIdagModel(BOOL), InvalidWeight),
+        (_chain([1, 2], NAT), FreeIdagModel(BOOL), InvalidWeight),
+        (_chain([-2, -3], INT), FreeIdagModel(NAT), AntipodeWeight),
+        (make_idag(2, 2, [], {(In(1), Out(0)): -3, (In(0), Out(1)): -2}, INT), FreeIdagModel(BOOL), AntipodeWeight),
     ]
     for d, model, error in cases:
         s = default_sorting(d)
@@ -432,6 +444,16 @@ def test_interpret_path_sums_and_fold_raise_alike():
                 interpret(d, s, route)
             raised.append((type(info.value), str(info.value)))
         assert raised[0] == raised[1]
+
+
+def test_free_interpret_of_800_nodes():
+    rng = random.Random(800)
+    d = random_idag(rng, 3, 3, 800, 3 / (799 / 2 + 3), NAT, labels=("x", "y"))
+    s = default_sorting(d)
+    t0 = time.perf_counter()
+    got = interpret(d, s, FreeIdagModel(NAT))
+    assert time.perf_counter() - t0 < 1.0
+    assert is_isomorphic(got, d) is not None
 
 
 def test_interpret_is_exact_below_int64():

@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from idag.core import make_idag
+from idag.errors import BadEndpoint
 from idag.models import FreeIdagModel, evaluate
 from idag.randgen import random_expression, random_idag, random_matrix
 from idag.terms import arity_of
@@ -11,6 +14,12 @@ def test_determinism():
     a = random_idag(random.Random(5), 2, 2, 4, 0.5, INT, labels=("x", "y"))
     b = random_idag(random.Random(5), 2, 2, 4, 0.5, INT, labels=("x", "y"))
     assert a == b
+
+
+@pytest.mark.parametrize("shape", [(2, 2, -3), (-1, 2, 3), (2, -1, 3)])
+def test_negative_sizes_raise(shape):
+    with pytest.raises(BadEndpoint):
+        random_idag(random.Random(1), *shape, 0.5)
 
 
 def test_edge_prob_zero_gives_isolated_nodes():

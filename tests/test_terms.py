@@ -104,6 +104,22 @@ def test_print_rejects_unprintable_label():
         print_expression(Node("two words"))
 
 
+@pytest.mark.parametrize(
+    "wiring", [Id(-1), Id(True), Id(1.5), Id("2"), Sym(-1, 1), Sym(1.5, 0), Sym(1, False), Sym(0, None)]
+)
+def test_wiring_widths_must_be_non_negative_ints(wiring):
+    for e in (wiring, Ten(Id(1), Seq(wiring, wiring))):
+        with pytest.raises(UnsupportedGenerator):
+            arity_of(e)
+        with pytest.raises(UnsupportedGenerator):
+            print_expression(e)
+        for model in (FreeIdagModel(), MatrixModel()):
+            with pytest.raises(UnsupportedGenerator):
+                evaluate(e, model)
+    with pytest.raises(UnsupportedGenerator):
+        expand_symmetry(-1, 2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**9))
 def test_parse_print_round_trip(seed):
