@@ -133,8 +133,7 @@ def make_idag(
         DuplicateNodeId, BadEndpoint, InvalidWeight (ZeroWeight /
         AntipodeWeight), CycleDetected.
     """
-    if n_in < 0 or n_out < 0:
-        raise BadEndpoint(f"negative interface width ({n_in}, {n_out})")
+    _check_widths("interface width", n_in, n_out)
     node_seq: list[tuple[str, str]] = []
     for spec in nodes:
         if isinstance(spec, str):
@@ -208,14 +207,29 @@ def _check_acyclic(ids: set[str], edges: Mapping[Edge, int]) -> None:
         raise CycleDetected(f"cycle through nodes {cyclic}")
 
 
+def _check_widths(what: str, *widths: int) -> None:
+    """Raise BadEndpoint unless every width is a non-negative int (a bool is
+    not one, as in jsonio)."""
+    for n in widths:
+        if type(n) is not int:
+            raise BadEndpoint(f"{what} {n!r} is not an int")
+        if n < 0:
+            raise BadEndpoint(f"negative {what} {n}")
+
+
+def _is_permutation(perm: Sequence[int]) -> bool:
+    """True when perm holds the ints 0..len(perm)-1 once each (a bool is not
+    an int here)."""
+    return all(type(p) is int for p in perm) and sorted(perm) == list(range(len(perm)))
+
+
 def _attach(idag_like_edges: dict[Edge, int]) -> Mapping[Edge, int]:
     return MappingProxyType(idag_like_edges)
 
 
 def identity(n: int, mode: WeightSystem = BOOL) -> Idag:
     """The (n, n)-idag wiring input i straight to output i."""
-    if n < 0:
-        raise BadEndpoint(f"negative width {n}")
+    _check_widths("width", n)
     return Idag(
         mode, n, n, (), _attach({(In(i), Out(i)): 1 for i in range(n)})
     )
@@ -227,7 +241,7 @@ def from_permutation(perm: Sequence[int], mode: WeightSystem = BOOL) -> Idag:
     Raises NotBijective if perm is not a permutation of 0..len(perm)-1.
     """
     n = len(perm)
-    if sorted(perm) != list(range(n)):
+    if not _is_permutation(perm):
         raise NotBijective(f"{list(perm)!r} is not a permutation of 0..{n - 1}")
     return Idag(
         mode, n, n, (), _attach({(In(i), Out(perm[i])): 1 for i in range(n)})
@@ -236,8 +250,7 @@ def from_permutation(perm: Sequence[int], mode: WeightSystem = BOOL) -> Idag:
 
 def symmetry(n: int, m: int, mode: WeightSystem = BOOL) -> Idag:
     """The (n+m, m+n)-idag crossing the first n wires over the last m."""
-    if n < 0 or m < 0:
-        raise BadEndpoint(f"negative width in symmetry({n}, {m})")
+    _check_widths("width", n, m)
     perm = [m + i for i in range(n)] + [j for j in range(m)]
     return from_permutation(perm, mode)
 
@@ -257,10 +270,10 @@ def _freshen(taken: set[str], ids: Iterable[str]) -> dict[str, str]:
 def concat(second: Idag, first: Idag) -> Idag:
     """Sequential composite: run first, feed its outputs into second.
 
-    Interface weights multiply along each route through the shared border and
-    routes to the same endpoint sum; a sum that cancels to zero drops the
-    edge. Node ids of first survive unchanged; clashing ids of second get
-    primed.
+    Each source of first reaches second's nodes and outputs through the
+    weighted sum (WeightSystem.weighted_sum) of the border rows it feeds; a
+    sum that cancels to zero drops the edge. Node ids of first survive
+    unchanged; clashing ids of second get primed.
     """
     if first.weights is not second.weights:
         raise ModeMismatch(f"{first.weights!r} vs {second.weights!r}")
@@ -268,7 +281,6 @@ def concat(second: Idag, first: Idag) -> Idag:
         raise InterfaceMismatch(
             f"cannot feed {first.n_out} outputs into {second.n_in} inputs"
         )
-    ws = first.weights
     ren = _freshen(set(first.node_ids), second.node_ids)
     nodes = first.nodes + tuple((ren[nid], lbl) for nid, lbl in second.nodes)
 
@@ -281,24 +293,20 @@ def concat(second: Idag, first: Idag) -> Idag:
             edges[(src, dst)] = w
         else:
             border.setdefault(src, {})[dst.index] = w
-    # second's edges, relabelled; those leaving the border are indexed by
-    # border position.
-    from_border: dict[int, list[tuple[Vertex, int]]] = {}
+    # second's edges, relabelled; those leaving the border are its border
+    # rows, indexed by border position.
+    from_border: dict[int, dict[Vertex, int]] = {}
     for (src, dst), w in second.edges.items():
         dst2: Vertex = NodeRef(ren[dst.id]) if isinstance(dst, NodeRef) else dst
         if isinstance(src, In):
-            from_border.setdefault(src.index, []).append((dst2, w))
+            from_border.setdefault(src.index, {})[dst2] = w
         else:
             edges[(NodeRef(ren[src.id]), dst2)] = w
     for src, outs in border.items():
-        acc: dict[Vertex, int] = {}
-        for j, w1 in outs.items():
-            for dst2, w2 in from_border.get(j, ()):
-                acc[dst2] = ws.add(acc.get(dst2, ws.zero), ws.mul(w1, w2))
-        for dst2, w in acc.items():
-            if not ws.is_zero(w):
-                edges[(src, dst2)] = w
-    return Idag(ws, first.n_in, second.n_out, nodes, _attach(edges))
+        routes = [(from_border[j], w) for j, w in outs.items() if j in from_border]
+        for dst2, w in first.weights.weighted_sum(routes).items():
+            edges[(src, dst2)] = w
+    return Idag(first.weights, first.n_in, second.n_out, nodes, _attach(edges))
 
 
 def juxt(d1: Idag, d2: Idag) -> Idag:
@@ -718,29 +726,30 @@ def transitive_closure(d: Idag) -> Idag:
 def prune_dangling(d: Idag) -> Idag:
     """Delete internal nodes with no in-edges or no out-edges, repeatedly,
     until none remain. BOOL mode only. The surviving set does not depend on
-    deletion order."""
+    deletion order, so one worklist finds it: degrees are counted once, and
+    each deleted node takes one from its neighbours' degrees."""
     _require_bool(d, "prune_dangling")
-    nodes = list(d.nodes)
-    edges = dict(d.edges)
-    while True:
-        indeg = {nid: 0 for nid, _ in nodes}
-        outdeg = {nid: 0 for nid, _ in nodes}
-        for src, dst in edges:
-            if isinstance(src, NodeRef):
-                outdeg[src.id] += 1
-            if isinstance(dst, NodeRef):
-                indeg[dst.id] += 1
-        doomed = {nid for nid, _ in nodes if indeg[nid] == 0 or outdeg[nid] == 0}
-        if not doomed:
-            break
-        nodes = [(nid, lbl) for nid, lbl in nodes if nid not in doomed]
-        edges = {
-            (src, dst): w
-            for (src, dst), w in edges.items()
-            if not (isinstance(src, NodeRef) and src.id in doomed)
-            and not (isinstance(dst, NodeRef) and dst.id in doomed)
-        }
-    return Idag(d.weights, d.n_in, d.n_out, tuple(nodes), _attach(edges))
+    degree = {NodeRef(nid): [0, 0] for nid in d.node_ids}  # [in, out]
+    # touches[u]: (v, side) per edge between nodes u and v, side naming the
+    # degree of v that the edge counts in
+    touches: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in degree}
+    for src, dst in d.edges:
+        for v, side, u in ((dst, 0, src), (src, 1, dst)):
+            if v in degree:
+                degree[v][side] += 1
+                if u in degree:
+                    touches[u].append((v, side))
+    doomed = {v for v, (i, o) in degree.items() if not i or not o}
+    work = list(doomed)
+    while work:
+        for v, side in touches[work.pop()]:
+            degree[v][side] -= 1
+            if not degree[v][side] and v not in doomed:
+                doomed.add(v)
+                work.append(v)
+    nodes = tuple(node for node in d.nodes if NodeRef(node[0]) not in doomed)
+    edges = {e: w for e, w in d.edges.items() if e[0] not in doomed and e[1] not in doomed}
+    return Idag(d.weights, d.n_in, d.n_out, nodes, _attach(edges))
 
 
 def is_forest(d: Idag) -> bool:

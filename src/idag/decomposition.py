@@ -30,11 +30,12 @@ that invariance for one adjacent swap.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .core import Idag, In, NodeRef, Out, Vertex
+from .core import Idag, In, NodeRef, Out, Vertex, _is_permutation
 from .errors import (
     IndexOutOfRange,
     InvalidWeight,
@@ -83,14 +84,18 @@ class TopSort:
 SortLike = Union[TopSort, Sequence[str]]
 
 
-def _node_succ_pred(d: Idag) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-    succ: dict[str, set[str]] = {nid: set() for nid in d.node_ids}
-    pred: dict[str, set[str]] = {nid: set() for nid in d.node_ids}
+def _order_index(d: Idag) -> tuple[list[str], list[int], list[list[int]]]:
+    """d's node ids in sorted order, the predecessors of each as a bit mask
+    over that order, and the successors of each as positions in it."""
+    ids = sorted(d.node_ids)
+    pos = {nid: k for k, nid in enumerate(ids)}
+    below = [0] * len(ids)
+    succ: list[list[int]] = [[] for _ in ids]
     for src, dst in d.edges:
         if isinstance(src, NodeRef) and isinstance(dst, NodeRef):
-            succ[src.id].add(dst.id)
-            pred[dst.id].add(src.id)
-    return succ, pred
+            below[pos[dst.id]] |= 1 << pos[src.id]
+            succ[pos[src.id]].append(pos[dst.id])
+    return ids, below, succ
 
 
 def is_topological_sorting(d: Idag, sort: SortLike) -> bool:
@@ -114,59 +119,56 @@ def _require_sorting(d: Idag, sort: SortLike) -> TopSort:
 
 def topological_sortings(d: Idag) -> Iterator[TopSort]:
     """All topological sortings, lazily, in lexicographic node-id order; the
-    first is the deterministic default sorting."""
-    succ, pred = _node_succ_pred(d)
-    indeg = {nid: len(pred[nid]) for nid in d.node_ids}
-    order: list[str] = []
-    placed: set[str] = set()
+    first is the deterministic default sorting. Placing or unplacing a node
+    updates a sorted list of the ready nodes and its successors' counts of
+    unplaced predecessors; on backtracking, a position takes the least ready
+    node above the one it held."""
+    ids, below, succ = _order_index(d)
+    waiting = [mask.bit_count() for mask in below]
+    ready = [k for k, w in enumerate(waiting) if not w]
+    order: list[int] = []
 
-    def ready() -> list[str]:
-        # untried candidates for the next position, smallest id last
-        return sorted(
-            (nid for nid, k in indeg.items() if k == 0 and nid not in placed),
-            reverse=True,
-        )
+    def place(k: int) -> None:
+        del ready[bisect_left(ready, k)]
+        order.append(k)
+        for t in succ[k]:
+            waiting[t] -= 1
+            if not waiting[t]:
+                insort(ready, t)
 
-    # pending[j] holds the untried candidates for position j; an explicit
-    # stack, since sortings are as deep as the idag has nodes
-    pending = [ready()]
+    def unplace() -> int:
+        k = order.pop()
+        for t in succ[k]:
+            if not waiting[t]:
+                del ready[bisect_left(ready, t)]
+            waiting[t] += 1
+        insort(ready, k)
+        return k
+
     while True:
-        if len(order) == len(indeg):
-            yield TopSort(tuple(order))
-        while not pending[-1]:
-            pending.pop()
-            if not pending:
+        while ready:  # an idag is acyclic, so this places every node
+            place(ready[0])
+        yield TopSort(tuple(ids[k] for k in order))
+        at = len(ready)
+        while at == len(ready):
+            if not order:
                 return
-            nid = order.pop()
-            placed.discard(nid)
-            for nxt in succ[nid]:
-                indeg[nxt] += 1
-        nid = pending[-1].pop()
-        order.append(nid)
-        placed.add(nid)
-        for nxt in succ[nid]:
-            indeg[nxt] -= 1
-        pending.append(ready())
+            at = bisect_right(ready, unplace())
+        place(ready[at])
 
 
 def default_sorting(d: Idag) -> TopSort:
     return next(topological_sortings(d))
 
 
-def _extension_counter(
-    d: Idag,
-) -> tuple[list[str], list[int], Callable[[int], int]]:
-    """d's node ids in sorted order, the predecessors of each as a bit mask
-    over that order, and a memoised count of the topological sortings of any
-    down-closed set of remaining nodes, given as such a mask.
+def _extension_counter(below: Sequence[int]) -> Callable[[int], int]:
+    """A memoised count of the topological sortings of any down-closed set
+    of remaining nodes, given as a bit mask; below holds each node's
+    predecessor mask, as _order_index builds it.
 
     Raises SearchBudgetExceeded once the count holds more than
     MAX_DOWN_SETS down-sets, memoised or waiting on the stack.
     """
-    _, pred = _node_succ_pred(d)
-    ids = sorted(d.node_ids)
-    bit = {nid: 1 << k for k, nid in enumerate(ids)}
-    below = [sum(bit[p] for p in pred[nid]) for nid in ids]
     memo: dict[int, int] = {0: 1}
 
     def count(remaining: int) -> int:
@@ -175,7 +177,7 @@ def _extension_counter(
         while stack:
             if len(memo) + len(stack) > MAX_DOWN_SETS:
                 raise SearchBudgetExceeded(
-                    f"counting the topological sortings of {len(ids)} nodes "
+                    f"counting the topological sortings of {len(below)} nodes "
                     f"needs more than {MAX_DOWN_SETS} down-sets"
                 )
             rem = stack[-1]
@@ -197,7 +199,7 @@ def _extension_counter(
                 stack.pop()
         return memo[remaining]
 
-    return ids, below, count
+    return count
 
 
 def count_topological_sortings(d: Idag) -> int:
@@ -205,14 +207,15 @@ def count_topological_sortings(d: Idag) -> int:
 
     Raises SearchBudgetExceeded when d has more than MAX_DOWN_SETS down-sets
     (counting linear extensions is #P-complete)."""
-    ids, _, count = _extension_counter(d)
-    return count((1 << len(ids)) - 1)
+    _, below, _ = _order_index(d)
+    return _extension_counter(below)((1 << len(below)) - 1)
 
 
 def sample_topological_sorting(d: Idag, rng: random.Random) -> TopSort:
     """One topological sorting drawn uniformly, by linear-extension
     counting; raises SearchBudgetExceeded where counting does."""
-    ids, below, count = _extension_counter(d)
+    ids, below, _ = _order_index(d)
+    count = _extension_counter(below)
     order: list[str] = []
     remaining = (1 << len(ids)) - 1
     while remaining:
@@ -243,7 +246,7 @@ def layer(d: Idag, sort: SortLike, k: int) -> MatrixMorphism:
     """
     ts = _require_sorting(d, sort)
     total = len(ts.order)
-    if not 0 <= k <= total:
+    if type(k) is not int or not 0 <= k <= total:
         raise IndexOutOfRange(f"layer index {k} not in 0..{total}")
     return _slicer(d, ts)(k)
 
@@ -326,7 +329,7 @@ def permutation_expression(perm: Sequence[int]) -> Expression:
     Raises NotBijective if perm is not a permutation of 0..len(perm)-1.
     """
     c = len(perm)
-    if sorted(perm) != list(range(c)):
+    if not _is_permutation(perm):
         raise NotBijective(f"{list(perm)!r} is not a permutation of 0..{c - 1}")
     wire = [0] * c  # wire[t]: the input bound for output t
     for s, t in enumerate(perm):
@@ -605,7 +608,7 @@ def transposition_identities(
     sa = _require_sorting(d, sort_a)
     sb = _require_sorting(d, sort_b)
     total = len(sa.order)
-    if not 0 <= i <= total - 2:
+    if type(i) is not int or not 0 <= i <= total - 2:
         raise IndexOutOfRange(f"swap position {i} not in 0..{total - 2}")
     swapped = list(sa.order)
     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]

@@ -20,8 +20,8 @@ takes d's own wires along the sorting. Other models, subclasses and wrapping
 models take the compose/tensor fold, which tests use as the reference.
 
 Matrices are sparse rows of Python ints, so their arithmetic is exact at
-every magnitude. A BOOL product sets every entry it reaches to 1, which agrees
-with the saturating semiring because BOOL matrices have no negative entries.
+every magnitude. Every sum of weight products here (the matrix product, the
+walk's wires, the path sums) is WeightSystem.weighted_sum.
 """
 
 from __future__ import annotations
@@ -83,20 +83,11 @@ class MatrixMorphism:
             raise InterfaceMismatch(
                 f"cannot feed {self.n_out} outputs into {other.n_in} inputs"
             )
-        saturate = self.weights is BOOL
-        rows = []
-        for row in self.rows:
-            acc: dict[int, int] = {}
-            for k, a in row.items():
-                for j, b in other.rows[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            # BOOL entries are positive, so every sum reached is nonzero
-            if saturate:
-                acc = dict.fromkeys(acc, 1)
-            else:
-                acc = {j: x for j, x in acc.items() if x}
-            rows.append(acc)
-        return MatrixMorphism(self.weights, tuple(rows), other.n_out)
+        weighted_sum = self.weights.weighted_sum
+        rows = tuple(
+            weighted_sum([(other.rows[k], a) for k, a in row.items()]) for row in self.rows
+        )
+        return MatrixMorphism(self.weights, rows, other.n_out)
 
     def tensor(self, other: "MatrixMorphism") -> "MatrixMorphism":
         if self.weights is not other.weights:
@@ -160,14 +151,14 @@ def matrix(
 
 
 def matrix_identity(n: int, weights: WeightSystem) -> MatrixMorphism:
+    core._check_widths("width", n)
     return MatrixMorphism(weights, tuple({i: 1} for i in range(n)), n)
 
 
 def matrix_permutation(perm: Sequence[int], weights: WeightSystem) -> MatrixMorphism:
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
+    if not core._is_permutation(perm):
         raise NotBijective(f"{list(perm)!r} is not a permutation")
-    return MatrixMorphism(weights, tuple({j: 1} for j in perm), n)
+    return MatrixMorphism(weights, tuple({j: 1} for j in perm), len(perm))
 
 
 @dataclass(frozen=True)
@@ -381,15 +372,14 @@ class MatrixModel(Model):
         edge weights and node images. One pass in topological order gives
         each source, then each output, its {input: coefficient} value; node
         images come from self.generator, once per label."""
-        saturate = self.weights is BOOL
+        weighted_sum = self.weights.weighted_sum
         scalar = {
             lbl: self.generator(Node(lbl)).rows[0].get(0, 0) for lbl in dict.fromkeys(labels)
         }
         n_out = len(wires) - len(labels)
         values = [{i: 1} for i in range(n_in)]
         for c, wire in zip([scalar[lbl] for lbl in labels] + [1] * n_out, wires):
-            terms = [(values[s], w * c) for s, w in wire.items() if c]
-            values.append(_weighted_sum(terms, saturate))
+            values.append(weighted_sum([(values[s], w * c) for s, w in wire.items()]))
         rows: list[dict[int, int]] = [{} for _ in range(n_in)]
         for j, column in enumerate(values[len(values) - n_out :]):
             for i, x in column.items():
@@ -479,7 +469,7 @@ def _walk(e: Expression, n_in: int, mode: WeightSystem) -> tuple[list[str], list
     Atoms run left to right, so a tensor's right factor starts where the
     outputs of its left factor's last atom end.
     """
-    saturate = mode is BOOL
+    weighted_sum = mode.weighted_sum
     labels: list[str] = []
     ins: list[dict[int, int]] = []
     wires = [{i: 1} for i in range(n_in)]
@@ -508,12 +498,11 @@ def _walk(e: Expression, n_in: int, mode: WeightSystem) -> tuple[list[str], list
             width, img_labels, node_terms, out_terms = img
             local = wires[at : at + width]
             for lbl, terms in zip(img_labels, node_terms):
-                ins.append(_weighted_sum([(local[s], w) for s, w in terms], saturate))
+                ins.append(weighted_sum([(local[s], w) for s, w in terms]))
                 local.append({n_in + len(labels): 1})
                 labels.append(lbl)
             wires[at : at + width] = [
-                _weighted_sum([(local[s], w) for s, w in terms], saturate)
-                for terms in out_terms
+                weighted_sum([(local[s], w) for s, w in terms]) for terms in out_terms
             ]
             end = at + len(out_terms)
     return labels, ins + wires
@@ -535,20 +524,6 @@ def _compile_image(x: Expression, mode: WeightSystem) -> tuple:
         terms[dst].append((s, w))
     targets = list(terms.values())
     return img.n_in, [lbl for _, lbl in img.nodes], targets[: len(ids)], targets[len(ids) :]
-
-
-def _weighted_sum(terms: list[tuple[dict, int]], saturate: bool) -> dict[int, int]:
-    """The sum of w times wire over the (wire, w) terms, zero sums dropped;
-    saturate sums to 1, as BOOL does (its weights are never negative)."""
-    if len(terms) == 1 and terms[0][1] == 1:
-        return terms[0][0]
-    acc: dict[int, int] = {}
-    for wire, w in terms:
-        for s, v in wire.items():
-            acc[s] = acc.get(s, 0) + v * w
-    if saturate:
-        return dict.fromkeys(acc, 1)
-    return {s: v for s, v in acc.items() if v}
 
 
 def loops_eval(e: Expression) -> LoopsMorphism:

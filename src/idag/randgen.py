@@ -11,8 +11,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .core import DEFAULT_LABEL, Idag, In, NodeRef, Out, Vertex, make_idag
-from .errors import BadEndpoint
+from .core import DEFAULT_LABEL, Idag, In, NodeRef, Out, Vertex, _check_widths, make_idag
 from .models import MatrixMorphism, matrix
 from .terms import (
     Anti,
@@ -53,9 +52,9 @@ def random_idag(
     order and node-to-node edges only point forward in it. Every admissible
     edge is included independently with probability edge_prob; nat/int
     weights are drawn uniformly from {1..3} / {-3..-1, 1..3}. Raises
-    BadEndpoint on a negative width or node count."""
-    if n_nodes < 0:
-        raise BadEndpoint(f"negative node count {n_nodes}")
+    BadEndpoint unless the widths and node count are non-negative ints."""
+    _check_widths("node count", n_nodes)
+    _check_widths("interface width", n_in, n_out)
     node_ids = [f"{id_prefix}{k}" for k in range(n_nodes)]
     nodes = [(nid, rng.choice(list(labels))) for nid in node_ids]
     edges: list[tuple[Vertex, Vertex, int]] = []

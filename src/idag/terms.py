@@ -244,14 +244,17 @@ _ATOM_ARITIES: dict[type, tuple[int, int]] = {
 
 def arity_of(e: Expression) -> tuple[int, int]:
     """(inputs, outputs) of e; raises UnsupportedGenerator on an id or sym
-    whose widths are not non-negative ints, and TypeMismatch at the first
-    ill-typed sequential composite (leftmost-innermost), naming its position
-    by an attribute path from the root."""
+    whose widths are not non-negative ints or a node whose label is not a
+    str, and TypeMismatch at the first ill-typed sequential composite
+    (leftmost-innermost), naming its position by an attribute path from the
+    root."""
 
     def atom(a: Expression) -> tuple[int, int]:
         if isinstance(a, (Id, Sym)):
             width = _wiring_width(a)
             return (width, width)
+        if isinstance(a, Node) and not isinstance(a.label, str):
+            raise UnsupportedGenerator(f"node label {a.label!r} is not a string")
         try:
             return _ATOM_ARITIES[type(a)]
         except KeyError:
@@ -343,7 +346,7 @@ def print_expression(e: Expression) -> str:
         if isinstance(a, Node):
             if a.label == DEFAULT_LABEL:
                 return ("node", 0)
-            if not _IDENT_RE.match(a.label):
+            if not isinstance(a.label, str) or not _IDENT_RE.match(a.label):
                 raise UnsupportedGenerator(
                     f"label {a.label!r} has no expression syntax; "
                     "use identifier or number labels"

@@ -3,13 +3,19 @@
 Three systems are supported. BOOL is {0, 1} with saturating addition
 (1 + 1 = 1), NAT is the natural numbers, INT is the integers. Only INT has
 additive inverses, so only INT enables the antipode generator. Edges store
-nonzero weights; zero means "no edge", which is why addition that cancels to
-zero must drop the edge entirely (see core.concat).
+nonzero weights; zero means "no edge", which is why a sum that cancels to
+zero must drop the entry entirely.
+
+WeightSystem.weighted_sum is the only code that adds or multiplies weights;
+core.concat, the matrix product and the models' wire walk all call it. It
+sums exact Python ints, and in BOOL sets each nonzero sum to 1, which is
+saturating addition because BOOL weights are never negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .errors import AntipodeWeight, InvalidWeight, ZeroWeight
 
@@ -24,21 +30,20 @@ class WeightSystem:
 
     name: str
 
-    zero = 0
-    one = 1
-
-    def add(self, a: int, b: int) -> int:
-        if self.name == "bool":
-            return 1 if (a or b) else 0
-        return a + b
-
-    def mul(self, a: int, b: int) -> int:
-        if self.name == "bool":
-            return 1 if (a and b) else 0
-        return a * b
-
-    def is_zero(self, a: int) -> bool:
-        return a == 0
+    def weighted_sum(self, terms: Sequence[tuple[Mapping, int]]) -> dict:
+        """The sum of w times row over the (row, w) terms, as {key: nonzero
+        value}: a key whose sum is zero is left out, and in BOOL every other
+        sum is 1. Rows hold nonzero values only. A single term of weight 1
+        returns its row itself, so treat the result as read-only."""
+        if len(terms) == 1 and terms[0][1] == 1:
+            return terms[0][0]  # type: ignore[return-value]
+        acc: dict = {}
+        for row, w in terms:
+            for k, v in row.items():
+                acc[k] = acc.get(k, 0) + v * w
+        if self is BOOL:
+            return {k: 1 for k, v in acc.items() if v}
+        return {k: v for k, v in acc.items() if v}
 
     @property
     def antipode_enabled(self) -> bool:

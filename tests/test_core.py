@@ -472,6 +472,18 @@ def test_prune_examples():
     assert prune_dangling(busy) == busy
 
 
+def test_prune_dangling_of_a_long_chain_is_fast():
+    # the chain never reaches the output, so it dangles from its far end one
+    # node at a time: recounting every degree per round took about 8.4 s
+    ids = [f"n{k}" for k in range(3000)]
+    verts = [In(0)] + [NodeRef(i) for i in ids]
+    d = make_idag(1, 1, ids, list(zip(verts, verts[1:])))
+    t0 = time.perf_counter()
+    pruned = prune_dangling(d)
+    assert time.perf_counter() - t0 < 0.3
+    assert pruned == make_idag(1, 1, [], {})
+
+
 def test_prune_requires_bool():
     d = make_idag(0, 0, ["p"], {}, INT)
     with pytest.raises(ModeMismatch):

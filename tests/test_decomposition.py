@@ -97,6 +97,19 @@ def test_default_sorting_of_a_long_chain():
     assert default_sorting(d).order == tuple(f"n{k}" for k in range(1, 1201))
 
 
+def test_default_sorting_of_a_long_descending_chain_is_fast():
+    # ids descend along the chain, so the one ready node is always the last
+    # in id order: a rescan of every node at every position took about 1.4 s
+    n = 5000
+    ids = [f"n{k:04d}" for k in range(n - 1, -1, -1)]
+    verts = [In(0)] + [NodeRef(i) for i in ids] + [Out(0)]
+    d = make_idag(1, 1, ids, list(zip(verts, verts[1:])))
+    t0 = time.perf_counter()
+    order = default_sorting(d).order
+    assert time.perf_counter() - t0 < 0.3
+    assert order == tuple(ids)
+
+
 def test_counting_and_sampling_a_long_chain(rng):
     d = _chain([1] * 1201, BOOL)
     assert count_topological_sortings(d) == 1

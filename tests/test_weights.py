@@ -9,18 +9,48 @@ def test_names():
     assert repr(BOOL) == "BOOL"
 
 
+def row(a):
+    """a as a one-key row; rows hold nonzero values only."""
+    return {0: a} if a else {}
+
+
+def add(ws, a, b):
+    """a + b in ws, as weighted_sum computes it (zero is an absent key)."""
+    return ws.weighted_sum([(row(a), 1), (row(b), 1)]).get(0, 0)
+
+
+def mul(ws, a, b):
+    """a * b in ws, as weighted_sum computes it."""
+    return ws.weighted_sum([(row(a), b)]).get(0, 0)
+
+
 def test_bool_saturates():
-    assert BOOL.add(1, 1) == 1
-    assert BOOL.add(0, 1) == 1
-    assert BOOL.mul(1, 1) == 1
-    assert BOOL.mul(0, 1) == 0
+    assert add(BOOL, 1, 1) == 1
+    assert add(BOOL, 0, 1) == 1
+    assert mul(BOOL, 1, 1) == 1
+    assert mul(BOOL, 0, 1) == 0
 
 
 def test_nat_int_arithmetic():
-    assert NAT.add(2, 3) == 5
-    assert NAT.mul(2, 3) == 6
-    assert INT.add(2, -3) == -1
-    assert INT.mul(-2, -3) == 6
+    assert add(NAT, 2, 3) == 5
+    assert mul(NAT, 2, 3) == 6
+    assert add(INT, 2, -3) == -1
+    assert mul(INT, -2, -3) == 6
+
+
+def test_weighted_sum_drops_zero_sums():
+    # an INT sum that cancels leaves no key, the others keep theirs
+    assert INT.weighted_sum([({0: 2, 1: 1}, 1), ({0: 1}, -2)]) == {1: 1}
+    # a zero-weight term leaves no key, in BOOL too
+    for ws in (BOOL, NAT, INT):
+        assert ws.weighted_sum([({0: 1, 3: 1}, 0)]) == {}
+        assert ws.weighted_sum([({0: 1}, 0), ({2: 1}, 1)]) == {2: 1}
+    assert BOOL.weighted_sum([]) == {}
+
+
+def test_weighted_sum_single_unit_term_returns_its_row():
+    r = {4: 2, 1: -1}
+    assert INT.weighted_sum([(r, 1)]) is r
 
 
 def test_antipode_flag():
@@ -50,13 +80,13 @@ def test_semiring_laws_spot():
     for ws in (BOOL, NAT, INT):
         vals = [0, 1] if ws is BOOL else [0, 1, 2, 3]
         for a in vals:
+            assert add(ws, a, 0) == a
+            assert mul(ws, a, 1) == a
+            assert mul(ws, a, 0) == 0
             for b in vals:
-                assert ws.add(a, b) == ws.add(b, a)
-                assert ws.mul(a, b) == ws.mul(b, a)
-                assert ws.add(a, ws.zero) == a
-                assert ws.mul(a, ws.one) == a
-                assert ws.mul(a, ws.zero) == ws.zero
+                assert add(ws, a, b) == add(ws, b, a)
+                assert mul(ws, a, b) == mul(ws, b, a)
                 for c in vals:
-                    assert ws.mul(a, ws.add(b, c)) == ws.add(
-                        ws.mul(a, b), ws.mul(a, c)
+                    assert mul(ws, a, add(ws, b, c)) == add(
+                        ws, mul(ws, a, b), mul(ws, a, c)
                     )
