@@ -57,20 +57,15 @@ def _as_mode(mode: ModeLike) -> TheoryMode:
 
 
 def _apply_quotients(d: Idag, mode: TheoryMode) -> Idag:
-    close = TRANSITIVE in mode.quotients
-    prune = NO_DANGLING in mode.quotients
-    if not close and not prune:
-        return d
-    while True:
-        before = d
-        if prune:
-            d = prune_dangling(d)
-        if close:
-            d = transitive_closure(d)
-        if prune:
-            d = prune_dangling(d)
-        if d == before:
-            return d
+    # Pruning leaves exactly the nodes on an input-to-output path, and the
+    # closure only adds edges between existing vertices, so it leaves no node
+    # dangling; both are idempotent, so one prune and then one closure reach
+    # the fixed point.
+    if NO_DANGLING in mode.quotients:
+        d = prune_dangling(d)
+    if TRANSITIVE in mode.quotients:
+        d = transitive_closure(d)
+    return d
 
 
 def normalize(e: Expression, mode: ModeLike) -> Idag:

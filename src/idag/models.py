@@ -14,10 +14,13 @@ The free model is initial, so FreeIdagModel and MatrixModel read a value off
 a free image, node labels and wires (see _walk), each with one reader,
 _read_image: the free model returns the image as an idag, the matrix model
 its path sums (entry (i, j) sums, over the paths from input i to output j,
-edge weights times node images). evaluate() builds e's image by one walk
-that touches only the wires each atom consumes; decomposition.interpret()
-takes d's own wires along the sorting. Other models, subclasses and wrapping
-models take the compose/tensor fold, which tests use as the reference.
+edge weights times node images). The free images of the node-free
+generators are defined once, in terms._GENERATORS, so a generator's matrix
+image too is the path sum of its free image. evaluate() builds e's image by
+one walk that touches only the wires each atom consumes;
+decomposition.interpret() takes d's own wires along the sorting. Other
+models, subclasses and wrapping models take the compose/tensor fold, which
+tests use as the reference.
 
 Matrices are sparse rows of Python ints, so their arithmetic is exact at
 every magnitude. Every sum of weight products here (the matrix product, the
@@ -39,17 +42,13 @@ from .errors import (
     UnsupportedGenerator,
 )
 from .terms import (
-    Anti,
-    Delta,
-    Eps,
-    Eta,
     Expression,
     Id,
-    Nabla,
     Node,
     Seq,
     Sym,
     Ten,
+    _generator_image,
     arity_of,
     fold,
 )
@@ -196,32 +195,19 @@ def loops_identity(n: int) -> LoopsMorphism:
 
 
 def free_generator_image(gen: Expression, mode: WeightSystem) -> Idag:
-    """The idag a single generator evaluates to in the free model."""
-    if isinstance(gen, Eta):
-        return Idag(mode, 0, 1, (), core._attach({}))
-    if isinstance(gen, Nabla):
-        return Idag(
-            mode, 2, 1, (), core._attach({(In(0), Out(0)): 1, (In(1), Out(0)): 1})
-        )
-    if isinstance(gen, Eps):
-        return Idag(mode, 1, 0, (), core._attach({}))
-    if isinstance(gen, Delta):
-        return Idag(
-            mode, 1, 2, (), core._attach({(In(0), Out(0)): 1, (In(0), Out(1)): 1})
-        )
+    """The idag a single generator evaluates to in the free model; a node
+    box's node gets the id "0"."""
+    return FreeIdagModel(mode)._read_image(*_free_image(gen, mode))
+
+
+def _free_image(gen: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[int, int]]]:
+    """A single generator's free image in _walk's form: (inputs, node
+    labels, wires)."""
     if isinstance(gen, Node):
-        return Idag(
-            mode,
-            1,
-            1,
-            (("p", gen.label),),
-            core._attach({(In(0), NodeRef("p")): 1, (NodeRef("p"), Out(0)): 1}),
-        )
-    if isinstance(gen, Anti):
-        if not mode.antipode_enabled:
-            raise UnsupportedGenerator(f"anti requires int mode, not {mode!r}")
-        return Idag(mode, 1, 1, (), core._attach({(In(0), Out(0)): -1}))
-    raise UnsupportedGenerator(f"no free image for {gen!r}")
+        arity_of(gen)  # rejects a label that is not a str
+        return 1, [gen.label], [{0: 1}, {1: 1}]
+    n_in, outs = _generator_image(gen, mode)
+    return n_in, [], [dict(terms) for terms in outs]
 
 
 # ---------------------------------------------------------------------------
@@ -331,23 +317,10 @@ class MatrixModel(Model):
         return matrix_permutation(perm, self.weights)
 
     def generator(self, gen: Expression) -> MatrixMorphism:
-        if isinstance(gen, Eta):
-            return MatrixMorphism(self.weights, (), 1)
-        if isinstance(gen, Nabla):
-            return matrix([[1], [1]], self.weights, 2, 1)
-        if isinstance(gen, Eps):
-            return MatrixMorphism(self.weights, ({},), 0)
-        if isinstance(gen, Delta):
-            return matrix([[1, 1]], self.weights, 1, 2)
         if isinstance(gen, Node):
+            arity_of(gen)  # rejects a label that is not a str
             return self._lambda(gen.label)
-        if isinstance(gen, Anti):
-            if not self.weights.antipode_enabled:
-                raise UnsupportedGenerator(
-                    f"anti requires int mode, not {self.weights!r}"
-                )
-            return matrix([[-1]], self.weights, 1, 1)
-        raise UnsupportedGenerator(f"no matrix image for {gen!r}")
+        return self._read_image(*_free_image(gen, self.weights))
 
     def compose(self, first: MatrixMorphism, then: MatrixMorphism) -> MatrixMorphism:
         return first.then(then)
@@ -401,6 +374,7 @@ class LoopsModel(Model):
 
     def generator(self, gen: Expression) -> LoopsMorphism:
         if isinstance(gen, Node):
+            arity_of(gen)  # rejects a label that is not a str
             return LoopsMorphism((0,), ((gen.label,),))
         raise UnsupportedGenerator(f"loops model does not interpret {gen!r}")
 
@@ -463,9 +437,10 @@ def _walk(e: Expression, n_in: int, mode: WeightSystem) -> tuple[list[str], list
     Sources are numbered: inputs 0..n_in-1, then nodes in the order they are
     emitted, which is topological. A wire is a {source: nonzero weight}
     dict, never changed once made. Each atom runs only on the wires it
-    consumes: id is skipped, a crossing reorders them, and any other atom's
-    free image (compiled once per type and label, its interface checked)
-    appends its nodes and maps its input wires to its output wires.
+    consumes: id is skipped, a crossing reorders them, a node box's in-wire
+    feeds a new node whose source replaces the wire, and any other atom
+    maps its input wires to its output wires by its free image's terms
+    (terms._GENERATORS).
     Atoms run left to right, so a tensor's right factor starts where the
     outputs of its left factor's last atom end.
     """
@@ -473,7 +448,6 @@ def _walk(e: Expression, n_in: int, mode: WeightSystem) -> tuple[list[str], list
     labels: list[str] = []
     ins: list[dict[int, int]] = []
     wires = [{i: 1} for i in range(n_in)]
-    images: dict[tuple, tuple] = {}
     stack: list[tuple[Expression, Optional[int]]] = [(e, 0)]
     end = 0  # where the last atom's outputs end; a start of None means here
     while stack:
@@ -490,40 +464,19 @@ def _walk(e: Expression, n_in: int, mode: WeightSystem) -> tuple[list[str], list
         elif isinstance(x, Sym):
             mid, end = at + x.n, at + x.n + x.m
             wires[at:end] = wires[mid:end] + wires[at:mid]
+        elif isinstance(x, Node):
+            ins.append(wires[at])
+            wires[at] = {n_in + len(labels): 1}
+            labels.append(x.label)
+            end = at + 1
         else:
-            key = (type(x), getattr(x, "label", None))
-            img = images.get(key)
-            if img is None:
-                img = images[key] = _compile_image(x, mode)
-            width, img_labels, node_terms, out_terms = img
+            width, out_terms = _generator_image(x, mode)
             local = wires[at : at + width]
-            for lbl, terms in zip(img_labels, node_terms):
-                ins.append(weighted_sum([(local[s], w) for s, w in terms]))
-                local.append({n_in + len(labels): 1})
-                labels.append(lbl)
             wires[at : at + width] = [
                 weighted_sum([(local[s], w) for s, w in terms]) for terms in out_terms
             ]
             end = at + len(out_terms)
     return labels, ins + wires
-
-
-def _compile_image(x: Expression, mode: WeightSystem) -> tuple:
-    """x's free image as (inputs, node labels, in-terms of each node, terms
-    of each output): a term is a (source, weight) pair, and sources number
-    the image's inputs, then its nodes."""
-    img = free_generator_image(x, mode)
-    if (img.n_in, img.n_out) != arity_of(x):
-        raise InterfaceMismatch(
-            f"image of {x!r} has interface {(img.n_in, img.n_out)}, not {arity_of(x)}"
-        )
-    ids = [NodeRef(nid) for nid in img.node_ids]
-    terms: dict = {v: [] for v in ids + [Out(j) for j in range(img.n_out)]}
-    for (src, dst), w in img.edges.items():
-        s = src.index if isinstance(src, In) else img.n_in + ids.index(src)
-        terms[dst].append((s, w))
-    targets = list(terms.values())
-    return img.n_in, [lbl for _, lbl in img.nodes], targets[: len(ids)], targets[len(ids) :]
 
 
 def loops_eval(e: Expression) -> LoopsMorphism:

@@ -19,6 +19,10 @@ Concrete syntax:
 both associate to the left. Labels are identifier or number tokens; a bare
 "node" carries the default label.
 
+Each node-free generator is defined once, in _GENERATORS: its keyword, its
+arity and its free image, which fixes its value in every model. The parser,
+the printer, arity_of and the models' generator images all read it there.
+
 Parsing and walks over expressions (arity checking, printing, evaluation)
 are iterative, so deeply parenthesized text and the deeply chained
 composites produced by decomposition do not hit the interpreter recursion
@@ -232,14 +236,29 @@ def atoms(e: Expression) -> Iterator[Expression]:
             yield node
 
 
-_ATOM_ARITIES: dict[type, tuple[int, int]] = {
-    Eta: (0, 1),
-    Nabla: (2, 1),
-    Eps: (1, 0),
-    Delta: (1, 2),
-    Node: (1, 1),
-    Anti: (1, 1),
+# Per node-free generator: its keyword, its input count and, per output, the
+# (input, weight) terms of its free image. A node box's image holds a node,
+# so models._walk builds it inline.
+_GENERATORS: dict[type, tuple[str, int, tuple[tuple[tuple[int, int], ...], ...]]] = {
+    Eta: ("eta", 0, ((),)),
+    Nabla: ("nabla", 2, (((0, 1), (1, 1)),)),
+    Eps: ("eps", 1, ()),
+    Delta: ("delta", 1, (((0, 1),), ((0, 1),))),
+    Anti: ("anti", 1, (((0, -1),),)),
 }
+_BY_KEYWORD = {keyword: cls for cls, (keyword, _, _) in _GENERATORS.items()}
+
+
+def _generator_image(gen: Expression, mode: WeightSystem) -> tuple[int, tuple]:
+    """The free image of a node-free generator in mode: its input count and
+    the terms of each output; raises UnsupportedGenerator on any other atom
+    and on anti outside int mode."""
+    if type(gen) not in _GENERATORS:
+        raise UnsupportedGenerator(f"no free image for {gen!r}")
+    if isinstance(gen, Anti) and not mode.antipode_enabled:
+        raise UnsupportedGenerator(f"anti requires int mode, not {mode!r}")
+    _, n_in, outs = _GENERATORS[type(gen)]
+    return n_in, outs
 
 
 def arity_of(e: Expression) -> tuple[int, int]:
@@ -255,10 +274,12 @@ def arity_of(e: Expression) -> tuple[int, int]:
             return (width, width)
         if isinstance(a, Node) and not isinstance(a.label, str):
             raise UnsupportedGenerator(f"node label {a.label!r} is not a string")
-        try:
-            return _ATOM_ARITIES[type(a)]
-        except KeyError:
-            raise UnsupportedGenerator(f"unknown atom {a!r}") from None
+        if type(a) is Node:
+            return (1, 1)
+        if type(a) not in _GENERATORS:
+            raise UnsupportedGenerator(f"unknown atom {a!r}")
+        _, n_in, outs = _GENERATORS[type(a)]
+        return (n_in, len(outs))
 
     def seq(node: Seq, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         if a[1] != b[0]:
@@ -312,8 +333,8 @@ def validate_for_mode(e: Expression, mode: WeightSystem, labels=None) -> None:
     """Reject generators the mode cannot interpret: anti outside int mode,
     and labels outside the configured label set if one is given."""
     for a in atoms(e):
-        if isinstance(a, Anti) and not mode.antipode_enabled:
-            raise UnsupportedGenerator(f"anti requires int mode, not {mode!r}")
+        if type(a) in _GENERATORS:
+            _generator_image(a, mode)
         if labels is not None and isinstance(a, Node) and a.label not in labels:
             raise UnsupportedGenerator(f"label {a.label!r} not in the label set")
 
@@ -333,16 +354,8 @@ def print_expression(e: Expression) -> str:
         if isinstance(a, (Id, Sym)):
             _wiring_width(a)  # no syntax for other widths
             return (f"id({a.n})" if isinstance(a, Id) else f"sym({a.n},{a.m})", 0)
-        if isinstance(a, Eta):
-            return ("eta", 0)
-        if isinstance(a, Nabla):
-            return ("nabla", 0)
-        if isinstance(a, Eps):
-            return ("eps", 0)
-        if isinstance(a, Delta):
-            return ("delta", 0)
-        if isinstance(a, Anti):
-            return ("anti", 0)
+        if type(a) in _GENERATORS:
+            return (_GENERATORS[type(a)][0], 0)
         if isinstance(a, Node):
             if a.label == DEFAULT_LABEL:
                 return ("node", 0)
@@ -469,16 +482,8 @@ class _Parser:
     def atom(self) -> Expression:
         tok = self.take()
         text = tok.text
-        if text == "eta":
-            return Eta()
-        if text == "nabla":
-            return Nabla()
-        if text == "eps":
-            return Eps()
-        if text == "delta":
-            return Delta()
-        if text == "anti":
-            return Anti()
+        if text in _BY_KEYWORD:
+            return _BY_KEYWORD[text]()
         if text == "node":
             if self.peek() == "[":
                 self.take()

@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idag.core import canonical_form, juxt
+from idag.core import canonical_form, juxt, prune_dangling, transitive_closure
 from idag.equivalence import (
     NO_DANGLING,
     TRANSITIVE,
     TheoryMode,
+    _apply_quotients,
     equal_mod_theory,
     normalize,
 )
@@ -172,6 +173,35 @@ def test_cheap_invariants_agree_with_decision(seed):
     w1 = sum(w for (s, t), w in v1.edges.items() if isinstance(t, Out))
     w2 = sum(w for (s, t), w in v2.edges.items() if isinstance(t, Out))
     assert w1 == w2
+
+
+def _quotient_loop(d, mode):
+    """The quotients as once applied: prune, close, prune until nothing
+    changes."""
+    close = TRANSITIVE in mode.quotients
+    prune = NO_DANGLING in mode.quotients
+    if not close and not prune:
+        return d
+    while True:
+        before = d
+        if prune:
+            d = prune_dangling(d)
+        if close:
+            d = transitive_closure(d)
+        if prune:
+            d = prune_dangling(d)
+        if d == before:
+            return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_one_prune_then_one_closure_is_the_fixed_point(seed):
+    rng = random.Random(seed)
+    d = random_idag(rng, rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 8), 0.3, BOOL)
+    for quotients in ({TRANSITIVE}, {NO_DANGLING}, {TRANSITIVE, NO_DANGLING}):
+        mode = TheoryMode(BOOL, frozenset(quotients))
+        assert _apply_quotients(d, mode) == _quotient_loop(d, mode)
 
 
 def test_many_interchangeable_copies():

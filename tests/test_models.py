@@ -67,6 +67,20 @@ def test_matrix_examples():
     assert evaluate(hopf, MatrixModel(INT)).entries == ((0,),)
     assert evaluate(hopf, MatrixModel(INT)) == evaluate(parse("eps ; eta"), MatrixModel(INT))
     assert hash(evaluate(hopf, MatrixModel(INT))) == hash(evaluate(parse("eps ; eta"), MatrixModel(INT)))
+    # each generator's image, pinned by literal: the walk and the fold both
+    # read it from the generator table
+    for ws in (BOOL, NAT, INT):
+        model = MatrixModel(ws)
+        eta, eps = model.generator(Eta()), model.generator(Eps())
+        assert (eta.n_in, eta.n_out, eta.entries) == (0, 1, ())
+        assert (eps.n_in, eps.n_out, eps.entries) == (1, 0, ((),))
+        assert model.generator(Nabla()).entries == ((1,), (1,))
+        assert model.generator(Delta()).entries == ((1, 1),)
+        if ws is INT:
+            assert model.generator(Anti()).entries == ((-1,),)
+        else:
+            with pytest.raises(UnsupportedGenerator):
+                model.generator(Anti())
 
 
 def test_matrix_is_exact_beyond_int64():
@@ -303,23 +317,16 @@ def test_bool_matrix_is_reachability(seed):
 
 
 # ---------------------------------------------------------------------------
-# deliberate break: swapping the merge/copy images must fail the axiom suite
+# deliberate break: a wrong merge image must fail the axiom suite
 
 
 def test_mutant_images_fail_axioms(monkeypatch):
     import idag.selftest as selftest
+    import idag.terms as terms
 
-    real = models.free_generator_image
-
-    def swapped(gen, mode):
-        if isinstance(gen, Nabla):
-            d = real(Delta(), mode)
-            return d
-        if isinstance(gen, Delta):
-            return real(Nabla(), mode)
-        return real(gen, mode)
-
-    monkeypatch.setattr(models, "free_generator_image", swapped)
+    # a merge that drops its second input; every arity stays the same
+    monkeypatch.setitem(terms._GENERATORS, Nabla, ("nabla", 2, (((0, 1),),)))
+    assert arity_of(Nabla()) == (2, 1)
     res = selftest.suite_axioms()
     assert res.failures
 
@@ -337,15 +344,19 @@ def test_free_evaluation_drops_cancelled_edges():
     assert len(d.nodes) == 1 and len(d.edges) == 1
 
 
-def test_free_evaluation_checks_image_interfaces(monkeypatch):
-    real = models.free_generator_image
-    monkeypatch.setattr(
-        models,
-        "free_generator_image",
-        lambda gen, mode: real(Delta() if isinstance(gen, Nabla) else gen, mode),
-    )
-    with pytest.raises(InterfaceMismatch):
-        evaluate(parse("delta ; nabla"), FreeIdagModel(NAT))
+def test_generator_table_serves_parser_printer_and_models():
+    from idag.terms import _GENERATORS, print_expression
+
+    assert set(_GENERATORS) == {Eta, Nabla, Eps, Delta, Anti}
+    for cls, (keyword, _, _) in _GENERATORS.items():
+        assert type(parse(keyword)) is cls
+        assert print_expression(cls()) == keyword
+        for ws in (BOOL, NAT, INT):
+            if cls is Anti and ws is not INT:
+                continue
+            img = free_generator_image(cls(), ws)
+            mat = MatrixModel(ws).generator(cls())
+            assert arity_of(cls()) == (img.n_in, img.n_out) == (mat.n_in, mat.n_out)
 
 
 def test_evaluate_type_checks_first():

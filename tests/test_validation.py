@@ -9,7 +9,14 @@ import pytest
 from idag.core import In, NodeRef, Out, from_permutation, identity, make_idag, symmetry
 from idag.decomposition import layer, permutation_expression, transposition_identities
 from idag.errors import BadEndpoint, IndexOutOfRange, NotBijective, UnsupportedGenerator
-from idag.models import FreeIdagModel, MatrixModel, evaluate, matrix_identity, matrix_permutation
+from idag.models import (
+    FreeIdagModel,
+    LoopsModel,
+    MatrixModel,
+    evaluate,
+    matrix_identity,
+    matrix_permutation,
+)
 from idag.randgen import random_idag
 from idag.terms import Id, Node, Seq, Ten, arity_of, print_expression
 from idag.weights import NAT
@@ -63,6 +70,12 @@ def test_node_labels_must_be_strings(label):
         for model in (FreeIdagModel(), MatrixModel()):
             with pytest.raises(UnsupportedGenerator):
                 evaluate(e, model)
+
+
+@pytest.mark.parametrize("model", [FreeIdagModel(), MatrixModel(), LoopsModel()], ids=lambda m: type(m).__name__)
+def test_model_generators_reject_labels_that_are_not_strings(model):
+    with pytest.raises(UnsupportedGenerator, match="^node label 5 is not a string$"):
+        model.generator(Node(5))
 
 
 def _two_free_nodes():
