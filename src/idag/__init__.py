@@ -6,7 +6,7 @@ into expressions along topological sortings, and decide expression equality
 modulo the equational theory the weight system selects.
 """
 
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 from .core import (
     CANONICAL_SEARCH_BUDGET,
@@ -111,6 +111,7 @@ from .terms import (
 )
 from .weights import BOOL, INT, NAT, WeightSystem
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name but the submodules, which importing them binds here
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]
 
 __version__ = "0.1.0"

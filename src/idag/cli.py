@@ -22,7 +22,6 @@ from .equivalence import TheoryMode, equal_mod_theory, normalize
 from .errors import IdagError, IndexOutOfRange
 from .jsonio import idag_from_json, idag_to_json
 from .randgen import random_idag
-from .selftest import run_selftest
 from .terms import parse, print_expression
 from .weights import BY_NAME
 
@@ -154,6 +153,8 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_selftest  # the largest module; only this command needs it
+
     return 0 if run_selftest(seed=args.seed) else 1
 
 

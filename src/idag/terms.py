@@ -23,14 +23,16 @@ Each node-free generator is defined once, in _GENERATORS: its keyword, its
 arity and its free image, which fixes its value in every model. The parser,
 the printer, arity_of and the models' generator images all read it there.
 
-Parsing and walks over expressions (arity checking, printing, evaluation)
-are iterative, so deeply parenthesized text and the deeply chained
-composites produced by decomposition do not hit the interpreter recursion
-limit.
+Expression nodes are frozen slotted dataclasses. Parsing scans the text
+for tokens once and computes line and column only when it raises. Parsing
+and walks over expressions (arity checking, printing, evaluation) are
+iterative, so deeply parenthesized text and the deeply chained composites
+produced by decomposition do not hit the interpreter recursion limit.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
@@ -41,13 +43,15 @@ from .weights import WeightSystem
 
 
 class Expression:
-    """Base class; subclasses are frozen dataclasses forming the AST.
+    """Base class; subclasses are frozen slotted dataclasses forming the AST.
 
     Equality, hashing and repr are written iteratively here instead of being
     generated per dataclass: decomposition produces composites tens of
     thousands of levels deep, and the generated methods recurse once per
     level.
     """
+
+    __slots__ = ()
 
     def __rshift__(self, other: "Expression") -> "Expression":
         return Seq(self, other)
@@ -119,47 +123,47 @@ def _atom_repr(a: "Expression") -> str:
     return f"{type(a).__name__}()"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Eta(Expression):
     """Unit: 0 -> 1."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Nabla(Expression):
     """Merge: 2 -> 1."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Eps(Expression):
     """Discard: 1 -> 0."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Delta(Expression):
     """Copy: 1 -> 2."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Node(Expression):
     """Labelled box on one wire: 1 -> 1."""
 
     label: str = DEFAULT_LABEL
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Anti(Expression):
     """Sign flip on one wire: 1 -> 1. Requires a weight system with
     additive inverses."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Id(Expression):
     """n parallel wires: n -> n."""
 
     n: int
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Sym(Expression):
     """Block crossing: n + m -> m + n."""
 
@@ -167,7 +171,7 @@ class Sym(Expression):
     m: int
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Seq(Expression):
     """first, then then: diagrammatic sequential composite."""
 
@@ -175,7 +179,7 @@ class Seq(Expression):
     then: Expression
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Ten(Expression):
     """left stacked above right."""
 
@@ -193,7 +197,7 @@ def fold(
     ten: Callable[[Ten, T, T], T],
 ) -> T:
     """Iterative post-order fold; the workhorse behind arity checking,
-    printing and evaluation."""
+    hashing, repr and evaluation in models without a native walk."""
     stack: list[tuple[Expression, bool]] = [(e, False)]
     results: list[T] = []
     while stack:
@@ -347,165 +351,79 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$|[0-9]+$")
 
 def print_expression(e: Expression) -> str:
     """Concrete syntax for e, with minimal parentheses; parses back to an
-    equal AST."""
-
-    def atom(a: Expression) -> tuple[str, int]:
-        # levels: 0 atom, 1 tensor chain, 2 seq chain
-        if isinstance(a, (Id, Sym)):
+    equal AST. Emits pieces left to right from one stack: an operand is
+    wrapped when it is a ";" chain right of ";" or on either side of "*",
+    or a "*" chain right of "*"."""
+    out: list[str] = []
+    stack: list = [e]
+    while stack:
+        a = stack.pop()
+        if type(a) is str:
+            out.append(a)
+        elif isinstance(a, Seq):
+            if isinstance(a.then, Seq):
+                stack += (")", a.then, " ; (", a.first)
+            else:
+                stack += (a.then, " ; ", a.first)
+        elif isinstance(a, Ten):
+            wrap_left = isinstance(a.left, Seq)
+            if isinstance(a.right, (Seq, Ten)):
+                stack += (")", a.right, ") * (" if wrap_left else " * (", a.left)
+            else:
+                stack += (a.right, ") * " if wrap_left else " * ", a.left)
+            if wrap_left:
+                out.append("(")
+        elif isinstance(a, (Id, Sym)):
             _wiring_width(a)  # no syntax for other widths
-            return (f"id({a.n})" if isinstance(a, Id) else f"sym({a.n},{a.m})", 0)
-        if type(a) in _GENERATORS:
-            return (_GENERATORS[type(a)][0], 0)
-        if isinstance(a, Node):
+            out.append(f"id({a.n})" if isinstance(a, Id) else f"sym({a.n},{a.m})")
+        elif type(a) in _GENERATORS:
+            out.append(_GENERATORS[type(a)][0])
+        elif isinstance(a, Node):
             if a.label == DEFAULT_LABEL:
-                return ("node", 0)
-            if not isinstance(a.label, str) or not _IDENT_RE.match(a.label):
+                out.append("node")
+            elif isinstance(a.label, str) and _IDENT_RE.match(a.label):
+                out.append(f"node[{a.label}]")
+            else:
                 raise UnsupportedGenerator(
                     f"label {a.label!r} has no expression syntax; "
                     "use identifier or number labels"
                 )
-            return (f"node[{a.label}]", 0)
-        raise UnsupportedGenerator(f"unknown atom {a!r}")
-
-    def wrap(part: tuple[str, int], max_level: int) -> str:
-        text, level = part
-        return f"({text})" if level > max_level else text
-
-    def seq(_node: Seq, a: tuple[str, int], b: tuple[str, int]) -> tuple[str, int]:
-        return (f"{wrap(a, 2)} ; {wrap(b, 1)}", 2)
-
-    def ten(_node: Ten, a: tuple[str, int], b: tuple[str, int]) -> tuple[str, int]:
-        return (f"{wrap(a, 1)} * {wrap(b, 0)}", 1)
-
-    return fold(e, atom, seq, ten)[0]
+        else:
+            raise UnsupportedGenerator(f"unknown atom {a!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
-# One scan per line: each match skips whitespace, then takes a token or, in
-# the last group, a character no token starts with.
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[0-9]+|[;*()\[\],])|(\S))")
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[;*()\[\],]")
+# A character that is neither whitespace nor part of a token. Line breaks
+# are whitespace, so one scan of the whole text yields the tokens of each
+# line in turn.
+_STRAY_RE = re.compile(r"[^A-Za-z0-9_;*()\[\],\s]")
+_PUNCTUATION = frozenset(";*()[],")
+# the punctuation before each width of id(n) and sym(n,m)
+_WIRINGS = {"id": (Id, ("(",)), "sym": (Sym, ("(", ","))}
 
 
-@dataclass(slots=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of a character of text."""
+    line_start = 0
+    for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
+        if offset < line_start + len(line):
+            break
+        line_start += len(line)
+    return lineno, offset - line_start + 1
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for lineno, line in enumerate(text.splitlines() or [""], start=1):
-        for m in _TOKEN_RE.finditer(line):
-            if m.group(2) is not None:
-                raise ExprSyntaxError(
-                    lineno, m.start(2) + 1, f"unexpected character {m.group(2)!r}"
-                )
-            tokens.append(_Token(m.group(1), lineno, m.start(1) + 1))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos].text
-        return None
-
-    def here(self) -> tuple[int, int]:
-        if self.pos < len(self.tokens):
-            t = self.tokens[self.pos]
-            return (t.line, t.column)
-        if self.tokens:
-            last = self.tokens[-1]
-            return (last.line, last.column + len(last.text))
-        return (1, 1)
-
-    def fail(self, message: str):
-        line, col = self.here()
-        raise ExprSyntaxError(line, col, message)
-
-    def take(self) -> _Token:
-        if self.pos >= len(self.tokens):
-            self.fail("unexpected end of input")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        if self.peek() != text:
-            self.fail(f"expected {text!r}")
-        return self.take()
-
-    def nat(self) -> int:
-        tok = self.take()
-        if not tok.text.isdigit():
-            raise ExprSyntaxError(tok.line, tok.column, f"expected a number, got {tok.text!r}")
-        return int(tok.text)
-
-    def expr(self) -> Expression:
-        """expr := ten (";" ten)*, ten := atom ("*" atom)*, where an atom may
-        be a parenthesized expr. Iterative: each open parenthesis pushes the
-        enclosing expression's partial chains, so nesting depth is not
-        limited by the interpreter's recursion limit."""
-        enclosing: list[tuple[Optional[Expression], Optional[Expression]]] = []
-        chain: Optional[Expression] = None  # completed tens, joined by ";"
-        row: Optional[Expression] = None  # atoms of the current ten, by "*"
-        while True:
-            if self.peek() == "(":
-                self.take()
-                enclosing.append((chain, row))
-                chain = row = None
-                continue
-            a = self.atom()
-            while True:
-                row = a if row is None else Ten(row, a)
-                if self.peek() == "*":
-                    self.take()
-                    break
-                chain = row if chain is None else Seq(chain, row)
-                row = None
-                if self.peek() == ";":
-                    self.take()
-                    break
-                if not enclosing:
-                    return chain
-                self.expect(")")
-                a = chain
-                chain, row = enclosing.pop()
-
-    def atom(self) -> Expression:
-        tok = self.take()
-        text = tok.text
-        if text in _BY_KEYWORD:
-            return _BY_KEYWORD[text]()
-        if text == "node":
-            if self.peek() == "[":
-                self.take()
-                lbl = self.take()
-                if not re.match(r"[A-Za-z_0-9]", lbl.text):
-                    raise ExprSyntaxError(lbl.line, lbl.column, "expected a label")
-                self.expect("]")
-                return Node(lbl.text)
-            return Node()
-        if text == "id":
-            self.expect("(")
-            n = self.nat()
-            self.expect(")")
-            return Id(n)
-        if text == "sym":
-            self.expect("(")
-            n = self.nat()
-            self.expect(",")
-            m = self.nat()
-            self.expect(")")
-            return Sym(n, m)
-        raise ExprSyntaxError(tok.line, tok.column, f"unexpected token {text!r}")
+def _syntax_error(text: str, tokens: list, i: int, message: str) -> ExprSyntaxError:
+    """An ExprSyntaxError at token i of text, or just past the last token
+    when i is the end-of-input sentinel. Positions are found only here, by
+    scanning the text again."""
+    at_end = tokens[i] is None
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), i - 1 if at_end else i, None))
+    line, column = _line_column(text, m.start())
+    return ExprSyntaxError(line, column + len(m.group()) if at_end else column, message)
 
 
 def parse(text: str) -> Expression:
@@ -513,16 +431,88 @@ def parse(text: str) -> Expression:
 
     Raises ExprSyntaxError (with line and column) on bad syntax and
     TypeMismatch on a well-formed but ill-typed composite.
+
+    expr := ten (";" ten)*, ten := atom ("*" atom)*, where an atom may be a
+    parenthesized expr. Iterative: each open parenthesis pushes the
+    enclosing expression's partial chains, so nesting depth is not limited
+    by the interpreter's recursion limit.
     """
-    tokens = _tokenize(text)
+    stray = _STRAY_RE.search(text)
+    if stray:
+        line, column = _line_column(text, stray.start())
+        raise ExprSyntaxError(line, column, f"unexpected character {stray.group()!r}")
+    tokens: list = _TOKEN_RE.findall(text)
     if not tokens:
         raise ExprSyntaxError(1, 1, "empty expression")
-    parser = _Parser(tokens)
-    e = parser.expr()
-    if parser.pos != len(tokens):
-        parser.fail(f"trailing input {parser.peek()!r}")
-    arity_of(e)
-    return e
+    tokens.append(None)  # end of input
+    enclosing: list[tuple[Optional[Expression], Optional[Expression]]] = []
+    chain: Optional[Expression] = None  # completed tens, joined by ";"
+    row: Optional[Expression] = None  # atoms of the current ten, by "*"
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        if tok == "(":
+            enclosing.append((chain, row))
+            chain = row = None
+            continue
+        if tok in _WIRINGS:
+            cls, separators = _WIRINGS[tok]
+            widths = []
+            for sep in separators:
+                if tokens[i] != sep:
+                    raise _syntax_error(text, tokens, i, f"expected {sep!r}")
+                n = tokens[i + 1]
+                if n is None:
+                    raise _syntax_error(text, tokens, i + 1, "unexpected end of input")
+                if not n.isdigit():
+                    raise _syntax_error(text, tokens, i + 1, f"expected a number, got {n!r}")
+                widths.append(int(n))
+                i += 2
+            if tokens[i] != ")":
+                raise _syntax_error(text, tokens, i, "expected ')'")
+            i += 1
+            a = cls(*widths)
+        elif tok == "node":
+            if tokens[i] == "[":
+                label = tokens[i + 1]
+                if label is None:
+                    raise _syntax_error(text, tokens, i + 1, "unexpected end of input")
+                if label in _PUNCTUATION:
+                    raise _syntax_error(text, tokens, i + 1, "expected a label")
+                if tokens[i + 2] != "]":
+                    raise _syntax_error(text, tokens, i + 2, "expected ']'")
+                i += 3
+                a = Node(label)
+            else:
+                a = Node()
+        elif tok in _BY_KEYWORD:
+            a = _BY_KEYWORD[tok]()
+        elif tok is None:
+            raise _syntax_error(text, tokens, i - 1, "unexpected end of input")
+        else:
+            raise _syntax_error(text, tokens, i - 1, f"unexpected token {tok!r}")
+        while True:
+            row = a if row is None else Ten(row, a)
+            tok = tokens[i]
+            if tok == "*":
+                i += 1
+                break
+            chain = row if chain is None else Seq(chain, row)
+            row = None
+            if tok == ";":
+                i += 1
+                break
+            if not enclosing:
+                if tok is not None:
+                    raise _syntax_error(text, tokens, i, f"trailing input {tok!r}")
+                arity_of(chain)
+                return chain
+            if tok != ")":
+                raise _syntax_error(text, tokens, i, "expected ')'")
+            i += 1
+            a = chain
+            chain, row = enclosing.pop()
 
 
 # ---------------------------------------------------------------------------

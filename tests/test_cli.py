@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import idag
 from idag.cli import main
 from idag.core import concat
 from idag.jsonio import idag_from_json, idag_to_json
@@ -15,6 +18,20 @@ def run_cli(*args):
         text=True,
         timeout=120,
     )
+
+
+def test_eq_does_not_import_selftest():
+    code = (
+        "import sys\n"
+        "from idag.cli import main\n"
+        "status = main(['eq', 'delta ; nabla', 'id(1)', '--mode', 'bool'])\n"
+        "print(status, 'idag.selftest' in sys.modules)\n"
+    )
+    src = str(Path(idag.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_eq_exit_codes(capsys):

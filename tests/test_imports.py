@@ -3,6 +3,7 @@ by an import must occur as a Name node somewhere in the module."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -22,3 +23,15 @@ def test_no_unused_imports(path):
                 imported.add(alias.asname or alias.name.split(".")[0])
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_public_names_are_not_modules():
+    import idag
+
+    for name in idag.__all__:
+        assert not isinstance(getattr(idag, name), ModuleType), name
+    assert "annotations" not in idag.__all__
+    namespace: dict = {}
+    exec("from idag import *", namespace)
+    assert {"parse", "evaluate", "Idag"} <= namespace.keys()
+    assert not {"models", "terms", "core"} & namespace.keys()

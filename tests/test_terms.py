@@ -1,18 +1,31 @@
+import copy
+import pickle
 import random
+import re
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idag.core import from_permutation
-from idag.errors import ExprSyntaxError, TypeMismatch, UnsupportedGenerator
+from idag.core import DEFAULT_LABEL, from_permutation
+from idag.decomposition import decompose, default_sorting
+from idag.errors import ExprSyntaxError, IdagError, TypeMismatch, UnsupportedGenerator
 from idag.models import FreeIdagModel, MatrixModel, evaluate
-from idag.randgen import random_expression
+from idag.randgen import random_expression, random_idag
 from idag.terms import (
-    _tokenize,
+    _BY_KEYWORD,
+    _GENERATORS,
+    _IDENT_RE,
+    _STRAY_RE,
+    _TOKEN_RE,
+    _line_column,
+    _wiring_width,
     Anti,
     Delta,
     Eps,
     Eta,
+    Expression,
     Id,
     Nabla,
     Node,
@@ -21,6 +34,7 @@ from idag.terms import (
     Ten,
     arity_of,
     expand_symmetry,
+    fold,
     parse,
     print_expression,
     seq_all,
@@ -233,14 +247,16 @@ def test_tokens_match_the_reference_tokenizer():
             want = _reference_tokens(text)
         except ExprSyntaxError as exc:
             with pytest.raises(ExprSyntaxError) as got:
-                _tokenize(text)
+                parse(text)
             assert (got.value.line, got.value.column, got.value.message) == (
                 exc.line,
                 exc.column,
                 exc.message,
             )
             continue
-        assert [(t.text, t.line, t.column) for t in _tokenize(text)] == want
+        assert _STRAY_RE.search(text) is None
+        got = [(m.group(), *_line_column(text, m.start())) for m in _TOKEN_RE.finditer(text)]
+        assert got == want
 
 
 @pytest.mark.parametrize(
@@ -268,3 +284,279 @@ def test_syntax_error_positions(text, line, column, message):
     with pytest.raises(ExprSyntaxError) as exc:
         parse(text)
     assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
+
+
+# ---------------------------------------------------------------------------
+# The front end as it was before the one-scan tokenizer, kept as the oracle
+# for the parser and the printer: a per-line token scan with a position on
+# every token, a recursive-descent parser object and a fold-based printer.
+
+_REF_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[0-9]+|[;*()\[\],])|(\S))")
+
+
+@dataclass(slots=True)
+class _RefToken:
+    text: str
+    line: int
+    column: int
+
+
+def _ref_tokenize(text: str) -> list[_RefToken]:
+    tokens: list[_RefToken] = []
+    for lineno, line in enumerate(text.splitlines() or [""], start=1):
+        for m in _REF_TOKEN_RE.finditer(line):
+            if m.group(2) is not None:
+                raise ExprSyntaxError(lineno, m.start(2) + 1, f"unexpected character {m.group(2)!r}")
+            tokens.append(_RefToken(m.group(1), lineno, m.start(1) + 1))
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, tokens: list[_RefToken]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Optional[str]:
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos].text
+        return None
+
+    def here(self) -> tuple[int, int]:
+        if self.pos < len(self.tokens):
+            t = self.tokens[self.pos]
+            return (t.line, t.column)
+        if self.tokens:
+            last = self.tokens[-1]
+            return (last.line, last.column + len(last.text))
+        return (1, 1)
+
+    def fail(self, message: str):
+        line, col = self.here()
+        raise ExprSyntaxError(line, col, message)
+
+    def take(self) -> _RefToken:
+        if self.pos >= len(self.tokens):
+            self.fail("unexpected end of input")
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> _RefToken:
+        if self.peek() != text:
+            self.fail(f"expected {text!r}")
+        return self.take()
+
+    def nat(self) -> int:
+        tok = self.take()
+        if not tok.text.isdigit():
+            raise ExprSyntaxError(tok.line, tok.column, f"expected a number, got {tok.text!r}")
+        return int(tok.text)
+
+    def expr(self) -> Expression:
+        enclosing: list[tuple[Optional[Expression], Optional[Expression]]] = []
+        chain: Optional[Expression] = None
+        row: Optional[Expression] = None
+        while True:
+            if self.peek() == "(":
+                self.take()
+                enclosing.append((chain, row))
+                chain = row = None
+                continue
+            a = self.atom()
+            while True:
+                row = a if row is None else Ten(row, a)
+                if self.peek() == "*":
+                    self.take()
+                    break
+                chain = row if chain is None else Seq(chain, row)
+                row = None
+                if self.peek() == ";":
+                    self.take()
+                    break
+                if not enclosing:
+                    return chain
+                self.expect(")")
+                a = chain
+                chain, row = enclosing.pop()
+
+    def atom(self) -> Expression:
+        tok = self.take()
+        text = tok.text
+        if text in _BY_KEYWORD:
+            return _BY_KEYWORD[text]()
+        if text == "node":
+            if self.peek() == "[":
+                self.take()
+                lbl = self.take()
+                if not re.match(r"[A-Za-z_0-9]", lbl.text):
+                    raise ExprSyntaxError(lbl.line, lbl.column, "expected a label")
+                self.expect("]")
+                return Node(lbl.text)
+            return Node()
+        if text == "id":
+            self.expect("(")
+            n = self.nat()
+            self.expect(")")
+            return Id(n)
+        if text == "sym":
+            self.expect("(")
+            n = self.nat()
+            self.expect(",")
+            m = self.nat()
+            self.expect(")")
+            return Sym(n, m)
+        raise ExprSyntaxError(tok.line, tok.column, f"unexpected token {text!r}")
+
+
+def _ref_parse(text: str) -> Expression:
+    tokens = _ref_tokenize(text)
+    if not tokens:
+        raise ExprSyntaxError(1, 1, "empty expression")
+    parser = _RefParser(tokens)
+    e = parser.expr()
+    if parser.pos != len(tokens):
+        parser.fail(f"trailing input {parser.peek()!r}")
+    arity_of(e)
+    return e
+
+
+def _ref_print(e: Expression) -> str:
+    def atom(a: Expression) -> tuple[str, int]:
+        # levels: 0 atom, 1 tensor chain, 2 seq chain
+        if isinstance(a, (Id, Sym)):
+            _wiring_width(a)
+            return (f"id({a.n})" if isinstance(a, Id) else f"sym({a.n},{a.m})", 0)
+        if type(a) in _GENERATORS:
+            return (_GENERATORS[type(a)][0], 0)
+        if isinstance(a, Node):
+            if a.label == DEFAULT_LABEL:
+                return ("node", 0)
+            if not isinstance(a.label, str) or not _IDENT_RE.match(a.label):
+                raise UnsupportedGenerator(
+                    f"label {a.label!r} has no expression syntax; use identifier or number labels"
+                )
+            return (f"node[{a.label}]", 0)
+        raise UnsupportedGenerator(f"unknown atom {a!r}")
+
+    def wrap(part: tuple[str, int], max_level: int) -> str:
+        text, level = part
+        return f"({text})" if level > max_level else text
+
+    return fold(
+        e,
+        atom,
+        lambda _n, a, b: (f"{wrap(a, 2)} ; {wrap(b, 1)}", 2),
+        lambda _n, a, b: (f"{wrap(a, 1)} * {wrap(b, 0)}", 1),
+    )[0]
+
+
+def _outcome(fn, arg):
+    """fn(arg) as a comparable value: the repr of what it returns, or the
+    type, arguments and attributes (line, column, message) of its error."""
+    try:
+        return repr(fn(arg))
+    except IdagError as exc:
+        return (type(exc), exc.args, vars(exc))
+
+
+_INSERTS = ["\r\n", "\x1c", "\u00a0", "\u2028", "é", "$", "-", " ", "\t", "\n  ", "(", ")", ";", "*",
+            ",", "[", "]", "node[", "id(", "sym(1,", "node", "eta", "x1", "7", "id(1)"]
+_CUT_OFF = ["", "\r\n", "node[", "id(", "sym(1,", "sym(1,2", "node[x", "node[x;", "id(1", "((eta)",
+            "eta ;\r\n eps", "eta\x1c;\x1ceps", "eta ; eps", "eta ; é", "eta $", "node[]",
+            "node[7] ; node[_]", "sym(1,1) ; sym", "id(01)", "()", "(;)", "eta * * eps"]
+
+
+def _parity_corpus(seed: int, n_expressions: int) -> list[str]:
+    """Printed random expressions, each with copies cut off, with a piece
+    inserted, with a span deleted and with one keyword swapped for another
+    (mostly ill-typed), plus hand-picked cut-off and odd-whitespace texts."""
+    rng = random.Random(seed)
+    texts = list(_CUT_OFF)
+    for _ in range(n_expressions):
+        text = _ref_print(random_expression(rng, max_depth=rng.randint(1, 7), allow_anti=True))
+        texts.append(text)
+        for _ in range(2):
+            texts.append(text[: rng.randrange(len(text) + 1)])
+            i = rng.randrange(len(text) + 1)
+            texts.append(text[:i] + rng.choice(_INSERTS) + text[i:])
+            i = rng.randrange(len(text))
+            texts.append(text[:i] + text[i + rng.randint(1, 4):])
+        words = re.findall(r"eta|nabla|eps|delta|anti|node", text)
+        if words:
+            texts.append(text.replace(rng.choice(words), rng.choice(["eta", "nabla", "eps", "delta"]), 1))
+    return texts
+
+
+def test_parse_matches_the_reference_parser():
+    texts = _parity_corpus(seed=2024, n_expressions=700)
+    assert len(texts) >= 5000
+    errors = 0
+    for text in texts:
+        want = _outcome(_ref_parse, text)
+        assert _outcome(parse, text) == want, text
+        errors += not isinstance(want, str)
+    # the corpus exercises both outcomes
+    assert 1000 < errors < len(texts) - 1000
+
+
+def test_print_matches_the_reference_printer():
+    rng = random.Random(7)
+    for _ in range(300):
+        e = random_expression(rng, max_depth=rng.randint(1, 8), allow_anti=True)
+        assert print_expression(e) == _ref_print(e)
+    for n in (8, 64, 256):
+        d = random_idag(rng, 3, 3, n, min(1.0, 3 / ((n - 1) / 2 + 3)), INT, labels=("a", "b", "c"))
+        e = decompose(d, default_sorting(d))
+        assert print_expression(e) == _ref_print(e)
+
+
+def test_print_raises_at_the_first_unprintable_atom_as_before():
+    class Box(Expression):
+        __slots__ = ()
+
+    bad = [Node("two words"), Node(5), Id(-1), Sym(1, True), Box()]
+    rng = random.Random(3)
+    for _ in range(200):
+        parts = [random_expression(rng, max_depth=3) for _ in range(4)]
+        for k in rng.sample(range(4), rng.randint(1, 3)):
+            parts[k] = rng.choice(bad)
+        e = Seq(Ten(parts[0], parts[1]), Ten(parts[2], Seq(parts[3], Id(0))))
+        want = _outcome(_ref_print, e)
+        assert not isinstance(want, str)
+        assert _outcome(print_expression, e) == want
+
+
+_SAMPLE = [
+    (Eta(), "Eta()"),
+    (Nabla(), "Nabla()"),
+    (Eps(), "Eps()"),
+    (Delta(), "Delta()"),
+    (Node("x"), "Node(label='x')"),
+    (Anti(), "Anti()"),
+    (Id(2), "Id(n=2)"),
+    (Sym(1, 2), "Sym(n=1, m=2)"),
+    (Seq(Delta(), Nabla()), "Seq(first=Delta(), then=Nabla())"),
+    (Ten(Node(), Id(0)), "Ten(left=Node(label='•'), right=Id(n=0))"),
+]
+
+
+def _ref_hash(e: Expression) -> int:
+    return fold(
+        e,
+        atom=lambda a: hash((type(a).__name__, tuple(getattr(a, f) for f in a.__dataclass_fields__))),
+        seq=lambda _, a, b: hash(("Seq", a, b)),
+        ten=lambda _, a, b: hash(("Ten", a, b)),
+    )
+
+
+@pytest.mark.parametrize("e, text", _SAMPLE, ids=[type(e).__name__ for e, _ in _SAMPLE])
+def test_expression_nodes_are_slotted_and_immutable(e, text):
+    assert not hasattr(e, "__dict__")
+    for name in e.__dataclass_fields__:
+        with pytest.raises(AttributeError):
+            setattr(e, name, Id(1))
+    assert repr(e) == text
+    assert hash(e) == _ref_hash(e)
+    for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert twin == e and twin is not e
+        assert repr(twin) == text and hash(twin) == hash(e)
