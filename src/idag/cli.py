@@ -4,6 +4,10 @@ Commands: eq, normalize, decompose, compose, tensor, closure, prune, dot,
 random, selftest. Inputs are literal text, "@path" to read a file, or "-"
 for standard input. Exit codes: 0 success/equal, 1 unequal or selftest
 failure, 2 any error.
+
+Each command imports only what it runs: eq and normalize load the parser,
+the free model and the canonical form; decompose adds the decomposition
+module; dot, random and selftest each add their own module.
 """
 
 from __future__ import annotations
@@ -11,19 +15,18 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import random
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .core import Idag, concat, juxt, prune_dangling, transitive_closure
-from .decomposition import TopSort, decompose, default_sorting, topological_sortings
-from .dot import idag_to_dot
 from .equivalence import TheoryMode, equal_mod_theory, normalize
 from .errors import IdagError, IndexOutOfRange
 from .jsonio import idag_from_json, idag_to_json
-from .randgen import random_idag
 from .terms import parse, print_expression
 from .weights import BY_NAME
+
+if TYPE_CHECKING:
+    from .decomposition import TopSort
 
 
 def _read_input(spec: str) -> str:
@@ -42,6 +45,8 @@ def _theory_mode(args: argparse.Namespace) -> TheoryMode:
 
 def _emit_idag(d: Idag, fmt: str) -> None:
     if fmt == "dot":
+        from .dot import idag_to_dot
+
         print(idag_to_dot(d))
     else:
         # json and text coincide for idags: the JSON document is the text form
@@ -49,6 +54,8 @@ def _emit_idag(d: Idag, fmt: str) -> None:
 
 
 def _pick_sorting(d: Idag, spec: str) -> TopSort:
+    from .decomposition import default_sorting, topological_sortings
+
     if spec == "default":
         return default_sorting(d)
     text = spec.split(":", 1)[1] if spec.startswith("index:") else spec
@@ -85,6 +92,8 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from .decomposition import decompose
+
     d = idag_from_json(_read_input(args.idag))
     sort = _pick_sorting(d, args.sorting)
     text = print_expression(decompose(d, sort))
@@ -129,12 +138,15 @@ def _cmd_prune(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    d = idag_from_json(_read_input(args.idag))
-    print(idag_to_dot(d))
+    _emit_idag(idag_from_json(_read_input(args.idag)), "dot")
     return 0
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
+    import random
+
+    from .randgen import random_idag
+
     if not 0.0 <= args.edge_prob <= 1.0:
         raise IdagError(f"edge_prob {args.edge_prob} outside [0, 1]")
     rng = random.Random(args.seed)
@@ -153,7 +165,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    from .selftest import run_selftest  # the largest module; only this command needs it
+    from .selftest import run_selftest
 
     return 0 if run_selftest(seed=args.seed) else 1
 

@@ -15,7 +15,6 @@ is_isomorphic and canonical_form decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -28,6 +27,7 @@ from .errors import (
     NotBijective,
     SearchBudgetExceeded,
 )
+from .record import Frozen, Record
 from .weights import BOOL, WeightSystem
 
 DEFAULT_LABEL = "•"
@@ -35,33 +35,66 @@ DEFAULT_LABEL = "•"
 CANONICAL_SEARCH_BUDGET = 10**6
 
 
-@dataclass(frozen=True, slots=True)
-class In:
+# In, Out and NodeRef key every edge map, so each spells out == and hash;
+# both agree with Frozen's field-tuple versions.
+
+
+class In(Frozen):
     """Edge source: the idag's input with this index."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.index == other.index  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
 
 
-@dataclass(frozen=True, slots=True)
-class Out:
+class Out(Frozen):
     """Edge target: the idag's output with this index."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.index == other.index  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
 
 
-@dataclass(frozen=True, slots=True)
-class NodeRef:
+class NodeRef(Frozen):
     """Edge endpoint: the internal node with this id."""
 
-    id: str
+    __slots__ = ("id",)
+
+    def __init__(self, id: str) -> None:
+        object.__setattr__(self, "id", id)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.id == other.id  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.id,))
 
 
 Vertex = Union[In, Out, NodeRef]
 Edge = tuple[Vertex, Vertex]
 
 
-@dataclass(frozen=True)
-class Idag:
+class Idag(Frozen):
     """An interfaced dag. Build through make_idag or the constructors below;
     instances are immutable and assumed valid.
 
@@ -74,11 +107,21 @@ class Idag:
         edges: mapping from (source, target) to nonzero weight.
     """
 
-    weights: WeightSystem
-    n_in: int
-    n_out: int
-    nodes: tuple[tuple[str, str], ...]
-    edges: Mapping[Edge, int]
+    __slots__ = ("weights", "n_in", "n_out", "nodes", "edges")
+
+    def __init__(
+        self,
+        weights: WeightSystem,
+        n_in: int,
+        n_out: int,
+        nodes: tuple[tuple[str, str], ...],
+        edges: Mapping[Edge, int],
+    ) -> None:
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "n_in", n_in)
+        object.__setattr__(self, "n_out", n_out)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -404,16 +447,25 @@ def _split_twins(colors: list[int], twin: list[int]) -> list[int]:
     return _dense_ranks(key)
 
 
-@dataclass
-class _Frame:
+class _Frame(Record):
     """A node of the search tree: its equitable coloring, the nodes
     individualized on the way to it, and the children of its target cell."""
 
-    colors: list[int]
-    path: tuple[int, ...]
-    on_first_path: bool
-    candidates: Iterator[int]
-    tried: list[int] = field(default_factory=list)
+    __slots__ = ("colors", "path", "on_first_path", "candidates", "tried")
+
+    def __init__(
+        self,
+        colors: list[int],
+        path: tuple[int, ...],
+        on_first_path: bool,
+        candidates: Iterator[int],
+        tried: Optional[list[int]] = None,
+    ) -> None:
+        self.colors = colors
+        self.path = path
+        self.on_first_path = on_first_path
+        self.candidates = candidates
+        self.tried = [] if tried is None else tried
 
 
 def _search(

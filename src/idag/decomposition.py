@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -45,6 +44,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .models import FreeIdagModel, MatrixModel, MatrixMorphism, Model, matrix_permutation
+from .record import Frozen
 from .terms import (
     Anti,
     Delta,
@@ -70,12 +70,14 @@ MAX_RELATION_COPIES = 10**5
 MAX_DOWN_SETS = 10**5
 
 
-@dataclass(frozen=True)
-class TopSort:
+class TopSort(Frozen):
     """A topological sorting: the idag's node ids, every edge pointing
     forward."""
 
-    order: tuple[str, ...]
+    __slots__ = ("order",)
+
+    def __init__(self, order: tuple[str, ...]) -> None:
+        object.__setattr__(self, "order", order)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -554,17 +556,34 @@ def interpret(d: Idag, sort: SortLike, model: Model):
 # Adjacent transpositions
 
 
-@dataclass(frozen=True)
-class TranspositionReport:
+class TranspositionReport(Frozen):
     """Outcome of the five local identities for one adjacent swap of a
     sorting; all true iff the swap provably preserves every model's value."""
 
-    position: int
-    prefix_layers_equal: bool
-    swapped_pair_composite_equal: bool
-    swap_threads_middle_layers: bool
-    swap_absorbed_by_final_layer: bool
-    node_box_slides_past_next_layer: bool
+    __slots__ = (
+        "position",
+        "prefix_layers_equal",
+        "swapped_pair_composite_equal",
+        "swap_threads_middle_layers",
+        "swap_absorbed_by_final_layer",
+        "node_box_slides_past_next_layer",
+    )
+
+    def __init__(
+        self,
+        position: int,
+        prefix_layers_equal: bool,
+        swapped_pair_composite_equal: bool,
+        swap_threads_middle_layers: bool,
+        swap_absorbed_by_final_layer: bool,
+        node_box_slides_past_next_layer: bool,
+    ) -> None:
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "prefix_layers_equal", prefix_layers_equal)
+        object.__setattr__(self, "swapped_pair_composite_equal", swapped_pair_composite_equal)
+        object.__setattr__(self, "swap_threads_middle_layers", swap_threads_middle_layers)
+        object.__setattr__(self, "swap_absorbed_by_final_layer", swap_absorbed_by_final_layer)
+        object.__setattr__(self, "node_box_slides_past_next_layer", node_box_slides_past_next_layer)
 
     @property
     def all_ok(self) -> bool:

@@ -8,13 +8,13 @@ modulo the theory iff the normal forms coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import Idag, canonical_form, prune_dangling, transitive_closure
 from .errors import ArityMismatch, ModeMismatch
 from .jsonio import idag_to_obj
 from .models import FreeIdagModel, evaluate
+from .record import Frozen
 from .terms import Expression, arity_of, validate_for_mode
 from .weights import BOOL, WeightSystem
 
@@ -24,23 +24,26 @@ NO_DANGLING = "nodangling"
 _KNOWN_QUOTIENTS = frozenset({TRANSITIVE, NO_DANGLING})
 
 
-@dataclass(frozen=True)
-class TheoryMode:
+class TheoryMode(Frozen):
     """A weight system plus the optional quotients layered on top of the
     equational theory, and an optional closed label set."""
 
-    weights: WeightSystem = BOOL
-    quotients: frozenset[str] = frozenset()
-    labels: Optional[frozenset[str]] = None
+    __slots__ = ("weights", "quotients", "labels")
 
-    def __post_init__(self):
-        unknown = set(self.quotients) - _KNOWN_QUOTIENTS
+    def __init__(
+        self,
+        weights: WeightSystem = BOOL,
+        quotients: frozenset[str] = frozenset(),
+        labels: Optional[frozenset[str]] = None,
+    ) -> None:
+        unknown = set(quotients) - _KNOWN_QUOTIENTS
         if unknown:
             raise ModeMismatch(f"unknown quotients {sorted(unknown)}")
-        if self.quotients and self.weights is not BOOL:
-            raise ModeMismatch(
-                f"quotients require bool mode, got {self.weights!r}"
-            )
+        if quotients and weights is not BOOL:
+            raise ModeMismatch(f"quotients require bool mode, got {weights!r}")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "quotients", quotients)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def antipode_enabled(self) -> bool:
@@ -76,15 +79,23 @@ def normalize(e: Expression, mode: ModeLike) -> Idag:
     return canonical_form(_apply_quotients(value, tm))
 
 
-@dataclass(frozen=True)
-class EqReport:
+class EqReport(Frozen):
     """Outcome of an equality query, with both normal forms and, when equal,
     the node correspondence between them."""
 
-    equal: bool
-    normal_form_left: Idag
-    normal_form_right: Idag
-    witness: Optional[dict[str, str]] = None
+    __slots__ = ("equal", "normal_form_left", "normal_form_right", "witness")
+
+    def __init__(
+        self,
+        equal: bool,
+        normal_form_left: Idag,
+        normal_form_right: Idag,
+        witness: Optional[dict[str, str]] = None,
+    ) -> None:
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "normal_form_left", normal_form_left)
+        object.__setattr__(self, "normal_form_right", normal_form_right)
+        object.__setattr__(self, "witness", witness)
 
     def to_json_obj(self) -> dict:
         return {

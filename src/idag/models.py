@@ -29,7 +29,6 @@ walk's wires, the path sums) is WeightSystem.weighted_sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 from . import core
@@ -52,19 +51,22 @@ from .terms import (
     arity_of,
     fold,
 )
+from .record import Frozen
 from .weights import BOOL, NAT, WeightSystem
 
 
-@dataclass(frozen=True)
-class MatrixMorphism:
+class MatrixMorphism(Frozen):
     """An (n_in, n_out) morphism of the matrix model: an n_in x n_out integer
     matrix over a weight system, stored sparsely as one {column: entry} dict
     per row. Rows hold nonzero entries only, so equal matrices have equal
     rows. Treat instances as immutable."""
 
-    weights: WeightSystem
-    rows: tuple[dict[int, int], ...]
-    n_out: int
+    __slots__ = ("weights", "rows", "n_out")
+
+    def __init__(self, weights: WeightSystem, rows: tuple[dict[int, int], ...], n_out: int) -> None:
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n_out", n_out)
 
     @property
     def n_in(self) -> int:
@@ -160,14 +162,16 @@ def matrix_permutation(perm: Sequence[int], weights: WeightSystem) -> MatrixMorp
     return MatrixMorphism(weights, tuple({j: 1} for j in perm), len(perm))
 
 
-@dataclass(frozen=True)
-class LoopsMorphism:
+class LoopsMorphism(Frozen):
     """A morphism of the loops model: a permutation of the wires plus one
     label word per input wire. Composition multiplies permutations and
     prepends the later word (so sequential boxes accumulate on the left)."""
 
-    perm: tuple[int, ...]
-    words: tuple[tuple[str, ...], ...]
+    __slots__ = ("perm", "words")
+
+    def __init__(self, perm: tuple[int, ...], words: tuple[tuple[str, ...], ...]) -> None:
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "words", words)
 
     @property
     def n(self) -> int:
@@ -217,6 +221,8 @@ def _free_image(gen: Expression, mode: WeightSystem) -> tuple[int, list[str], li
 class Model:
     """Evaluation target: images for generators plus PROP structure."""
 
+    __slots__ = ()
+
     def identity(self, n: int):
         raise NotImplementedError
 
@@ -241,12 +247,14 @@ class Model:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class FreeIdagModel(Model):
+class FreeIdagModel(Model, Frozen):
     """Evaluation into idags themselves; free for the equational theory the
     mode selects."""
 
-    mode: WeightSystem = BOOL
+    __slots__ = ("mode",)
+
+    def __init__(self, mode: WeightSystem = BOOL) -> None:
+        object.__setattr__(self, "mode", mode)
 
     def identity(self, n: int) -> Idag:
         return core.identity(n, self.mode)
@@ -286,13 +294,19 @@ class FreeIdagModel(Model):
         return Idag(self.mode, n_in, len(ends) - len(nodes), nodes, core._attach(edges))
 
 
-@dataclass(frozen=True)
-class MatrixModel(Model):
+class MatrixModel(Model, Frozen):
     """Evaluation into weight matrices. lambda_images supplies a 1 x 1 matrix
     per node label; unlisted labels act as the identity wire."""
 
-    weights: WeightSystem = NAT
-    lambda_images: Mapping[str, Union[int, MatrixMorphism]] = field(default_factory=dict)
+    __slots__ = ("weights", "lambda_images")
+
+    def __init__(
+        self,
+        weights: WeightSystem = NAT,
+        lambda_images: Optional[Mapping[str, Union[int, MatrixMorphism]]] = None,
+    ) -> None:
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "lambda_images", {} if lambda_images is None else lambda_images)
 
     def _lambda(self, label: str) -> MatrixMorphism:
         img = self.lambda_images.get(label)
@@ -360,10 +374,11 @@ class MatrixModel(Model):
         return MatrixMorphism(self.weights, tuple(rows), n_out)
 
 
-@dataclass(frozen=True)
-class LoopsModel(Model):
+class LoopsModel(Model, Frozen):
     """Evaluation into permutations-with-words; supports only wires,
     crossings and node boxes."""
+
+    __slots__ = ()
 
     def identity(self, n: int) -> LoopsMorphism:
         return loops_identity(n)

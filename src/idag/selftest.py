@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import (
@@ -44,15 +43,18 @@ from .errors import IdagError
 from .jsonio import idag_to_json
 from .models import FreeIdagModel, MatrixModel, evaluate
 from .randgen import random_expression, random_idag, random_matrix
+from .record import Record
 from .terms import Delta, Id, Nabla, Node, Seq, Ten, arity_of, map_atoms, parse, print_expression
 from .weights import BOOL, INT, NAT, WeightSystem
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int
-    failures: list[str]
+class SuiteResult(Record):
+    __slots__ = ("name", "cases", "failures")
+
+    def __init__(self, name: str, cases: int, failures: list[str]) -> None:
+        self.name = name
+        self.cases = cases
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

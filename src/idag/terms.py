@@ -23,7 +23,7 @@ Each node-free generator is defined once, in _GENERATORS: its keyword, its
 arity and its free image, which fixes its value in every model. The parser,
 the printer, arity_of and the models' generator images all read it there.
 
-Expression nodes are frozen slotted dataclasses. Parsing scans the text
+Expression nodes are immutable slotted classes. Parsing scans the text
 for tokens once and computes line and column only when it raises. Parsing
 and walks over expressions (arity checking, printing, evaluation) are
 iterative, so deeply parenthesized text and the deeply chained composites
@@ -34,21 +34,20 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .core import DEFAULT_LABEL
 from .errors import ExprSyntaxError, TypeMismatch, UnsupportedGenerator
+from .record import Frozen
 from .weights import WeightSystem
 
 
-class Expression:
-    """Base class; subclasses are frozen slotted dataclasses forming the AST.
+class Expression(Frozen):
+    """Base class; subclasses are immutable slotted classes forming the AST.
 
-    Equality, hashing and repr are written iteratively here instead of being
-    generated per dataclass: decomposition produces composites tens of
-    thousands of levels deep, and the generated methods recurse once per
-    level.
+    Equality, hashing and repr are written iteratively here instead of
+    taking Frozen's field-tuple versions: decomposition produces composites
+    tens of thousands of levels deep, and those recurse once per level.
     """
 
     __slots__ = ()
@@ -123,68 +122,83 @@ def _atom_repr(a: "Expression") -> str:
     return f"{type(a).__name__}()"
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Eta(Expression):
     """Unit: 0 -> 1."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
 class Nabla(Expression):
     """Merge: 2 -> 1."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
 class Eps(Expression):
     """Discard: 1 -> 0."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
 class Delta(Expression):
     """Copy: 1 -> 2."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
 class Node(Expression):
     """Labelled box on one wire: 1 -> 1."""
 
-    label: str = DEFAULT_LABEL
+    __slots__ = ("label",)
+
+    def __init__(self, label: str = DEFAULT_LABEL) -> None:
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Anti(Expression):
     """Sign flip on one wire: 1 -> 1. Requires a weight system with
     additive inverses."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
 class Id(Expression):
     """n parallel wires: n -> n."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Sym(Expression):
     """Block crossing: n + m -> m + n."""
 
-    n: int
-    m: int
+    __slots__ = ("n", "m")
+
+    def __init__(self, n: int, m: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Seq(Expression):
     """first, then then: diagrammatic sequential composite."""
 
-    first: Expression
-    then: Expression
+    __slots__ = ("first", "then")
+
+    def __init__(self, first: Expression, then: Expression) -> None:
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "then", then)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Ten(Expression):
     """left stacked above right."""
 
-    left: Expression
-    right: Expression
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expression, right: Expression) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 T = TypeVar("T")
@@ -265,35 +279,64 @@ def _generator_image(gen: Expression, mode: WeightSystem) -> tuple[int, tuple]:
     return n_in, outs
 
 
+# arity_of's stack marks: the composite below has both parts done
+_SEQ_DONE = object()
+_TEN_DONE = object()
+_GENERATOR_ARITY = {cls: (n_in, len(outs)) for cls, (_, n_in, outs) in _GENERATORS.items()}
+
+
 def arity_of(e: Expression) -> tuple[int, int]:
     """(inputs, outputs) of e; raises UnsupportedGenerator on an id or sym
     whose widths are not non-negative ints or a node whose label is not a
     str, and TypeMismatch at the first ill-typed sequential composite
     (leftmost-innermost), naming its position by an attribute path from the
-    root."""
+    root.
 
-    def atom(a: Expression) -> tuple[int, int]:
-        if isinstance(a, (Id, Sym)):
-            width = _wiring_width(a)
-            return (width, width)
-        if isinstance(a, Node) and not isinstance(a.label, str):
-            raise UnsupportedGenerator(f"node label {a.label!r} is not a string")
-        if type(a) is Node:
-            return (1, 1)
-        if type(a) not in _GENERATORS:
-            raise UnsupportedGenerator(f"unknown atom {a!r}")
-        _, n_in, outs = _GENERATORS[type(a)]
-        return (n_in, len(outs))
+    One post-order walk over an explicit stack. The inputs and outputs of
+    finished subterms sit in one flat list, two entries each; a composite
+    leaves a mark under its parts, and the mark combines their entries."""
+    stack: list = [e]
+    widths: list[int] = []
+    while stack:
+        x = stack.pop()
+        if x is _TEN_DONE:
+            b_out = widths.pop()
+            b_in = widths.pop()
+            widths[-2] += b_in
+            widths[-1] += b_out
+        elif x is _SEQ_DONE:
+            b_out = widths.pop()
+            b_in = widths.pop()
+            x = stack.pop()
+            if widths[-1] != b_in:
+                raise TypeMismatch(_path_to(e, x), widths[-1], b_in)
+            widths[-1] = b_out
+        elif isinstance(x, Seq):
+            stack += (x, _SEQ_DONE, x.then, x.first)
+        elif isinstance(x, Ten):
+            stack += (_TEN_DONE, x.right, x.left)
+        elif type(x) is Id and type(x.n) is int and x.n >= 0:
+            widths += (x.n, x.n)
+        elif type(x) is Node and type(x.label) is str:
+            widths += (1, 1)
+        else:
+            widths += _GENERATOR_ARITY.get(type(x)) or _atom_arity(x)
+    return widths[0], widths[1]
 
-    def seq(node: Seq, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        if a[1] != b[0]:
-            raise TypeMismatch(_path_to(e, node), a[1], b[0])
-        return (a[0], b[1])
 
-    def ten(_node: Ten, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        return (a[0] + b[0], a[1] + b[1])
-
-    return fold(e, atom, seq, ten)
+def _atom_arity(a: Expression) -> tuple[int, int]:
+    """(inputs, outputs) of an atom; raises UnsupportedGenerator on an
+    atom arity_of rejects."""
+    if isinstance(a, (Id, Sym)):
+        width = _wiring_width(a)
+        return (width, width)
+    if isinstance(a, Node) and not isinstance(a.label, str):
+        raise UnsupportedGenerator(f"node label {a.label!r} is not a string")
+    if type(a) is Node:
+        return (1, 1)
+    if type(a) not in _GENERATORS:
+        raise UnsupportedGenerator(f"unknown atom {a!r}")
+    return _GENERATOR_ARITY[type(a)]
 
 
 def _wiring_width(a: Id | Sym) -> int:

@@ -14,21 +14,26 @@ saturating addition because BOOL weights are never negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import AntipodeWeight, InvalidWeight, ZeroWeight
+from .record import Frozen
 
 
-@dataclass(frozen=True, slots=True)
-class WeightSystem:
+class WeightSystem(Frozen):
     """One of the three edge-weight semirings, as a value object.
 
     Use the module singletons BOOL, NAT, INT; identity of these objects is
-    what mode checks compare.
+    what mode checks compare, so they pickle and copy as themselves.
     """
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
+
+    def __reduce__(self):
+        return self.name.upper() if BY_NAME.get(self.name) is self else super().__reduce__()
 
     def weighted_sum(self, terms: Sequence[tuple[Mapping, int]]) -> dict:
         """The sum of w times row over the (row, w) terms, as {key: nonzero

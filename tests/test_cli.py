@@ -7,7 +7,7 @@ from pathlib import Path
 import idag
 from idag.cli import main
 from idag.core import concat
-from idag.jsonio import idag_from_json, idag_to_json
+from idag.jsonio import idag_from_json, idag_to_json, idag_to_obj
 from idag.selftest import sample_dag_2_3, sample_dag_3_1
 
 
@@ -21,17 +21,33 @@ def run_cli(*args):
 
 
 def test_eq_does_not_import_selftest():
-    code = (
-        "import sys\n"
-        "from idag.cli import main\n"
-        "status = main(['eq', 'delta ; nabla', 'id(1)', '--mode', 'bool'])\n"
-        "print(status, 'idag.selftest' in sys.modules)\n"
-    )
+    """Each command, run as `python -m idag`, loads none of the modules it
+    does not call; modules the interpreter loaded before it do not count."""
+    unused_by_eq = ["dataclasses", "idag.decomposition", "idag.randgen", "idag.dot", "idag.selftest"]
+    cases = [
+        (["eq", "delta ; nabla", "id(1)", "--mode", "bool"], unused_by_eq),
+        (["normalize", "(delta ; nabla) * node[a]", "--mode", "nat"], unused_by_eq),
+        (
+            ["decompose", json.dumps(idag_to_obj(sample_dag_2_3()))],
+            ["dataclasses", "idag.randgen", "idag.dot", "idag.selftest"],
+        ),
+    ]
     src = str(Path(idag.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.split()[-2:] == ["0", "False"]
+    for argv, unused in cases:
+        code = (
+            "import runpy, sys\n"
+            "before = set(sys.modules)\n"
+            f"sys.argv = ['idag', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('idag', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    status = exc.code\n"
+            f"print(status, [m for m in {unused!r} if m in sys.modules and m not in before])\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "0 []", (argv[0], r.stdout)
 
 
 def test_eq_exit_codes(capsys):

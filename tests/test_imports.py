@@ -1,5 +1,7 @@
 """Every name a module of the package imports is used in it: a name bound
-by an import must occur as a Name node somewhere in the module."""
+by an import must occur as a Name node somewhere in the module. No module
+imports dataclasses, whose import and per-class code generation would
+dominate the start-up of a CLI command."""
 
 import ast
 from pathlib import Path
@@ -25,6 +27,18 @@ def test_no_unused_imports(path):
     assert sorted(imported - used) == []
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "dataclasses" not in imported
+
+
 def test_public_names_are_not_modules():
     import idag
 
@@ -35,3 +49,6 @@ def test_public_names_are_not_modules():
     exec("from idag import *", namespace)
     assert {"parse", "evaluate", "Idag"} <= namespace.keys()
     assert not {"models", "terms", "core"} & namespace.keys()
+    # the package root imports lazily but still lists and reaches everything
+    assert set(idag.__all__) <= set(dir(idag))
+    assert idag.decomposition.MAX_RELATION_COPIES == 10**5

@@ -20,6 +20,7 @@ from idag.terms import (
     _STRAY_RE,
     _TOKEN_RE,
     _line_column,
+    _path_to,
     _wiring_width,
     Anti,
     Delta,
@@ -543,7 +544,7 @@ _SAMPLE = [
 def _ref_hash(e: Expression) -> int:
     return fold(
         e,
-        atom=lambda a: hash((type(a).__name__, tuple(getattr(a, f) for f in a.__dataclass_fields__))),
+        atom=lambda a: hash((type(a).__name__, tuple(getattr(a, f) for f in a.__slots__))),
         seq=lambda _, a, b: hash(("Seq", a, b)),
         ten=lambda _, a, b: hash(("Ten", a, b)),
     )
@@ -552,7 +553,7 @@ def _ref_hash(e: Expression) -> int:
 @pytest.mark.parametrize("e, text", _SAMPLE, ids=[type(e).__name__ for e, _ in _SAMPLE])
 def test_expression_nodes_are_slotted_and_immutable(e, text):
     assert not hasattr(e, "__dict__")
-    for name in e.__dataclass_fields__:
+    for name in e.__slots__:
         with pytest.raises(AttributeError):
             setattr(e, name, Id(1))
     assert repr(e) == text
@@ -560,3 +561,67 @@ def test_expression_nodes_are_slotted_and_immutable(e, text):
     for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
         assert twin == e and twin is not e
         assert repr(twin) == text and hash(twin) == hash(e)
+
+
+# ---------------------------------------------------------------------------
+# The arity walk as it was before the flat-stack loop, kept as its oracle: a
+# fold with one result tuple per subterm.
+
+
+def _ref_arity_of(e: Expression) -> tuple[int, int]:
+    def atom(a):
+        if isinstance(a, (Id, Sym)):
+            width = _wiring_width(a)
+            return (width, width)
+        if isinstance(a, Node) and not isinstance(a.label, str):
+            raise UnsupportedGenerator(f"node label {a.label!r} is not a string")
+        if type(a) is Node:
+            return (1, 1)
+        if type(a) not in _GENERATORS:
+            raise UnsupportedGenerator(f"unknown atom {a!r}")
+        _, n_in, outs = _GENERATORS[type(a)]
+        return (n_in, len(outs))
+
+    def seq(node, a, b):
+        if a[1] != b[0]:
+            raise TypeMismatch(_path_to(e, node), a[1], b[0])
+        return (a[0], b[1])
+
+    return fold(e, atom, seq, lambda _, a, b: (a[0] + b[0], a[1] + b[1]))
+
+
+class _Label(str):
+    pass
+
+
+class _WideId(Id):
+    __slots__ = ()
+
+
+class _SubSeq(Seq):
+    __slots__ = ()
+
+
+def test_arity_of_matches_the_reference_fold():
+    class Box(Expression):
+        __slots__ = ()
+
+    odd = [Node(_Label("x")), _WideId(2), _SubSeq(Delta(), Nabla()), Id(0), Sym(0, 2)]
+    bad = [Node(5), Id(-1), Id(True), Sym(1, True), Sym(-1, 1), Box()]
+    rng = random.Random(11)
+    well_typed = [random_expression(rng, max_depth=rng.randint(1, 8), allow_anti=True) for _ in range(300)]
+    for n in (8, 64):
+        d = random_idag(rng, 2, 3, n, 0.3, INT, labels=("a", "b"))
+        well_typed.append(decompose(d, default_sorting(d)))
+    outcomes = set()
+    for e in well_typed:
+        assert arity_of(e) == _ref_arity_of(e)
+    for _ in range(600):
+        parts = [rng.choice(well_typed[:300] + odd) for _ in range(4)]
+        if rng.random() < 0.3:
+            parts[rng.randrange(4)] = rng.choice(bad)
+        e = Seq(Ten(parts[0], _SubSeq(parts[1], Id(0))), Ten(parts[2], Seq(parts[3], Id(1))))
+        want = _outcome(_ref_arity_of, e)
+        assert _outcome(arity_of, e) == want
+        outcomes.add(want[0] if isinstance(want, tuple) else str)
+    assert outcomes == {str, TypeMismatch, UnsupportedGenerator}
