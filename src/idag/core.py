@@ -11,12 +11,17 @@ interface, parallel composition (juxt) stacks.
 Equality of Idag values is structural (same interfaces, same node sequence,
 same weighted edges). Identity "up to renaming internal nodes" is what
 is_isomorphic and canonical_form decide.
+
+An Idag stores its free image (see Idag): integer sources and one
+{source: weight} wire per node and per output. Every algorithm here reads
+the wires; In, Out and NodeRef name vertices only at the public edges
+(make_idag, Idag.edges, Idag.weight).
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     BadEndpoint,
@@ -35,7 +40,7 @@ DEFAULT_LABEL = "•"
 CANONICAL_SEARCH_BUDGET = 10**6
 
 
-# In, Out and NodeRef key every edge map, so each spells out == and hash;
+# In, Out and NodeRef key the edge view, so each spells out == and hash;
 # both agree with Frozen's field-tuple versions.
 
 
@@ -98,16 +103,25 @@ class Idag(Frozen):
     """An interfaced dag. Build through make_idag or the constructors below;
     instances are immutable and assumed valid.
 
+    An idag stores its free image, the form models._walk builds. Sources
+    are numbered: inputs 0..n_in-1, then nodes by position in `nodes`. Each
+    node, and then each output, has one wire: a {source: nonzero weight}
+    dict of its in-edges. Wires are never changed once made, so idags share
+    them freely.
+
     Attributes:
         weights: the ambient weight system (BOOL, NAT or INT).
         n_in: number of inputs.
         n_out: number of outputs.
         nodes: internal nodes as an (id, label) sequence; order is
             presentation only and carries no meaning.
-        edges: mapping from (source, target) to nonzero weight.
+        wires: the in-wires of the nodes, in node order, then of the outputs.
+        edges: a read-only {(source, target): weight} view of the wires,
+            with In/NodeRef/Out endpoints, built on each access.
     """
 
-    __slots__ = ("weights", "n_in", "n_out", "nodes", "edges")
+    __slots__ = ("weights", "n_in", "n_out", "nodes", "wires", "_positions")
+    __hash__ = None  # type: ignore[assignment]  # wires are dicts
 
     def __init__(
         self,
@@ -115,27 +129,55 @@ class Idag(Frozen):
         n_in: int,
         n_out: int,
         nodes: tuple[tuple[str, str], ...],
-        edges: Mapping[Edge, int],
+        wires: tuple[dict[int, int], ...],
     ) -> None:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "n_in", n_in)
         object.__setattr__(self, "n_out", n_out)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "wires", wires)
 
     @property
     def node_ids(self) -> tuple[str, ...]:
         return tuple(nid for nid, _ in self.nodes)
 
+    def _position(self) -> dict[str, int]:
+        """Node id -> position in nodes, built on first use."""
+        try:
+            return self._positions
+        except AttributeError:
+            positions = {nid: k for k, (nid, _) in enumerate(self.nodes)}
+            object.__setattr__(self, "_positions", positions)
+            return positions
+
     def label_of(self, node_id: str) -> str:
-        for nid, lbl in self.nodes:
-            if nid == node_id:
-                return lbl
-        raise KeyError(node_id)
+        return self.nodes[self._position()[node_id]][1]
+
+    @property
+    def edges(self) -> Mapping[Edge, int]:
+        ids = self.node_ids
+        sources = [In(i) for i in range(self.n_in)] + [NodeRef(nid) for nid in ids]
+        targets = [NodeRef(nid) for nid in ids] + [Out(j) for j in range(self.n_out)]
+        return MappingProxyType(
+            {(sources[s], t): w for t, wire in zip(targets, self.wires) for s, w in wire.items()}
+        )
 
     def weight(self, src: Vertex, dst: Vertex) -> int:
         """Weight of the edge src -> dst, zero if absent."""
-        return self.edges.get((src, dst), 0)
+        pos = self._position()
+        if isinstance(src, In) and 0 <= src.index < self.n_in:
+            s = src.index
+        elif isinstance(src, NodeRef) and src.id in pos:
+            s = self.n_in + pos[src.id]
+        else:
+            return 0
+        if isinstance(dst, NodeRef) and dst.id in pos:
+            t = pos[dst.id]
+        elif isinstance(dst, Out) and 0 <= dst.index < self.n_out:
+            t = len(self.nodes) + dst.index
+        else:
+            return 0
+        return self.wires[t].get(s, 0)
 
     def __rshift__(self, other: "Idag") -> "Idag":
         """self >> other: feed self's outputs into other."""
@@ -147,7 +189,7 @@ class Idag(Frozen):
     def __repr__(self) -> str:
         return (
             f"Idag({self.weights!r}, {self.n_in}->{self.n_out}, "
-            f"nodes={list(self.node_ids)!r}, {len(self.edges)} edges)"
+            f"nodes={list(self.node_ids)!r}, {sum(map(len, self.wires))} edges)"
         )
 
 
@@ -186,14 +228,11 @@ def make_idag(
             if not isinstance(nid, str) or not isinstance(lbl, str):
                 raise BadEndpoint(f"node ids and labels must be strings: {spec!r}")
             node_seq.append((nid, lbl))
-    ids = [nid for nid, _ in node_seq]
-    known = set(ids)
-    if len(known) != len(ids):
-        seen: set[str] = set()
-        for nid in ids:
-            if nid in seen:
-                raise DuplicateNodeId(f"duplicate node id {nid!r}")
-            seen.add(nid)
+    pos: dict[str, int] = {}
+    for k, (nid, _) in enumerate(node_seq):
+        if nid in pos:
+            raise DuplicateNodeId(f"duplicate node id {nid!r}")
+        pos[nid] = k
 
     if isinstance(edges, Mapping):
         items: Iterable[tuple[Vertex, Vertex, int]] = (
@@ -202,52 +241,61 @@ def make_idag(
     else:
         items = (e if len(e) == 3 else (e[0], e[1], 1) for e in edges)  # type: ignore[misc]
 
-    edge_map: dict[Edge, int] = {}
+    n_nodes = len(node_seq)
+    wires: list[dict[int, int]] = [{} for _ in range(n_nodes + n_out)]
     for src, dst, w in items:
         if isinstance(src, In):
             if not 0 <= src.index < n_in:
                 raise BadEndpoint(f"input index {src.index} out of range 0..{n_in - 1}")
+            s = src.index
         elif isinstance(src, NodeRef):
-            if src.id not in known:
+            if src.id not in pos:
                 raise BadEndpoint(f"unknown source node {src.id!r}")
+            s = n_in + pos[src.id]
         else:
             raise BadEndpoint(f"edge source cannot be {src!r}")
         if isinstance(dst, Out):
             if not 0 <= dst.index < n_out:
                 raise BadEndpoint(f"output index {dst.index} out of range 0..{n_out - 1}")
+            t = n_nodes + dst.index
         elif isinstance(dst, NodeRef):
-            if dst.id not in known:
+            if dst.id not in pos:
                 raise BadEndpoint(f"unknown target node {dst.id!r}")
+            t = pos[dst.id]
         else:
             raise BadEndpoint(f"edge target cannot be {dst!r}")
         mode.check_edge_weight(w)
-        if (src, dst) in edge_map:
+        if s in wires[t]:
             raise BadEndpoint(f"duplicate edge {src!r} -> {dst!r}")
-        edge_map[(src, dst)] = w
+        wires[t][s] = w
 
-    _check_acyclic(known, edge_map)
-    return Idag(mode, n_in, n_out, tuple(node_seq), MappingProxyType(edge_map))
-
-
-def _check_acyclic(ids: set[str], edges: Mapping[Edge, int]) -> None:
-    succ: dict[str, list[str]] = {nid: [] for nid in ids}
-    indeg = {nid: 0 for nid in ids}
-    for src, dst in edges:
-        if isinstance(src, NodeRef) and isinstance(dst, NodeRef):
-            succ[src.id].append(dst.id)
-            indeg[dst.id] += 1
-    ready = [nid for nid, d in indeg.items() if d == 0]
-    seen = 0
-    while ready:
-        nid = ready.pop()
-        seen += 1
-        for nxt in succ[nid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if seen != len(ids):
-        cyclic = sorted(nid for nid, d in indeg.items() if d > 0)
+    order = _topological_order(n_in, n_nodes, wires)
+    if len(order) != n_nodes:
+        cyclic = sorted(set(pos) - {node_seq[k][0] for k in order})
         raise CycleDetected(f"cycle through nodes {cyclic}")
+    return Idag(mode, n_in, n_out, tuple(node_seq), tuple(wires))
+
+
+def _topological_order(n_in: int, n_nodes: int, wires: Sequence[dict[int, int]]) -> list[int]:
+    """Node positions, each after every node that feeds it; a node on or
+    behind a cycle is left out."""
+    succ: list[list[int]] = [[] for _ in range(n_nodes)]
+    waiting = [0] * n_nodes
+    for t in range(n_nodes):
+        for s in wires[t]:
+            if s >= n_in:
+                succ[s - n_in].append(t)
+                waiting[t] += 1
+    ready = [k for k in range(n_nodes) if not waiting[k]]
+    order: list[int] = []
+    while ready:
+        k = ready.pop()
+        order.append(k)
+        for t in succ[k]:
+            waiting[t] -= 1
+            if not waiting[t]:
+                ready.append(t)
+    return order
 
 
 def _check_widths(what: str, *widths: int) -> None:
@@ -266,16 +314,10 @@ def _is_permutation(perm: Sequence[int]) -> bool:
     return all(type(p) is int for p in perm) and sorted(perm) == list(range(len(perm)))
 
 
-def _attach(idag_like_edges: dict[Edge, int]) -> Mapping[Edge, int]:
-    return MappingProxyType(idag_like_edges)
-
-
 def identity(n: int, mode: WeightSystem = BOOL) -> Idag:
     """The (n, n)-idag wiring input i straight to output i."""
     _check_widths("width", n)
-    return Idag(
-        mode, n, n, (), _attach({(In(i), Out(i)): 1 for i in range(n)})
-    )
+    return Idag(mode, n, n, (), tuple({i: 1} for i in range(n)))
 
 
 def from_permutation(perm: Sequence[int], mode: WeightSystem = BOOL) -> Idag:
@@ -286,9 +328,8 @@ def from_permutation(perm: Sequence[int], mode: WeightSystem = BOOL) -> Idag:
     n = len(perm)
     if not _is_permutation(perm):
         raise NotBijective(f"{list(perm)!r} is not a permutation of 0..{n - 1}")
-    return Idag(
-        mode, n, n, (), _attach({(In(i), Out(perm[i])): 1 for i in range(n)})
-    )
+    inverse = sorted(range(n), key=perm.__getitem__)
+    return Idag(mode, n, n, (), tuple({i: 1} for i in inverse))
 
 
 def symmetry(n: int, m: int, mode: WeightSystem = BOOL) -> Idag:
@@ -313,10 +354,10 @@ def _freshen(taken: set[str], ids: Iterable[str]) -> dict[str, str]:
 def concat(second: Idag, first: Idag) -> Idag:
     """Sequential composite: run first, feed its outputs into second.
 
-    Each source of first reaches second's nodes and outputs through the
-    weighted sum (WeightSystem.weighted_sum) of the border rows it feeds; a
-    sum that cancels to zero drops the edge. Node ids of first survive
-    unchanged; clashing ids of second get primed.
+    Each wire of second reads border source j as first's wire into output
+    j, so it becomes the weighted sum (WeightSystem.weighted_sum) of those
+    wires, as in models._walk; a sum that cancels to zero drops the edge.
+    Node ids of first survive unchanged; clashing ids of second get primed.
     """
     if first.weights is not second.weights:
         raise ModeMismatch(f"{first.weights!r} vs {second.weights!r}")
@@ -326,30 +367,22 @@ def concat(second: Idag, first: Idag) -> Idag:
         )
     ren = _freshen(set(first.node_ids), second.node_ids)
     nodes = first.nodes + tuple((ren[nid], lbl) for nid, lbl in second.nodes)
+    n_first = len(first.nodes)
+    border = first.wires[n_first:]
+    mid = first.n_out
+    # second's nodes follow first's, on sources no border wire holds
+    shift = first.n_in + n_first - mid
+    weighted_sum = first.weights.weighted_sum
 
-    edges: dict[Edge, int] = {}
-    # first's sources keep their edges into first's nodes; edges into the
-    # border are collected for routing through second.
-    border: dict[Vertex, dict[int, int]] = {}
-    for (src, dst), w in first.edges.items():
-        if isinstance(dst, NodeRef):
-            edges[(src, dst)] = w
-        else:
-            border.setdefault(src, {})[dst.index] = w
-    # second's edges, relabelled; those leaving the border are its border
-    # rows, indexed by border position.
-    from_border: dict[int, dict[Vertex, int]] = {}
-    for (src, dst), w in second.edges.items():
-        dst2: Vertex = NodeRef(ren[dst.id]) if isinstance(dst, NodeRef) else dst
-        if isinstance(src, In):
-            from_border.setdefault(src.index, {})[dst2] = w
-        else:
-            edges[(NodeRef(ren[src.id]), dst2)] = w
-    for src, outs in border.items():
-        routes = [(from_border[j], w) for j, w in outs.items() if j in from_border]
-        for dst2, w in first.weights.weighted_sum(routes).items():
-            edges[(src, dst2)] = w
-    return Idag(first.weights, first.n_in, second.n_out, nodes, _attach(edges))
+    def route(wire: dict[int, int]) -> dict[int, int]:
+        terms = [(border[s], w) for s, w in wire.items() if s < mid]
+        if len(terms) == len(wire):
+            return weighted_sum(terms)
+        own = {s + shift: w for s, w in wire.items() if s >= mid}
+        return {**weighted_sum(terms), **own} if terms else own
+
+    wires = first.wires[:n_first] + tuple(map(route, second.wires))
+    return Idag(first.weights, first.n_in, second.n_out, nodes, wires)
 
 
 def juxt(d1: Idag, d2: Idag) -> Idag:
@@ -358,38 +391,43 @@ def juxt(d1: Idag, d2: Idag) -> Idag:
         raise ModeMismatch(f"{d1.weights!r} vs {d2.weights!r}")
     ren = _freshen(set(d1.node_ids), d2.node_ids)
     nodes = d1.nodes + tuple((ren[nid], lbl) for nid, lbl in d2.nodes)
-    edges: dict[Edge, int] = dict(d1.edges)
+    n1, n2 = len(d1.nodes), len(d2.nodes)
+    # sources: d1's inputs, d2's inputs, d1's nodes, d2's nodes
+    w1 = _shifted(d1.wires, d1.n_in, 0, d2.n_in)
+    w2 = _shifted(d2.wires, d2.n_in, d1.n_in, d1.n_in + n1)
+    wires = w1[:n1] + w2[:n2] + w1[n1:] + w2[n2:]
+    return Idag(d1.weights, d1.n_in + d2.n_in, d1.n_out + d2.n_out, nodes, wires)
 
-    def shift(v: Vertex) -> Vertex:
-        if isinstance(v, In):
-            return In(v.index + d1.n_in)
-        if isinstance(v, Out):
-            return Out(v.index + d1.n_out)
-        return NodeRef(ren[v.id])
 
-    for (src, dst), w in d2.edges.items():
-        edges[(shift(src), shift(dst))] = w
-    return Idag(
-        d1.weights, d1.n_in + d2.n_in, d1.n_out + d2.n_out, nodes, _attach(edges)
+def _shifted(
+    wires: tuple[dict[int, int], ...], n_in: int, in_shift: int, node_shift: int
+) -> tuple[dict[int, int], ...]:
+    """wires with input sources moved up by in_shift, node sources by
+    node_shift."""
+    if not in_shift and not node_shift:
+        return wires
+    return tuple(
+        {s + (in_shift if s < n_in else node_shift): w for s, w in wire.items()}
+        for wire in wires
     )
 
 
-def edge_sort_key(d: Idag) -> Callable[[Edge], tuple]:
-    """Deterministic total order on d's edges: inputs, then nodes by sequence
-    position, then outputs; used by serialization and rendering."""
-    pos = {nid: k for k, nid in enumerate(d.node_ids)}
+def _renumbered(d: Idag, order: Sequence[int]) -> tuple[dict[int, int], ...]:
+    """The wires of the nodes at the positions in order, then of the
+    outputs, with node sources renumbered to follow order; edges from nodes
+    left out of order are dropped."""
+    source = list(range(d.n_in)) + [-1] * len(d.nodes)
+    for k, p in enumerate(order):
+        source[d.n_in + p] = d.n_in + k
+    wires = [d.wires[p] for p in order] + list(d.wires[len(d.nodes) :])
+    return tuple({source[s]: w for s, w in wire.items() if source[s] >= 0} for wire in wires)
 
-    def vkey(v: Vertex) -> tuple[int, int]:
-        if isinstance(v, In):
-            return (0, v.index)
-        if isinstance(v, NodeRef):
-            return (1, pos[v.id])
-        return (2, v.index)
 
-    def key(e: Edge) -> tuple:
-        return (vkey(e[0]), vkey(e[1]))
-
-    return key
+def sorted_edges(d: Idag) -> list[tuple[int, int, int]]:
+    """d's edges as (source, target, weight) triples, targets numbered as
+    wires (nodes by position, then outputs), in serialization order: by
+    source (inputs, then nodes), then by target."""
+    return sorted([(s, t, w) for t, wire in enumerate(d.wires) for s, w in wire.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -634,57 +672,45 @@ def _break_ties(
     return _dense_ranks([(colors[i], place[i]) for i in range(n)])
 
 
-def _labelling(d: Idag, budget: int) -> tuple[tuple, list[str]]:
-    """The canonical key of d, (labels, sorted edge triples), and the node
-    order that produces it.
+def _labelling(d: Idag, budget: int) -> tuple[tuple, list[int]]:
+    """The canonical key of d, (labels, wires), and the node order that
+    produces it: node order[k] moves to position k.
 
     Colors start from (label, exact weighted interface profiles) and are
     refined to an equitable partition; nodes are ordered by refined color.
     When colors tie, _break_ties orders the tied nodes canonically.
     """
-    ids = d.node_ids
-    index = {nid: i for i, nid in enumerate(ids)}
-    preds: _Adjacency = [[] for _ in ids]
-    succs: _Adjacency = [[] for _ in ids]
-    in_prof: _Adjacency = [[] for _ in ids]
-    out_prof: _Adjacency = [[] for _ in ids]
-    for (src, dst), w in d.edges.items():
-        if isinstance(src, NodeRef):
-            i = index[src.id]
-            if isinstance(dst, NodeRef):
-                succs[i].append((index[dst.id], w))
-                preds[index[dst.id]].append((i, w))
-            else:
-                out_prof[i].append((dst.index, w))
-        elif isinstance(dst, NodeRef):
-            in_prof[index[dst.id]].append((src.index, w))
+    n_in, n = d.n_in, len(d.nodes)
+    preds: _Adjacency = [[] for _ in range(n)]
+    succs: _Adjacency = [[] for _ in range(n)]
+    in_prof: _Adjacency = [[] for _ in range(n)]
+    out_prof: _Adjacency = [[] for _ in range(n)]
+    for t, wire in enumerate(d.wires):
+        for s, w in wire.items():
+            i = s - n_in
+            if t < n:
+                if i < 0:
+                    in_prof[t].append((s, w))
+                else:
+                    succs[i].append((t, w))
+                    preds[t].append((i, w))
+            elif i >= 0:
+                out_prof[i].append((t - n, w))
     labels = [lbl for _, lbl in d.nodes]
     colors = _refine(
         _dense_ranks(
             [
                 (labels[i], tuple(sorted(in_prof[i])), tuple(sorted(out_prof[i])))
-                for i in range(len(ids))
+                for i in range(n)
             ]
         ),
         preds,
         succs,
     )
-    if len(set(colors)) < len(ids):
+    if len(set(colors)) < n:
         colors = _break_ties(colors, preds, succs, budget)
-    order = sorted(range(len(ids)), key=colors.__getitem__)
-
-    def vkey(v: Vertex) -> tuple[int, int]:
-        if isinstance(v, In):
-            return (0, v.index)
-        if isinstance(v, NodeRef):
-            return (1, colors[index[v.id]])
-        return (2, v.index)
-
-    key = (
-        tuple(labels[i] for i in order),
-        tuple(sorted((vkey(src), vkey(dst), w) for (src, dst), w in d.edges.items())),
-    )
-    return key, [ids[i] for i in order]
+    order = sorted(range(n), key=colors.__getitem__)
+    return (tuple(labels[i] for i in order), _renumbered(d, order)), order
 
 
 def is_isomorphic(d1: Idag, d2: Idag) -> Optional[dict[str, str]]:
@@ -692,15 +718,16 @@ def is_isomorphic(d1: Idag, d2: Idag) -> Optional[dict[str, str]]:
     None. Interfaces must match exactly (inputs and outputs are never
     permuted). Compares the canonical labellings of d1 and d2 and maps node
     to node by position; SearchBudgetExceeded as for canonical_form."""
-    shape1 = (d1.weights.name, d1.n_in, d1.n_out, len(d1.nodes), len(d1.edges))
-    shape2 = (d2.weights.name, d2.n_in, d2.n_out, len(d2.nodes), len(d2.edges))
+    shape1 = (d1.weights.name, d1.n_in, d1.n_out, len(d1.nodes), sum(map(len, d1.wires)))
+    shape2 = (d2.weights.name, d2.n_in, d2.n_out, len(d2.nodes), sum(map(len, d2.wires)))
     if shape1 != shape2:
         return None
     key1, order1 = _labelling(d1, CANONICAL_SEARCH_BUDGET)
     key2, order2 = _labelling(d2, CANONICAL_SEARCH_BUDGET)
     if key1 != key2:
         return None
-    return dict(zip(order1, order2))
+    ids1, ids2 = d1.node_ids, d2.node_ids
+    return {ids1[i]: ids2[j] for i, j in zip(order1, order2)}
 
 
 def canonical_form(d: Idag, budget: int = CANONICAL_SEARCH_BUDGET) -> Idag:
@@ -713,19 +740,9 @@ def canonical_form(d: Idag, budget: int = CANONICAL_SEARCH_BUDGET) -> Idag:
     individualization-refinement, counting each search-tree node against the
     budget (SearchBudgetExceeded beyond).
     """
-    (labels, edge_triples), _ = _labelling(d, budget)
+    (labels, wires), _ = _labelling(d, budget)
     nodes = tuple((str(k), lbl) for k, lbl in enumerate(labels))
-
-    def unkey(vk: tuple[int, int]) -> Vertex:
-        side, idx = vk
-        if side == 0:
-            return In(idx)
-        if side == 1:
-            return NodeRef(str(idx))
-        return Out(idx)
-
-    edges = {(unkey(sk), unkey(dk)): w for sk, dk, w in edge_triples}
-    return Idag(d.weights, d.n_in, d.n_out, nodes, _attach(edges))
+    return Idag(d.weights, d.n_in, d.n_out, nodes, wires)
 
 
 # ---------------------------------------------------------------------------
@@ -739,77 +756,57 @@ def _require_bool(d: Idag, what: str) -> None:
 
 def transitive_closure(d: Idag) -> Idag:
     """Add an edge x -> y for every path from x to y through at least one
-    internal node. BOOL mode only."""
+    internal node. BOOL mode only. In topological order, each node's wire
+    becomes every source with a path to it; then each output's wire."""
     _require_bool(d, "transitive_closure")
-    succ_nodes: dict[str, list[str]] = {nid: [] for nid in d.node_ids}
-    out_edges: dict[str, list[Vertex]] = {nid: [] for nid in d.node_ids}
-    into_nodes: dict[Vertex, list[str]] = {}
-    for src, dst in d.edges:
-        if isinstance(dst, NodeRef):
-            into_nodes.setdefault(src, []).append(dst.id)
-            if isinstance(src, NodeRef):
-                succ_nodes[src.id].append(dst.id)
-        if isinstance(src, NodeRef):
-            out_edges[src.id].append(dst)
+    n_in, n, wires = d.n_in, len(d.nodes), d.wires
+    reach: dict[int, set[int]] = {}
 
-    reach: dict[str, set[str]] = {}
-    for nid in d.node_ids:
-        seen = {nid}
-        frontier = [nid]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in succ_nodes[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        reach[nid] = seen
+    def reaching(wire: dict[int, int]) -> set[int]:
+        found = set(wire)
+        for s in wire:
+            if s >= n_in:
+                found |= reach[s - n_in]
+        return found
 
-    edges: dict[Edge, int] = dict(d.edges)
-    for src, firsts in into_nodes.items():
-        targets: set[Vertex] = set()
-        for first_hop in firsts:
-            for mid in reach[first_hop]:
-                targets.update(out_edges[mid])
-        for dst in targets:
-            edges[(src, dst)] = 1
-    return Idag(d.weights, d.n_in, d.n_out, d.nodes, _attach(edges))
+    for k in _topological_order(n_in, n, wires):
+        reach[k] = reaching(wires[k])
+    closed = [reach[k] for k in range(n)] + [reaching(wire) for wire in wires[n:]]
+    return Idag(d.weights, n_in, d.n_out, d.nodes, tuple(dict.fromkeys(c, 1) for c in closed))
 
 
 def prune_dangling(d: Idag) -> Idag:
     """Delete internal nodes with no in-edges or no out-edges, repeatedly,
-    until none remain. BOOL mode only. The surviving set does not depend on
-    deletion order, so one worklist finds it: degrees are counted once, and
-    each deleted node takes one from its neighbours' degrees."""
+    until none remain. BOOL mode only. What survives does not depend on
+    deletion order: it is exactly the nodes on a path from an input to an
+    output. A pass in topological order finds the nodes fed from an input,
+    and a walk back from the outputs through fed nodes keeps those on such
+    a path."""
     _require_bool(d, "prune_dangling")
-    degree = {NodeRef(nid): [0, 0] for nid in d.node_ids}  # [in, out]
-    # touches[u]: (v, side) per edge between nodes u and v, side naming the
-    # degree of v that the edge counts in
-    touches: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in degree}
-    for src, dst in d.edges:
-        for v, side, u in ((dst, 0, src), (src, 1, dst)):
-            if v in degree:
-                degree[v][side] += 1
-                if u in degree:
-                    touches[u].append((v, side))
-    doomed = {v for v, (i, o) in degree.items() if not i or not o}
-    work = list(doomed)
-    while work:
-        for v, side in touches[work.pop()]:
-            degree[v][side] -= 1
-            if not degree[v][side] and v not in doomed:
-                doomed.add(v)
-                work.append(v)
-    nodes = tuple(node for node in d.nodes if NodeRef(node[0]) not in doomed)
-    edges = {e: w for e, w in d.edges.items() if e[0] not in doomed and e[1] not in doomed}
-    return Idag(d.weights, d.n_in, d.n_out, nodes, _attach(edges))
+    n_in, n, wires = d.n_in, len(d.nodes), d.wires
+    fed = [False] * n
+    for k in _topological_order(n_in, n, wires):
+        fed[k] = any(s < n_in or fed[s - n_in] for s in wires[k])
+    kept = [False] * n
+    stack = [s - n_in for wire in wires[n:] for s in wire if s >= n_in]
+    while stack:
+        k = stack.pop()
+        if fed[k] and not kept[k]:
+            kept[k] = True
+            stack += [s - n_in for s in wires[k] if s >= n_in]
+    survivors = [k for k in range(n) if kept[k]]
+    if len(survivors) == n:
+        return d
+    nodes = tuple(d.nodes[k] for k in survivors)
+    return Idag(d.weights, n_in, d.n_out, nodes, _renumbered(d, survivors))
 
 
 def is_forest(d: Idag) -> bool:
     """True when every input and every internal node has exactly one outgoing
     edge. BOOL mode only."""
     _require_bool(d, "is_forest")
-    outdeg: dict[Vertex, int] = {In(i): 0 for i in range(d.n_in)}
-    outdeg.update({NodeRef(nid): 0 for nid in d.node_ids})
-    for src, _dst in d.edges:
-        outdeg[src] += 1
-    return all(c == 1 for c in outdeg.values())
+    outdeg = [0] * (d.n_in + len(d.nodes))
+    for wire in d.wires:
+        for s in wire:
+            outdeg[s] += 1
+    return all(c == 1 for c in outdeg)

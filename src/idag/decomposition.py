@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right, insort
 from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .core import Idag, In, NodeRef, Out, Vertex, _is_permutation
+from .core import Idag, _is_permutation, _renumbered
 from .errors import (
     IndexOutOfRange,
     InvalidWeight,
@@ -90,26 +90,29 @@ def _order_index(d: Idag) -> tuple[list[str], list[int], list[list[int]]]:
     """d's node ids in sorted order, the predecessors of each as a bit mask
     over that order, and the successors of each as positions in it."""
     ids = sorted(d.node_ids)
-    pos = {nid: k for k, nid in enumerate(ids)}
     below = [0] * len(ids)
     succ: list[list[int]] = [[] for _ in ids]
-    for src, dst in d.edges:
-        if isinstance(src, NodeRef) and isinstance(dst, NodeRef):
-            below[pos[dst.id]] |= 1 << pos[src.id]
-            succ[pos[src.id]].append(pos[dst.id])
+    for k, wire in enumerate(_along(d, ids)[: len(ids)]):
+        for s in wire:
+            if s >= d.n_in:
+                below[k] |= 1 << (s - d.n_in)
+                succ[s - d.n_in].append(k)
     return ids, below, succ
+
+
+def _along(d: Idag, order: Sequence[str]) -> tuple[dict[int, int], ...]:
+    """d's wires with its nodes renumbered in order, which lists each node
+    id once: node order[k] becomes source n_in+k, and its wire comes k-th."""
+    pos = d._position()
+    return _renumbered(d, [pos[nid] for nid in order])
 
 
 def is_topological_sorting(d: Idag, sort: SortLike) -> bool:
     order = tuple(sort.order if isinstance(sort, TopSort) else sort)
     if sorted(order) != sorted(d.node_ids):
         return False
-    pos = {nid: k for k, nid in enumerate(order)}
-    for src, dst in d.edges:
-        if isinstance(src, NodeRef) and isinstance(dst, NodeRef):
-            if pos[src.id] >= pos[dst.id]:
-                return False
-    return True
+    wires = _along(d, order)[: len(order)]
+    return all(s < d.n_in + k for k, wire in enumerate(wires) for s in wire)
 
 
 def _require_sorting(d: Idag, sort: SortLike) -> TopSort:
@@ -253,28 +256,22 @@ def layer(d: Idag, sort: SortLike, k: int) -> MatrixMorphism:
     return _slicer(d, ts)(k)
 
 
-def _rows_into(d: Idag, ts: TopSort) -> dict[Vertex, list[tuple[int, int]]]:
-    """The (row, weight) of every vertex's in-edges, in row order. Rows
+def _rows_into(d: Idag, ts: TopSort) -> list[list[tuple[int, int]]]:
+    """d's wires renumbered along ts: the in-edges of each node of ts in
+    order, then of each output, as (row, weight) lists sorted by row. Rows
     number the slices' live wires: input i is row i, the l-th node of ts
     row n+l."""
-    n = d.n_in
-    row: dict[Vertex, int] = {In(i): i for i in range(n)}
-    row.update((NodeRef(nid), n + k) for k, nid in enumerate(ts.order))
-    into: dict[Vertex, list[tuple[int, int]]] = {}
-    for (src, dst), w in d.edges.items():
-        into.setdefault(dst, []).append((row[src], w))
-    for ins in into.values():
-        ins.sort()
-    return into
+    return [sorted(wire.items()) for wire in _along(d, ts.order)]
 
 
 def _output_slice(
-    d: Idag, into: dict[Vertex, list[tuple[int, int]]], live: int
+    d: Idag, into: Sequence[list[tuple[int, int]]], live: int
 ) -> MatrixMorphism:
-    """The last slice: the live x m weights of the edges into the outputs."""
+    """The last slice: the live x m weights of the edges into the outputs,
+    from their (row, weight) lists."""
     rows: list[dict[int, int]] = [{} for _ in range(live)]
-    for j in range(d.n_out):
-        for r, w in into.get(Out(j), ()):
+    for j, ins in enumerate(into):
+        for r, w in ins:
             rows[r][j] = w
     return MatrixMorphism(d.weights, tuple(rows), d.n_out)
 
@@ -287,10 +284,10 @@ def _slicer(d: Idag, ts: TopSort) -> Callable[[int], MatrixMorphism]:
     def slice_(k: int) -> MatrixMorphism:
         if k < len(ts.order):
             rows: list[dict[int, int]] = [{r: 1} for r in range(n + k)]
-            for r, w in into.get(NodeRef(ts.order[k]), ()):
+            for r, w in into[k]:
                 rows[r][n + k] = w
             return MatrixMorphism(d.weights, tuple(rows), n + k + 1)
-        return _output_slice(d, into, n + k)
+        return _output_slice(d, into[k:], n + k)
 
     return slice_
 
@@ -509,12 +506,12 @@ def decompose(d: Idag, sort: SortLike) -> Expression:
     n = d.n_in
     parts: list[Expression] = []
     for k, nid in enumerate(ts.order):
-        parts.append(_encode_node_slice(n + k, into.get(NodeRef(nid), [])))
+        parts.append(_encode_node_slice(n + k, into[k]))
         box: Expression = Node(labels[nid])
         if n + k > 0:
             box = Ten(Id(n + k), box)
         parts.append(box)
-    parts.append(encode_relation(_output_slice(d, into, n + len(ts.order))))
+    parts.append(encode_relation(_output_slice(d, into[len(ts) :], n + len(ts))))
     return seq_all(parts)
 
 
@@ -536,10 +533,9 @@ def interpret(d: Idag, sort: SortLike, model: Model):
         # them, so errors match the fold's: the nodes' in-weights, one row
         # per node, then the output slice
         into = _rows_into(d, ts)
-        ends = [NodeRef(nid) for nid in ts.order] + [Out(j) for j in range(d.n_out)]
-        wires = [dict(into.get(v, ())) for v in ends]
+        wires = [dict(ins) for ins in into]
         model.relation(MatrixMorphism(d.weights, tuple(wires[: len(ts)]), n + len(ts)))
-        model.relation(_output_slice(d, into, n + len(ts)))
+        model.relation(_output_slice(d, into[len(ts) :], n + len(ts)))
         return model._read_image(n, [labels[nid] for nid in ts.order], wires)
     slice_ = _slicer(d, ts)
     mor = model.relation(slice_(0))

@@ -4,7 +4,7 @@ the weight is not 1."""
 
 from __future__ import annotations
 
-from .core import DEFAULT_LABEL, Idag, In, NodeRef, Vertex, edge_sort_key
+from .core import DEFAULT_LABEL, Idag, sorted_edges
 
 
 def _quote(s: str) -> str:
@@ -12,36 +12,25 @@ def _quote(s: str) -> str:
 
 
 def idag_to_dot(d: Idag) -> str:
-    pos = {nid: k for k, nid in enumerate(d.node_ids)}
-
-    def ref(v: Vertex) -> str:
-        if isinstance(v, In):
-            return f"i{v.index}"
-        if isinstance(v, NodeRef):
-            return f"v{pos[v.id]}"
-        return f"o{v.index}"
-
+    n_in, n_nodes = d.n_in, len(d.nodes)
     lines = ["digraph idag {", "  rankdir=LR;", "  node [fontsize=11];"]
-    ins = " ".join(
-        f'i{i} [shape=point, xlabel="{i}"];' for i in range(d.n_in)
-    )
-    outs = " ".join(
-        f'o{j} [shape=point, xlabel="{j}"];' for j in range(d.n_out)
-    )
-    lines.append("  { rank=source; %s }" % ins if d.n_in else "  { rank=source; }")
+    ins = " ".join(f'i{i} [shape=point, xlabel="{i}"];' for i in range(n_in))
+    outs = " ".join(f'o{j} [shape=point, xlabel="{j}"];' for j in range(d.n_out))
+    lines.append("  { rank=source; %s }" % ins if n_in else "  { rank=source; }")
     lines.append("  { rank=sink; %s }" % outs if d.n_out else "  { rank=sink; }")
-    for nid, lbl in d.nodes:
+    for k, (nid, lbl) in enumerate(d.nodes):
         text = nid if lbl == DEFAULT_LABEL else f"{nid}:{lbl}"
-        lines.append(f"  v{pos[nid]} [shape=circle, label={_quote(text)}];")
+        lines.append(f"  v{k} [shape=circle, label={_quote(text)}];")
     # invisible chains fix the vertical order within the interface ranks
     for prefix, count in (("i", d.n_in), ("o", d.n_out)):
         for k in range(count - 1):
             lines.append(
                 f"  {prefix}{k} -> {prefix}{k + 1} [style=invis, constraint=false];"
             )
-    for src, dst in sorted(d.edges, key=edge_sort_key(d)):
-        w = d.edges[(src, dst)]
+    for s, t, w in sorted_edges(d):
+        src = f"i{s}" if s < n_in else f"v{s - n_in}"
+        dst = f"v{t}" if t < n_nodes else f"o{t - n_nodes}"
         attr = f' [label="{w}"]' if w != 1 else ""
-        lines.append(f"  {ref(src)} -> {ref(dst)}{attr};")
+        lines.append(f"  {src} -> {dst}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

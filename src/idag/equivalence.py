@@ -13,7 +13,7 @@ from typing import Optional, Union
 from .core import Idag, canonical_form, prune_dangling, transitive_closure
 from .errors import ArityMismatch, ModeMismatch
 from .jsonio import idag_to_obj
-from .models import FreeIdagModel, evaluate
+from .models import FreeIdagModel, _walk
 from .record import Frozen
 from .terms import Expression, arity_of, validate_for_mode
 from .weights import BOOL, WeightSystem
@@ -73,9 +73,19 @@ def _apply_quotients(d: Idag, mode: TheoryMode) -> Idag:
 
 def normalize(e: Expression, mode: ModeLike) -> Idag:
     """The canonical normal form of e under the theory the mode selects."""
-    tm = _as_mode(mode)
-    validate_for_mode(e, tm.weights, tm.labels)
-    value = evaluate(e, FreeIdagModel(tm.weights))
+    return _normal_form(e, _as_mode(mode))
+
+
+def _normal_form(e: Expression, tm: TheoryMode, n_in: Optional[int] = None) -> Idag:
+    """normalize, given e's input count when arity_of has already checked
+    e. The walk rejects anti outside int mode at the same atom, with the
+    same error, as validate_for_mode, so that pass runs only where its
+    errors must come first (before arity_of's) or a label set is closed."""
+    if n_in is None or tm.labels is not None:
+        validate_for_mode(e, tm.weights, tm.labels)
+    if n_in is None:
+        n_in, _ = arity_of(e)
+    value = FreeIdagModel(tm.weights)._read_image(n_in, *_walk(e, n_in, tm.weights))
     return canonical_form(_apply_quotients(value, tm))
 
 
@@ -115,8 +125,9 @@ def equal_mod_theory(e1: Expression, e2: Expression, mode: ModeLike) -> EqReport
     a2 = arity_of(e2)
     if a1 != a2:
         raise ArityMismatch(f"interfaces differ: {a1} vs {a2}")
-    nf1 = normalize(e1, mode)
-    nf2 = normalize(e2, mode)
+    tm = _as_mode(mode)
+    nf1 = _normal_form(e1, tm, a1[0])
+    nf2 = _normal_form(e2, tm, a1[0])
     equal = nf1 == nf2
     witness = {nid: nid for nid in nf1.node_ids} if equal else None
     return EqReport(equal, nf1, nf2, witness)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core import DEFAULT_LABEL, Idag, In, NodeRef, Out, Vertex, edge_sort_key, make_idag
+from .core import DEFAULT_LABEL, Idag, In, NodeRef, Out, Vertex, make_idag, sorted_edges
 from .errors import SchemaError
 from .weights import BY_NAME
 
@@ -33,17 +33,13 @@ def idag_to_obj(d: Idag) -> dict[str, Any]:
             entry["label"] = lbl
         nodes.append(entry)
 
-    def vert(v: Vertex) -> dict[str, Any]:
-        if isinstance(v, In):
-            return {"in": v.index}
-        if isinstance(v, Out):
-            return {"out": v.index}
-        return {"node": v.id}
-
+    n_in, n_nodes = d.n_in, len(d.nodes)
     edges = []
-    for src, dst in sorted(d.edges, key=edge_sort_key(d)):
-        entry = {"src": vert(src), "dst": vert(dst)}
-        w = d.edges[(src, dst)]
+    for s, t, w in sorted_edges(d):
+        entry = {
+            "src": {"in": s} if s < n_in else {"node": d.nodes[s - n_in][0]},
+            "dst": {"node": d.nodes[t][0]} if t < n_nodes else {"out": t - n_nodes},
+        }
         if w != 1:
             entry["w"] = w
         edges.append(entry)

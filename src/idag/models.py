@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence, Union
 
 from . import core
-from .core import Idag, In, NodeRef, Out, canonical_form
+from .core import Idag, canonical_form
 from .errors import (
     InterfaceMismatch,
     InvalidWeight,
@@ -272,12 +272,12 @@ class FreeIdagModel(Model, Frozen):
         return core.juxt(a, b)
 
     def relation(self, mat: MatrixMorphism) -> Idag:
-        edges: dict = {}
+        wires: list[dict[int, int]] = [{} for _ in range(mat.n_out)]
         for i, row in enumerate(mat.rows):
             for j, w in sorted(row.items()):
                 self.mode.check_edge_weight(w)
-                edges[(In(i), Out(j))] = w
-        return Idag(self.mode, mat.n_in, mat.n_out, (), core._attach(edges))
+                wires[j][i] = w
+        return Idag(self.mode, mat.n_in, mat.n_out, (), tuple(wires))
 
     def equal(self, a: Idag, b: Idag) -> bool:
         return canonical_form(a) == canonical_form(b)
@@ -285,13 +285,10 @@ class FreeIdagModel(Model, Frozen):
     def _read_image(
         self, n_in: int, labels: Sequence[str], wires: Sequence[dict[int, int]]
     ) -> Idag:
-        """The free image as an idag (see _walk for its form); node k gets
-        the id str(k)."""
+        """The free image as an idag, which stores it as it is (see _walk
+        for its form); node k gets the id str(k)."""
         nodes = tuple((str(k), lbl) for k, lbl in enumerate(labels))
-        refs = [In(i) for i in range(n_in)] + [NodeRef(nid) for nid, _ in nodes]
-        ends = refs[n_in:] + [Out(j) for j in range(len(wires) - len(nodes))]
-        edges = {(refs[s], t): w for t, wire in zip(ends, wires) for s, w in wire.items()}
-        return Idag(self.mode, n_in, len(ends) - len(nodes), nodes, core._attach(edges))
+        return Idag(self.mode, n_in, len(wires) - len(nodes), nodes, tuple(wires))
 
 
 class MatrixModel(Model, Frozen):

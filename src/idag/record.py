@@ -2,7 +2,8 @@
 
 A subclass names its fields in __slots__, in constructor order, and writes
 its own __init__; the fields of a class are the slots of its bases, then
-its own. Record gives it equality (same class and equal fields), a
+its own. A slot whose name starts with an underscore is a cache, not a
+field. Record gives it equality (same class and equal fields), a
 Name(field=value, ...) repr, and pickling and copying through the
 constructor; it is unhashable. Frozen adds the hash of the field tuple and
 refuses assignment, so its __init__ sets fields with object.__setattr__.
@@ -16,7 +17,10 @@ class Record:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(
-            name for klass in reversed(cls.__mro__) for name in vars(klass).get("__slots__", ())
+            name
+            for klass in reversed(cls.__mro__)
+            for name in vars(klass).get("__slots__", ())
+            if not name.startswith("_")
         )
 
     def _astuple(self) -> tuple:

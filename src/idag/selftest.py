@@ -434,6 +434,7 @@ def _brute_force_iso(d1: Idag, d2: Idag) -> Optional[dict[str, str]]:
         return None
     ids1 = list(d1.node_ids)
     labels1 = [d1.label_of(n) for n in ids1]
+    edges1, edges2 = d1.edges.items(), d2.edges
     for perm in itertools.permutations(d2.node_ids):
         if [d2.label_of(n) for n in perm] != labels1:
             continue
@@ -442,7 +443,7 @@ def _brute_force_iso(d1: Idag, d2: Idag) -> Optional[dict[str, str]]:
         def ren(v):
             return NodeRef(mapping[v.id]) if isinstance(v, NodeRef) else v
 
-        if {(ren(s), ren(t)): w for (s, t), w in d1.edges.items()} == dict(d2.edges):
+        if {(ren(s), ren(t)): w for (s, t), w in edges1} == edges2:
             return mapping
     return None
 

@@ -12,11 +12,12 @@ from idag.equivalence import (
     equal_mod_theory,
     normalize,
 )
-from idag.errors import ArityMismatch, ModeMismatch, UnsupportedGenerator
+from idag.errors import ArityMismatch, IdagError, ModeMismatch, UnsupportedGenerator
+from idag.jsonio import idag_to_json
 from idag.models import FreeIdagModel, evaluate
-from idag.randgen import random_idag
+from idag.randgen import random_expression, random_idag
 from idag.decomposition import decompose, default_sorting, sample_topological_sorting
-from idag.terms import Id, Seq, Ten, arity_of, parse
+from idag.terms import Anti, Delta, Id, Node, Seq, Ten, arity_of, map_atoms, parse, validate_for_mode
 from helpers import consume_row
 from idag.weights import BOOL, INT, NAT
 
@@ -214,3 +215,58 @@ def test_many_interchangeable_copies():
             assert (len(nf.nodes), len(nf.edges)) == (k, 0)
         assert equal_mod_theory(copies(k), copies(k), NAT).equal
         assert not equal_mod_theory(copies(k), copies(k + 1), NAT).equal
+
+
+def _normalize_checking_twice(e, tm):
+    validate_for_mode(e, tm.weights, tm.labels)
+    return canonical_form(_apply_quotients(evaluate(e, FreeIdagModel(tm.weights)), tm))
+
+
+def _equal_checking_twice(e1, e2, tm):
+    a1, a2 = arity_of(e1), arity_of(e2)
+    if a1 != a2:
+        raise ArityMismatch(f"interfaces differ: {a1} vs {a2}")
+    return _normalize_checking_twice(e1, tm) == _normalize_checking_twice(e2, tm)
+
+
+def _outcome(f):
+    """f()'s result, an idag as its canonical JSON, or its error's type and
+    message."""
+    try:
+        result = f()
+    except IdagError as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, bool) else idag_to_json(result)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_errors_come_as_when_each_expression_was_checked_twice(seed):
+    """normalize and equal_mod_theory type-check each expression once, and
+    leave the anti check to the walk unless a label set is closed; the
+    errors, and the order in which they win, are those of the version that
+    checked each expression in validate_for_mode, arity_of and evaluate."""
+    rng = random.Random(seed)
+
+    def mutate(e):
+        swaps = [Anti(), Node("zz"), Delta()]
+        return map_atoms(e, lambda a: rng.choice(swaps) if rng.random() < 0.1 else a)
+
+    for _ in range(10):
+        e1 = random_expression(rng, max_depth=3, allow_anti=True)
+        e2 = mutate(e1)
+        e1 = mutate(e1) if rng.random() < 0.3 else e1
+        tm = rng.choice(
+            [
+                TheoryMode(BOOL),
+                TheoryMode(NAT),
+                TheoryMode(INT),
+                TheoryMode(BOOL, frozenset({TRANSITIVE})),
+                TheoryMode(NAT, frozenset(), frozenset({"•", "x"})),
+            ]
+        )
+        for e in (e1, e2):
+            assert _outcome(lambda: normalize(e, tm)) == _outcome(lambda: _normalize_checking_twice(e, tm))
+        assert _outcome(lambda: equal_mod_theory(e1, e2, tm).equal) == _outcome(
+            lambda: _equal_checking_twice(e1, e2, tm)
+        )

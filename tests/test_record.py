@@ -97,10 +97,10 @@ def test_unhashable_values_stay_unhashable():
             hash(value)
     with pytest.raises(AttributeError):
         d.n_in = 2
-    # the edge map is a read-only view, which neither pickles nor copies
-    for round_trip in (pickle.dumps, copy.deepcopy):
-        with pytest.raises(TypeError):
-            round_trip(d)
+    # an idag holds plain wires, so it pickles and copies
+    for value in (d, report):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert twin == value and repr(twin) == repr(value)
     assert copy.copy(d) == d and repr(d) == "Idag(BOOL, 1->1, nodes=['a'], 2 edges)"
     assert repr(report) == (
         "EqReport(equal=True, normal_form_left=Idag(BOOL, 1->1, nodes=[], 1 edges), "
