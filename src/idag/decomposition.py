@@ -12,12 +12,12 @@ MatrixModel read d's own wires along sigma as a free image, through the
 reader evaluate() ends in, and other models compose the slices. Both exist
 so tests can play them against each other.
 
-A slice's encoding copies, routes and merges wires. Routing moves each
-edge's copies as one block crossing, so a decomposition holds at most one
-crossing per edge and O(N + E) atoms (weights bounded). decompose() builds
-the encoding of a node slice straight from the node's in-edges, without its
-matrix, so its time is linear in its output too; the sorting is checked
-once per call.
+A slice's encoding copies, scales, routes and merges wires. Each edge gets
+one copy, scaled by its weight w in O(log |w|) atoms, and routing moves it
+in one crossing, so a decomposition holds at most one crossing per edge and
+O(N + E + sum of log |w|) atoms. decompose() builds the encoding of a node
+slice straight from the node's in-edges, without its matrix, so its time is
+linear in its output too; the sorting is checked once per call.
 
 Counting and uniform sampling of sortings are exact, and raise
 SearchBudgetExceeded beyond MAX_DOWN_SETS down-sets.
@@ -37,7 +37,6 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .core import Idag, _is_permutation, _renumbered
 from .errors import (
     IndexOutOfRange,
-    InvalidWeight,
     NotAdjacentTransposition,
     NotATopologicalSorting,
     NotBijective,
@@ -54,6 +53,7 @@ from .terms import (
     Id,
     Nabla,
     Node,
+    Seq,
     Sym,
     Ten,
     seq_all,
@@ -61,9 +61,6 @@ from .terms import (
 )
 from .weights import INT, NAT
 
-# encode_relation spells an entry w out as |w| wire copies; this caps the
-# copies of one matrix, so a huge weight raises instead of exhausting memory
-MAX_RELATION_COPIES = 10**5
 # counting linear extensions is #P-complete, and the exact counter memoises
 # every down-set it meets; this caps them, so a wide idag raises instead of
 # running for hours or exhausting memory
@@ -383,56 +380,67 @@ def permutation_expression(perm: Sequence[int]) -> Expression:
     return seq_all(steps) if steps else Id(c)
 
 
-def _check_copies(n: int, m: int, copies: int) -> None:
-    if copies > MAX_RELATION_COPIES:
-        raise InvalidWeight(
-            f"a {n} x {m} matrix with absolute entries summing to {copies} needs "
-            f"that many wire copies; the limit is {MAX_RELATION_COPIES}"
-        )
+def _scale(w: int) -> Expression:
+    """A 1 -> 1 expression denoting the scalar w in O(log |w|) atoms.
+
+    anti comes first when w < 0. Horner's rule then runs over the bits of
+    |w| below the leading one: delta ; nabla doubles the upper wire, and
+    id(1) * delta ; nabla * id(1) adds to it a carried copy of the input
+    where a bit is set. The copy is carried only while a lower set bit
+    remains and is merged at the last one by nabla, so nothing is discarded
+    and _scale(2) is delta ; nabla.
+    """
+    parts: list[Expression] = [Anti()] if w < 0 else []
+    a = abs(w)
+    top = a.bit_length() - 1
+    last = (a & -a).bit_length() - 1  # the lowest set bit
+    if last < top:
+        parts.append(Delta())
+    for b in range(top - 1, -1, -1):
+        if b < last:
+            parts.append(Seq(Delta(), Nabla()))
+            continue
+        parts.append(Ten(Seq(Delta(), Nabla()), Id(1)))
+        if b == last:
+            parts.append(Nabla())
+        elif (a >> b) & 1:
+            parts += [Ten(Id(1), Delta()), Ten(Nabla(), Id(1))]
+    return seq_all(parts) if parts else Id(1)
 
 
 def encode_relation(mat: MatrixMorphism) -> Expression:
-    """An expression over copy/discard/merge/unit (plus anti for negative
-    entries) and wire crossings whose evaluation in any matrix model is
-    exactly mat, and whose free evaluation is the node-free idag with weight
-    matrix mat.
+    """An expression over copy/discard/merge/unit, anti and wire crossings
+    whose evaluation in any matrix model is exactly mat, and whose free
+    evaluation is the node-free idag with weight matrix mat.
 
-    Copies fan out per input (source-major: target index ascending), negative
-    copies pass through anti, a routing permutation rearranges copies to
-    target-major order, and merges fan in per output. An identity matrix
-    encodes as id(n).
-
-    Raises InvalidWeight, before building anything, when the copies would
-    number more than MAX_RELATION_COPIES.
+    Each input fans out to one copy per nonzero entry of its row
+    (source-major: target index ascending), each copy is scaled by its
+    entry as _scale spells it, a routing permutation rearranges the copies
+    to target-major order, and merges fan in per output. An identity
+    matrix encodes as id(n).
     """
     n, m = mat.n_in, mat.n_out
-    r = [sum(map(abs, row.values())) for row in mat.rows]
-    _check_copies(n, m, sum(r))
+    r = [len(row) for row in mat.rows]
     c = [0] * m
     for row in mat.rows:
-        for j, w in row.items():
-            c[j] += abs(w)
+        for j in row:
+            c[j] += 1
     # copies sit in source-major order; perm sends each to its target-major
     # position, and next_slot[j] is the next free position among output j's
     next_slot = list(accumulate(c, initial=0))
     perm: list[int] = []
-    negatives: set[int] = set()
+    weights: list[int] = []
     for row in mat.rows:
         for j in sorted(row):
-            w = row[j]
-            a = abs(w)
-            if w < 0:
-                negatives.update(range(len(perm), len(perm) + a))
-            perm.extend(range(next_slot[j], next_slot[j] + a))
-            next_slot[j] += a
+            weights.append(row[j])
+            perm.append(next_slot[j])
+            next_slot[j] += 1
 
     parts: list[Expression] = []
     if n > 0 and any(x != 1 for x in r):
         parts.append(ten_all([_fan_out(x) for x in r]))
-    if negatives:
-        parts.append(
-            ten_all([Anti() if s in negatives else Id(1) for s in range(len(perm))])
-        )
+    if any(w != 1 for w in weights):
+        parts.append(ten_all([_scale(w) for w in weights]))
     if perm != list(range(len(perm))):
         parts.append(permutation_expression(perm))
     if m > 0 and any(x != 1 for x in c):
@@ -444,51 +452,36 @@ def encode_relation(mat: MatrixMorphism) -> Expression:
 
 def _encode_node_slice(live: int, ins: Sequence[tuple[int, int]]) -> Expression:
     """encode_relation of a node slice, built from the node's in-edges in
-    O(len(ins) + copies) time instead of from its matrix.
+    O(len(ins) + atoms) time instead of from its matrix.
 
     The slice is the live x (live+1) matrix that keeps each live wire and
     adds a last column with weight w in row r for each (r, w) of ins, which
     is sorted by row. The result is the expression encode_relation gives
-    for that matrix, term for term: each fed row r fans out to its own copy
-    followed by |w| copies bound for the node; anti negates the negative
-    ones; one block crossing per in-edge, from the highest row down, moves
-    a row's copies for the node past the live-1-r wires of the later rows;
-    one fan-in merges all copies for the node.
+    for that matrix, term for term: each fed row r fans out with one delta
+    into its own wire and one copy bound for the node; _scale(w) scales the
+    copy; one crossing per in-edge, from the highest row down, moves the
+    copy past the live-1-r wires of the later rows; one fan-in merges the
+    copies for the node.
     """
-    total = sum(abs(w) for _, w in ins)
-    _check_copies(live, live + 1, live + total)
-    # starts[t]: the position of the first copy for the node from ins[t]
-    starts: list[int] = []
-    before = 0
+    fans: list[Expression] = []
+    scales: list[Expression] = []
+    at = 0
     for r, w in ins:
-        starts.append(r + 1 + before)
-        before += abs(w)
-    parts: list[Expression] = []
-    if ins:
-        fans: list[Expression] = []
-        at = 0
-        for r, w in ins:
-            fans += [Id(r - at), _fan_out(1 + abs(w))]
-            at = r + 1
-        parts.append(ten_all(fans + [Id(live - at)]))
-    if any(w < 0 for _, w in ins):
-        antis: list[Expression] = []
-        at = 0
-        for (_, w), start in zip(ins, starts):
-            if w < 0:
-                antis += [Id(start - at)] + [Anti() for _ in range(-w)]
-                at = start - w
-        parts.append(ten_all(antis + [Id(live + total - at)]))
+        fans += [Id(r - at), Delta()]
+        scales += [Id(r + 1 - at), _scale(w)]
+        at = r + 1
+    parts = [ten_all(fans + [Id(live - at)])] if ins else []
+    if any(w != 1 for _, w in ins):
+        parts.append(ten_all(scales + [Id(live - at)]))
+    # the copy from ins[t] sits at r + 1 + t, before the placed later ones
     crossings: list[Expression] = []
-    placed = 0
-    for (r, w), start in zip(reversed(ins), reversed(starts)):
+    for placed, (r, _) in enumerate(reversed(ins)):
         if r < live - 1:
-            crossings.append(ten_all([Id(start), Sym(abs(w), live - 1 - r), Id(placed)]))
-        placed += abs(w)
+            crossings.append(ten_all([Id(r + len(ins) - placed), Sym(1, live - 1 - r), Id(placed)]))
     if crossings:
         parts.append(seq_all(crossings))
-    if total != 1:
-        parts.append(ten_all([Id(live), _fan_in(total)]))
+    if len(ins) != 1:
+        parts.append(ten_all([Id(live), _fan_in(len(ins))]))
     return seq_all(parts)
 
 

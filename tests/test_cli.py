@@ -199,15 +199,23 @@ def test_import_does_not_load_numpy():
     assert r.stdout.strip() == "False"
 
 
-def test_decompose_huge_weight_is_a_clean_error():
+def test_decompose_huge_weight_evaluates_back():
+    from idag.core import canonical_form
+    from idag.models import FreeIdagModel, MatrixModel, evaluate
+    from idag.terms import parse
+    from idag.weights import NAT
+
     d = {
         "mode": "nat", "inputs": 1, "outputs": 1, "nodes": [{"id": "p"}],
         "edges": [{"src": {"in": 0}, "dst": {"node": "p"}, "w": 10**20},
                   {"src": {"node": "p"}, "dst": {"out": 0}}],
     }
     r = run_cli("decompose", json.dumps(d), "--mode", "nat")
-    assert r.returncode == 2
-    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+    assert r.returncode == 0, r.stderr
+    e = parse(r.stdout)
+    assert evaluate(e, MatrixModel(NAT)).entries == ((10**20,),)
+    back = evaluate(e, FreeIdagModel(NAT))
+    assert canonical_form(back) == canonical_form(idag_from_json(json.dumps(d)))
 
 
 def test_decompose_unprintable_label_is_a_clean_error(capsys):

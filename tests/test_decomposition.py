@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import idag.decomposition as decomposition
 from idag.core import In, NodeRef, Out, canonical_form, identity, is_isomorphic, make_idag
 from idag.decomposition import (
-    MAX_RELATION_COPIES,
     TopSort,
     count_topological_sortings,
     decompose,
@@ -240,13 +239,13 @@ def test_encode_negative_entries():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10**9))
-def test_encode_inverts_through_eval(seed):
+@given(st.integers(0, 10**9), st.sampled_from((4, 1000, 10**20)))
+def test_encode_inverts_through_eval(seed, max_abs):
     from idag.randgen import random_matrix
 
     rng = random.Random(seed)
     ws = (BOOL, NAT, INT)[seed % 3]
-    m = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), ws)
+    m = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), ws, max_abs)
     assert evaluate(encode_relation(m), MatrixModel(ws)) == m
 
 
@@ -273,17 +272,6 @@ def test_encode_a_heavy_entry_in_linear_time():
     assert evaluate(e, MatrixModel(NAT)) == mat
     assert time.perf_counter() - t0 < 2.0
     assert sum(isinstance(a, Sym) for a in atoms(e)) == 1
-
-
-def test_encode_caps_unary_copies(monkeypatch):
-    with pytest.raises(InvalidWeight):
-        encode_relation(matrix([[MAX_RELATION_COPIES, 1]], NAT))
-    with pytest.raises(InvalidWeight):
-        encode_relation(matrix([[10**20]], NAT))
-    monkeypatch.setattr(decomposition, "MAX_RELATION_COPIES", 3)
-    assert evaluate(encode_relation(matrix([[2, -1]], INT)), MatrixModel(INT)).entries == ((2, -1),)
-    with pytest.raises(InvalidWeight):
-        encode_relation(matrix([[2, -2]], INT))
 
 
 # ---------------------------------------------------------------------------
@@ -344,22 +332,28 @@ def test_decompose_matches_the_slice_matrices(rng):
     assert seen == {"negative", "unfed node", "width 0"}
 
 
-def test_decompose_caps_copies_on_inner_edges(monkeypatch):
-    d = _chain([1, MAX_RELATION_COPIES + 1, 1], NAT)
-    with pytest.raises(InvalidWeight):
-        decompose(d, default_sorting(d))
-    # node n2's slice keeps 2 live wires and adds |w| copies for the node
-    monkeypatch.setattr(decomposition, "MAX_RELATION_COPIES", 5)
-    for w, fits in ((3, True), (-3, True), (4, False), (-4, False)):
-        d = _chain([1, w, 1], INT)
+@pytest.mark.parametrize(
+    "w",
+    [s * k for k in range(1, 10) for s in (1, -1)]
+    + [s * 2**k for k in (5, 63, 64) for s in (1, -1)]
+    + [3**40, 10**20, -(10**20)],
+)
+def test_weights_take_log_atoms_and_keep_their_value(w):
+    ws = INT if w < 0 else NAT
+    assert sum(1 for _ in atoms(decomposition._scale(w))) <= 8 * abs(w).bit_length()
+    e = encode_relation(matrix([[w, -1]], INT))
+    assert evaluate(e, MatrixModel(INT)).entries == ((w, -1),)
+    # w on an edge into the outputs, on an inner edge whose node slice keeps
+    # two live wires, and on edges next to weight-1 edges on both sides
+    a = NodeRef("a")
+    fed = {(In(0), a): 1, (In(1), a): w, (a, Out(1)): w, (In(0), Out(0)): w}
+    for d in (_chain([w], ws), _chain([1, w, 1], ws), make_idag(2, 2, ["a"], fed, ws)):
         s = default_sorting(d)
-        if fits:
-            assert decompose(d, s) == _decompose_by_slice_matrices(d, s)
-        else:
-            with pytest.raises(InvalidWeight):
-                decompose(d, s)
-            with pytest.raises(InvalidWeight):
-                _decompose_by_slice_matrices(d, s)
+        e = decompose(d, s)
+        assert e == _decompose_by_slice_matrices(d, s)
+        assert evaluate(e, MatrixModel(ws)) == interpret(d, s, MatrixModel(ws))
+        assert canonical_form(evaluate(e, FreeIdagModel(ws))) == canonical_form(d)
+    assert evaluate(e, MatrixModel(ws)).entries == ((w, w), (0, w * w))
 
 
 def test_decomposition_is_linear_in_size(rng):
@@ -476,11 +470,13 @@ def test_interpret_is_exact_below_int64():
     assert interpret(d, default_sorting(d), MatrixModel(INT)).entries == ((want,),)
 
 
-def test_huge_weight_interprets_but_does_not_decompose():
+def test_huge_weight_decomposes_exactly():
     d = _chain([10**20, 1], NAT)
-    assert interpret(d, default_sorting(d), MatrixModel(NAT)).entries == ((10**20,),)
-    with pytest.raises(InvalidWeight):
-        decompose(d, default_sorting(d))
+    s = default_sorting(d)
+    assert interpret(d, s, MatrixModel(NAT)).entries == ((10**20,),)
+    e = decompose(d, s)
+    assert evaluate(e, MatrixModel(NAT)).entries == ((10**20,),)
+    assert canonical_form(evaluate(e, FreeIdagModel(NAT))) == canonical_form(d)
 
 
 def test_interpret_worked_example_all_sortings(dag31):
