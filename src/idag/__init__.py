@@ -12,7 +12,7 @@ from importlib import import_module
 # first use, so a command loads only the submodules it runs
 _NAMES_BY_MODULE = {
     "core": (
-        "CANONICAL_SEARCH_BUDGET", "DEFAULT_LABEL", "Idag", "In", "NodeRef", "Out",
+        "CANONICAL_SEARCH_BUDGET", "DEFAULT_LABEL", "MAX_WIDTH", "Idag", "In", "NodeRef", "Out",
         "Vertex", "canonical_form", "concat", "from_permutation", "identity",
         "is_forest", "is_isomorphic", "juxt", "make_idag", "prune_dangling", "symmetry",
         "transitive_closure",
@@ -33,7 +33,8 @@ _NAMES_BY_MODULE = {
         "DuplicateNodeId", "ExprSyntaxError", "IdagError", "IndexOutOfRange",
         "InterfaceMismatch", "InvalidWeight", "ModeMismatch",
         "NotAdjacentTransposition", "NotATopologicalSorting", "NotBijective",
-        "SchemaError", "SearchBudgetExceeded", "TypeMismatch", "UnsupportedGenerator",
+        "SchemaError", "SearchBudgetExceeded", "SizeLimitExceeded", "TypeMismatch",
+        "UnsupportedGenerator",
         "ZeroWeight",
     ),
     "jsonio": ("idag_from_json", "idag_from_obj", "idag_to_json", "idag_to_obj"),

@@ -31,6 +31,7 @@ from .errors import (
     ModeMismatch,
     NotBijective,
     SearchBudgetExceeded,
+    SizeLimitExceeded,
 )
 from .record import Frozen, Record
 from .weights import BOOL, WeightSystem
@@ -38,6 +39,11 @@ from .weights import BOOL, WeightSystem
 DEFAULT_LABEL = "•"
 
 CANONICAL_SEARCH_BUDGET = 10**6
+
+# The most wires, nodes or interface positions a width may ask for. Widths
+# enter at make_idag, the core constructors, random_idag, parse and the
+# expression walk, and each is checked there before anything is allocated.
+MAX_WIDTH = 10**6
 
 
 # In, Out and NodeRef key the edge view, so each spells out == and hash;
@@ -215,6 +221,7 @@ def make_idag(
         mode: weight system the edge weights live in.
 
     Raises:
+        SizeLimitExceeded (an interface wider than MAX_WIDTH),
         DuplicateNodeId, BadEndpoint, InvalidWeight (ZeroWeight /
         AntipodeWeight), CycleDetected.
     """
@@ -300,12 +307,14 @@ def _topological_order(n_in: int, n_nodes: int, wires: Sequence[dict[int, int]])
 
 def _check_widths(what: str, *widths: int) -> None:
     """Raise BadEndpoint unless every width is a non-negative int (a bool is
-    not one, as in jsonio)."""
+    not one, as in jsonio), and SizeLimitExceeded past MAX_WIDTH."""
     for n in widths:
         if type(n) is not int:
             raise BadEndpoint(f"{what} {n!r} is not an int")
         if n < 0:
             raise BadEndpoint(f"negative {what} {n}")
+        if n > MAX_WIDTH:
+            raise SizeLimitExceeded(what, n, MAX_WIDTH)
 
 
 def _is_permutation(perm: Sequence[int]) -> bool:
@@ -326,6 +335,7 @@ def from_permutation(perm: Sequence[int], mode: WeightSystem = BOOL) -> Idag:
     Raises NotBijective if perm is not a permutation of 0..len(perm)-1.
     """
     n = len(perm)
+    _check_widths("width", n)
     if not _is_permutation(perm):
         raise NotBijective(f"{list(perm)!r} is not a permutation of 0..{n - 1}")
     inverse = sorted(range(n), key=perm.__getitem__)
@@ -335,6 +345,7 @@ def from_permutation(perm: Sequence[int], mode: WeightSystem = BOOL) -> Idag:
 def symmetry(n: int, m: int, mode: WeightSystem = BOOL) -> Idag:
     """The (n+m, m+n)-idag crossing the first n wires over the last m."""
     _check_widths("width", n, m)
+    _check_widths("width", n + m)
     perm = [m + i for i in range(n)] + [j for j in range(m)]
     return from_permutation(perm, mode)
 

@@ -292,21 +292,25 @@ def _slicer(d: Idag, ts: TopSort) -> Callable[[int], MatrixMorphism]:
 # ---------------------------------------------------------------------------
 # Rendering weight matrices as expressions
 
+# expressions are immutable, so the encoders share one instance of each
+# nullary generator
+_ANTI, _DELTA, _EPS, _ETA, _NABLA = Anti(), Delta(), Eps(), Eta(), Nabla()
+
 
 def _fan_out(r: int) -> Expression:
     if r == 0:
-        return Eps()
+        return _EPS
     if r == 1:
         return Id(1)
-    return seq_all([Delta()] + [Ten(Delta(), Id(q)) for q in range(1, r - 1)])
+    return seq_all([_DELTA] + [Ten(_DELTA, Id(q)) for q in range(1, r - 1)])
 
 
 def _fan_in(c: int) -> Expression:
     if c == 0:
-        return Eta()
+        return _ETA
     if c == 1:
         return Id(1)
-    return seq_all([Ten(Nabla(), Id(q)) for q in range(c - 2, 0, -1)] + [Nabla()])
+    return seq_all([Ten(_NABLA, Id(q)) for q in range(c - 2, 0, -1)] + [_NABLA])
 
 
 def permutation_expression(perm: Sequence[int]) -> Expression:
@@ -390,21 +394,21 @@ def _scale(w: int) -> Expression:
     remains and is merged at the last one by nabla, so nothing is discarded
     and _scale(2) is delta ; nabla.
     """
-    parts: list[Expression] = [Anti()] if w < 0 else []
+    parts: list[Expression] = [_ANTI] if w < 0 else []
     a = abs(w)
     top = a.bit_length() - 1
     last = (a & -a).bit_length() - 1  # the lowest set bit
     if last < top:
-        parts.append(Delta())
+        parts.append(_DELTA)
     for b in range(top - 1, -1, -1):
         if b < last:
-            parts.append(Seq(Delta(), Nabla()))
+            parts.append(Seq(_DELTA, _NABLA))
             continue
-        parts.append(Ten(Seq(Delta(), Nabla()), Id(1)))
+        parts.append(Ten(Seq(_DELTA, _NABLA), Id(1)))
         if b == last:
-            parts.append(Nabla())
+            parts.append(_NABLA)
         elif (a >> b) & 1:
-            parts += [Ten(Id(1), Delta()), Ten(Nabla(), Id(1))]
+            parts += [Ten(Id(1), _DELTA), Ten(_NABLA, Id(1))]
     return seq_all(parts) if parts else Id(1)
 
 
@@ -467,7 +471,7 @@ def _encode_node_slice(live: int, ins: Sequence[tuple[int, int]]) -> Expression:
     scales: list[Expression] = []
     at = 0
     for r, w in ins:
-        fans += [Id(r - at), Delta()]
+        fans += [Id(r - at), _DELTA]
         scales += [Id(r + 1 - at), _scale(w)]
         at = r + 1
     parts = [ten_all(fans + [Id(live - at)])] if ins else []

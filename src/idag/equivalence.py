@@ -4,6 +4,11 @@ The free model makes this mechanical: evaluate both expressions to idags,
 apply whatever quotients the theory mode activates (transitive closure,
 dangling-node pruning; BOOL only), and compare canonical forms. Equality holds
 modulo the theory iff the normal forms coincide.
+
+Each expression is walked once: the walk that builds its free image also
+type-checks it (see models._walk). Only when that walk fails are the
+separate checks run (validate_for_mode, arity_of, the interface
+comparison), in the order that decides which error is raised.
 """
 
 from __future__ import annotations
@@ -73,20 +78,32 @@ def _apply_quotients(d: Idag, mode: TheoryMode) -> Idag:
 
 def normalize(e: Expression, mode: ModeLike) -> Idag:
     """The canonical normal form of e under the theory the mode selects."""
-    return _normal_form(e, _as_mode(mode))
-
-
-def _normal_form(e: Expression, tm: TheoryMode, n_in: Optional[int] = None) -> Idag:
-    """normalize, given e's input count when arity_of has already checked
-    e. The walk rejects anti outside int mode at the same atom, with the
-    same error, as validate_for_mode, so that pass runs only where its
-    errors must come first (before arity_of's) or a label set is closed."""
-    if n_in is None or tm.labels is not None:
+    tm = _as_mode(mode)
+    try:
+        d = _image(e, tm)
+    except Exception:
+        # the mode's errors come first, then typing's, then the walk's own
         validate_for_mode(e, tm.weights, tm.labels)
-    if n_in is None:
-        n_in, _ = arity_of(e)
-    value = FreeIdagModel(tm.weights)._read_image(n_in, *_walk(e, n_in, tm.weights))
-    return canonical_form(_apply_quotients(value, tm))
+        arity_of(e)
+        raise
+    return _normal_form(d, tm)
+
+
+def _image(e: Expression, tm: TheoryMode) -> Idag:
+    """e's free image, from the walk that type-checks e and rejects anti
+    outside int mode; a closed label set is checked before it."""
+    if tm.labels is not None:
+        validate_for_mode(e, tm.weights, tm.labels)
+    return FreeIdagModel(tm.weights)._read_image(*_walk(e, tm.weights))
+
+
+def _normal_form(d: Idag, tm: TheoryMode) -> Idag:
+    return canonical_form(_apply_quotients(d, tm))
+
+
+def _same_interfaces(a1: tuple[int, int], a2: tuple[int, int]) -> None:
+    if a1 != a2:
+        raise ArityMismatch(f"interfaces differ: {a1} vs {a2}")
 
 
 class EqReport(Frozen):
@@ -119,15 +136,19 @@ def equal_mod_theory(e1: Expression, e2: Expression, mode: ModeLike) -> EqReport
     """Decide e1 = e2 modulo the mode's equational theory.
 
     Raises ArityMismatch when the two expressions do not even share an
-    interface; that is an error, not inequality.
+    interface; that is an error, not inequality. Typing errors in either
+    expression come before it.
     """
-    a1 = arity_of(e1)
-    a2 = arity_of(e2)
-    if a1 != a2:
-        raise ArityMismatch(f"interfaces differ: {a1} vs {a2}")
     tm = _as_mode(mode)
-    nf1 = _normal_form(e1, tm, a1[0])
-    nf2 = _normal_form(e2, tm, a1[0])
+    try:
+        d1, d2 = _image(e1, tm), _image(e2, tm)
+    except Exception:
+        # as when both were type-checked first and then normalized in turn
+        _same_interfaces(arity_of(e1), arity_of(e2))
+        _normal_form(_image(e1, tm), tm)
+        raise
+    _same_interfaces((d1.n_in, d1.n_out), (d2.n_in, d2.n_out))
+    nf1, nf2 = _normal_form(d1, tm), _normal_form(d2, tm)
     equal = nf1 == nf2
     witness = {nid: nid for nid in nf1.node_ids} if equal else None
     return EqReport(equal, nf1, nf2, witness)

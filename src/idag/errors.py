@@ -57,6 +57,16 @@ class SearchBudgetExceeded(IdagError):
     and that bound."""
 
 
+class SizeLimitExceeded(IdagError):
+    """A width, interface or node count exceeds its bound, core.MAX_WIDTH;
+    the message names the size and the bound."""
+
+    def __init__(self, what: str, size: int, bound: int):
+        self.size = size
+        self.bound = bound
+        super().__init__(f"{what} {size} exceeds the bound {bound}")
+
+
 class TypeMismatch(IdagError):
     """A sequential composite's inner arities disagree."""
 

@@ -17,7 +17,8 @@ its path sums (entry (i, j) sums, over the paths from input i to output j,
 edge weights times node images). The free images of the node-free
 generators are defined once, in terms._GENERATORS, so a generator's matrix
 image too is the path sum of its free image. evaluate() builds e's image by
-one walk that touches only the wires each atom consumes;
+one walk that touches only the wires each atom consumes and type-checks e
+as it goes, so a well-typed e is walked once;
 decomposition.interpret() takes d's own wires along the sorting. Other
 models, subclasses and wrapping models take the compose/tensor fold, which
 tests use as the reference.
@@ -32,12 +33,13 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence, Union
 
 from . import core
-from .core import Idag, canonical_form
+from .core import MAX_WIDTH, Idag, canonical_form
 from .errors import (
     InterfaceMismatch,
     InvalidWeight,
     ModeMismatch,
     NotBijective,
+    SizeLimitExceeded,
     UnsupportedGenerator,
 )
 from .terms import (
@@ -47,6 +49,7 @@ from .terms import (
     Seq,
     Sym,
     Ten,
+    _atom_arity,
     _generator_image,
     arity_of,
     fold,
@@ -191,6 +194,7 @@ class LoopsMorphism(Frozen):
 
 
 def loops_identity(n: int) -> LoopsMorphism:
+    core._check_widths("width", n)
     return LoopsMorphism(tuple(range(n)), ((),) * n)
 
 
@@ -324,6 +328,8 @@ class MatrixModel(Model, Frozen):
         return matrix_identity(n, self.weights)
 
     def symmetry(self, n: int, m: int) -> MatrixMorphism:
+        core._check_widths("width", n, m)
+        core._check_widths("width", n + m)
         perm = [m + i for i in range(n)] + list(range(m))
         return matrix_permutation(perm, self.weights)
 
@@ -355,11 +361,9 @@ class MatrixModel(Model, Frozen):
         sums, over the paths from input i to output j, the product of their
         edge weights and node images. One pass in topological order gives
         each source, then each output, its {input: coefficient} value; node
-        images come from self.generator, once per label."""
+        images come from _lambda, once per label."""
         weighted_sum = self.weights.weighted_sum
-        scalar = {
-            lbl: self.generator(Node(lbl)).rows[0].get(0, 0) for lbl in dict.fromkeys(labels)
-        }
+        scalar = {lbl: self._lambda(lbl).rows[0].get(0, 0) for lbl in dict.fromkeys(labels)}
         n_out = len(wires) - len(labels)
         values = [{i: 1} for i in range(n_in)]
         for c, wire in zip([scalar[lbl] for lbl in labels] + [1] * n_out, wires):
@@ -381,6 +385,8 @@ class LoopsModel(Model, Frozen):
         return loops_identity(n)
 
     def symmetry(self, n: int, m: int) -> LoopsMorphism:
+        core._check_widths("width", n, m)
+        core._check_widths("width", n + m)
         perm = tuple([m + i for i in range(n)] + list(range(m)))
         return LoopsMorphism(perm, ((),) * (n + m))
 
@@ -418,13 +424,18 @@ def evaluate(e: Expression, model: Model):
     """Evaluate a well-typed expression in a model.
 
     Raises TypeMismatch if e is ill-typed and UnsupportedGenerator if the
-    model lacks an image for a generator occurring in e.
+    model lacks an image for a generator occurring in e. FreeIdagModel and
+    MatrixModel type-check e in the walk that builds its image; other
+    models check it with arity_of before their fold.
     """
     kind = type(model)
     if kind is FreeIdagModel or kind is MatrixModel:
-        n_in, _ = arity_of(e)
-        mode = model.mode if kind is FreeIdagModel else model.weights
-        return model._read_image(n_in, *_walk(e, n_in, mode))
+        try:
+            image = _walk(e, model.mode if kind is FreeIdagModel else model.weights)
+        except Exception:
+            arity_of(e)  # a typing error comes first, with its position
+            raise
+        return model._read_image(*image)
     arity_of(e)
 
     def atom(a: Expression):
@@ -442,9 +453,34 @@ def evaluate(e: Expression, model: Model):
     )
 
 
-def _walk(e: Expression, n_in: int, mode: WeightSystem) -> tuple[list[str], list[dict[int, int]]]:
-    """The free image of e: its node labels, and the in-wires of its nodes
-    followed by its output wires.
+class _IllTyped(Exception):
+    """_walk met a term that arity_of rejects; arity_of names the error."""
+
+
+_CLOSE_THEN = object()  # marks the end of a `then` on _walk's stack
+
+
+def _input_count(e: Expression) -> int:
+    """The inputs of e, read off its input spine: the first of each ";"
+    and both sides of each "*". Right for a well-typed e; raises on an atom
+    arity_of rejects."""
+    n = 0
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Seq):
+            stack.append(x.first)
+        elif isinstance(x, Ten):
+            stack += (x.left, x.right)
+        else:
+            n += _atom_arity(x)[0]
+    return n
+
+
+def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[int, int]]]:
+    """The free image of e: its input count, its node labels, and the
+    in-wires of its nodes followed by its output wires. Raises on an
+    ill-typed e; the caller runs arity_of for the error to raise.
 
     Sources are numbered: inputs 0..n_in-1, then nodes in the order they are
     emitted, which is topological. A wire is a {source: nonzero weight}
@@ -455,40 +491,70 @@ def _walk(e: Expression, n_in: int, mode: WeightSystem) -> tuple[list[str], list
     (terms._GENERATORS).
     Atoms run left to right, so a tensor's right factor starts where the
     outputs of its left factor's last atom end.
+
+    Typing is checked with no width arithmetic. No atom may read past the
+    wire list, and a well-typed `then` consumes exactly the outputs of its
+    `first`, so the number of wires right of the last outputs is the same
+    before and after it. Then every subterm consumes and leaves as many
+    wires as arity_of says, and e consumes the n_in wires its input spine
+    counts, as arity_of counts them.
     """
+    n_in = _input_count(e)
+    if n_in > MAX_WIDTH:
+        raise SizeLimitExceeded("input count", n_in, MAX_WIDTH)
     weighted_sum = mode.weighted_sum
     labels: list[str] = []
     ins: list[dict[int, int]] = []
     wires = [{i: 1} for i in range(n_in)]
-    stack: list[tuple[Expression, Optional[int]]] = [(e, 0)]
+    stack: list[tuple] = [(e, 0)]
+    close_then = (_CLOSE_THEN, 0)
+    right_of: list[int] = []  # per open `then`: the wires right of first's outputs
     end = 0  # where the last atom's outputs end; a start of None means here
     while stack:
         x, at = stack.pop()
-        at = end if at is None else at
-        if isinstance(x, Seq):
-            stack.append((x.then, at))
-            stack.append((x.first, at))
+        if at is None:
+            at = end
+        elif at < 0:  # a `then` starts at ~at
+            at = ~at
+            right_of.append(len(wires) - end)
+        if x is _CLOSE_THEN:
+            if right_of.pop() != len(wires) - end:
+                raise _IllTyped
+        elif isinstance(x, Seq):
+            stack += (close_then, (x.then, ~at), (x.first, at))
         elif isinstance(x, Ten):
             stack.append((x.right, None))
             stack.append((x.left, at))
         elif isinstance(x, Id):
-            end = at + x.n
+            n = x.n
+            if type(n) is not int or n < 0 or at + n > len(wires):
+                raise _IllTyped
+            end = at + n
         elif isinstance(x, Sym):
-            mid, end = at + x.n, at + x.n + x.m
+            n, m = x.n, x.m
+            if type(n) is not int or type(m) is not int or n < 0 or m < 0:
+                raise _IllTyped
+            mid, end = at + n, at + n + m
+            if end > len(wires):
+                raise _IllTyped
             wires[at:end] = wires[mid:end] + wires[at:mid]
         elif isinstance(x, Node):
+            if type(x) is not Node or not isinstance(x.label, str):
+                raise _IllTyped
             ins.append(wires[at])
             wires[at] = {n_in + len(labels): 1}
             labels.append(x.label)
             end = at + 1
         else:
             width, out_terms = _generator_image(x, mode)
+            if at + width > len(wires):
+                raise _IllTyped
             local = wires[at : at + width]
             wires[at : at + width] = [
                 weighted_sum([(local[s], w) for s, w in terms]) for terms in out_terms
             ]
             end = at + len(out_terms)
-    return labels, ins + wires
+    return n_in, labels, ins + wires
 
 
 def loops_eval(e: Expression) -> LoopsMorphism:

@@ -52,7 +52,8 @@ def random_idag(
     order and node-to-node edges only point forward in it. Every admissible
     edge is included independently with probability edge_prob; nat/int
     weights are drawn uniformly from {1..3} / {-3..-1, 1..3}. Raises
-    BadEndpoint unless the widths and node count are non-negative ints."""
+    BadEndpoint unless the widths and node count are non-negative ints, and
+    SizeLimitExceeded when one is past MAX_WIDTH."""
     _check_widths("node count", n_nodes)
     _check_widths("interface width", n_in, n_out)
     node_ids = [f"{id_prefix}{k}" for k in range(n_nodes)]

@@ -28,6 +28,11 @@ for tokens once and computes line and column only when it raises. Parsing
 and walks over expressions (arity checking, printing, evaluation) are
 iterative, so deeply parenthesized text and the deeply chained composites
 produced by decomposition do not hit the interpreter recursion limit.
+
+Typing is checked while an expression is built: parse compares widths at
+each ";" as it reads, and the models' walk (models._walk) checks each
+composite as it runs. arity_of walks an expression on its own only to name
+the error of an ill-typed one, or for models without a native walk.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ import itertools
 import re
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
-from .core import DEFAULT_LABEL
-from .errors import ExprSyntaxError, TypeMismatch, UnsupportedGenerator
+from .core import DEFAULT_LABEL, MAX_WIDTH
+from .errors import ExprSyntaxError, SizeLimitExceeded, TypeMismatch, UnsupportedGenerator
 from .record import Frozen
 from .weights import WeightSystem
 
@@ -187,8 +192,8 @@ class Seq(Expression):
     __slots__ = ("first", "then")
 
     def __init__(self, first: Expression, then: Expression) -> None:
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "then", then)
+        _set_first(self, first)
+        _set_then(self, then)
 
 
 class Ten(Expression):
@@ -197,8 +202,14 @@ class Ten(Expression):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Expression, right: Expression) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+# Seq and Ten are built once per composite, so they set their fields through
+# the slot descriptors; Frozen.__setattr__ still refuses assignment.
+_set_first, _set_then = Seq.first.__set__, Seq.then.__set__
+_set_left, _set_right = Ten.left.__set__, Ten.right.__set__
 
 
 T = TypeVar("T")
@@ -264,7 +275,6 @@ _GENERATORS: dict[type, tuple[str, int, tuple[tuple[tuple[int, int], ...], ...]]
     Delta: ("delta", 1, (((0, 1),), ((0, 1),))),
     Anti: ("anti", 1, (((0, -1),),)),
 }
-_BY_KEYWORD = {keyword: cls for cls, (keyword, _, _) in _GENERATORS.items()}
 
 
 def _generator_image(gen: Expression, mode: WeightSystem) -> tuple[int, tuple]:
@@ -447,6 +457,12 @@ _STRAY_RE = re.compile(r"[^A-Za-z0-9_;*()\[\],\s]")
 _PUNCTUATION = frozenset(";*()[],")
 # the punctuation before each width of id(n) and sym(n,m)
 _WIRINGS = {"id": (Id, ("(",)), "sym": (Sym, ("(", ","))}
+# each atom spelled by one keyword, shared by every parse, with its
+# (inputs, outputs); "node" stands for a bare node, without a label
+_KEYWORD_ATOMS = {
+    keyword: (cls(), n_in, len(outs)) for cls, (keyword, n_in, outs) in _GENERATORS.items()
+}
+_KEYWORD_ATOMS["node"] = (Node(), 1, 1)
 
 
 def _line_column(text: str, offset: int) -> tuple[int, int]:
@@ -472,13 +488,19 @@ def _syntax_error(text: str, tokens: list, i: int, message: str) -> ExprSyntaxEr
 def parse(text: str) -> Expression:
     """Parse and type-check expression text.
 
-    Raises ExprSyntaxError (with line and column) on bad syntax and
-    TypeMismatch on a well-formed but ill-typed composite.
+    Raises ExprSyntaxError (with line and column) on bad syntax, then
+    TypeMismatch on a well-formed but ill-typed composite, then
+    SizeLimitExceeded on an id or sym wider than MAX_WIDTH.
 
     expr := ten (";" ten)*, ten := atom ("*" atom)*, where an atom may be a
     parenthesized expr. Iterative: each open parenthesis pushes the
     enclosing expression's partial chains, so nesting depth is not limited
-    by the interpreter's recursion limit.
+    by the interpreter's recursion limit. Typing is checked as the chains
+    grow: the parser keeps the (inputs, outputs) of the current chain and
+    row, and of the enclosing ones, and compares them at each ";". Only an
+    ill-typed text is walked again, by arity_of, for its error. Each
+    keyword atom is one shared instance, and so is each distinct id, sym
+    or labelled node of a parse.
     """
     stray = _STRAY_RE.search(text)
     if stray:
@@ -488,15 +510,19 @@ def parse(text: str) -> Expression:
     if not tokens:
         raise ExprSyntaxError(1, 1, "empty expression")
     tokens.append(None)  # end of input
-    enclosing: list[tuple[Optional[Expression], Optional[Expression]]] = []
+    enclosing: list[tuple] = []
     chain: Optional[Expression] = None  # completed tens, joined by ";"
     row: Optional[Expression] = None  # atoms of the current ten, by "*"
+    c_in = c_out = r_in = r_out = 0  # the inputs and outputs of chain and row
+    shared: dict = {}  # tokens of an id, sym or labelled node -> _KEYWORD_ATOMS' form
+    ill_typed = False
+    too_wide = 0  # the widest id or sym past MAX_WIDTH
     i = 0
     while True:
         tok = tokens[i]
         i += 1
         if tok == "(":
-            enclosing.append((chain, row))
+            enclosing.append((chain, row, c_in, c_out, r_in, r_out))
             chain = row = None
             continue
         if tok in _WIRINGS:
@@ -515,33 +541,46 @@ def parse(text: str) -> Expression:
             if tokens[i] != ")":
                 raise _syntax_error(text, tokens, i, "expected ')'")
             i += 1
-            a = cls(*widths)
-        elif tok == "node":
-            if tokens[i] == "[":
-                label = tokens[i + 1]
-                if label is None:
-                    raise _syntax_error(text, tokens, i + 1, "unexpected end of input")
-                if label in _PUNCTUATION:
-                    raise _syntax_error(text, tokens, i + 1, "expected a label")
-                if tokens[i + 2] != "]":
-                    raise _syntax_error(text, tokens, i + 2, "expected ']'")
-                i += 3
-                a = Node(label)
-            else:
-                a = Node()
-        elif tok in _BY_KEYWORD:
-            a = _BY_KEYWORD[tok]()
+            key = (tok, *widths)
+            if key not in shared:
+                width = sum(widths)
+                if width > MAX_WIDTH:
+                    too_wide = max(too_wide, width)
+                shared[key] = (cls(*widths), width, width)
+            a, a_in, a_out = shared[key]
+        elif tok == "node" and tokens[i] == "[":
+            label = tokens[i + 1]
+            if label is None:
+                raise _syntax_error(text, tokens, i + 1, "unexpected end of input")
+            if label in _PUNCTUATION:
+                raise _syntax_error(text, tokens, i + 1, "expected a label")
+            if tokens[i + 2] != "]":
+                raise _syntax_error(text, tokens, i + 2, "expected ']'")
+            i += 3
+            key = ("node", label)
+            if key not in shared:
+                shared[key] = (Node(label), 1, 1)
+            a, a_in, a_out = shared[key]
+        elif tok in _KEYWORD_ATOMS:
+            a, a_in, a_out = _KEYWORD_ATOMS[tok]
         elif tok is None:
             raise _syntax_error(text, tokens, i - 1, "unexpected end of input")
         else:
             raise _syntax_error(text, tokens, i - 1, f"unexpected token {tok!r}")
         while True:
-            row = a if row is None else Ten(row, a)
+            if row is None:
+                row, r_in, r_out = a, a_in, a_out
+            else:
+                row, r_in, r_out = Ten(row, a), r_in + a_in, r_out + a_out
             tok = tokens[i]
             if tok == "*":
                 i += 1
                 break
-            chain = row if chain is None else Seq(chain, row)
+            if chain is None:
+                chain, c_in, c_out = row, r_in, r_out
+            else:
+                ill_typed = ill_typed or c_out != r_in
+                chain, c_out = Seq(chain, row), r_out
             row = None
             if tok == ";":
                 i += 1
@@ -549,13 +588,16 @@ def parse(text: str) -> Expression:
             if not enclosing:
                 if tok is not None:
                     raise _syntax_error(text, tokens, i, f"trailing input {tok!r}")
-                arity_of(chain)
+                if ill_typed:
+                    arity_of(chain)  # raises the TypeMismatch, with its position
+                if too_wide:
+                    raise SizeLimitExceeded("width", too_wide, MAX_WIDTH)
                 return chain
             if tok != ")":
                 raise _syntax_error(text, tokens, i, "expected ')'")
             i += 1
-            a = chain
-            chain, row = enclosing.pop()
+            a, a_in, a_out = chain, c_in, c_out
+            chain, row, c_in, c_out, r_in, r_out = enclosing.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,115 @@
+"""Every width is checked against core.MAX_WIDTH where it enters, before
+anything is allocated for it, so a huge width raises SizeLimitExceeded (and
+the CLI exits 2) instead of running out of memory."""
+
+import json
+import random
+import resource
+import subprocess
+import sys
+
+import pytest
+
+from idag.core import MAX_WIDTH, from_permutation, identity, make_idag, symmetry
+from idag.errors import BadEndpoint, SizeLimitExceeded
+from idag.equivalence import equal_mod_theory, normalize
+from idag.jsonio import idag_from_obj
+from helpers import Forwarding
+from idag.models import FreeIdagModel, LoopsModel, MatrixModel, evaluate, matrix_identity
+from idag.randgen import random_idag
+from idag.terms import Id, Seq, Sym, parse
+from idag.weights import BOOL, NAT
+
+HUGE = 10**11
+_HUGE_IDAG = {"mode": "bool", "inputs": HUGE, "outputs": HUGE, "nodes": [], "edges": []}
+
+
+def _raises_bound(f, *args):
+    with pytest.raises(SizeLimitExceeded) as info:
+        f(*args)
+    assert info.value.bound == MAX_WIDTH and info.value.size > MAX_WIDTH
+    assert str(MAX_WIDTH) in str(info.value) and str(info.value.size) in str(info.value)
+
+
+def test_every_entry_point_checks_the_bound():
+    # one past the bound, so that a missing check costs memory, not all of it
+    over = MAX_WIDTH + 1
+    rng = random.Random(0)
+    _raises_bound(identity, over)
+    _raises_bound(symmetry, MAX_WIDTH, 1)
+    _raises_bound(from_permutation, range(over))
+    _raises_bound(matrix_identity, over, NAT)
+    _raises_bound(make_idag, over, 0, [], [])
+    _raises_bound(idag_from_obj, dict(_HUGE_IDAG, inputs=1, outputs=over))
+    _raises_bound(random_idag, rng, over, 1, 1, 0.5)
+    _raises_bound(random_idag, rng, 1, 1, over, 0.5)
+    _raises_bound(parse, f"id({HUGE})")
+    _raises_bound(parse, f"sym({MAX_WIDTH},1)")
+    for e in (Id(over), Seq(Sym(MAX_WIDTH, 1), Sym(1, MAX_WIDTH))):
+        _raises_bound(evaluate, e, FreeIdagModel(BOOL))
+        _raises_bound(evaluate, e, MatrixModel(NAT))
+        _raises_bound(evaluate, e, LoopsModel())
+        _raises_bound(evaluate, e, Forwarding(MatrixModel(NAT)))
+        _raises_bound(normalize, e, BOOL)
+        _raises_bound(equal_mod_theory, e, e, BOOL)
+    # widths at the bound pass, and the older checks come first
+    assert identity(MAX_WIDTH).n_in == MAX_WIDTH
+    assert parse(f"id({MAX_WIDTH})") == Id(MAX_WIDTH)
+    with pytest.raises(BadEndpoint):
+        identity(-HUGE)
+
+
+def _limit_memory():
+    limit = 1_500_000_000
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _run(args, stdin=""):
+    """python args in a child process whose address space is capped."""
+    return subprocess.run(
+        [sys.executable, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_limit_memory,
+    )
+
+
+def test_typing_errors_come_before_the_bound():
+    # arity_of rejected this before the walk allocated wires, and the walk
+    # must too: its input spine counts 10^11 + 1 wires
+    code = (
+        "from idag import *\n"
+        f"e = Seq(Sym({HUGE}, 1), Eps())\n"
+        "for f in (lambda: evaluate(e, FreeIdagModel()), lambda: normalize(e, BOOL),\n"
+        f"          lambda: equal_mod_theory(e, e, BOOL), lambda: parse('id({HUGE}) ; eps')):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except TypeMismatch:\n"
+        "        print('TypeMismatch')\n"
+    )
+    r = _run(["-c", code])
+    assert (r.returncode, r.stdout.split()) == (0, ["TypeMismatch"] * 4), r.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eq", f"id({HUGE})", f"id({HUGE})"],
+        ["eq", f"sym({HUGE},1)", f"sym({HUGE},1)"],
+        ["normalize", f"id({HUGE})"],
+        ["random", str(HUGE), "1", "1", "0.5"],
+        ["random", "1", "1", "100000000", "0.5"],
+        ["decompose", "-"],
+        ["dot", "-"],
+        ["closure", "-"],
+        ["prune", "-"],
+    ],
+    ids=lambda args: " ".join(args)[:24],
+)
+def test_huge_widths_exit_2_under_a_memory_limit(args):
+    r = _run(["-m", "idag", *args], json.dumps(_HUGE_IDAG))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert f"exceeds the bound {MAX_WIDTH}" in r.stderr

@@ -14,7 +14,6 @@ from idag.errors import ExprSyntaxError, IdagError, TypeMismatch, UnsupportedGen
 from idag.models import FreeIdagModel, MatrixModel, evaluate
 from idag.randgen import random_expression, random_idag
 from idag.terms import (
-    _BY_KEYWORD,
     _GENERATORS,
     _IDENT_RE,
     _STRAY_RE,
@@ -292,6 +291,7 @@ def test_syntax_error_positions(text, line, column, message):
 # for the parser and the printer: a per-line token scan with a position on
 # every token, a recursive-descent parser object and a fold-based printer.
 
+_BY_KEYWORD = {keyword: cls for cls, (keyword, _, _) in _GENERATORS.items()}
 _REF_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[0-9]+|[;*()\[\],])|(\S))")
 
 

@@ -1,0 +1,198 @@
+"""parse, evaluate in the free and matrix models, normalize and
+equal_mod_theory type-check an expression in the pass that builds it. These
+tests play them against twopass_reference.py, where arity_of checked each
+expression first: the same results, and the same error type and message, on
+well- and ill-typed ASTs, printed and mutated texts, bad widths, non-str
+labels, anti outside int mode, closed label sets and unequal interfaces.
+And a well-typed input never reaches arity_of."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+import twopass_reference as ref
+from idag import equivalence, models, terms
+from idag.core import Idag
+from idag.decomposition import decompose, default_sorting
+from idag.equivalence import TRANSITIVE, TheoryMode, equal_mod_theory, normalize
+from idag.errors import ArityMismatch, ExprSyntaxError, TypeMismatch, UnsupportedGenerator
+from idag.jsonio import idag_to_json
+from idag.models import FreeIdagModel, MatrixModel, MatrixMorphism, evaluate, matrix
+from idag.randgen import random_expression, random_idag
+from idag.terms import (
+    Anti,
+    Delta,
+    Eps,
+    Eta,
+    Expression,
+    Id,
+    Nabla,
+    Node,
+    Seq,
+    Sym,
+    Ten,
+    map_atoms,
+    parse,
+    print_expression,
+)
+from idag.weights import BOOL, INT, NAT
+
+
+class _Label(str):
+    pass
+
+
+class _WideId(Id):
+    __slots__ = ()
+
+
+class _SubSeq(Seq):
+    __slots__ = ()
+
+
+class _Box(Expression):
+    __slots__ = ()
+
+
+_SWAPS = [Delta(), Nabla(), Eta(), Eps(), Anti(), Node("x"), Node("zz"), Id(2), Sym(1, 1), Id(0)]
+_ODD = [Node(_Label("x")), _WideId(2), _SubSeq(Delta(), Nabla()), Sym(0, 2)]
+_BAD = [Node(5), Id(-1), Id(True), Id(1.0), Sym(1, True), Sym(-1, 1), _Box(), Node(_Box())]
+_MODES = [
+    TheoryMode(BOOL),
+    TheoryMode(NAT),
+    TheoryMode(INT),
+    TheoryMode(BOOL, frozenset({TRANSITIVE})),
+    TheoryMode(NAT, frozenset(), frozenset({"•", "x"})),
+]
+_TEXT_PIECES = [" ; ", " * ", "(", ")", "id(2)", "sym(1,2)", "delta", "nabla", "eps", "eta", "anti",
+                "node[x]", "node", "id(0)", "id(", ","]
+
+
+def _expression(rng):
+    """A random expression: well-typed, mutated atom by atom, or an odd
+    composite of such parts."""
+    e = random_expression(rng, max_depth=rng.randint(1, 4), allow_anti=rng.random() < 0.5)
+    roll = rng.random()
+    if roll < 0.3:
+        return e
+    if roll < 0.7:
+        pool = _SWAPS + _ODD + (_BAD if rng.random() < 0.3 else [])
+        return map_atoms(e, lambda a: rng.choice(pool) if rng.random() < 0.15 else a)
+    parts = [rng.choice([e, random_expression(rng, max_depth=2)] + _ODD + _SWAPS) for _ in range(4)]
+    if rng.random() < 0.2:
+        parts[rng.randrange(4)] = rng.choice(_BAD)
+    return Seq(Ten(parts[0], _SubSeq(parts[1], Id(0))), Ten(parts[2], Seq(parts[3], Id(1))))
+
+
+def _text(rng, e):
+    """e printed, and half the time cut, spliced or rejoined as text."""
+    try:
+        text = print_expression(e)
+    except UnsupportedGenerator:
+        text = "delta ; id(1) * node[x] ; nabla"
+    if rng.random() < 0.5:
+        return text
+    at = rng.randrange(len(text) + 1)
+    roll = rng.random()
+    if roll < 0.4:
+        return text[:at] + rng.choice(_TEXT_PIECES) + text[at:]
+    if roll < 0.7:
+        return text[:at] + text[at + rng.randint(1, 6) :]
+    return text.replace(";", "*", 1) if rng.random() < 0.5 else text.replace("*", ";", 1)
+
+
+def _value(result):
+    if isinstance(result, Idag):
+        return ("idag", result.weights.name, result.n_in, result.n_out, result.nodes, result.wires)
+    if isinstance(result, MatrixMorphism):
+        return ("matrix", result.weights.name, result.rows, result.n_out)
+    if isinstance(result, Expression):
+        return repr(result)
+    equal, nf1, nf2 = result
+    return (equal, idag_to_json(nf1), idag_to_json(nf2))
+
+
+def _outcome(f, *args):
+    """f(*args) as a comparable value, or its error's type and message."""
+    try:
+        return _value(f(*args))
+    except Exception as exc:  # non-IdagErrors (a TypeError, say) must match too
+        return type(exc), str(exc)
+
+
+def _report(e1, e2, mode):
+    report = equal_mod_theory(e1, e2, mode)
+    return report.equal, report.normal_form_left, report.normal_form_right
+
+
+def _matrix_model(rng, mode):
+    lo, hi = {BOOL: (0, 1), NAT: (0, 3), INT: (-3, 3)}[mode]
+    return MatrixModel(mode, {"x": rng.randint(lo, hi), "y": matrix([[rng.randint(lo, hi)]], mode)})
+
+
+def _check_case(rng):
+    """Play one drawn case against the reference; its outcome kinds."""
+    e1, e2 = _expression(rng), _expression(rng)
+    if rng.random() < 0.4:
+        e2 = map_atoms(e1, lambda a: rng.choice(_SWAPS) if rng.random() < 0.1 else a)
+    mode = rng.choice((BOOL, NAT, INT))
+    tm = rng.choice(_MODES)
+    text = _text(rng, e1)
+    free, matrix_model = FreeIdagModel(mode), _matrix_model(rng, mode)
+    pairs = [
+        (parse, ref.parse, (text,)),
+        (evaluate, ref.evaluate, (e1, free)),
+        (evaluate, ref.evaluate, (e1, matrix_model)),
+        (normalize, ref.normalize, (e1, tm)),
+        (normalize, ref.normalize, (e2, tm.weights)),
+        (_report, ref.equal_mod_theory, (e1, e2, tm)),
+    ]
+    kinds = set()
+    for f, g, args in pairs:
+        want = _outcome(g, *args)
+        assert _outcome(f, *args) == want, (f.__name__, args)
+        kinds.add(want[0] if isinstance(want[0], type) else "value")
+    return kinds
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_one_pass_matches_the_two_pass_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        _check_case(rng)
+
+
+def test_the_differential_corpus_reaches_every_outcome():
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(400):
+        kinds |= _check_case(rng)
+    assert {"value", ExprSyntaxError, TypeMismatch, UnsupportedGenerator, ArityMismatch} <= kinds
+
+
+def test_well_typed_input_never_calls_arity_of(monkeypatch):
+    rng = random.Random(3)
+    cases = [random_expression(rng, max_depth=rng.randint(1, 6), allow_anti=True) for _ in range(60)]
+    for n in (8, 32):
+        d = random_idag(rng, 2, 3, n, 0.3, INT, labels=("a", "x"))
+        cases.append(decompose(d, default_sorting(d)))
+    texts = [print_expression(e) for e in cases]
+    matrix_model = MatrixModel(INT, {"x": 2})
+    runs = [
+        lambda e, text: parse(text),
+        lambda e, text: evaluate(e, FreeIdagModel(INT)),
+        lambda e, text: evaluate(e, matrix_model),
+        lambda e, text: normalize(e, INT),
+        lambda e, text: normalize(e, TheoryMode(INT, frozenset(), frozenset({"•", "a", "x", "y"}))),
+        lambda e, text: _report(e, e, INT),
+    ]
+    want = [[_value(run(e, text)) for run in runs] for e, text in zip(cases, texts)]
+
+    def refuse(e):
+        raise AssertionError("arity_of ran on a well-typed input")
+
+    for module in (terms, models, equivalence):
+        monkeypatch.setattr(module, "arity_of", refuse)
+    for e, text, values in zip(cases, texts, want):
+        assert [_value(run(e, text)) for run in runs] == values

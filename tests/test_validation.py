@@ -32,6 +32,7 @@ from idag.weights import NAT
         lambda: identity(True),
         lambda: symmetry(1.5, 1),
         lambda: symmetry(1, False),
+        lambda: symmetry(None, 1),
         lambda: random_idag(random.Random(1), 1, 1, 1.5, 0.5),
         lambda: random_idag(random.Random(1), 1.5, 1, 2, 0.5),
         lambda: matrix_identity(-1, NAT),

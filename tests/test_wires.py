@@ -26,7 +26,6 @@ from idag.jsonio import idag_from_json, idag_to_json
 from idag.models import FreeIdagModel, _walk, evaluate
 from idag.randgen import random_expression, random_idag
 from idag.selftest import _scramble
-from idag.terms import arity_of
 from idag.weights import BOOL, INT, NAT
 
 _LABELS = ("•", "x", "y")
@@ -39,8 +38,7 @@ def _draw(rng, mode, n_in=None, prefix="n"):
     if n_in is None and rng.random() < 0.5:
         e = random_expression(rng, max_depth=3, allow_anti=mode is INT, labels=_LABELS)
         d = evaluate(e, FreeIdagModel(mode))
-        width = arity_of(e)[0]
-        _assert_same(d, ref.read_image(mode, width, *_walk(e, width, mode)))
+        _assert_same(d, ref.read_image(mode, *_walk(e, mode)))
         return d, ref.VIdag.of(d)
     if n_in is None:
         n_in = rng.randint(0, 3)
