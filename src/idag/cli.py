@@ -5,6 +5,11 @@ random, selftest. Inputs are literal text, "@path" to read a file, or "-"
 for standard input. Exit codes: 0 success/equal, 1 unequal or selftest
 failure, 2 any error.
 
+One table, _COMMANDS, gives each command its operands and only the options
+its handler reads: --mode and --quotient select the theory an expression is
+read in, so the commands that read idags, whose JSON names their weights,
+do not take them.
+
 Each command imports only what it runs: eq and normalize load the parser,
 the free model and the canonical form; decompose adds the decomposition
 module; dot, random and selftest each add their own module.
@@ -14,14 +19,13 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .core import Idag, concat, juxt, prune_dangling, transitive_closure
-from .equivalence import TheoryMode, equal_mod_theory, normalize
+from .core import DEFAULT_LABEL, Idag, concat, juxt, prune_dangling, transitive_closure
+from .equivalence import NO_DANGLING, TRANSITIVE, TheoryMode, equal_mod_theory, normalize
 from .errors import IdagError, IndexOutOfRange
-from .jsonio import idag_from_json, idag_to_json
+from .jsonio import dumps, idag_from_json, idag_to_json
 from .terms import parse, print_expression
 from .weights import BY_NAME
 
@@ -65,6 +69,8 @@ def _pick_sorting(d: Idag, spec: str) -> TopSort:
         raise IndexOutOfRange(f"bad sorting selector {spec!r}") from None
     if k < 0:
         raise IndexOutOfRange(f"sorting index {k} is negative")
+    if k >= sys.maxsize:  # past what islice counts, and any enumeration reaches
+        raise IndexOutOfRange(f"sorting index {k} exceeds {sys.maxsize - 1}")
     for sort in itertools.islice(topological_sortings(d), k, k + 1):
         return sort
     raise IndexOutOfRange(f"sorting index {k} out of range")
@@ -72,11 +78,10 @@ def _pick_sorting(d: Idag, spec: str) -> TopSort:
 
 def _cmd_eq(args: argparse.Namespace) -> int:
     mode = _theory_mode(args)
-    lhs = parse(_read_input(args.lhs))
-    rhs = parse(_read_input(args.rhs))
+    lhs, rhs = (parse(_read_input(spec)) for spec in args.operands)
     report = equal_mod_theory(lhs, rhs, mode)
     if args.format == "json":
-        print(json.dumps(report.to_json_obj(), separators=(",", ":"), ensure_ascii=False))
+        print(dumps(report.to_json_obj()))
     else:
         print("equal" if report.equal else "unequal")
         print(f"lhs normal form: {idag_to_json(report.normal_form_left)}")
@@ -86,60 +91,35 @@ def _cmd_eq(args: argparse.Namespace) -> int:
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
     mode = _theory_mode(args)
-    e = parse(_read_input(args.expr))
-    _emit_idag(normalize(e, mode), args.format)
+    (spec,) = args.operands
+    _emit_idag(normalize(parse(_read_input(spec)), mode), args.format)
     return 0
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     from .decomposition import decompose
 
-    d = idag_from_json(_read_input(args.idag))
+    (spec,) = args.operands
+    d = idag_from_json(_read_input(spec))
     sort = _pick_sorting(d, args.sorting)
     text = print_expression(decompose(d, sort))
     if args.format == "json":
-        print(
-            json.dumps(
-                {"expression": text, "sorting": list(sort.order)},
-                separators=(",", ":"),
-                ensure_ascii=False,
-            )
-        )
+        print(dumps({"expression": text, "sorting": list(sort.order)}))
     else:
         print(text)
     return 0
 
 
-def _cmd_compose(args: argparse.Namespace) -> int:
-    first = idag_from_json(_read_input(args.first))
-    second = idag_from_json(_read_input(args.second))
-    # diagram order: the first operand feeds the second
-    _emit_idag(concat(second, first), args.format)
-    return 0
+def _on_idags(operation: Callable[..., Idag]) -> Callable[[argparse.Namespace], int]:
+    """The handler of a command that reads its operands as JSON idags, in
+    order, and emits operation applied to them."""
 
+    def run(args: argparse.Namespace) -> int:
+        operands = [idag_from_json(_read_input(spec)) for spec in args.operands]
+        _emit_idag(operation(*operands), args.format)
+        return 0
 
-def _cmd_tensor(args: argparse.Namespace) -> int:
-    top = idag_from_json(_read_input(args.first))
-    bottom = idag_from_json(_read_input(args.second))
-    _emit_idag(juxt(top, bottom), args.format)
-    return 0
-
-
-def _cmd_closure(args: argparse.Namespace) -> int:
-    d = idag_from_json(_read_input(args.idag))
-    _emit_idag(transitive_closure(d), args.format)
-    return 0
-
-
-def _cmd_prune(args: argparse.Namespace) -> int:
-    d = idag_from_json(_read_input(args.idag))
-    _emit_idag(prune_dangling(d), args.format)
-    return 0
-
-
-def _cmd_dot(args: argparse.Namespace) -> int:
-    _emit_idag(idag_from_json(_read_input(args.idag)), "dot")
-    return 0
+    return run
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
@@ -147,19 +127,12 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
     from .randgen import random_idag
 
-    if not 0.0 <= args.edge_prob <= 1.0:
-        raise IdagError(f"edge_prob {args.edge_prob} outside [0, 1]")
+    n_in, n_out, n_nodes, edge_prob = args.operands
+    if not 0.0 <= edge_prob <= 1.0:
+        raise IdagError(f"edge_prob {edge_prob} outside [0, 1]")
     rng = random.Random(args.seed)
-    labels = tuple(args.label) if args.label else ("•",)
-    d = random_idag(
-        rng,
-        args.n_in,
-        args.n_out,
-        args.n_nodes,
-        args.edge_prob,
-        BY_NAME[args.mode],
-        labels=labels,
-    )
+    labels = tuple(args.label) if args.label else (DEFAULT_LABEL,)
+    d = random_idag(rng, n_in, n_out, n_nodes, edge_prob, BY_NAME[args.mode], labels=labels)
     _emit_idag(d, args.format)
     return 0
 
@@ -170,6 +143,51 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if run_selftest(seed=args.seed) else 1
 
 
+_OPTIONS: dict[str, dict] = {
+    "--mode": {"choices": tuple(BY_NAME), "default": "bool"},
+    "--quotient": {
+        "action": "append",
+        "choices": (TRANSITIVE, NO_DANGLING),
+        "help": "quotient to apply after evaluation (bool mode only; repeatable)",
+    },
+    "--sorting": {
+        "default": "default",
+        "help": '"default" (the lexicographically least topological sorting, node ids '
+        'compared as strings), or an index k (also "index:k") into the sortings in that order',
+    },
+    "--seed": {"type": int, "default": 0},
+    "--label": {"action": "append", "help": "node label pool (repeatable)"},
+}
+_OPERAND_TYPES = {"n_in": int, "n_out": int, "n_nodes": int, "edge_prob": float}
+_THEORY = ("--mode", "--quotient")
+_IDAG_FORMATS = ("json", "text", "dot")
+
+# command: (help, operands, options, formats with the default first, handler);
+# a command with one format takes no --format
+_COMMANDS: dict[str, tuple] = {
+    "eq": ("decide equality of two expressions",
+           ("lhs", "rhs"), _THEORY, ("text", "json"), _cmd_eq),
+    "normalize": ("expression -> canonical idag JSON",
+                  ("expr",), _THEORY, _IDAG_FORMATS, _cmd_normalize),
+    "decompose": ("idag JSON -> expression",
+                  ("idag",), ("--sorting",), ("text", "json"), _cmd_decompose),
+    "compose": ("sequential composite of two idag JSONs (first feeds second)",
+                ("first", "second"), (), _IDAG_FORMATS, _on_idags(lambda a, b: concat(b, a))),
+    "tensor": ("parallel composite of two idag JSONs",
+               ("first", "second"), (), _IDAG_FORMATS, _on_idags(juxt)),
+    "closure": ("transitive closure of a bool idag",
+                ("idag",), (), _IDAG_FORMATS, _on_idags(transitive_closure)),
+    "prune": ("delete dangling nodes of a bool idag",
+              ("idag",), (), _IDAG_FORMATS, _on_idags(prune_dangling)),
+    "dot": ("render idag JSON as Graphviz text",
+            ("idag",), (), ("dot",), _on_idags(lambda d: d)),
+    "random": ("generate a random idag", ("n_in", "n_out", "n_nodes", "edge_prob"),
+               ("--mode", "--seed", "--label"), _IDAG_FORMATS, _cmd_random),
+    "selftest": ("run the reduced-scale acceptance suites",
+                 (), ("--seed",), (), _cmd_selftest),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="idag",
@@ -177,79 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
         "of generator expressions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, fmt_default: str = "text") -> None:
-        p.add_argument("--mode", choices=["bool", "nat", "int"], default="bool")
-        p.add_argument(
-            "--quotient",
-            action="append",
-            choices=["transitive", "nodangling"],
-            help="quotient to apply after evaluation (bool mode only; repeatable)",
-        )
-        p.add_argument("--format", choices=["json", "text", "dot"], default=fmt_default)
-        p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("eq", help="decide equality of two expressions")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    common(p)
-    p.set_defaults(func=_cmd_eq)
-
-    p = sub.add_parser("normalize", help="expression -> canonical idag JSON")
-    p.add_argument("expr")
-    common(p, fmt_default="json")
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("decompose", help="idag JSON -> expression")
-    p.add_argument("idag")
-    p.add_argument(
-        "--sorting",
-        default="default",
-        help='"default", or an index k (also "index:k") into the sorting enumeration',
-    )
-    common(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("compose", help="sequential composite of two idag JSONs (first feeds second)")
-    p.add_argument("first")
-    p.add_argument("second")
-    common(p, fmt_default="json")
-    p.set_defaults(func=_cmd_compose)
-
-    p = sub.add_parser("tensor", help="parallel composite of two idag JSONs")
-    p.add_argument("first")
-    p.add_argument("second")
-    common(p, fmt_default="json")
-    p.set_defaults(func=_cmd_tensor)
-
-    p = sub.add_parser("closure", help="transitive closure of a bool idag")
-    p.add_argument("idag")
-    common(p, fmt_default="json")
-    p.set_defaults(func=_cmd_closure)
-
-    p = sub.add_parser("prune", help="delete dangling nodes of a bool idag")
-    p.add_argument("idag")
-    common(p, fmt_default="json")
-    p.set_defaults(func=_cmd_prune)
-
-    p = sub.add_parser("dot", help="render idag JSON as Graphviz text")
-    p.add_argument("idag")
-    common(p, fmt_default="dot")
-    p.set_defaults(func=_cmd_dot)
-
-    p = sub.add_parser("random", help="generate a random idag")
-    p.add_argument("n_in", type=int)
-    p.add_argument("n_out", type=int)
-    p.add_argument("n_nodes", type=int)
-    p.add_argument("edge_prob", type=float)
-    p.add_argument("--label", action="append", help="node label pool (repeatable)")
-    common(p, fmt_default="json")
-    p.set_defaults(func=_cmd_random)
-
-    p = sub.add_parser("selftest", help="run the reduced-scale acceptance suites")
-    common(p)
-    p.set_defaults(func=_cmd_selftest)
-
+    for name, (help_text, operands, options, formats, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for operand in operands:  # each appends its value to args.operands, in order
+            p.add_argument("operands", action="append", metavar=operand,
+                           type=_OPERAND_TYPES.get(operand, str))
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
+        if len(formats) > 1:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        p.set_defaults(func=handler, format=formats[0] if formats else None)
     return parser
 
 
@@ -258,10 +213,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IdagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (IdagError, OSError, UnicodeError) as exc:  # UnicodeError: input that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,7 @@ the weight is not 1."""
 from __future__ import annotations
 
 from .core import DEFAULT_LABEL, Idag, sorted_edges
+from .jsonio import dumps
 
 
 def _quote(s: str) -> str:
@@ -30,7 +31,7 @@ def idag_to_dot(d: Idag) -> str:
     for s, t, w in sorted_edges(d):
         src = f"i{s}" if s < n_in else f"v{s - n_in}"
         dst = f"v{t}" if t < n_nodes else f"o{t - n_nodes}"
-        attr = f' [label="{w}"]' if w != 1 else ""
+        attr = f' [label="{dumps(w)}"]' if w != 1 else ""
         lines.append(f"  {src} -> {dst}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ from typing import Optional, Union
 from .core import Idag, canonical_form, prune_dangling, transitive_closure
 from .errors import ArityMismatch, ModeMismatch
 from .jsonio import idag_to_obj
-from .models import FreeIdagModel, _walk
+from .models import FreeIdagModel, _typed_walk
 from .record import Frozen
 from .terms import Expression, arity_of, validate_for_mode
 from .weights import BOOL, WeightSystem
@@ -82,9 +82,8 @@ def normalize(e: Expression, mode: ModeLike) -> Idag:
     try:
         d = _image(e, tm)
     except Exception:
-        # the mode's errors come first, then typing's, then the walk's own
+        # the mode's errors come before the typing or walk error _image raised
         validate_for_mode(e, tm.weights, tm.labels)
-        arity_of(e)
         raise
     return _normal_form(d, tm)
 
@@ -94,7 +93,7 @@ def _image(e: Expression, tm: TheoryMode) -> Idag:
     outside int mode; a closed label set is checked before it."""
     if tm.labels is not None:
         validate_for_mode(e, tm.weights, tm.labels)
-    return FreeIdagModel(tm.weights)._read_image(*_walk(e, tm.weights))
+    return FreeIdagModel(tm.weights)._read_image(*_typed_walk(e, tm.weights))
 
 
 def _normal_form(d: Idag, tm: TheoryMode) -> Idag:

@@ -59,7 +59,8 @@ class SearchBudgetExceeded(IdagError):
 
 class SizeLimitExceeded(IdagError):
     """A width, interface or node count exceeds its bound, core.MAX_WIDTH;
-    the message names the size and the bound."""
+    the message names the size and the bound. The size is an int, or text
+    giving the digit count of a width too long to read."""
 
     def __init__(self, what: str, size: int, bound: int):
         self.size = size

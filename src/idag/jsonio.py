@@ -21,7 +21,7 @@ import json
 from typing import Any
 
 from .core import DEFAULT_LABEL, Idag, In, NodeRef, Out, Vertex, make_idag, sorted_edges
-from .errors import SchemaError
+from .errors import IdagError, SchemaError
 from .weights import BY_NAME
 
 
@@ -53,7 +53,16 @@ def idag_to_obj(d: Idag) -> dict[str, Any]:
 
 
 def idag_to_json(d: Idag) -> str:
-    return json.dumps(idag_to_obj(d), separators=(",", ":"), ensure_ascii=False)
+    return dumps(idag_to_obj(d))
+
+
+def dumps(value: Any) -> str:
+    """Compact JSON text for value. An int with more digits than Python
+    writes in decimal, as a product of weights can have, raises IdagError."""
+    try:
+        return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
+    except ValueError as exc:
+        raise IdagError(f"cannot write a number: {exc}") from None
 
 
 def _vertex_from_obj(obj: Any, side: str) -> Vertex:
@@ -86,7 +95,7 @@ def idag_from_obj(obj: Any) -> Idag:
     if extra:
         raise SchemaError(f"unknown fields {sorted(extra)}")
     mode_name = obj["mode"]
-    if mode_name not in BY_NAME:
+    if not isinstance(mode_name, str) or mode_name not in BY_NAME:
         raise SchemaError(f"unknown mode {mode_name!r}")
     mode = BY_NAME[mode_name]
     # type(x) is int, not isinstance: JSON true/false load as bool, an int
@@ -127,6 +136,8 @@ def idag_from_obj(obj: Any) -> Idag:
 def idag_from_json(text: str) -> Idag:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError, as is an int of more digits than
+        # int() reads; nesting deeper than the recursion limit is the other
         raise SchemaError(f"invalid JSON: {exc}") from exc
     return idag_from_obj(obj)

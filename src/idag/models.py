@@ -205,17 +205,7 @@ def loops_identity(n: int) -> LoopsMorphism:
 def free_generator_image(gen: Expression, mode: WeightSystem) -> Idag:
     """The idag a single generator evaluates to in the free model; a node
     box's node gets the id "0"."""
-    return FreeIdagModel(mode)._read_image(*_free_image(gen, mode))
-
-
-def _free_image(gen: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[int, int]]]:
-    """A single generator's free image in _walk's form: (inputs, node
-    labels, wires)."""
-    if isinstance(gen, Node):
-        arity_of(gen)  # rejects a label that is not a str
-        return 1, [gen.label], [{0: 1}, {1: 1}]
-    n_in, outs = _generator_image(gen, mode)
-    return n_in, [], [dict(terms) for terms in outs]
+    return FreeIdagModel(mode)._read_image(*_typed_walk(gen, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +299,11 @@ class MatrixModel(Model, Frozen):
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "lambda_images", {} if lambda_images is None else lambda_images)
 
-    def _lambda(self, label: str) -> MatrixMorphism:
+    def _lambda(self, label: str) -> int:
+        """The scalar of label's 1 x 1 image."""
         img = self.lambda_images.get(label)
         if img is None:
-            return matrix_identity(1, self.weights)
+            return 1
         if isinstance(img, MatrixMorphism):
             if img.weights is not self.weights:
                 raise ModeMismatch(
@@ -320,9 +311,9 @@ class MatrixModel(Model, Frozen):
                 )
             if (img.n_in, img.n_out) != (1, 1):
                 raise InterfaceMismatch(f"lambda image for {label!r} must be 1x1")
-            return img
+            return img.rows[0].get(0, 0)
         self.weights.check_value(img)
-        return matrix([[img]], self.weights, 1, 1)
+        return img
 
     def identity(self, n: int) -> MatrixMorphism:
         return matrix_identity(n, self.weights)
@@ -334,10 +325,7 @@ class MatrixModel(Model, Frozen):
         return matrix_permutation(perm, self.weights)
 
     def generator(self, gen: Expression) -> MatrixMorphism:
-        if isinstance(gen, Node):
-            arity_of(gen)  # rejects a label that is not a str
-            return self._lambda(gen.label)
-        return self._read_image(*_free_image(gen, self.weights))
+        return self._read_image(*_typed_walk(gen, self.weights))
 
     def compose(self, first: MatrixMorphism, then: MatrixMorphism) -> MatrixMorphism:
         return first.then(then)
@@ -363,7 +351,7 @@ class MatrixModel(Model, Frozen):
         each source, then each output, its {input: coefficient} value; node
         images come from _lambda, once per label."""
         weighted_sum = self.weights.weighted_sum
-        scalar = {lbl: self._lambda(lbl).rows[0].get(0, 0) for lbl in dict.fromkeys(labels)}
+        scalar = {lbl: self._lambda(lbl) for lbl in dict.fromkeys(labels)}
         n_out = len(wires) - len(labels)
         values = [{i: 1} for i in range(n_in)]
         for c, wire in zip([scalar[lbl] for lbl in labels] + [1] * n_out, wires):
@@ -430,12 +418,8 @@ def evaluate(e: Expression, model: Model):
     """
     kind = type(model)
     if kind is FreeIdagModel or kind is MatrixModel:
-        try:
-            image = _walk(e, model.mode if kind is FreeIdagModel else model.weights)
-        except Exception:
-            arity_of(e)  # a typing error comes first, with its position
-            raise
-        return model._read_image(*image)
+        mode = model.mode if kind is FreeIdagModel else model.weights
+        return model._read_image(*_typed_walk(e, mode))
     arity_of(e)
 
     def atom(a: Expression):
@@ -451,6 +435,16 @@ def evaluate(e: Expression, model: Model):
         lambda _n, a, b: model.compose(a, b),
         lambda _n, a, b: model.tensor(a, b),
     )
+
+
+def _typed_walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[int, int]]]:
+    """_walk(e, mode), raising arity_of's error, with its position, when e
+    is ill-typed, and otherwise the walk's own."""
+    try:
+        return _walk(e, mode)
+    except Exception:
+        arity_of(e)
+        raise
 
 
 class _IllTyped(Exception):

@@ -392,8 +392,11 @@ def validate_for_mode(e: Expression, mode: WeightSystem, labels=None) -> None:
     for a in atoms(e):
         if type(a) in _GENERATORS:
             _generator_image(a, mode)
-        if labels is not None and isinstance(a, Node) and a.label not in labels:
-            raise UnsupportedGenerator(f"label {a.label!r} not in the label set")
+        if labels is not None and isinstance(a, Node):
+            if not isinstance(a.label, str):
+                _atom_arity(a)  # raises arity_of's error, as a label may not hash
+            if a.label not in labels:
+                raise UnsupportedGenerator(f"label {a.label!r} not in the label set")
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +466,10 @@ _KEYWORD_ATOMS = {
     keyword: (cls(), n_in, len(outs)) for cls, (keyword, n_in, outs) in _GENERATORS.items()
 }
 _KEYWORD_ATOMS["node"] = (Node(), 1, 1)
+# A width token with more digits is past MAX_WIDTH and is not read: int()
+# refuses more than 4,300 digits, and a TypeMismatch prints sums of widths.
+# Shorter tokens are read, so their typing errors still come first.
+_READ_DIGITS = 4000
 
 
 def _line_column(text: str, offset: int) -> tuple[int, int]:
@@ -490,7 +497,9 @@ def parse(text: str) -> Expression:
 
     Raises ExprSyntaxError (with line and column) on bad syntax, then
     TypeMismatch on a well-formed but ill-typed composite, then
-    SizeLimitExceeded on an id or sym wider than MAX_WIDTH.
+    SizeLimitExceeded on an id or sym wider than MAX_WIDTH. A width of more
+    than _READ_DIGITS digits raises SizeLimitExceeded right after syntax
+    errors, since its value is never read.
 
     expr := ten (";" ten)*, ten := atom ("*" atom)*, where an atom may be a
     parenthesized expr. Iterative: each open parenthesis pushes the
@@ -517,6 +526,7 @@ def parse(text: str) -> Expression:
     shared: dict = {}  # tokens of an id, sym or labelled node -> _KEYWORD_ATOMS' form
     ill_typed = False
     too_wide = 0  # the widest id or sym past MAX_WIDTH
+    too_long = 0  # the digit count of the first width token too long to read
     i = 0
     while True:
         tok = tokens[i]
@@ -536,7 +546,10 @@ def parse(text: str) -> Expression:
                     raise _syntax_error(text, tokens, i + 1, "unexpected end of input")
                 if not n.isdigit():
                     raise _syntax_error(text, tokens, i + 1, f"expected a number, got {n!r}")
-                widths.append(int(n))
+                digits = n.lstrip("0") or "0"
+                if not too_long and len(digits) > _READ_DIGITS:
+                    too_long = len(digits)
+                widths.append(0 if too_long else int(digits))  # unread once too_long
                 i += 2
             if tokens[i] != ")":
                 raise _syntax_error(text, tokens, i, "expected ')'")
@@ -588,6 +601,8 @@ def parse(text: str) -> Expression:
             if not enclosing:
                 if tok is not None:
                     raise _syntax_error(text, tokens, i, f"trailing input {tok!r}")
+                if too_long:
+                    raise SizeLimitExceeded("width of", f"{too_long} digits", MAX_WIDTH)
                 if ill_typed:
                     arity_of(chain)  # raises the TypeMismatch, with its position
                 if too_wide:

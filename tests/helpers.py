@@ -1,5 +1,9 @@
 """Shared generators and models for the test suite."""
 
+import resource
+import subprocess
+import sys
+
 from idag.models import Model
 from idag.terms import Delta, Eps, Eta, Id, Nabla, Node, Sym, ten_all
 
@@ -74,3 +78,20 @@ class Forwarding(Model):
 
     def equal(self, a, b):
         return self.inner.equal(a, b)
+
+
+def _limit_memory():
+    limit = 1_500_000_000
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def run_capped(args, stdin=""):
+    """python args in a child process whose address space is capped."""
+    return subprocess.run(
+        [sys.executable, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_limit_memory,
+    )

@@ -4,17 +4,14 @@ the CLI exits 2) instead of running out of memory."""
 
 import json
 import random
-import resource
-import subprocess
-import sys
 
 import pytest
 
 from idag.core import MAX_WIDTH, from_permutation, identity, make_idag, symmetry
-from idag.errors import BadEndpoint, SizeLimitExceeded
+from idag.errors import BadEndpoint, ExprSyntaxError, SizeLimitExceeded, TypeMismatch
 from idag.equivalence import equal_mod_theory, normalize
 from idag.jsonio import idag_from_obj
-from helpers import Forwarding
+from helpers import Forwarding, run_capped
 from idag.models import FreeIdagModel, LoopsModel, MatrixModel, evaluate, matrix_identity
 from idag.randgen import random_idag
 from idag.terms import Id, Seq, Sym, parse
@@ -59,21 +56,18 @@ def test_every_entry_point_checks_the_bound():
         identity(-HUGE)
 
 
-def _limit_memory():
-    limit = 1_500_000_000
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
-def _run(args, stdin=""):
-    """python args in a child process whose address space is capped."""
-    return subprocess.run(
-        [sys.executable, *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        timeout=120,
-        preexec_fn=_limit_memory,
-    )
+def test_width_tokens_too_long_to_read():
+    # int() reads at most 4,300 digits, and an error message must print each
+    # width it names, so a longer token is past the bound without being read,
+    # after any syntax error; shorter ones are read, and typing comes first
+    nines = "9" * 5000
+    with pytest.raises(SizeLimitExceeded, match="^width of 5000 digits exceeds the bound"):
+        parse(f"id({nines}) ; sym(1,{nines})")
+    with pytest.raises(ExprSyntaxError):
+        parse(f"id({nines}) ;;")
+    with pytest.raises(TypeMismatch):
+        parse(f"id({nines[:4000]}) * id(1) ; eps")
+    assert parse(f"id({'0' * 5000}7)") == Id(7)
 
 
 def test_typing_errors_come_before_the_bound():
@@ -89,7 +83,7 @@ def test_typing_errors_come_before_the_bound():
         "    except TypeMismatch:\n"
         "        print('TypeMismatch')\n"
     )
-    r = _run(["-c", code])
+    r = run_capped(["-c", code])
     assert (r.returncode, r.stdout.split()) == (0, ["TypeMismatch"] * 4), r.stderr
 
 
@@ -109,7 +103,7 @@ def test_typing_errors_come_before_the_bound():
     ids=lambda args: " ".join(args)[:24],
 )
 def test_huge_widths_exit_2_under_a_memory_limit(args):
-    r = _run(["-m", "idag", *args], json.dumps(_HUGE_IDAG))
+    r = run_capped(["-m", "idag", *args], json.dumps(_HUGE_IDAG))
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert f"exceeds the bound {MAX_WIDTH}" in r.stderr

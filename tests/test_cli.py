@@ -1,8 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import idag
 from idag.cli import main
@@ -139,6 +142,7 @@ def test_decompose_sorting_flags(tmp_path, capsys):
     assert obj3["sorting"] == ["c", "a", "d", "b"]
 
     assert main(["decompose", f"@{right}", "--sorting", "5"]) == 2
+    assert main(["decompose", f"@{right}", "--sorting", "9" * 20]) == 2  # past islice's reach
     assert main(["decompose", f"@{right}", "--sorting", "nonsense"]) == 2
 
 
@@ -210,7 +214,7 @@ def test_decompose_huge_weight_evaluates_back():
         "edges": [{"src": {"in": 0}, "dst": {"node": "p"}, "w": 10**20},
                   {"src": {"node": "p"}, "dst": {"out": 0}}],
     }
-    r = run_cli("decompose", json.dumps(d), "--mode", "nat")
+    r = run_cli("decompose", json.dumps(d))
     assert r.returncode == 0, r.stderr
     e = parse(r.stdout)
     assert evaluate(e, MatrixModel(NAT)).entries == ((10**20,),)
@@ -230,6 +234,27 @@ def test_decompose_unprintable_label_is_a_clean_error(capsys):
     assert err.startswith("error:") and "'a b'" in err
 
 
+def test_numbers_too_long_to_read_or_write_exit_2(capsys):
+    # int() reads and writes at most 4,300 digits; exit 1 would read as "unequal"
+    huge_json = '{"mode":"bool","inputs":1' + "0" * 5000 + ',"outputs":1,"nodes":[],"edges":[]}'
+    # weights of 4,000 digits read, but their product has too many to write
+    scale = '{"mode":"nat","inputs":1,"outputs":1,"nodes":[],"edges":[{"src":{"in":0},"dst":{"out":0},"w":%s}]}'
+    scale %= "9" * 4000
+    cases = [
+        (["eq", f"id({'9' * 5000})", "id(1)"], "error: width of 5000 digits exceeds the bound"),
+        (["closure", huge_json], "error: invalid JSON: "),
+        (["decompose", "[" * 100_000], "error: invalid JSON: "),
+        (["compose", scale, scale], "error: cannot write a number: "),
+        (["compose", scale, scale, "--format", "dot"], "error: cannot write a number: "),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(message)
+        r = run_cli(*argv)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith(message), r.stderr
+
+
 def test_stdin_input():
     r = subprocess.run(
         [sys.executable, "-m", "idag", "closure", "-"],
@@ -242,6 +267,59 @@ def test_stdin_input():
     assert r.stdout.strip() == '{"mode":"bool","inputs":0,"outputs":0,"nodes":[],"edges":[]}'
 
 
-def test_missing_file_is_a_clean_error(capsys):
+def test_missing_file_is_a_clean_error(tmp_path, capsys):
     assert main(["closure", "@/definitely/not/here.json"]) == 2
     assert "error:" in capsys.readouterr().err
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"mode":"bool","inputs":0,"outputs":0,"nodes":[{"id":"\xe9"}],"edges":[]}')
+    assert main(["closure", f"@{not_utf8}"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+# each command's options, the ones its handler reads, with their choices
+CLI_OPTIONS = {
+    "eq": {"--mode {bool,nat,int}", "--quotient {transitive,nodangling}", "--format {text,json}"},
+    "normalize": {"--mode {bool,nat,int}", "--quotient {transitive,nodangling}", "--format {json,text,dot}"},
+    "decompose": {"--sorting", "--format {text,json}"},
+    "compose": {"--format {json,text,dot}"},
+    "tensor": {"--format {json,text,dot}"},
+    "closure": {"--format {json,text,dot}"},
+    "prune": {"--format {json,text,dot}"},
+    "dot": set(),
+    "random": {"--mode {bool,nat,int}", "--seed", "--label", "--format {json,text,dot}"},
+    "selftest": {"--seed"},
+}
+_WIRE = '{"mode":"bool","inputs":1,"outputs":1,"nodes":[],"edges":[{"src":{"in":0},"dst":{"out":0}}]}'
+CLI_OPERANDS = {
+    "eq": ["id(1)", "id(1)"], "normalize": ["id(1)"], "decompose": [_WIRE], "compose": [_WIRE, _WIRE],
+    "tensor": [_WIRE, _WIRE], "closure": [_WIRE], "prune": [_WIRE], "dot": [_WIRE],
+    "random": ["1", "1", "1", "0.5"], "selftest": [],
+}
+
+
+def test_each_command_takes_only_the_options_it_reads(capsys):
+    for command, options in CLI_OPTIONS.items():
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        listed = set(re.findall(r"--(?!help\b)[a-z]+(?: \{[a-z,]+\})?", text))
+        assert listed == options, command
+    # every flag that a command once accepted and ignored is now an error
+    removed = [
+        (command, flag)
+        for command, options in CLI_OPTIONS.items()
+        for flag in ("--mode", "--quotient", "--format", "--seed")
+        if not any(option.split()[0] == flag for option in options)
+    ]
+    assert len(removed) == 25
+    values = {"--mode": "nat", "--quotient": "transitive", "--format": "json", "--seed": "5"}
+    for command, flag in removed:
+        with pytest.raises(SystemExit) as info:
+            main([command, *CLI_OPERANDS[command], flag, values[flag]])
+        assert info.value.code == 2, (command, flag)
+        assert "unrecognized arguments" in capsys.readouterr().err
+    for command in ("eq", "decompose"):
+        with pytest.raises(SystemExit) as info:
+            main([command, *CLI_OPERANDS[command], "--format", "dot"])
+        assert info.value.code == 2

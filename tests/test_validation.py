@@ -8,6 +8,7 @@ import pytest
 
 from idag.core import In, NodeRef, Out, from_permutation, identity, make_idag, symmetry
 from idag.decomposition import layer, permutation_expression, transposition_identities
+from idag.equivalence import TheoryMode, normalize
 from idag.errors import BadEndpoint, IndexOutOfRange, NotBijective, UnsupportedGenerator
 from idag.models import (
     FreeIdagModel,
@@ -61,7 +62,7 @@ def test_permutation_entries_must_be_ints(build):
         build()
 
 
-@pytest.mark.parametrize("label", [5, None, b"x", ("x",)])
+@pytest.mark.parametrize("label", [5, None, b"x", ("x",), ["x"]])
 def test_node_labels_must_be_strings(label):
     for e in (Node(label), Ten(Id(1), Seq(Node("x"), Node(label)))):
         with pytest.raises(UnsupportedGenerator):
@@ -71,6 +72,9 @@ def test_node_labels_must_be_strings(label):
         for model in (FreeIdagModel(), MatrixModel()):
             with pytest.raises(UnsupportedGenerator):
                 evaluate(e, model)
+        # a closed label set is checked first, and a list label does not hash
+        with pytest.raises(UnsupportedGenerator, match="is not a string$"):
+            normalize(e, TheoryMode(NAT, frozenset(), frozenset({"x"})))
 
 
 @pytest.mark.parametrize("model", [FreeIdagModel(), MatrixModel(), LoopsModel()], ids=lambda m: type(m).__name__)
