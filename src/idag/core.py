@@ -32,6 +32,7 @@ from .errors import (
     NotBijective,
     SearchBudgetExceeded,
     SizeLimitExceeded,
+    _int_text,
 )
 from .record import Frozen, Record
 from .weights import BOOL, WeightSystem
@@ -312,7 +313,7 @@ def _check_widths(what: str, *widths: int) -> None:
         if type(n) is not int:
             raise BadEndpoint(f"{what} {n!r} is not an int")
         if n < 0:
-            raise BadEndpoint(f"negative {what} {n}")
+            raise BadEndpoint(f"negative {what} {_int_text(n)}")
         if n > MAX_WIDTH:
             raise SizeLimitExceeded(what, n, MAX_WIDTH)
 

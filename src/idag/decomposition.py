@@ -16,8 +16,11 @@ A slice's encoding copies, scales, routes and merges wires. Each edge gets
 one copy, scaled by its weight w in O(log |w|) atoms, and routing moves it
 in one crossing, so a decomposition holds at most one crossing per edge and
 O(N + E + sum of log |w|) atoms. decompose() builds the encoding of a node
-slice straight from the node's in-edges, without its matrix, so its time is
-linear in its output too; the sorting is checked once per call.
+slice straight from the node's in-edges, without its matrix, and its rows
+from integer pad widths, so its time is linear in its output too; the
+sorting is checked once per call. Expressions are immutable, so one call
+builds each id(k), weight gadget and fan-in once and its slices share
+them; nothing is kept between calls.
 
 Counting and uniform sampling of sortings are exact, and raise
 SearchBudgetExceeded beyond MAX_DOWN_SETS down-sets.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right, insort
+from functools import cache
 from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -56,6 +60,7 @@ from .terms import (
     Seq,
     Sym,
     Ten,
+    _padded_row,
     seq_all,
     ten_all,
 )
@@ -83,18 +88,20 @@ class TopSort(Frozen):
 SortLike = Union[TopSort, Sequence[str]]
 
 
-def _order_index(d: Idag) -> tuple[list[str], list[int], list[list[int]]]:
-    """d's node ids in sorted order, the predecessors of each as a bit mask
-    over that order, and the successors of each as positions in it."""
+def _order_index(d: Idag) -> tuple[list[str], list[list[int]]]:
+    """d's node ids in sorted order, and the successors of each as positions
+    in that order."""
     ids = sorted(d.node_ids)
-    below = [0] * len(ids)
+    pos = d._position()
+    rank = [0] * len(ids)  # node position -> place in ids
+    for k, nid in enumerate(ids):
+        rank[pos[nid]] = k
     succ: list[list[int]] = [[] for _ in ids]
-    for k, wire in enumerate(_along(d, ids)[: len(ids)]):
+    for p, wire in enumerate(d.wires[: len(ids)]):
         for s in wire:
             if s >= d.n_in:
-                below[k] |= 1 << (s - d.n_in)
-                succ[s - d.n_in].append(k)
-    return ids, below, succ
+                succ[rank[s - d.n_in]].append(rank[p])
+    return ids, succ
 
 
 def _along(d: Idag, order: Sequence[str]) -> tuple[dict[int, int], ...]:
@@ -125,8 +132,11 @@ def topological_sortings(d: Idag) -> Iterator[TopSort]:
     updates a sorted list of the ready nodes and its successors' counts of
     unplaced predecessors; on backtracking, a position takes the least ready
     node above the one it held."""
-    ids, below, succ = _order_index(d)
-    waiting = [mask.bit_count() for mask in below]
+    ids, succ = _order_index(d)
+    waiting = [0] * len(ids)  # per node: its unplaced predecessors
+    for after in succ:
+        for t in after:
+            waiting[t] += 1
     ready = [k for k, w in enumerate(waiting) if not w]
     order: list[int] = []
 
@@ -163,14 +173,20 @@ def default_sorting(d: Idag) -> TopSort:
     return next(topological_sortings(d))
 
 
-def _extension_counter(below: Sequence[int]) -> Callable[[int], int]:
-    """A memoised count of the topological sortings of any down-closed set
-    of remaining nodes, given as a bit mask; below holds each node's
-    predecessor mask, as _order_index builds it.
+def _extension_counter(succ: Sequence[Sequence[int]]) -> tuple[list[int], Callable[[int], int]]:
+    """The predecessors of each node as a bit mask over the order of
+    _order_index, given the successors it lists, and a memoised count of
+    the topological sortings of any down-closed set of remaining nodes,
+    given as such a mask. The masks take N bits each, so only counting and
+    sampling build them.
 
-    Raises SearchBudgetExceeded once the count holds more than
+    The count raises SearchBudgetExceeded once it holds more than
     MAX_DOWN_SETS down-sets, memoised or waiting on the stack.
     """
+    below = [0] * len(succ)
+    for k, after in enumerate(succ):
+        for t in after:
+            below[t] |= 1 << k
     memo: dict[int, int] = {0: 1}
 
     def count(remaining: int) -> int:
@@ -201,7 +217,7 @@ def _extension_counter(below: Sequence[int]) -> Callable[[int], int]:
                 stack.pop()
         return memo[remaining]
 
-    return count
+    return below, count
 
 
 def count_topological_sortings(d: Idag) -> int:
@@ -209,15 +225,15 @@ def count_topological_sortings(d: Idag) -> int:
 
     Raises SearchBudgetExceeded when d has more than MAX_DOWN_SETS down-sets
     (counting linear extensions is #P-complete)."""
-    _, below, _ = _order_index(d)
-    return _extension_counter(below)((1 << len(below)) - 1)
+    below, count = _extension_counter(_order_index(d)[1])
+    return count((1 << len(below)) - 1)
 
 
 def sample_topological_sorting(d: Idag, rng: random.Random) -> TopSort:
     """One topological sorting drawn uniformly, by linear-extension
     counting; raises SearchBudgetExceeded where counting does."""
-    ids, below, _ = _order_index(d)
-    count = _extension_counter(below)
+    ids, succ = _order_index(d)
+    below, count = _extension_counter(succ)
     order: list[str] = []
     remaining = (1 << len(ids)) - 1
     while remaining:
@@ -454,7 +470,13 @@ def encode_relation(mat: MatrixMorphism) -> Expression:
     return seq_all(parts)
 
 
-def _encode_node_slice(live: int, ins: Sequence[tuple[int, int]]) -> Expression:
+def _encode_node_slice(
+    live: int,
+    ins: Sequence[tuple[int, int]],
+    pad: Callable[[int], Expression],
+    scale: Callable[[int], Expression],
+    fan_in: Callable[[int], Expression],
+) -> Expression:
     """encode_relation of a node slice, built from the node's in-edges in
     O(len(ins) + atoms) time instead of from its matrix.
 
@@ -465,27 +487,28 @@ def _encode_node_slice(live: int, ins: Sequence[tuple[int, int]]) -> Expression:
     into its own wire and one copy bound for the node; _scale(w) scales the
     copy; one crossing per in-edge, from the highest row down, moves the
     copy past the live-1-r wires of the later rows; one fan-in merges the
-    copies for the node.
+    copies for the node. Rows list pad widths as ints; pad, scale and
+    fan_in build Id, _scale and _fan_in, or share their instances.
     """
-    fans: list[Expression] = []
-    scales: list[Expression] = []
+    fans: list = []
+    scales: list = []
     at = 0
     for r, w in ins:
-        fans += [Id(r - at), _DELTA]
-        scales += [Id(r + 1 - at), _scale(w)]
+        fans += (r - at, _DELTA)
+        scales += (r + 1 - at, 1 if w == 1 else scale(w))  # _scale(1) is id(1)
         at = r + 1
-    parts = [ten_all(fans + [Id(live - at)])] if ins else []
+    parts = [_padded_row(fans + [live - at], pad)] if ins else []
     if any(w != 1 for _, w in ins):
-        parts.append(ten_all(scales + [Id(live - at)]))
+        parts.append(_padded_row(scales + [live - at], pad))
     # the copy from ins[t] sits at r + 1 + t, before the placed later ones
     crossings: list[Expression] = []
     for placed, (r, _) in enumerate(reversed(ins)):
         if r < live - 1:
-            crossings.append(ten_all([Id(r + len(ins) - placed), Sym(1, live - 1 - r), Id(placed)]))
+            crossings.append(_padded_row((r + len(ins) - placed, Sym(1, live - 1 - r), placed), pad))
     if crossings:
         parts.append(seq_all(crossings))
     if len(ins) != 1:
-        parts.append(ten_all([Id(live), _fan_in(len(ins))]))
+        parts.append(_padded_row((live, fan_in(len(ins))), pad))
     return seq_all(parts)
 
 
@@ -501,12 +524,14 @@ def decompose(d: Idag, sort: SortLike) -> Expression:
     into = _rows_into(d, ts)
     labels = dict(d.nodes)
     n = d.n_in
+    # expressions are immutable, so the slices share one instance of each
+    pad, scale, fan_in = cache(Id), cache(_scale), cache(_fan_in)
     parts: list[Expression] = []
     for k, nid in enumerate(ts.order):
-        parts.append(_encode_node_slice(n + k, into[k]))
+        parts.append(_encode_node_slice(n + k, into[k], pad, scale, fan_in))
         box: Expression = Node(labels[nid])
         if n + k > 0:
-            box = Ten(Id(n + k), box)
+            box = Ten(pad(n + k), box)
         parts.append(box)
     parts.append(encode_relation(_output_slice(d, into[len(ts) :], n + len(ts))))
     return seq_all(parts)

@@ -7,6 +7,23 @@ CLI) can catch one type and map it to a diagnostic.
 from __future__ import annotations
 
 
+def _int_text(n: int) -> str:
+    """n in decimal for a message, or, when str() refuses it (Python writes
+    at most 4,300 digits by default), its sign and digit count, as in
+    "<5001 digits>" or "-<5001 digits>"."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    a = abs(n)
+    k = int(a.bit_length() * 0.30103)  # then 10**k <= a < 10**(k+1) up to one step
+    while 10**k > a:
+        k -= 1
+    while 10 ** (k + 1) <= a:
+        k += 1
+    return f"{'-' if n < 0 else ''}<{k + 1} digits>"
+
+
 class IdagError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -65,7 +82,7 @@ class SizeLimitExceeded(IdagError):
     def __init__(self, what: str, size: int, bound: int):
         self.size = size
         self.bound = bound
-        super().__init__(f"{what} {size} exceeds the bound {bound}")
+        super().__init__(f"{what} {_int_text(size)} exceeds the bound {bound}")
 
 
 class TypeMismatch(IdagError):
@@ -77,7 +94,7 @@ class TypeMismatch(IdagError):
         self.found = found
         super().__init__(
             f"sequential mismatch at {position}: "
-            f"upstream coarity {expected}, downstream arity {found}"
+            f"upstream coarity {_int_text(expected)}, downstream arity {_int_text(found)}"
         )
 
 

@@ -18,7 +18,8 @@ edge weights times node images). The free images of the node-free
 generators are defined once, in terms._GENERATORS, so a generator's matrix
 image too is the path sum of its free image. evaluate() builds e's image by
 one walk that touches only the wires each atom consumes and type-checks e
-as it goes, so a well-typed e is walked once;
+as it goes, so a well-typed e is walked once; the walk dispatches on each
+term's class and reads the generator images from that table on each call;
 decomposition.interpret() takes d's own wires along the sorting. Other
 models, subclasses and wrapping models take the compose/tensor fold, which
 tests use as the reference.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence, Union
 
-from . import core
+from . import core, terms
 from .core import MAX_WIDTH, Idag, canonical_form
 from .errors import (
     InterfaceMismatch,
@@ -51,6 +52,7 @@ from .terms import (
     Ten,
     _atom_arity,
     _generator_image,
+    _interprets,
     arity_of,
     fold,
 )
@@ -481,10 +483,17 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
     dict, never changed once made. Each atom runs only on the wires it
     consumes: id is skipped, a crossing reorders them, a node box's in-wire
     feeds a new node whose source replaces the wire, and any other atom
-    maps its input wires to its output wires by its free image's terms
-    (terms._GENERATORS).
+    maps its input wires to its output wires by its free image's terms.
     Atoms run left to right, so a tensor's right factor starts where the
     outputs of its left factor's last atom end.
+
+    Each stack entry is dispatched on its class, the common ones first. The
+    node-free generators' images are read from terms._GENERATORS on each
+    call, and an output that is one input with weight 1 takes that input's
+    wire itself, as weighted_sum would return it. A subclass of Seq, Ten,
+    Id or Sym is read as its base class, as isinstance would; a Node
+    subclass is ill-typed, and anti outside int mode raises through
+    _generator_image.
 
     Typing is checked with no width arithmetic. No atom may read past the
     wire list, and a well-typed `then` consumes exactly the outputs of its
@@ -497,6 +506,13 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
     if n_in > MAX_WIDTH:
         raise SizeLimitExceeded("input count", n_in, MAX_WIDTH)
     weighted_sum = mode.weighted_sum
+    # per generator class: its input count and, per output, the input it
+    # passes on unchanged or the (input, weight) terms it sums
+    images = {
+        cls: (width, tuple(ts[0][0] if len(ts) == 1 and ts[0][1] == 1 else ts for ts in outs))
+        for cls, (_, width, outs) in terms._GENERATORS.items()
+        if _interprets(mode, cls)
+    }
     labels: list[str] = []
     ins: list[dict[int, int]] = []
     wires = [{i: 1} for i in range(n_in)]
@@ -511,20 +527,21 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
         elif at < 0:  # a `then` starts at ~at
             at = ~at
             right_of.append(len(wires) - end)
-        if x is _CLOSE_THEN:
-            if right_of.pop() != len(wires) - end:
-                raise _IllTyped
-        elif isinstance(x, Seq):
-            stack += (close_then, (x.then, ~at), (x.first, at))
-        elif isinstance(x, Ten):
+        kind = type(x)
+        if kind is Ten:
             stack.append((x.right, None))
             stack.append((x.left, at))
-        elif isinstance(x, Id):
+        elif kind is Id:
             n = x.n
             if type(n) is not int or n < 0 or at + n > len(wires):
                 raise _IllTyped
             end = at + n
-        elif isinstance(x, Sym):
+        elif kind is Seq:
+            stack += (close_then, (x.then, ~at), (x.first, at))
+        elif x is _CLOSE_THEN:
+            if right_of.pop() != len(wires) - end:
+                raise _IllTyped
+        elif kind is Sym:
             n, m = x.n, x.m
             if type(n) is not int or type(m) is not int or n < 0 or m < 0:
                 raise _IllTyped
@@ -532,23 +549,45 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
             if end > len(wires):
                 raise _IllTyped
             wires[at:end] = wires[mid:end] + wires[at:mid]
-        elif isinstance(x, Node):
-            if type(x) is not Node or not isinstance(x.label, str):
+        elif kind in images:
+            width, outs = images[kind]
+            stop = at + width
+            if stop > len(wires):
+                raise _IllTyped
+            wires[at:stop] = [
+                wires[at + o] if type(o) is int
+                else weighted_sum([(wires[at + s], w) for s, w in o])
+                for o in outs
+            ]
+            end = at + len(outs)
+        elif kind is Node:
+            if not isinstance(x.label, str):
                 raise _IllTyped
             ins.append(wires[at])
             wires[at] = {n_in + len(labels): 1}
             labels.append(x.label)
             end = at + 1
         else:
-            width, out_terms = _generator_image(x, mode)
-            if at + width > len(wires):
-                raise _IllTyped
-            local = wires[at : at + width]
-            wires[at : at + width] = [
-                weighted_sum([(local[s], w) for s, w in terms]) for terms in out_terms
-            ]
-            end = at + len(out_terms)
+            stack.append((_as_base(x, mode), at))
     return n_in, labels, ins + wires
+
+
+def _as_base(x: Expression, mode: WeightSystem) -> Expression:
+    """x, of a class _walk does not dispatch on, rebuilt as the base class
+    isinstance finds for it: Seq, Ten, Id or Sym. Raises on anything else:
+    _IllTyped on a Node subclass, _generator_image's error on any other
+    atom (an unknown one, a generator subclass, anti outside int mode)."""
+    if isinstance(x, Seq):
+        return Seq(x.first, x.then)
+    if isinstance(x, Ten):
+        return Ten(x.left, x.right)
+    if isinstance(x, Id):
+        return Id(x.n)
+    if isinstance(x, Sym):
+        return Sym(x.n, x.m)
+    if not isinstance(x, Node):
+        _generator_image(x, mode)
+    raise _IllTyped
 
 
 def loops_eval(e: Expression) -> LoopsMorphism:

@@ -42,7 +42,13 @@ import re
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .core import DEFAULT_LABEL, MAX_WIDTH
-from .errors import ExprSyntaxError, SizeLimitExceeded, TypeMismatch, UnsupportedGenerator
+from .errors import (
+    ExprSyntaxError,
+    SizeLimitExceeded,
+    TypeMismatch,
+    UnsupportedGenerator,
+    _int_text,
+)
 from .record import Frozen
 from .weights import WeightSystem
 
@@ -283,10 +289,16 @@ def _generator_image(gen: Expression, mode: WeightSystem) -> tuple[int, tuple]:
     and on anti outside int mode."""
     if type(gen) not in _GENERATORS:
         raise UnsupportedGenerator(f"no free image for {gen!r}")
-    if isinstance(gen, Anti) and not mode.antipode_enabled:
+    if not _interprets(mode, type(gen)):
         raise UnsupportedGenerator(f"anti requires int mode, not {mode!r}")
     _, n_in, outs = _GENERATORS[type(gen)]
     return n_in, outs
+
+
+def _interprets(mode: WeightSystem, cls: type) -> bool:
+    """Whether mode gives the generator class of _GENERATORS a free image:
+    anti needs int mode."""
+    return cls is not Anti or mode.antipode_enabled
 
 
 # arity_of's stack marks: the composite below has both parts done
@@ -357,7 +369,9 @@ def _wiring_width(a: Id | Sym) -> int:
     else:
         n, m = a.n, a.m
     if type(n) is not int or type(m) is not int or n < 0 or m < 0:
-        raise UnsupportedGenerator(f"id({n})" if isinstance(a, Id) else f"sym({n},{m})")
+        raise UnsupportedGenerator(
+            f"id({_int_text(n)})" if isinstance(a, Id) else f"sym({_int_text(n)},{_int_text(m)})"
+        )
     return n + m
 
 
@@ -430,8 +444,11 @@ def print_expression(e: Expression) -> str:
             if wrap_left:
                 out.append("(")
         elif isinstance(a, (Id, Sym)):
-            _wiring_width(a)  # no syntax for other widths
-            out.append(f"id({a.n})" if isinstance(a, Id) else f"sym({a.n},{a.m})")
+            width = _wiring_width(a)  # no syntax for other widths
+            try:
+                out.append(f"id({a.n})" if isinstance(a, Id) else f"sym({a.n},{a.m})")
+            except ValueError:  # more digits than str() writes
+                raise SizeLimitExceeded("width", width, MAX_WIDTH) from None
         elif type(a) in _GENERATORS:
             out.append(_GENERATORS[type(a)][0])
         elif isinstance(a, Node):
@@ -631,24 +648,28 @@ def seq_all(parts: Sequence[Expression]) -> Expression:
 def ten_all(parts: Sequence[Expression]) -> Expression:
     """Left-associated tensor chain, collapsing adjacent identities; an empty
     list gives id(0)."""
-    merged: list[Expression] = []
+    return _padded_row([p.n if isinstance(p, Id) else p for p in parts], Id)
+
+
+def _padded_row(parts: Sequence, pad: Callable[[int], Expression]) -> Expression:
+    """The left-associated tensor chain of parts, where a part that is not
+    an expression is a width of identity wires: adjacent widths merge into
+    one pad(width), a zero total leaves none, and no parts left give
+    pad(0). ten_all and the decomposition encoders build rows by this one
+    rule."""
+    e: Optional[Expression] = None
     wires = 0  # width of the identities since the last other part
     for p in parts:
-        if isinstance(p, Id):
-            wires += p.n
+        if not isinstance(p, Expression):
+            wires += p
             continue
         if wires:
-            merged.append(Id(wires))
+            e = pad(wires) if e is None else Ten(e, pad(wires))
             wires = 0
-        merged.append(p)
+        e = p if e is None else Ten(e, p)
     if wires:
-        merged.append(Id(wires))
-    if not merged:
-        return Id(0)
-    e = merged[0]
-    for p in merged[1:]:
-        e = Ten(e, p)
-    return e
+        e = pad(wires) if e is None else Ten(e, pad(wires))
+    return pad(0) if e is None else e
 
 
 def map_atoms(e: Expression, fn: Callable[[Expression], Expression]) -> Expression:

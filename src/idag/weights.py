@@ -44,11 +44,15 @@ class WeightSystem(Frozen):
             return terms[0][0]  # type: ignore[return-value]
         acc: dict = {}
         for row, w in terms:
+            if w == 1 and not acc:
+                acc.update(row)
+                continue
+            get = acc.get
             for k, v in row.items():
-                acc[k] = acc.get(k, 0) + v * w
-        if self is BOOL:
-            return {k: 1 for k, v in acc.items() if v}
-        return {k: v for k, v in acc.items() if v}
+                acc[k] = get(k, 0) + v * w
+        if 0 in acc.values():
+            acc = {k: v for k, v in acc.items() if v}
+        return dict.fromkeys(acc, 1) if self is BOOL else acc
 
     @property
     def antipode_enabled(self) -> bool:

@@ -4,6 +4,7 @@ the CLI exits 2) instead of running out of memory."""
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -14,7 +15,7 @@ from idag.jsonio import idag_from_obj
 from helpers import Forwarding, run_capped
 from idag.models import FreeIdagModel, LoopsModel, MatrixModel, evaluate, matrix_identity
 from idag.randgen import random_idag
-from idag.terms import Id, Seq, Sym, parse
+from idag.terms import Eps, Id, Seq, Sym, arity_of, parse, print_expression
 from idag.weights import BOOL, NAT
 
 HUGE = 10**11
@@ -68,6 +69,40 @@ def test_width_tokens_too_long_to_read():
     with pytest.raises(TypeMismatch):
         parse(f"id({nines[:4000]}) * id(1) ; eps")
     assert parse(f"id({'0' * 5000}7)") == Id(7)
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit of 4,300 digits on int-to-str conversion."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+# widths built through the API are not read from text, so nothing bounds
+# their digits; an error message or printed text names one by its length
+
+
+def test_a_type_mismatch_names_a_width_too_long_to_write(digit_limit):
+    with pytest.raises(TypeMismatch, match="upstream coarity <5001 digits>, downstream arity 1$"):
+        arity_of(Seq(Id(10**5000), Eps()))
+
+
+def test_the_walk_names_an_input_count_too_long_to_write(digit_limit):
+    with pytest.raises(SizeLimitExceeded, match="^input count <5001 digits> exceeds the bound"):
+        evaluate(Id(10**5000), FreeIdagModel())
+
+
+def test_printing_a_width_too_long_to_write(digit_limit):
+    with pytest.raises(SizeLimitExceeded, match="^width <5001 digits> exceeds the bound"):
+        print_expression(Id(10**5000))
+    with pytest.raises(BadEndpoint, match="^negative width -<5001 digits>$"):
+        identity(-(10**5000))
+    # every width str() writes is still printed, past the bound too
+    assert print_expression(Sym(1, 10**4000)) == f"sym(1,{10**4000})"
 
 
 def test_typing_errors_come_before_the_bound():

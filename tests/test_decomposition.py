@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +108,20 @@ def test_default_sorting_of_a_long_descending_chain_is_fast():
     order = default_sorting(d).order
     assert time.perf_counter() - t0 < 0.3
     assert order == tuple(ids)
+
+
+def test_default_sorting_of_a_long_chain_takes_linear_memory():
+    # a predecessor bit mask per node took N^2/16 bytes on a chain, 156 MB here
+    n = 50_000
+    d = _chain([1] * (n + 1), BOOL)
+    tracemalloc.start()
+    try:
+        order = default_sorting(d).order
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order == tuple(f"n{k}" for k in range(1, n + 1))
+    assert peak < 50 * 2**20
 
 
 def test_counting_and_sampling_a_long_chain(rng):

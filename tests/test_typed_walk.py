@@ -4,7 +4,9 @@ tests play them against twopass_reference.py, where arity_of checked each
 expression first: the same results, and the same error type and message, on
 well- and ill-typed ASTs, printed and mutated texts, bad widths, non-str
 labels, anti outside int mode, closed label sets and unequal interfaces.
-And a well-typed input never reaches arity_of."""
+The drawn expressions include decompositions, whose atoms are shared, and
+(delta ; nabla)^k chains, which run the walk's generator images. And a
+well-typed input never reaches arity_of."""
 
 import random
 
@@ -34,6 +36,7 @@ from idag.terms import (
     map_atoms,
     parse,
     print_expression,
+    seq_all,
 )
 from idag.weights import BOOL, INT, NAT
 
@@ -68,10 +71,31 @@ _TEXT_PIECES = [" ; ", " * ", "(", ")", "id(2)", "sym(1,2)", "delta", "nabla", "
                 "node[x]", "node", "id(0)", "id(", ","]
 
 
+def _decomposition(rng):
+    """A (delta ; nabla)^k chain, or a decomposition of a random bool, nat or
+    int idag of up to 64 nodes with weights of up to 2^70 in size."""
+    if rng.random() < 0.2:
+        return seq_all([Seq(Delta(), Nabla())] * rng.randint(1, 80))
+    mode = rng.choice((BOOL, NAT, INT))
+    n = rng.randint(0, rng.choice((8, 16, 64)))
+    d = random_idag(rng, rng.randint(0, 3), rng.randint(0, 3), n, 3 / (n / 2 + 3), mode,
+                    labels=("x", "y", "•"))
+    if mode is not BOOL:
+        wires = tuple(
+            {s: w * rng.choice((1, 1, 1, rng.randint(1, 2**70 // 3))) for s, w in wire.items()}
+            for wire in d.wires
+        )
+        d = Idag(mode, d.n_in, d.n_out, d.nodes, wires)
+    return decompose(d, default_sorting(d))
+
+
 def _expression(rng):
-    """A random expression: well-typed, mutated atom by atom, or an odd
-    composite of such parts."""
-    e = random_expression(rng, max_depth=rng.randint(1, 4), allow_anti=rng.random() < 0.5)
+    """A random expression or decomposition: well-typed, mutated atom by
+    atom, or an odd composite of such parts."""
+    if rng.random() < 0.1:
+        e = _decomposition(rng)
+    else:
+        e = random_expression(rng, max_depth=rng.randint(1, 4), allow_anti=rng.random() < 0.5)
     roll = rng.random()
     if roll < 0.3:
         return e
