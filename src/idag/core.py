@@ -223,35 +223,30 @@ def make_idag(
 
     Raises:
         SizeLimitExceeded (an interface wider than MAX_WIDTH),
-        DuplicateNodeId, BadEndpoint, InvalidWeight (ZeroWeight /
-        AntipodeWeight), CycleDetected.
+        DuplicateNodeId, BadEndpoint (also for a node or edge spec of
+        another shape), InvalidWeight (ZeroWeight / AntipodeWeight),
+        CycleDetected.
     """
     _check_widths("interface width", n_in, n_out)
     node_seq: list[tuple[str, str]] = []
     for spec in nodes:
         if isinstance(spec, str):
-            node_seq.append((spec, DEFAULT_LABEL))
-        else:
-            nid, lbl = spec
-            if not isinstance(nid, str) or not isinstance(lbl, str):
-                raise BadEndpoint(f"node ids and labels must be strings: {spec!r}")
-            node_seq.append((nid, lbl))
+            spec = (spec, DEFAULT_LABEL)
+        if not (isinstance(spec, (tuple, list)) and len(spec) == 2):
+            raise BadEndpoint(f"node spec {spec!r} is neither an id nor an (id, label) pair")
+        nid, lbl = spec
+        if not isinstance(nid, str) or not isinstance(lbl, str):
+            raise BadEndpoint(f"node ids and labels must be strings: {spec!r}")
+        node_seq.append((nid, lbl))
     pos: dict[str, int] = {}
     for k, (nid, _) in enumerate(node_seq):
         if nid in pos:
             raise DuplicateNodeId(f"duplicate node id {nid!r}")
         pos[nid] = k
 
-    if isinstance(edges, Mapping):
-        items: Iterable[tuple[Vertex, Vertex, int]] = (
-            (src, dst, w) for (src, dst), w in edges.items()
-        )
-    else:
-        items = (e if len(e) == 3 else (e[0], e[1], 1) for e in edges)  # type: ignore[misc]
-
     n_nodes = len(node_seq)
     wires: list[dict[int, int]] = [{} for _ in range(n_nodes + n_out)]
-    for src, dst, w in items:
+    for src, dst, w in _edge_triples(edges):
         if isinstance(src, In):
             if not 0 <= src.index < n_in:
                 raise BadEndpoint(f"input index {src.index} out of range 0..{n_in - 1}")
@@ -282,6 +277,21 @@ def make_idag(
         cyclic = sorted(set(pos) - {node_seq[k][0] for k in order})
         raise CycleDetected(f"cycle through nodes {cyclic}")
     return Idag(mode, n_in, n_out, tuple(node_seq), tuple(wires))
+
+
+def _edge_triples(edges: EdgeSpec) -> Iterator[tuple]:
+    """make_idag's edges as (src, dst, weight) triples, a pair weighing 1;
+    raises BadEndpoint for a spec of another shape."""
+    if isinstance(edges, Mapping):
+        for key, w in edges.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise BadEndpoint(f"edge key {key!r} is not a (src, dst) pair")
+            yield key[0], key[1], w
+        return
+    for e in edges:
+        if not (isinstance(e, (tuple, list)) and len(e) in (2, 3)):
+            raise BadEndpoint(f"edge {e!r} is neither a (src, dst) pair nor a (src, dst, weight) triple")
+        yield e[0], e[1], e[2] if len(e) == 3 else 1
 
 
 def _topological_order(n_in: int, n_nodes: int, wires: Sequence[dict[int, int]]) -> list[int]:
@@ -343,12 +353,17 @@ def from_permutation(perm: Sequence[int], mode: WeightSystem = BOOL) -> Idag:
     return Idag(mode, n, n, (), tuple({i: 1} for i in inverse))
 
 
-def symmetry(n: int, m: int, mode: WeightSystem = BOOL) -> Idag:
-    """The (n+m, m+n)-idag crossing the first n wires over the last m."""
+def _crossing(n: int, m: int) -> list[int]:
+    """The permutation crossing the first n of n+m wires over the last m:
+    wire i goes to m+i, wire n+j to j. Raises as _check_widths does."""
     _check_widths("width", n, m)
     _check_widths("width", n + m)
-    perm = [m + i for i in range(n)] + [j for j in range(m)]
-    return from_permutation(perm, mode)
+    return [m + i for i in range(n)] + list(range(m))
+
+
+def symmetry(n: int, m: int, mode: WeightSystem = BOOL) -> Idag:
+    """The (n+m, m+n)-idag crossing the first n wires over the last m."""
+    return from_permutation(_crossing(n, m), mode)
 
 
 def _freshen(taken: set[str], ids: Iterable[str]) -> dict[str, str]:

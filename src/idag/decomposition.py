@@ -17,10 +17,11 @@ one copy, scaled by its weight w in O(log |w|) atoms, and routing moves it
 in one crossing, so a decomposition holds at most one crossing per edge and
 O(N + E + sum of log |w|) atoms. decompose() builds the encoding of a node
 slice straight from the node's in-edges, without its matrix, and its rows
-from integer pad widths, so its time is linear in its output too; the
-sorting is checked once per call. Expressions are immutable, so one call
-builds each id(k), weight gadget and fan-in once and its slices share
-them; nothing is kept between calls.
+from integer pad widths, so its time is linear in its output too. Each
+call that takes a sorting checks it and renumbers d's wires along it once,
+by node position (_along), and builds its slices from those wires (_slice).
+Expressions are immutable, so one call builds each id(k), weight gadget and
+fan-in once and its slices share them; nothing is kept between calls.
 
 Counting and uniform sampling of sortings are exact, and raise
 SearchBudgetExceeded beyond MAX_DOWN_SETS down-sets.
@@ -104,26 +105,29 @@ def _order_index(d: Idag) -> tuple[list[str], list[list[int]]]:
     return ids, succ
 
 
-def _along(d: Idag, order: Sequence[str]) -> tuple[dict[int, int], ...]:
-    """d's wires with its nodes renumbered in order, which lists each node
-    id once: node order[k] becomes source n_in+k, and its wire comes k-th."""
+def _along(d: Idag, sort: SortLike) -> tuple[TopSort, tuple[dict[int, int], ...]]:
+    """The sorting as a TopSort, and d's wires renumbered along it: node
+    sort[k] becomes source n_in+k and its wire comes k-th, then the outputs'
+    wires. Raises NotATopologicalSorting unless sort lists each node id
+    once, as a str, with every edge pointing forward."""
+    ts = sort if isinstance(sort, TopSort) else TopSort(tuple(sort))
     pos = d._position()
-    return _renumbered(d, [pos[nid] for nid in order])
+    at = [pos.get(nid, -1) if isinstance(nid, str) else -1 for nid in ts.order]
+    if len(at) == len(set(at) - {-1}) == len(pos):  # each node once
+        wires = _renumbered(d, at)
+        if all(s < live for live, wire in enumerate(wires[: len(at)], d.n_in) for s in wire):
+            return ts, wires
+    raise NotATopologicalSorting(f"{list(ts.order)!r} does not sort {d!r}")
 
 
 def is_topological_sorting(d: Idag, sort: SortLike) -> bool:
-    order = tuple(sort.order if isinstance(sort, TopSort) else sort)
-    if sorted(order) != sorted(d.node_ids):
+    """True when sort lists each node id of d once, as a str, with every
+    edge pointing forward; False for anything else."""
+    try:
+        _along(d, sort)
+    except NotATopologicalSorting:
         return False
-    wires = _along(d, order)[: len(order)]
-    return all(s < d.n_in + k for k, wire in enumerate(wires) for s in wire)
-
-
-def _require_sorting(d: Idag, sort: SortLike) -> TopSort:
-    ts = sort if isinstance(sort, TopSort) else TopSort(tuple(sort))
-    if not is_topological_sorting(d, ts):
-        raise NotATopologicalSorting(f"{list(ts.order)!r} does not sort {d!r}")
-    return ts
+    return True
 
 
 def topological_sortings(d: Idag) -> Iterator[TopSort]:
@@ -262,47 +266,28 @@ def layer(d: Idag, sort: SortLike, k: int) -> MatrixMorphism:
     0..n-1 from the inputs, row n+l from the l-th emitted node). For k = |N|
     the shape is (n+|N|) x m, the weights of edges into the outputs.
     """
-    ts = _require_sorting(d, sort)
+    ts, wires = _along(d, sort)
     total = len(ts.order)
     if type(k) is not int or not 0 <= k <= total:
         raise IndexOutOfRange(f"layer index {k} not in 0..{total}")
-    return _slicer(d, ts)(k)
+    return _slice(d, wires, k)
 
 
-def _rows_into(d: Idag, ts: TopSort) -> list[list[tuple[int, int]]]:
-    """d's wires renumbered along ts: the in-edges of each node of ts in
-    order, then of each output, as (row, weight) lists sorted by row. Rows
-    number the slices' live wires: input i is row i, the l-th node of ts
-    row n+l."""
-    return [sorted(wire.items()) for wire in _along(d, ts.order)]
-
-
-def _output_slice(
-    d: Idag, into: Sequence[list[tuple[int, int]]], live: int
-) -> MatrixMorphism:
-    """The last slice: the live x m weights of the edges into the outputs,
-    from their (row, weight) lists."""
-    rows: list[dict[int, int]] = [{} for _ in range(live)]
-    for j, ins in enumerate(into):
-        for r, w in ins:
+def _slice(d: Idag, wires: Sequence[dict[int, int]], k: int) -> MatrixMorphism:
+    """layer k of d, from d's wires renumbered along the sorting (see
+    _along). Rows number the slices' live wires: input i is row i, the l-th
+    sorted node row n+l."""
+    live = d.n_in + k
+    if k < len(d.nodes):
+        rows: list[dict[int, int]] = [{r: 1} for r in range(live)]
+        for r, w in wires[k].items():
+            rows[r][live] = w
+        return MatrixMorphism(d.weights, tuple(rows), live + 1)
+    rows = [{} for _ in range(live)]
+    for j, wire in enumerate(wires[k:]):
+        for r, w in wire.items():
             rows[r][j] = w
     return MatrixMorphism(d.weights, tuple(rows), d.n_out)
-
-
-def _slicer(d: Idag, ts: TopSort) -> Callable[[int], MatrixMorphism]:
-    """layer(d, ts, k) as a function of k, for a sorting already checked."""
-    n = d.n_in
-    into = _rows_into(d, ts)
-
-    def slice_(k: int) -> MatrixMorphism:
-        if k < len(ts.order):
-            rows: list[dict[int, int]] = [{r: 1} for r in range(n + k)]
-            for r, w in into[k]:
-                rows[r][n + k] = w
-            return MatrixMorphism(d.weights, tuple(rows), n + k + 1)
-        return _output_slice(d, into[k:], n + k)
-
-    return slice_
 
 
 # ---------------------------------------------------------------------------
@@ -520,20 +505,19 @@ def decompose(d: Idag, sort: SortLike) -> Expression:
     """An expression evaluating to d (up to isomorphism in the free model,
     exactly in matrix models): encoded slices interleaved with one node box
     per sorted node."""
-    ts = _require_sorting(d, sort)
-    into = _rows_into(d, ts)
+    ts, wires = _along(d, sort)
     labels = dict(d.nodes)
     n = d.n_in
     # expressions are immutable, so the slices share one instance of each
     pad, scale, fan_in = cache(Id), cache(_scale), cache(_fan_in)
     parts: list[Expression] = []
     for k, nid in enumerate(ts.order):
-        parts.append(_encode_node_slice(n + k, into[k], pad, scale, fan_in))
+        parts.append(_encode_node_slice(n + k, sorted(wires[k].items()), pad, scale, fan_in))
         box: Expression = Node(labels[nid])
         if n + k > 0:
             box = Ten(pad(n + k), box)
         parts.append(box)
-    parts.append(encode_relation(_output_slice(d, into[len(ts) :], n + len(ts))))
+    parts.append(encode_relation(_slice(d, wires, len(ts))))
     return seq_all(parts)
 
 
@@ -546,27 +530,25 @@ def interpret(d: Idag, sort: SortLike, model: Model):
     decompose(); evaluate(decompose(d, s), model) must agree with
     interpret(d, s, model) in every model, which the tests exercise.
     """
-    ts = _require_sorting(d, sort)
+    ts, wires = _along(d, sort)
     labels = dict(d.nodes)
     n = d.n_in
     if type(model) in (FreeIdagModel, MatrixModel):
         # rows number the image's sources (input i, then sorted node l at
         # n+l). d's weights go through relation in the order the slices meet
-        # them, so errors match the fold's: the nodes' in-weights, one row
-        # per node, then the output slice
-        into = _rows_into(d, ts)
-        wires = [dict(ins) for ins in into]
-        model.relation(MatrixMorphism(d.weights, tuple(wires[: len(ts)]), n + len(ts)))
-        model.relation(_output_slice(d, into[len(ts) :], n + len(ts)))
+        # them, so errors match the fold's: each node's in-weights as one
+        # row, which relation reads by column, that is by source; then the
+        # output slice
+        model.relation(MatrixMorphism(d.weights, wires[: len(ts)], n + len(ts)))
+        model.relation(_slice(d, wires, len(ts)))
         return model._read_image(n, [labels[nid] for nid in ts.order], wires)
-    slice_ = _slicer(d, ts)
-    mor = model.relation(slice_(0))
+    mor = model.relation(_slice(d, wires, 0))
     for k, nid in enumerate(ts.order):
         box = model.generator(Node(labels[nid]))
         if n + k > 0:
             box = model.tensor(model.identity(n + k), box)
         mor = model.compose(mor, box)
-        mor = model.compose(mor, model.relation(slice_(k + 1)))
+        mor = model.compose(mor, model.relation(_slice(d, wires, k + 1)))
     return mor
 
 
@@ -642,8 +624,8 @@ def transposition_identities(
     system; the node-box identity is checked in the given model (default: a
     matrix model with distinct nontrivial images per label).
     """
-    sa = _require_sorting(d, sort_a)
-    sb = _require_sorting(d, sort_b)
+    sa, wa = _along(d, sort_a)
+    sb, wb = _along(d, sort_b)
     total = len(sa.order)
     if type(i) is not int or not 0 <= i <= total - 2:
         raise IndexOutOfRange(f"swap position {i} not in 0..{total - 2}")
@@ -656,8 +638,8 @@ def transposition_identities(
         )
     n = d.n_in
     ws = d.weights
-    la = list(map(_slicer(d, sa), range(total + 1)))
-    lb = list(map(_slicer(d, sb), range(total + 1)))
+    la = [_slice(d, wa, j) for j in range(total + 1)]
+    lb = [_slice(d, wb, j) for j in range(total + 1)]
 
     prefix = all(la[j] == lb[j] for j in range(i))
 

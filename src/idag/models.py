@@ -321,10 +321,7 @@ class MatrixModel(Model, Frozen):
         return matrix_identity(n, self.weights)
 
     def symmetry(self, n: int, m: int) -> MatrixMorphism:
-        core._check_widths("width", n, m)
-        core._check_widths("width", n + m)
-        perm = [m + i for i in range(n)] + list(range(m))
-        return matrix_permutation(perm, self.weights)
+        return matrix_permutation(core._crossing(n, m), self.weights)
 
     def generator(self, gen: Expression) -> MatrixMorphism:
         return self._read_image(*_typed_walk(gen, self.weights))
@@ -336,9 +333,11 @@ class MatrixModel(Model, Frozen):
         return a.tensor(b)
 
     def relation(self, mat: MatrixMorphism) -> MatrixMorphism:
+        # entries are checked by row, then by column, as in FreeIdagModel,
+        # so the error depends on the matrix and not on its rows' dict order
         for row in mat.rows:
-            for x in row.values():
-                self.weights.check_value(x)
+            for j in sorted(row):
+                self.weights.check_value(row[j])
         return MatrixMorphism(self.weights, mat.rows, mat.n_out)
 
     def equal(self, a: MatrixMorphism, b: MatrixMorphism) -> bool:
@@ -375,10 +374,7 @@ class LoopsModel(Model, Frozen):
         return loops_identity(n)
 
     def symmetry(self, n: int, m: int) -> LoopsMorphism:
-        core._check_widths("width", n, m)
-        core._check_widths("width", n + m)
-        perm = tuple([m + i for i in range(n)] + list(range(m)))
-        return LoopsMorphism(perm, ((),) * (n + m))
+        return LoopsMorphism(tuple(core._crossing(n, m)), ((),) * (n + m))
 
     def generator(self, gen: Expression) -> LoopsMorphism:
         if isinstance(gen, Node):

@@ -168,6 +168,45 @@ def test_is_topological_sorting_negatives(dag31):
         decompose(dag31, TopSort(("b", "a", "c", "d")))
 
 
+@pytest.mark.parametrize("sort", [["a", "b", "c", 1], [None] * 4, [["x"]] * 4], ids=["int", "None", "list"])
+def test_sortings_of_ids_that_are_not_strings_are_refused(dag31, sort):
+    assert not is_topological_sorting(dag31, sort)
+    assert not is_topological_sorting(dag31, TopSort(tuple(sort)))
+    runs = [
+        lambda: decompose(dag31, sort),
+        lambda: layer(dag31, sort, 0),
+        lambda: interpret(dag31, sort, MatrixModel(NAT)),
+        lambda: interpret(dag31, sort, Forwarding(MatrixModel(NAT))),
+        lambda: transposition_identities(dag31, sort, sort, 0),
+        lambda: transposition_identities(dag31, default_sorting(dag31), sort, 0),
+    ]
+    for run in runs:
+        with pytest.raises(NotATopologicalSorting):
+            run()
+
+
+def test_each_call_renumbers_the_wires_once(dag31, monkeypatch):
+    calls = []
+    renumbered = decomposition._renumbered
+
+    def counting(d, order):
+        calls.append(order)
+        return renumbered(d, order)
+
+    monkeypatch.setattr(decomposition, "_renumbered", counting)
+    s = default_sorting(dag31)
+    runs = [
+        lambda: decompose(dag31, s),
+        lambda: interpret(dag31, s, MatrixModel(NAT)),
+        lambda: interpret(dag31, s, FreeIdagModel(BOOL)),
+        lambda: layer(dag31, s, 2),
+    ]
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # layers
 
@@ -439,6 +478,9 @@ def test_interpret_path_sums_match_the_fold(rng):
 def test_interpret_path_sums_and_fold_raise_alike():
     node = make_idag(1, 1, [("p", "x")], [(In(0), NodeRef("p")), (NodeRef("p"), Out(0))], NAT)
     negative = _chain([1, -2], INT)
+    p = NodeRef("p")
+    out_of_order = make_idag(2, 1, ["p"], [(In(1), p, -3), (In(0), p, -2), (p, Out(0))], INT)
+    assert list(out_of_order.wires[0].items()) == [(1, -3), (0, -2)]  # not in source order
     cases = [
         (node, MatrixModel(NAT, {"x": matrix([[2]], INT)}), ModeMismatch),
         (node, MatrixModel(NAT, {"x": matrix([[1, 1]], NAT)}), InterfaceMismatch),
@@ -457,6 +499,9 @@ def test_interpret_path_sums_and_fold_raise_alike():
         (_chain([1, 2], NAT), FreeIdagModel(BOOL), InvalidWeight),
         (_chain([-2, -3], INT), FreeIdagModel(NAT), AntipodeWeight),
         (make_idag(2, 2, [], {(In(1), Out(0)): -3, (In(0), Out(1)): -2}, INT), FreeIdagModel(BOOL), AntipodeWeight),
+        # a node's bad in-weights are met by row, not in the order of its wire
+        (out_of_order, MatrixModel(NAT), InvalidWeight),
+        (out_of_order, FreeIdagModel(NAT), AntipodeWeight),
     ]
     for d, model, error in cases:
         s = default_sorting(d)

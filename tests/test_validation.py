@@ -48,6 +48,23 @@ def test_widths_must_be_non_negative_ints(build):
 @pytest.mark.parametrize(
     "build",
     [
+        lambda: make_idag(1, 1, [], [(In(0), Out(0), 2, "x")], NAT),
+        lambda: make_idag(1, 1, [], [(In(0),)]),
+        lambda: make_idag(1, 1, [], [In(0)]),
+        lambda: make_idag(1, 1, [], {In(0): 1}),
+        lambda: make_idag(1, 1, [None], []),
+        lambda: make_idag(1, 1, [("a", "x", "y")], []),
+    ],
+    ids=["4-tuple edge", "1-tuple edge", "bare vertex edge", "key not a pair", "None node", "3-tuple node"],
+)
+def test_malformed_node_and_edge_specs_are_refused(build):
+    with pytest.raises(BadEndpoint):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
         lambda: from_permutation([True, 0]),
         lambda: from_permutation([0.0, 1]),
         lambda: from_permutation(["a", 0]),
