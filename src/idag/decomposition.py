@@ -37,7 +37,7 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from functools import cache
 from itertools import accumulate
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import Idag, _is_permutation, _renumbered
 from .errors import (
@@ -109,8 +109,12 @@ def _along(d: Idag, sort: SortLike) -> tuple[TopSort, tuple[dict[int, int], ...]
     """The sorting as a TopSort, and d's wires renumbered along it: node
     sort[k] becomes source n_in+k and its wire comes k-th, then the outputs'
     wires. Raises NotATopologicalSorting unless sort lists each node id
-    once, as a str, with every edge pointing forward."""
-    ts = sort if isinstance(sort, TopSort) else TopSort(tuple(sort))
+    once, as a str, with every edge pointing forward, and for anything that
+    is neither a TopSort nor an iterable other than a str."""
+    order = sort.order if isinstance(sort, TopSort) else sort
+    if isinstance(order, str) or not isinstance(order, Iterable):
+        raise NotATopologicalSorting(f"{sort!r} is not a sequence of node ids")
+    ts = sort if isinstance(sort, TopSort) else TopSort(tuple(order))
     pos = d._position()
     at = [pos.get(nid, -1) if isinstance(nid, str) else -1 for nid in ts.order]
     if len(at) == len(set(at) - {-1}) == len(pos):  # each node once

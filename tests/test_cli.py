@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import idag
+from helpers import run_capped
 from idag.cli import main
 from idag.core import concat
 from idag.jsonio import idag_from_json, idag_to_json, idag_to_obj
@@ -274,6 +275,17 @@ def test_missing_file_is_a_clean_error(tmp_path, capsys):
     not_utf8.write_bytes(b'{"mode":"bool","inputs":0,"outputs":0,"nodes":[{"id":"\xe9"}],"edges":[]}')
     assert main(["closure", f"@{not_utf8}"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+
+def test_eq_of_two_long_chains(tmp_path):
+    # 10,000 nodes in a row: colour refinement that recoloured every node in
+    # every round took minutes here, as each round splits off one node
+    chain = tmp_path / "chain.txt"
+    chain.write_text(" ; ".join(["node[a]"] * 10_000))
+    r = run_capped(["-m", "idag", "eq", f"@{chain}", f"@{chain}"])
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[0] == "equal"
 
 
 # each command's options, the ones its handler reads, with their choices

@@ -5,10 +5,15 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import refine_reference
 from idag.core import (
     In,
     NodeRef,
     Out,
+    _adjacency,
+    _dense_ranks,
+    _equitable,
+    _refine,
     canonical_form,
     concat,
     from_permutation,
@@ -32,8 +37,10 @@ from idag.errors import (
     TypeMismatch,
     ZeroWeight,
 )
+from idag.models import FreeIdagModel, evaluate
 from idag.randgen import random_idag
 from idag.selftest import _brute_force_iso, _scramble
+from idag.terms import Eps, Eta, Node, Seq, ten_all
 from idag.weights import BOOL, INT, NAT
 
 
@@ -350,6 +357,120 @@ def test_canonical_form_is_invariant_on_regular_dags(rng):
             shuffled = _scramble(rng, d, f"s{k}_")
             assert canonical_form(shuffled) == c
             _assert_witness(d, shuffled, is_isomorphic(d, shuffled))
+
+
+def _chain(n):
+    """In(0) -> n0 -> ... -> n(n-1) -> Out(0)."""
+    ids = [f"n{k}" for k in range(n)]
+    verts = [In(0)] + [NodeRef(i) for i in ids] + [Out(0)]
+    return make_idag(1, 1, ids, [(verts[k], verts[k + 1]) for k in range(n + 1)])
+
+
+def _closed_nodes(k):
+    """The NAT free image of k copies of eta ; node ; eps: k nodes attached
+    to nothing."""
+    return evaluate(ten_all([Seq(Seq(Eta(), Node("x")), Eps())] * k), FreeIdagModel(NAT))
+
+
+def _projective_plane(q):
+    """The incidence dag of PG(2, q), q prime: a node per point and per line
+    (nonzero vectors of F_q^3 up to scaling), an edge point -> line when
+    they are incident. Refinement leaves two cells of q^2 + q + 1 nodes."""
+
+    def normal(v):
+        inverse = pow(next(x for x in v if x), q - 2, q)
+        return tuple(x * inverse % q for x in v)
+
+    vectors = sorted({normal(v) for v in itertools.product(range(q), repeat=3) if any(v)})
+    nodes = [f"p{i}" for i in range(len(vectors))] + [f"l{i}" for i in range(len(vectors))]
+    edges = [
+        (NodeRef(f"p{i}"), NodeRef(f"l{j}"))
+        for i, p in enumerate(vectors)
+        for j, line in enumerate(vectors)
+        if sum(x * y for x, y in zip(p, line)) % q == 0
+    ]
+    return make_idag(0, 0, nodes, edges)
+
+
+def _random_interfaced(seed):
+    rng = random.Random(seed)
+    mode = (BOOL, NAT, INT)[seed % 3]
+    n_in, n_out, n = rng.randint(0, 4), rng.randint(0, 4), rng.randint(1, 40)
+    return random_idag(rng, n_in, n_out, n, min(1.0, 4 / n), mode, labels=("x", "y"))
+
+
+def _sparse(n):
+    return random_idag(random.Random(n), 2, 2, n, 3.0 / n, NAT, labels=("a", "b"))
+
+
+REFINEMENT_CASES = {
+    **{f"random{seed}": (lambda seed=seed: _random_interfaced(seed)) for seed in range(30)},
+    **{f"sparse{n}": (lambda n=n: _sparse(n)) for n in (200, 400, 800)},
+    **{f"chain{n}": (lambda n=n: _chain(n)) for n in (1, 2, 50, 301)},
+    **{f"closed{k}": (lambda k=k: _closed_nodes(k)) for k in (1, 5, 12)},
+    **{f"crown{k}": (lambda k=k: _crown(k)) for k in (2, 3, 6)},
+    "layered2x30": lambda: _regular_layers(random.Random(1), 2, 30, 3, BOOL),
+    "layered3x20": lambda: _regular_layers(random.Random(2), 3, 20, 3, NAT),
+    "layered4x10": lambda: _regular_layers(random.Random(3), 4, 10, 2, INT),
+}
+
+
+def _cell_set(colors):
+    cells = {}
+    for i, c in enumerate(colors):
+        cells.setdefault(c, set()).add(i)
+    return {frozenset(m) for m in cells.values()}
+
+
+def _assert_ordered_partition(cells):
+    n = len(cells.colors)
+    assert sorted(cells.order) == list(range(n))
+    assert all(cells.order[cells.where[i]] == i for i in range(n))
+    starts = cells.starts()
+    assert cells.count == len(starts) == sum(1 for k in cells.size if k)
+    for p in starts:
+        members = cells.order[p : p + cells.size[p]]
+        assert members and all(cells.colors[i] == p for i in members)
+
+
+@pytest.mark.parametrize("case", sorted(REFINEMENT_CASES))
+def test_worklist_refinement_reaches_the_full_round_partition(case):
+    keys, preds, succs = _adjacency(REFINEMENT_CASES[case]())
+    reference = refine_reference.refine(_dense_ranks(keys), preds, succs)
+    cells = _equitable(keys, preds, succs)
+    _assert_ordered_partition(cells)
+    assert _cell_set(cells.colors) == _cell_set(reference)
+    if cells.count == len(keys):
+        return
+    # a search child: individualize a member of the first tied cell and
+    # refine from its cell alone
+    p = next(p for p in cells.starts() if cells.size[p] > 1)
+    v = min(cells.order[p : p + cells.size[p]])
+    child = cells.copy()
+    child.individualize(v)
+    assert _refine(child, [child.colors[v]], preds, succs, []) == -1
+    _assert_ordered_partition(child)
+    split = [-1 if i == v else c for i, c in enumerate(cells.colors)]
+    assert _cell_set(child.colors) == _cell_set(refine_reference.refine(split, preds, succs))
+
+
+STRUCTURED_DAGS = {
+    "chain5000": lambda: _chain(5000),
+    "layered2x100": lambda: _regular_layers(random.Random(5), 2, 100, 3, BOOL),
+    "layered4x50": lambda: _regular_layers(random.Random(6), 4, 50, 3, NAT),
+    "pg2_3": lambda: _projective_plane(3),
+    "pg2_5": lambda: _projective_plane(5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURED_DAGS))
+def test_canonical_form_is_invariant_and_idempotent_on_structured_dags(case):
+    d = STRUCTURED_DAGS[case]()
+    c = canonical_form(d)
+    assert canonical_form(c) == c
+    shuffled = _scramble(random.Random(case), d, "s")
+    assert canonical_form(shuffled) == c
+    _assert_witness(d, shuffled, is_isomorphic(d, shuffled))
 
 
 @pytest.mark.parametrize("n", [400, 800])

@@ -185,6 +185,23 @@ def test_sortings_of_ids_that_are_not_strings_are_refused(dag31, sort):
             run()
 
 
+@pytest.mark.parametrize("sort", [None, 5, "abcd"], ids=["None", "int", "str"])
+def test_sortings_that_are_not_iterables_of_ids_are_refused(dag31, sort):
+    # "abcd" lists dag31's node ids as characters: a str is one id, not a sorting
+    assert not is_topological_sorting(dag31, sort)
+    assert not is_topological_sorting(dag31, TopSort(sort))
+    runs = [
+        lambda: decompose(dag31, sort),
+        lambda: layer(dag31, sort, 0),
+        lambda: interpret(dag31, sort, MatrixModel(NAT)),
+        lambda: interpret(dag31, sort, Forwarding(MatrixModel(NAT))),
+        lambda: transposition_identities(dag31, sort, sort, 0),
+    ]
+    for run in runs:
+        with pytest.raises(NotATopologicalSorting):
+            run()
+
+
 def test_each_call_renumbers_the_wires_once(dag31, monkeypatch):
     calls = []
     renumbered = decomposition._renumbered

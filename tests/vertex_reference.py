@@ -3,8 +3,8 @@ edge dict keyed by (In/NodeRef, NodeRef/Out) pairs, in which every algorithm
 built its own integer index from that dict.
 
 test_wires.py plays the library, which works on integer wires, against
-these. The integer-level canonical search (_refine, _break_ties) is shared
-with the library; everything that converts vertices is kept here.
+these. The integer-level canonical search (_equitable, _break_ties) is
+shared with the library; everything that converts vertices is kept here.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from idag.core import (
     NodeRef,
     Out,
     _break_ties,
-    _dense_ranks,
+    _equitable,
     _freshen,
-    _refine,
 )
 from idag.errors import InterfaceMismatch, ModeMismatch
 
@@ -123,22 +122,19 @@ def labelling(d: VIdag, budget: int = CANONICAL_SEARCH_BUDGET) -> tuple[tuple, l
         elif isinstance(dst, NodeRef):
             in_prof[index[dst.id]].append((src.index, w))
     labels = [lbl for _, lbl in d.nodes]
-    colors = _refine(
-        _dense_ranks(
-            [(labels[i], tuple(sorted(in_prof[i])), tuple(sorted(out_prof[i]))) for i in range(len(ids))]
-        ),
+    cells = _equitable(
+        [(labels[i], tuple(sorted(in_prof[i])), tuple(sorted(out_prof[i]))) for i in range(len(ids))],
         preds,
         succs,
     )
-    if len(set(colors)) < len(ids):
-        colors = _break_ties(colors, preds, succs, budget)
-    order = sorted(range(len(ids)), key=colors.__getitem__)
+    order = cells.order if cells.count == len(ids) else _break_ties(cells, preds, succs, budget)
+    position = {i: k for k, i in enumerate(order)}
 
     def vkey(v):
         if isinstance(v, In):
             return (0, v.index)
         if isinstance(v, NodeRef):
-            return (1, colors[index[v.id]])
+            return (1, position[index[v.id]])
         return (2, v.index)
 
     key = (
