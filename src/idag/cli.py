@@ -128,8 +128,6 @@ def _cmd_random(args: argparse.Namespace) -> int:
     from .randgen import random_idag
 
     n_in, n_out, n_nodes, edge_prob = args.operands
-    if not 0.0 <= edge_prob <= 1.0:
-        raise IdagError(f"edge_prob {edge_prob} outside [0, 1]")
     rng = random.Random(args.seed)
     labels = tuple(args.label) if args.label else (DEFAULT_LABEL,)
     d = random_idag(rng, n_in, n_out, n_nodes, edge_prob, BY_NAME[args.mode], labels=labels)

@@ -23,8 +23,12 @@ by node position (_along), and builds its slices from those wires (_slice).
 Expressions are immutable, so one call builds each id(k), weight gadget and
 fan-in once and its slices share them; nothing is kept between calls.
 
-Counting and uniform sampling of sortings are exact, and raise
-SearchBudgetExceeded beyond MAX_DOWN_SETS down-sets.
+Enumeration, counting and uniform sampling of sortings run on one placement
+state (_Placement): sorted node ids, successor lists, counts of unplaced
+predecessors and the sorted list of ready nodes. The ready list names the
+set of unplaced nodes, so counting memoises by it, and a chain's states
+hold one node each. Counting and sampling are exact, and raise
+SearchBudgetExceeded beyond MAX_DOWN_SETS states.
 
 Different sortings yield different expressions with equal value in every
 model; transposition_identities() checks the five local identities that drive
@@ -36,7 +40,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right, insort
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import Idag, _is_permutation, _renumbered
@@ -68,8 +72,8 @@ from .terms import (
 from .weights import INT, NAT
 
 # counting linear extensions is #P-complete, and the exact counter memoises
-# every down-set it meets; this caps them, so a wide idag raises instead of
-# running for hours or exhausting memory
+# every state (set of unplaced nodes) it meets; this caps them, so a wide
+# idag raises instead of running for hours or exhausting memory
 MAX_DOWN_SETS = 10**5
 
 
@@ -87,22 +91,6 @@ class TopSort(Frozen):
 
 
 SortLike = Union[TopSort, Sequence[str]]
-
-
-def _order_index(d: Idag) -> tuple[list[str], list[list[int]]]:
-    """d's node ids in sorted order, and the successors of each as positions
-    in that order."""
-    ids = sorted(d.node_ids)
-    pos = d._position()
-    rank = [0] * len(ids)  # node position -> place in ids
-    for k, nid in enumerate(ids):
-        rank[pos[nid]] = k
-    succ: list[list[int]] = [[] for _ in ids]
-    for p, wire in enumerate(d.wires[: len(ids)]):
-        for s in wire:
-            if s >= d.n_in:
-                succ[rank[s - d.n_in]].append(rank[p])
-    return ids, succ
 
 
 def _along(d: Idag, sort: SortLike) -> tuple[TopSort, tuple[dict[int, int], ...]]:
@@ -134,46 +122,112 @@ def is_topological_sorting(d: Idag, sort: SortLike) -> bool:
     return True
 
 
-def topological_sortings(d: Idag) -> Iterator[TopSort]:
-    """All topological sortings, lazily, in lexicographic node-id order; the
-    first is the deterministic default sorting. Placing or unplacing a node
-    updates a sorted list of the ready nodes and its successors' counts of
-    unplaced predecessors; on backtracking, a position takes the least ready
-    node above the one it held."""
-    ids, succ = _order_index(d)
-    waiting = [0] * len(ids)  # per node: its unplaced predecessors
-    for after in succ:
-        for t in after:
-            waiting[t] += 1
-    ready = [k for k, w in enumerate(waiting) if not w]
-    order: list[int] = []
+class _Placement:
+    """A topological sorting in the making. Nodes are numbered by place in
+    ids, the sorted node ids; succ lists successors, waiting counts unplaced
+    predecessors, ready holds the unplaced nodes waiting on none, ascending,
+    and order the placed ones. The unplaced nodes lie at or above a ready
+    node, so the ready list names the state; memo maps it to its count."""
 
-    def place(k: int) -> None:
+    __slots__ = ("ids", "succ", "waiting", "ready", "order", "memo")
+
+    def __init__(self, d: Idag) -> None:
+        self.ids = sorted(d.node_ids)
+        index = {nid: k for k, nid in enumerate(self.ids)}
+        rank = [index[nid] for nid, _ in d.nodes]  # node position -> place in ids
+        self.succ = succ = [[] for _ in rank]
+        self.waiting = waiting = [0] * len(rank)
+        for k, wire in zip(rank, d.wires):  # the nodes' wires come first
+            for s in wire:
+                if s >= d.n_in:
+                    succ[rank[s - d.n_in]].append(k)
+                    waiting[k] += 1
+        self.ready = [k for k, w in enumerate(waiting) if not w]
+        self.order, self.memo = [], {(): 1}  # placed nodes; ready list -> count
+
+    def place(self, k: int) -> None:
+        ready, waiting = self.ready, self.waiting
         del ready[bisect_left(ready, k)]
-        order.append(k)
-        for t in succ[k]:
+        self.order.append(k)
+        for t in self.succ[k]:
             waiting[t] -= 1
             if not waiting[t]:
                 insort(ready, t)
 
-    def unplace() -> int:
-        k = order.pop()
-        for t in succ[k]:
-            if not waiting[t]:
-                del ready[bisect_left(ready, t)]
-            waiting[t] += 1
-        insort(ready, k)
+    def unplace(self) -> int:
+        k = self.order.pop()
+        for t in self.succ[k]:
+            if not self.waiting[t]:
+                del self.ready[bisect_left(self.ready, t)]
+            self.waiting[t] += 1
+        insort(self.ready, k)
         return k
 
+    def sorting(self) -> TopSort:
+        return TopSort(tuple(self.ids[k] for k in self.order))
+
+    def children(self, key: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The ready list after placing each node of key, the ready list now."""
+        succ, waiting = self.succ, self.waiting
+        kids = list(combinations(key, len(key) - 1))[::-1]  # key less its i-th node, at i
+        for i in [i for i, k in enumerate(key) if succ[k]]:
+            freed = [t for t in succ[key[i]] if waiting[t] == 1]
+            if freed:
+                kids[i] = tuple(sorted(kids[i] + tuple(freed)))
+        return kids
+
+    def count(self) -> int:
+        """The number of ways to finish the sorting from here, with every
+        state reachable from here memoised. The stack holds states to count:
+        ready list, parent's placed length (None once entered), node placed
+        to enter, parent's entry and sum of its counted children. Raises
+        SearchBudgetExceeded once memo and stack exceed MAX_DOWN_SETS."""
+        memo, order = self.memo, self.order
+        root, start = tuple(self.ready), len(order)
+        stack = [[root, start, None, None, 0]]
+        while stack:
+            if len(memo) + len(stack) > MAX_DOWN_SETS:
+                raise SearchBudgetExceeded(
+                    f"counting the topological sortings of {len(self.ids)} nodes "
+                    f"needs more than {MAX_DOWN_SETS} down-sets"
+                )
+            key, at, k, parent, total = entry = stack[-1]
+            if at is None:  # entered, and its missing children are counted
+                c = memo[key] = total
+            elif (c := memo.get(key)) is None:  # enter it: place k on its parent
+                while len(order) > at:
+                    self.unplace()
+                if k is not None:
+                    self.place(k)
+                kids = self.children(key)
+                got = list(map(memo.get, kids))  # a count is positive: None if missing
+                at = len(order)
+                entry[1], entry[4] = None, sum(filter(None, got))
+                stack += [[c, at, key[i], entry, 0] for i, c in enumerate(kids) if got[i] is None]
+                continue
+            del stack[-1]
+            if parent:
+                parent[4] += c
+        while len(order) > start:
+            self.unplace()
+        return memo[root]
+
+
+def topological_sortings(d: Idag) -> Iterator[TopSort]:
+    """All topological sortings, lazily, in lexicographic node-id order; the
+    first is the deterministic default sorting. On backtracking, a position
+    takes the least ready node above the one it held."""
+    state = _Placement(d)
+    ready, place = state.ready, state.place
     while True:
         while ready:  # an idag is acyclic, so this places every node
             place(ready[0])
-        yield TopSort(tuple(ids[k] for k in order))
+        yield state.sorting()
         at = len(ready)
         while at == len(ready):
-            if not order:
+            if not state.order:
                 return
-            at = bisect_right(ready, unplace())
+            at = bisect_right(ready, state.unplace())
         place(ready[at])
 
 
@@ -181,81 +235,26 @@ def default_sorting(d: Idag) -> TopSort:
     return next(topological_sortings(d))
 
 
-def _extension_counter(succ: Sequence[Sequence[int]]) -> tuple[list[int], Callable[[int], int]]:
-    """The predecessors of each node as a bit mask over the order of
-    _order_index, given the successors it lists, and a memoised count of
-    the topological sortings of any down-closed set of remaining nodes,
-    given as such a mask. The masks take N bits each, so only counting and
-    sampling build them.
-
-    The count raises SearchBudgetExceeded once it holds more than
-    MAX_DOWN_SETS down-sets, memoised or waiting on the stack.
-    """
-    below = [0] * len(succ)
-    for k, after in enumerate(succ):
-        for t in after:
-            below[t] |= 1 << k
-    memo: dict[int, int] = {0: 1}
-
-    def count(remaining: int) -> int:
-        # an explicit stack, since a chain of nodes nests as deep as it is long
-        stack = [remaining]
-        while stack:
-            if len(memo) + len(stack) > MAX_DOWN_SETS:
-                raise SearchBudgetExceeded(
-                    f"counting the topological sortings of {len(below)} nodes "
-                    f"needs more than {MAX_DOWN_SETS} down-sets"
-                )
-            rem = stack[-1]
-            if rem in memo:
-                stack.pop()
-                continue
-            rests = []
-            left = rem
-            while left:
-                low = left & -left
-                if not below[low.bit_length() - 1] & rem:
-                    rests.append(rem ^ low)
-                left ^= low
-            todo = [r for r in rests if r not in memo]
-            if todo:
-                stack.extend(todo)
-            else:
-                memo[rem] = sum(memo[r] for r in rests)
-                stack.pop()
-        return memo[remaining]
-
-    return below, count
-
-
 def count_topological_sortings(d: Idag) -> int:
     """The number of topological sortings of d, counted exactly.
 
     Raises SearchBudgetExceeded when d has more than MAX_DOWN_SETS down-sets
     (counting linear extensions is #P-complete)."""
-    below, count = _extension_counter(_order_index(d)[1])
-    return count((1 << len(below)) - 1)
+    return _Placement(d).count()
 
 
 def sample_topological_sorting(d: Idag, rng: random.Random) -> TopSort:
-    """One topological sorting drawn uniformly, by linear-extension
-    counting; raises SearchBudgetExceeded where counting does."""
-    ids, succ = _order_index(d)
-    below, count = _extension_counter(succ)
-    order: list[str] = []
-    remaining = (1 << len(ids)) - 1
-    while remaining:
-        r = rng.randrange(count(remaining))
-        for k, nid in enumerate(ids):
-            if not (remaining >> k) & 1 or below[k] & remaining:
-                continue
-            c = count(remaining ^ (1 << k))
-            if r < c:
-                order.append(nid)
-                remaining ^= 1 << k
-                break
-            r -= c
-    return TopSort(tuple(order))
+    """One topological sorting drawn uniformly: at each position, one draw r
+    below the number of ways to finish, and the first ready node in id order
+    at which the running sum of ways to finish exceeds r. Raises
+    SearchBudgetExceeded where counting does."""
+    state = _Placement(d)
+    while state.ready:
+        r = rng.randrange(state.count())
+        key = tuple(state.ready)
+        ends = accumulate(map(state.memo.__getitem__, state.children(key)))
+        state.place(next(k for k, end in zip(key, ends) if r < end))
+    return state.sorting()
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +536,17 @@ def interpret(d: Idag, sort: SortLike, model: Model):
     ts, wires = _along(d, sort)
     labels = dict(d.nodes)
     n = d.n_in
-    if type(model) in (FreeIdagModel, MatrixModel):
+    kind = type(model)
+    if kind in (FreeIdagModel, MatrixModel):
         # rows number the image's sources (input i, then sorted node l at
-        # n+l). d's weights go through relation in the order the slices meet
-        # them, so errors match the fold's: each node's in-weights as one
-        # row, which relation reads by column, that is by source; then the
-        # output slice
-        model.relation(MatrixMorphism(d.weights, wires[: len(ts)], n + len(ts)))
-        model.relation(_slice(d, wires, len(ts)))
+        # n+l). Unless d's weight system is the model's, when every weight of
+        # d is valid, d's weights go through relation in the order the slices
+        # meet them, so errors match the fold's: each node's in-weights as
+        # one row, which relation reads by column, that is by source; then
+        # the output slice
+        if d.weights is not (model.mode if kind is FreeIdagModel else model.weights):
+            model.relation(MatrixMorphism(d.weights, wires[: len(ts)], n + len(ts)))
+            model.relation(_slice(d, wires, len(ts)))
         return model._read_image(n, [labels[nid] for nid in ts.order], wires)
     mor = model.relation(_slice(d, wires, 0))
     for k, nid in enumerate(ts.order):

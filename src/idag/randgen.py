@@ -12,6 +12,7 @@ import random
 from typing import Sequence
 
 from .core import DEFAULT_LABEL, Idag, In, NodeRef, Out, Vertex, _check_widths, make_idag
+from .errors import IdagError
 from .models import MatrixMorphism, matrix
 from .terms import (
     Anti,
@@ -38,6 +39,13 @@ def _draw_weight(rng: random.Random, mode: WeightSystem) -> int:
     return 1
 
 
+def _check_probability(what: str, p: float) -> None:
+    if not isinstance(p, (int, float)):
+        raise IdagError(f"{what} {p!r} is not a number")
+    if not 0 <= p <= 1:
+        raise IdagError(f"{what} {p} outside [0, 1]")
+
+
 def random_idag(
     rng: random.Random,
     n_in: int,
@@ -52,8 +60,12 @@ def random_idag(
     order and node-to-node edges only point forward in it. Every admissible
     edge is included independently with probability edge_prob; nat/int
     weights are drawn uniformly from {1..3} / {-3..-1, 1..3}. Raises
-    BadEndpoint unless the widths and node count are non-negative ints, and
-    SizeLimitExceeded when one is past MAX_WIDTH."""
+    IdagError unless edge_prob is a number in [0, 1] and labels is not
+    empty, BadEndpoint unless the widths and node count are non-negative
+    ints, and SizeLimitExceeded when one is past MAX_WIDTH."""
+    _check_probability("edge_prob", edge_prob)
+    if not labels:
+        raise IdagError("no node labels to draw from")
     _check_widths("node count", n_nodes)
     _check_widths("interface width", n_in, n_out)
     node_ids = [f"{id_prefix}{k}" for k in range(n_nodes)]
@@ -87,6 +99,14 @@ def random_matrix(
     max_abs: int = 4,
     density: float = 0.6,
 ) -> MatrixMorphism:
+    """A random n x m matrix: each entry is nonzero with probability density,
+    of magnitude at most max_abs. Raises IdagError unless max_abs is a
+    positive int and density a number in [0, 1], and BadEndpoint or
+    SizeLimitExceeded for a bad n or m."""
+    _check_widths("width", n, m)
+    if type(max_abs) is not int or max_abs < 1:
+        raise IdagError(f"max_abs {max_abs!r} is not a positive int")
+    _check_probability("density", density)
     rows = []
     for _ in range(n):
         row = []
@@ -111,7 +131,10 @@ def random_expression(
     labels: Sequence[str] = (DEFAULT_LABEL, "x", "y"),
     max_width: int = 6,
 ) -> Expression:
-    """A random well-typed expression; every AST constructor can occur."""
+    """A random well-typed expression; every AST constructor can occur.
+    Raises IdagError when labels is empty."""
+    if not labels:
+        raise IdagError("no node labels to draw from")
 
     def atom_row(width: int, depth: int) -> Expression:
         # a tensor of atoms consuming exactly `width` wires

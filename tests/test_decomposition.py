@@ -38,6 +38,7 @@ from idag.randgen import random_idag
 from idag.terms import Delta, Id, Nabla, Node, Seq, Sym, Ten, atoms, print_expression, seq_all
 from idag.weights import BOOL, INT, NAT
 
+import sortings_reference
 from helpers import Forwarding
 
 
@@ -125,9 +126,23 @@ def test_default_sorting_of_a_long_chain_takes_linear_memory():
 
 
 def test_counting_and_sampling_a_long_chain(rng):
-    d = _chain([1] * 1201, BOOL)
-    assert count_topological_sortings(d) == 1
-    assert sample_topological_sorting(d, rng) == default_sorting(d)
+    # predecessor bit masks and down-sets kept as N-bit ints made counting
+    # quadratic: 2.3 s and a 1.2 MB peak for a chain of 2,400 nodes
+    n = 10_000
+    d = _chain([1] * (n + 1), BOOL)
+    order = tuple(f"n{k}" for k in range(1, n + 1))
+    runs = [(count_topological_sortings, 1), (lambda d: sample_topological_sorting(d, rng).order, order)]
+    for run, want in runs:
+        t0 = time.perf_counter()
+        assert run(d) == want
+        assert time.perf_counter() - t0 < 1.0
+        tracemalloc.start()
+        try:
+            assert run(d) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def test_counting_is_bounded():
@@ -149,6 +164,21 @@ def test_counting_matches_enumeration(rng):
         assert len(set(s.order for s in sortings)) == len(sortings)
         assert all(is_topological_sorting(d, s) for s in sortings)
         assert [s.order for s in sortings] == _sortings_by_filter(d)
+
+
+def test_counting_and_sampling_match_the_bit_mask_reference():
+    # the draws of criterion 03 and selftest rest on these: each sample
+    # spends one rng.randrange per position, in the same order
+    rng = random.Random(19)
+    for case in range(300):
+        ws = (BOOL, NAT, INT)[case % 3]
+        d = random_idag(rng, rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 12), rng.random() * 0.5, ws)
+        assert count_topological_sortings(d) == sortings_reference.count_topological_sortings(d)
+        seed = rng.getrandbits(32)
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert sample_topological_sorting(d, ours) == sortings_reference.sample_topological_sorting(d, ref)
+        assert ours.getstate() == ref.getstate()
 
 
 def test_sampling_is_valid_and_covers(dag31, rng):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from idag.core import make_idag
-from idag.errors import BadEndpoint
+from idag.errors import BadEndpoint, IdagError
 from idag.models import FreeIdagModel, evaluate
 from idag.randgen import random_expression, random_idag, random_matrix
 from idag.terms import arity_of
@@ -20,6 +20,37 @@ def test_determinism():
 def test_negative_sizes_raise(shape):
     with pytest.raises(BadEndpoint):
         random_idag(random.Random(1), *shape, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: random_idag(rng, 0, 0, 3, 0.5, labels=()),
+        lambda rng: random_idag(rng, 0, 0, 3, "x"),
+        lambda rng: random_idag(rng, 0, 0, 3, 1.5),
+        lambda rng: random_idag(rng, 0, 0, 3, float("nan")),
+        lambda rng: random_expression(rng, labels=()),
+        lambda rng: random_matrix(rng, 2, 2, NAT, max_abs=0),
+        lambda rng: random_matrix(rng, 2, 2, NAT, max_abs=2.5),
+        lambda rng: random_matrix(rng, 2, 2, NAT, density="x"),
+        lambda rng: random_matrix(rng, "2", 2, NAT),
+    ],
+    ids=[
+        "idag-no-labels",
+        "idag-prob-str",
+        "idag-prob-above-1",
+        "idag-prob-nan",
+        "expression-no-labels",
+        "matrix-max-abs-0",
+        "matrix-max-abs-float",
+        "matrix-density-str",
+        "matrix-width-str",
+    ],
+)
+def test_bad_arguments_raise_idag_error(call):
+    # each of these used to escape as IndexError, ValueError or TypeError
+    with pytest.raises(IdagError):
+        call(random.Random(1))
 
 
 def test_edge_prob_zero_gives_isolated_nodes():
