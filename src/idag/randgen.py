@@ -124,6 +124,11 @@ def random_matrix(
     return matrix(rows, mode, n, m)
 
 
+# random_expression's deepest max_depth, well under the recursion limit;
+# expressions already reach thousands of atoms at this depth
+MAX_EXPRESSION_DEPTH = 64
+
+
 def random_expression(
     rng: random.Random,
     max_depth: int = 4,
@@ -132,9 +137,16 @@ def random_expression(
     max_width: int = 6,
 ) -> Expression:
     """A random well-typed expression; every AST constructor can occur.
-    Raises IdagError when labels is empty."""
+    Raises IdagError when labels is empty, or when max_depth or max_width
+    is not a non-negative int (a bool is not one) or max_depth exceeds
+    MAX_EXPRESSION_DEPTH: generation recurses once per level."""
     if not labels:
         raise IdagError("no node labels to draw from")
+    for what, value in (("max_depth", max_depth), ("max_width", max_width)):
+        if type(value) is not int or value < 0:
+            raise IdagError(f"{what} {value!r} is not a non-negative int")
+    if max_depth > MAX_EXPRESSION_DEPTH:
+        raise IdagError(f"max_depth {max_depth} exceeds {MAX_EXPRESSION_DEPTH}")
 
     def atom_row(width: int, depth: int) -> Expression:
         # a tensor of atoms consuming exactly `width` wires

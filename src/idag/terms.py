@@ -24,10 +24,12 @@ arity and its free image, which fixes its value in every model. The parser,
 the printer, arity_of and the models' generator images all read it there.
 
 Expression nodes are immutable slotted classes. Parsing scans the text
-for tokens once and computes line and column only when it raises. Parsing
-and walks over expressions (arity checking, printing, evaluation) are
-iterative, so deeply parenthesized text and the deeply chained composites
-produced by decomposition do not hit the interpreter recursion limit.
+for tokens once, one token per atom, resolves each distinct token once and
+computes line and column only when it raises. Printing spells each
+distinct atom object once. Parsing and walks over expressions (arity
+checking, printing, evaluation) are iterative, so deeply parenthesized
+text and the deeply chained composites produced by decomposition do not
+hit the interpreter recursion limit.
 
 Typing is checked while an expression is built: parse compares widths at
 each ";" as it reads, and the models' walk (models._walk) checks each
@@ -416,76 +418,121 @@ def validate_for_mode(e: Expression, mode: WeightSystem, labels=None) -> None:
 # ---------------------------------------------------------------------------
 # Printing
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$|[0-9]+$")
+# a node label: an identifier or a number token
+_LABEL = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+"
+# the whole of a printable label: \Z, unlike $, matches no final newline
+_IDENT_RE = re.compile(rf"(?:{_LABEL})\Z")
 
 
 def print_expression(e: Expression) -> str:
     """Concrete syntax for e, with minimal parentheses; parses back to an
     equal AST. Emits pieces left to right from one stack: an operand is
     wrapped when it is a ";" chain right of ";" or on either side of "*",
-    or a "*" chain right of "*"."""
+    or a "*" chain right of "*".
+
+    Each piece is dispatched on its exact class. An atom's text is made
+    once per object and kept by identity, so an atom shared across e is
+    checked and spelled once. A subclass of Seq or Ten sends the whole of
+    e through map_atoms first, which rebuilds its composites as the base
+    classes; _atom_text reads an Id or Sym subclass as its base class."""
     out: list[str] = []
     stack: list = [e]
+    texts: dict[int, str] = {}  # id(atom) -> its text; e keeps each atom alive
     while stack:
         a = stack.pop()
-        if type(a) is str:
+        kind = type(a)
+        if kind is str:
             out.append(a)
-        elif isinstance(a, Seq):
-            if isinstance(a.then, Seq):
-                stack += (")", a.then, " ; (", a.first)
+        elif kind is Seq:
+            then = a.then
+            if type(then) is Seq:
+                stack += (")", then, " ; (", a.first)
             else:
-                stack += (a.then, " ; ", a.first)
-        elif isinstance(a, Ten):
-            wrap_left = isinstance(a.left, Seq)
-            if isinstance(a.right, (Seq, Ten)):
-                stack += (")", a.right, ") * (" if wrap_left else " * (", a.left)
-            else:
-                stack += (a.right, ") * " if wrap_left else " * ", a.left)
-            if wrap_left:
+                stack += (then, " ; ", a.first)
+        elif kind is Ten:
+            left, right = a.left, a.right
+            right_kind = type(right)
+            if type(left) is Seq:
                 out.append("(")
-        elif isinstance(a, (Id, Sym)):
-            width = _wiring_width(a)  # no syntax for other widths
-            try:
-                out.append(f"id({a.n})" if isinstance(a, Id) else f"sym({a.n},{a.m})")
-            except ValueError:  # more digits than str() writes
-                raise SizeLimitExceeded("width", width, MAX_WIDTH) from None
-        elif type(a) in _GENERATORS:
-            out.append(_GENERATORS[type(a)][0])
-        elif isinstance(a, Node):
-            if a.label == DEFAULT_LABEL:
-                out.append("node")
-            elif isinstance(a.label, str) and _IDENT_RE.match(a.label):
-                out.append(f"node[{a.label}]")
+                if right_kind is Seq or right_kind is Ten:
+                    stack += (")", right, ") * (", left)
+                else:
+                    stack += (right, ") * ", left)
+            elif right_kind is Seq or right_kind is Ten:
+                stack += (")", right, " * (", left)
             else:
-                raise UnsupportedGenerator(
-                    f"label {a.label!r} has no expression syntax; "
-                    "use identifier or number labels"
-                )
+                stack += (right, " * ", left)
         else:
-            raise UnsupportedGenerator(f"unknown atom {a!r}")
+            text = texts.get(id(a))
+            if text is None:
+                if isinstance(a, (Seq, Ten)):
+                    return print_expression(map_atoms(e, lambda x: x))
+                text = texts[id(a)] = _atom_text(a)
+            out.append(text)
     return "".join(out)
+
+
+def _atom_text(a: Expression) -> str:
+    """The concrete syntax of an atom; raises UnsupportedGenerator on one
+    with no syntax, and SizeLimitExceeded on a width too long to write."""
+    if isinstance(a, (Id, Sym)):
+        width = _wiring_width(a)  # no syntax for other widths
+        try:
+            return f"id({a.n})" if isinstance(a, Id) else f"sym({a.n},{a.m})"
+        except ValueError:  # more digits than str() writes
+            raise SizeLimitExceeded("width", width, MAX_WIDTH) from None
+    if type(a) in _GENERATORS:
+        return _GENERATORS[type(a)][0]
+    if isinstance(a, Node):
+        if a.label == DEFAULT_LABEL:
+            return "node"
+        if isinstance(a.label, str) and _IDENT_RE.match(a.label):
+            return f"node[{a.label}]"
+        raise UnsupportedGenerator(
+            f"label {a.label!r} has no expression syntax; use identifier or number labels"
+        )
+    raise UnsupportedGenerator(f"unknown atom {a!r}")
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[;*()\[\],]")
+# the parts of expression text: identifiers, numbers and punctuation
+_PART = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[;*()\[\],]"
+_PART_RE = re.compile(_PART)
+# The tokens of expression text. A well-formed id(n), sym(n,m) or
+# node[label], with any whitespace between its parts, is one token; every
+# other part is a token of its own. So an id, sym or node[ left as a token
+# of its own begins a malformed atom.
+_TOKEN_RE = re.compile(
+    r"id\s*\(\s*[0-9]+\s*\)|sym\s*\(\s*[0-9]+\s*,\s*[0-9]+\s*\)"
+    rf"|node\s*\[\s*(?:{_LABEL})\s*\]|{_PART}"
+)
 # A character that is neither whitespace nor part of a token. Line breaks
 # are whitespace, so one scan of the whole text yields the tokens of each
 # line in turn.
 _STRAY_RE = re.compile(r"[^A-Za-z0-9_;*()\[\],\s]")
 _PUNCTUATION = frozenset(";*()[],")
-# the punctuation before each width of id(n) and sym(n,m)
-_WIRINGS = {"id": (Id, ("(",)), "sym": (Sym, ("(", ","))}
+# the identifiers and numbers of an atom token: its keyword, then its
+# widths or its label
+_WORD_RE = re.compile(r"[A-Za-z0-9_]+")
+_WIRINGS = {"id": Id, "sym": Sym}
+# the parts that follow the keyword of a well-formed id, sym and labelled
+# node, where "n" stands for a number and "label" for a label
+_ATOM_PARTS = {
+    "id": ("(", "n", ")"),
+    "sym": ("(", "n", ",", "n", ")"),
+    "node": ("[", "label", "]"),
+}
 # each atom spelled by one keyword, shared by every parse, with its
 # (inputs, outputs); "node" stands for a bare node, without a label
 _KEYWORD_ATOMS = {
     keyword: (cls(), n_in, len(outs)) for cls, (keyword, n_in, outs) in _GENERATORS.items()
 }
 _KEYWORD_ATOMS["node"] = (Node(), 1, 1)
-# A width token with more digits is past MAX_WIDTH and is not read: int()
+# A width with more digits is past MAX_WIDTH and is not read: int()
 # refuses more than 4,300 digits, and a TypeMismatch prints sums of widths.
-# Shorter tokens are read, so their typing errors still come first.
+# Shorter widths are read, so their typing errors still come first.
 _READ_DIGITS = 4000
 
 
@@ -499,14 +546,71 @@ def _line_column(text: str, offset: int) -> tuple[int, int]:
     return lineno, offset - line_start + 1
 
 
+def _error_at(text: str, m: re.Match, message: str, past: bool = False) -> ExprSyntaxError:
+    """An ExprSyntaxError at the token or part m of text, or just past its
+    last character."""
+    if not past:
+        return ExprSyntaxError(*_line_column(text, m.start()), message)
+    line, column = _line_column(text, m.end() - 1)
+    return ExprSyntaxError(line, column + 1, message)
+
+
 def _syntax_error(text: str, tokens: list, i: int, message: str) -> ExprSyntaxError:
     """An ExprSyntaxError at token i of text, or just past the last token
     when i is the end-of-input sentinel. Positions are found only here, by
     scanning the text again."""
     at_end = tokens[i] is None
     m = next(itertools.islice(_TOKEN_RE.finditer(text), i - 1 if at_end else i, None))
-    line, column = _line_column(text, m.start())
-    return ExprSyntaxError(line, column + len(m.group()) if at_end else column, message)
+    return _error_at(text, m, message, past=at_end)
+
+
+def _atom_error(text: str, tokens: list, i: int) -> ExprSyntaxError:
+    """The ExprSyntaxError for token i, which stands where an atom must and
+    is none."""
+    tok = tokens[i]
+    if tok is None:
+        return _syntax_error(text, tokens, i, "unexpected end of input")
+    if tok in _ATOM_PARTS:
+        return _malformed_atom(text, i)
+    return _syntax_error(text, tokens, i, f"unexpected token {tok!r}")
+
+
+def _past_atom_error(text: str, tokens: list, i: int, nested: bool) -> ExprSyntaxError:
+    """The ExprSyntaxError for token i, which follows an atom but neither
+    extends nor ends the expression; nested tells whether a parenthesis is
+    open. A '[' after a bare node begins a malformed label."""
+    if tokens[i] == "[" and tokens[i - 1] == "node":
+        return _malformed_atom(text, i - 1)
+    if nested:
+        return _syntax_error(text, tokens, i, "expected ')'")
+    return _syntax_error(text, tokens, i, f"trailing input {_PART_RE.match(tokens[i]).group()!r}")
+
+
+def _malformed_atom(text: str, i: int) -> ExprSyntaxError:
+    """The ExprSyntaxError of the malformed id, sym or labelled node whose
+    keyword is token i: the text is read again from there one part at a
+    time, against the parts a well-formed one has, up to the first that
+    differs. One must differ, or the atom would be one token."""
+    keyword = next(itertools.islice(_TOKEN_RE.finditer(text), i, None))
+    parts = _PART_RE.finditer(text, keyword.start())
+    last = next(parts)
+    for want in _ATOM_PARTS[last.group()]:
+        m = next(parts, None)
+        if m is None:
+            message = f"expected {want!r}" if want in _PUNCTUATION else "unexpected end of input"
+            return _error_at(text, last, message, past=True)
+        got = m.group()
+        if want == "n" and not got.isdigit():
+            message = f"expected a number, got {got!r}"
+        elif want == "label" and got in _PUNCTUATION:
+            message = "expected a label"
+        elif want in _PUNCTUATION and got != want:
+            message = f"expected {want!r}"
+        else:
+            last = m
+            continue
+        return _error_at(text, m, message)
+    raise AssertionError("a well-formed atom is one token")
 
 
 def parse(text: str) -> Expression:
@@ -519,14 +623,17 @@ def parse(text: str) -> Expression:
     errors, since its value is never read.
 
     expr := ten (";" ten)*, ten := atom ("*" atom)*, where an atom may be a
-    parenthesized expr. Iterative: each open parenthesis pushes the
-    enclosing expression's partial chains, so nesting depth is not limited
-    by the interpreter's recursion limit. Typing is checked as the chains
-    grow: the parser keeps the (inputs, outputs) of the current chain and
-    row, and of the enclosing ones, and compares them at each ";". Only an
-    ill-typed text is walked again, by arity_of, for its error. Each
-    keyword atom is one shared instance, and so is each distinct id, sym
-    or labelled node of a parse.
+    parenthesized expr. One regex scan yields the tokens, one per atom.
+    Each distinct token is resolved once, in order of first occurrence, to
+    its atom and (inputs, outputs): each keyword atom is one shared
+    instance, and so is each distinct id, sym or labelled node of a parse,
+    however spelled. The loop then reads one token per atom. Iterative:
+    each open parenthesis pushes the enclosing expression's partial chains,
+    so nesting depth is not limited by the interpreter's recursion limit.
+    Typing is checked as the chains grow: the parser keeps the (inputs,
+    outputs) of the current chain and row, and of the enclosing ones, and
+    compares them at each ";". Only an ill-typed text is walked again, by
+    arity_of, for its error.
     """
     stray = _STRAY_RE.search(text)
     if stray:
@@ -535,15 +642,36 @@ def parse(text: str) -> Expression:
     tokens: list = _TOKEN_RE.findall(text)
     if not tokens:
         raise ExprSyntaxError(1, 1, "empty expression")
+    atoms = dict(_KEYWORD_ATOMS)  # token -> (atom, inputs, outputs)
+    shared: dict = {}  # keyword and widths or label -> (atom, inputs, outputs)
+    too_wide = 0  # the widest id or sym past MAX_WIDTH
+    too_long = 0  # the digit count of the first width too long to read
+    for tok in dict.fromkeys(tokens):
+        if len(tok) == 1 or tok[-1] not in ")]":
+            continue  # not an id(n), sym(n,m) or node[label]
+        keyword, *args = _WORD_RE.findall(tok)
+        if keyword != "node":
+            for k, digits in enumerate(args):
+                digits = digits.lstrip("0") or "0"
+                if not too_long and len(digits) > _READ_DIGITS:
+                    too_long = len(digits)
+                args[k] = 0 if too_long else int(digits)  # unread once too_long
+        key = (keyword, *args)
+        if key not in shared:
+            if keyword == "node":
+                shared[key] = (Node(*args), 1, 1)
+            else:
+                width = sum(args)
+                if width > MAX_WIDTH:
+                    too_wide = max(too_wide, width)
+                shared[key] = (_WIRINGS[keyword](*args), width, width)
+        atoms[tok] = shared[key]
     tokens.append(None)  # end of input
     enclosing: list[tuple] = []
     chain: Optional[Expression] = None  # completed tens, joined by ";"
     row: Optional[Expression] = None  # atoms of the current ten, by "*"
     c_in = c_out = r_in = r_out = 0  # the inputs and outputs of chain and row
-    shared: dict = {}  # tokens of an id, sym or labelled node -> _KEYWORD_ATOMS' form
     ill_typed = False
-    too_wide = 0  # the widest id or sym past MAX_WIDTH
-    too_long = 0  # the digit count of the first width token too long to read
     i = 0
     while True:
         tok = tokens[i]
@@ -552,51 +680,10 @@ def parse(text: str) -> Expression:
             enclosing.append((chain, row, c_in, c_out, r_in, r_out))
             chain = row = None
             continue
-        if tok in _WIRINGS:
-            cls, separators = _WIRINGS[tok]
-            widths = []
-            for sep in separators:
-                if tokens[i] != sep:
-                    raise _syntax_error(text, tokens, i, f"expected {sep!r}")
-                n = tokens[i + 1]
-                if n is None:
-                    raise _syntax_error(text, tokens, i + 1, "unexpected end of input")
-                if not n.isdigit():
-                    raise _syntax_error(text, tokens, i + 1, f"expected a number, got {n!r}")
-                digits = n.lstrip("0") or "0"
-                if not too_long and len(digits) > _READ_DIGITS:
-                    too_long = len(digits)
-                widths.append(0 if too_long else int(digits))  # unread once too_long
-                i += 2
-            if tokens[i] != ")":
-                raise _syntax_error(text, tokens, i, "expected ')'")
-            i += 1
-            key = (tok, *widths)
-            if key not in shared:
-                width = sum(widths)
-                if width > MAX_WIDTH:
-                    too_wide = max(too_wide, width)
-                shared[key] = (cls(*widths), width, width)
-            a, a_in, a_out = shared[key]
-        elif tok == "node" and tokens[i] == "[":
-            label = tokens[i + 1]
-            if label is None:
-                raise _syntax_error(text, tokens, i + 1, "unexpected end of input")
-            if label in _PUNCTUATION:
-                raise _syntax_error(text, tokens, i + 1, "expected a label")
-            if tokens[i + 2] != "]":
-                raise _syntax_error(text, tokens, i + 2, "expected ']'")
-            i += 3
-            key = ("node", label)
-            if key not in shared:
-                shared[key] = (Node(label), 1, 1)
-            a, a_in, a_out = shared[key]
-        elif tok in _KEYWORD_ATOMS:
-            a, a_in, a_out = _KEYWORD_ATOMS[tok]
-        elif tok is None:
-            raise _syntax_error(text, tokens, i - 1, "unexpected end of input")
-        else:
-            raise _syntax_error(text, tokens, i - 1, f"unexpected token {tok!r}")
+        entry = atoms.get(tok)
+        if entry is None:
+            raise _atom_error(text, tokens, i - 1)
+        a, a_in, a_out = entry
         while True:
             if row is None:
                 row, r_in, r_out = a, a_in, a_out
@@ -615,9 +702,7 @@ def parse(text: str) -> Expression:
             if tok == ";":
                 i += 1
                 break
-            if not enclosing:
-                if tok is not None:
-                    raise _syntax_error(text, tokens, i, f"trailing input {tok!r}")
+            if tok is None and not enclosing:
                 if too_long:
                     raise SizeLimitExceeded("width of", f"{too_long} digits", MAX_WIDTH)
                 if ill_typed:
@@ -625,8 +710,8 @@ def parse(text: str) -> Expression:
                 if too_wide:
                     raise SizeLimitExceeded("width", too_wide, MAX_WIDTH)
                 return chain
-            if tok != ")":
-                raise _syntax_error(text, tokens, i, "expected ')'")
+            if tok != ")" or not enclosing:
+                raise _past_atom_error(text, tokens, i, bool(enclosing))
             i += 1
             a, a_in, a_out = chain, c_in, c_out
             chain, row, c_in, c_out, r_in, r_out = enclosing.pop()

@@ -71,6 +71,13 @@ def test_width_tokens_too_long_to_read():
     assert parse(f"id({'0' * 5000}7)") == Id(7)
 
 
+def test_the_first_width_too_long_to_read_is_named():
+    with pytest.raises(SizeLimitExceeded, match="^width of 4500 digits exceeds the bound"):
+        parse(f"id({'9' * 4500}) ; sym(1,{'9' * 5000})")
+    with pytest.raises(SizeLimitExceeded, match="^width of 5000 digits exceeds the bound"):
+        parse(f"sym(1,{'9' * 5000}) * id({'9' * 4500})")
+
+
 @pytest.fixture
 def digit_limit():
     """Python's default limit of 4,300 digits on int-to-str conversion."""

@@ -34,6 +34,13 @@ def test_negative_sizes_raise(shape):
         lambda rng: random_matrix(rng, 2, 2, NAT, max_abs=2.5),
         lambda rng: random_matrix(rng, 2, 2, NAT, density="x"),
         lambda rng: random_matrix(rng, "2", 2, NAT),
+        lambda rng: random_expression(rng, max_depth="x"),
+        lambda rng: random_expression(rng, max_depth=True),
+        lambda rng: random_expression(rng, max_depth=-1),
+        lambda rng: random_expression(rng, max_depth=10**6),
+        lambda rng: random_expression(rng, max_width="x"),
+        lambda rng: random_expression(rng, max_width=False),
+        lambda rng: random_expression(rng, max_width=-1),
     ],
     ids=[
         "idag-no-labels",
@@ -45,6 +52,13 @@ def test_negative_sizes_raise(shape):
         "matrix-max-abs-float",
         "matrix-density-str",
         "matrix-width-str",
+        "expression-depth-str",
+        "expression-depth-bool",
+        "expression-depth-negative",
+        "expression-depth-too-deep",
+        "expression-width-str",
+        "expression-width-bool",
+        "expression-width-negative",
     ],
 )
 def test_bad_arguments_raise_idag_error(call):

@@ -8,9 +8,9 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idag.core import DEFAULT_LABEL, from_permutation
+from idag.core import DEFAULT_LABEL, MAX_WIDTH, from_permutation
 from idag.decomposition import decompose, default_sorting
-from idag.errors import ExprSyntaxError, IdagError, TypeMismatch, UnsupportedGenerator
+from idag.errors import ExprSyntaxError, IdagError, SizeLimitExceeded, TypeMismatch, UnsupportedGenerator
 from idag.models import FreeIdagModel, MatrixModel, evaluate
 from idag.randgen import random_expression, random_idag
 from idag.terms import (
@@ -33,6 +33,7 @@ from idag.terms import (
     Sym,
     Ten,
     arity_of,
+    atoms,
     expand_symmetry,
     fold,
     parse,
@@ -116,6 +117,23 @@ def test_print_examples():
 def test_print_rejects_unprintable_label():
     with pytest.raises(UnsupportedGenerator):
         print_expression(Node("two words"))
+
+
+@pytest.mark.parametrize("label", ["a\n", "7\n", "a\nb", "\n"])
+def test_labels_with_a_line_break_do_not_print(label):
+    # node[a\n] would parse back as node[a]
+    with pytest.raises(UnsupportedGenerator):
+        print_expression(Ten(Node("a"), Node(label)))
+
+
+def test_equal_atoms_share_one_instance():
+    assert parse("id(3) * id(03) * id ( 3 )") == Ten(Ten(Id(3), Id(3)), Id(3))
+    a, b, c = atoms(parse("id(3) * id(03) * id ( 3 )"))
+    assert a is b is c
+    e = parse("node[a] * sym(1,2) * id(5) ; node [ a ] * sym( 1 , 02 ) * id(05)")
+    a, b, c, d, f, g = atoms(e)
+    assert (a, b, c) == (Node("a"), Sym(1, 2), Id(5))
+    assert (a, b, c) == (d, f, g) and a is d and b is f and c is g
 
 
 @pytest.mark.parametrize(
@@ -232,6 +250,35 @@ def _reference_tokens(text):
     return tokens
 
 
+def _joined_atoms(text, tokens):
+    """The reference tokens of text with those of each well-formed id(n),
+    sym(n,m) and node[label] joined into one token, spelled as in text with
+    the whitespace between its parts."""
+    line_starts = [0]
+    for line in text.splitlines(keepends=True):
+        line_starts.append(line_starts[-1] + len(line))
+    shapes = {"id": "(n)", "sym": "(n,n)", "node": "[l]"}
+    fits = {"n": str.isdigit, "l": lambda t: t[0].isalnum() or t[0] == "_"}
+    joined = []
+    k = 0
+    while k < len(tokens):
+        word, line, column = tokens[k]
+        shape = shapes.get(word, "")
+        parts = tokens[k + 1 : k + 1 + len(shape)]
+        if shape and len(parts) == len(shape) and all(
+            fits[s](t) if s in fits else t == s for (t, _, _), s in zip(parts, shape)
+        ):
+            last, last_line, last_column = parts[-1]
+            start = line_starts[line - 1] + column - 1
+            end = line_starts[last_line - 1] + last_column - 1 + len(last)
+            joined.append((text[start:end], line, column))
+            k += 1 + len(shape)
+        else:
+            joined.append(tokens[k])
+            k += 1
+    return joined
+
+
 def test_tokens_match_the_reference_tokenizer():
     rng = random.Random(11)
     texts = []
@@ -256,7 +303,7 @@ def test_tokens_match_the_reference_tokenizer():
             continue
         assert _STRAY_RE.search(text) is None
         got = [(m.group(), *_line_column(text, m.start())) for m in _TOKEN_RE.finditer(text)]
-        assert got == want
+        assert got == _joined_atoms(text, want)
 
 
 @pytest.mark.parametrize(
@@ -418,6 +465,9 @@ def _ref_parse(text: str) -> Expression:
     if parser.pos != len(tokens):
         parser.fail(f"trailing input {parser.peek()!r}")
     arity_of(e)
+    widest = max((_wiring_width(a) for a in atoms(e) if isinstance(a, (Id, Sym))), default=0)
+    if widest > MAX_WIDTH:
+        raise SizeLimitExceeded("width", widest, MAX_WIDTH)
     return e
 
 
@@ -464,7 +514,9 @@ _INSERTS = ["\r\n", "\x1c", "\u00a0", "\u2028", "é", "$", "-", " ", "\t", "\n  
             ",", "[", "]", "node[", "id(", "sym(1,", "node", "eta", "x1", "7", "id(1)"]
 _CUT_OFF = ["", "\r\n", "node[", "id(", "sym(1,", "sym(1,2", "node[x", "node[x;", "id(1", "((eta)",
             "eta ;\r\n eps", "eta\x1c;\x1ceps", "eta ; eps", "eta ; é", "eta $", "node[]",
-            "node[7] ; node[_]", "sym(1,1) ; sym", "id(01)", "()", "(;)", "eta * * eps"]
+            "node[7] ; node[_]", "sym(1,1) ; sym", "id(01)", "()", "(;)", "eta * * eps",
+            "id ( 3 )", "sym( 1 , 2 )", "node [ a ]", "node[1a]", "idx(2)", "xid(2)", "node[a]b",
+            "id(1000001)"]
 
 
 def _parity_corpus(seed: int, n_expressions: int) -> list[str]:
@@ -625,3 +677,18 @@ def test_arity_of_matches_the_reference_fold():
         assert _outcome(arity_of, e) == want
         outcomes.add(want[0] if isinstance(want, tuple) else str)
     assert outcomes == {str, TypeMismatch, UnsupportedGenerator}
+
+
+def test_print_reads_subclasses_as_their_base_class():
+    # exact-class dispatch sends these through its fallbacks
+    rng = random.Random(5)
+    odd = [_SubSeq(Delta(), Nabla()), _WideId(2), Node(_Label("x")), Sym(0, 2)]
+    for _ in range(300):
+        parts = [rng.choice(odd + [random_expression(rng, max_depth=3, allow_anti=True)]) for _ in range(4)]
+        shapes = [
+            Seq(Ten(parts[0], _SubSeq(parts[1], Id(0))), Ten(parts[2], Seq(parts[3], Id(1)))),
+            Ten(Ten(parts[0], parts[1]), _SubSeq(parts[2], parts[3])),
+            _SubSeq(parts[0], _SubSeq(parts[1], Ten(parts[2], parts[3]))),
+        ]
+        for e in shapes:
+            assert print_expression(e) == _ref_print(e)

@@ -13,6 +13,8 @@ free image and the quotients are shared with the library.
 
 from __future__ import annotations
 
+import itertools
+import re
 from typing import Optional
 
 from idag.core import canonical_form
@@ -23,8 +25,6 @@ from idag.terms import (
     _GENERATORS,
     _PUNCTUATION,
     _STRAY_RE,
-    _TOKEN_RE,
-    _WIRINGS,
     Expression,
     Id,
     Node,
@@ -33,12 +33,24 @@ from idag.terms import (
     Ten,
     _generator_image,
     _line_column,
-    _syntax_error,
     arity_of,
     validate_for_mode,
 )
 
 _BY_KEYWORD = {keyword: cls for cls, (keyword, _, _) in _GENERATORS.items()}
+# one token per identifier, number or punctuation character
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[;*()\[\],]")
+# the punctuation before each width of id(n) and sym(n,m)
+_WIRINGS = {"id": (Id, ("(",)), "sym": (Sym, ("(", ","))}
+
+
+def _syntax_error(text: str, tokens: list, i: int, message: str) -> ExprSyntaxError:
+    """An ExprSyntaxError at token i of text, or just past the last token
+    when i is the end-of-input sentinel."""
+    at_end = tokens[i] is None
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), i - 1 if at_end else i, None))
+    line, column = _line_column(text, m.start())
+    return ExprSyntaxError(line, column + len(m.group()) if at_end else column, message)
 
 
 def parse(text: str) -> Expression:
