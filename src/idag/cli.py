@@ -3,7 +3,7 @@
 Commands: eq, normalize, decompose, compose, tensor, closure, prune, dot,
 random, selftest. Inputs are literal text, "@path" to read a file, or "-"
 for standard input. Exit codes: 0 success/equal, 1 unequal or selftest
-failure, 2 any error.
+failure, 2 any error (running out of memory too).
 
 One table, _COMMANDS, gives each command its operands and only the options
 its handler reads: --mode and --quotient select the theory an expression is
@@ -11,8 +11,9 @@ read in, so the commands that read idags, whose JSON names their weights,
 do not take them.
 
 Each command imports only what it runs: eq and normalize load the parser,
-the free model and the canonical form; decompose adds the decomposition
-module; dot, random and selftest each add their own module.
+the free model and the canonical search (canon); decompose loads the
+decomposition module but not the search; dot, random and selftest each add
+their own module.
 """
 
 from __future__ import annotations
@@ -82,10 +83,13 @@ def _cmd_eq(args: argparse.Namespace) -> int:
     report = equal_mod_theory(lhs, rhs, mode)
     if args.format == "json":
         print(dumps(report.to_json_obj()))
-    else:
-        print("equal" if report.equal else "unequal")
-        print(f"lhs normal form: {idag_to_json(report.normal_form_left)}")
-        print(f"rhs normal form: {idag_to_json(report.normal_form_right)}")
+    else:  # all lines are built before any is printed: a failure prints no verdict
+        print(
+            "equal" if report.equal else "unequal",
+            f"lhs normal form: {idag_to_json(report.normal_form_left)}",
+            f"rhs normal form: {idag_to_json(report.normal_form_right)}",
+            sep="\n",
+        )
     return 0 if report.equal else 1
 
 
@@ -211,8 +215,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IdagError, OSError, UnicodeError) as exc:  # UnicodeError: input that is not UTF-8
-        print(f"error: {exc}", file=sys.stderr)
+    # UnicodeError: input that is not UTF-8; MemoryError must not exit 1 ("unequal")
+    except (IdagError, OSError, UnicodeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

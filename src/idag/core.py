@@ -10,7 +10,8 @@ interface, parallel composition (juxt) stacks.
 
 Equality of Idag values is structural (same interfaces, same node sequence,
 same weighted edges). Identity "up to renaming internal nodes" is what
-is_isomorphic and canonical_form decide.
+is_isomorphic and canonical_form decide, by the search in canon, which they
+import on first use.
 
 An Idag stores its free image (see Idag): integer sources and one
 {source: weight} wire per node and per output. Every algorithm here reads
@@ -30,11 +31,10 @@ from .errors import (
     InterfaceMismatch,
     ModeMismatch,
     NotBijective,
-    SearchBudgetExceeded,
     SizeLimitExceeded,
     _int_text,
 )
-from .record import Frozen, Record
+from .record import Frozen
 from .weights import BOOL, WeightSystem
 
 DEFAULT_LABEL = "•"
@@ -464,375 +464,6 @@ def sorted_edges(d: Idag) -> list[tuple[int, int, int]]:
 _Adjacency = list[list[tuple[int, int]]]
 
 
-def _dense_ranks(structured: Sequence) -> list[int]:
-    """Ranks of the values in sorted order: equal values share a rank."""
-    rank = {c: k for k, c in enumerate(sorted(set(structured)))}
-    return [rank[c] for c in structured]
-
-
-class _Cells(Record):
-    """An ordered partition of the nodes 0..n-1: order lists the nodes cell
-    by cell and where[i] is node i's position in it; a node's color is the
-    position at which its cell starts, size[p] is the size of the cell that
-    starts at p (0 where none starts) and count is the number of cells."""
-
-    __slots__ = ("colors", "order", "where", "size", "count")
-
-    def __init__(
-        self, colors: list[int], order: list[int], where: list[int], size: list[int], count: int
-    ) -> None:
-        self.colors = colors
-        self.order = order
-        self.where = where
-        self.size = size
-        self.count = count
-
-    @classmethod
-    def of(cls, keys: Sequence) -> _Cells:
-        """The nodes with equal keys as cells, in key order."""
-        n = len(keys)
-        order = sorted(range(n), key=keys.__getitem__)
-        colors, where, size = [0] * n, [0] * n, [0] * n
-        start = 0
-        for k, i in enumerate(order):
-            if keys[i] != keys[order[start]]:
-                start = k
-            colors[i], where[i] = start, k
-            size[start] += 1
-        return cls(colors, order, where, size, n - size.count(0))
-
-    def copy(self) -> _Cells:
-        return _Cells(self.colors[:], self.order[:], self.where[:], self.size[:], self.count)
-
-    def starts(self) -> list[int]:
-        """The positions at which cells start, in order."""
-        size, n = self.size, len(self.order)
-        starts, p = [], 0
-        while p < n:
-            starts.append(p)
-            p += size[p]
-        return starts
-
-    def individualize(self, v: int) -> None:
-        """Make v a cell of its own at its cell's start; the rest of the
-        cell starts one position later."""
-        colors, order, where, size = self.colors, self.order, self.where, self.size
-        p, q = colors[v], where[v]
-        order[q], where[order[p]] = order[p], q
-        order[p], where[v] = v, p
-        for i in order[p + 1 : p + size[p]]:
-            colors[i] = p + 1
-        size[p + 1], size[p] = size[p] - 1, 1
-        self.count += 1
-
-
-def _refine(
-    cells: _Cells,
-    queue: list[int],
-    preds: _Adjacency,
-    succs: _Adjacency,
-    trace: list,
-    bound: Optional[list] = None,
-) -> int:
-    """Split cells until the partition is equitable (one-dimensional
-    Weisfeiler-Leman by Hopcroft's worklist; Paige & Tarjan 1987).
-
-    queue holds the starts of the cells to split against, and the partition
-    must be equitable with respect to every other cell. A splitter splits
-    each cell it touches in place into pieces of equal key, the sorted
-    (direction, weight) pairs of a member's edges into the splitter; pieces
-    follow key order, so untouched members keep the cell's start. Every
-    piece of a queued cell is queued, and of any other cell every piece but
-    the first largest: edges into it are those into the whole cell less
-    those into the other pieces. Splitters leave the queue in the order
-    they entered it and the cells a splitter touches split in position
-    order, so the colors do not depend on node numbering. Refinement stops
-    when the queue is empty or every cell is a singleton.
-
-    Each split appends (splitter, cell, piece sizes) to trace. Returns 1,
-    leaving the partition half refined, at the first entry that exceeds
-    bound's entry at the same index; otherwise -1 if an entry fell below
-    bound's (or bound is None) and 0 if trace stayed a prefix of bound.
-    """
-    colors, order, where, size = cells.colors, cells.order, cells.where, cells.size
-    n = len(colors)
-    queued = set(queue)
-    sign = -1 if bound is None else 0
-    head = 0
-    while head < len(queue) and cells.count < n:
-        s = queue[head]
-        head += 1
-        queued.discard(s)
-        edges: dict[int, list[tuple[int, int]]] = {}
-        for x in order[s : s + size[s]]:
-            for j, w in preds[x]:
-                if size[colors[j]] > 1:
-                    edges.setdefault(j, []).append((1, w))
-            for j, w in succs[x]:
-                if size[colors[j]] > 1:
-                    edges.setdefault(j, []).append((0, w))
-        touched: dict[int, list[int]] = {}
-        for j in edges:
-            touched.setdefault(colors[j], []).append(j)
-        for p in sorted(touched):
-            members = touched[p]
-            key = {j: tuple(sorted(edges[j])) for j in members}
-            end = p + size[p]
-            if len(members) == size[p] and len(set(key.values())) == 1:
-                continue
-            # swap the touched members to the end of the cell, then sort them
-            for dest, j in enumerate(members, end - len(members)):
-                here, other = where[j], order[dest]
-                order[here], where[other] = other, here
-                order[dest], where[j] = j, dest
-            members.sort(key=key.__getitem__)
-            tail = end - len(members)
-            order[tail:end] = members
-            pieces = [p] if tail > p else []
-            for k, j in enumerate(members, tail):
-                where[j] = k
-                if k == tail or key[j] != key[members[k - tail - 1]]:
-                    pieces.append(k)
-                colors[j] = pieces[-1]
-            for a, b in zip(pieces, pieces[1:] + [end]):
-                size[a] = b - a
-            cells.count += len(pieces) - 1
-            entry = (s, p, tuple(size[a] for a in pieces))
-            if sign == 0:
-                k = len(trace)
-                if k == len(bound) or entry > bound[k]:  # type: ignore[arg-type]
-                    return 1
-                if entry < bound[k]:  # type: ignore[index]
-                    sign = -1
-            trace.append(entry)
-            if p in queued:
-                fresh = pieces[1:]
-            else:
-                largest = max(pieces, key=size.__getitem__)
-                fresh = [a for a in pieces if a != largest]
-            queue.extend(fresh)
-            queued.update(fresh)
-    return sign
-
-
-def _equitable(keys: Sequence, preds: _Adjacency, succs: _Adjacency) -> _Cells:
-    """The coarsest equitable partition whose cells hold nodes of equal key."""
-    cells = _Cells.of(keys)
-    _refine(cells, cells.starts(), preds, succs, [])
-    return cells
-
-
-def _split_twins(cells: _Cells, twin: list[int]) -> None:
-    """Split every cell made of one twin class into singletons, in node order.
-    Twins have the same label, neighbours, weights and interface edges, so
-    any order of them gives the same key, and the partition stays
-    equitable."""
-    colors, order, where, size = cells.colors, cells.order, cells.where, cells.size
-    for p in cells.starts():
-        k = size[p]
-        if k > 1 and len({twin[i] for i in order[p : p + k]}) == 1:
-            members = sorted(order[p : p + k])
-            order[p : p + k] = members
-            for q, i in enumerate(members, p):
-                colors[i] = where[i] = q
-                size[q] = 1
-            cells.count += k - 1
-
-
-class _Frame(Record):
-    """A node of the search tree: its equitable partition, the trace of the
-    refinements on the way to it and the nodes they individualized, whether
-    that trace is already below the best leaf's, and the children of its
-    target cell."""
-
-    __slots__ = ("cells", "trace", "path", "on_first_path", "below", "candidates", "tried")
-
-    def __init__(
-        self,
-        cells: _Cells,
-        trace: list,
-        path: tuple[int, ...],
-        on_first_path: bool,
-        below: bool,
-        candidates: Iterator[int],
-        tried: Optional[list[int]] = None,
-    ) -> None:
-        self.cells = cells
-        self.trace = trace
-        self.path = path
-        self.on_first_path = on_first_path
-        self.below = below
-        self.candidates = candidates
-        self.tried = [] if tried is None else tried
-
-
-def _search(
-    cells: _Cells,
-    preds: _Adjacency,
-    succs: _Adjacency,
-    twin: list[int],
-    steps: list[int],
-    exhausted: str,
-) -> tuple[tuple, list[int]]:
-    """Canonical labelling of one connected tied part, whose partition
-    cells is equitable, by individualization-refinement (McKay & Piperno,
-    Practical graph isomorphism II, 2014, sections 3-4).
-
-    Each tree node individualizes one member v of its first largest cell
-    (as Traces does) and refines from v's cell alone. Leaves are discrete
-    partitions, and the canonical one has the least (trace, sorted edge
-    list), the trace being that of every refinement on its path; a child is
-    abandoned at the first split at which its trace exceeds the best
-    leaf's. Two
-    leaves with equal edge lists give an automorphism: its orbits prune the
-    children of nodes on the first path, and a leaf equal to the first leaf
-    abandons its branch back to where that branch left the first path.
-    Children twin to a tried child are skipped everywhere. steps[0] counts
-    down the tree nodes left.
-
-    Returns the least edge list and the node order producing it.
-    """
-    n = len(cells.colors)
-
-    def count_node() -> None:
-        steps[0] -= 1
-        if steps[0] < 0:
-            raise SearchBudgetExceeded(exhausted)
-
-    def edge_list(cs: list[int]) -> tuple:
-        return tuple(sorted([(cs[i], cs[j], w) for i in range(n) for j, w in succs[i]]))
-
-    orbit = list(range(n))
-
-    def find(x: int) -> int:
-        while orbit[x] != x:
-            orbit[x] = orbit[orbit[x]]
-            x = orbit[x]
-        return x
-
-    def merge_automorphism(a: _Cells, b: _Cells) -> None:
-        # a and b are discrete with equal edge lists: node i of a and the
-        # node of b at the same position play the same part.
-        for i, c in enumerate(a.colors):
-            orbit[find(i)] = find(b.order[c])
-
-    # Twin transpositions fix every other node, so twins share an orbit.
-    first_of_twin: dict[int, int] = {}
-    for i in range(n):
-        orbit[i] = first_of_twin.setdefault(twin[i], i)
-
-    def frame(cs: _Cells, trace: list, path: tuple[int, ...], below: bool) -> _Frame:
-        p = max(cs.starts(), key=cs.size.__getitem__)
-        cell = sorted(cs.order[p : p + cs.size[p]])
-        return _Frame(cs, trace, path, first is None, below, iter(cell))
-
-    def next_child(f: _Frame) -> Optional[int]:
-        for v in f.candidates:
-            if any(twin[u] == twin[v] for u in f.tried):
-                continue
-            if f.on_first_path and find(v) in {find(u) for u in f.tried}:
-                continue
-            f.tried.append(v)
-            return v
-        return None
-
-    count_node()
-    if cells.count == n:
-        return edge_list(cells.colors), cells.order
-    first = best = None
-    frames = [frame(cells, [], (), True)]
-    while frames:
-        f = frames[-1]
-        v = next_child(f)
-        if v is None:
-            frames.pop()
-            continue
-        count_node()
-        child = f.cells.copy()
-        child.individualize(v)
-        trace = f.trace[:]
-        sign = _refine(child, [child.colors[v]], preds, succs, trace, None if f.below else best[0])
-        if sign > 0:
-            continue
-        _split_twins(child, twin)
-        path = f.path + (v,)
-        if child.count < n:
-            frames.append(frame(child, trace, path, f.below or sign < 0))
-            continue
-        code = edge_list(child.colors)
-        if first is not None and code == first[1]:
-            merge_automorphism(first[2], child)
-            common = 0
-            while path[common] == first[3][common]:
-                common += 1
-            del frames[common + 1 :]
-        elif best is not None and (trace, code) == best[:2]:
-            merge_automorphism(best[2], child)
-        elif best is None or (trace, code) < best[:2]:
-            best = (trace, code, child, path)
-            if first is None:
-                first = best
-            for g in frames:
-                g.below = False
-    return best[1], best[2].order
-
-
-def _break_ties(cells: _Cells, preds: _Adjacency, succs: _Adjacency, budget: int) -> list[int]:
-    """A canonical node order refining the equitable partition cells:
-    isomorphic idags get the same key under it.
-
-    Cells of twins are split in node order. What is still tied falls apart
-    into connected parts; nodes outside them are fixed, and every member of
-    a cell has the same edges to fixed nodes and to the interface, so each
-    part is labelled on its own (by _search) and equal parts, which can be
-    swapped, are ordered by their codes.
-    """
-    colors = cells.colors
-    n = len(colors)
-    twin = _dense_ranks(
-        [(colors[i], tuple(sorted(preds[i])), tuple(sorted(succs[i]))) for i in range(n)]
-    )
-    _split_twins(cells, twin)
-    size = cells.size
-    tied = {i for i in range(n) if size[colors[i]] > 1}
-    if not tied:
-        return cells.order
-    tied_sizes = sorted((size[p] for p in cells.starts() if size[p] > 1), reverse=True)
-    exhausted = (
-        f"canonical search exceeded its budget of {budget} tree nodes "
-        f"(N = {n} nodes; cells tied after refinement: {tied_sizes})"
-    )
-
-    steps = [budget]
-    parts: list[tuple[tuple, list[int]]] = []
-    seen: set[int] = set()
-    for start in sorted(tied):
-        if start in seen:
-            continue
-        seen.add(start)
-        members = [start]
-        for i in members:
-            for j, _ in preds[i] + succs[i]:
-                if j in tied and j not in seen:
-                    seen.add(j)
-                    members.append(j)
-        local = {i: k for k, i in enumerate(members)}
-        code, order = _search(
-            _Cells.of([colors[i] for i in members]),
-            [[(local[j], w) for j, w in preds[i] if j in local] for i in members],
-            [[(local[j], w) for j, w in succs[i] if j in local] for i in members],
-            [twin[i] for i in members],
-            steps,
-            exhausted,
-        )
-        parts.append(((tuple(colors[members[k]] for k in order), code), [members[k] for k in order]))
-    parts.sort(key=lambda part: part[0])
-    place = list(range(n))
-    for k, i in enumerate(i for _, order in parts for i in order):
-        place[i] = n + k
-    return sorted(range(n), key=lambda i: (colors[i], place[i]))
-
-
 def _adjacency(d: Idag) -> tuple[list[tuple], _Adjacency, _Adjacency]:
     """d's initial node keys, (label, exact weighted interface profiles),
     and the weighted predecessors and successors of each node."""
@@ -861,18 +492,10 @@ def _adjacency(d: Idag) -> tuple[list[tuple], _Adjacency, _Adjacency]:
 
 def _labelling(d: Idag, budget: int) -> tuple[tuple, list[int]]:
     """The canonical key of d, (labels, wires), and the node order that
-    produces it: node order[k] moves to position k.
+    produces it (canon.canonical_order): node order[k] moves to position k."""
+    from .canon import canonical_order
 
-    Cells start from the nodes' initial keys and are refined to an
-    equitable partition; nodes are ordered by cell. When cells tie,
-    _break_ties orders the tied nodes canonically.
-    """
-    keys, preds, succs = _adjacency(d)
-    cells = _equitable(keys, preds, succs)
-    if cells.count == len(keys):
-        order = cells.order
-    else:
-        order = _break_ties(cells, preds, succs, budget)
+    order = canonical_order(*_adjacency(d), budget)
     return (tuple(d.nodes[i][1] for i in order), _renumbered(d, order)), order
 
 
@@ -897,12 +520,9 @@ def canonical_form(d: Idag, budget: int = CANONICAL_SEARCH_BUDGET) -> Idag:
     """A canonical representative of d's isomorphism class.
 
     Nodes are renamed "0".."N-1"; two idags are isomorphic iff their canonical
-    forms are equal. Nodes are ordered by the cells of the coarsest equitable
-    partition of (label, interface edges), found by worklist refinement;
-    where cells tie, twins are ordered freely, independent tied parts are
-    labelled separately, and the rest is searched by
-    individualization-refinement with trace pruning, counting each
-    search-tree node against the budget (SearchBudgetExceeded beyond).
+    forms are equal. Nodes start in cells of equal (label, interface edges)
+    and are ordered by canon.canonical_order, whose search counts each tree
+    node against the budget (SearchBudgetExceeded beyond).
     """
     (labels, wires), _ = _labelling(d, budget)
     nodes = tuple((str(k), lbl) for k, lbl in enumerate(labels))

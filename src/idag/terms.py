@@ -424,6 +424,15 @@ _LABEL = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+"
 _IDENT_RE = re.compile(rf"(?:{_LABEL})\Z")
 
 
+class _Text(str):
+    """A piece of print_expression's punctuation."""
+
+
+_CLOSE, _SEQ, _SEQ_OPEN, _TEN, _TEN_OPEN, _CLOSE_TEN, _CLOSE_TEN_OPEN = map(
+    _Text, (")", " ; ", " ; (", " * ", " * (", ") * ", ") * (")
+)
+
+
 def print_expression(e: Expression) -> str:
     """Concrete syntax for e, with minimal parentheses; parses back to an
     equal AST. Emits pieces left to right from one stack: an operand is
@@ -434,34 +443,35 @@ def print_expression(e: Expression) -> str:
     once per object and kept by identity, so an atom shared across e is
     checked and spelled once. A subclass of Seq or Ten sends the whole of
     e through map_atoms first, which rebuilds its composites as the base
-    classes; _atom_text reads an Id or Sym subclass as its base class."""
+    classes; _atom_text reads an Id or Sym subclass as its base class. A
+    str in e is an unknown atom: punctuation on the stack is a _Text."""
     out: list[str] = []
     stack: list = [e]
     texts: dict[int, str] = {}  # id(atom) -> its text; e keeps each atom alive
     while stack:
         a = stack.pop()
         kind = type(a)
-        if kind is str:
+        if kind is _Text:
             out.append(a)
         elif kind is Seq:
             then = a.then
             if type(then) is Seq:
-                stack += (")", then, " ; (", a.first)
+                stack += (_CLOSE, then, _SEQ_OPEN, a.first)
             else:
-                stack += (then, " ; ", a.first)
+                stack += (then, _SEQ, a.first)
         elif kind is Ten:
             left, right = a.left, a.right
             right_kind = type(right)
             if type(left) is Seq:
                 out.append("(")
                 if right_kind is Seq or right_kind is Ten:
-                    stack += (")", right, ") * (", left)
+                    stack += (_CLOSE, right, _CLOSE_TEN_OPEN, left)
                 else:
-                    stack += (right, ") * ", left)
+                    stack += (right, _CLOSE_TEN, left)
             elif right_kind is Seq or right_kind is Ten:
-                stack += (")", right, " * (", left)
+                stack += (_CLOSE, right, _TEN_OPEN, left)
             else:
-                stack += (right, " * ", left)
+                stack += (right, _TEN, left)
         else:
             text = texts.get(id(a))
             if text is None:

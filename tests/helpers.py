@@ -80,18 +80,14 @@ class Forwarding(Model):
         return self.inner.equal(a, b)
 
 
-def _limit_memory():
-    limit = 1_500_000_000
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
-def run_capped(args, stdin=""):
-    """python args in a child process whose address space is capped."""
+def run_capped(args, stdin="", cap=1_500_000_000):
+    """python args in a child process whose address space is capped at cap
+    bytes."""
     return subprocess.run(
         [sys.executable, *args],
         input=stdin,
         capture_output=True,
         text=True,
         timeout=120,
-        preexec_fn=_limit_memory,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )

@@ -3,13 +3,13 @@
 Every round recoloured every node by its color and the sorted weighted
 colors of its in- and out-neighbours, and the loop ended with a round that
 split nothing. test_core.py plays the library's worklist refinement,
-core._equitable and core._refine, against this: both must reach the same
+canon._equitable and canon._refine, against this: both must reach the same
 partition, compared as a set of cells.
 """
 
 from __future__ import annotations
 
-from idag.core import _dense_ranks
+from idag.canon import _dense_ranks
 
 
 def refine(colors: list[int], preds, succs) -> list[int]:

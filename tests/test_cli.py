@@ -33,7 +33,7 @@ def test_eq_does_not_import_selftest():
         (["normalize", "(delta ; nabla) * node[a]", "--mode", "nat"], unused_by_eq),
         (
             ["decompose", json.dumps(idag_to_obj(sample_dag_2_3()))],
-            ["dataclasses", "idag.randgen", "idag.dot", "idag.selftest"],
+            ["dataclasses", "idag.randgen", "idag.dot", "idag.selftest", "idag.canon"],
         ),
     ]
     src = str(Path(idag.__file__).resolve().parent.parent)
@@ -286,6 +286,34 @@ def test_eq_of_two_long_chains(tmp_path):
     r = run_capped(["-m", "idag", "eq", f"@{chain}", f"@{chain}"])
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[0] == "equal"
+
+
+def test_running_out_of_memory_is_an_error_not_a_verdict(tmp_path):
+    # the transitive closure of a 3,000-node chain has C(3002, 2) edges,
+    # about 4.5 million, more than a 400 MB address space holds
+    n = 3000
+    chain = tmp_path / "chain.txt"
+    chain.write_text(" ; ".join(["node[a]"] * n))
+    chain_json = tmp_path / "chain.json"
+    chain_json.write_text(run_cli("normalize", f"@{chain}").stdout)
+
+    def closed(text):
+        obj = json.loads(text)
+        return len(obj["nodes"]) == n and len(obj["edges"]) == (n + 2) * (n + 1) // 2
+
+    cases = [
+        (["eq", "--quotient", "transitive", f"@{chain}", f"@{chain}"], lambda out: out.startswith("equal\n")),
+        (["normalize", "--quotient", "transitive", f"@{chain}"], closed),
+        (["closure", f"@{chain_json}"], closed),
+    ]
+    for argv, correct in cases:
+        r = run_capped(["-m", "idag", *argv], cap=400_000_000)
+        assert "Traceback" not in r.stderr, r.stderr[-2000:]
+        assert r.returncode in (0, 2), (argv[0], r.returncode)
+        if r.returncode == 0:
+            assert correct(r.stdout), argv[0]
+        else:
+            assert r.stdout == "" and r.stderr.startswith("error: "), (argv[0], r.stderr[-2000:])
 
 
 # each command's options, the ones its handler reads, with their choices

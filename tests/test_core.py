@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refine_reference
+from idag.canon import _dense_ranks, _equitable, _refine
 from idag.core import (
     In,
     NodeRef,
     Out,
     _adjacency,
-    _dense_ranks,
-    _equitable,
-    _refine,
     canonical_form,
     concat,
     from_permutation,

@@ -126,6 +126,15 @@ def test_labels_with_a_line_break_do_not_print(label):
         print_expression(Ten(Node("a"), Node(label)))
 
 
+@pytest.mark.parametrize("e", [Seq(Id(1), "x"), "abc", Ten(Node("a"), " ; "), Seq(")", Id(0))])
+def test_a_str_is_an_unknown_atom_to_the_printer(e):
+    # the printer's own punctuation is on its stack too, and must not let a
+    # str through as text
+    for read in (arity_of, print_expression):
+        with pytest.raises(UnsupportedGenerator, match="unknown atom"):
+            read(e)
+
+
 def test_equal_atoms_share_one_instance():
     assert parse("id(3) * id(03) * id ( 3 )") == Ten(Ten(Id(3), Id(3)), Id(3))
     a, b, c = atoms(parse("id(3) * id(03) * id ( 3 )"))

@@ -3,7 +3,7 @@ edge dict keyed by (In/NodeRef, NodeRef/Out) pairs, in which every algorithm
 built its own integer index from that dict.
 
 test_wires.py plays the library, which works on integer wires, against
-these. The integer-level canonical search (_equitable, _break_ties) is
+these. The integer-level canonical search (canon.canonical_order) is
 shared with the library; everything that converts vertices is kept here.
 """
 
@@ -12,14 +12,13 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from idag.canon import canonical_order
 from idag.core import (
     CANONICAL_SEARCH_BUDGET,
     DEFAULT_LABEL,
     In,
     NodeRef,
     Out,
-    _break_ties,
-    _equitable,
     _freshen,
 )
 from idag.errors import InterfaceMismatch, ModeMismatch
@@ -122,12 +121,12 @@ def labelling(d: VIdag, budget: int = CANONICAL_SEARCH_BUDGET) -> tuple[tuple, l
         elif isinstance(dst, NodeRef):
             in_prof[index[dst.id]].append((src.index, w))
     labels = [lbl for _, lbl in d.nodes]
-    cells = _equitable(
+    order = canonical_order(
         [(labels[i], tuple(sorted(in_prof[i])), tuple(sorted(out_prof[i]))) for i in range(len(ids))],
         preds,
         succs,
+        budget,
     )
-    order = cells.order if cells.count == len(ids) else _break_ties(cells, preds, succs, budget)
     position = {i: k for k, i in enumerate(order)}
 
     def vkey(v):
