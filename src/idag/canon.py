@@ -167,9 +167,20 @@ def _refine(
 
 
 def _equitable(keys: Sequence, preds: _Adjacency, succs: _Adjacency) -> _Cells:
-    """The coarsest equitable partition whose cells hold nodes of equal key."""
+    """The coarsest equitable partition whose cells hold nodes of equal key.
+    The worklist starts from the cells, in order, that hold a tied node or a
+    neighbour of one: any other cell is a singleton with singleton
+    neighbours, so as a splitter it would touch no cell."""
     cells = _Cells.of(keys)
-    _refine(cells, cells.starts(), preds, succs, [])
+    if cells.count < len(keys):
+        colors, size = cells.colors, cells.size
+        starts = set()
+        for i, p in enumerate(colors):
+            if size[p] > 1:
+                starts.add(p)
+                for j, _ in preds[i] + succs[i]:
+                    starts.add(colors[j])
+        _refine(cells, sorted(starts), preds, succs, [])
     return cells
 
 

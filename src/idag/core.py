@@ -446,8 +446,15 @@ def _renumbered(d: Idag, order: Sequence[int]) -> tuple[dict[int, int], ...]:
     source = list(range(d.n_in)) + [-1] * len(d.nodes)
     for k, p in enumerate(order):
         source[d.n_in + p] = d.n_in + k
-    wires = [d.wires[p] for p in order] + list(d.wires[len(d.nodes) :])
-    return tuple({source[s]: w for s, w in wire.items() if source[s] >= 0} for wire in wires)
+    wires = []
+    for wire in [d.wires[p] for p in order] + list(d.wires[len(d.nodes) :]):
+        renamed = {}
+        for s, w in wire.items():
+            t = source[s]
+            if t >= 0:
+                renamed[t] = w
+        wires.append(renamed)
+    return tuple(wires)
 
 
 def sorted_edges(d: Idag) -> list[tuple[int, int, int]]:
@@ -462,6 +469,7 @@ def sorted_edges(d: Idag) -> list[tuple[int, int, int]]:
 
 
 _Adjacency = list[list[tuple[int, int]]]
+_canonical_order = None  # canon.canonical_order, bound by _labelling
 
 
 def _adjacency(d: Idag) -> tuple[list[tuple], _Adjacency, _Adjacency]:
@@ -493,9 +501,10 @@ def _adjacency(d: Idag) -> tuple[list[tuple], _Adjacency, _Adjacency]:
 def _labelling(d: Idag, budget: int) -> tuple[tuple, list[int]]:
     """The canonical key of d, (labels, wires), and the node order that
     produces it (canon.canonical_order): node order[k] moves to position k."""
-    from .canon import canonical_order
-
-    order = canonical_order(*_adjacency(d), budget)
+    global _canonical_order
+    if _canonical_order is None:
+        from .canon import canonical_order as _canonical_order
+    order = _canonical_order(*_adjacency(d), budget)
     return (tuple(d.nodes[i][1] for i in order), _renumbered(d, order)), order
 
 

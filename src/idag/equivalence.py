@@ -29,9 +29,20 @@ NO_DANGLING = "nodangling"
 _KNOWN_QUOTIENTS = frozenset({TRANSITIVE, NO_DANGLING})
 
 
+def _names(x: object, what: str) -> frozenset[str]:
+    """x as a frozenset; ModeMismatch unless x is a set of str."""
+    if not isinstance(x, (set, frozenset)):
+        raise ModeMismatch(f"{what} must be a set of str, got {type(x).__name__}")
+    for s in x:
+        if not isinstance(s, str):
+            raise ModeMismatch(f"{what} must be a set of str, got a {type(s).__name__} in it")
+    return frozenset(x)
+
+
 class TheoryMode(Frozen):
     """A weight system plus the optional quotients layered on top of the
-    equational theory, and an optional closed label set."""
+    equational theory, and an optional closed label set; ModeMismatch
+    unless each is of its kind. The sets are kept as frozensets."""
 
     __slots__ = ("weights", "quotients", "labels")
 
@@ -41,14 +52,17 @@ class TheoryMode(Frozen):
         quotients: frozenset[str] = frozenset(),
         labels: Optional[frozenset[str]] = None,
     ) -> None:
-        unknown = set(quotients) - _KNOWN_QUOTIENTS
+        if not isinstance(weights, WeightSystem):
+            raise ModeMismatch(f"a mode needs a WeightSystem, got {type(weights).__name__}")
+        quotients = _names(quotients, "quotients")
+        unknown = quotients - _KNOWN_QUOTIENTS
         if unknown:
             raise ModeMismatch(f"unknown quotients {sorted(unknown)}")
         if quotients and weights is not BOOL:
             raise ModeMismatch(f"quotients require bool mode, got {weights!r}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "quotients", quotients)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", None if labels is None else _names(labels, "labels"))
 
     @property
     def antipode_enabled(self) -> bool:

@@ -449,6 +449,7 @@ class _IllTyped(Exception):
     """_walk met a term that arity_of rejects; arity_of names the error."""
 
 
+_THEN = object()  # on _walk's stack, over a `then`'s start and the `then`
 _CLOSE_THEN = object()  # marks the end of a `then` on _walk's stack
 
 
@@ -483,13 +484,17 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
     Atoms run left to right, so a tensor's right factor starts where the
     outputs of its left factor's last atom end.
 
-    Each stack entry is dispatched on its class, the common ones first. The
-    node-free generators' images are read from terms._GENERATORS on each
-    call, and an output that is one input with weight 1 takes that input's
-    wire itself, as weighted_sum would return it. A subclass of Seq, Ten,
-    Id or Sym is read as its base class, as isinstance would; a Node
-    subclass is ill-typed, and anti outside int mode raises through
-    _generator_image.
+    A composite's left part starts where the composite starts, so the walk
+    goes down each left spine at once, dispatching on each term's class,
+    the common ones first. The stack holds each tensor's right part, which
+    starts where the last outputs end, and each `then` with its start
+    behind the private _THEN marker, so no term of e (a tuple or an int,
+    say) is read as a stack entry. The node-free generators' images are
+    read from terms._GENERATORS on each call, and an output that is one
+    input with weight 1 takes that input's wire itself, as weighted_sum
+    would return it. A subclass of Seq, Ten, Id or Sym is read as its base
+    class, as isinstance would; a Node subclass is ill-typed, and anti
+    outside int mode raises through _generator_image.
 
     Typing is checked with no width arithmetic. No atom may read past the
     wire list, and a well-typed `then` consumes exactly the outputs of its
@@ -512,59 +517,64 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
     labels: list[str] = []
     ins: list[dict[int, int]] = []
     wires = [{i: 1} for i in range(n_in)]
-    stack: list[tuple] = [(e, 0)]
-    close_then = (_CLOSE_THEN, 0)
+    stack: list = [e]  # right parts; per `then`: _CLOSE_THEN, then, its start, _THEN
     right_of: list[int] = []  # per open `then`: the wires right of first's outputs
-    end = 0  # where the last atom's outputs end; a start of None means here
+    end = 0  # where the last atom's outputs end
     while stack:
-        x, at = stack.pop()
-        if at is None:
-            at = end
-        elif at < 0:  # a `then` starts at ~at
-            at = ~at
+        x = stack.pop()
+        at = end
+        if x is _THEN:
+            at, x = stack.pop(), stack.pop()
             right_of.append(len(wires) - end)
-        kind = type(x)
-        if kind is Ten:
-            stack.append((x.right, None))
-            stack.append((x.left, at))
-        elif kind is Id:
-            n = x.n
-            if type(n) is not int or n < 0 or at + n > len(wires):
-                raise _IllTyped
-            end = at + n
-        elif kind is Seq:
-            stack += (close_then, (x.then, ~at), (x.first, at))
         elif x is _CLOSE_THEN:
             if right_of.pop() != len(wires) - end:
                 raise _IllTyped
-        elif kind is Sym:
-            n, m = x.n, x.m
-            if type(n) is not int or type(m) is not int or n < 0 or m < 0:
-                raise _IllTyped
-            mid, end = at + n, at + n + m
-            if end > len(wires):
-                raise _IllTyped
-            wires[at:end] = wires[mid:end] + wires[at:mid]
-        elif kind in images:
-            width, outs = images[kind]
-            stop = at + width
-            if stop > len(wires):
-                raise _IllTyped
-            wires[at:stop] = [
-                wires[at + o] if type(o) is int
-                else weighted_sum([(wires[at + s], w) for s, w in o])
-                for o in outs
-            ]
-            end = at + len(outs)
-        elif kind is Node:
-            if not isinstance(x.label, str):
-                raise _IllTyped
-            ins.append(wires[at])
-            wires[at] = {n_in + len(labels): 1}
-            labels.append(x.label)
-            end = at + 1
-        else:
-            stack.append((_as_base(x, mode), at))
+            continue
+        while True:  # down the left spine, to the atom at its bottom
+            kind = type(x)
+            if kind is Ten:
+                stack.append(x.right)
+                x = x.left
+            elif kind is Seq:
+                stack += (_CLOSE_THEN, x.then, at, _THEN)
+                x = x.first
+            elif kind is Id:
+                n = x.n
+                if type(n) is not int or n < 0 or at + n > len(wires):
+                    raise _IllTyped
+                end = at + n
+                break
+            elif kind is Sym:
+                n, m = x.n, x.m
+                if type(n) is not int or type(m) is not int or n < 0 or m < 0:
+                    raise _IllTyped
+                mid, end = at + n, at + n + m
+                if end > len(wires):
+                    raise _IllTyped
+                wires[at:end] = wires[mid:end] + wires[at:mid]
+                break
+            elif kind in images:
+                width, outs = images[kind]
+                stop = at + width
+                if stop > len(wires):
+                    raise _IllTyped
+                wires[at:stop] = [
+                    wires[at + o] if type(o) is int
+                    else weighted_sum([(wires[at + s], w) for s, w in o])
+                    for o in outs
+                ]
+                end = at + len(outs)
+                break
+            elif kind is Node:
+                if not isinstance(x.label, str):
+                    raise _IllTyped
+                ins.append(wires[at])
+                wires[at] = {n_in + len(labels): 1}
+                labels.append(x.label)
+                end = at + 1
+                break
+            else:
+                x = _as_base(x, mode)
     return n_in, labels, ins + wires
 
 

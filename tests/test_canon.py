@@ -9,6 +9,11 @@ n = 6 (5,984 classes, about 11 s) is marked slow and runs as its own CI step.
 With edge weights 1 and 2 the classes are counted against the least edge
 list over all relabellings instead.
 
+Every BOOL idag on at most 3 nodes with at most one input and one output
+(1,260 of them, upper-triangular as above) is its own free image: its
+decomposition along each of its 3,186 topological sortings, and the
+printed and parsed text of one, evaluate back to its canonical form.
+
 CFI dags (Cai, Furer & Immerman, Combinatorica 12(4), 1992) are a standard
 hard family for canonical labelling. Tree nodes used is the least budget
 canonical_form accepts; the search must not use more than the values
@@ -20,8 +25,11 @@ import random
 
 import pytest
 
-from idag.core import NodeRef, canonical_form, make_idag, sorted_edges
+from idag.core import In, NodeRef, Out, canonical_form, make_idag, sorted_edges
+from idag.decomposition import decompose, topological_sortings
+from idag.models import FreeIdagModel, evaluate
 from idag.selftest import _scramble
+from idag.terms import parse, print_expression
 from idag.weights import BOOL, NAT
 from test_core import _crown, _projective_plane
 
@@ -61,6 +69,38 @@ def test_weighted_canonical_forms_match_the_least_relabelling():
             least = min(sorted((p[s], p[t], w) for s, t, w in edges) for p in itertools.permutations(range(n)))
             pairs.add((tuple(sorted_edges(c)), tuple(least)))
         assert len(pairs) == len({form for form, _ in pairs}) == len({least for _, least in pairs})
+
+
+def _interfaced_space():
+    """Every BOOL idag on nodes "0".."n-1", n <= 3, with one label, at most
+    one input and one output, and edges i -> j between nodes only for i < j."""
+    for n, n_in, n_out in itertools.product(range(4), (0, 1), (0, 1)):
+        ids = [str(k) for k in range(n)]
+        sources = [In(i) for i in range(n_in)] + [NodeRef(i) for i in ids]
+        targets = [NodeRef(i) for i in ids] + [Out(j) for j in range(n_out)]
+        pairs = [
+            (s, t)
+            for s in sources
+            for t in targets
+            if not (isinstance(s, NodeRef) and isinstance(t, NodeRef) and s.id >= t.id)
+        ]
+        for bits in itertools.product((False, True), repeat=len(pairs)):
+            yield make_idag(n_in, n_out, ids, [p for p, b in zip(pairs, bits) if b])
+
+
+def test_every_decomposition_of_a_small_idag_evaluates_back_to_it():
+    free = FreeIdagModel(BOOL)
+    dags = decompositions = 0
+    for d in _interfaced_space():
+        c = canonical_form(d)
+        sortings = list(topological_sortings(d))
+        for sorting in sortings:
+            assert canonical_form(evaluate(decompose(d, sorting), free)) == c
+        text = print_expression(decompose(d, sortings[0]))
+        assert canonical_form(evaluate(parse(text), free)) == c
+        dags += 1
+        decompositions += len(sortings)
+    assert (dags, decompositions) == (1260, 3186)
 
 
 def _cubic_graph(rng, nv):

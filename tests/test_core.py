@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refine_reference
-from idag.canon import _dense_ranks, _equitable, _refine
+from idag.canon import _Cells, _dense_ranks, _equitable, _refine
 from idag.core import (
     In,
     NodeRef,
@@ -36,9 +36,9 @@ from idag.errors import (
     ZeroWeight,
 )
 from idag.models import FreeIdagModel, evaluate
-from idag.randgen import random_idag
+from idag.randgen import random_expression, random_idag
 from idag.selftest import _brute_force_iso, _scramble
-from idag.terms import Eps, Eta, Node, Seq, ten_all
+from idag.terms import Eps, Eta, Node, Seq, arity_of, ten_all
 from idag.weights import BOOL, INT, NAT
 
 
@@ -450,6 +450,45 @@ def test_worklist_refinement_reaches_the_full_round_partition(case):
     _assert_ordered_partition(child)
     split = [-1 if i == v else c for i, c in enumerate(cells.colors)]
     assert _cell_set(child.colors) == _cell_set(refine_reference.refine(split, preds, succs))
+
+
+def _interface_tensor(seed):
+    """A tensor of open factors, each a random expression between two rows
+    of node boxes, and closed ones, eta ; node ; eps, some repeated: most
+    nodes are told apart by their label and interface edges alone."""
+    rng = random.Random(seed)
+    factors = []
+    for _ in range(rng.randint(2, 16)):
+        if factors and rng.random() < 0.3:
+            factors.append(rng.choice(factors))
+        elif rng.random() < 0.3:
+            factors.append(Seq(Seq(Eta(), Node(rng.choice("ab"))), Eps()))
+        else:
+            e = random_expression(rng, max_depth=3, labels=("a", "b", "c"))
+            a, b = arity_of(e)
+            if a:
+                e = Seq(ten_all([Node(rng.choice("abc")) for _ in range(a)]), e)
+            if b:
+                e = Seq(e, ten_all([Node(rng.choice("abc")) for _ in range(b)]))
+            factors.append(e)
+    return evaluate(ten_all(factors), FreeIdagModel((BOOL, NAT, INT)[seed % 3]))
+
+
+TIED_START_CASES = {
+    **REFINEMENT_CASES,
+    **{f"tensor{seed}": (lambda seed=seed: _interface_tensor(seed)) for seed in range(40)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIED_START_CASES))
+def test_refinement_from_tied_cells_equals_refinement_from_every_cell(case):
+    keys, preds, succs = _adjacency(TIED_START_CASES[case]())
+    cells = _equitable(keys, preds, succs)
+    every = _Cells.of(keys)
+    _refine(every, every.starts(), preds, succs, [])
+    _assert_ordered_partition(cells)
+    from_tied, from_every = [(c.order, c.colors, c.size, c.count) for c in (cells, every)]
+    assert from_tied == from_every
 
 
 STRUCTURED_DAGS = {

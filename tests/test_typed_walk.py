@@ -5,9 +5,12 @@ expression first: the same results, and the same error type and message, on
 well- and ill-typed ASTs, printed and mutated texts, bad widths, non-str
 labels, anti outside int mode, closed label sets and unequal interfaces.
 The drawn expressions include decompositions, whose atoms are shared, and
-(delta ; nabla)^k chains, which run the walk's generator images. And a
-well-typed input never reaches arity_of."""
+(delta ; nabla)^k chains, which run the walk's generator images, and a
+fixed corpus of deep left spines, odd or bad terms at a spine's bottom and
+non-terms (tuples, ints) placed off the input spine. And a well-typed
+input never reaches arity_of."""
 
+import functools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -193,6 +196,66 @@ def test_the_differential_corpus_reaches_every_outcome():
     for _ in range(400):
         kinds |= _check_case(rng)
     assert {"value", ExprSyntaxError, TypeMismatch, UnsupportedGenerator, ArityMismatch} <= kinds
+
+
+def _left_spines():
+    """Left-deep chains of 2,000 terms and more, alone and as the `then` or
+    the right factor of a composite; shorter ones with an odd, bad or
+    over-reading term (one that consumes more wires than there are) at the
+    bottom of a left spine; and non-terms off the input spine."""
+    ten = functools.partial(functools.reduce, Ten)
+    seq = functools.partial(functools.reduce, Seq)
+    cases = [
+        ten([Node("x")] * 2500),
+        ten([Id(1), Node("y"), Delta(), Sym(1, 1)] * 600),
+        seq([Seq(Delta(), Nabla())] * 2000),
+        seq([Node("x")] * 2100),
+        seq([Ten(Node("x"), Id(1))] * 2000),
+        Seq(Id(1), seq([Delta(), Nabla()] * 1000)),
+        Ten(Id(1), ten([Node("x")] * 2000)),
+    ]
+    for bottom in _ODD + _BAD + [Nabla(), Sym(1, 1), Id(2), (Id(1), 0), 7]:
+        cases += [
+            ten([bottom] + [Id(1)] * 50),
+            seq([bottom] + [Id(bottom.n if type(bottom) is _WideId else 1)] * 50),
+            Seq(Id(1), seq([bottom] + [Node("x")] * 50)),
+            Seq(Node("x"), ten([bottom] + [Id(0)] * 50)),
+            Ten(Id(1), Seq(ten([bottom] + [Id(0)] * 50), Id(1))),
+        ]
+    cases += [
+        Seq(Id(2), Ten(Id(1), (Id(1), -2))),
+        Seq(Id(2), Ten(Id(1), (Id(0), 1))),
+        Seq(Id(2), Ten(Id(1), (Id(0), -2))),
+        Seq(Id(2), Ten(Id(1), Ten(1, Id(0)))),
+        Seq(Id(2), Ten(Id(1), (Id(1), None))),
+        Seq(Id(1), (Id(1), 0)),
+        Seq(Node("x"), Seq(-1, Id(1))),
+        Seq(Id(1), 0),
+        Ten(Id(1), 3),
+        Ten(Id(0), Seq(Id(0), (Eta(), 0))),
+        Ten((Id(1), 0), Id(1)),
+        Seq(Seq(Delta(), Ten((Id(1), 0), Id(1))), Nabla()),
+    ]
+    return cases
+
+
+def test_deep_spines_and_non_terms_match_the_two_pass_reference():
+    rng = random.Random(11)
+    kinds = set()
+    for k, e in enumerate(_left_spines()):
+        tm = rng.choice(_MODES)
+        free, matrix_model = FreeIdagModel(tm.weights), _matrix_model(rng, tm.weights)
+        pairs = [
+            (evaluate, ref.evaluate, (e, free)),
+            (evaluate, ref.evaluate, (e, matrix_model)),
+            (normalize, ref.normalize, (e, tm)),
+            (_report, ref.equal_mod_theory, (e, e, tm.weights)),
+        ]
+        for f, g, args in pairs:
+            want = _outcome(g, *args)
+            assert _outcome(f, *args) == want, (f.__name__, k)
+            kinds.add(want[0] if isinstance(want[0], type) else "value")
+    assert {"value", TypeMismatch, UnsupportedGenerator} <= kinds
 
 
 def test_well_typed_input_never_calls_arity_of(monkeypatch):

@@ -8,8 +8,8 @@ import pytest
 
 from idag.core import In, NodeRef, Out, from_permutation, identity, make_idag, symmetry
 from idag.decomposition import layer, permutation_expression, transposition_identities
-from idag.equivalence import TheoryMode, normalize
-from idag.errors import BadEndpoint, IndexOutOfRange, NotBijective, UnsupportedGenerator
+from idag.equivalence import TRANSITIVE, TheoryMode, equal_mod_theory, normalize
+from idag.errors import BadEndpoint, IndexOutOfRange, ModeMismatch, NotBijective, UnsupportedGenerator
 from idag.models import (
     FreeIdagModel,
     LoopsModel,
@@ -20,7 +20,7 @@ from idag.models import (
 )
 from idag.randgen import random_idag
 from idag.terms import Id, Node, Seq, Ten, arity_of, print_expression
-from idag.weights import NAT
+from idag.weights import BOOL, NAT
 
 
 @pytest.mark.parametrize(
@@ -116,3 +116,35 @@ def _two_free_nodes():
 def test_slice_and_swap_indices_must_be_ints(run):
     with pytest.raises(IndexOutOfRange):
         run(_two_free_nodes())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TheoryMode("x"),
+        lambda: TheoryMode(None),
+        lambda: TheoryMode(BOOL, 3),
+        lambda: TheoryMode(BOOL, TRANSITIVE),
+        lambda: TheoryMode(BOOL, [TRANSITIVE]),
+        lambda: TheoryMode(BOOL, frozenset({1})),
+        lambda: TheoryMode(BOOL, frozenset(), 5),
+        lambda: TheoryMode(BOOL, frozenset(), "a"),
+        lambda: TheoryMode(BOOL, frozenset(), frozenset({"a", 5})),
+        lambda: normalize(Node("a"), TheoryMode(BOOL, frozenset(), 5)),
+        lambda: normalize(Node("a"), "bogus"),
+        lambda: normalize(Node("a"), None),
+        lambda: equal_mod_theory(Node("a"), Node("a"), 3),
+    ],
+)
+def test_mode_arguments_must_be_modes(build):
+    with pytest.raises(ModeMismatch, match="needs a WeightSystem|must be a set of str"):
+        build()
+
+
+def test_a_mode_keeps_its_sets_frozen():
+    quotients, labels = {TRANSITIVE}, {"a"}
+    mode = TheoryMode(BOOL, quotients, labels)
+    quotients.add("sideways")
+    labels.add("b")
+    assert mode == TheoryMode(BOOL, frozenset({TRANSITIVE}), frozenset({"a"}))
+    assert type(mode.quotients) is frozenset and type(mode.labels) is frozenset
