@@ -34,8 +34,7 @@ _NAMES_BY_MODULE = {
         "InterfaceMismatch", "InvalidWeight", "ModeMismatch",
         "NotAdjacentTransposition", "NotATopologicalSorting", "NotBijective",
         "SchemaError", "SearchBudgetExceeded", "SizeLimitExceeded", "TypeMismatch",
-        "UnsupportedGenerator",
-        "ZeroWeight",
+        "UnsupportedGenerator", "WrongArgumentType", "ZeroWeight",
     ),
     "jsonio": ("idag_from_json", "idag_from_obj", "idag_to_json", "idag_to_obj"),
     "models": (

@@ -3,7 +3,9 @@
 Commands: eq, normalize, decompose, compose, tensor, closure, prune, dot,
 random, selftest. Inputs are literal text, "@path" to read a file, or "-"
 for standard input. Exit codes: 0 success/equal, 1 unequal or selftest
-failure, 2 any error (running out of memory too).
+failure, 2 any error (running out of memory too). A reader that closes
+stdout early is not an error: the command keeps the exit code its result
+gives.
 
 One table, _COMMANDS, gives each command its operands and only the options
 its handler reads: --mode and --quotient select the theory an expression is
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -43,6 +46,16 @@ def _read_input(spec: str) -> str:
     return spec
 
 
+def _print(*lines: str) -> None:
+    """Print lines to stdout and flush them. When the reader has closed the
+    pipe, stdout is pointed at os.devnull instead, so the command ends with
+    the exit code its own result gives and nothing fails at exit."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _theory_mode(args: argparse.Namespace) -> TheoryMode:
     quotients = frozenset(args.quotient or ())
     return TheoryMode(BY_NAME[args.mode], quotients)
@@ -52,10 +65,10 @@ def _emit_idag(d: Idag, fmt: str) -> None:
     if fmt == "dot":
         from .dot import idag_to_dot
 
-        print(idag_to_dot(d))
+        _print(idag_to_dot(d))
     else:
         # json and text coincide for idags: the JSON document is the text form
-        print(idag_to_json(d))
+        _print(idag_to_json(d))
 
 
 def _pick_sorting(d: Idag, spec: str) -> TopSort:
@@ -82,13 +95,12 @@ def _cmd_eq(args: argparse.Namespace) -> int:
     lhs, rhs = (parse(_read_input(spec)) for spec in args.operands)
     report = equal_mod_theory(lhs, rhs, mode)
     if args.format == "json":
-        print(dumps(report.to_json_obj()))
+        _print(dumps(report.to_json_obj()))
     else:  # all lines are built before any is printed: a failure prints no verdict
-        print(
+        _print(
             "equal" if report.equal else "unequal",
             f"lhs normal form: {idag_to_json(report.normal_form_left)}",
             f"rhs normal form: {idag_to_json(report.normal_form_right)}",
-            sep="\n",
         )
     return 0 if report.equal else 1
 
@@ -108,9 +120,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     sort = _pick_sorting(d, args.sorting)
     text = print_expression(decompose(d, sort))
     if args.format == "json":
-        print(dumps({"expression": text, "sorting": list(sort.order)}))
+        _print(dumps({"expression": text, "sorting": list(sort.order)}))
     else:
-        print(text)
+        _print(text)
     return 0
 
 
@@ -142,7 +154,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     from .selftest import run_selftest
 
-    return 0 if run_selftest(seed=args.seed) else 1
+    return 0 if run_selftest(seed=args.seed, out=_print) else 1
 
 
 _OPTIONS: dict[str, dict] = {

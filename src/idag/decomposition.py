@@ -20,8 +20,9 @@ slice straight from the node's in-edges, without its matrix, and its rows
 from integer pad widths, so its time is linear in its output too. Each
 call that takes a sorting checks it and renumbers d's wires along it once,
 by node position (_along), and builds its slices from those wires (_slice).
-Expressions are immutable, so one call builds each id(k), weight gadget and
-fan-in once and its slices share them; nothing is kept between calls.
+Expressions are immutable, so one call builds each id(k), weight gadget,
+fan-in and crossing sym(1,b) once and its slices share them; nothing is
+kept between calls.
 
 Enumeration, counting and uniform sampling of sortings run on one placement
 state (_Placement): sorted node ids, successor lists, counts of unplaced
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right, insort
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate, combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -50,6 +51,7 @@ from .errors import (
     NotATopologicalSorting,
     NotBijective,
     SearchBudgetExceeded,
+    _check_type,
 )
 from .models import FreeIdagModel, MatrixModel, MatrixMorphism, Model, matrix_permutation
 from .record import Frozen
@@ -98,7 +100,9 @@ def _along(d: Idag, sort: SortLike) -> tuple[TopSort, tuple[dict[int, int], ...]
     sort[k] becomes source n_in+k and its wire comes k-th, then the outputs'
     wires. Raises NotATopologicalSorting unless sort lists each node id
     once, as a str, with every edge pointing forward, and for anything that
-    is neither a TopSort nor an iterable other than a str."""
+    is neither a TopSort nor an iterable other than a str, and
+    WrongArgumentType for a d that is not an Idag."""
+    _check_type(d, Idag)
     order = sort.order if isinstance(sort, TopSort) else sort
     if isinstance(order, str) or not isinstance(order, Iterable):
         raise NotATopologicalSorting(f"{sort!r} is not a sequence of node ids")
@@ -132,6 +136,7 @@ class _Placement:
     __slots__ = ("ids", "succ", "waiting", "ready", "order", "memo")
 
     def __init__(self, d: Idag) -> None:
+        _check_type(d, Idag)
         self.ids = sorted(d.node_ids)
         index = {nid: k for k, nid in enumerate(self.ids)}
         rank = [index[nid] for nid, _ in d.nodes]  # node position -> place in ids
@@ -464,6 +469,7 @@ def _encode_node_slice(
     pad: Callable[[int], Expression],
     scale: Callable[[int], Expression],
     fan_in: Callable[[int], Expression],
+    cross: Callable[[int], Expression],
 ) -> Expression:
     """encode_relation of a node slice, built from the node's in-edges in
     O(len(ins) + atoms) time instead of from its matrix.
@@ -475,28 +481,33 @@ def _encode_node_slice(
     into its own wire and one copy bound for the node; _scale(w) scales the
     copy; one crossing per in-edge, from the highest row down, moves the
     copy past the live-1-r wires of the later rows; one fan-in merges the
-    copies for the node. Rows list pad widths as ints; pad, scale and
-    fan_in build Id, _scale and _fan_in, or share their instances.
+    copies for the node. pad, scale, fan_in and cross build Id, _scale,
+    _fan_in and Sym(1, b), or share their instances. The fan-out and
+    crossing rows are built straight from ins; the scale row, whose id(1)
+    of a weight 1 merges with the pads beside it, goes through _padded_row.
     """
-    fans: list = []
+    fans: Optional[Expression] = None
     scales: list = []
     at = 0
     for r, w in ins:
-        fans += (r - at, _DELTA)
+        if r > at:
+            fans = pad(r - at) if fans is None else Ten(fans, pad(r - at))
+        fans = _DELTA if fans is None else Ten(fans, _DELTA)
         scales += (r + 1 - at, 1 if w == 1 else scale(w))  # _scale(1) is id(1)
         at = r + 1
-    parts = [_padded_row(fans + [live - at], pad)] if ins else []
+    parts = [] if fans is None else [Ten(fans, pad(live - at)) if live > at else fans]
     if any(w != 1 for _, w in ins):
         parts.append(_padded_row(scales + [live - at], pad))
     # the copy from ins[t] sits at r + 1 + t, before the placed later ones
     crossings: list[Expression] = []
     for placed, (r, _) in enumerate(reversed(ins)):
         if r < live - 1:
-            crossings.append(_padded_row((r + len(ins) - placed, Sym(1, live - 1 - r), placed), pad))
+            row = Ten(pad(r + len(ins) - placed), cross(live - 1 - r))
+            crossings.append(Ten(row, pad(placed)) if placed else row)
     if crossings:
         parts.append(seq_all(crossings))
     if len(ins) != 1:
-        parts.append(_padded_row((live, fan_in(len(ins))), pad))
+        parts.append(Ten(pad(live), fan_in(len(ins))) if live else fan_in(len(ins)))
     return seq_all(parts)
 
 
@@ -507,15 +518,17 @@ def _encode_node_slice(
 def decompose(d: Idag, sort: SortLike) -> Expression:
     """An expression evaluating to d (up to isomorphism in the free model,
     exactly in matrix models): encoded slices interleaved with one node box
-    per sorted node."""
+    per sorted node. The slices share each id(k), weight gadget, fan-in and
+    crossing sym(1,b) the call builds, and build their fan-out and crossing
+    rows straight from each node's in-edges."""
     ts, wires = _along(d, sort)
     labels = dict(d.nodes)
     n = d.n_in
     # expressions are immutable, so the slices share one instance of each
-    pad, scale, fan_in = cache(Id), cache(_scale), cache(_fan_in)
+    pad, scale, fan_in, cross = cache(Id), cache(_scale), cache(_fan_in), cache(partial(Sym, 1))
     parts: list[Expression] = []
     for k, nid in enumerate(ts.order):
-        parts.append(_encode_node_slice(n + k, sorted(wires[k].items()), pad, scale, fan_in))
+        parts.append(_encode_node_slice(n + k, sorted(wires[k].items()), pad, scale, fan_in, cross))
         box: Expression = Node(labels[nid])
         if n + k > 0:
             box = Ten(pad(n + k), box)
@@ -548,6 +561,7 @@ def interpret(d: Idag, sort: SortLike, model: Model):
             model.relation(MatrixMorphism(d.weights, wires[: len(ts)], n + len(ts)))
             model.relation(_slice(d, wires, len(ts)))
         return model._read_image(n, [labels[nid] for nid in ts.order], wires)
+    _check_type(model, Model)
     mor = model.relation(_slice(d, wires, 0))
     for k, nid in enumerate(ts.order):
         box = model.generator(Node(labels[nid]))
@@ -665,6 +679,7 @@ def transposition_identities(
     final_ok = pre_final.then(la[total]) == lb[total]
 
     check_model = model if model is not None else _default_check_model(d)
+    _check_type(check_model, Model)
     labels = dict(d.nodes)
     node_ok = True
     for ts, slices in ((sa, la), (sb, lb)):

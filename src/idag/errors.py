@@ -112,6 +112,17 @@ class SchemaError(IdagError):
     """A JSON document does not match the idag schema."""
 
 
+class WrongArgumentType(IdagError, TypeError):
+    """An argument is not of the type the function takes, as an Idag or a
+    Model; a TypeError too, so callers catching that still catch it."""
+
+
+def _check_type(value: object, cls: type) -> None:
+    """Raise WrongArgumentType unless value is an instance of cls."""
+    if not isinstance(value, cls):
+        raise WrongArgumentType(f"expected {cls.__name__}, not {type(value).__name__}")
+
+
 class UnsupportedGenerator(IdagError):
     """The chosen model has no image for a generator in the expression."""
 

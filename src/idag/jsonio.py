@@ -136,8 +136,9 @@ def idag_from_obj(obj: Any) -> Idag:
 def idag_from_json(text: str) -> Idag:
     try:
         obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         # JSONDecodeError is a ValueError, as is an int of more digits than
-        # int() reads; nesting deeper than the recursion limit is the other
+        # int() reads; a TypeError is text that is not a str, bytes or
+        # bytearray; nesting deeper than the recursion limit is the other
         raise SchemaError(f"invalid JSON: {exc}") from exc
     return idag_from_obj(obj)

@@ -19,10 +19,10 @@ generators are defined once, in terms._GENERATORS, so a generator's matrix
 image too is the path sum of its free image. evaluate() builds e's image by
 one walk that touches only the wires each atom consumes and type-checks e
 as it goes, so a well-typed e is walked once; the walk dispatches on each
-term's class and reads the generator images from that table on each call;
-decomposition.interpret() takes d's own wires along the sorting. Other
-models, subclasses and wrapping models take the compose/tensor fold, which
-tests use as the reference.
+term's class and reads the generator images from that table on each call,
+running copy- and merge-shaped ones inline; decomposition.interpret() takes
+d's own wires along the sorting. Other models, subclasses and wrapping
+models take the compose/tensor fold, which tests use as the reference.
 
 Matrices are sparse rows of Python ints, so their arithmetic is exact at
 every magnitude. Every sum of weight products here (the matrix product, the
@@ -42,6 +42,7 @@ from .errors import (
     NotBijective,
     SizeLimitExceeded,
     UnsupportedGenerator,
+    _check_type,
 )
 from .terms import (
     Expression,
@@ -409,8 +410,9 @@ class LoopsModel(Model, Frozen):
 def evaluate(e: Expression, model: Model):
     """Evaluate a well-typed expression in a model.
 
-    Raises TypeMismatch if e is ill-typed and UnsupportedGenerator if the
-    model lacks an image for a generator occurring in e. FreeIdagModel and
+    Raises TypeMismatch if e is ill-typed, UnsupportedGenerator if the
+    model lacks an image for a generator occurring in e, and
+    WrongArgumentType if model is not a Model. FreeIdagModel and
     MatrixModel type-check e in the walk that builds its image; other
     models check it with arity_of before their fold.
     """
@@ -418,6 +420,7 @@ def evaluate(e: Expression, model: Model):
     if kind is FreeIdagModel or kind is MatrixModel:
         mode = model.mode if kind is FreeIdagModel else model.weights
         return model._read_image(*_typed_walk(e, mode))
+    _check_type(model, Model)
     arity_of(e)
 
     def atom(a: Expression):
@@ -492,9 +495,11 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
     say) is read as a stack entry. The node-free generators' images are
     read from terms._GENERATORS on each call, and an output that is one
     input with weight 1 takes that input's wire itself, as weighted_sum
-    would return it. A subclass of Seq, Ten, Id or Sym is read as its base
-    class, as isinstance would; a Node subclass is ill-typed, and anti
-    outside int mode raises through _generator_image.
+    would return it. A class whose image there is a copy or a merge runs
+    inline: a copy inserts its input's wire once more, and a merge sums its
+    two wires by one weighted_sum. A subclass of Seq, Ten, Id or Sym is
+    read as its base class, as isinstance would; a Node subclass is
+    ill-typed, and anti outside int mode raises through _generator_image.
 
     Typing is checked with no width arithmetic. No atom may read past the
     wire list, and a well-typed `then` consumes exactly the outputs of its
@@ -508,12 +513,16 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
         raise SizeLimitExceeded("input count", n_in, MAX_WIDTH)
     weighted_sum = mode.weighted_sum
     # per generator class: its input count and, per output, the input it
-    # passes on unchanged or the (input, weight) terms it sums
+    # passes on unchanged or the (input, weight) terms it sums; the classes
+    # whose image is a copy (one input passed on to two outputs) or a merge
+    # (two inputs summed with weight 1) run inline
     images = {
         cls: (width, tuple(ts[0][0] if len(ts) == 1 and ts[0][1] == 1 else ts for ts in outs))
         for cls, (_, width, outs) in terms._GENERATORS.items()
         if _interprets(mode, cls)
     }
+    copies = {cls for cls, image in images.items() if image == (1, (0, 0))}
+    merges = {cls for cls, image in images.items() if image == (2, (((0, 1), (1, 1)),))}
     labels: list[str] = []
     ins: list[dict[int, int]] = []
     wires = [{i: 1} for i in range(n_in)]
@@ -552,6 +561,14 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
                 if end > len(wires):
                     raise _IllTyped
                 wires[at:end] = wires[mid:end] + wires[at:mid]
+                break
+            elif kind in copies:  # short of wires, it raises IndexError
+                wires.insert(at + 1, wires[at])
+                end = at + 2
+                break
+            elif kind in merges:  # as does a merge, before it changes a wire
+                end = at + 1
+                wires[at] = weighted_sum(((wires[at], 1), (wires.pop(end), 1)))
                 break
             elif kind in images:
                 width, outs = images[kind]

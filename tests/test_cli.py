@@ -316,6 +316,37 @@ def test_running_out_of_memory_is_an_error_not_a_verdict(tmp_path):
             assert r.stdout == "" and r.stderr.startswith("error: "), (argv[0], r.stderr[-2000:])
 
 
+NINE_NODE_TENSOR = " * ".join(f"node[{c}]" for c in "abcdefghi")
+
+
+def test_a_reader_closing_stdout_early_is_not_a_failure():
+    """As in `idag normalize ... | head -c 10`: the reader takes 10 bytes
+    and closes the pipe. The command still exits with the code its result
+    gives, 0 or 1 for an unequal eq, with nothing on stderr. Unbuffered
+    stdout writes each piece as it is printed, so whether a write meets the
+    closed pipe depends on timing: each command runs several times, four
+    at once."""
+    src = str(Path(idag.__file__).resolve().parent.parent)
+    env = {
+        **os.environ,
+        "PYTHONUNBUFFERED": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    cases = [(["normalize", NINE_NODE_TENSOR], 0)] * 20 + [(["eq", "node[a]", "node[b]"], 1)] * 4
+    for at in range(0, len(cases), 4):
+        runs = [
+            (subprocess.Popen([sys.executable, "-m", "idag", *argv], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env, bufsize=0), code)
+            for argv, code in cases[at : at + 4]
+        ]
+        for p, code in runs:
+            assert p.stdout.read(10)  # up to 10 bytes: what the first write has sent
+            p.stdout.close()
+            err = p.stderr.read()
+            p.stderr.close()
+            assert (p.wait(timeout=120), err) == (code, b"")
+
+
 # each command's options, the ones its handler reads, with their choices
 CLI_OPTIONS = {
     "eq": {"--mode {bool,nat,int}", "--quotient {transitive,nodangling}", "--format {text,json}"},

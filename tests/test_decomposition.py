@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idag.decomposition as decomposition
-from idag.core import In, NodeRef, Out, canonical_form, identity, is_isomorphic, make_idag
+from idag.core import Idag, In, NodeRef, Out, canonical_form, identity, is_isomorphic, make_idag
 from idag.decomposition import (
     TopSort,
     count_topological_sortings,
@@ -431,6 +431,38 @@ def test_decompose_matches_the_slice_matrices(rng):
         if 0 in (d.n_in, d.n_out):
             seen.add("width 0")
     assert seen == {"negative", "unfed node", "width 0"}
+
+
+def _wide_idag(rng, ws, n=64):
+    """n nodes, each fed by up to 8 of the inputs and earlier nodes, and up
+    to 8 sources per output, with weights of 1 and above (NAT) or of either
+    sign (INT)."""
+    n_in, n_out = rng.randint(0, 3), rng.randint(1, 3)
+    signs = (1, -1) if ws is INT else (1,)
+    wires = []
+    for k in range(n + n_out):
+        live = n_in + min(k, n)
+        sources = rng.sample(range(live), min(live, rng.randint(0, 8)))
+        wires.append({s: rng.choice(signs) * rng.choice((1, 1, 2, 3, 2**40 + 1)) for s in sources})
+    nodes = tuple((f"v{k}", rng.choice("ab")) for k in range(n))
+    return Idag(ws, n_in, n_out, nodes, tuple(wires))
+
+
+def test_decompose_matches_the_slice_matrices_at_the_benchmark_widths(rng):
+    # N = 64 with in-degree up to 8, as the matrix benchmark draws: scale
+    # rows, and crossings past up to 65 wires that one call shares. These
+    # are too wide to count their sortings, so each is sliced along its
+    # node order or its default sorting
+    for k in range(4):
+        ws = (NAT, INT)[k % 2]
+        d = _wide_idag(rng, ws)
+        assert any(w != 1 for wire in d.wires[:64] for w in wire.values())
+        model = MatrixModel(ws, {"a": 2, "b": -1 if ws is INT else 3})
+        s = TopSort(d.node_ids) if k < 2 else default_sorting(d)
+        got, want = decompose(d, s), _decompose_by_slice_matrices(d, s)
+        assert got == want
+        assert print_expression(got) == print_expression(want)
+        assert evaluate(got, model) == interpret(d, s, model)
 
 
 @pytest.mark.parametrize(

@@ -8,14 +8,18 @@ The drawn expressions include decompositions, whose atoms are shared, and
 (delta ; nabla)^k chains, which run the walk's generator images, and a
 fixed corpus of deep left spines, odd or bad terms at a spine's bottom and
 non-terms (tuples, ints) placed off the input spine. And a well-typed
-input never reaches arity_of."""
+input never reaches arity_of, a copy or merge short of wires raises
+arity_of's error, and the walk takes the shapes it runs inline from the
+generator table on each call."""
 
 import functools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import twopass_reference as ref
+from helpers import Forwarding
 from idag import equivalence, models, terms
 from idag.core import Idag
 from idag.decomposition import decompose, default_sorting
@@ -36,6 +40,7 @@ from idag.terms import (
     Seq,
     Sym,
     Ten,
+    atoms,
     map_atoms,
     parse,
     print_expression,
@@ -198,6 +203,13 @@ def test_the_differential_corpus_reaches_every_outcome():
     assert {"value", ExprSyntaxError, TypeMismatch, UnsupportedGenerator, ArityMismatch} <= kinds
 
 
+# a copy that reads past the last wire and a merge with one wire left
+_SHORT_OF_WIRES = [
+    Seq(Delta(), Seq(Ten(Node("x"), Id(1)), Ten(Id(2), Delta()))),
+    Seq(Delta(), Seq(Ten(Node("x"), Id(1)), Ten(Id(1), Nabla()))),
+]
+
+
 def _left_spines():
     """Left-deep chains of 2,000 terms and more, alone and as the `then` or
     the right factor of a composite; shorter ones with an odd, bad or
@@ -236,7 +248,8 @@ def _left_spines():
         Ten((Id(1), 0), Id(1)),
         Seq(Seq(Delta(), Ten((Id(1), 0), Id(1))), Nabla()),
     ]
-    return cases
+    return cases + _SHORT_OF_WIRES
+
 
 
 def test_deep_spines_and_non_terms_match_the_two_pass_reference():
@@ -283,3 +296,35 @@ def test_well_typed_input_never_calls_arity_of(monkeypatch):
         monkeypatch.setattr(module, "arity_of", refuse)
     for e, text, values in zip(cases, texts, want):
         assert [_value(run(e, text)) for run in runs] == values
+
+
+def test_a_copy_or_merge_short_of_wires_raises_arity_ofs_error():
+    for e in _SHORT_OF_WIRES:
+        for model in (FreeIdagModel(NAT), MatrixModel(NAT)):
+            with pytest.raises(TypeMismatch) as info:
+                evaluate(e, model)
+            assert (info.value.position, info.value.expected, info.value.found) == ("expr.then", 2, 3)
+
+
+@pytest.mark.parametrize("ws", [NAT, INT])
+def test_the_walk_reads_copy_and_merge_shapes_off_the_table(monkeypatch, ws):
+    # images close to a copy and a merge but not equal to them: a merge
+    # weighting its second input by 2 and a copy to three outputs, with the
+    # arity table to match. The walk must take their shapes from the table
+    # on this call, so it agrees with the reference walk and with the
+    # compose/tensor fold, which read each image generically
+    monkeypatch.setitem(terms._GENERATORS, Nabla, ("nabla", 2, (((0, 1), (1, 2)),)))
+    monkeypatch.setitem(terms._GENERATORS, Delta, ("delta", 1, (((0, 1),),) * 3))
+    monkeypatch.setitem(terms._GENERATOR_ARITY, Delta, (1, 3))
+    rng = random.Random(7)
+    cases = [random_expression(rng, max_depth=4, allow_anti=ws is INT, labels=("x", "y")) for _ in range(60)]
+    cases += [Delta(), Nabla(), Seq(Delta(), Ten(Nabla(), Id(1))), Seq(Delta(), Ten(Id(1), Nabla()))]
+    assert sum(isinstance(a, Delta) for e in cases for a in atoms(e)) > 20
+    assert sum(isinstance(a, Nabla) for e in cases for a in atoms(e)) > 20
+    for model in (FreeIdagModel(ws), MatrixModel(ws, {"x": 2, "y": 3})):
+        for e in cases:
+            got = evaluate(e, model)
+            assert _value(got) == _value(ref.evaluate(e, model))
+            assert model.equal(got, evaluate(e, Forwarding(model)))
+    assert evaluate(Delta(), MatrixModel(ws)).entries == ((1, 1, 1),)
+    assert evaluate(Nabla(), MatrixModel(ws)).entries == ((1,), (2,))

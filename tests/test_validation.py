@@ -7,9 +7,26 @@ import random
 import pytest
 
 from idag.core import In, NodeRef, Out, from_permutation, identity, make_idag, symmetry
-from idag.decomposition import layer, permutation_expression, transposition_identities
+from idag.decomposition import (
+    count_topological_sortings,
+    decompose,
+    default_sorting,
+    interpret,
+    layer,
+    permutation_expression,
+    transposition_identities,
+)
 from idag.equivalence import TRANSITIVE, TheoryMode, equal_mod_theory, normalize
-from idag.errors import BadEndpoint, IndexOutOfRange, ModeMismatch, NotBijective, UnsupportedGenerator
+from idag.errors import (
+    BadEndpoint,
+    IndexOutOfRange,
+    ModeMismatch,
+    NotBijective,
+    SchemaError,
+    UnsupportedGenerator,
+    WrongArgumentType,
+)
+from idag.jsonio import idag_from_json
 from idag.models import (
     FreeIdagModel,
     LoopsModel,
@@ -148,3 +165,25 @@ def test_a_mode_keeps_its_sets_frozen():
     labels.add("b")
     assert mode == TheoryMode(BOOL, frozenset({TRANSITIVE}), frozenset({"a"}))
     assert type(mode.quotients) is frozenset and type(mode.labels) is frozenset
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: decompose(3, []),
+        lambda: default_sorting(None),
+        lambda: count_topological_sortings("x"),
+        lambda: interpret(identity(1), default_sorting(identity(1)), None),
+        lambda: evaluate(Id(1), 3),
+    ],
+)
+def test_idag_and_model_arguments_must_be_idags_and_models(call):
+    # a TypeError too, so callers that catch one still do
+    with pytest.raises(WrongArgumentType, match=r"expected (Idag|Model), not (int|NoneType|str)") as info:
+        call()
+    assert isinstance(info.value, TypeError)
+
+
+def test_json_text_of_the_wrong_type_is_a_schema_error():
+    with pytest.raises(SchemaError, match="must be str, bytes or bytearray, not int"):
+        idag_from_json(3)
