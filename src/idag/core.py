@@ -32,6 +32,7 @@ from .errors import (
     ModeMismatch,
     NotBijective,
     SizeLimitExceeded,
+    _check_type,
     _int_text,
 )
 from .record import Frozen
@@ -386,6 +387,8 @@ def concat(second: Idag, first: Idag) -> Idag:
     wires, as in models._walk; a sum that cancels to zero drops the edge.
     Node ids of first survive unchanged; clashing ids of second get primed.
     """
+    _check_type(second, Idag)
+    _check_type(first, Idag)
     if first.weights is not second.weights:
         raise ModeMismatch(f"{first.weights!r} vs {second.weights!r}")
     if first.n_out != second.n_in:
@@ -414,6 +417,8 @@ def concat(second: Idag, first: Idag) -> Idag:
 
 def juxt(d1: Idag, d2: Idag) -> Idag:
     """Parallel composite: d1's interfaces first, then d2's shifted up."""
+    _check_type(d1, Idag)
+    _check_type(d2, Idag)
     if d1.weights is not d2.weights:
         raise ModeMismatch(f"{d1.weights!r} vs {d2.weights!r}")
     ren = _freshen(set(d1.node_ids), d2.node_ids)
@@ -508,14 +513,30 @@ def _labelling(d: Idag, budget: int) -> tuple[tuple, list[int]]:
     return (tuple(d.nodes[i][1] for i in order), _renumbered(d, order)), order
 
 
+def _invariant(d: Idag) -> tuple:
+    """What any isomorphism of idags preserves and is cheap to read: the
+    weight system, the interface widths, the node count, the sorted labels
+    and the sorted edge weights. Idags whose invariants differ are not
+    isomorphic; equal invariants decide nothing."""
+    return (
+        d.weights.name,
+        d.n_in,
+        d.n_out,
+        len(d.nodes),
+        sorted([lbl for _, lbl in d.nodes]),
+        sorted([w for wire in d.wires for w in wire.values()]),
+    )
+
+
 def is_isomorphic(d1: Idag, d2: Idag) -> Optional[dict[str, str]]:
     """A node bijection matching labels and all weighted edges pointwise, or
     None. Interfaces must match exactly (inputs and outputs are never
-    permuted). Compares the canonical labellings of d1 and d2 and maps node
-    to node by position; SearchBudgetExceeded as for canonical_form."""
-    shape1 = (d1.weights.name, d1.n_in, d1.n_out, len(d1.nodes), sum(map(len, d1.wires)))
-    shape2 = (d2.weights.name, d2.n_in, d2.n_out, len(d2.nodes), sum(map(len, d2.wires)))
-    if shape1 != shape2:
+    permuted). None at once when the invariants differ; otherwise compares
+    the canonical labellings of d1 and d2 and maps node to node by
+    position; SearchBudgetExceeded as for canonical_form."""
+    _check_type(d1, Idag)
+    _check_type(d2, Idag)
+    if _invariant(d1) != _invariant(d2):
         return None
     key1, order1 = _labelling(d1, CANONICAL_SEARCH_BUDGET)
     key2, order2 = _labelling(d2, CANONICAL_SEARCH_BUDGET)
@@ -533,6 +554,7 @@ def canonical_form(d: Idag, budget: int = CANONICAL_SEARCH_BUDGET) -> Idag:
     and are ordered by canon.canonical_order, whose search counts each tree
     node against the budget (SearchBudgetExceeded beyond).
     """
+    _check_type(d, Idag)
     (labels, wires), _ = _labelling(d, budget)
     nodes = tuple((str(k), lbl) for k, lbl in enumerate(labels))
     return Idag(d.weights, d.n_in, d.n_out, nodes, wires)
@@ -543,6 +565,7 @@ def canonical_form(d: Idag, budget: int = CANONICAL_SEARCH_BUDGET) -> Idag:
 
 
 def _require_bool(d: Idag, what: str) -> None:
+    _check_type(d, Idag)
     if d.weights is not BOOL:
         raise ModeMismatch(f"{what} requires bool mode, got {d.weights!r}")
 

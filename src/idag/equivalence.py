@@ -3,7 +3,9 @@
 The free model makes this mechanical: evaluate both expressions to idags,
 apply whatever quotients the theory mode activates (transitive closure,
 dangling-node pruning; BOOL only), and compare canonical forms. Equality holds
-modulo the theory iff the normal forms coincide.
+modulo the theory iff the normal forms coincide. An isomorphism invariant
+(core._invariant) that differs already proves inequality, so then no
+canonical labelling runs until a normal form is read.
 
 Each expression is walked once: the walk that builds its free image also
 type-checks it (see models._walk). Only when that walk fails are the
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .core import Idag, canonical_form, prune_dangling, transitive_closure
+from .core import Idag, _invariant, canonical_form, prune_dangling, transitive_closure
 from .errors import ArityMismatch, ModeMismatch
 from .jsonio import idag_to_obj
 from .models import FreeIdagModel, _typed_walk
@@ -121,9 +123,16 @@ def _same_interfaces(a1: tuple[int, int], a2: tuple[int, int]) -> None:
 
 class EqReport(Frozen):
     """Outcome of an equality query, with both normal forms and, when equal,
-    the node correspondence between them."""
+    the node correspondence between them.
 
-    __slots__ = ("equal", "normal_form_left", "normal_form_right", "witness")
+    equal_mod_theory may leave the normal forms of an unequal pair to be
+    computed: such a report holds the two quotiented images, and each form
+    is canonical_form of its image, computed the first time it is read
+    (raising what canonical_form raises) and kept. Fields, ==, repr,
+    pickling and to_json_obj read the forms, so they are those of the
+    report built with the forms given."""
+
+    __slots__ = ("equal", "normal_form_left", "normal_form_right", "witness", "_images")
 
     def __init__(
         self,
@@ -136,6 +145,24 @@ class EqReport(Frozen):
         object.__setattr__(self, "normal_form_left", normal_form_left)
         object.__setattr__(self, "normal_form_right", normal_form_right)
         object.__setattr__(self, "witness", witness)
+
+    @classmethod
+    def _unequal(cls, image_left: Idag, image_right: Idag) -> "EqReport":
+        """The report of an unequal pair whose forms are not yet computed."""
+        report = cls.__new__(cls)
+        object.__setattr__(report, "equal", False)
+        object.__setattr__(report, "witness", None)
+        object.__setattr__(report, "_images", (image_left, image_right))
+        return report
+
+    def __getattr__(self, name: str) -> Idag:
+        # reached only for a slot not yet set: a form left to be computed
+        # (or _images itself, on a report built with its forms)
+        if name == "normal_form_left" or name == "normal_form_right":
+            form = canonical_form(self._images[name == "normal_form_right"])
+            object.__setattr__(self, name, form)
+            return form
+        raise AttributeError(name)
 
     def to_json_obj(self) -> dict:
         return {
@@ -151,6 +178,12 @@ def equal_mod_theory(e1: Expression, e2: Expression, mode: ModeLike) -> EqReport
     Raises ArityMismatch when the two expressions do not even share an
     interface; that is an error, not inequality. Typing errors in either
     expression come before it.
+
+    When the quotiented images differ in an isomorphism invariant (node
+    count, sorted labels, sorted edge weights), the verdict is unequal and
+    no canonical labelling runs: the report computes each normal form when
+    it is first read, so SearchBudgetExceeded, if the search runs out, is
+    raised there and not here. Otherwise both forms are computed here.
     """
     tm = _as_mode(mode)
     try:
@@ -161,7 +194,10 @@ def equal_mod_theory(e1: Expression, e2: Expression, mode: ModeLike) -> EqReport
         _normal_form(_image(e1, tm), tm)
         raise
     _same_interfaces((d1.n_in, d1.n_out), (d2.n_in, d2.n_out))
-    nf1, nf2 = _normal_form(d1, tm), _normal_form(d2, tm)
+    q1, q2 = _apply_quotients(d1, tm), _apply_quotients(d2, tm)
+    if _invariant(q1) != _invariant(q2):
+        return EqReport._unequal(q1, q2)
+    nf1, nf2 = canonical_form(q1), canonical_form(q2)
     equal = nf1 == nf2
     witness = {nid: nid for nid in nf1.node_ids} if equal else None
     return EqReport(equal, nf1, nf2, witness)

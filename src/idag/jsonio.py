@@ -21,11 +21,12 @@ import json
 from typing import Any
 
 from .core import DEFAULT_LABEL, Idag, In, NodeRef, Out, Vertex, make_idag, sorted_edges
-from .errors import IdagError, SchemaError
+from .errors import IdagError, SchemaError, _check_type
 from .weights import BY_NAME
 
 
 def idag_to_obj(d: Idag) -> dict[str, Any]:
+    _check_type(d, Idag)
     nodes = []
     for nid, lbl in d.nodes:
         entry: dict[str, Any] = {"id": nid}

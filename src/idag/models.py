@@ -20,8 +20,8 @@ image too is the path sum of its free image. evaluate() builds e's image by
 one walk that touches only the wires each atom consumes and type-checks e
 as it goes, so a well-typed e is walked once; the walk dispatches on each
 term's class and reads the generator images from that table on each call,
-running copy- and merge-shaped ones inline; decomposition.interpret() takes
-d's own wires along the sorting. Other models, subclasses and wrapping
+running copy-, merge-, unit- and discard-shaped ones inline;
+decomposition.interpret() takes d's own wires along the sorting. Other models, subclasses and wrapping
 models take the compose/tensor fold, which tests use as the reference.
 
 Matrices are sparse rows of Python ints, so their arithmetic is exact at
@@ -495,9 +495,12 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
     say) is read as a stack entry. The node-free generators' images are
     read from terms._GENERATORS on each call, and an output that is one
     input with weight 1 takes that input's wire itself, as weighted_sum
-    would return it. A class whose image there is a copy or a merge runs
-    inline: a copy inserts its input's wire once more, and a merge sums its
-    two wires by one weighted_sum. A subclass of Seq, Ten, Id or Sym is
+    would return it. A class whose image there is a copy, a merge, a unit
+    (no input, one output with no edge) or a discard (one input, no output)
+    runs inline: a copy inserts its input's wire once more, a merge sums its
+    two wires by one weighted_sum, a unit inserts an empty wire and a
+    discard deletes its wire. A crossing of one wire over m moves that wire
+    by one pop and one insert. A subclass of Seq, Ten, Id or Sym is
     read as its base class, as isinstance would; a Node subclass is
     ill-typed, and anti outside int mode raises through _generator_image.
 
@@ -514,8 +517,9 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
     weighted_sum = mode.weighted_sum
     # per generator class: its input count and, per output, the input it
     # passes on unchanged or the (input, weight) terms it sums; the classes
-    # whose image is a copy (one input passed on to two outputs) or a merge
-    # (two inputs summed with weight 1) run inline
+    # whose image is a copy (one input passed on to two outputs), a merge
+    # (two inputs summed with weight 1), a unit (no input, one empty output)
+    # or a discard (one input, no output) run inline
     images = {
         cls: (width, tuple(ts[0][0] if len(ts) == 1 and ts[0][1] == 1 else ts for ts in outs))
         for cls, (_, width, outs) in terms._GENERATORS.items()
@@ -523,6 +527,8 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
     }
     copies = {cls for cls, image in images.items() if image == (1, (0, 0))}
     merges = {cls for cls, image in images.items() if image == (2, (((0, 1), (1, 1)),))}
+    units = {cls for cls, image in images.items() if image == (0, ((),))}
+    discards = {cls for cls, image in images.items() if image == (1, ())}
     labels: list[str] = []
     ins: list[dict[int, int]] = []
     wires = [{i: 1} for i in range(n_in)]
@@ -560,7 +566,10 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
                 mid, end = at + n, at + n + m
                 if end > len(wires):
                     raise _IllTyped
-                wires[at:end] = wires[mid:end] + wires[at:mid]
+                if n == 1:
+                    wires.insert(end - 1, wires.pop(at))
+                else:
+                    wires[at:end] = wires[mid:end] + wires[at:mid]
                 break
             elif kind in copies:  # short of wires, it raises IndexError
                 wires.insert(at + 1, wires[at])
@@ -569,6 +578,14 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
             elif kind in merges:  # as does a merge, before it changes a wire
                 end = at + 1
                 wires[at] = weighted_sum(((wires[at], 1), (wires.pop(end), 1)))
+                break
+            elif kind in units:
+                wires.insert(at, {})
+                end = at + 1
+                break
+            elif kind in discards:  # and a discard
+                del wires[at]
+                end = at
                 break
             elif kind in images:
                 width, outs = images[kind]

@@ -12,6 +12,7 @@ from idag.core import (
     NodeRef,
     Out,
     _adjacency,
+    _invariant,
     canonical_form,
     concat,
     from_permutation,
@@ -245,6 +246,26 @@ def test_wire_plus_isolated_node_differs_from_path():
     # exhaustive: the single candidate bijection p->p does not match edges
     assert is_isomorphic(through, bypass) is None
     assert canonical_form(through) != canonical_form(bypass)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([BOOL, NAT, INT]))
+def test_the_invariant_survives_relabelling(seed, ws):
+    rng = random.Random(seed)
+    n_in, n_out, n = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 8)
+    d = random_idag(rng, n_in, n_out, n, 0.4, ws, labels=("•", "x", "y"))
+    assert _invariant(_scramble(rng, d, "s")) == _invariant(d)
+    assert _invariant(canonical_form(d)) == _invariant(d)
+
+
+def test_differing_invariants_are_never_isomorphic():
+    one = make_idag(1, 1, [("p", "x")], [(In(0), NodeRef("p")), (NodeRef("p"), Out(0))], NAT)
+    relabelled = make_idag(1, 1, [("p", "y")], [(In(0), NodeRef("p")), (NodeRef("p"), Out(0))], NAT)
+    reweighted = make_idag(1, 1, [("p", "x")], [(In(0), NodeRef("p"), 2), (NodeRef("p"), Out(0))], NAT)
+    for other in (relabelled, reweighted):
+        assert _invariant(one) != _invariant(other)
+        assert is_isomorphic(one, other) is None
+        assert canonical_form(one) != canonical_form(other)
 
 
 def test_canonical_rename_invariance(rng):

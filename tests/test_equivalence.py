@@ -1,24 +1,44 @@
+import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idag.core import canonical_form, juxt, prune_dangling, transitive_closure
+import idag.core as core
+import idag.equivalence as equivalence
+from idag.cli import main
+from idag.core import _invariant, canonical_form, juxt, prune_dangling, transitive_closure
 from idag.equivalence import (
     NO_DANGLING,
     TRANSITIVE,
+    EqReport,
     TheoryMode,
     _apply_quotients,
     equal_mod_theory,
     normalize,
 )
-from idag.errors import ArityMismatch, IdagError, ModeMismatch, UnsupportedGenerator
+from idag.errors import ArityMismatch, IdagError, ModeMismatch, SearchBudgetExceeded, UnsupportedGenerator
 from idag.jsonio import idag_to_json
 from idag.models import FreeIdagModel, evaluate
 from idag.randgen import random_expression, random_idag
 from idag.decomposition import decompose, default_sorting, sample_topological_sorting
-from idag.terms import Anti, Delta, Id, Node, Seq, Ten, arity_of, map_atoms, parse, validate_for_mode
+from idag.terms import (
+    Anti,
+    Delta,
+    Id,
+    Node,
+    Seq,
+    Ten,
+    arity_of,
+    map_atoms,
+    parse,
+    print_expression,
+    validate_for_mode,
+)
 from helpers import consume_row
+from test_canon import _cfi, _dag_space, _interfaced_space
+from test_core import _crown
 from idag.weights import BOOL, INT, NAT
 
 
@@ -270,3 +290,193 @@ def test_errors_come_as_when_each_expression_was_checked_twice(seed):
         assert _outcome(lambda: equal_mod_theory(e1, e2, tm).equal) == _outcome(
             lambda: _equal_checking_twice(e1, e2, tm)
         )
+
+
+# ---------------------------------------------------------------------------
+# the invariant shortcut: a pair whose quotiented images differ in
+# core._invariant is unequal, and its normal forms wait until they are read
+
+MODES = [
+    TheoryMode(BOOL),
+    TheoryMode(NAT),
+    TheoryMode(INT),
+    TheoryMode(BOOL, frozenset({TRANSITIVE})),
+    TheoryMode(BOOL, frozenset({NO_DANGLING})),
+    TheoryMode(BOOL, frozenset({TRANSITIVE, NO_DANGLING})),
+]
+
+
+def _expression(d):
+    return decompose(d, default_sorting(d))
+
+
+def _images(e1, e2, tm):
+    free = FreeIdagModel(tm.weights)
+    return [_apply_quotients(evaluate(e, free), tm) for e in (e1, e2)]
+
+
+def _eager(e1, e2, tm):
+    """The report of e1 = e2 built with both normal forms given."""
+    nf1, nf2 = (canonical_form(q) for q in _images(e1, e2, tm))
+    equal = nf1 == nf2
+    return EqReport(equal, nf1, nf2, {nid: nid for nid in nf1.node_ids} if equal else None)
+
+
+def _assert_decides_as_canonical_forms(e1, e2, tm):
+    q1, q2 = _images(e1, e2, tm)
+    report = equal_mod_theory(e1, e2, tm)
+    assert report.equal == (canonical_form(q1) == canonical_form(q2))
+    return report
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(MODES))
+def test_the_verdict_is_that_of_the_canonical_forms(seed, tm):
+    rng = random.Random(seed)
+    labels = ("•", "x")
+    d = random_idag(rng, rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 6), 0.4, tm.weights, labels=labels)
+    others = [
+        random_idag(rng, d.n_in, d.n_out, rng.randint(0, 6), 0.4, tm.weights, labels=labels, id_prefix="o"),
+        random_idag(rng, d.n_in, d.n_out, len(d.nodes), 0.4, tm.weights, labels=labels, id_prefix="o"),
+    ]
+    e1 = _expression(d)
+    for other in others:
+        _assert_decides_as_canonical_forms(e1, _expression(other), tm)
+    e2 = decompose(d, sample_topological_sorting(d, rng))
+    assert _assert_decides_as_canonical_forms(e1, e2, tm).equal
+
+
+def test_the_verdict_is_that_of_the_canonical_forms_on_whole_spaces():
+    # every pair of upper-triangular dags on n <= 4 nodes, and of BOOL idags
+    # on n <= 2 nodes with the same interface, with and without quotients
+    both = TheoryMode(BOOL, frozenset({TRANSITIVE, NO_DANGLING}))
+    spaces = [(list(_dag_space(n)), [TheoryMode(BOOL)]) for n in range(5)]
+    by_shape: dict = {}
+    for d in _interfaced_space():
+        if len(d.nodes) <= 2:
+            by_shape.setdefault((d.n_in, d.n_out, len(d.nodes)), []).append(d)
+    spaces += [(space, [TheoryMode(BOOL), both]) for space in by_shape.values()]
+    pairs = unequal = 0
+    for space, modes in spaces:
+        exprs = [_expression(d) for d in space]
+        for tm in modes:
+            forms = [canonical_form(_apply_quotients(d, tm)) for d in space]
+            for (i, e1), (j, e2) in itertools.product(enumerate(exprs), repeat=2):
+                verdict = equal_mod_theory(e1, e2, tm).equal
+                assert verdict == (forms[i] == forms[j])
+                pairs += 1
+                unequal += not verdict
+    assert pairs > 10_000 and 0 < unequal < pairs
+
+
+def _counting_search(monkeypatch):
+    """Count the calls of canon.canonical_order, as core binds it."""
+    from idag.canon import canonical_order
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return canonical_order(*args)
+
+    monkeypatch.setattr(core, "_canonical_order", counted)
+    return calls
+
+
+def test_no_canonical_labelling_runs_until_a_form_is_read(monkeypatch):
+    calls = _counting_search(monkeypatch)
+    pairs = [
+        ("node[a] ; node[b]", "node[a] ; node[c]"),  # a label
+        ("delta ; node[a] * node[b] ; nabla", "delta ; node[a] * id(1) ; nabla"),  # the node count
+        ("delta ; nabla ; node[a]", "node[a]"),  # an edge weight, 2 against 1
+    ]
+    for lhs, rhs in pairs:
+        calls.clear()
+        report = equal_mod_theory(parse(lhs), parse(rhs), NAT)
+        assert not report.equal and report.witness is None and calls == []
+        left = report.normal_form_left
+        assert len(calls) == 1
+        assert report.normal_form_left is left and len(calls) == 1
+        assert report.normal_form_right == normalize(parse(rhs), NAT) and len(calls) == 3
+
+
+def test_pairs_the_invariant_cannot_split_take_both_forms_at_once(monkeypatch):
+    calls = _counting_search(monkeypatch)
+    for lhs, rhs in [("node[a] ; node[b]", "node[b] ; node[a]"), ("node[a] ; node[b]", "id(1) ; node[a] ; node[b]")]:
+        calls.clear()
+        equal_mod_theory(parse(lhs), parse(rhs), BOOL)
+        assert len(calls) == 2
+    # twisted and untwisted CFI dags share every invariant
+    untwisted, twisted = (_cfi(6, 6, t) for t in (False, True))
+    assert _invariant(untwisted) == _invariant(twisted)
+    calls.clear()
+    assert not equal_mod_theory(_expression(untwisted), _expression(twisted), BOOL).equal
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("tm", MODES, ids=lambda tm: f"{tm.weights.name}{sorted(tm.quotients)}")
+def test_a_lazy_report_is_the_eager_one(tm):
+    rng = random.Random(3)
+    seen = 0
+    for _ in range(30):
+        d = random_idag(rng, 1, 2, rng.randint(1, 5), 0.5, tm.weights, labels=("•", "x"))
+        other = random_idag(rng, 1, 2, rng.randint(1, 5), 0.5, tm.weights, labels=("•", "x"), id_prefix="o")
+        e1, e2 = _expression(d), _expression(other)
+        eager = _eager(e1, e2, tm)
+        if _invariant(eager.normal_form_left) == _invariant(eager.normal_form_right):
+            continue
+        seen += 1
+        # each check on a report whose forms were not read before it
+        lazy = lambda: equal_mod_theory(e1, e2, tm)  # noqa: E731
+        assert lazy() == eager and eager == lazy()
+        assert repr(lazy()) == repr(eager)
+        assert lazy().to_json_obj() == eager.to_json_obj()
+        assert pickle.loads(pickle.dumps(lazy())) == eager
+        report = lazy()
+        assert (report.equal, report.normal_form_left, report.normal_form_right, report.witness) == (
+            eager.equal,
+            eager.normal_form_left,
+            eager.normal_form_right,
+            eager.witness,
+        )
+    assert seen >= 10
+
+
+def _budget_of_one(monkeypatch):
+    """canonical_form, as equal_mod_theory calls it, with a budget of one
+    search tree node."""
+    monkeypatch.setattr(equivalence, "canonical_form", lambda d: canonical_form(d, budget=1))
+
+
+def _crown_pair():
+    # a crown needs the search; the right side relabels one node
+    crown = _crown(4)
+    relabelled = crown.nodes[:-1] + ((crown.nodes[-1][0], "x"),)
+    other = core.Idag(crown.weights, 0, 0, relabelled, crown.wires)
+    return crown, _expression(crown), _expression(other)
+
+
+def test_reading_a_form_raises_what_canonical_form_raises(monkeypatch):
+    crown, lhs, rhs = _crown_pair()
+    with pytest.raises(SearchBudgetExceeded) as expected:
+        canonical_form(crown, budget=1)
+    _budget_of_one(monkeypatch)
+    report = equal_mod_theory(lhs, rhs, BOOL)
+    assert not report.equal
+    with pytest.raises(SearchBudgetExceeded) as got:
+        report.normal_form_left
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(SearchBudgetExceeded):
+        report.to_json_obj()
+    with pytest.raises(AttributeError):
+        report.no_such_field
+
+
+def test_eq_prints_nothing_when_a_form_fails(monkeypatch, capsys):
+    _, lhs, rhs = _crown_pair()
+    _budget_of_one(monkeypatch)
+    texts = [print_expression(e) for e in (lhs, rhs)]
+    for fmt in ("text", "json"):
+        assert main(["eq", "--format", fmt, *texts]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "exceeded its budget" in err

@@ -8,9 +8,9 @@ The drawn expressions include decompositions, whose atoms are shared, and
 (delta ; nabla)^k chains, which run the walk's generator images, and a
 fixed corpus of deep left spines, odd or bad terms at a spine's bottom and
 non-terms (tuples, ints) placed off the input spine. And a well-typed
-input never reaches arity_of, a copy or merge short of wires raises
-arity_of's error, and the walk takes the shapes it runs inline from the
-generator table on each call."""
+input never reaches arity_of, a copy, merge, discard or crossing short of
+wires raises arity_of's error, and the walk takes the shapes it runs inline
+from the generator table on each call."""
 
 import functools
 import random
@@ -207,6 +207,8 @@ def test_the_differential_corpus_reaches_every_outcome():
 _SHORT_OF_WIRES = [
     Seq(Delta(), Seq(Ten(Node("x"), Id(1)), Ten(Id(2), Delta()))),
     Seq(Delta(), Seq(Ten(Node("x"), Id(1)), Ten(Id(1), Nabla()))),
+    Seq(Delta(), Seq(Ten(Node("x"), Id(1)), Ten(Id(2), Eps()))),
+    Seq(Delta(), Seq(Ten(Node("x"), Id(1)), Sym(1, 2))),
 ]
 
 
@@ -328,3 +330,30 @@ def test_the_walk_reads_copy_and_merge_shapes_off_the_table(monkeypatch, ws):
             assert model.equal(got, evaluate(e, Forwarding(model)))
     assert evaluate(Delta(), MatrixModel(ws)).entries == ((1, 1, 1),)
     assert evaluate(Nabla(), MatrixModel(ws)).entries == ((1,), (2,))
+
+
+@pytest.mark.parametrize("ws", [NAT, INT])
+def test_the_walk_reads_unit_and_discard_shapes_off_the_table(monkeypatch, ws):
+    # as above, for images close to a unit and a discard: a unit with two
+    # empty outputs and a discard that passes its input on with weight 2
+    monkeypatch.setitem(terms._GENERATORS, Eta, ("eta", 0, ((), ())))
+    monkeypatch.setitem(terms._GENERATOR_ARITY, Eta, (0, 2))
+    monkeypatch.setitem(terms._GENERATORS, Eps, ("eps", 1, (((0, 2),),)))
+    monkeypatch.setitem(terms._GENERATOR_ARITY, Eps, (1, 1))
+    rng = random.Random(7)
+    cases = [random_expression(rng, max_depth=4, allow_anti=ws is INT, labels=("x", "y")) for _ in range(60)]
+    cases += [
+        Eta(),
+        Eps(),
+        Seq(Eta(), Ten(Eps(), Node("x"))),
+        Seq(Ten(Node("x"), Eta()), Ten(Ten(Id(1), Eps()), Id(1))),
+    ]
+    assert sum(isinstance(a, Eta) for e in cases for a in atoms(e)) > 20
+    assert sum(isinstance(a, Eps) for e in cases for a in atoms(e)) > 20
+    for model in (FreeIdagModel(ws), MatrixModel(ws, {"x": 2, "y": 3})):
+        for e in cases:
+            got = evaluate(e, model)
+            assert _value(got) == _value(ref.evaluate(e, model))
+            assert model.equal(got, evaluate(e, Forwarding(model)))
+    assert evaluate(Eta(), MatrixModel(ws)).n_out == 2
+    assert evaluate(Eps(), MatrixModel(ws)).entries == ((2,),)

@@ -6,7 +6,21 @@ import random
 
 import pytest
 
-from idag.core import In, NodeRef, Out, from_permutation, identity, make_idag, symmetry
+from idag.core import (
+    In,
+    NodeRef,
+    Out,
+    canonical_form,
+    concat,
+    from_permutation,
+    identity,
+    is_isomorphic,
+    juxt,
+    make_idag,
+    prune_dangling,
+    symmetry,
+    transitive_closure,
+)
 from idag.decomposition import (
     count_topological_sortings,
     decompose,
@@ -26,7 +40,7 @@ from idag.errors import (
     UnsupportedGenerator,
     WrongArgumentType,
 )
-from idag.jsonio import idag_from_json
+from idag.jsonio import idag_from_json, idag_to_json
 from idag.models import (
     FreeIdagModel,
     LoopsModel,
@@ -175,6 +189,13 @@ def test_a_mode_keeps_its_sets_frozen():
         lambda: count_topological_sortings("x"),
         lambda: interpret(identity(1), default_sorting(identity(1)), None),
         lambda: evaluate(Id(1), 3),
+        lambda: canonical_form(None),
+        lambda: concat(identity(1), 3),
+        lambda: juxt(identity(1), None),
+        lambda: is_isomorphic(identity(1), 3),
+        lambda: transitive_closure(3),
+        lambda: prune_dangling("x"),
+        lambda: idag_to_json(3),
     ],
 )
 def test_idag_and_model_arguments_must_be_idags_and_models(call):
