@@ -15,13 +15,17 @@ so tests can play them against each other.
 A slice's encoding copies, scales, routes and merges wires. Each edge gets
 one copy, scaled by its weight w in O(log |w|) atoms, and routing moves it
 in one crossing, so a decomposition holds at most one crossing per edge and
-O(N + E + sum of log |w|) atoms. decompose() builds the encoding of a node
-slice straight from the node's in-edges, without its matrix, and its rows
-from integer pad widths, so its time is linear in its output too. Each
-call that takes a sorting checks it and renumbers d's wires along it once,
-by node position (_along), and builds its slices from those wires (_slice).
-Expressions are immutable, so one call builds each id(k), weight gadget,
-fan-in and crossing sym(1,b) once and its slices share them; nothing is
+O(N + E + sum of log |w|) atoms. Every slice is encoded from wires, never
+from its matrix: one encoder (_encode) takes a matrix as its columns'
+{row: weight} wires, and serves both the output slice, fed the outputs'
+own wires, and encode_relation, fed a matrix's columns; a node slice, one
+column beside an identity, is the same encoding built straight from
+the node's in-edges (_encode_node_slice). So decompose()'s time is linear
+in its output. Each call that takes a sorting checks it and renumbers d's
+wires along it once, by node position (_along); layer() and interpret()
+build slice matrices from those wires (_slice). Expressions are immutable,
+so one decompose() call builds each id(k), weight gadget, fan-out, fan-in,
+crossing sym(1,b) and node box once and its slices share them; nothing is
 kept between calls.
 
 Enumeration, counting and uniform sampling of sortings run on one placement
@@ -67,7 +71,6 @@ from .terms import (
     Seq,
     Sym,
     Ten,
-    _padded_row,
     seq_all,
     ten_all,
 )
@@ -335,8 +338,10 @@ def permutation_expression(perm: Sequence[int]) -> Expression:
     before it, which a Fenwick tree counts: routing c wires takes
     O(c log c) time.
 
-    Raises NotBijective if perm is not a permutation of 0..len(perm)-1.
+    Raises NotBijective if perm is not a permutation of 0..len(perm)-1, and
+    WrongArgumentType if it is not a sequence.
     """
+    _check_type(perm, Sequence)
     c = len(perm)
     if not _is_permutation(perm):
         raise NotBijective(f"{list(perm)!r} is not a permutation of 0..{c - 1}")
@@ -421,6 +426,65 @@ def _scale(w: int) -> Expression:
     return seq_all(parts) if parts else Id(1)
 
 
+def _row(
+    items: Iterable[int], gadget: Callable[[int], Expression], pad: Callable[[int], Expression]
+) -> Optional[Expression]:
+    """The left-associated tensor row of gadget(x) for each item x, where
+    each run of items equal to 1 is one pad(width) instead; None when every
+    item is 1."""
+    e: Optional[Expression] = None
+    run = 0  # items equal to 1 since the last gadget
+    for x in items:
+        if x == 1:
+            run += 1
+            continue
+        if run:
+            e = pad(run) if e is None else Ten(e, pad(run))
+            run = 0
+        e = gadget(x) if e is None else Ten(e, gadget(x))
+    return Ten(e, pad(run)) if run and e is not None else e
+
+
+def _encode(
+    n: int,
+    wires: Sequence[dict[int, int]],
+    pad: Callable[[int], Expression],
+    scale: Callable[[int], Expression],
+    fan_out: Callable[[int], Expression],
+    fan_in: Callable[[int], Expression],
+) -> Expression:
+    """encode_relation of the n x len(wires) matrix whose column j is
+    wires[j], a {row: nonzero weight} dict. A row of gadgets that are all
+    identities is left out. pad, scale, fan_out and fan_in build Id,
+    _scale, _fan_out and _fan_in, or share their instances."""
+    fed = [0] * n  # copies per row
+    for wire in wires:
+        for r in wire:
+            fed[r] += 1
+    at = list(accumulate(fed, initial=0))  # source-major slot of each row's next copy
+    perm = [0] * at[-1]  # source-major slot -> target-major slot
+    weights = [0] * at[-1]
+    routed = False
+    t = 0
+    for wire in wires:
+        for r in sorted(wire):
+            s = at[r]
+            at[r] = s + 1
+            perm[s], weights[s] = t, wire[r]
+            routed = routed or s != t
+            t += 1
+    e: Optional[Expression] = None
+    for step in (
+        _row(fed, fan_out, pad),
+        _row(weights, scale, pad),
+        permutation_expression(perm) if routed else None,
+        _row(map(len, wires), fan_in, pad),
+    ):
+        if step is not None:
+            e = step if e is None else Seq(e, step)
+    return pad(n) if e is None else e
+
+
 def encode_relation(mat: MatrixMorphism) -> Expression:
     """An expression over copy/discard/merge/unit, anti and wire crossings
     whose evaluation in any matrix model is exactly mat, and whose free
@@ -430,37 +494,15 @@ def encode_relation(mat: MatrixMorphism) -> Expression:
     (source-major: target index ascending), each copy is scaled by its
     entry as _scale spells it, a routing permutation rearranges the copies
     to target-major order, and merges fan in per output. An identity
-    matrix encodes as id(n).
+    matrix encodes as id(n). This is the encoder decompose() runs on its
+    output slice, fed mat's columns as wires.
     """
-    n, m = mat.n_in, mat.n_out
-    r = [len(row) for row in mat.rows]
-    c = [0] * m
-    for row in mat.rows:
-        for j in row:
-            c[j] += 1
-    # copies sit in source-major order; perm sends each to its target-major
-    # position, and next_slot[j] is the next free position among output j's
-    next_slot = list(accumulate(c, initial=0))
-    perm: list[int] = []
-    weights: list[int] = []
-    for row in mat.rows:
-        for j in sorted(row):
-            weights.append(row[j])
-            perm.append(next_slot[j])
-            next_slot[j] += 1
-
-    parts: list[Expression] = []
-    if n > 0 and any(x != 1 for x in r):
-        parts.append(ten_all([_fan_out(x) for x in r]))
-    if any(w != 1 for w in weights):
-        parts.append(ten_all([_scale(w) for w in weights]))
-    if perm != list(range(len(perm))):
-        parts.append(permutation_expression(perm))
-    if m > 0 and any(x != 1 for x in c):
-        parts.append(ten_all([_fan_in(x) for x in c]))
-    if not parts:
-        return Id(n)
-    return seq_all(parts)
+    _check_type(mat, MatrixMorphism)
+    wires: list[dict[int, int]] = [{} for _ in range(mat.n_out)]
+    for r, row in enumerate(mat.rows):
+        for j, w in row.items():
+            wires[j][r] = w
+    return _encode(mat.n_in, wires, Id, _scale, _fan_out, _fan_in)
 
 
 def _encode_node_slice(
@@ -471,44 +513,56 @@ def _encode_node_slice(
     fan_in: Callable[[int], Expression],
     cross: Callable[[int], Expression],
 ) -> Expression:
-    """encode_relation of a node slice, built from the node's in-edges in
-    O(len(ins) + atoms) time instead of from its matrix.
+    """_encode of a node slice, built from the node's in-edges in
+    O(len(ins) + atoms) time instead of from its wires.
 
     The slice is the live x (live+1) matrix that keeps each live wire and
     adds a last column with weight w in row r for each (r, w) of ins, which
-    is sorted by row. The result is the expression encode_relation gives
-    for that matrix, term for term: each fed row r fans out with one delta
-    into its own wire and one copy bound for the node; _scale(w) scales the
-    copy; one crossing per in-edge, from the highest row down, moves the
-    copy past the live-1-r wires of the later rows; one fan-in merges the
-    copies for the node. pad, scale, fan_in and cross build Id, _scale,
-    _fan_in and Sym(1, b), or share their instances. The fan-out and
-    crossing rows are built straight from ins; the scale row, whose id(1)
-    of a weight 1 merges with the pads beside it, goes through _padded_row.
+    is sorted by row. The result is the expression _encode gives for that
+    matrix, term for term: each fed row r fans out with one delta into its
+    own wire and one copy bound for the node; scale(w) scales the copy; one
+    crossing per in-edge, from the highest row down, moves the copy past
+    the live-1-r wires of the later rows; one fan-in merges the copies for
+    the node. pad, scale, fan_in and cross build Id, _scale, _fan_in and
+    Sym(1, b), or share their instances. One pass over ins builds the
+    fan-out and scale rows, where the id(1) of a weight 1 merges with the
+    pads beside it, and one pass back builds the crossings.
     """
     fans: Optional[Expression] = None
-    scales: list = []
-    at = 0
+    scales: Optional[Expression] = None  # None while every weight so far is 1
+    at = run = 0  # next unfed row; identity wires since the last scale
     for r, w in ins:
         if r > at:
             fans = pad(r - at) if fans is None else Ten(fans, pad(r - at))
         fans = _DELTA if fans is None else Ten(fans, _DELTA)
-        scales += (r + 1 - at, 1 if w == 1 else scale(w))  # _scale(1) is id(1)
+        run += r + 1 - at  # the rows up to r keep their wires
+        if w == 1:
+            run += 1
+        else:
+            scales = pad(run) if scales is None else Ten(scales, pad(run))
+            scales = Ten(scales, scale(w))
+            run = 0
         at = r + 1
-    parts = [] if fans is None else [Ten(fans, pad(live - at)) if live > at else fans]
-    if any(w != 1 for _, w in ins):
-        parts.append(_padded_row(scales + [live - at], pad))
+    e = fans
+    if e is not None and live > at:
+        e = Ten(e, pad(live - at))
+    if scales is not None:
+        run += live - at
+        e = Seq(e, Ten(scales, pad(run)) if run else scales)
     # the copy from ins[t] sits at r + 1 + t, before the placed later ones
-    crossings: list[Expression] = []
+    crossings: Optional[Expression] = None
     for placed, (r, _) in enumerate(reversed(ins)):
         if r < live - 1:
-            row = Ten(pad(r + len(ins) - placed), cross(live - 1 - r))
-            crossings.append(Ten(row, pad(placed)) if placed else row)
-    if crossings:
-        parts.append(seq_all(crossings))
+            step = Ten(pad(r + len(ins) - placed), cross(live - 1 - r))
+            if placed:
+                step = Ten(step, pad(placed))
+            crossings = step if crossings is None else Seq(crossings, step)
+    if crossings is not None:
+        e = Seq(e, crossings)
     if len(ins) != 1:
-        parts.append(Ten(pad(live), fan_in(len(ins))) if live else fan_in(len(ins)))
-    return seq_all(parts)
+        merge = Ten(pad(live), fan_in(len(ins))) if live else fan_in(len(ins))
+        e = merge if e is None else Seq(e, merge)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -518,23 +572,25 @@ def _encode_node_slice(
 def decompose(d: Idag, sort: SortLike) -> Expression:
     """An expression evaluating to d (up to isomorphism in the free model,
     exactly in matrix models): encoded slices interleaved with one node box
-    per sorted node. The slices share each id(k), weight gadget, fan-in and
-    crossing sym(1,b) the call builds, and build their fan-out and crossing
-    rows straight from each node's in-edges."""
+    per sorted node. Every slice is built from d's wires: node slices from
+    each node's in-edges, the output slice by the encoder encode_relation
+    runs, from the outputs' wires. The slices share each id(k), weight
+    gadget, fan-out, fan-in, crossing sym(1,b) and node box the call
+    builds."""
     ts, wires = _along(d, sort)
     labels = dict(d.nodes)
     n = d.n_in
     # expressions are immutable, so the slices share one instance of each
     pad, scale, fan_in, cross = cache(Id), cache(_scale), cache(_fan_in), cache(partial(Sym, 1))
-    parts: list[Expression] = []
+    node = cache(Node)
+    e: Optional[Expression] = None
     for k, nid in enumerate(ts.order):
-        parts.append(_encode_node_slice(n + k, sorted(wires[k].items()), pad, scale, fan_in, cross))
-        box: Expression = Node(labels[nid])
-        if n + k > 0:
-            box = Ten(pad(n + k), box)
-        parts.append(box)
-    parts.append(encode_relation(_slice(d, wires, len(ts))))
-    return seq_all(parts)
+        live = n + k
+        step = _encode_node_slice(live, sorted(wires[k].items()), pad, scale, fan_in, cross)
+        box = Ten(pad(live), node(labels[nid])) if live else node(labels[nid])
+        e = Seq(step if e is None else Seq(e, step), box)
+    out = _encode(n + len(ts), wires[len(ts) :], pad, scale, cache(_fan_out), fan_in)
+    return out if e is None else Seq(e, out)
 
 
 def interpret(d: Idag, sort: SortLike, model: Model):

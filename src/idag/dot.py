@@ -5,6 +5,7 @@ the weight is not 1."""
 from __future__ import annotations
 
 from .core import DEFAULT_LABEL, Idag, sorted_edges
+from .errors import _check_type
 from .jsonio import dumps
 
 
@@ -13,6 +14,7 @@ def _quote(s: str) -> str:
 
 
 def idag_to_dot(d: Idag) -> str:
+    _check_type(d, Idag)
     n_in, n_nodes = d.n_in, len(d.nodes)
     lines = ["digraph idag {", "  rankdir=LR;", "  node [fontsize=11];"]
     ins = " ".join(f'i{i} [shape=point, xlabel="{i}"];' for i in range(n_in))

@@ -12,7 +12,7 @@ import random
 from typing import Sequence
 
 from .core import DEFAULT_LABEL, Idag, In, NodeRef, Out, Vertex, _check_widths, make_idag
-from .errors import IdagError
+from .errors import IdagError, _check_type
 from .models import MatrixMorphism, matrix
 from .terms import (
     Anti,
@@ -62,7 +62,9 @@ def random_idag(
     weights are drawn uniformly from {1..3} / {-3..-1, 1..3}. Raises
     IdagError unless edge_prob is a number in [0, 1] and labels is not
     empty, BadEndpoint unless the widths and node count are non-negative
-    ints, and SizeLimitExceeded when one is past MAX_WIDTH."""
+    ints, SizeLimitExceeded when one is past MAX_WIDTH, and
+    WrongArgumentType unless rng is a random.Random."""
+    _check_type(rng, random.Random)
     _check_probability("edge_prob", edge_prob)
     if not labels:
         raise IdagError("no node labels to draw from")
@@ -101,8 +103,10 @@ def random_matrix(
 ) -> MatrixMorphism:
     """A random n x m matrix: each entry is nonzero with probability density,
     of magnitude at most max_abs. Raises IdagError unless max_abs is a
-    positive int and density a number in [0, 1], and BadEndpoint or
-    SizeLimitExceeded for a bad n or m."""
+    positive int and density a number in [0, 1], BadEndpoint or
+    SizeLimitExceeded for a bad n or m, and WrongArgumentType unless rng
+    is a random.Random."""
+    _check_type(rng, random.Random)
     _check_widths("width", n, m)
     if type(max_abs) is not int or max_abs < 1:
         raise IdagError(f"max_abs {max_abs!r} is not a positive int")
@@ -139,7 +143,9 @@ def random_expression(
     """A random well-typed expression; every AST constructor can occur.
     Raises IdagError when labels is empty, or when max_depth or max_width
     is not a non-negative int (a bool is not one) or max_depth exceeds
-    MAX_EXPRESSION_DEPTH: generation recurses once per level."""
+    MAX_EXPRESSION_DEPTH: generation recurses once per level, and
+    WrongArgumentType unless rng is a random.Random."""
+    _check_type(rng, random.Random)
     if not labels:
         raise IdagError("no node labels to draw from")
     for what, value in (("max_depth", max_depth), ("max_width", max_width)):

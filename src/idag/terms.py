@@ -404,10 +404,13 @@ def _path_to(root: Expression, target: Expression) -> str:
 
 def validate_for_mode(e: Expression, mode: WeightSystem, labels=None) -> None:
     """Reject generators the mode cannot interpret: anti outside int mode,
-    and labels outside the configured label set if one is given."""
+    and labels outside the configured label set if one is given; and, as
+    arity_of does, anything that is not an atom."""
     for a in atoms(e):
         if type(a) in _GENERATORS:
             _generator_image(a, mode)
+        elif not isinstance(a, (Id, Sym, Node)):
+            raise UnsupportedGenerator(f"unknown atom {a!r}")
         if labels is not None and isinstance(a, Node):
             if not isinstance(a.label, str):
                 _atom_arity(a)  # raises arity_of's error, as a label may not hash
@@ -741,30 +744,22 @@ def seq_all(parts: Sequence[Expression]) -> Expression:
 
 
 def ten_all(parts: Sequence[Expression]) -> Expression:
-    """Left-associated tensor chain, collapsing adjacent identities; an empty
-    list gives id(0)."""
-    return _padded_row([p.n if isinstance(p, Id) else p for p in parts], Id)
-
-
-def _padded_row(parts: Sequence, pad: Callable[[int], Expression]) -> Expression:
-    """The left-associated tensor chain of parts, where a part that is not
-    an expression is a width of identity wires: adjacent widths merge into
-    one pad(width), a zero total leaves none, and no parts left give
-    pad(0). ten_all and the decomposition encoders build rows by this one
-    rule."""
+    """Left-associated tensor chain, collapsing adjacent identities: a run
+    of identities becomes one id of their total width, a zero total leaves
+    none, and no parts left give id(0)."""
     e: Optional[Expression] = None
     wires = 0  # width of the identities since the last other part
     for p in parts:
-        if not isinstance(p, Expression):
-            wires += p
+        if isinstance(p, Id):
+            wires += p.n
             continue
         if wires:
-            e = pad(wires) if e is None else Ten(e, pad(wires))
+            e = Id(wires) if e is None else Ten(e, Id(wires))
             wires = 0
         e = p if e is None else Ten(e, p)
     if wires:
-        e = pad(wires) if e is None else Ten(e, pad(wires))
-    return pad(0) if e is None else e
+        e = Id(wires) if e is None else Ten(e, Id(wires))
+    return Id(0) if e is None else e
 
 
 def map_atoms(e: Expression, fn: Callable[[Expression], Expression]) -> Expression:

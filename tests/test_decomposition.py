@@ -38,6 +38,7 @@ from idag.randgen import random_idag
 from idag.terms import Delta, Id, Nabla, Node, Seq, Sym, Ten, atoms, print_expression, seq_all
 from idag.weights import BOOL, INT, NAT
 
+import encode_reference
 import sortings_reference
 from helpers import Forwarding
 
@@ -402,23 +403,41 @@ def test_decompose_other_sorting_same_value(dag31):
 
 
 def _decompose_by_slice_matrices(d, s):
-    # the reference: encode_relation of every slice matrix
+    # the reference: the matrix-based encoder on every slice matrix
     labels = dict(d.nodes)
-    parts = [encode_relation(layer(d, s, 0))]
+    parts = [encode_reference.encode_relation(layer(d, s, 0))]
     for k, nid in enumerate(s.order):
         box = Node(labels[nid])
         if d.n_in + k > 0:
             box = Ten(Id(d.n_in + k), box)
-        parts += [box, encode_relation(layer(d, s, k + 1))]
+        parts += [box, encode_reference.encode_relation(layer(d, s, k + 1))]
     return seq_all(parts)
 
 
+def _heavier(d, rng):
+    """d with about half its weights redrawn from 2..2^70, of either sign
+    in int mode."""
+    signs = (1, -1) if d.weights is INT else (1,)
+    wires = tuple(
+        {
+            src: w if rng.random() < 0.5 else rng.choice(signs) * rng.choice((2**70, rng.randint(2, 2**70)))
+            for src, w in wire.items()
+        }
+        for wire in d.wires
+    )
+    return Idag(d.weights, d.n_in, d.n_out, d.nodes, wires)
+
+
 def test_decompose_matches_the_slice_matrices(rng):
+    # node and output slices share the call's pads and weight gadgets:
+    # weights past 2^63 on both, and sources that feed several outputs
     seen = set()
     for k in range(240):
         ws = (BOOL, NAT, INT)[k % 3]
         n = rng.randint(0, 10)
-        d = random_idag(rng, rng.randint(0, 3), rng.randint(0, 3), n, rng.choice((0.15, 0.4, 0.8)), ws)
+        d = random_idag(rng, rng.randint(0, 3), rng.randint(0, 4), n, rng.choice((0.15, 0.4, 0.8)), ws)
+        if ws is not BOOL and k % 2:
+            d = _heavier(d, rng)
         s = sample_topological_sorting(d, rng)
         got, want = decompose(d, s), _decompose_by_slice_matrices(d, s)
         assert got == want
@@ -430,7 +449,20 @@ def test_decompose_matches_the_slice_matrices(rng):
             seen.add("unfed node")
         if 0 in (d.n_in, d.n_out):
             seen.add("width 0")
-    assert seen == {"negative", "unfed node", "width 0"}
+        for into, wires in (("nodes", d.wires[:n]), ("outputs", d.wires[n:])):
+            if any(abs(w) > 2**63 for wire in wires for w in wire.values()):
+                seen.add("heavy into " + into)
+        feeds = [src for wire in d.wires[n:] for src in wire]
+        if len(feeds) > len(set(feeds)):
+            seen.add("source feeds two outputs")
+    assert seen == {
+        "negative",
+        "unfed node",
+        "width 0",
+        "heavy into nodes",
+        "heavy into outputs",
+        "source feeds two outputs",
+    }
 
 
 def _wide_idag(rng, ws, n=64):

@@ -25,6 +25,7 @@ from idag.decomposition import (
     count_topological_sortings,
     decompose,
     default_sorting,
+    encode_relation,
     interpret,
     layer,
     permutation_expression,
@@ -49,8 +50,9 @@ from idag.models import (
     matrix_identity,
     matrix_permutation,
 )
-from idag.randgen import random_idag
-from idag.terms import Id, Node, Seq, Ten, arity_of, print_expression
+from idag.dot import idag_to_dot
+from idag.randgen import random_expression, random_idag, random_matrix
+from idag.terms import Id, Node, Seq, Ten, arity_of, print_expression, validate_for_mode
 from idag.weights import BOOL, NAT
 
 
@@ -196,11 +198,18 @@ def test_a_mode_keeps_its_sets_frozen():
         lambda: transitive_closure(3),
         lambda: prune_dangling("x"),
         lambda: idag_to_json(3),
+        lambda: idag_to_dot(3),
+        lambda: encode_relation(None),
+        lambda: random_expression(3),
+        lambda: random_idag(3, 1, 1, 2, 0.5, BOOL),
+        lambda: random_matrix(3, 2, 2, NAT),
+        lambda: permutation_expression(None),
     ],
 )
 def test_idag_and_model_arguments_must_be_idags_and_models(call):
     # a TypeError too, so callers that catch one still do
-    with pytest.raises(WrongArgumentType, match=r"expected (Idag|Model), not (int|NoneType|str)") as info:
+    pattern = r"expected (Idag|Model|MatrixMorphism|Random|Sequence), not (int|NoneType|str)"
+    with pytest.raises(WrongArgumentType, match=pattern) as info:
         call()
     assert isinstance(info.value, TypeError)
 
@@ -208,3 +217,12 @@ def test_idag_and_model_arguments_must_be_idags_and_models(call):
 def test_json_text_of_the_wrong_type_is_a_schema_error():
     with pytest.raises(SchemaError, match="must be str, bytes or bytearray, not int"):
         idag_from_json(3)
+
+
+@pytest.mark.parametrize("e", [3, "x", None, Seq(Id(1), "x"), Ten(Node("a"), 1.5)])
+def test_validate_for_mode_rejects_what_is_not_an_atom(e):
+    # as arity_of does, rather than passing it on in silence
+    with pytest.raises(UnsupportedGenerator, match="unknown atom"):
+        validate_for_mode(e, BOOL)
+    with pytest.raises(UnsupportedGenerator, match="unknown atom"):
+        arity_of(e)
