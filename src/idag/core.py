@@ -223,11 +223,15 @@ def make_idag(
         mode: weight system the edge weights live in.
 
     Raises:
-        SizeLimitExceeded (an interface wider than MAX_WIDTH),
-        DuplicateNodeId, BadEndpoint (also for a node or edge spec of
-        another shape), InvalidWeight (ZeroWeight / AntipodeWeight),
-        CycleDetected.
+        WrongArgumentType (a mode that is not a WeightSystem, nodes or
+        edges that are not iterable), SizeLimitExceeded (an interface wider
+        than MAX_WIDTH), DuplicateNodeId, BadEndpoint (also for a node or
+        edge spec of another shape), InvalidWeight (ZeroWeight /
+        AntipodeWeight), CycleDetected.
     """
+    _check_type(mode, WeightSystem)
+    _check_type(nodes, Iterable)
+    _check_type(edges, Iterable)
     _check_widths("interface width", n_in, n_out)
     node_seq: list[tuple[str, str]] = []
     for spec in nodes:
@@ -337,6 +341,7 @@ def _is_permutation(perm: Sequence[int]) -> bool:
 
 def identity(n: int, mode: WeightSystem = BOOL) -> Idag:
     """The (n, n)-idag wiring input i straight to output i."""
+    _check_type(mode, WeightSystem)
     _check_widths("width", n)
     return Idag(mode, n, n, (), tuple({i: 1} for i in range(n)))
 
@@ -344,8 +349,12 @@ def identity(n: int, mode: WeightSystem = BOOL) -> Idag:
 def from_permutation(perm: Sequence[int], mode: WeightSystem = BOOL) -> Idag:
     """The node-free idag sending input i to output perm[i].
 
-    Raises NotBijective if perm is not a permutation of 0..len(perm)-1.
+    Raises NotBijective if perm is not a permutation of 0..len(perm)-1,
+    and WrongArgumentType if it is not a sequence or mode not a
+    WeightSystem.
     """
+    _check_type(perm, Sequence)
+    _check_type(mode, WeightSystem)
     n = len(perm)
     _check_widths("width", n)
     if not _is_permutation(perm):

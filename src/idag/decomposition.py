@@ -4,29 +4,31 @@ Fix a topological sorting sigma of an idag d with n inputs. Reading nodes off
 in sigma-order turns d into an alternation of plain weight matrices and
 single-node boxes: before node k is emitted, the live wires are the n inputs
 plus the k nodes already emitted, and the k-th slice is the
-(n+k) x (n+k+1) matrix keeping every live wire and adding one column with the
-in-weights of node sigma_k; a final (n+|N|) x m matrix routes live wires into
-the outputs. decompose() renders each slice as encode_relation does and
-interleaves node boxes; interpret() skips the syntax: FreeIdagModel and
-MatrixModel read d's own wires along sigma as a free image, through the
-reader evaluate() ends in, and other models compose the slices. Both exist
-so tests can play them against each other.
+(n+k) x (n+k+1) matrix keeping every live wire and adding one column, the
+wire of node sigma_k; a final (n+|N|) x m matrix, whose columns are the
+outputs' wires, routes live wires into the outputs. decompose() renders
+each slice as encode_relation does and interleaves node boxes; interpret()
+skips the syntax: FreeIdagModel and MatrixModel read d's own wires along
+sigma as a free image, through the reader evaluate() ends in, and other
+models compose the slices. Both exist so tests can play them against each
+other.
 
 A slice's encoding copies, scales, routes and merges wires. Each edge gets
 one copy, scaled by its weight w in O(log |w|) atoms, and routing moves it
 in one crossing, so a decomposition holds at most one crossing per edge and
-O(N + E + sum of log |w|) atoms. Every slice is encoded from wires, never
-from its matrix: one encoder (_encode) takes a matrix as its columns'
-{row: weight} wires, and serves both the output slice, fed the outputs'
-own wires, and encode_relation, fed a matrix's columns; a node slice, one
-column beside an identity, is the same encoding built straight from
-the node's in-edges (_encode_node_slice). So decompose()'s time is linear
-in its output. Each call that takes a sorting checks it and renumbers d's
-wires along it once, by node position (_along); layer() and interpret()
-build slice matrices from those wires (_slice). Expressions are immutable,
-so one decompose() call builds each id(k), weight gadget, fan-out, fan-in,
-crossing sym(1,b) and node box once and its slices share them; nothing is
-kept between calls.
+O(N + E + sum of log |w|) atoms. A matrix is stored as its columns, each
+a {row: weight} wire (models.MatrixMorphism), so a slice matrix is made of
+d's own wires: one encoder (_encode) takes a matrix's columns, and serves
+both the output slice, fed the outputs' wires, and encode_relation, fed
+mat.cols; a node slice, identity columns and the node's wire, is the same
+encoding built straight from the node's in-edges (_encode_node_slice). So
+decompose()'s time is linear in its output. Each call that takes a sorting
+checks it and renumbers d's wires along it once, by node position
+(_along); layer() and interpret() take slice matrices from those wires
+(_slice) with no transpose. Expressions are immutable, so one decompose()
+call builds each id(k), weight gadget, fan-out, fan-in, crossing sym(1,b)
+and node box once and its slices share them; nothing is kept between
+calls.
 
 Enumeration, counting and uniform sampling of sortings run on one placement
 state (_Placement): sorted node ids, successor lists, counts of unplaced
@@ -255,8 +257,10 @@ def sample_topological_sorting(d: Idag, rng: random.Random) -> TopSort:
     """One topological sorting drawn uniformly: at each position, one draw r
     below the number of ways to finish, and the first ready node in id order
     at which the running sum of ways to finish exceeds r. Raises
-    SearchBudgetExceeded where counting does."""
+    SearchBudgetExceeded where counting does, and WrongArgumentType unless
+    rng is a random.Random."""
     state = _Placement(d)
+    _check_type(rng, random.Random)
     while state.ready:
         r = rng.randrange(state.count())
         key = tuple(state.ready)
@@ -270,12 +274,13 @@ def sample_topological_sorting(d: Idag, rng: random.Random) -> TopSort:
 
 
 def layer(d: Idag, sort: SortLike, k: int) -> MatrixMorphism:
-    """The k-th slice of d along the sorting, as a weight matrix.
+    """The k-th slice of d along the sorting, as a weight matrix, whose
+    columns are wires of d renumbered along the sorting.
 
-    For k < |N| the shape is (n+k) x (n+k+1): an identity block carrying the
-    live wires plus a last column with the in-weights of node sort[k] (rows
-    0..n-1 from the inputs, row n+l from the l-th emitted node). For k = |N|
-    the shape is (n+|N|) x m, the weights of edges into the outputs.
+    For k < |N| the shape is (n+k) x (n+k+1): identity columns carrying the
+    live wires, then node sort[k]'s wire (rows 0..n-1 from the inputs, row
+    n+l from the l-th emitted node). For k = |N| the shape is (n+|N|) x m,
+    and the columns are the outputs' wires.
     """
     ts, wires = _along(d, sort)
     total = len(ts.order)
@@ -284,21 +289,14 @@ def layer(d: Idag, sort: SortLike, k: int) -> MatrixMorphism:
     return _slice(d, wires, k)
 
 
-def _slice(d: Idag, wires: Sequence[dict[int, int]], k: int) -> MatrixMorphism:
+def _slice(d: Idag, wires: tuple[dict[int, int], ...], k: int) -> MatrixMorphism:
     """layer k of d, from d's wires renumbered along the sorting (see
     _along). Rows number the slices' live wires: input i is row i, the l-th
     sorted node row n+l."""
     live = d.n_in + k
     if k < len(d.nodes):
-        rows: list[dict[int, int]] = [{r: 1} for r in range(live)]
-        for r, w in wires[k].items():
-            rows[r][live] = w
-        return MatrixMorphism(d.weights, tuple(rows), live + 1)
-    rows = [{} for _ in range(live)]
-    for j, wire in enumerate(wires[k:]):
-        for r, w in wire.items():
-            rows[r][j] = w
-    return MatrixMorphism(d.weights, tuple(rows), d.n_out)
+        return MatrixMorphism(d.weights, live, tuple({r: 1} for r in range(live)) + (wires[k],))
+    return MatrixMorphism(d.weights, live, wires[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +493,10 @@ def encode_relation(mat: MatrixMorphism) -> Expression:
     entry as _scale spells it, a routing permutation rearranges the copies
     to target-major order, and merges fan in per output. An identity
     matrix encodes as id(n). This is the encoder decompose() runs on its
-    output slice, fed mat's columns as wires.
+    output slice; mat's columns are its wires.
     """
     _check_type(mat, MatrixMorphism)
-    wires: list[dict[int, int]] = [{} for _ in range(mat.n_out)]
-    for r, row in enumerate(mat.rows):
-        for j, w in row.items():
-            wires[j][r] = w
-    return _encode(mat.n_in, wires, Id, _scale, _fan_out, _fan_in)
+    return _encode(mat.n_in, mat.cols, Id, _scale, _fan_out, _fan_in)
 
 
 def _encode_node_slice(
@@ -607,15 +601,12 @@ def interpret(d: Idag, sort: SortLike, model: Model):
     n = d.n_in
     kind = type(model)
     if kind in (FreeIdagModel, MatrixModel):
-        # rows number the image's sources (input i, then sorted node l at
-        # n+l). Unless d's weight system is the model's, when every weight of
-        # d is valid, d's weights go through relation in the order the slices
-        # meet them, so errors match the fold's: each node's in-weights as
-        # one row, which relation reads by column, that is by source; then
-        # the output slice
+        # unless d's weight system is the model's, when every weight of d is
+        # valid, relation checks d's weights as the matrix whose columns are
+        # all of d's wires, by column, then by row: the order in which the
+        # slices meet them, so errors match the fold's
         if d.weights is not (model.mode if kind is FreeIdagModel else model.weights):
-            model.relation(MatrixMorphism(d.weights, wires[: len(ts)], n + len(ts)))
-            model.relation(_slice(d, wires, len(ts)))
+            model.relation(MatrixMorphism(d.weights, n + len(ts), wires))
         return model._read_image(n, [labels[nid] for nid in ts.order], wires)
     _check_type(model, Model)
     mor = model.relation(_slice(d, wires, 0))

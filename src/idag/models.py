@@ -6,17 +6,21 @@ are equal modulo the equational theory iff their images here are isomorphic.
 MatrixModel interprets wires as coordinates and morphisms as matrices over
 the weight system (an (n, m) morphism is an n x m matrix; sequential
 composition is matrix product with rows indexed by inputs, tensor is block
-diagonal). LoopsModel interprets only wires, crossings and boxes: a morphism
-is a permutation together with one label word per input, composition
-composing permutations and concatenating words.
+diagonal). The node-free idags are exactly these matrices, so a matrix is
+stored as one: as its columns, the {row: entry} wires of its outputs, the
+form core.Idag stores. Idags, path sums and decomposition slices pass to
+and from matrices with no transpose. LoopsModel interprets only wires,
+crossings and boxes: a morphism is a permutation together with one label
+word per input, composition composing permutations and concatenating words.
 
 The free model is initial, so FreeIdagModel and MatrixModel read a value off
 a free image, node labels and wires (see _walk), each with one reader,
 _read_image: the free model returns the image as an idag, the matrix model
 its path sums (entry (i, j) sums, over the paths from input i to output j,
-edge weights times node images). The free images of the node-free
-generators are defined once, in terms._GENERATORS, so a generator's matrix
-image too is the path sum of its free image. evaluate() builds e's image by
+edge weights times node images), whose values at the outputs are its
+columns. The free images of the node-free generators are defined once, in
+terms._GENERATORS, so a generator's matrix image too is the path sum of
+its free image. evaluate() builds e's image by
 one walk that touches only the wires each atom consumes and type-checks e
 as it goes, so a well-typed e is walked once; the walk dispatches on each
 term's class and reads the generator images from that table on each call,
@@ -24,14 +28,14 @@ running copy-, merge-, unit- and discard-shaped ones inline;
 decomposition.interpret() takes d's own wires along the sorting. Other models, subclasses and wrapping
 models take the compose/tensor fold, which tests use as the reference.
 
-Matrices are sparse rows of Python ints, so their arithmetic is exact at
-every magnitude. Every sum of weight products here (the matrix product, the
-walk's wires, the path sums) is WeightSystem.weighted_sum.
+Matrix columns are sparse dicts of Python ints, so their arithmetic is
+exact at every magnitude. Every sum of weight products here (the matrix
+product, the walk's wires, the path sums) is WeightSystem.weighted_sum.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import core, terms
 from .core import MAX_WIDTH, Idag, canonical_form
@@ -39,7 +43,6 @@ from .errors import (
     InterfaceMismatch,
     InvalidWeight,
     ModeMismatch,
-    NotBijective,
     SizeLimitExceeded,
     UnsupportedGenerator,
     _check_type,
@@ -63,25 +66,26 @@ from .weights import BOOL, NAT, WeightSystem
 
 class MatrixMorphism(Frozen):
     """An (n_in, n_out) morphism of the matrix model: an n_in x n_out integer
-    matrix over a weight system, stored sparsely as one {column: entry} dict
-    per row. Rows hold nonzero entries only, so equal matrices have equal
-    rows. Treat instances as immutable."""
+    matrix over a weight system, stored as the wires of a node-free idag
+    (see core.Idag): one {row: entry} dict per column. Columns hold nonzero
+    entries only, so equal matrices have equal columns. Treat instances as
+    immutable."""
 
-    __slots__ = ("weights", "rows", "n_out")
+    __slots__ = ("weights", "n_in", "cols")
 
-    def __init__(self, weights: WeightSystem, rows: tuple[dict[int, int], ...], n_out: int) -> None:
+    def __init__(self, weights: WeightSystem, n_in: int, cols: tuple[dict[int, int], ...]) -> None:
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "n_out", n_out)
+        object.__setattr__(self, "n_in", n_in)
+        object.__setattr__(self, "cols", cols)
 
     @property
-    def n_in(self) -> int:
-        return len(self.rows)
+    def n_out(self) -> int:
+        return len(self.cols)
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        cols = range(self.n_out)
-        return tuple(tuple(row.get(j, 0) for j in cols) for row in self.rows)
+        """The dense matrix, row by row."""
+        return tuple(tuple(col.get(i, 0) for col in self.cols) for i in range(self.n_in))
 
     def then(self, other: "MatrixMorphism") -> "MatrixMorphism":
         if self.weights is not other.weights:
@@ -90,31 +94,23 @@ class MatrixMorphism(Frozen):
             raise InterfaceMismatch(
                 f"cannot feed {self.n_out} outputs into {other.n_in} inputs"
             )
-        weighted_sum = self.weights.weighted_sum
-        rows = tuple(
-            weighted_sum([(other.rows[k], a) for k, a in row.items()]) for row in self.rows
+        weighted_sum, cols = self.weights.weighted_sum, self.cols
+        return MatrixMorphism(
+            self.weights,
+            self.n_in,
+            tuple(weighted_sum([(cols[k], a) for k, a in col.items()]) for col in other.cols),
         )
-        return MatrixMorphism(self.weights, rows, other.n_out)
 
     def tensor(self, other: "MatrixMorphism") -> "MatrixMorphism":
         if self.weights is not other.weights:
             raise ModeMismatch(f"{self.weights!r} vs {other.weights!r}")
-        shift = self.n_out
-        shifted = tuple({shift + j: x for j, x in row.items()} for row in other.rows)
-        return MatrixMorphism(self.weights, self.rows + shifted, shift + other.n_out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MatrixMorphism):
-            return NotImplemented
-        return (
-            self.weights is other.weights
-            and self.n_out == other.n_out
-            and self.rows == other.rows
-        )
+        n = self.n_in
+        shifted = core._shifted(other.cols, other.n_in, n, n)
+        return MatrixMorphism(self.weights, n + other.n_in, self.cols + shifted)
 
     def __hash__(self) -> int:
         return hash(
-            (self.weights, self.n_out, tuple(tuple(sorted(r.items())) for r in self.rows))
+            (self.weights, self.n_in, tuple(tuple(sorted(c.items())) for c in self.cols))
         )
 
     def __repr__(self) -> str:
@@ -129,43 +125,55 @@ class MatrixMorphism(Frozen):
         }
 
 
+def _check_columns(cols: Sequence[dict[int, int]], check: Callable[[int], None]) -> None:
+    """Run check on each entry, by column, then by row, so an error depends
+    on the matrix and not on its columns' dict order."""
+    for col in cols:
+        for i in sorted(col):
+            check(col[i])
+
+
 def matrix(
     rows: Sequence[Sequence[int]],
     weights: WeightSystem,
     n: Optional[int] = None,
     m: Optional[int] = None,
 ) -> MatrixMorphism:
-    """Build and validate an n x m matrix morphism from nested dense rows.
+    """Build and validate an n x m matrix morphism from nested dense rows;
+    entries are checked by column, then by row.
 
     The shape defaults to the shape of rows; pass n and m explicitly when
     rows cannot determine it (no rows, or rows of width zero)."""
+    _check_type(weights, WeightSystem)
+    _check_type(rows, Sequence)
+    for row in rows:
+        _check_type(row, Sequence)
     if n is None:
         n = len(rows)
     if m is None:
         if not rows:
             raise InvalidWeight("cannot infer the output arity of an empty matrix")
         m = len(rows[0])
+    core._check_widths("width", n, m)
     if len(rows) != n or any(len(row) != m for row in rows):
         raise InvalidWeight(
             f"rows of lengths {[len(row) for row in rows]} do not form an {n} x {m} matrix"
         )
-    for row in rows:
-        for x in row:
-            weights.check_value(x)
-    return MatrixMorphism(
-        weights, tuple({j: x for j, x in enumerate(row) if x} for row in rows), m
-    )
+    for j in range(m):
+        for row in rows:
+            weights.check_value(row[j])
+    cols = tuple({i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(m))
+    return MatrixMorphism(weights, n, cols)
 
 
 def matrix_identity(n: int, weights: WeightSystem) -> MatrixMorphism:
-    core._check_widths("width", n)
-    return MatrixMorphism(weights, tuple({i: 1} for i in range(n)), n)
+    return MatrixMorphism(weights, n, core.identity(n, weights).wires)
 
 
 def matrix_permutation(perm: Sequence[int], weights: WeightSystem) -> MatrixMorphism:
-    if not core._is_permutation(perm):
-        raise NotBijective(f"{list(perm)!r} is not a permutation")
-    return MatrixMorphism(weights, tuple({j: 1} for j in perm), len(perm))
+    """The matrix sending input i to output perm[i]."""
+    d = core.from_permutation(perm, weights)
+    return MatrixMorphism(weights, d.n_in, d.wires)
 
 
 class LoopsMorphism(Frozen):
@@ -251,6 +259,7 @@ class FreeIdagModel(Model, Frozen):
     __slots__ = ("mode",)
 
     def __init__(self, mode: WeightSystem = BOOL) -> None:
+        _check_type(mode, WeightSystem)
         object.__setattr__(self, "mode", mode)
 
     def identity(self, n: int) -> Idag:
@@ -269,12 +278,9 @@ class FreeIdagModel(Model, Frozen):
         return core.juxt(a, b)
 
     def relation(self, mat: MatrixMorphism) -> Idag:
-        wires: list[dict[int, int]] = [{} for _ in range(mat.n_out)]
-        for i, row in enumerate(mat.rows):
-            for j, w in sorted(row.items()):
-                self.mode.check_edge_weight(w)
-                wires[j][i] = w
-        return Idag(self.mode, mat.n_in, mat.n_out, (), tuple(wires))
+        """The node-free idag whose wires are mat's columns."""
+        _check_columns(mat.cols, self.mode.check_edge_weight)
+        return Idag(self.mode, mat.n_in, mat.n_out, (), mat.cols)
 
     def equal(self, a: Idag, b: Idag) -> bool:
         return canonical_form(a) == canonical_form(b)
@@ -299,8 +305,11 @@ class MatrixModel(Model, Frozen):
         weights: WeightSystem = NAT,
         lambda_images: Optional[Mapping[str, Union[int, MatrixMorphism]]] = None,
     ) -> None:
+        _check_type(weights, WeightSystem)
+        lambda_images = {} if lambda_images is None else lambda_images
+        _check_type(lambda_images, Mapping)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "lambda_images", {} if lambda_images is None else lambda_images)
+        object.__setattr__(self, "lambda_images", lambda_images)
 
     def _lambda(self, label: str) -> int:
         """The scalar of label's 1 x 1 image."""
@@ -314,7 +323,7 @@ class MatrixModel(Model, Frozen):
                 )
             if (img.n_in, img.n_out) != (1, 1):
                 raise InterfaceMismatch(f"lambda image for {label!r} must be 1x1")
-            return img.rows[0].get(0, 0)
+            return img.cols[0].get(0, 0)
         self.weights.check_value(img)
         return img
 
@@ -334,12 +343,8 @@ class MatrixModel(Model, Frozen):
         return a.tensor(b)
 
     def relation(self, mat: MatrixMorphism) -> MatrixMorphism:
-        # entries are checked by row, then by column, as in FreeIdagModel,
-        # so the error depends on the matrix and not on its rows' dict order
-        for row in mat.rows:
-            for j in sorted(row):
-                self.weights.check_value(row[j])
-        return MatrixMorphism(self.weights, mat.rows, mat.n_out)
+        _check_columns(mat.cols, self.weights.check_value)
+        return MatrixMorphism(self.weights, mat.n_in, mat.cols)
 
     def equal(self, a: MatrixMorphism, b: MatrixMorphism) -> bool:
         return a == b
@@ -350,19 +355,16 @@ class MatrixModel(Model, Frozen):
         """The value of a free image (see _walk for its form): entry (i, j)
         sums, over the paths from input i to output j, the product of their
         edge weights and node images. One pass in topological order gives
-        each source, then each output, its {input: coefficient} value; node
-        images come from _lambda, once per label."""
+        each source, then each output, its {input: coefficient} value, and
+        the outputs' values are the matrix's columns; node images come from
+        _lambda, once per label."""
         weighted_sum = self.weights.weighted_sum
         scalar = {lbl: self._lambda(lbl) for lbl in dict.fromkeys(labels)}
         n_out = len(wires) - len(labels)
         values = [{i: 1} for i in range(n_in)]
         for c, wire in zip([scalar[lbl] for lbl in labels] + [1] * n_out, wires):
             values.append(weighted_sum([(values[s], w * c) for s, w in wire.items()]))
-        rows: list[dict[int, int]] = [{} for _ in range(n_in)]
-        for j, column in enumerate(values[len(values) - n_out :]):
-            for i, x in column.items():
-                rows[i][j] = x
-        return MatrixMorphism(self.weights, tuple(rows), n_out)
+        return MatrixMorphism(self.weights, n_in, tuple(values[len(values) - n_out :]))
 
 
 class LoopsModel(Model, Frozen):
@@ -390,18 +392,13 @@ class LoopsModel(Model, Frozen):
         return a.tensor(b)
 
     def relation(self, mat: MatrixMorphism) -> LoopsMorphism:
-        n, m = mat.n_in, mat.n_out
-        if n != m:
+        """mat as a permutation: each column must hold one entry, a 1, in a
+        row no other column uses."""
+        inverse = [i for col in mat.cols if len(col) == 1 for i, w in col.items() if w == 1]
+        if not mat.n_in == len(mat.cols) == len(inverse) or not core._is_permutation(inverse):
             raise UnsupportedGenerator("loops model interprets only permutations")
-        perm = []
-        for i, row in enumerate(mat.entries):
-            ones = [j for j, w in enumerate(row) if w]
-            if len(ones) != 1 or row[ones[0]] != 1:
-                raise UnsupportedGenerator("loops model interprets only permutations")
-            perm.append(ones[0])
-        if sorted(perm) != list(range(n)):
-            raise UnsupportedGenerator("loops model interprets only permutations")
-        return LoopsMorphism(tuple(perm), ((),) * n)
+        perm = sorted(range(mat.n_in), key=inverse.__getitem__)
+        return LoopsMorphism(tuple(perm), ((),) * mat.n_in)
 
     def equal(self, a: LoopsMorphism, b: LoopsMorphism) -> bool:
         return a == b

@@ -46,9 +46,11 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 from .core import DEFAULT_LABEL, MAX_WIDTH
 from .errors import (
     ExprSyntaxError,
+    IndexOutOfRange,
     SizeLimitExceeded,
     TypeMismatch,
     UnsupportedGenerator,
+    _check_type,
     _int_text,
 )
 from .record import Frozen
@@ -406,6 +408,7 @@ def validate_for_mode(e: Expression, mode: WeightSystem, labels=None) -> None:
     """Reject generators the mode cannot interpret: anti outside int mode,
     and labels outside the configured label set if one is given; and, as
     arity_of does, anything that is not an atom."""
+    _check_type(mode, WeightSystem)
     for a in atoms(e):
         if type(a) in _GENERATORS:
             _generator_image(a, mode)
@@ -633,7 +636,8 @@ def parse(text: str) -> Expression:
     TypeMismatch on a well-formed but ill-typed composite, then
     SizeLimitExceeded on an id or sym wider than MAX_WIDTH. A width of more
     than _READ_DIGITS digits raises SizeLimitExceeded right after syntax
-    errors, since its value is never read.
+    errors, since its value is never read. Text that is not a str raises
+    WrongArgumentType.
 
     expr := ten (";" ten)*, ten := atom ("*" atom)*, where an atom may be a
     parenthesized expr. One regex scan yields the tokens, one per atom.
@@ -648,6 +652,7 @@ def parse(text: str) -> Expression:
     compares them at each ";". Only an ill-typed text is walked again, by
     arity_of, for its error.
     """
+    _check_type(text, str)
     stray = _STRAY_RE.search(text)
     if stray:
         line, column = _line_column(text, stray.start())
@@ -734,9 +739,11 @@ def parse(text: str) -> Expression:
 # Builders
 
 def seq_all(parts: Sequence[Expression]) -> Expression:
-    """Left-associated sequential chain; parts must be nonempty."""
+    """Left-associated sequential chain; IndexOutOfRange when parts is
+    empty, since a chain of no parts has no width."""
+    _check_type(parts, Sequence)
     if not parts:
-        raise ValueError("seq_all of no parts")
+        raise IndexOutOfRange("seq_all of no parts")
     e = parts[0]
     for p in parts[1:]:
         e = Seq(e, p)
@@ -747,6 +754,7 @@ def ten_all(parts: Sequence[Expression]) -> Expression:
     """Left-associated tensor chain, collapsing adjacent identities: a run
     of identities becomes one id of their total width, a zero total leaves
     none, and no parts left give id(0)."""
+    _check_type(parts, Sequence)
     e: Optional[Expression] = None
     wires = 0  # width of the identities since the last other part
     for p in parts:
@@ -764,6 +772,7 @@ def ten_all(parts: Sequence[Expression]) -> Expression:
 
 def map_atoms(e: Expression, fn: Callable[[Expression], Expression]) -> Expression:
     """Rebuild e with every atom replaced by fn(atom)."""
+    _check_type(fn, Callable)
     return fold(
         e,
         fn,

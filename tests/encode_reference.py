@@ -24,15 +24,16 @@ def encode_relation(mat: MatrixMorphism) -> Expression:
     order, and merges fan in per output. An identity matrix encodes as
     id(n)."""
     n, m = mat.n_in, mat.n_out
-    r = [len(row) for row in mat.rows]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in mat.entries]
+    r = [len(row) for row in rows]
     c = [0] * m
-    for row in mat.rows:
+    for row in rows:
         for j in row:
             c[j] += 1
     next_slot = list(accumulate(c, initial=0))
     perm: list[int] = []
     weights: list[int] = []
-    for row in mat.rows:
+    for row in rows:
         for j in sorted(row):
             weights.append(row[j])
             perm.append(next_slot[j])

@@ -624,6 +624,21 @@ def test_interpret_path_sums_and_fold_raise_alike():
         assert raised[0] == raised[1]
 
 
+def test_two_bad_entries_are_named_column_first():
+    # entry (0, 1) is -2 and entry (1, 0) is -3: by column, then by row,
+    # -3 comes first, in both relations and in native and fold interpret
+    mat = matrix([[0, -2], [-3, 0]], INT)
+    with pytest.raises(AntipodeWeight, match="^negative entry -3 "):
+        MatrixModel(NAT).relation(mat)
+    with pytest.raises(AntipodeWeight, match="^negative weight -3 "):
+        FreeIdagModel(NAT).relation(mat)
+    d = make_idag(2, 2, [], {(In(1), Out(0)): -3, (In(0), Out(1)): -2}, INT)
+    for model in (MatrixModel(NAT), FreeIdagModel(NAT)):
+        for route in (model, Forwarding(model)):
+            with pytest.raises(AntipodeWeight, match=" -3 "):
+                interpret(d, default_sorting(d), route)
+
+
 def test_free_interpret_of_800_nodes():
     rng = random.Random(800)
     d = random_idag(rng, 3, 3, 800, 3 / (799 / 2 + 3), NAT, labels=("x", "y"))

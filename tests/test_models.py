@@ -18,7 +18,7 @@ from idag.models import (
     matrix_identity,
     matrix_permutation,
 )
-from idag.randgen import random_expression
+from idag.randgen import random_expression, random_matrix
 from idag.terms import (
     Anti,
     Delta,
@@ -95,6 +95,30 @@ def test_matrix_constructors():
     assert matrix_identity(3, INT).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert matrix_permutation([1, 0], BOOL).entries == ((0, 1), (1, 0))
     assert matrix([], NAT, n=0, m=2).n_out == 2
+
+
+def _dense_product(a, b, m, ws):
+    """The row-major product of dense matrices a (n x k) and b (k x m)."""
+    prod = [[sum(x * row[j] for x, row in zip(a_row, b)) for j in range(m)] for a_row in a]
+    return [[min(x, 1) for x in row] for row in prod] if ws is BOOL else prod
+
+
+def test_then_and_tensor_agree_with_dense_products():
+    # columns store the matrix; the dense rows are the reference, with
+    # entries past 2^63 in NAT and INT
+    rng = random.Random(26)
+    for case in range(90):
+        ws = (BOOL, NAT, INT)[case % 3]
+        n, k, m = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        f = random_matrix(rng, n, k, ws, (4, 2**70)[case % 2])
+        g = random_matrix(rng, k, m, ws, (4, 2**70)[case % 2])
+        a, b = f.entries, g.entries
+        assert [list(row) for row in f.then(g).entries] == _dense_product(a, b, m, ws)
+        blocks = [list(row) + [0] * m for row in a] + [[0] * k + list(row) for row in b]
+        assert [list(row) for row in f.tensor(g).entries] == blocks
+        for mat in (f, g, f.then(g), f.tensor(g)):
+            rebuilt = matrix(mat.entries, ws, mat.n_in, mat.n_out)
+            assert rebuilt == mat and hash(rebuilt) == hash(mat)
 
 
 def test_matrix_rejects_ragged_rows():

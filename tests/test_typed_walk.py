@@ -137,7 +137,7 @@ def _value(result):
     if isinstance(result, Idag):
         return ("idag", result.weights.name, result.n_in, result.n_out, result.nodes, result.wires)
     if isinstance(result, MatrixMorphism):
-        return ("matrix", result.weights.name, result.rows, result.n_out)
+        return ("matrix", result.weights.name, result.n_in, result.cols)
     if isinstance(result, Expression):
         return repr(result)
     equal, nf1, nf2 = result

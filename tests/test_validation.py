@@ -2,10 +2,13 @@
 never a TypeError or a malformed value: widths and indices must be ints (a
 bool is not one), permutation entries too, and node labels strings."""
 
+import inspect
+import itertools
 import random
 
 import pytest
 
+import idag
 from idag.core import (
     In,
     NodeRef,
@@ -29,11 +32,13 @@ from idag.decomposition import (
     interpret,
     layer,
     permutation_expression,
+    sample_topological_sorting,
     transposition_identities,
 )
 from idag.equivalence import TRANSITIVE, TheoryMode, equal_mod_theory, normalize
 from idag.errors import (
     BadEndpoint,
+    IdagError,
     IndexOutOfRange,
     ModeMismatch,
     NotBijective,
@@ -47,12 +52,26 @@ from idag.models import (
     LoopsModel,
     MatrixModel,
     evaluate,
+    free_generator_image,
+    matrix,
     matrix_identity,
     matrix_permutation,
 )
 from idag.dot import idag_to_dot
 from idag.randgen import random_expression, random_idag, random_matrix
-from idag.terms import Id, Node, Seq, Ten, arity_of, print_expression, validate_for_mode
+from idag.terms import (
+    Id,
+    Node,
+    Seq,
+    Ten,
+    arity_of,
+    map_atoms,
+    parse,
+    print_expression,
+    seq_all,
+    ten_all,
+    validate_for_mode,
+)
 from idag.weights import BOOL, NAT
 
 
@@ -204,11 +223,37 @@ def test_a_mode_keeps_its_sets_frozen():
         lambda: random_idag(3, 1, 1, 2, 0.5, BOOL),
         lambda: random_matrix(3, 2, 2, NAT),
         lambda: permutation_expression(None),
+        # a weight system is checked where it enters
+        lambda: make_idag(1, 1, [], [], None),
+        lambda: identity(2, None),
+        lambda: from_permutation([0], None),
+        lambda: matrix([[1]], None),
+        lambda: matrix_identity(2, None),
+        lambda: matrix_permutation([0], None),
+        lambda: FreeIdagModel(None),
+        lambda: MatrixModel(None),
+        lambda: random_matrix(random.Random(1), 1, 1, None),
+        lambda: free_generator_image(Node("x"), None),
+        lambda: validate_for_mode(Id(1), None),
+        # and so is every other argument
+        lambda: parse(None),
+        lambda: from_permutation(None),
+        lambda: matrix(None, NAT),
+        lambda: matrix([3], NAT),
+        lambda: matrix_permutation(None, NAT),
+        lambda: seq_all(3),
+        lambda: ten_all(3),
+        lambda: map_atoms(Id(1), None),
+        lambda: make_idag(1, 1, 3, []),
+        lambda: make_idag(1, 1, [], None),
+        lambda: MatrixModel(NAT, 3),
+        lambda: sample_topological_sorting(_two_free_nodes(), None),
     ],
 )
 def test_idag_and_model_arguments_must_be_idags_and_models(call):
     # a TypeError too, so callers that catch one still do
-    pattern = r"expected (Idag|Model|MatrixMorphism|Random|Sequence), not (int|NoneType|str)"
+    kinds = "Idag|Model|MatrixMorphism|Random|Sequence|WeightSystem|str|Callable|Iterable|Mapping"
+    pattern = rf"expected ({kinds}), not (int|NoneType|str)"
     with pytest.raises(WrongArgumentType, match=pattern) as info:
         call()
     assert isinstance(info.value, TypeError)
@@ -226,3 +271,53 @@ def test_validate_for_mode_rejects_what_is_not_an_atom(e):
         validate_for_mode(e, BOOL)
     with pytest.raises(UnsupportedGenerator, match="unknown atom"):
         arity_of(e)
+
+
+def test_an_empty_chain_is_out_of_range():
+    with pytest.raises(IndexOutOfRange, match="seq_all of no parts"):
+        seq_all([])
+
+
+# the wrong-typed values the fuzz below draws arguments from
+_POOL = (
+    None,
+    3,
+    "x",
+    1.5,
+    True,
+    [],
+    make_idag(1, 1, [("p", "x")], [(In(0), NodeRef("p")), (NodeRef("p"), Out(0))], NAT),
+    parse("delta ; nabla"),
+    TheoryMode(NAT),
+)
+
+
+def test_public_callables_raise_only_idag_errors_on_wrong_types():
+    # every function and class in idag.__all__ but the Vertex alias and the
+    # exception classes, at each arity its signature admits: every tuple of
+    # pool values when there are at most 81, else 81 seeded draws; a
+    # generator it returns is started, as topological_sortings runs lazily
+    rng = random.Random(26)
+    calls = 0
+    for name in idag.__all__:
+        f = getattr(idag, name)
+        if name == "Vertex" or not callable(f) or (isinstance(f, type) and issubclass(f, BaseException)):
+            continue
+        params = inspect.signature(f).parameters.values()
+        required = sum(p.default is p.empty for p in params)
+        for k in range(required, len(params) + 1):
+            if len(_POOL) ** k <= 81:
+                tuples = itertools.product(_POOL, repeat=k)
+            else:
+                tuples = [tuple(rng.choice(_POOL) for _ in range(k)) for _ in range(81)]
+            for args in tuples:
+                calls += 1
+                try:
+                    result = f(*args)
+                    if inspect.isgenerator(result):
+                        next(result, None)
+                except IdagError:
+                    pass
+                except Exception as exc:
+                    raise AssertionError(f"{name}{args!r} raised {exc!r}") from exc
+    assert calls > 4000
