@@ -11,17 +11,17 @@ from importlib import import_module
 # every public name, by the submodule that defines it; a name is imported on
 # first use, so a command loads only the submodules it runs
 _NAMES_BY_MODULE = {
+    "algebra": (
+        "concat", "from_permutation", "identity", "is_forest", "juxt", "make_idag", "symmetry",
+    ),
+    "builders": ("expand_symmetry", "map_atoms", "seq_all", "ten_all"),
     "core": (
         "CANONICAL_SEARCH_BUDGET", "DEFAULT_LABEL", "MAX_WIDTH", "Idag", "In", "NodeRef", "Out",
-        "Vertex", "canonical_form", "concat", "from_permutation", "identity",
-        "is_forest", "is_isomorphic", "juxt", "make_idag", "prune_dangling", "symmetry",
-        "transitive_closure",
+        "Vertex", "canonical_form", "is_isomorphic", "prune_dangling", "transitive_closure",
     ),
     "decomposition": (
-        "TopSort", "TranspositionReport", "count_topological_sortings", "decompose",
-        "default_sorting", "encode_relation", "interpret", "is_topological_sorting",
-        "layer", "permutation_expression", "sample_topological_sorting",
-        "topological_sortings", "transposition_identities",
+        "TopSort", "decompose", "default_sorting", "is_topological_sorting",
+        "permutation_expression", "topological_sortings",
     ),
     "dot": ("idag_to_dot",),
     "equivalence": (
@@ -36,17 +36,21 @@ _NAMES_BY_MODULE = {
         "SchemaError", "SearchBudgetExceeded", "SizeLimitExceeded", "TypeMismatch",
         "UnsupportedGenerator", "WrongArgumentType", "ZeroWeight",
     ),
-    "jsonio": ("idag_from_json", "idag_from_obj", "idag_to_json", "idag_to_obj"),
-    "models": (
-        "FreeIdagModel", "LoopsModel", "LoopsMorphism", "MatrixModel", "MatrixMorphism",
-        "evaluate", "free_generator_image", "loops_eval", "matrix", "matrix_identity",
-        "matrix_permutation",
+    "jsonio": ("idag_to_json", "idag_to_obj"),
+    "jsonread": ("idag_from_json", "idag_from_obj"),
+    "layers": (
+        "TranspositionReport", "encode_relation", "interpret", "layer",
+        "transposition_identities",
     ),
+    "loops": ("LoopsModel", "LoopsMorphism", "loops_eval"),
+    "matrices": ("MatrixModel", "MatrixMorphism", "matrix", "matrix_identity", "matrix_permutation"),
+    "models": ("FreeIdagModel", "evaluate", "free_generator_image"),
+    "printer": ("print_expression",),
     "randgen": ("random_expression", "random_idag", "random_matrix"),
+    "sortings": ("count_topological_sortings", "sample_topological_sorting"),
     "terms": (
         "Anti", "Delta", "Eps", "Eta", "Expression", "Id", "Nabla", "Node", "Seq",
-        "Sym", "Ten", "arity_of", "expand_symmetry", "map_atoms", "parse",
-        "print_expression", "seq_all", "ten_all", "validate_for_mode",
+        "Sym", "Ten", "arity_of", "parse", "validate_for_mode",
     ),
     "weights": ("BOOL", "INT", "NAT", "WeightSystem"),
 }

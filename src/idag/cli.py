@@ -12,10 +12,13 @@ its handler reads: --mode and --quotient select the theory an expression is
 read in, so the commands that read idags, whose JSON names their weights,
 do not take them.
 
-Each command imports only what it runs: eq and normalize load the parser,
-the free model and the canonical search (canon); decompose loads the
-decomposition module but not the search; dot, random and selftest each add
-their own module.
+Each command imports and configures only what it runs. main builds the
+subparser of the command it is given alone, and the full parser only for
+help, a missing command or an unknown one; each handler imports its own
+modules. So eq and normalize load the parser, the free model, the
+canonical search (canon) and the JSON writer; decompose loads the JSON
+reader (jsonread), algebra.make_idag, the decomposition module and the
+printer but not the search; dot, random and selftest each add their own module.
 """
 
 from __future__ import annotations
@@ -26,15 +29,13 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .core import DEFAULT_LABEL, Idag, concat, juxt, prune_dangling, transitive_closure
-from .equivalence import NO_DANGLING, TRANSITIVE, TheoryMode, equal_mod_theory, normalize
+from .core import DEFAULT_LABEL, NO_DANGLING, TRANSITIVE, Idag, prune_dangling, transitive_closure
 from .errors import IdagError, IndexOutOfRange
-from .jsonio import dumps, idag_from_json, idag_to_json
-from .terms import parse, print_expression
 from .weights import BY_NAME
 
 if TYPE_CHECKING:
     from .decomposition import TopSort
+    from .equivalence import TheoryMode
 
 
 def _read_input(spec: str) -> str:
@@ -57,6 +58,8 @@ def _print(*lines: str) -> None:
 
 
 def _theory_mode(args: argparse.Namespace) -> TheoryMode:
+    from .equivalence import TheoryMode
+
     quotients = frozenset(args.quotient or ())
     return TheoryMode(BY_NAME[args.mode], quotients)
 
@@ -67,6 +70,8 @@ def _emit_idag(d: Idag, fmt: str) -> None:
 
         _print(idag_to_dot(d))
     else:
+        from .jsonio import idag_to_json
+
         # json and text coincide for idags: the JSON document is the text form
         _print(idag_to_json(d))
 
@@ -91,6 +96,10 @@ def _pick_sorting(d: Idag, spec: str) -> TopSort:
 
 
 def _cmd_eq(args: argparse.Namespace) -> int:
+    from .equivalence import equal_mod_theory
+    from .jsonio import dumps, idag_to_json
+    from .terms import parse
+
     mode = _theory_mode(args)
     lhs, rhs = (parse(_read_input(spec)) for spec in args.operands)
     report = equal_mod_theory(lhs, rhs, mode)
@@ -106,6 +115,9 @@ def _cmd_eq(args: argparse.Namespace) -> int:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
+    from .equivalence import normalize
+    from .terms import parse
+
     mode = _theory_mode(args)
     (spec,) = args.operands
     _emit_idag(normalize(parse(_read_input(spec)), mode), args.format)
@@ -114,6 +126,9 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     from .decomposition import decompose
+    from .jsonio import dumps
+    from .jsonread import idag_from_json
+    from .printer import print_expression
 
     (spec,) = args.operands
     d = idag_from_json(_read_input(spec))
@@ -131,11 +146,25 @@ def _on_idags(operation: Callable[..., Idag]) -> Callable[[argparse.Namespace], 
     order, and emits operation applied to them."""
 
     def run(args: argparse.Namespace) -> int:
+        from .jsonread import idag_from_json
+
         operands = [idag_from_json(_read_input(spec)) for spec in args.operands]
         _emit_idag(operation(*operands), args.format)
         return 0
 
     return run
+
+
+def _compose(first: Idag, second: Idag) -> Idag:
+    from .algebra import concat
+
+    return concat(second, first)
+
+
+def _tensor(first: Idag, second: Idag) -> Idag:
+    from .algebra import juxt
+
+    return juxt(first, second)
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
@@ -186,9 +215,9 @@ _COMMANDS: dict[str, tuple] = {
     "decompose": ("idag JSON -> expression",
                   ("idag",), ("--sorting",), ("text", "json"), _cmd_decompose),
     "compose": ("sequential composite of two idag JSONs (first feeds second)",
-                ("first", "second"), (), _IDAG_FORMATS, _on_idags(lambda a, b: concat(b, a))),
+                ("first", "second"), (), _IDAG_FORMATS, _on_idags(_compose)),
     "tensor": ("parallel composite of two idag JSONs",
-               ("first", "second"), (), _IDAG_FORMATS, _on_idags(juxt)),
+               ("first", "second"), (), _IDAG_FORMATS, _on_idags(_tensor)),
     "closure": ("transitive closure of a bool idag",
                 ("idag",), (), _IDAG_FORMATS, _on_idags(transitive_closure)),
     "prune": ("delete dangling nodes of a bool idag",
@@ -202,14 +231,22 @@ _COMMANDS: dict[str, tuple] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given a command, a parser with that
+    command's subparser alone, whose usage line still lists every command."""
     parser = argparse.ArgumentParser(
         prog="idag",
         description="Interfaced dags: compose, decompose, and decide equality "
         "of generator expressions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, operands, options, formats, handler) in _COMMANDS.items():
+    names = _COMMANDS if command is None else (command,)
+    # with one subparser, the usage line would list that command alone, so
+    # the metavar lists them all, as the full parser spells its choices; the
+    # full parser takes none, since a metavar renames the command in errors
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, operands, options, formats, handler = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for operand in operands:  # each appends its value to args.operands, in order
             p.add_argument("operands", action="append", metavar=operand,
@@ -223,8 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command named first is what the full parser would pick, and its
+    # subparser alone parses the rest as the full parser would
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     # UnicodeError: input that is not UTF-8; MemoryError must not exit 1 ("unequal")

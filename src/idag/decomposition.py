@@ -7,81 +7,44 @@ plus the k nodes already emitted, and the k-th slice is the
 (n+k) x (n+k+1) matrix keeping every live wire and adding one column, the
 wire of node sigma_k; a final (n+|N|) x m matrix, whose columns are the
 outputs' wires, routes live wires into the outputs. decompose() renders
-each slice as encode_relation does and interleaves node boxes; interpret()
-skips the syntax: FreeIdagModel and MatrixModel read d's own wires along
-sigma as a free image, through the reader evaluate() ends in, and other
-models compose the slices. Both exist so tests can play them against each
-other.
+each slice as encode_relation does and interleaves node boxes.
 
 A slice's encoding copies, scales, routes and merges wires. Each edge gets
 one copy, scaled by its weight w in O(log |w|) atoms, and routing moves it
 in one crossing, so a decomposition holds at most one crossing per edge and
 O(N + E + sum of log |w|) atoms. A matrix is stored as its columns, each
-a {row: weight} wire (models.MatrixMorphism), so a slice matrix is made of
+a {row: weight} wire (matrices.MatrixMorphism), so a slice matrix is made of
 d's own wires: one encoder (_encode) takes a matrix's columns, and serves
 both the output slice, fed the outputs' wires, and encode_relation, fed
 mat.cols; a node slice, identity columns and the node's wire, is the same
 encoding built straight from the node's in-edges (_encode_node_slice). So
 decompose()'s time is linear in its output. Each call that takes a sorting
 checks it and renumbers d's wires along it once, by node position
-(_along); layer() and interpret() take slice matrices from those wires
-(_slice) with no transpose. Expressions are immutable, so one decompose()
-call builds each id(k), weight gadget, fan-out, fan-in, crossing sym(1,b)
-and node box once and its slices share them; nothing is kept between
-calls.
+(_along). Expressions are immutable, so one decompose() call builds each
+id(k), weight gadget, fan-out, fan-in, crossing sym(1,b) and node box once
+and its slices share them; nothing is kept between calls.
 
-Enumeration, counting and uniform sampling of sortings run on one placement
-state (_Placement): sorted node ids, successor lists, counts of unplaced
-predecessors and the sorted list of ready nodes. The ready list names the
-set of unplaced nodes, so counting memoises by it, and a chain's states
-hold one node each. Counting and sampling are exact, and raise
-SearchBudgetExceeded beyond MAX_DOWN_SETS states.
-
-Different sortings yield different expressions with equal value in every
-model; transposition_identities() checks the five local identities that drive
-that invariance for one adjacent swap.
+Enumeration of sortings runs on a placement state (_Placement): sorted node
+ids, successor lists, counts of unplaced predecessors and the sorted list of
+ready nodes. Counting and uniform sampling of sortings run on the same state
+in sortings, and the slices as matrices (layer, interpret, encode_relation,
+transposition_identities) are in layers; decompose() runs neither module,
+and each is imported on first use.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left, bisect_right, insort
 from functools import cache, partial
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .core import Idag, _is_permutation, _renumbered
-from .errors import (
-    IndexOutOfRange,
-    NotAdjacentTransposition,
-    NotATopologicalSorting,
-    NotBijective,
-    SearchBudgetExceeded,
-    _check_type,
-)
-from .models import FreeIdagModel, MatrixModel, MatrixMorphism, Model, matrix_permutation
+from .algebra import _is_permutation
+from .builders import seq_all, ten_all
+from .core import Idag, _renumbered
+from .errors import NotATopologicalSorting, NotBijective, _check_type
 from .record import Frozen
-from .terms import (
-    Anti,
-    Delta,
-    Eps,
-    Eta,
-    Expression,
-    Id,
-    Nabla,
-    Node,
-    Seq,
-    Sym,
-    Ten,
-    seq_all,
-    ten_all,
-)
-from .weights import INT, NAT
-
-# counting linear extensions is #P-complete, and the exact counter memoises
-# every state (set of unplaced nodes) it meets; this caps them, so a wide
-# idag raises instead of running for hours or exhausting memory
-MAX_DOWN_SETS = 10**5
+from .terms import Anti, Delta, Eps, Eta, Expression, Id, Nabla, Node, Seq, Sym, Ten
 
 
 class TopSort(Frozen):
@@ -136,9 +99,9 @@ class _Placement:
     ids, the sorted node ids; succ lists successors, waiting counts unplaced
     predecessors, ready holds the unplaced nodes waiting on none, ascending,
     and order the placed ones. The unplaced nodes lie at or above a ready
-    node, so the ready list names the state; memo maps it to its count."""
+    node, so the ready list names the state (see sortings._Counter)."""
 
-    __slots__ = ("ids", "succ", "waiting", "ready", "order", "memo")
+    __slots__ = ("ids", "succ", "waiting", "ready", "order")
 
     def __init__(self, d: Idag) -> None:
         _check_type(d, Idag)
@@ -153,7 +116,7 @@ class _Placement:
                     succ[rank[s - d.n_in]].append(k)
                     waiting[k] += 1
         self.ready = [k for k, w in enumerate(waiting) if not w]
-        self.order, self.memo = [], {(): 1}  # placed nodes; ready list -> count
+        self.order = []  # placed nodes
 
     def place(self, k: int) -> None:
         ready, waiting = self.ready, self.waiting
@@ -176,52 +139,6 @@ class _Placement:
     def sorting(self) -> TopSort:
         return TopSort(tuple(self.ids[k] for k in self.order))
 
-    def children(self, key: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The ready list after placing each node of key, the ready list now."""
-        succ, waiting = self.succ, self.waiting
-        kids = list(combinations(key, len(key) - 1))[::-1]  # key less its i-th node, at i
-        for i in [i for i, k in enumerate(key) if succ[k]]:
-            freed = [t for t in succ[key[i]] if waiting[t] == 1]
-            if freed:
-                kids[i] = tuple(sorted(kids[i] + tuple(freed)))
-        return kids
-
-    def count(self) -> int:
-        """The number of ways to finish the sorting from here, with every
-        state reachable from here memoised. The stack holds states to count:
-        ready list, parent's placed length (None once entered), node placed
-        to enter, parent's entry and sum of its counted children. Raises
-        SearchBudgetExceeded once memo and stack exceed MAX_DOWN_SETS."""
-        memo, order = self.memo, self.order
-        root, start = tuple(self.ready), len(order)
-        stack = [[root, start, None, None, 0]]
-        while stack:
-            if len(memo) + len(stack) > MAX_DOWN_SETS:
-                raise SearchBudgetExceeded(
-                    f"counting the topological sortings of {len(self.ids)} nodes "
-                    f"needs more than {MAX_DOWN_SETS} down-sets"
-                )
-            key, at, k, parent, total = entry = stack[-1]
-            if at is None:  # entered, and its missing children are counted
-                c = memo[key] = total
-            elif (c := memo.get(key)) is None:  # enter it: place k on its parent
-                while len(order) > at:
-                    self.unplace()
-                if k is not None:
-                    self.place(k)
-                kids = self.children(key)
-                got = list(map(memo.get, kids))  # a count is positive: None if missing
-                at = len(order)
-                entry[1], entry[4] = None, sum(filter(None, got))
-                stack += [[c, at, key[i], entry, 0] for i, c in enumerate(kids) if got[i] is None]
-                continue
-            del stack[-1]
-            if parent:
-                parent[4] += c
-        while len(order) > start:
-            self.unplace()
-        return memo[root]
-
 
 def topological_sortings(d: Idag) -> Iterator[TopSort]:
     """All topological sortings, lazily, in lexicographic node-id order; the
@@ -243,60 +160,6 @@ def topological_sortings(d: Idag) -> Iterator[TopSort]:
 
 def default_sorting(d: Idag) -> TopSort:
     return next(topological_sortings(d))
-
-
-def count_topological_sortings(d: Idag) -> int:
-    """The number of topological sortings of d, counted exactly.
-
-    Raises SearchBudgetExceeded when d has more than MAX_DOWN_SETS down-sets
-    (counting linear extensions is #P-complete)."""
-    return _Placement(d).count()
-
-
-def sample_topological_sorting(d: Idag, rng: random.Random) -> TopSort:
-    """One topological sorting drawn uniformly: at each position, one draw r
-    below the number of ways to finish, and the first ready node in id order
-    at which the running sum of ways to finish exceeds r. Raises
-    SearchBudgetExceeded where counting does, and WrongArgumentType unless
-    rng is a random.Random."""
-    state = _Placement(d)
-    _check_type(rng, random.Random)
-    while state.ready:
-        r = rng.randrange(state.count())
-        key = tuple(state.ready)
-        ends = accumulate(map(state.memo.__getitem__, state.children(key)))
-        state.place(next(k for k, end in zip(key, ends) if r < end))
-    return state.sorting()
-
-
-# ---------------------------------------------------------------------------
-# Layers
-
-
-def layer(d: Idag, sort: SortLike, k: int) -> MatrixMorphism:
-    """The k-th slice of d along the sorting, as a weight matrix, whose
-    columns are wires of d renumbered along the sorting.
-
-    For k < |N| the shape is (n+k) x (n+k+1): identity columns carrying the
-    live wires, then node sort[k]'s wire (rows 0..n-1 from the inputs, row
-    n+l from the l-th emitted node). For k = |N| the shape is (n+|N|) x m,
-    and the columns are the outputs' wires.
-    """
-    ts, wires = _along(d, sort)
-    total = len(ts.order)
-    if type(k) is not int or not 0 <= k <= total:
-        raise IndexOutOfRange(f"layer index {k} not in 0..{total}")
-    return _slice(d, wires, k)
-
-
-def _slice(d: Idag, wires: tuple[dict[int, int], ...], k: int) -> MatrixMorphism:
-    """layer k of d, from d's wires renumbered along the sorting (see
-    _along). Rows number the slices' live wires: input i is row i, the l-th
-    sorted node row n+l."""
-    live = d.n_in + k
-    if k < len(d.nodes):
-        return MatrixMorphism(d.weights, live, tuple({r: 1} for r in range(live)) + (wires[k],))
-    return MatrixMorphism(d.weights, live, wires[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -483,22 +346,6 @@ def _encode(
     return pad(n) if e is None else e
 
 
-def encode_relation(mat: MatrixMorphism) -> Expression:
-    """An expression over copy/discard/merge/unit, anti and wire crossings
-    whose evaluation in any matrix model is exactly mat, and whose free
-    evaluation is the node-free idag with weight matrix mat.
-
-    Each input fans out to one copy per nonzero entry of its row
-    (source-major: target index ascending), each copy is scaled by its
-    entry as _scale spells it, a routing permutation rearranges the copies
-    to target-major order, and merges fan in per output. An identity
-    matrix encodes as id(n). This is the encoder decompose() runs on its
-    output slice; mat's columns are its wires.
-    """
-    _check_type(mat, MatrixMorphism)
-    return _encode(mat.n_in, mat.cols, Id, _scale, _fan_out, _fan_in)
-
-
 def _encode_node_slice(
     live: int,
     ins: Sequence[tuple[int, int]],
@@ -560,7 +407,7 @@ def _encode_node_slice(
 
 
 # ---------------------------------------------------------------------------
-# Decomposition and direct interpretation
+# Decomposition
 
 
 def decompose(d: Idag, sort: SortLike) -> Expression:
@@ -585,172 +432,3 @@ def decompose(d: Idag, sort: SortLike) -> Expression:
         e = Seq(step if e is None else Seq(e, step), box)
     out = _encode(n + len(ts), wires[len(ts) :], pad, scale, cache(_fan_out), fan_in)
     return out if e is None else Seq(e, out)
-
-
-def interpret(d: Idag, sort: SortLike, model: Model):
-    """d's value in a model along the sorting, bypassing expression syntax.
-
-    FreeIdagModel and MatrixModel read d's own wires along the sorting as a
-    free image: the free model in O(N + E), path sums in O(in-degree x
-    inputs) per node. Other models compose the slices. Independent of
-    decompose(); evaluate(decompose(d, s), model) must agree with
-    interpret(d, s, model) in every model, which the tests exercise.
-    """
-    ts, wires = _along(d, sort)
-    labels = dict(d.nodes)
-    n = d.n_in
-    kind = type(model)
-    if kind in (FreeIdagModel, MatrixModel):
-        # unless d's weight system is the model's, when every weight of d is
-        # valid, relation checks d's weights as the matrix whose columns are
-        # all of d's wires, by column, then by row: the order in which the
-        # slices meet them, so errors match the fold's
-        if d.weights is not (model.mode if kind is FreeIdagModel else model.weights):
-            model.relation(MatrixMorphism(d.weights, n + len(ts), wires))
-        return model._read_image(n, [labels[nid] for nid in ts.order], wires)
-    _check_type(model, Model)
-    mor = model.relation(_slice(d, wires, 0))
-    for k, nid in enumerate(ts.order):
-        box = model.generator(Node(labels[nid]))
-        if n + k > 0:
-            box = model.tensor(model.identity(n + k), box)
-        mor = model.compose(mor, box)
-        mor = model.compose(mor, model.relation(_slice(d, wires, k + 1)))
-    return mor
-
-
-# ---------------------------------------------------------------------------
-# Adjacent transpositions
-
-
-class TranspositionReport(Frozen):
-    """Outcome of the five local identities for one adjacent swap of a
-    sorting; all true iff the swap provably preserves every model's value."""
-
-    __slots__ = (
-        "position",
-        "prefix_layers_equal",
-        "swapped_pair_composite_equal",
-        "swap_threads_middle_layers",
-        "swap_absorbed_by_final_layer",
-        "node_box_slides_past_next_layer",
-    )
-
-    def __init__(
-        self,
-        position: int,
-        prefix_layers_equal: bool,
-        swapped_pair_composite_equal: bool,
-        swap_threads_middle_layers: bool,
-        swap_absorbed_by_final_layer: bool,
-        node_box_slides_past_next_layer: bool,
-    ) -> None:
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "prefix_layers_equal", prefix_layers_equal)
-        object.__setattr__(self, "swapped_pair_composite_equal", swapped_pair_composite_equal)
-        object.__setattr__(self, "swap_threads_middle_layers", swap_threads_middle_layers)
-        object.__setattr__(self, "swap_absorbed_by_final_layer", swap_absorbed_by_final_layer)
-        object.__setattr__(self, "node_box_slides_past_next_layer", node_box_slides_past_next_layer)
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.prefix_layers_equal
-            and self.swapped_pair_composite_equal
-            and self.swap_threads_middle_layers
-            and self.swap_absorbed_by_final_layer
-            and self.node_box_slides_past_next_layer
-        )
-
-
-def _default_check_model(d: Idag) -> MatrixModel:
-    ws = INT if d.weights is INT else NAT
-    labels = sorted({lbl for _, lbl in d.nodes})
-    images = {lbl: 2 + k for k, lbl in enumerate(labels)}
-    return MatrixModel(ws, images)
-
-
-def _block_swap(n_prefix: int, n_suffix: int, ws) -> MatrixMorphism:
-    perm = list(range(n_prefix)) + [n_prefix + 1, n_prefix] + [
-        n_prefix + 2 + t for t in range(n_suffix)
-    ]
-    return matrix_permutation(perm, ws)
-
-
-def transposition_identities(
-    d: Idag,
-    sort_a: SortLike,
-    sort_b: SortLike,
-    i: int,
-    model: Optional[Model] = None,
-) -> TranspositionReport:
-    """Check the five identities relating the slices of two sortings that
-    differ by swapping positions i and i+1.
-
-    The four layer identities are matrix identities over d's own weight
-    system; the node-box identity is checked in the given model (default: a
-    matrix model with distinct nontrivial images per label).
-    """
-    sa, wa = _along(d, sort_a)
-    sb, wb = _along(d, sort_b)
-    total = len(sa.order)
-    if type(i) is not int or not 0 <= i <= total - 2:
-        raise IndexOutOfRange(f"swap position {i} not in 0..{total - 2}")
-    swapped = list(sa.order)
-    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-    if list(sb.order) != swapped:
-        raise NotAdjacentTransposition(
-            f"{list(sb.order)!r} is not {list(sa.order)!r} with positions "
-            f"{i} and {i + 1} swapped"
-        )
-    n = d.n_in
-    ws = d.weights
-    la = [_slice(d, wa, j) for j in range(total + 1)]
-    lb = [_slice(d, wb, j) for j in range(total + 1)]
-
-    prefix = all(la[j] == lb[j] for j in range(i))
-
-    pair_a = la[i].then(la[i + 1])
-    pair_b = lb[i].then(lb[i + 1]).then(_block_swap(n + i, 0, ws))
-    pair_ok = pair_a == pair_b
-
-    middle_ok = True
-    for j in range(i + 2, total):
-        pre = _block_swap(n + i, j - i - 2, ws)
-        post = _block_swap(n + i, j - i - 1, ws)
-        if pre.then(la[j]) != lb[j].then(post):
-            middle_ok = False
-            break
-
-    pre_final = _block_swap(n + i, total - i - 2, ws)
-    final_ok = pre_final.then(la[total]) == lb[total]
-
-    check_model = model if model is not None else _default_check_model(d)
-    _check_type(check_model, Model)
-    labels = dict(d.nodes)
-    node_ok = True
-    for ts, slices in ((sa, la), (sb, lb)):
-        mid = check_model.relation(slices[i + 1])
-        box = check_model.generator(Node(labels[ts.order[i]]))
-        left = check_model.compose(
-            check_model.tensor(check_model.identity(n + i), box), mid
-        )
-        right = check_model.compose(
-            mid,
-            check_model.tensor(
-                check_model.tensor(check_model.identity(n + i), box),
-                check_model.identity(1),
-            ),
-        )
-        if not check_model.equal(left, right):
-            node_ok = False
-            break
-
-    return TranspositionReport(
-        position=i,
-        prefix_layers_equal=prefix,
-        swapped_pair_composite_equal=pair_ok,
-        swap_threads_middle_layers=middle_ok,
-        swap_absorbed_by_final_layer=final_ok,
-        node_box_slides_past_next_layer=node_ok,
-    )

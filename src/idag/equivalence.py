@@ -17,16 +17,21 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .core import Idag, _invariant, canonical_form, prune_dangling, transitive_closure
+from .core import (
+    NO_DANGLING,
+    TRANSITIVE,
+    Idag,
+    _invariant,
+    canonical_form,
+    prune_dangling,
+    transitive_closure,
+)
 from .errors import ArityMismatch, ModeMismatch
 from .jsonio import idag_to_obj
 from .models import FreeIdagModel, _typed_walk
 from .record import Frozen
 from .terms import Expression, arity_of, validate_for_mode
 from .weights import BOOL, WeightSystem
-
-TRANSITIVE = "transitive"
-NO_DANGLING = "nodangling"
 
 _KNOWN_QUOTIENTS = frozenset({TRANSITIVE, NO_DANGLING})
 

@@ -70,7 +70,7 @@ class SearchBudgetExceeded(IdagError):
     configured number of search-tree nodes, and its message names N, the
     budget and the sizes of the cells that were still tied when the search
     began. Counting or sampling topological sortings stops once it holds
-    more down-sets than decomposition.MAX_DOWN_SETS, and its message names N
+    more down-sets than sortings.MAX_DOWN_SETS, and its message names N
     and that bound."""
 
 

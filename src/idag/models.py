@@ -1,52 +1,41 @@
 """Models: where expressions evaluate.
 
-Three models ship with the package. FreeIdagModel interprets every generator
-as a small idag and composes with concat/juxt; it is free, so two expressions
-are equal modulo the equational theory iff their images here are isomorphic.
-MatrixModel interprets wires as coordinates and morphisms as matrices over
-the weight system (an (n, m) morphism is an n x m matrix; sequential
-composition is matrix product with rows indexed by inputs, tensor is block
-diagonal). The node-free idags are exactly these matrices, so a matrix is
-stored as one: as its columns, the {row: entry} wires of its outputs, the
-form core.Idag stores. Idags, path sums and decomposition slices pass to
-and from matrices with no transpose. LoopsModel interprets only wires,
-crossings and boxes: a morphism is a permutation together with one label
-word per input, composition composing permutations and concatenating words.
+A model gives each generator an image and composes images along the PROP
+structure (Model). Three models ship with the package. FreeIdagModel, here,
+interprets every generator as a small idag and composes with concat/juxt; it
+is free, so two expressions are equal modulo the equational theory iff their
+images here are isomorphic. MatrixModel (in matrices) interprets morphisms
+as matrices over the weight system, and LoopsModel (in loops) as
+permutations with one label word per wire; each module is imported on first
+use, so evaluating in the free model loads neither.
 
 The free model is initial, so FreeIdagModel and MatrixModel read a value off
 a free image, node labels and wires (see _walk), each with one reader,
 _read_image: the free model returns the image as an idag, the matrix model
-its path sums (entry (i, j) sums, over the paths from input i to output j,
-edge weights times node images), whose values at the outputs are its
-columns. The free images of the node-free generators are defined once, in
-terms._GENERATORS, so a generator's matrix image too is the path sum of
-its free image. evaluate() builds e's image by
-one walk that touches only the wires each atom consumes and type-checks e
-as it goes, so a well-typed e is walked once; the walk dispatches on each
-term's class and reads the generator images from that table on each call,
-running copy-, merge-, unit- and discard-shaped ones inline;
-decomposition.interpret() takes d's own wires along the sorting. Other models, subclasses and wrapping
-models take the compose/tensor fold, which tests use as the reference.
+its path sums. The free images of the node-free generators are defined once,
+in terms._GENERATORS, so a generator's matrix image too is the path sum of
+its free image. evaluate() builds e's image by one walk that touches only
+the wires each atom consumes and type-checks e as it goes, so a well-typed e
+is walked once; the walk dispatches on each term's class and reads the
+generator images from that table on each call, running copy-, merge-, unit-
+and discard-shaped ones inline; layers.interpret() takes d's own wires along
+the sorting. The models walked natively are the keys of _NATIVE, which the
+matrices module extends with MatrixModel when it is imported, so evaluate()
+tells them apart by one lookup of the model's class. Other models,
+subclasses and wrapping models take the compose/tensor fold, which tests use
+as the reference.
 
-Matrix columns are sparse dicts of Python ints, so their arithmetic is
-exact at every magnitude. Every sum of weight products here (the matrix
-product, the walk's wires, the path sums) is WeightSystem.weighted_sum.
+Every sum of weight products in the walk is WeightSystem.weighted_sum.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Sequence, Union
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import core, terms
+from . import terms
 from .core import MAX_WIDTH, Idag, canonical_form
-from .errors import (
-    InterfaceMismatch,
-    InvalidWeight,
-    ModeMismatch,
-    SizeLimitExceeded,
-    UnsupportedGenerator,
-    _check_type,
-)
+from .errors import SizeLimitExceeded, _check_type
 from .terms import (
     Expression,
     Id,
@@ -61,152 +50,10 @@ from .terms import (
     fold,
 )
 from .record import Frozen
-from .weights import BOOL, NAT, WeightSystem
+from .weights import BOOL, WeightSystem
 
-
-class MatrixMorphism(Frozen):
-    """An (n_in, n_out) morphism of the matrix model: an n_in x n_out integer
-    matrix over a weight system, stored as the wires of a node-free idag
-    (see core.Idag): one {row: entry} dict per column. Columns hold nonzero
-    entries only, so equal matrices have equal columns. Treat instances as
-    immutable."""
-
-    __slots__ = ("weights", "n_in", "cols")
-
-    def __init__(self, weights: WeightSystem, n_in: int, cols: tuple[dict[int, int], ...]) -> None:
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "n_in", n_in)
-        object.__setattr__(self, "cols", cols)
-
-    @property
-    def n_out(self) -> int:
-        return len(self.cols)
-
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        """The dense matrix, row by row."""
-        return tuple(tuple(col.get(i, 0) for col in self.cols) for i in range(self.n_in))
-
-    def then(self, other: "MatrixMorphism") -> "MatrixMorphism":
-        if self.weights is not other.weights:
-            raise ModeMismatch(f"{self.weights!r} vs {other.weights!r}")
-        if self.n_out != other.n_in:
-            raise InterfaceMismatch(
-                f"cannot feed {self.n_out} outputs into {other.n_in} inputs"
-            )
-        weighted_sum, cols = self.weights.weighted_sum, self.cols
-        return MatrixMorphism(
-            self.weights,
-            self.n_in,
-            tuple(weighted_sum([(cols[k], a) for k, a in col.items()]) for col in other.cols),
-        )
-
-    def tensor(self, other: "MatrixMorphism") -> "MatrixMorphism":
-        if self.weights is not other.weights:
-            raise ModeMismatch(f"{self.weights!r} vs {other.weights!r}")
-        n = self.n_in
-        shifted = core._shifted(other.cols, other.n_in, n, n)
-        return MatrixMorphism(self.weights, n + other.n_in, self.cols + shifted)
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.weights, self.n_in, tuple(tuple(sorted(c.items())) for c in self.cols))
-        )
-
-    def __repr__(self) -> str:
-        return f"MatrixMorphism({self.weights!r}, {self.entries!r})"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "mode": self.weights.name,
-            "inputs": self.n_in,
-            "outputs": self.n_out,
-            "entries": [list(row) for row in self.entries],
-        }
-
-
-def _check_columns(cols: Sequence[dict[int, int]], check: Callable[[int], None]) -> None:
-    """Run check on each entry, by column, then by row, so an error depends
-    on the matrix and not on its columns' dict order."""
-    for col in cols:
-        for i in sorted(col):
-            check(col[i])
-
-
-def matrix(
-    rows: Sequence[Sequence[int]],
-    weights: WeightSystem,
-    n: Optional[int] = None,
-    m: Optional[int] = None,
-) -> MatrixMorphism:
-    """Build and validate an n x m matrix morphism from nested dense rows;
-    entries are checked by column, then by row.
-
-    The shape defaults to the shape of rows; pass n and m explicitly when
-    rows cannot determine it (no rows, or rows of width zero)."""
-    _check_type(weights, WeightSystem)
-    _check_type(rows, Sequence)
-    for row in rows:
-        _check_type(row, Sequence)
-    if n is None:
-        n = len(rows)
-    if m is None:
-        if not rows:
-            raise InvalidWeight("cannot infer the output arity of an empty matrix")
-        m = len(rows[0])
-    core._check_widths("width", n, m)
-    if len(rows) != n or any(len(row) != m for row in rows):
-        raise InvalidWeight(
-            f"rows of lengths {[len(row) for row in rows]} do not form an {n} x {m} matrix"
-        )
-    for j in range(m):
-        for row in rows:
-            weights.check_value(row[j])
-    cols = tuple({i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(m))
-    return MatrixMorphism(weights, n, cols)
-
-
-def matrix_identity(n: int, weights: WeightSystem) -> MatrixMorphism:
-    return MatrixMorphism(weights, n, core.identity(n, weights).wires)
-
-
-def matrix_permutation(perm: Sequence[int], weights: WeightSystem) -> MatrixMorphism:
-    """The matrix sending input i to output perm[i]."""
-    d = core.from_permutation(perm, weights)
-    return MatrixMorphism(weights, d.n_in, d.wires)
-
-
-class LoopsMorphism(Frozen):
-    """A morphism of the loops model: a permutation of the wires plus one
-    label word per input wire. Composition multiplies permutations and
-    prepends the later word (so sequential boxes accumulate on the left)."""
-
-    __slots__ = ("perm", "words")
-
-    def __init__(self, perm: tuple[int, ...], words: tuple[tuple[str, ...], ...]) -> None:
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "words", words)
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-    def then(self, other: "LoopsMorphism") -> "LoopsMorphism":
-        if self.n != other.n:
-            raise InterfaceMismatch(f"cannot feed {self.n} wires into {other.n}")
-        perm = tuple(other.perm[self.perm[i]] for i in range(self.n))
-        words = tuple(other.words[self.perm[i]] + self.words[i] for i in range(self.n))
-        return LoopsMorphism(perm, words)
-
-    def tensor(self, other: "LoopsMorphism") -> "LoopsMorphism":
-        n = self.n
-        perm = self.perm + tuple(n + p for p in other.perm)
-        return LoopsMorphism(perm, self.words + other.words)
-
-
-def loops_identity(n: int) -> LoopsMorphism:
-    core._check_widths("width", n)
-    return LoopsMorphism(tuple(range(n)), ((),) * n)
+if TYPE_CHECKING:
+    from .matrices import MatrixMorphism
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +110,33 @@ class FreeIdagModel(Model, Frozen):
         object.__setattr__(self, "mode", mode)
 
     def identity(self, n: int) -> Idag:
-        return core.identity(n, self.mode)
+        from .algebra import identity
+
+        return identity(n, self.mode)
 
     def symmetry(self, n: int, m: int) -> Idag:
-        return core.symmetry(n, m, self.mode)
+        from .algebra import symmetry
+
+        return symmetry(n, m, self.mode)
 
     def generator(self, gen: Expression) -> Idag:
         return free_generator_image(gen, self.mode)
 
     def compose(self, first: Idag, then: Idag) -> Idag:
-        return core.concat(then, first)
+        from .algebra import concat
+
+        return concat(then, first)
 
     def tensor(self, a: Idag, b: Idag) -> Idag:
-        return core.juxt(a, b)
+        from .algebra import juxt
+
+        return juxt(a, b)
 
     def relation(self, mat: MatrixMorphism) -> Idag:
         """The node-free idag whose wires are mat's columns."""
+        from .matrices import MatrixMorphism, _check_columns
+
+        _check_type(mat, MatrixMorphism)
         _check_columns(mat.cols, self.mode.check_edge_weight)
         return Idag(self.mode, mat.n_in, mat.n_out, (), mat.cols)
 
@@ -294,114 +152,9 @@ class FreeIdagModel(Model, Frozen):
         return Idag(self.mode, n_in, len(wires) - len(nodes), nodes, tuple(wires))
 
 
-class MatrixModel(Model, Frozen):
-    """Evaluation into weight matrices. lambda_images supplies a 1 x 1 matrix
-    per node label; unlisted labels act as the identity wire."""
-
-    __slots__ = ("weights", "lambda_images")
-
-    def __init__(
-        self,
-        weights: WeightSystem = NAT,
-        lambda_images: Optional[Mapping[str, Union[int, MatrixMorphism]]] = None,
-    ) -> None:
-        _check_type(weights, WeightSystem)
-        lambda_images = {} if lambda_images is None else lambda_images
-        _check_type(lambda_images, Mapping)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "lambda_images", lambda_images)
-
-    def _lambda(self, label: str) -> int:
-        """The scalar of label's 1 x 1 image."""
-        img = self.lambda_images.get(label)
-        if img is None:
-            return 1
-        if isinstance(img, MatrixMorphism):
-            if img.weights is not self.weights:
-                raise ModeMismatch(
-                    f"lambda image for {label!r}: {img.weights!r} vs {self.weights!r}"
-                )
-            if (img.n_in, img.n_out) != (1, 1):
-                raise InterfaceMismatch(f"lambda image for {label!r} must be 1x1")
-            return img.cols[0].get(0, 0)
-        self.weights.check_value(img)
-        return img
-
-    def identity(self, n: int) -> MatrixMorphism:
-        return matrix_identity(n, self.weights)
-
-    def symmetry(self, n: int, m: int) -> MatrixMorphism:
-        return matrix_permutation(core._crossing(n, m), self.weights)
-
-    def generator(self, gen: Expression) -> MatrixMorphism:
-        return self._read_image(*_typed_walk(gen, self.weights))
-
-    def compose(self, first: MatrixMorphism, then: MatrixMorphism) -> MatrixMorphism:
-        return first.then(then)
-
-    def tensor(self, a: MatrixMorphism, b: MatrixMorphism) -> MatrixMorphism:
-        return a.tensor(b)
-
-    def relation(self, mat: MatrixMorphism) -> MatrixMorphism:
-        _check_columns(mat.cols, self.weights.check_value)
-        return MatrixMorphism(self.weights, mat.n_in, mat.cols)
-
-    def equal(self, a: MatrixMorphism, b: MatrixMorphism) -> bool:
-        return a == b
-
-    def _read_image(
-        self, n_in: int, labels: Sequence[str], wires: Sequence[dict[int, int]]
-    ) -> MatrixMorphism:
-        """The value of a free image (see _walk for its form): entry (i, j)
-        sums, over the paths from input i to output j, the product of their
-        edge weights and node images. One pass in topological order gives
-        each source, then each output, its {input: coefficient} value, and
-        the outputs' values are the matrix's columns; node images come from
-        _lambda, once per label."""
-        weighted_sum = self.weights.weighted_sum
-        scalar = {lbl: self._lambda(lbl) for lbl in dict.fromkeys(labels)}
-        n_out = len(wires) - len(labels)
-        values = [{i: 1} for i in range(n_in)]
-        for c, wire in zip([scalar[lbl] for lbl in labels] + [1] * n_out, wires):
-            values.append(weighted_sum([(values[s], w * c) for s, w in wire.items()]))
-        return MatrixMorphism(self.weights, n_in, tuple(values[len(values) - n_out :]))
-
-
-class LoopsModel(Model, Frozen):
-    """Evaluation into permutations-with-words; supports only wires,
-    crossings and node boxes."""
-
-    __slots__ = ()
-
-    def identity(self, n: int) -> LoopsMorphism:
-        return loops_identity(n)
-
-    def symmetry(self, n: int, m: int) -> LoopsMorphism:
-        return LoopsMorphism(tuple(core._crossing(n, m)), ((),) * (n + m))
-
-    def generator(self, gen: Expression) -> LoopsMorphism:
-        if isinstance(gen, Node):
-            arity_of(gen)  # rejects a label that is not a str
-            return LoopsMorphism((0,), ((gen.label,),))
-        raise UnsupportedGenerator(f"loops model does not interpret {gen!r}")
-
-    def compose(self, first: LoopsMorphism, then: LoopsMorphism) -> LoopsMorphism:
-        return first.then(then)
-
-    def tensor(self, a: LoopsMorphism, b: LoopsMorphism) -> LoopsMorphism:
-        return a.tensor(b)
-
-    def relation(self, mat: MatrixMorphism) -> LoopsMorphism:
-        """mat as a permutation: each column must hold one entry, a 1, in a
-        row no other column uses."""
-        inverse = [i for col in mat.cols if len(col) == 1 for i, w in col.items() if w == 1]
-        if not mat.n_in == len(mat.cols) == len(inverse) or not core._is_permutation(inverse):
-            raise UnsupportedGenerator("loops model interprets only permutations")
-        perm = sorted(range(mat.n_in), key=inverse.__getitem__)
-        return LoopsMorphism(tuple(perm), ((),) * mat.n_in)
-
-    def equal(self, a: LoopsMorphism, b: LoopsMorphism) -> bool:
-        return a == b
+# the models evaluate() walks natively, by class, each with a reader of the
+# weight system its walk runs in; matrices adds MatrixModel
+_NATIVE: dict[type, Callable[[Model], WeightSystem]] = {FreeIdagModel: attrgetter("mode")}
 
 
 def evaluate(e: Expression, model: Model):
@@ -413,10 +166,9 @@ def evaluate(e: Expression, model: Model):
     MatrixModel type-check e in the walk that builds its image; other
     models check it with arity_of before their fold.
     """
-    kind = type(model)
-    if kind is FreeIdagModel or kind is MatrixModel:
-        mode = model.mode if kind is FreeIdagModel else model.weights
-        return model._read_image(*_typed_walk(e, mode))
+    weights_of = _NATIVE.get(type(model))
+    if weights_of is not None:
+        return model._read_image(*_typed_walk(e, weights_of(model)))
     _check_type(model, Model)
     arity_of(e)
 
@@ -627,6 +379,3 @@ def _as_base(x: Expression, mode: WeightSystem) -> Expression:
     raise _IllTyped
 
 
-def loops_eval(e: Expression) -> LoopsMorphism:
-    """Evaluate a node/sym/id expression in the loops model."""
-    return evaluate(e, LoopsModel())

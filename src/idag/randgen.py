@@ -9,11 +9,11 @@ builders.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .core import DEFAULT_LABEL, Idag, In, NodeRef, Out, Vertex, _check_widths, make_idag
+from .algebra import _check_widths, make_idag
+from .core import DEFAULT_LABEL, Idag, In, NodeRef, Out, Vertex
 from .errors import IdagError, _check_type
-from .models import MatrixMorphism, matrix
 from .terms import (
     Anti,
     Delta,
@@ -29,6 +29,9 @@ from .terms import (
     arity_of,
 )
 from .weights import BOOL, INT, NAT, WeightSystem
+
+if TYPE_CHECKING:
+    from .matrices import MatrixMorphism
 
 
 def _draw_weight(rng: random.Random, mode: WeightSystem) -> int:
@@ -125,6 +128,8 @@ def random_matrix(
                 mag = rng.randint(1, max_abs)
                 row.append(mag if rng.random() < 0.5 else -mag)
         rows.append(row)
+    from .matrices import matrix
+
     return matrix(rows, mode, n, m)
 
 

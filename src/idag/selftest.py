@@ -14,37 +14,30 @@ import random
 import time
 from typing import Callable, Optional
 
+from .algebra import concat, juxt, make_idag
+from .builders import map_atoms
 from .core import (
     Idag,
     In,
     NodeRef,
     Out,
     canonical_form,
-    concat,
     is_isomorphic,
-    juxt,
-    make_idag,
     prune_dangling,
     transitive_closure,
 )
-from .decomposition import (
-    TopSort,
-    count_topological_sortings,
-    decompose,
-    default_sorting,
-    encode_relation,
-    interpret,
-    sample_topological_sorting,
-    topological_sortings,
-    transposition_identities,
-)
+from .decomposition import TopSort, decompose, default_sorting, topological_sortings
 from .equivalence import equal_mod_theory, normalize
 from .errors import IdagError
 from .jsonio import idag_to_json
-from .models import FreeIdagModel, MatrixModel, evaluate
+from .layers import encode_relation, interpret, transposition_identities
+from .matrices import MatrixModel
+from .models import FreeIdagModel, evaluate
+from .printer import print_expression
 from .randgen import random_expression, random_idag, random_matrix
 from .record import Record
-from .terms import Delta, Id, Nabla, Node, Seq, Ten, arity_of, map_atoms, parse, print_expression
+from .sortings import count_topological_sortings, sample_topological_sorting
+from .terms import Delta, Id, Nabla, Node, Seq, Ten, arity_of, parse
 from .weights import BOOL, INT, NAT, WeightSystem
 
 

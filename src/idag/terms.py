@@ -23,6 +23,11 @@ Each node-free generator is defined once, in _GENERATORS: its keyword, its
 arity and its free image, which fixes its value in every model. The parser,
 the printer, arity_of and the models' generator images all read it there.
 
+This module holds the expression classes, typing and the parser. The
+printer (printer.print_expression), the chain builders (builders.seq_all,
+ten_all, map_atoms, expand_symmetry) and the diagnostics of text that does
+not parse (parse_errors) are modules of their own, imported on first use.
+
 Expression nodes are immutable slotted classes. Parsing scans the text
 for tokens once, one token per atom, resolves each distinct token once and
 computes line and column only when it raises. Printing spells each
@@ -39,14 +44,12 @@ the error of an ill-typed one, or for models without a native walk.
 
 from __future__ import annotations
 
-import itertools
 import re
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, TypeVar
 
 from .core import DEFAULT_LABEL, MAX_WIDTH
 from .errors import (
     ExprSyntaxError,
-    IndexOutOfRange,
     SizeLimitExceeded,
     TypeMismatch,
     UnsupportedGenerator,
@@ -74,6 +77,8 @@ class Expression(Frozen):
         return Ten(self, other)
 
     def __str__(self) -> str:
+        from .printer import print_expression
+
         return print_expression(self)
 
     def __eq__(self, other: object) -> bool:
@@ -422,100 +427,12 @@ def validate_for_mode(e: Expression, mode: WeightSystem, labels=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Printing
+# Parsing
 
 # a node label: an identifier or a number token
 _LABEL = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+"
-# the whole of a printable label: \Z, unlike $, matches no final newline
-_IDENT_RE = re.compile(rf"(?:{_LABEL})\Z")
-
-
-class _Text(str):
-    """A piece of print_expression's punctuation."""
-
-
-_CLOSE, _SEQ, _SEQ_OPEN, _TEN, _TEN_OPEN, _CLOSE_TEN, _CLOSE_TEN_OPEN = map(
-    _Text, (")", " ; ", " ; (", " * ", " * (", ") * ", ") * (")
-)
-
-
-def print_expression(e: Expression) -> str:
-    """Concrete syntax for e, with minimal parentheses; parses back to an
-    equal AST. Emits pieces left to right from one stack: an operand is
-    wrapped when it is a ";" chain right of ";" or on either side of "*",
-    or a "*" chain right of "*".
-
-    Each piece is dispatched on its exact class. An atom's text is made
-    once per object and kept by identity, so an atom shared across e is
-    checked and spelled once. A subclass of Seq or Ten sends the whole of
-    e through map_atoms first, which rebuilds its composites as the base
-    classes; _atom_text reads an Id or Sym subclass as its base class. A
-    str in e is an unknown atom: punctuation on the stack is a _Text."""
-    out: list[str] = []
-    stack: list = [e]
-    texts: dict[int, str] = {}  # id(atom) -> its text; e keeps each atom alive
-    while stack:
-        a = stack.pop()
-        kind = type(a)
-        if kind is _Text:
-            out.append(a)
-        elif kind is Seq:
-            then = a.then
-            if type(then) is Seq:
-                stack += (_CLOSE, then, _SEQ_OPEN, a.first)
-            else:
-                stack += (then, _SEQ, a.first)
-        elif kind is Ten:
-            left, right = a.left, a.right
-            right_kind = type(right)
-            if type(left) is Seq:
-                out.append("(")
-                if right_kind is Seq or right_kind is Ten:
-                    stack += (_CLOSE, right, _CLOSE_TEN_OPEN, left)
-                else:
-                    stack += (right, _CLOSE_TEN, left)
-            elif right_kind is Seq or right_kind is Ten:
-                stack += (_CLOSE, right, _TEN_OPEN, left)
-            else:
-                stack += (right, _TEN, left)
-        else:
-            text = texts.get(id(a))
-            if text is None:
-                if isinstance(a, (Seq, Ten)):
-                    return print_expression(map_atoms(e, lambda x: x))
-                text = texts[id(a)] = _atom_text(a)
-            out.append(text)
-    return "".join(out)
-
-
-def _atom_text(a: Expression) -> str:
-    """The concrete syntax of an atom; raises UnsupportedGenerator on one
-    with no syntax, and SizeLimitExceeded on a width too long to write."""
-    if isinstance(a, (Id, Sym)):
-        width = _wiring_width(a)  # no syntax for other widths
-        try:
-            return f"id({a.n})" if isinstance(a, Id) else f"sym({a.n},{a.m})"
-        except ValueError:  # more digits than str() writes
-            raise SizeLimitExceeded("width", width, MAX_WIDTH) from None
-    if type(a) in _GENERATORS:
-        return _GENERATORS[type(a)][0]
-    if isinstance(a, Node):
-        if a.label == DEFAULT_LABEL:
-            return "node"
-        if isinstance(a.label, str) and _IDENT_RE.match(a.label):
-            return f"node[{a.label}]"
-        raise UnsupportedGenerator(
-            f"label {a.label!r} has no expression syntax; use identifier or number labels"
-        )
-    raise UnsupportedGenerator(f"unknown atom {a!r}")
-
-
-# ---------------------------------------------------------------------------
-# Parsing
-
 # the parts of expression text: identifiers, numbers and punctuation
 _PART = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[;*()\[\],]"
-_PART_RE = re.compile(_PART)
 # The tokens of expression text. A well-formed id(n), sym(n,m) or
 # node[label], with any whitespace between its parts, is one token; every
 # other part is a token of its own. So an id, sym or node[ left as a token
@@ -528,18 +445,10 @@ _TOKEN_RE = re.compile(
 # are whitespace, so one scan of the whole text yields the tokens of each
 # line in turn.
 _STRAY_RE = re.compile(r"[^A-Za-z0-9_;*()\[\],\s]")
-_PUNCTUATION = frozenset(";*()[],")
 # the identifiers and numbers of an atom token: its keyword, then its
 # widths or its label
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")
 _WIRINGS = {"id": Id, "sym": Sym}
-# the parts that follow the keyword of a well-formed id, sym and labelled
-# node, where "n" stands for a number and "label" for a label
-_ATOM_PARTS = {
-    "id": ("(", "n", ")"),
-    "sym": ("(", "n", ",", "n", ")"),
-    "node": ("[", "label", "]"),
-}
 # each atom spelled by one keyword, shared by every parse, with its
 # (inputs, outputs); "node" stands for a bare node, without a label
 _KEYWORD_ATOMS = {
@@ -550,83 +459,6 @@ _KEYWORD_ATOMS["node"] = (Node(), 1, 1)
 # refuses more than 4,300 digits, and a TypeMismatch prints sums of widths.
 # Shorter widths are read, so their typing errors still come first.
 _READ_DIGITS = 4000
-
-
-def _line_column(text: str, offset: int) -> tuple[int, int]:
-    """The 1-based (line, column) of a character of text."""
-    line_start = 0
-    for lineno, line in enumerate(text.splitlines(keepends=True), start=1):
-        if offset < line_start + len(line):
-            break
-        line_start += len(line)
-    return lineno, offset - line_start + 1
-
-
-def _error_at(text: str, m: re.Match, message: str, past: bool = False) -> ExprSyntaxError:
-    """An ExprSyntaxError at the token or part m of text, or just past its
-    last character."""
-    if not past:
-        return ExprSyntaxError(*_line_column(text, m.start()), message)
-    line, column = _line_column(text, m.end() - 1)
-    return ExprSyntaxError(line, column + 1, message)
-
-
-def _syntax_error(text: str, tokens: list, i: int, message: str) -> ExprSyntaxError:
-    """An ExprSyntaxError at token i of text, or just past the last token
-    when i is the end-of-input sentinel. Positions are found only here, by
-    scanning the text again."""
-    at_end = tokens[i] is None
-    m = next(itertools.islice(_TOKEN_RE.finditer(text), i - 1 if at_end else i, None))
-    return _error_at(text, m, message, past=at_end)
-
-
-def _atom_error(text: str, tokens: list, i: int) -> ExprSyntaxError:
-    """The ExprSyntaxError for token i, which stands where an atom must and
-    is none."""
-    tok = tokens[i]
-    if tok is None:
-        return _syntax_error(text, tokens, i, "unexpected end of input")
-    if tok in _ATOM_PARTS:
-        return _malformed_atom(text, i)
-    return _syntax_error(text, tokens, i, f"unexpected token {tok!r}")
-
-
-def _past_atom_error(text: str, tokens: list, i: int, nested: bool) -> ExprSyntaxError:
-    """The ExprSyntaxError for token i, which follows an atom but neither
-    extends nor ends the expression; nested tells whether a parenthesis is
-    open. A '[' after a bare node begins a malformed label."""
-    if tokens[i] == "[" and tokens[i - 1] == "node":
-        return _malformed_atom(text, i - 1)
-    if nested:
-        return _syntax_error(text, tokens, i, "expected ')'")
-    return _syntax_error(text, tokens, i, f"trailing input {_PART_RE.match(tokens[i]).group()!r}")
-
-
-def _malformed_atom(text: str, i: int) -> ExprSyntaxError:
-    """The ExprSyntaxError of the malformed id, sym or labelled node whose
-    keyword is token i: the text is read again from there one part at a
-    time, against the parts a well-formed one has, up to the first that
-    differs. One must differ, or the atom would be one token."""
-    keyword = next(itertools.islice(_TOKEN_RE.finditer(text), i, None))
-    parts = _PART_RE.finditer(text, keyword.start())
-    last = next(parts)
-    for want in _ATOM_PARTS[last.group()]:
-        m = next(parts, None)
-        if m is None:
-            message = f"expected {want!r}" if want in _PUNCTUATION else "unexpected end of input"
-            return _error_at(text, last, message, past=True)
-        got = m.group()
-        if want == "n" and not got.isdigit():
-            message = f"expected a number, got {got!r}"
-        elif want == "label" and got in _PUNCTUATION:
-            message = "expected a label"
-        elif want in _PUNCTUATION and got != want:
-            message = f"expected {want!r}"
-        else:
-            last = m
-            continue
-        return _error_at(text, m, message)
-    raise AssertionError("a well-formed atom is one token")
 
 
 def parse(text: str) -> Expression:
@@ -655,8 +487,9 @@ def parse(text: str) -> Expression:
     _check_type(text, str)
     stray = _STRAY_RE.search(text)
     if stray:
-        line, column = _line_column(text, stray.start())
-        raise ExprSyntaxError(line, column, f"unexpected character {stray.group()!r}")
+        from .parse_errors import stray_error
+
+        raise stray_error(text, stray)
     tokens: list = _TOKEN_RE.findall(text)
     if not tokens:
         raise ExprSyntaxError(1, 1, "empty expression")
@@ -700,7 +533,9 @@ def parse(text: str) -> Expression:
             continue
         entry = atoms.get(tok)
         if entry is None:
-            raise _atom_error(text, tokens, i - 1)
+            from .parse_errors import atom_error
+
+            raise atom_error(text, tokens, i - 1)
         a, a_in, a_out = entry
         while True:
             if row is None:
@@ -729,73 +564,9 @@ def parse(text: str) -> Expression:
                     raise SizeLimitExceeded("width", too_wide, MAX_WIDTH)
                 return chain
             if tok != ")" or not enclosing:
-                raise _past_atom_error(text, tokens, i, bool(enclosing))
+                from .parse_errors import past_atom_error
+
+                raise past_atom_error(text, tokens, i, bool(enclosing))
             i += 1
             a, a_in, a_out = chain, c_in, c_out
             chain, row, c_in, c_out, r_in, r_out = enclosing.pop()
-
-
-# ---------------------------------------------------------------------------
-# Builders
-
-def seq_all(parts: Sequence[Expression]) -> Expression:
-    """Left-associated sequential chain; IndexOutOfRange when parts is
-    empty, since a chain of no parts has no width."""
-    _check_type(parts, Sequence)
-    if not parts:
-        raise IndexOutOfRange("seq_all of no parts")
-    e = parts[0]
-    for p in parts[1:]:
-        e = Seq(e, p)
-    return e
-
-
-def ten_all(parts: Sequence[Expression]) -> Expression:
-    """Left-associated tensor chain, collapsing adjacent identities: a run
-    of identities becomes one id of their total width, a zero total leaves
-    none, and no parts left give id(0)."""
-    _check_type(parts, Sequence)
-    e: Optional[Expression] = None
-    wires = 0  # width of the identities since the last other part
-    for p in parts:
-        if isinstance(p, Id):
-            wires += p.n
-            continue
-        if wires:
-            e = Id(wires) if e is None else Ten(e, Id(wires))
-            wires = 0
-        e = p if e is None else Ten(e, p)
-    if wires:
-        e = Id(wires) if e is None else Ten(e, Id(wires))
-    return Id(0) if e is None else e
-
-
-def map_atoms(e: Expression, fn: Callable[[Expression], Expression]) -> Expression:
-    """Rebuild e with every atom replaced by fn(atom)."""
-    _check_type(fn, Callable)
-    return fold(
-        e,
-        fn,
-        lambda _n, a, b: Seq(a, b),
-        lambda _n, a, b: Ten(a, b),
-    )
-
-
-def expand_symmetry(n: int, m: int) -> Expression:
-    """Sym(n, m) written with only sym(1,1), identities, ; and *."""
-    _wiring_width(Sym(n, m))
-    if n == 0 or m == 0:
-        return Id(n + m)
-
-    def cross_one(width: int) -> Expression:
-        # wire 0 over the next `width` wires, as adjacent swaps
-        layers = [
-            ten_all([Id(q), Sym(1, 1), Id(width - 1 - q)]) for q in range(width)
-        ]
-        return seq_all(layers)
-
-    parts: list[Expression] = []
-    for k in range(n):
-        # move the wire now at position n-1-k over the m-block
-        parts.append(ten_all([Id(n - 1 - k), cross_one(m), Id(k)]))
-    return seq_all(parts)

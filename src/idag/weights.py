@@ -7,7 +7,7 @@ nonzero weights; zero means "no edge", which is why a sum that cancels to
 zero must drop the entry entirely.
 
 WeightSystem.weighted_sum is the only code that adds or multiplies weights;
-core.concat, the matrix product and the models' wire walk all call it. It
+algebra.concat, the matrix product and the models' wire walk all call it. It
 sums exact Python ints, and in BOOL sets each nonzero sum to 1, which is
 saturating addition because BOOL weights are never negative.
 """

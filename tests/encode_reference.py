@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from itertools import accumulate
 
+from idag.builders import seq_all, ten_all
 from idag.decomposition import _fan_in, _fan_out, _scale, permutation_expression
-from idag.models import MatrixMorphism
-from idag.terms import Expression, Id, seq_all, ten_all
+from idag.matrices import MatrixMorphism
+from idag.terms import Expression, Id
 
 
 def encode_relation(mat: MatrixMorphism) -> Expression:

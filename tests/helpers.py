@@ -4,8 +4,9 @@ import resource
 import subprocess
 import sys
 
+from idag.builders import ten_all
 from idag.models import Model
-from idag.terms import Delta, Eps, Eta, Id, Nabla, Node, Sym, ten_all
+from idag.terms import Delta, Eps, Eta, Id, Nabla, Node, Sym
 
 
 def consume_row(rng, width, wiring_only):

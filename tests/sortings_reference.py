@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 
-from idag.decomposition import MAX_DOWN_SETS, TopSort
+from idag.decomposition import TopSort
 from idag.errors import SearchBudgetExceeded
+from idag.sortings import MAX_DOWN_SETS
 
 
 def _order_index(d):

@@ -10,7 +10,8 @@ import sys
 import time
 
 from idag import selftest as st
-from idag.core import canonical_form, concat
+from idag.algebra import concat
+from idag.core import canonical_form
 from idag.jsonio import idag_to_json
 
 

@@ -8,14 +8,18 @@ import sys
 
 import pytest
 
-from idag.core import MAX_WIDTH, from_permutation, identity, make_idag, symmetry
-from idag.errors import BadEndpoint, ExprSyntaxError, SizeLimitExceeded, TypeMismatch
+from idag.algebra import from_permutation, identity, make_idag, symmetry
+from idag.core import MAX_WIDTH
 from idag.equivalence import equal_mod_theory, normalize
-from idag.jsonio import idag_from_obj
+from idag.errors import BadEndpoint, ExprSyntaxError, SizeLimitExceeded, TypeMismatch
+from idag.jsonread import idag_from_obj
 from helpers import Forwarding, run_capped
-from idag.models import FreeIdagModel, LoopsModel, MatrixModel, evaluate, matrix_identity
+from idag.loops import LoopsModel
+from idag.matrices import MatrixModel, matrix_identity
+from idag.models import FreeIdagModel, evaluate
+from idag.printer import print_expression
 from idag.randgen import random_idag
-from idag.terms import Eps, Id, Seq, Sym, arity_of, parse, print_expression
+from idag.terms import Eps, Id, Seq, Sym, arity_of, parse
 from idag.weights import BOOL, NAT
 
 HUGE = 10**11

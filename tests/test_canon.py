@@ -25,11 +25,13 @@ import random
 
 import pytest
 
-from idag.core import In, NodeRef, Out, canonical_form, make_idag, sorted_edges
+from idag.algebra import make_idag
+from idag.core import In, NodeRef, Out, canonical_form, sorted_edges
 from idag.decomposition import decompose, topological_sortings
 from idag.models import FreeIdagModel, evaluate
+from idag.printer import print_expression
 from idag.selftest import _scramble
-from idag.terms import parse, print_expression
+from idag.terms import parse
 from idag.weights import BOOL, NAT
 from test_core import _crown, _projective_plane
 

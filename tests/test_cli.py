@@ -9,9 +9,10 @@ import pytest
 
 import idag
 from helpers import run_capped
-from idag.cli import main
-from idag.core import concat
-from idag.jsonio import idag_from_json, idag_to_json, idag_to_obj
+from idag.algebra import concat
+from idag.cli import build_parser, main
+from idag.jsonio import idag_to_json, idag_to_obj
+from idag.jsonread import idag_from_json
 from idag.selftest import sample_dag_2_3, sample_dag_3_1
 
 
@@ -24,21 +25,36 @@ def run_cli(*args):
     )
 
 
+# the modules split off from core, models, terms and decomposition so that
+# eq and normalize compile none of them (and jsonread, split off jsonio)
+_SPLIT_OFF = [
+    "idag.algebra", "idag.builders", "idag.layers", "idag.loops", "idag.matrices",
+    "idag.parse_errors", "idag.printer", "idag.sortings",
+]
+
+
 def test_eq_does_not_import_selftest():
     """Each command, run as `python -m idag`, loads none of the modules it
     does not call; modules the interpreter loaded before it do not count."""
-    unused_by_eq = ["dataclasses", "idag.decomposition", "idag.randgen", "idag.dot", "idag.selftest"]
+    unused_by_eq = [
+        "dataclasses", "idag.decomposition", "idag.randgen", "idag.dot", "idag.selftest", "idag.jsonread",
+        *_SPLIT_OFF,
+    ]
+    unread = ["dataclasses", "idag.selftest", "idag.canon", "idag.equivalence", "idag.models", "idag.matrices",
+              "idag.loops", "idag.parse_errors", "idag.sortings", "idag.layers"]
+    dag = json.dumps(idag_to_obj(sample_dag_2_3()))
     cases = [
-        (["eq", "delta ; nabla", "id(1)", "--mode", "bool"], unused_by_eq),
-        (["normalize", "(delta ; nabla) * node[a]", "--mode", "nat"], unused_by_eq),
-        (
-            ["decompose", json.dumps(idag_to_obj(sample_dag_2_3()))],
-            ["dataclasses", "idag.randgen", "idag.dot", "idag.selftest", "idag.canon"],
-        ),
+        (["eq", "delta ; nabla", "id(1)", "--mode", "bool"], 0, unused_by_eq),
+        (["eq", "delta ; nabla", "id(1)", "--mode", "nat"], 1, unused_by_eq),
+        (["normalize", "(delta ; nabla) * node[a]", "--mode", "nat"], 0, unused_by_eq),
+        (["decompose", dag], 0, [*unread, "idag.randgen", "idag.dot"]),
+        (["closure", dag], 0, [*unread, "idag.randgen", "idag.dot", "idag.terms", "idag.decomposition"]),
+        (["dot", dag], 0, [*unread, "idag.randgen", "idag.terms", "idag.decomposition"]),
+        (["random", "2", "2", "4", "0.5"], 0, [*unread, "idag.dot", "idag.decomposition", "idag.printer", "idag.jsonread"]),
     ]
     src = str(Path(idag.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    for argv, unused in cases:
+    for argv, status, unused in cases:
         code = (
             "import runpy, sys\n"
             "before = set(sys.modules)\n"
@@ -51,7 +67,34 @@ def test_eq_does_not_import_selftest():
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.splitlines()[-1] == "0 []", (argv[0], r.stdout)
+        assert r.stdout.splitlines()[-1] == f"{status} []", (argv[0], r.stdout)
+
+
+# stdout, stderr and exit code of `idag ARGS` for help and usage errors, as
+# the parser of every command printed them under Python GOLDEN["python"]
+GOLDEN = json.loads((Path(__file__).parent / "cli_help.json").read_text(encoding="utf-8"))
+
+
+def _outcome(capsys, call) -> tuple:
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda case: " ".join(case["argv"]) or "no command")
+def test_help_and_usage_are_the_full_parsers(case, capsys, monkeypatch):
+    """main builds only the named command's subparser; its help and errors
+    must be what the parser of every command prints. Help text differs
+    between Python versions, so the golden text is compared only under the
+    version it was written with, and the full parser on every version."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    got = _outcome(capsys, lambda: main(case["argv"]))
+    assert got == _outcome(capsys, lambda: build_parser().parse_args(case["argv"]))
+    if "%d.%d" % sys.version_info[:2] == GOLDEN["python"]:
+        assert got == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_eq_exit_codes(capsys):
@@ -206,7 +249,8 @@ def test_import_does_not_load_numpy():
 
 def test_decompose_huge_weight_evaluates_back():
     from idag.core import canonical_form
-    from idag.models import FreeIdagModel, MatrixModel, evaluate
+    from idag.matrices import MatrixModel
+    from idag.models import FreeIdagModel, evaluate
     from idag.terms import parse
     from idag.weights import NAT
 

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from helpers import run_capped
 from idag.jsonio import idag_to_obj
+from idag.printer import print_expression
 from idag.randgen import random_expression
 from idag.selftest import sample_composite_2_1, sample_dag_2_3, sample_dag_3_1
-from idag.terms import print_expression
 
 FUZZ_SEED = 20261018
 FUZZ_EXAMPLES = 32

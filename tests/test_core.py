@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refine_reference
+from idag.algebra import concat, from_permutation, identity, is_forest, juxt, make_idag, symmetry
+from idag.builders import ten_all
 from idag.canon import _Cells, _dense_ranks, _equitable, _refine
 from idag.core import (
     In,
@@ -14,15 +16,8 @@ from idag.core import (
     _adjacency,
     _invariant,
     canonical_form,
-    concat,
-    from_permutation,
-    identity,
-    is_forest,
     is_isomorphic,
-    juxt,
-    make_idag,
     prune_dangling,
-    symmetry,
     transitive_closure,
 )
 from idag.errors import (
@@ -39,7 +34,7 @@ from idag.errors import (
 from idag.models import FreeIdagModel, evaluate
 from idag.randgen import random_expression, random_idag
 from idag.selftest import _brute_force_iso, _scramble
-from idag.terms import Eps, Eta, Node, Seq, arity_of, ten_all
+from idag.terms import Eps, Eta, Node, Seq, arity_of
 from idag.weights import BOOL, INT, NAT
 
 

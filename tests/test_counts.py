@@ -13,9 +13,13 @@ import math
 
 import pytest
 
-from idag.core import In, NodeRef, Out, make_idag
-from idag.decomposition import count_topological_sortings, decompose, default_sorting, interpret
-from idag.models import MatrixModel, evaluate
+from idag.algebra import make_idag
+from idag.core import In, NodeRef, Out
+from idag.decomposition import decompose, default_sorting
+from idag.layers import interpret
+from idag.matrices import MatrixModel
+from idag.models import evaluate
+from idag.sortings import count_topological_sortings
 from idag.weights import NAT
 
 

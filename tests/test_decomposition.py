@@ -7,20 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idag.decomposition as decomposition
-from idag.core import Idag, In, NodeRef, Out, canonical_form, identity, is_isomorphic, make_idag
+from idag.algebra import identity, make_idag
+from idag.builders import seq_all
+from idag.core import Idag, In, NodeRef, Out, canonical_form, is_isomorphic
 from idag.decomposition import (
     TopSort,
-    count_topological_sortings,
     decompose,
     default_sorting,
-    encode_relation,
-    interpret,
     is_topological_sorting,
-    layer,
     permutation_expression,
-    sample_topological_sorting,
     topological_sortings,
-    transposition_identities,
 )
 from idag.errors import (
     AntipodeWeight,
@@ -33,9 +29,14 @@ from idag.errors import (
     NotBijective,
     SearchBudgetExceeded,
 )
-from idag.models import FreeIdagModel, LoopsModel, MatrixModel, evaluate, matrix, matrix_identity
+from idag.layers import encode_relation, interpret, layer, transposition_identities
+from idag.loops import LoopsModel
+from idag.matrices import MatrixModel, matrix, matrix_identity
+from idag.models import FreeIdagModel, evaluate
+from idag.printer import print_expression
 from idag.randgen import random_idag
-from idag.terms import Delta, Id, Nabla, Node, Seq, Sym, Ten, atoms, print_expression, seq_all
+from idag.sortings import MAX_DOWN_SETS, count_topological_sortings, sample_topological_sorting
+from idag.terms import Delta, Id, Nabla, Node, Seq, Sym, Ten, atoms
 from idag.weights import BOOL, INT, NAT
 
 import encode_reference
@@ -152,7 +153,7 @@ def test_counting_is_bounded():
     d = make_idag(0, 0, [f"n{k}" for k in range(60)], [])
     for run in (count_topological_sortings, lambda d: sample_topological_sorting(d, random.Random(0))):
         t0 = time.perf_counter()
-        with pytest.raises(SearchBudgetExceeded, match=f"60 nodes .* {decomposition.MAX_DOWN_SETS} down-sets"):
+        with pytest.raises(SearchBudgetExceeded, match=f"60 nodes .* {MAX_DOWN_SETS} down-sets"):
             run(d)
         assert time.perf_counter() - t0 < 2.0
 

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import idag.core as core
 import idag.equivalence as equivalence
+from idag.algebra import juxt
+from idag.builders import map_atoms
 from idag.cli import main
-from idag.core import _invariant, canonical_form, juxt, prune_dangling, transitive_closure
+from idag.core import _invariant, canonical_form, prune_dangling, transitive_closure
+from idag.decomposition import decompose, default_sorting
 from idag.equivalence import (
     NO_DANGLING,
     TRANSITIVE,
@@ -21,21 +24,10 @@ from idag.equivalence import (
 from idag.errors import ArityMismatch, IdagError, ModeMismatch, SearchBudgetExceeded, UnsupportedGenerator
 from idag.jsonio import idag_to_json
 from idag.models import FreeIdagModel, evaluate
+from idag.printer import print_expression
 from idag.randgen import random_expression, random_idag
-from idag.decomposition import decompose, default_sorting, sample_topological_sorting
-from idag.terms import (
-    Anti,
-    Delta,
-    Id,
-    Node,
-    Seq,
-    Ten,
-    arity_of,
-    map_atoms,
-    parse,
-    print_expression,
-    validate_for_mode,
-)
+from idag.sortings import sample_topological_sorting
+from idag.terms import Anti, Delta, Id, Node, Seq, Ten, arity_of, parse, validate_for_mode
 from helpers import consume_row
 from test_canon import _cfi, _dag_space, _interfaced_space
 from test_core import _crown

@@ -51,4 +51,4 @@ def test_public_names_are_not_modules():
     assert not {"models", "terms", "core"} & namespace.keys()
     # the package root imports lazily but still lists and reaches everything
     assert set(idag.__all__) <= set(dir(idag))
-    assert idag.decomposition.MAX_DOWN_SETS == 10**5
+    assert idag.sortings.MAX_DOWN_SETS == 10**5

@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 import random
 
-from idag.core import In, NodeRef, Out, make_idag
+from idag.algebra import make_idag
+from idag.core import In, NodeRef, Out
 from idag.errors import SchemaError
-from idag.jsonio import idag_from_json, idag_to_json, idag_to_obj
+from idag.jsonio import idag_to_json, idag_to_obj
+from idag.jsonread import idag_from_json
 from idag.randgen import random_idag
 from idag.weights import BOOL, INT, NAT
 

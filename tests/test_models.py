@@ -3,37 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import idag.models as models
-from idag.core import In, NodeRef, Out, is_isomorphic, make_idag, transitive_closure
+from idag.algebra import make_idag
+from idag.builders import seq_all
+from idag.core import In, NodeRef, Out, is_isomorphic, transitive_closure
 from idag.errors import InterfaceMismatch, InvalidWeight, ModeMismatch, UnsupportedGenerator
-from idag.models import (
-    FreeIdagModel,
-    LoopsModel,
-    MatrixModel,
-    evaluate,
-    free_generator_image,
-    loops_eval,
-    loops_identity,
-    matrix,
-    matrix_identity,
-    matrix_permutation,
-)
+from idag.loops import LoopsModel, LoopsMorphism, loops_eval, loops_identity
+from idag.matrices import MatrixModel, matrix, matrix_identity, matrix_permutation
+from idag.models import FreeIdagModel, evaluate, free_generator_image
 from idag.randgen import random_expression, random_matrix
-from idag.terms import (
-    Anti,
-    Delta,
-    Eps,
-    Eta,
-    Id,
-    Nabla,
-    Node,
-    Seq,
-    Sym,
-    Ten,
-    arity_of,
-    parse,
-    seq_all,
-)
+from idag.terms import Anti, Delta, Eps, Eta, Id, Nabla, Node, Seq, Sym, Ten, arity_of, parse
 from idag.weights import BOOL, INT, NAT
 
 
@@ -166,9 +144,9 @@ def test_matrix_rejects_anti_without_negatives():
 
 
 def test_loops_examples():
-    assert loops_eval(parse("node[x] ; node[y]")) == models.LoopsMorphism((0,), (("y", "x"),))
-    assert loops_eval(parse("sym(1,1)")) == models.LoopsMorphism((1, 0), ((), ()))
-    assert loops_eval(parse("(node[x] * id(1)) ; sym(1,1)")) == models.LoopsMorphism(
+    assert loops_eval(parse("node[x] ; node[y]")) == LoopsMorphism((0,), (("y", "x"),))
+    assert loops_eval(parse("sym(1,1)")) == LoopsMorphism((1, 0), ((), ()))
+    assert loops_eval(parse("(node[x] * id(1)) ; sym(1,1)")) == LoopsMorphism(
         (1, 0), (("x",), ())
     )
     assert loops_eval(Id(3)) == loops_identity(3)
@@ -181,8 +159,8 @@ def test_loops_rejects_structural_generators():
 
 
 def test_loops_composition_formula():
-    a = models.LoopsMorphism((1, 0), (("x",), ()))
-    b = models.LoopsMorphism((0, 1), (("u",), ("v",)))
+    a = LoopsMorphism((1, 0), (("x",), ()))
+    b = LoopsMorphism((0, 1), (("u",), ("v",)))
     c = a.then(b)
     assert c.perm == (1, 0)
     # wire 0 passes through a (word x, lands on 1), then picks up b's word at 1
@@ -369,7 +347,8 @@ def test_free_evaluation_drops_cancelled_edges():
 
 
 def test_generator_table_serves_parser_printer_and_models():
-    from idag.terms import _GENERATORS, print_expression
+    from idag.printer import print_expression
+    from idag.terms import _GENERATORS
 
     assert set(_GENERATORS) == {Eta, Nabla, Eps, Delta, Anti}
     for cls, (keyword, _, _) in _GENERATORS.items():

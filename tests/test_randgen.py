@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from idag.core import make_idag
+from idag.algebra import make_idag
 from idag.errors import BadEndpoint, IdagError
 from idag.models import FreeIdagModel, evaluate
 from idag.randgen import random_expression, random_idag, random_matrix

@@ -7,11 +7,15 @@ import pickle
 
 import pytest
 
-from idag.core import In, NodeRef, Out, identity, make_idag
-from idag.decomposition import TopSort, TranspositionReport
+from idag.algebra import identity, make_idag
+from idag.core import In, NodeRef, Out
+from idag.decomposition import TopSort
 from idag.equivalence import TRANSITIVE, EqReport, TheoryMode, equal_mod_theory
 from idag.errors import ModeMismatch
-from idag.models import FreeIdagModel, LoopsModel, LoopsMorphism, MatrixModel, matrix
+from idag.layers import TranspositionReport
+from idag.loops import LoopsModel, LoopsMorphism
+from idag.matrices import MatrixModel, matrix
+from idag.models import FreeIdagModel
 from idag.record import Record
 from idag.selftest import SuiteResult
 from idag.terms import parse

@@ -8,19 +8,17 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idag.core import DEFAULT_LABEL, MAX_WIDTH, from_permutation
+from idag.algebra import from_permutation
+from idag.builders import expand_symmetry, seq_all, ten_all
+from idag.core import DEFAULT_LABEL, MAX_WIDTH
 from idag.decomposition import decompose, default_sorting
 from idag.errors import ExprSyntaxError, IdagError, SizeLimitExceeded, TypeMismatch, UnsupportedGenerator
-from idag.models import FreeIdagModel, MatrixModel, evaluate
+from idag.matrices import MatrixModel
+from idag.models import FreeIdagModel, evaluate
+from idag.parse_errors import _line_column
+from idag.printer import _IDENT_RE, print_expression
 from idag.randgen import random_expression, random_idag
 from idag.terms import (
-    _GENERATORS,
-    _IDENT_RE,
-    _STRAY_RE,
-    _TOKEN_RE,
-    _line_column,
-    _path_to,
-    _wiring_width,
     Anti,
     Delta,
     Eps,
@@ -32,14 +30,15 @@ from idag.terms import (
     Seq,
     Sym,
     Ten,
+    _GENERATORS,
+    _STRAY_RE,
+    _TOKEN_RE,
+    _path_to,
+    _wiring_width,
     arity_of,
     atoms,
-    expand_symmetry,
     fold,
     parse,
-    print_expression,
-    seq_all,
-    ten_all,
     validate_for_mode,
 )
 from idag.weights import BOOL, INT, NAT

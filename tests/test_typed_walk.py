@@ -21,12 +21,15 @@ from hypothesis import given, settings, strategies as st
 import twopass_reference as ref
 from helpers import Forwarding
 from idag import equivalence, models, terms
+from idag.builders import map_atoms, seq_all
 from idag.core import Idag
 from idag.decomposition import decompose, default_sorting
 from idag.equivalence import TRANSITIVE, TheoryMode, equal_mod_theory, normalize
 from idag.errors import ArityMismatch, ExprSyntaxError, TypeMismatch, UnsupportedGenerator
 from idag.jsonio import idag_to_json
-from idag.models import FreeIdagModel, MatrixModel, MatrixMorphism, evaluate, matrix
+from idag.matrices import MatrixModel, MatrixMorphism, matrix
+from idag.models import FreeIdagModel, evaluate
+from idag.printer import print_expression
 from idag.randgen import random_expression, random_idag
 from idag.terms import (
     Anti,
@@ -41,10 +44,7 @@ from idag.terms import (
     Sym,
     Ten,
     atoms,
-    map_atoms,
     parse,
-    print_expression,
-    seq_all,
 )
 from idag.weights import BOOL, INT, NAT
 

@@ -9,32 +9,19 @@ import random
 import pytest
 
 import idag
+from idag.algebra import concat, from_permutation, identity, juxt, make_idag, symmetry
+from idag.builders import map_atoms, seq_all, ten_all
 from idag.core import (
     In,
     NodeRef,
     Out,
     canonical_form,
-    concat,
-    from_permutation,
-    identity,
     is_isomorphic,
-    juxt,
-    make_idag,
     prune_dangling,
-    symmetry,
     transitive_closure,
 )
-from idag.decomposition import (
-    count_topological_sortings,
-    decompose,
-    default_sorting,
-    encode_relation,
-    interpret,
-    layer,
-    permutation_expression,
-    sample_topological_sorting,
-    transposition_identities,
-)
+from idag.decomposition import decompose, default_sorting, permutation_expression
+from idag.dot import idag_to_dot
 from idag.equivalence import TRANSITIVE, TheoryMode, equal_mod_theory, normalize
 from idag.errors import (
     BadEndpoint,
@@ -46,33 +33,17 @@ from idag.errors import (
     UnsupportedGenerator,
     WrongArgumentType,
 )
-from idag.jsonio import idag_from_json, idag_to_json
-from idag.models import (
-    FreeIdagModel,
-    LoopsModel,
-    MatrixModel,
-    evaluate,
-    free_generator_image,
-    matrix,
-    matrix_identity,
-    matrix_permutation,
-)
-from idag.dot import idag_to_dot
+from idag.jsonio import idag_to_json
+from idag.jsonread import idag_from_json
+from idag.layers import encode_relation, interpret, layer, transposition_identities
+from idag.loops import LoopsModel, LoopsMorphism
+from idag.matrices import MatrixModel, matrix, matrix_identity, matrix_permutation
+from idag.models import FreeIdagModel, evaluate, free_generator_image
+from idag.printer import print_expression
 from idag.randgen import random_expression, random_idag, random_matrix
-from idag.terms import (
-    Id,
-    Node,
-    Seq,
-    Ten,
-    arity_of,
-    map_atoms,
-    parse,
-    print_expression,
-    seq_all,
-    ten_all,
-    validate_for_mode,
-)
-from idag.weights import BOOL, NAT
+from idag.sortings import count_topological_sortings, sample_topological_sorting
+from idag.terms import Id, Node, Seq, Ten, arity_of, parse, validate_for_mode
+from idag.weights import BOOL, INT, NAT
 
 
 @pytest.mark.parametrize(
@@ -248,11 +219,28 @@ def test_a_mode_keeps_its_sets_frozen():
         lambda: make_idag(1, 1, [], None),
         lambda: MatrixModel(NAT, 3),
         lambda: sample_topological_sorting(_two_free_nodes(), None),
+        # and so is every argument of a model's or a morphism's methods
+        lambda: MatrixModel().relation(None),
+        lambda: MatrixModel().compose(3, 4),
+        lambda: MatrixModel().tensor(3, 4),
+        lambda: MatrixModel().equal(matrix([[1]], NAT), 3),
+        lambda: LoopsModel().relation(3),
+        lambda: LoopsModel().compose(3, 4),
+        lambda: LoopsModel().tensor(3, 4),
+        lambda: FreeIdagModel().compose(3, 4),
+        lambda: FreeIdagModel().relation("x"),
+        lambda: matrix([[1]], NAT).then(3),
+        lambda: matrix([[1]], NAT).tensor(None),
+        lambda: LoopsMorphism((0,), ((),)).then(None),
+        lambda: LoopsMorphism((0,), ((),)).tensor(3),
     ],
 )
 def test_idag_and_model_arguments_must_be_idags_and_models(call):
     # a TypeError too, so callers that catch one still do
-    kinds = "Idag|Model|MatrixMorphism|Random|Sequence|WeightSystem|str|Callable|Iterable|Mapping"
+    kinds = (
+        "Idag|Model|MatrixMorphism|LoopsMorphism|Random|Sequence|WeightSystem|str|Callable|Iterable"
+        "|Mapping"
+    )
     pattern = rf"expected ({kinds}), not (int|NoneType|str)"
     with pytest.raises(WrongArgumentType, match=pattern) as info:
         call()
@@ -276,6 +264,24 @@ def test_validate_for_mode_rejects_what_is_not_an_atom(e):
 def test_an_empty_chain_is_out_of_range():
     with pytest.raises(IndexOutOfRange, match="seq_all of no parts"):
         seq_all([])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: seq_all("ab"), "unknown atom 'a'"),
+        (lambda: seq_all([Id(1), None]), "unknown atom None"),
+        (lambda: ten_all(["x"]), "unknown atom 'x'"),
+        (lambda: ten_all([Node("a"), 3, Id(1)]), "unknown atom 3"),
+        (lambda: ten_all([Id(2), Id(-1)]), r"id\(-1\)"),
+        (lambda: ten_all([Id(True)]), r"id\(True\)"),
+    ],
+)
+def test_chains_are_built_of_expressions(build, message):
+    # a part that is not an expression, or an id arity_of rejects, is
+    # rejected where the chain is built, as arity_of would reject it
+    with pytest.raises(UnsupportedGenerator, match=message):
+        build()
 
 
 # the wrong-typed values the fuzz below draws arguments from
@@ -321,3 +327,29 @@ def test_public_callables_raise_only_idag_errors_on_wrong_types():
                 except Exception as exc:
                     raise AssertionError(f"{name}{args!r} raised {exc!r}") from exc
     assert calls > 4000
+
+
+def test_model_and_morphism_methods_raise_only_idag_errors_on_wrong_types():
+    # every public method of each model and morphism class, at each arity
+    # its signature admits, on every tuple of pool values and morphisms of
+    # both kinds, which meet each other's methods too
+    morphisms = (matrix([[1, 2]], NAT), matrix([[-1]], INT), LoopsMorphism((1, 0), (("x",), ())))
+    pool = _POOL + morphisms
+    instances = (FreeIdagModel(NAT), MatrixModel(NAT), MatrixModel(INT, {"x": -2}), LoopsModel(), *morphisms)
+    calls = 0
+    for obj in instances:
+        for name, method in inspect.getmembers(obj, inspect.ismethod):
+            if name.startswith("_"):
+                continue
+            params = inspect.signature(method).parameters.values()
+            required = sum(p.default is p.empty for p in params)
+            for k in range(required, len(params) + 1):
+                for args in itertools.product(pool, repeat=k):
+                    calls += 1
+                    try:
+                        getattr(obj, name)(*args)
+                    except IdagError:
+                        pass
+                    except Exception as exc:
+                        raise AssertionError(f"{type(obj).__name__}.{name}{args!r} raised {exc!r}") from exc
+    assert calls > 1000

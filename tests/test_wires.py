@@ -10,19 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vertex_reference as ref
+from idag.algebra import concat, juxt, make_idag
 from idag.core import (
     In,
     NodeRef,
     Out,
     canonical_form,
-    concat,
     is_isomorphic,
-    juxt,
-    make_idag,
     prune_dangling,
     transitive_closure,
 )
-from idag.jsonio import idag_from_json, idag_to_json
+from idag.jsonio import idag_to_json
+from idag.jsonread import idag_from_json
 from idag.models import FreeIdagModel, _walk, evaluate
 from idag.randgen import random_expression, random_idag
 from idag.selftest import _scramble

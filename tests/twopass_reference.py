@@ -20,10 +20,11 @@ from typing import Optional
 from idag.core import canonical_form
 from idag.equivalence import _apply_quotients, _as_mode
 from idag.errors import ArityMismatch, ExprSyntaxError
-from idag.models import FreeIdagModel, MatrixModel
+from idag.matrices import MatrixModel
+from idag.models import FreeIdagModel
+from idag.parse_errors import _PUNCTUATION, _line_column
 from idag.terms import (
     _GENERATORS,
-    _PUNCTUATION,
     _STRAY_RE,
     Expression,
     Id,
@@ -32,7 +33,6 @@ from idag.terms import (
     Sym,
     Ten,
     _generator_image,
-    _line_column,
     arity_of,
     validate_for_mode,
 )

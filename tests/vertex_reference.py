@@ -12,15 +12,9 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from idag.algebra import _freshen
 from idag.canon import canonical_order
-from idag.core import (
-    CANONICAL_SEARCH_BUDGET,
-    DEFAULT_LABEL,
-    In,
-    NodeRef,
-    Out,
-    _freshen,
-)
+from idag.core import CANONICAL_SEARCH_BUDGET, DEFAULT_LABEL, In, NodeRef, Out
 from idag.errors import InterfaceMismatch, ModeMismatch
 
 
