@@ -35,6 +35,7 @@ from .errors import (
     ModeMismatch,
     NotBijective,
     SizeLimitExceeded,
+    _check_collection,
     _check_type,
     _int_text,
 )
@@ -64,13 +65,14 @@ def make_idag(
 
     Raises:
         WrongArgumentType (a mode that is not a WeightSystem, nodes or
-        edges that are not iterable), SizeLimitExceeded (an interface wider
-        than MAX_WIDTH), DuplicateNodeId, BadEndpoint (also for a node or
-        edge spec of another shape), InvalidWeight (ZeroWeight /
-        AntipodeWeight), CycleDetected.
+        edges that are not iterable, nodes given as one str),
+        SizeLimitExceeded (an interface wider than MAX_WIDTH),
+        DuplicateNodeId, BadEndpoint (also for a node or edge spec of
+        another shape), InvalidWeight (ZeroWeight / AntipodeWeight),
+        CycleDetected.
     """
     _check_type(mode, WeightSystem)
-    _check_type(nodes, Iterable)
+    _check_collection(nodes, Iterable)
     _check_type(edges, Iterable)
     _check_widths("interface width", n_in, n_out)
     node_seq: list[tuple[str, str]] = []

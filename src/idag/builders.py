@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .errors import IndexOutOfRange, UnsupportedGenerator, _check_type
-from .terms import Expression, Id, Seq, Sym, Ten, _wiring_width, fold
+from .terms import Expression, Id, Seq, Sym, Ten, fold
 
 
 def _expression(p: object) -> Expression:
@@ -36,14 +36,13 @@ def ten_all(parts: Sequence[Expression]) -> Expression:
     """Left-associated tensor chain, collapsing adjacent identities: a run
     of identities becomes one id of their total width, a zero total leaves
     none, and no parts left give id(0). Raises UnsupportedGenerator, as
-    arity_of does, on a part that is not an expression and on an id whose
-    width is not a non-negative int."""
+    arity_of does, on a part that is not an expression."""
     _check_type(parts, Sequence)
     e: Optional[Expression] = None
     wires = 0  # width of the identities since the last other part
     for p in parts:
         if isinstance(p, Id):
-            wires += _wiring_width(p)
+            wires += p.n
             continue
         _expression(p)
         if wires:
@@ -67,8 +66,9 @@ def map_atoms(e: Expression, fn: Callable[[Expression], Expression]) -> Expressi
 
 
 def expand_symmetry(n: int, m: int) -> Expression:
-    """Sym(n, m) written with only sym(1,1), identities, ; and *."""
-    _wiring_width(Sym(n, m))
+    """Sym(n, m) written with only sym(1,1), identities, ; and *; raises as
+    Sym(n, m) does on widths that are not non-negative ints."""
+    Sym(n, m)
     if n == 0 or m == 0:
         return Id(n + m)
 

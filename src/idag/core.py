@@ -25,7 +25,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
 
-from .errors import ModeMismatch, _check_type
+from .errors import ModeMismatch, WrongArgumentType, _check_type
 from .record import Frozen
 from .weights import BOOL, WeightSystem
 
@@ -326,9 +326,13 @@ def canonical_form(d: Idag, budget: int = CANONICAL_SEARCH_BUDGET) -> Idag:
     Nodes are renamed "0".."N-1"; two idags are isomorphic iff their canonical
     forms are equal. Nodes start in cells of equal (label, interface edges)
     and are ordered by canon.canonical_order, whose search counts each tree
-    node against the budget (SearchBudgetExceeded beyond).
+    node against the budget (SearchBudgetExceeded beyond). Raises
+    WrongArgumentType unless d is an Idag and budget an int (a bool is not
+    one).
     """
     _check_type(d, Idag)
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise WrongArgumentType(f"expected int, not {type(budget).__name__}")
     (labels, wires), _ = _labelling(d, budget)
     nodes = tuple((str(k), lbl) for k, lbl in enumerate(labels))
     return Idag(d.weights, d.n_in, d.n_out, nodes, wires)

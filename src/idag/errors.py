@@ -123,6 +123,14 @@ def _check_type(value: object, cls: type) -> None:
         raise WrongArgumentType(f"expected {cls.__name__}, not {type(value).__name__}")
 
 
+def _check_collection(value: object, cls: type) -> None:
+    """_check_type(value, cls), refusing a str too: a str is one label or
+    id, not a collection of them."""
+    if isinstance(value, str):
+        raise WrongArgumentType(f"expected {cls.__name__} other than str, not str")
+    _check_type(value, cls)
+
+
 class UnsupportedGenerator(IdagError):
     """The chosen model has no image for a generator in the expression."""
 

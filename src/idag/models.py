@@ -16,7 +16,8 @@ its path sums. The free images of the node-free generators are defined once,
 in terms._GENERATORS, so a generator's matrix image too is the path sum of
 its free image. evaluate() builds e's image by one walk that touches only
 the wires each atom consumes and type-checks e as it goes, so a well-typed e
-is walked once; the walk dispatches on each term's class and reads the
+is walked once; the walk dispatches on each term's class, reads each atom's
+fields as they are (atoms check them when built, see terms), and reads the
 generator images from that table on each call, running copy-, merge-, unit-
 and discard-shaped ones inline; layers.interpret() takes d's own wires along
 the sorting. The models walked natively are the keys of _NATIVE, which the
@@ -43,6 +44,7 @@ from .terms import (
     Seq,
     Sym,
     Ten,
+    _as_base,
     _atom_arity,
     _generator_image,
     _interprets,
@@ -249,9 +251,9 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
     runs inline: a copy inserts its input's wire once more, a merge sums its
     two wires by one weighted_sum, a unit inserts an empty wire and a
     discard deletes its wire. A crossing of one wire over m moves that wire
-    by one pop and one insert. A subclass of Seq, Ten, Id or Sym is
-    read as its base class, as isinstance would; a Node subclass is
-    ill-typed, and anti outside int mode raises through _generator_image.
+    by one pop and one insert. Any other class is read through
+    terms._as_base, and anti outside int mode raises through
+    _generator_image.
 
     Typing is checked with no width arithmetic. No atom may read past the
     wire list, and a well-typed `then` consumes exactly the outputs of its
@@ -303,16 +305,13 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
                 stack += (_CLOSE_THEN, x.then, at, _THEN)
                 x = x.first
             elif kind is Id:
-                n = x.n
-                if type(n) is not int or n < 0 or at + n > len(wires):
+                end = at + x.n
+                if end > len(wires):
                     raise _IllTyped
-                end = at + n
                 break
             elif kind is Sym:
-                n, m = x.n, x.m
-                if type(n) is not int or type(m) is not int or n < 0 or m < 0:
-                    raise _IllTyped
-                mid, end = at + n, at + n + m
+                n = x.n
+                mid, end = at + n, at + n + x.m
                 if end > len(wires):
                     raise _IllTyped
                 if n == 1:
@@ -349,33 +348,15 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
                 end = at + len(outs)
                 break
             elif kind is Node:
-                if not isinstance(x.label, str):
-                    raise _IllTyped
                 ins.append(wires[at])
                 wires[at] = {n_in + len(labels): 1}
                 labels.append(x.label)
                 end = at + 1
                 break
             else:
-                x = _as_base(x, mode)
+                if kind in terms._GENERATORS:
+                    _generator_image(x, mode)  # raises on anti outside int mode
+                x = _as_base(x)
     return n_in, labels, ins + wires
-
-
-def _as_base(x: Expression, mode: WeightSystem) -> Expression:
-    """x, of a class _walk does not dispatch on, rebuilt as the base class
-    isinstance finds for it: Seq, Ten, Id or Sym. Raises on anything else:
-    _IllTyped on a Node subclass, _generator_image's error on any other
-    atom (an unknown one, a generator subclass, anti outside int mode)."""
-    if isinstance(x, Seq):
-        return Seq(x.first, x.then)
-    if isinstance(x, Ten):
-        return Ten(x.left, x.right)
-    if isinstance(x, Id):
-        return Id(x.n)
-    if isinstance(x, Sym):
-        return Sym(x.n, x.m)
-    if not isinstance(x, Node):
-        _generator_image(x, mode)
-    raise _IllTyped
 
 

@@ -1,7 +1,8 @@
 """Printing expressions in their concrete syntax (see terms).
 
 print_expression writes the text that terms.parse reads back to an equal
-expression, with minimal parentheses.
+expression, with minimal parentheses. Atoms check their fields when
+built, so it refuses only what the syntax cannot write.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import re
 
 from .core import DEFAULT_LABEL, MAX_WIDTH
 from .errors import SizeLimitExceeded, UnsupportedGenerator
-from .terms import _GENERATORS, _LABEL, Expression, Id, Node, Seq, Sym, Ten, _wiring_width
+from .terms import _GENERATORS, _LABEL, Expression, Id, Node, Seq, Sym, Ten, _as_base, _atom_arity
 
 
 # the whole of a printable label: \Z, unlike $, matches no final newline
@@ -34,10 +35,11 @@ def print_expression(e: Expression) -> str:
 
     Each piece is dispatched on its exact class. An atom's text is made
     once per object and kept by identity, so an atom shared across e is
-    checked and spelled once. A subclass of Seq or Ten sends the whole of
-    e through map_atoms first, which rebuilds its composites as the base
-    classes; _atom_text reads an Id or Sym subclass as its base class. A
-    str in e is an unknown atom: punctuation on the stack is a _Text."""
+    spelled once. A subclass of Seq or Ten sends the whole of e through
+    map_atoms first, which rebuilds its composites as the base classes;
+    _atom_text reads any other class that is none of the eleven through
+    terms._as_base. A str in e is an unknown atom: punctuation on the stack
+    is a _Text."""
     out: list[str] = []
     stack: list = [e]
     texts: dict[int, str] = {}  # id(atom) -> its text; e keeps each atom alive
@@ -80,20 +82,20 @@ def print_expression(e: Expression) -> str:
 def _atom_text(a: Expression) -> str:
     """The concrete syntax of an atom; raises UnsupportedGenerator on one
     with no syntax, and SizeLimitExceeded on a width too long to write."""
-    if isinstance(a, (Id, Sym)):
-        width = _wiring_width(a)  # no syntax for other widths
+    kind = type(a)
+    if kind is Id or kind is Sym:
         try:
-            return f"id({a.n})" if isinstance(a, Id) else f"sym({a.n},{a.m})"
+            return f"id({a.n})" if kind is Id else f"sym({a.n},{a.m})"
         except ValueError:  # more digits than str() writes
-            raise SizeLimitExceeded("width", width, MAX_WIDTH) from None
-    if type(a) in _GENERATORS:
-        return _GENERATORS[type(a)][0]
-    if isinstance(a, Node):
+            raise SizeLimitExceeded("width", _atom_arity(a)[0], MAX_WIDTH) from None
+    if kind in _GENERATORS:
+        return _GENERATORS[kind][0]
+    if kind is Node:
         if a.label == DEFAULT_LABEL:
             return "node"
-        if isinstance(a.label, str) and _IDENT_RE.match(a.label):
+        if _IDENT_RE.match(a.label):
             return f"node[{a.label}]"
         raise UnsupportedGenerator(
             f"label {a.label!r} has no expression syntax; use identifier or number labels"
         )
-    raise UnsupportedGenerator(f"unknown atom {a!r}")
+    return _atom_text(_as_base(a))

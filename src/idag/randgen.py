@@ -9,11 +9,12 @@ builders.
 from __future__ import annotations
 
 import random
+from collections.abc import Collection
 from typing import TYPE_CHECKING, Sequence
 
 from .algebra import _check_widths, make_idag
 from .core import DEFAULT_LABEL, Idag, In, NodeRef, Out, Vertex
-from .errors import IdagError, _check_type
+from .errors import IdagError, _check_collection, _check_type
 from .terms import (
     Anti,
     Delta,
@@ -66,9 +67,11 @@ def random_idag(
     IdagError unless edge_prob is a number in [0, 1] and labels is not
     empty, BadEndpoint unless the widths and node count are non-negative
     ints, SizeLimitExceeded when one is past MAX_WIDTH, and
-    WrongArgumentType unless rng is a random.Random."""
+    WrongArgumentType unless rng is a random.Random and labels a collection
+    other than a str."""
     _check_type(rng, random.Random)
     _check_probability("edge_prob", edge_prob)
+    _check_collection(labels, Collection)
     if not labels:
         raise IdagError("no node labels to draw from")
     _check_widths("node count", n_nodes)
@@ -149,8 +152,10 @@ def random_expression(
     Raises IdagError when labels is empty, or when max_depth or max_width
     is not a non-negative int (a bool is not one) or max_depth exceeds
     MAX_EXPRESSION_DEPTH: generation recurses once per level, and
-    WrongArgumentType unless rng is a random.Random."""
+    WrongArgumentType unless rng is a random.Random and labels a collection
+    other than a str."""
     _check_type(rng, random.Random)
+    _check_collection(labels, Collection)
     if not labels:
         raise IdagError("no node labels to draw from")
     for what, value in (("max_depth", max_depth), ("max_width", max_width)):

@@ -36,6 +36,12 @@ checking, printing, evaluation) are iterative, so deeply parenthesized
 text and the deeply chained composites produced by decomposition do not
 hit the interpreter recursion limit.
 
+Atoms check their own fields when built (UnsupportedGenerator unless a
+width is a non-negative int, a bool not counting, and a label a str), so
+walks read them unchecked; MAX_WIDTH is left to parse and the models'
+walk. _as_base alone reads a class that is none of the eleven. An atom
+made without its __init__ (object.__new__) is outside this contract.
+
 Typing is checked while an expression is built: parse compares widths at
 each ";" as it reads, and the models' walk (models._walk) checks each
 composite as it runs. arity_of walks an expression on its own only to name
@@ -45,6 +51,7 @@ the error of an ill-typed one, or for models without a native walk.
 from __future__ import annotations
 
 import re
+from collections.abc import Collection
 from typing import Callable, Iterator, Optional, TypeVar
 
 from .core import DEFAULT_LABEL, MAX_WIDTH
@@ -53,6 +60,7 @@ from .errors import (
     SizeLimitExceeded,
     TypeMismatch,
     UnsupportedGenerator,
+    _check_collection,
     _check_type,
     _int_text,
 )
@@ -133,13 +141,14 @@ def _atom_fields(a: "Expression") -> tuple:
 
 
 def _atom_repr(a: "Expression") -> str:
+    name = type(a).__name__
     if isinstance(a, Node):
-        return f"Node(label={a.label!r})"
+        return f"{name}(label={a.label!r})"
     if isinstance(a, Id):
-        return f"Id(n={a.n})"
+        return f"{name}(n={a.n})"
     if isinstance(a, Sym):
-        return f"Sym(n={a.n}, m={a.m})"
-    return f"{type(a).__name__}()"
+        return f"{name}(n={a.n}, m={a.m})"
+    return f"{name}()"
 
 
 class Eta(Expression):
@@ -167,11 +176,13 @@ class Delta(Expression):
 
 
 class Node(Expression):
-    """Labelled box on one wire: 1 -> 1."""
+    """Labelled box on one wire: 1 -> 1; the label is a str."""
 
     __slots__ = ("label",)
 
     def __init__(self, label: str = DEFAULT_LABEL) -> None:
+        if not isinstance(label, str):
+            raise UnsupportedGenerator(f"node label {label!r} is not a string")
         object.__setattr__(self, "label", label)
 
 
@@ -183,20 +194,24 @@ class Anti(Expression):
 
 
 class Id(Expression):
-    """n parallel wires: n -> n."""
+    """n parallel wires: n -> n, for an int n >= 0."""
 
     __slots__ = ("n",)
 
     def __init__(self, n: int) -> None:
+        if type(n) is not int or n < 0:
+            raise UnsupportedGenerator(f"id({_int_text(n)})")
         object.__setattr__(self, "n", n)
 
 
 class Sym(Expression):
-    """Block crossing: n + m -> m + n."""
+    """Block crossing: n + m -> m + n, for ints n, m >= 0."""
 
     __slots__ = ("n", "m")
 
     def __init__(self, n: int, m: int) -> None:
+        if type(n) is not int or type(m) is not int or n < 0 or m < 0:
+            raise UnsupportedGenerator(f"sym({_int_text(n)},{_int_text(m)})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
 
@@ -317,11 +332,10 @@ _GENERATOR_ARITY = {cls: (n_in, len(outs)) for cls, (_, n_in, outs) in _GENERATO
 
 
 def arity_of(e: Expression) -> tuple[int, int]:
-    """(inputs, outputs) of e; raises UnsupportedGenerator on an id or sym
-    whose widths are not non-negative ints or a node whose label is not a
-    str, and TypeMismatch at the first ill-typed sequential composite
-    (leftmost-innermost), naming its position by an attribute path from the
-    root.
+    """(inputs, outputs) of e; raises UnsupportedGenerator on what is not
+    an atom (see _as_base), and TypeMismatch at the first ill-typed
+    sequential composite (leftmost-innermost), naming its position by an
+    attribute path from the root.
 
     One post-order walk over an explicit stack. The inputs and outputs of
     finished subterms sit in one flat list, two entries each; a composite
@@ -346,9 +360,9 @@ def arity_of(e: Expression) -> tuple[int, int]:
             stack += (x, _SEQ_DONE, x.then, x.first)
         elif isinstance(x, Ten):
             stack += (_TEN_DONE, x.right, x.left)
-        elif type(x) is Id and type(x.n) is int and x.n >= 0:
+        elif type(x) is Id:
             widths += (x.n, x.n)
-        elif type(x) is Node and type(x.label) is str:
+        elif type(x) is Node:
             widths += (1, 1)
         else:
             widths += _GENERATOR_ARITY.get(type(x)) or _atom_arity(x)
@@ -356,32 +370,34 @@ def arity_of(e: Expression) -> tuple[int, int]:
 
 
 def _atom_arity(a: Expression) -> tuple[int, int]:
-    """(inputs, outputs) of an atom; raises UnsupportedGenerator on an
-    atom arity_of rejects."""
-    if isinstance(a, (Id, Sym)):
-        width = _wiring_width(a)
-        return (width, width)
-    if isinstance(a, Node) and not isinstance(a.label, str):
-        raise UnsupportedGenerator(f"node label {a.label!r} is not a string")
-    if type(a) is Node:
+    """(inputs, outputs) of an atom; raises UnsupportedGenerator on what is
+    not one."""
+    kind = type(a)
+    if kind is Id:
+        return (a.n, a.n)
+    if kind is Sym:
+        return (a.n + a.m, a.n + a.m)
+    if kind is Node:
         return (1, 1)
-    if type(a) not in _GENERATORS:
-        raise UnsupportedGenerator(f"unknown atom {a!r}")
-    return _GENERATOR_ARITY[type(a)]
+    if kind in _GENERATOR_ARITY:
+        return _GENERATOR_ARITY[kind]
+    return _atom_arity(_as_base(a))
 
 
-def _wiring_width(a: Id | Sym) -> int:
-    """The wires an id or sym spans; raises UnsupportedGenerator unless its
-    widths are non-negative ints (a bool is not one)."""
-    if isinstance(a, Id):
-        n, m = a.n, 0
-    else:
-        n, m = a.n, a.m
-    if type(n) is not int or type(m) is not int or n < 0 or m < 0:
-        raise UnsupportedGenerator(
-            f"id({_int_text(n)})" if isinstance(a, Id) else f"sym({_int_text(n)},{_int_text(m)})"
-        )
-    return n + m
+def _as_base(x: object) -> Expression:
+    """x, of a class that is none of the eleven expression classes, rebuilt
+    by the constructor of its base class Seq, Ten, Id or Sym, which checks
+    its fields; UnsupportedGenerator on anything else, as a Node or
+    generator subclass or what is not an expression."""
+    if isinstance(x, Seq):
+        return Seq(x.first, x.then)
+    if isinstance(x, Ten):
+        return Ten(x.left, x.right)
+    if isinstance(x, Id):
+        return Id(x.n)
+    if isinstance(x, Sym):
+        return Sym(x.n, x.m)
+    raise UnsupportedGenerator(f"unknown atom {x!r}")
 
 
 def _path_to(root: Expression, target: Expression) -> str:
@@ -412,18 +428,21 @@ def _path_to(root: Expression, target: Expression) -> str:
 def validate_for_mode(e: Expression, mode: WeightSystem, labels=None) -> None:
     """Reject generators the mode cannot interpret: anti outside int mode,
     and labels outside the configured label set if one is given; and, as
-    arity_of does, anything that is not an atom."""
+    arity_of does, anything that is not an atom. Raises WrongArgumentType
+    unless mode is a WeightSystem and labels is None or a collection other
+    than a str."""
     _check_type(mode, WeightSystem)
+    if labels is not None:
+        _check_collection(labels, Collection)
     for a in atoms(e):
-        if type(a) in _GENERATORS:
-            _generator_image(a, mode)
-        elif not isinstance(a, (Id, Sym, Node)):
-            raise UnsupportedGenerator(f"unknown atom {a!r}")
-        if labels is not None and isinstance(a, Node):
-            if not isinstance(a.label, str):
-                _atom_arity(a)  # raises arity_of's error, as a label may not hash
-            if a.label not in labels:
+        kind = type(a)
+        if kind is Node:
+            if labels is not None and a.label not in labels:
                 raise UnsupportedGenerator(f"label {a.label!r} not in the label set")
+        elif kind in _GENERATORS:
+            _generator_image(a, mode)
+        elif kind is not Id and kind is not Sym:
+            _as_base(a)
 
 
 # ---------------------------------------------------------------------------

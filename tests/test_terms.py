@@ -12,6 +12,7 @@ from idag.algebra import from_permutation
 from idag.builders import expand_symmetry, seq_all, ten_all
 from idag.core import DEFAULT_LABEL, MAX_WIDTH
 from idag.decomposition import decompose, default_sorting
+from idag.equivalence import normalize
 from idag.errors import ExprSyntaxError, IdagError, SizeLimitExceeded, TypeMismatch, UnsupportedGenerator
 from idag.matrices import MatrixModel
 from idag.models import FreeIdagModel, evaluate
@@ -34,7 +35,6 @@ from idag.terms import (
     _STRAY_RE,
     _TOKEN_RE,
     _path_to,
-    _wiring_width,
     arity_of,
     atoms,
     fold,
@@ -145,18 +145,28 @@ def test_equal_atoms_share_one_instance():
 
 
 @pytest.mark.parametrize(
-    "wiring", [Id(-1), Id(True), Id(1.5), Id("2"), Sym(-1, 1), Sym(1.5, 0), Sym(1, False), Sym(0, None)]
+    "wiring",
+    [
+        (Id, (-1,), "id(-1)"),
+        (Id, (True,), "id(True)"),
+        (Id, (1.5,), "id(1.5)"),
+        (Id, ("2",), "id(2)"),
+        (Sym, (-1, 1), "sym(-1,1)"),
+        (Sym, (1.5, 0), "sym(1.5,0)"),
+        (Sym, (1, False), "sym(1,False)"),
+        (Sym, (0, None), "sym(0,None)"),
+        (Id, (1.0,), "id(1.0)"),
+    ],
 )
 def test_wiring_widths_must_be_non_negative_ints(wiring):
-    for e in (wiring, Ten(Id(1), Seq(wiring, wiring))):
-        with pytest.raises(UnsupportedGenerator):
-            arity_of(e)
-        with pytest.raises(UnsupportedGenerator):
-            print_expression(e)
-        for model in (FreeIdagModel(), MatrixModel()):
-            with pytest.raises(UnsupportedGenerator):
-                evaluate(e, model)
-    with pytest.raises(UnsupportedGenerator):
+    # an id or sym checks its widths when built, so no walk meets a bad one;
+    # a subclass is built through the same constructor
+    cls, args, message = wiring
+    for build in (cls, type("Sub", (cls,), {"__slots__": ()})):
+        with pytest.raises(UnsupportedGenerator) as info:
+            build(*args)
+        assert str(info.value) == message
+    with pytest.raises(UnsupportedGenerator, match=r"^sym\(-1,2\)$"):
         expand_symmetry(-1, 2)
 
 
@@ -473,24 +483,27 @@ def _ref_parse(text: str) -> Expression:
     if parser.pos != len(tokens):
         parser.fail(f"trailing input {parser.peek()!r}")
     arity_of(e)
-    widest = max((_wiring_width(a) for a in atoms(e) if isinstance(a, (Id, Sym))), default=0)
+    widest = max((_width(a) for a in atoms(e) if isinstance(a, (Id, Sym))), default=0)
     if widest > MAX_WIDTH:
         raise SizeLimitExceeded("width", widest, MAX_WIDTH)
     return e
+
+
+def _width(a: Id | Sym) -> int:
+    return a.n if isinstance(a, Id) else a.n + a.m
 
 
 def _ref_print(e: Expression) -> str:
     def atom(a: Expression) -> tuple[str, int]:
         # levels: 0 atom, 1 tensor chain, 2 seq chain
         if isinstance(a, (Id, Sym)):
-            _wiring_width(a)
             return (f"id({a.n})" if isinstance(a, Id) else f"sym({a.n},{a.m})", 0)
         if type(a) in _GENERATORS:
             return (_GENERATORS[type(a)][0], 0)
-        if isinstance(a, Node):
+        if type(a) is Node:
             if a.label == DEFAULT_LABEL:
                 return ("node", 0)
-            if not isinstance(a.label, str) or not _IDENT_RE.match(a.label):
+            if not _IDENT_RE.match(a.label):
                 raise UnsupportedGenerator(
                     f"label {a.label!r} has no expression syntax; use identifier or number labels"
                 )
@@ -575,7 +588,7 @@ def test_print_raises_at_the_first_unprintable_atom_as_before():
     class Box(Expression):
         __slots__ = ()
 
-    bad = [Node("two words"), Node(5), Id(-1), Sym(1, True), Box()]
+    bad = [Node("two words"), Box()]
     rng = random.Random(3)
     for _ in range(200):
         parts = [random_expression(rng, max_depth=3) for _ in range(4)]
@@ -631,10 +644,7 @@ def test_expression_nodes_are_slotted_and_immutable(e, text):
 def _ref_arity_of(e: Expression) -> tuple[int, int]:
     def atom(a):
         if isinstance(a, (Id, Sym)):
-            width = _wiring_width(a)
-            return (width, width)
-        if isinstance(a, Node) and not isinstance(a.label, str):
-            raise UnsupportedGenerator(f"node label {a.label!r} is not a string")
+            return (_width(a), _width(a))
         if type(a) is Node:
             return (1, 1)
         if type(a) not in _GENERATORS:
@@ -667,7 +677,7 @@ def test_arity_of_matches_the_reference_fold():
         __slots__ = ()
 
     odd = [Node(_Label("x")), _WideId(2), _SubSeq(Delta(), Nabla()), Id(0), Sym(0, 2)]
-    bad = [Node(5), Id(-1), Id(True), Sym(1, True), Sym(-1, 1), Box()]
+    bad = [Box()]
     rng = random.Random(11)
     well_typed = [random_expression(rng, max_depth=rng.randint(1, 8), allow_anti=True) for _ in range(300)]
     for n in (8, 64):
@@ -685,6 +695,27 @@ def test_arity_of_matches_the_reference_fold():
         assert _outcome(arity_of, e) == want
         outcomes.add(want[0] if isinstance(want, tuple) else str)
     assert outcomes == {str, TypeMismatch, UnsupportedGenerator}
+
+
+class _SubNode(Node):
+    __slots__ = ()
+
+
+def test_a_node_subclass_is_an_unknown_atom():
+    # a Node subclass has no base class to be read as: every reader of an
+    # expression rejects it, as arity_of does
+    e = _SubNode("a")
+    for read in (
+        print_expression,
+        arity_of,
+        lambda e: validate_for_mode(e, BOOL),
+        lambda e: evaluate(e, FreeIdagModel()),
+        lambda e: evaluate(e, MatrixModel()),
+        lambda e: normalize(e, BOOL),
+    ):
+        for x in (e, Seq(Id(1), Ten(Id(0), e))):
+            with pytest.raises(UnsupportedGenerator, match=r"^unknown atom _SubNode\(label='a'\)$"):
+                read(x)
 
 
 def test_print_reads_subclasses_as_their_base_class():

@@ -2,8 +2,9 @@
 equal_mod_theory type-check an expression in the pass that builds it. These
 tests play them against twopass_reference.py, where arity_of checked each
 expression first: the same results, and the same error type and message, on
-well- and ill-typed ASTs, printed and mutated texts, bad widths, non-str
-labels, anti outside int mode, closed label sets and unequal interfaces.
+well- and ill-typed ASTs, printed and mutated texts, terms that are not
+atoms, anti outside int mode, closed label sets and unequal interfaces.
+(Bad widths and non-str labels are refused where an atom is built.)
 The drawn expressions include decompositions, whose atoms are shared, and
 (delta ; nabla)^k chains, which run the walk's generator images, and a
 fixed corpus of deep left spines, odd or bad terms at a spine's bottom and
@@ -65,9 +66,15 @@ class _Box(Expression):
     __slots__ = ()
 
 
+class _SubNode(Node):
+    __slots__ = ()
+
+
 _SWAPS = [Delta(), Nabla(), Eta(), Eps(), Anti(), Node("x"), Node("zz"), Id(2), Sym(1, 1), Id(0)]
 _ODD = [Node(_Label("x")), _WideId(2), _SubSeq(Delta(), Nabla()), Sym(0, 2)]
-_BAD = [Node(5), Id(-1), Id(True), Id(1.0), Sym(1, True), Sym(-1, 1), _Box(), Node(_Box())]
+# terms that are not atoms; an atom with a bad width or label is not built
+# (test_terms and test_validation check that its constructor raises)
+_BAD = [_Box(), _SubNode("x")]
 _MODES = [
     TheoryMode(BOOL),
     TheoryMode(NAT),

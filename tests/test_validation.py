@@ -5,6 +5,7 @@ bool is not one), permutation entries too, and node labels strings."""
 import inspect
 import itertools
 import random
+import re
 
 import pytest
 
@@ -39,7 +40,6 @@ from idag.layers import encode_relation, interpret, layer, transposition_identit
 from idag.loops import LoopsModel, LoopsMorphism
 from idag.matrices import MatrixModel, matrix, matrix_identity, matrix_permutation
 from idag.models import FreeIdagModel, evaluate, free_generator_image
-from idag.printer import print_expression
 from idag.randgen import random_expression, random_idag, random_matrix
 from idag.sortings import count_topological_sortings, sample_topological_sorting
 from idag.terms import Id, Node, Seq, Ten, arity_of, parse, validate_for_mode
@@ -102,19 +102,11 @@ def test_permutation_entries_must_be_ints(build):
         build()
 
 
-@pytest.mark.parametrize("label", [5, None, b"x", ("x",), ["x"]])
+@pytest.mark.parametrize("label", [5, None, b"x", ("x",), ["x"], Id(1)])
 def test_node_labels_must_be_strings(label):
-    for e in (Node(label), Ten(Id(1), Seq(Node("x"), Node(label)))):
-        with pytest.raises(UnsupportedGenerator):
-            arity_of(e)
-        with pytest.raises(UnsupportedGenerator):
-            print_expression(e)
-        for model in (FreeIdagModel(), MatrixModel()):
-            with pytest.raises(UnsupportedGenerator):
-                evaluate(e, model)
-        # a closed label set is checked first, and a list label does not hash
-        with pytest.raises(UnsupportedGenerator, match="is not a string$"):
-            normalize(e, TheoryMode(NAT, frozenset(), frozenset({"x"})))
+    # a node checks its label where it is built, so no walk meets a bad one
+    with pytest.raises(UnsupportedGenerator, match=rf"^node label {re.escape(repr(label))} is not a string$"):
+        Node(label)
 
 
 @pytest.mark.parametrize("model", [FreeIdagModel(), MatrixModel(), LoopsModel()], ids=lambda m: type(m).__name__)
@@ -252,6 +244,46 @@ def test_json_text_of_the_wrong_type_is_a_schema_error():
         idag_from_json(3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_idag(1, 1, "ab", []),
+        lambda: random_idag(random.Random(1), 1, 1, 3, 0.5, labels="xy"),
+        lambda: random_expression(random.Random(1), 2, labels="pq"),
+        lambda: validate_for_mode(parse("node[x]"), BOOL, "x"),
+    ],
+    ids=["make_idag nodes", "random_idag labels", "random_expression labels", "validate_for_mode labels"],
+)
+def test_a_str_is_not_a_collection_of_ids_or_labels(call):
+    # "ab" would otherwise be read as the ids or labels "a" and "b"
+    with pytest.raises(WrongArgumentType, match="^expected (Iterable|Collection) other than str, not str$"):
+        call()
+
+
+@pytest.mark.parametrize("labels", [5, 1.5, True])
+def test_validate_for_mode_takes_a_collection_of_labels(labels):
+    for e in (Id(1), parse("node[x] ; delta ; nabla")):
+        with pytest.raises(WrongArgumentType, match=rf"^expected Collection, not {type(labels).__name__}$"):
+            validate_for_mode(e, BOOL, labels)
+    validate_for_mode(parse("node[x] ; delta ; nabla"), BOOL, ["x"])
+
+
+def _crown():
+    # a_i -> b_j for i != j: symmetric enough that canonical_form searches
+    ids = [f"{side}{i}" for side in "ab" for i in range(3)]
+    edges = [(NodeRef(f"a{i}"), NodeRef(f"b{j}")) for i in range(3) for j in range(3) if i != j]
+    return make_idag(0, 0, ids, edges)
+
+
+@pytest.mark.parametrize("budget", ["x", None, 1.5, True, TheoryMode(NAT)])
+def test_canonical_form_takes_an_int_budget(budget):
+    # checked where it enters, whether or not a search runs
+    for d in (_crown(), identity(1)):
+        with pytest.raises(WrongArgumentType, match=rf"^expected int, not {type(budget).__name__}$"):
+            canonical_form(d, budget)
+    assert canonical_form(_crown(), 10**3) == canonical_form(_crown())
+
+
 @pytest.mark.parametrize("e", [3, "x", None, Seq(Id(1), "x"), Ten(Node("a"), 1.5)])
 def test_validate_for_mode_rejects_what_is_not_an_atom(e):
     # as arity_of does, rather than passing it on in silence
@@ -295,13 +327,15 @@ _POOL = (
     make_idag(1, 1, [("p", "x")], [(In(0), NodeRef("p")), (NodeRef("p"), Out(0))], NAT),
     parse("delta ; nabla"),
     TheoryMode(NAT),
+    _crown(),
+    parse("node[x] ; delta ; nabla"),
 )
 
 
 def test_public_callables_raise_only_idag_errors_on_wrong_types():
     # every function and class in idag.__all__ but the Vertex alias and the
     # exception classes, at each arity its signature admits: every tuple of
-    # pool values when there are at most 81, else 81 seeded draws; a
+    # pool values for one or two arguments, else 81 seeded draws; a
     # generator it returns is started, as topological_sortings runs lazily
     rng = random.Random(26)
     calls = 0
@@ -312,7 +346,7 @@ def test_public_callables_raise_only_idag_errors_on_wrong_types():
         params = inspect.signature(f).parameters.values()
         required = sum(p.default is p.empty for p in params)
         for k in range(required, len(params) + 1):
-            if len(_POOL) ** k <= 81:
+            if k <= 2:
                 tuples = itertools.product(_POOL, repeat=k)
             else:
                 tuples = [tuple(rng.choice(_POOL) for _ in range(k)) for _ in range(81)]
