@@ -68,8 +68,9 @@ def make_idag(
         edges that are not iterable, nodes given as one str),
         SizeLimitExceeded (an interface wider than MAX_WIDTH),
         DuplicateNodeId, BadEndpoint (also for a node or edge spec of
-        another shape), InvalidWeight (ZeroWeight / AntipodeWeight),
-        CycleDetected.
+        another shape, and for an In or Out index that is not an int: a
+        bool is not one, as in jsonread), InvalidWeight (ZeroWeight /
+        AntipodeWeight), CycleDetected.
     """
     _check_type(mode, WeightSystem)
     _check_collection(nodes, Iterable)
@@ -95,6 +96,8 @@ def make_idag(
     wires: list[dict[int, int]] = [{} for _ in range(n_nodes + n_out)]
     for src, dst, w in _edge_triples(edges):
         if isinstance(src, In):
+            if type(src.index) is not int:
+                raise BadEndpoint(f"input index {src.index!r} is not an int")
             if not 0 <= src.index < n_in:
                 raise BadEndpoint(f"input index {src.index} out of range 0..{n_in - 1}")
             s = src.index
@@ -105,6 +108,8 @@ def make_idag(
         else:
             raise BadEndpoint(f"edge source cannot be {src!r}")
         if isinstance(dst, Out):
+            if type(dst.index) is not int:
+                raise BadEndpoint(f"output index {dst.index!r} is not an int")
             if not 0 <= dst.index < n_out:
                 raise BadEndpoint(f"output index {dst.index} out of range 0..{n_out - 1}")
             t = n_nodes + dst.index

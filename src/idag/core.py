@@ -162,9 +162,10 @@ class Idag(Frozen):
         )
 
     def weight(self, src: Vertex, dst: Vertex) -> int:
-        """Weight of the edge src -> dst, zero if absent."""
+        """Weight of the edge src -> dst, zero if absent or if an index is
+        not an int (a bool is not one)."""
         pos = self._position()
-        if isinstance(src, In) and 0 <= src.index < self.n_in:
+        if isinstance(src, In) and type(src.index) is int and 0 <= src.index < self.n_in:
             s = src.index
         elif isinstance(src, NodeRef) and src.id in pos:
             s = self.n_in + pos[src.id]
@@ -172,7 +173,7 @@ class Idag(Frozen):
             return 0
         if isinstance(dst, NodeRef) and dst.id in pos:
             t = pos[dst.id]
-        elif isinstance(dst, Out) and 0 <= dst.index < self.n_out:
+        elif isinstance(dst, Out) and type(dst.index) is int and 0 <= dst.index < self.n_out:
             t = len(self.nodes) + dst.index
         else:
             return 0

@@ -12,17 +12,16 @@ play them against each other.
 
 Different sortings yield different expressions with equal value in every
 model; transposition_identities() checks the five local identities that
-drive that invariance for one adjacent swap.
+drive that invariance for one adjacent swap, each as an identity of
+matrices.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .core import Idag
 from .decomposition import SortLike, _along, _encode, _fan_in, _fan_out, _scale
 from .errors import IndexOutOfRange, NotAdjacentTransposition, _check_type
-from .matrices import MatrixModel, MatrixMorphism, matrix_permutation
+from .matrices import MatrixMorphism, matrix_permutation
 from .models import _NATIVE, Model
 from .record import Frozen
 from .terms import Expression, Id, Node
@@ -143,11 +142,9 @@ class TranspositionReport(Frozen):
         )
 
 
-def _default_check_model(d: Idag) -> MatrixModel:
-    ws = INT if d.weights is INT else NAT
-    labels = sorted({lbl for _, lbl in d.nodes})
-    images = {lbl: 2 + k for k, lbl in enumerate(labels)}
-    return MatrixModel(ws, images)
+def _box(width: int, at: int, scalar: int, ws) -> MatrixMorphism:
+    """The width x width diagonal matrix scaling wire at by scalar."""
+    return MatrixMorphism(ws, width, tuple({r: scalar if r == at else 1} for r in range(width)))
 
 
 def _block_swap(n_prefix: int, n_suffix: int, ws) -> MatrixMorphism:
@@ -158,18 +155,15 @@ def _block_swap(n_prefix: int, n_suffix: int, ws) -> MatrixMorphism:
 
 
 def transposition_identities(
-    d: Idag,
-    sort_a: SortLike,
-    sort_b: SortLike,
-    i: int,
-    model: Optional[Model] = None,
+    d: Idag, sort_a: SortLike, sort_b: SortLike, i: int
 ) -> TranspositionReport:
     """Check the five identities relating the slices of two sortings that
     differ by swapping positions i and i+1.
 
-    The four layer identities are matrix identities over d's own weight
-    system; the node-box identity is checked in the given model (default: a
-    matrix model with distinct nontrivial images per label).
+    All five are matrix identities. The four layer identities are over d's
+    own weight system; the node-box identity is over NAT (INT for an INT
+    idag), with a distinct nontrivial scalar per label, so that a box
+    sliding to the wrong wire shows.
     """
     sa, wa = _along(d, sort_a)
     sb, wb = _along(d, sort_b)
@@ -205,24 +199,17 @@ def transposition_identities(
     pre_final = _block_swap(n + i, total - i - 2, ws)
     final_ok = pre_final.then(la[total]) == lb[total]
 
-    check_model = model if model is not None else _default_check_model(d)
-    _check_type(check_model, Model)
+    box_ws = INT if ws is INT else NAT
+    scalars = {lbl: 2 + k for k, lbl in enumerate(sorted({lbl for _, lbl in d.nodes}))}
     labels = dict(d.nodes)
     node_ok = True
     for ts, slices in ((sa, la), (sb, lb)):
-        mid = check_model.relation(slices[i + 1])
-        box = check_model.generator(Node(labels[ts.order[i]]))
-        left = check_model.compose(
-            check_model.tensor(check_model.identity(n + i), box), mid
-        )
-        right = check_model.compose(
-            mid,
-            check_model.tensor(
-                check_model.tensor(check_model.identity(n + i), box),
-                check_model.identity(1),
-            ),
-        )
-        if not check_model.equal(left, right):
+        mid = MatrixMorphism(box_ws, n + i + 1, slices[i + 1].cols)
+        scalar = scalars[labels[ts.order[i]]]
+        # the box on wire n+i, before mid and after it
+        if _box(n + i + 1, n + i, scalar, box_ws).then(mid) != mid.then(
+            _box(n + i + 2, n + i, scalar, box_ws)
+        ):
             node_ok = False
             break
 

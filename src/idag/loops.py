@@ -2,13 +2,15 @@
 
 LoopsModel interprets only wires, crossings and node boxes: a morphism is a
 permutation together with one label word per input wire, composition
-composing permutations and concatenating words. It has no native walk, so
-evaluate() folds an expression into it by compose and tensor.
+composing permutations and concatenating words. Wires and crossings reach
+it as every model's do, as permutation matrices through relation. It has
+no native walk, so evaluate() folds an expression into it by compose and
+tensor.
 """
 
 from __future__ import annotations
 
-from .algebra import _check_widths, _crossing, _is_permutation
+from .algebra import _is_permutation
 from .errors import InterfaceMismatch, UnsupportedGenerator, _check_type
 from .matrices import MatrixMorphism
 from .models import Model, evaluate
@@ -46,22 +48,11 @@ class LoopsMorphism(Frozen):
         return LoopsMorphism(perm, self.words + other.words)
 
 
-def loops_identity(n: int) -> LoopsMorphism:
-    _check_widths("width", n)
-    return LoopsMorphism(tuple(range(n)), ((),) * n)
-
-
 class LoopsModel(Model, Frozen):
     """Evaluation into permutations-with-words; supports only wires,
     crossings and node boxes."""
 
     __slots__ = ()
-
-    def identity(self, n: int) -> LoopsMorphism:
-        return loops_identity(n)
-
-    def symmetry(self, n: int, m: int) -> LoopsMorphism:
-        return LoopsMorphism(tuple(_crossing(n, m)), ((),) * (n + m))
 
     def generator(self, gen: Expression) -> LoopsMorphism:
         if type(gen) is Node:

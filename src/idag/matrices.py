@@ -24,7 +24,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .algebra import _check_widths, _crossing, _shifted, from_permutation, identity
+from .algebra import _check_widths, _shifted, from_permutation, identity
 from .errors import InterfaceMismatch, InvalidWeight, ModeMismatch, _check_type
 from .models import _NATIVE, Model, _typed_walk
 from .record import Frozen
@@ -178,12 +178,6 @@ class MatrixModel(Model, Frozen):
             return img.cols[0].get(0, 0)
         self.weights.check_value(img)
         return img
-
-    def identity(self, n: int) -> MatrixMorphism:
-        return matrix_identity(n, self.weights)
-
-    def symmetry(self, n: int, m: int) -> MatrixMorphism:
-        return matrix_permutation(_crossing(n, m), self.weights)
 
     def generator(self, gen: Expression) -> MatrixMorphism:
         return self._read_image(*_typed_walk(gen, self.weights))

@@ -1,13 +1,15 @@
 """Models: where expressions evaluate.
 
 A model gives each generator an image and composes images along the PROP
-structure (Model). Three models ship with the package. FreeIdagModel, here,
-interprets every generator as a small idag and composes with concat/juxt; it
-is free, so two expressions are equal modulo the equational theory iff their
-images here are isomorphic. MatrixModel (in matrices) interprets morphisms
-as matrices over the weight system, and LoopsModel (in loops) as
-permutations with one label word per wire; each module is imported on first
-use, so evaluating in the free model loads neither.
+structure (Model). id and sym are permutations, node-free idags with 0/1
+weights, so Model reads them once for every model through its relation.
+Three models ship with the package. FreeIdagModel, here, interprets every
+generator as a small idag and composes with concat/juxt; it is free, so two
+expressions are equal modulo the equational theory iff their images here
+are isomorphic. MatrixModel (in matrices) interprets morphisms as matrices
+over the weight system, and LoopsModel (in loops) as permutations with one
+label word per wire; each module is imported on first use, so evaluating
+in the free model loads neither.
 
 The free model is initial, so FreeIdagModel and MatrixModel read a value off
 a free image, node labels and wires (see _walk), each with one reader,
@@ -73,15 +75,26 @@ def free_generator_image(gen: Expression, mode: WeightSystem) -> Idag:
 
 
 class Model:
-    """Evaluation target: images for generators plus PROP structure."""
+    """Evaluation target: images for generators plus PROP structure. A
+    model defines generator, compose, tensor, relation and equal; identity
+    and symmetry read their permutation matrices through relation."""
 
     __slots__ = ()
 
     def identity(self, n: int):
-        raise NotImplementedError
+        return self.symmetry(n, 0)
 
     def symmetry(self, n: int, m: int):
-        raise NotImplementedError
+        """relation of the BOOL matrix crossing the first n of n+m wires
+        over the last m (algebra.symmetry's wires); its entries, all 1, are
+        valid in every weight system."""
+        from .algebra import _check_widths
+        from .matrices import MatrixMorphism
+
+        _check_widths("width", n, m)  # before any sum of them, as _crossing
+        _check_widths("width", n + m)
+        cols = tuple({n + j: 1} for j in range(m)) + tuple({i: 1} for i in range(n))
+        return self.relation(MatrixMorphism(BOOL, n + m, cols))
 
     def generator(self, gen: Expression):
         raise NotImplementedError
@@ -110,16 +123,6 @@ class FreeIdagModel(Model, Frozen):
     def __init__(self, mode: WeightSystem = BOOL) -> None:
         _check_type(mode, WeightSystem)
         object.__setattr__(self, "mode", mode)
-
-    def identity(self, n: int) -> Idag:
-        from .algebra import identity
-
-        return identity(n, self.mode)
-
-    def symmetry(self, n: int, m: int) -> Idag:
-        from .algebra import symmetry
-
-        return symmetry(n, m, self.mode)
 
     def generator(self, gen: Expression) -> Idag:
         return free_generator_image(gen, self.mode)

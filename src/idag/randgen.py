@@ -1,7 +1,8 @@
 """Seeded random generation of idags, expressions and weight matrices.
 
-Generation is deterministic for a fixed seed: candidates are visited in a
-fixed order and every random draw goes through the supplied random.Random.
+Generation is deterministic for a fixed seed, whatever the hash seed:
+candidates and labels are visited in a fixed order (see _label_pool) and
+every random draw goes through the supplied random.Random.
 Used by the CLI's random command, the selftest suites and the test corpus
 builders.
 """
@@ -9,8 +10,8 @@ builders.
 from __future__ import annotations
 
 import random
-from collections.abc import Collection
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Collection, Sequence
+from typing import TYPE_CHECKING
 
 from .algebra import _check_widths, make_idag
 from .core import DEFAULT_LABEL, Idag, In, NodeRef, Out, Vertex
@@ -50,6 +51,12 @@ def _check_probability(what: str, p: float) -> None:
         raise IdagError(f"{what} {p} outside [0, 1]")
 
 
+def _label_pool(labels: Collection) -> list:
+    """The labels to draw from, in an order that does not depend on the
+    hash seed: a Sequence's own, otherwise sorted by their text."""
+    return list(labels) if isinstance(labels, Sequence) else sorted(labels, key=str)
+
+
 def random_idag(
     rng: random.Random,
     n_in: int,
@@ -61,7 +68,9 @@ def random_idag(
     id_prefix: str = "n",
 ) -> Idag:
     """A random idag, acyclic by construction: nodes are generated in a fixed
-    order and node-to-node edges only point forward in it. Every admissible
+    order and node-to-node edges only point forward in it. Labels are drawn
+    from a Sequence in its order and from any other collection in sorted
+    order, so a set draws the same under every hash seed. Every admissible
     edge is included independently with probability edge_prob; nat/int
     weights are drawn uniformly from {1..3} / {-3..-1, 1..3}. Raises
     IdagError unless edge_prob is a number in [0, 1] and labels is not
@@ -76,8 +85,9 @@ def random_idag(
         raise IdagError("no node labels to draw from")
     _check_widths("node count", n_nodes)
     _check_widths("interface width", n_in, n_out)
+    pool = _label_pool(labels)
     node_ids = [f"{id_prefix}{k}" for k in range(n_nodes)]
-    nodes = [(nid, rng.choice(list(labels))) for nid in node_ids]
+    nodes = [(nid, rng.choice(pool)) for nid in node_ids]
     edges: list[tuple[Vertex, Vertex, int]] = []
 
     def maybe(src: Vertex, dst: Vertex) -> None:
@@ -149,6 +159,7 @@ def random_expression(
     max_width: int = 6,
 ) -> Expression:
     """A random well-typed expression; every AST constructor can occur.
+    Node labels are drawn as in random_idag.
     Raises IdagError when labels is empty, or when max_depth or max_width
     is not a non-negative int (a bool is not one) or max_depth exceeds
     MAX_EXPRESSION_DEPTH: generation recurses once per level, and
@@ -163,6 +174,7 @@ def random_expression(
             raise IdagError(f"{what} {value!r} is not a non-negative int")
     if max_depth > MAX_EXPRESSION_DEPTH:
         raise IdagError(f"max_depth {max_depth} exceeds {MAX_EXPRESSION_DEPTH}")
+    pool = _label_pool(labels)
 
     def atom_row(width: int, depth: int) -> Expression:
         # a tensor of atoms consuming exactly `width` wires
@@ -177,7 +189,7 @@ def random_expression(
                 parts.append(Delta())
                 remaining -= 1
             elif roll < 0.5:
-                parts.append(Node(rng.choice(list(labels))))
+                parts.append(Node(rng.choice(pool)))
                 remaining -= 1
             elif roll < 0.6:
                 parts.append(Eps())

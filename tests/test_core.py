@@ -80,6 +80,25 @@ def test_bad_endpoints():
         make_idag(-1, 0, [], {})
 
 
+@pytest.mark.parametrize(
+    "edge",
+    [(In(0.0), NodeRef("a")), (In(True), NodeRef("a")), (NodeRef("a"), Out(True)), (NodeRef("a"), Out(1.0))],
+    ids=["In(0.0)", "In(True)", "Out(True)", "Out(1.0)"],
+)
+def test_vertex_indices_must_be_ints(edge):
+    # a float index used to be stored as a source JSON could not read back,
+    # a bool read as 1, and a float output ended in a bare TypeError
+    with pytest.raises(BadEndpoint, match="index .* is not an int$"):
+        make_idag(2, 2, ["a"], [edge])
+
+
+def test_weight_of_an_index_that_is_not_an_int_is_zero():
+    d = make_idag(2, 2, [], [(In(1), Out(1))])
+    assert d.weight(In(1), Out(1)) == 1
+    for src, dst in ((In(True), Out(1)), (In(1), Out(True)), (In(1.0), Out(1)), (In("a"), Out(1)), (In(1), Out(None))):
+        assert d.weight(src, dst) == 0
+
+
 def test_zero_weight_rejected():
     with pytest.raises(ZeroWeight):
         make_idag(1, 1, [], {(In(0), Out(0)): 0})

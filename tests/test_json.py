@@ -7,7 +7,7 @@ import random
 
 from idag.algebra import make_idag
 from idag.core import In, NodeRef, Out
-from idag.errors import SchemaError
+from idag.errors import BadEndpoint, SchemaError
 from idag.jsonio import idag_to_json, idag_to_obj
 from idag.jsonread import idag_from_json
 from idag.randgen import random_idag
@@ -48,6 +48,19 @@ def test_round_trip_byte_exact(seed):
     back = idag_from_json(text)
     assert back == d
     assert idag_to_json(back) == text
+
+
+@pytest.mark.parametrize("index", [0, 0.0, True])
+def test_make_idag_builds_only_what_json_reads_back(index):
+    # In(0.0) was once stored as source 0.0 and written as {"in":0.0}
+    try:
+        d = make_idag(2, 2, [("a", "x")], [(In(index), NodeRef("a")), (NodeRef("a"), Out(1)), (In(1), Out(0), 1)])
+    except BadEndpoint:
+        assert type(index) is not int
+        return
+    text = idag_to_json(d)
+    assert idag_from_json(text) == d
+    assert idag_to_json(idag_from_json(text)) == text
 
 
 def test_unicode_label_survives():

@@ -3,13 +3,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idag.algebra import make_idag
+from idag.algebra import identity, make_idag, symmetry
 from idag.builders import seq_all
-from idag.core import In, NodeRef, Out, is_isomorphic, transitive_closure
-from idag.errors import InterfaceMismatch, InvalidWeight, ModeMismatch, UnsupportedGenerator
-from idag.loops import LoopsModel, LoopsMorphism, loops_eval, loops_identity
+from idag.core import MAX_WIDTH, In, NodeRef, Out, is_isomorphic, transitive_closure
+from idag.errors import (
+    IdagError,
+    InterfaceMismatch,
+    InvalidWeight,
+    ModeMismatch,
+    SizeLimitExceeded,
+    UnsupportedGenerator,
+)
+from idag.loops import LoopsModel, LoopsMorphism, loops_eval
 from idag.matrices import MatrixModel, matrix, matrix_identity, matrix_permutation
-from idag.models import FreeIdagModel, evaluate, free_generator_image
+from idag.models import FreeIdagModel, Model, evaluate, free_generator_image
 from idag.randgen import random_expression, random_matrix
 from idag.terms import Anti, Delta, Eps, Eta, Id, Nabla, Node, Seq, Sym, Ten, arity_of, parse
 from idag.weights import BOOL, INT, NAT
@@ -149,7 +156,7 @@ def test_loops_examples():
     assert loops_eval(parse("(node[x] * id(1)) ; sym(1,1)")) == LoopsMorphism(
         (1, 0), (("x",), ())
     )
-    assert loops_eval(Id(3)) == loops_identity(3)
+    assert loops_eval(Id(3)) == LoopsMorphism((0, 1, 2), ((), (), ()))
 
 
 def test_loops_rejects_structural_generators():
@@ -298,6 +305,71 @@ def test_matrix_walk_and_fold_raise_alike():
         for route in (model, Forwarding(model)):
             with pytest.raises(error):
                 evaluate(e, route)
+
+
+# ---------------------------------------------------------------------------
+# wiring derived from relation: id and sym are permutation matrices
+
+
+class _NoWiring(Forwarding):
+    """Passes generator, compose, tensor, relation and equal to the wrapped
+    model, and takes id and sym from Model, as a model that defines only
+    those five does."""
+
+    identity = Model.identity
+    symmetry = Model.symmetry
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_a_model_without_wiring_evaluates_wide_ids_and_syms(seed):
+    # e padded by wide ids and crossed over them on both sides
+    rng = random.Random(seed)
+    ws = (BOOL, NAT, INT)[seed % 3]
+    e = random_expression(rng, max_depth=rng.randint(1, 4), allow_anti=ws is INT, labels=("x", "y"))
+    n, m = arity_of(e)
+    k, j = rng.randint(0, 6), rng.randint(0, 6)
+    wide = Seq(Seq(Sym(k + n, j), Ten(Id(k), Ten(e, Id(j)))), Sym(k, m + j))
+    lo, hi = {BOOL: (0, 1), NAT: (0, 3), INT: (-3, 3)}[ws]
+    model = MatrixModel(ws, {"x": rng.randint(lo, hi), "y": rng.randint(lo, hi)})
+    for x in (e, wide):
+        assert evaluate(x, _NoWiring(model)) == evaluate(x, model)
+
+
+def test_each_models_wiring_is_its_own_construction():
+    for n in range(5):
+        assert LoopsModel().identity(n) == LoopsMorphism(tuple(range(n)), ((),) * n)
+        for ws in (BOOL, NAT, INT):
+            assert FreeIdagModel(ws).identity(n) == identity(n, ws)
+            assert MatrixModel(ws).identity(n) == matrix_identity(n, ws)
+        for m in range(5):
+            perm = [m + i for i in range(n)] + list(range(m))  # wire i to m+i
+            assert LoopsModel().symmetry(n, m) == LoopsMorphism(tuple(perm), ((),) * (n + m))
+            for ws in (BOOL, NAT, INT):
+                assert FreeIdagModel(ws).symmetry(n, m) == symmetry(n, m, ws)
+                assert MatrixModel(ws).symmetry(n, m) == matrix_permutation(perm, ws)
+
+
+def _raised(call):
+    try:
+        call()
+    except IdagError as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no error")
+
+
+_BAD_WIDTHS = (-1, True, None, 1.5, MAX_WIDTH + 1)
+
+
+@pytest.mark.parametrize("model", [FreeIdagModel(), MatrixModel(INT), LoopsModel(), _NoWiring(MatrixModel())], ids=lambda m: type(m).__name__)
+def test_wiring_widths_are_checked_before_they_are_summed(model):
+    # each error is the algebra constructors' own, class and message
+    for bad in _BAD_WIDTHS:
+        assert _raised(lambda: model.identity(bad)) == _raised(lambda: identity(bad))
+        assert _raised(lambda: model.symmetry(bad, 1)) == _raised(lambda: symmetry(bad, 1))
+        assert _raised(lambda: model.symmetry(1, bad)) == _raised(lambda: symmetry(1, bad))
+    past = (SizeLimitExceeded, f"width {MAX_WIDTH + 1} exceeds the bound {MAX_WIDTH}")
+    assert _raised(lambda: model.symmetry(MAX_WIDTH, 1)) == past
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import idag
 from idag.algebra import make_idag
-from idag.errors import BadEndpoint, IdagError
+from idag.errors import BadEndpoint, IdagError, UnsupportedGenerator
 from idag.models import FreeIdagModel, evaluate
+from idag.printer import print_expression
 from idag.randgen import random_expression, random_idag, random_matrix
 from idag.terms import arity_of
 from idag.weights import BOOL, INT, NAT
@@ -14,6 +20,60 @@ def test_determinism():
     a = random_idag(random.Random(5), 2, 2, 4, 0.5, INT, labels=("x", "y"))
     b = random_idag(random.Random(5), 2, 2, 4, 0.5, INT, labels=("x", "y"))
     assert a == b
+
+
+_DRAWS = (
+    "import random\n"
+    "from idag.printer import print_expression\n"
+    "from idag.randgen import random_expression, random_idag\n"
+    "labels = {'c', 'a', 'b'}\n"
+    "d = random_idag(random.Random(1), 1, 1, 6, 0.5, labels=labels)\n"
+    "print([lbl for _, lbl in d.nodes])\n"
+    "print(print_expression(random_expression(random.Random(3), max_depth=6, labels=labels)))\n"
+)
+
+
+def _draws(labels) -> str:
+    d = random_idag(random.Random(1), 1, 1, 6, 0.5, labels=labels)
+    e = random_expression(random.Random(3), max_depth=6, labels=labels)
+    return f"{[lbl for _, lbl in d.nodes]}\n{print_expression(e)}\n"
+
+
+def test_label_draws_of_a_set_do_not_depend_on_the_hash_seed():
+    # a set was once drawn from in its iteration order, which the hash seed
+    # sets; it now draws as its sorted tuple does
+    src = str(Path(idag.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        r = subprocess.run(
+            [sys.executable, "-c", _DRAWS],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == _draws(("a", "b", "c")), seed
+
+
+@pytest.mark.parametrize("labels", [frozenset("bca"), dict.fromkeys("cab"), dict.fromkeys("cab").keys()])
+def test_a_collection_that_is_not_a_sequence_draws_sorted(labels):
+    assert _draws(labels) == _draws(("a", "b", "c"))
+
+
+def test_a_sequence_of_labels_draws_in_its_own_order():
+    a = random_idag(random.Random(1), 1, 1, 6, 0.5, labels=("c", "b", "a"))
+    b = random_idag(random.Random(1), 1, 1, 6, 0.5, labels=["c", "b", "a"])
+    assert a == b
+    assert a != random_idag(random.Random(1), 1, 1, 6, 0.5, labels=("a", "b", "c"))
+
+
+@pytest.mark.parametrize("labels", [{"a", 1}, {1, 2}, {None, "b"}])
+def test_labels_that_are_not_all_str_keep_their_errors(labels):
+    # not a TypeError from sorting them
+    with pytest.raises(BadEndpoint):
+        random_idag(random.Random(1), 0, 0, 20, 0.5, labels=labels)
+    with pytest.raises(UnsupportedGenerator):
+        for seed in range(20):
+            random_expression(random.Random(seed), max_depth=6, labels=labels)
 
 
 @pytest.mark.parametrize("shape", [(2, 2, -3), (-1, 2, 3), (2, -1, 3)])
