@@ -271,9 +271,11 @@ def _adjacency(d: Idag) -> tuple[list[tuple], _Adjacency, _Adjacency]:
                     preds[t].append((i, w))
             elif i >= 0:
                 out_prof[i].append((t - n, w))
+    # an out-profile is filled in ascending target order, so only an
+    # in-profile of two or more entries needs a sort
     keys = [
-        (lbl, tuple(sorted(in_prof[i])), tuple(sorted(out_prof[i])))
-        for i, (_, lbl) in enumerate(d.nodes)
+        (lbl, tuple(p if len(p) < 2 else sorted(p)), tuple(q))
+        for (_, lbl), p, q in zip(d.nodes, in_prof, out_prof)
     ]
     return keys, preds, succs
 

@@ -35,7 +35,7 @@ and each is imported on first use.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from functools import cache, partial
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -410,6 +410,19 @@ def _encode_node_slice(
 # Decomposition
 
 
+class _Memo(dict):
+    """make(key) for each key looked up, made on its first lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[..., Expression]) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def decompose(d: Idag, sort: SortLike) -> Expression:
     """An expression evaluating to d (up to isomorphism in the free model,
     exactly in matrix models): encoded slices interleaved with one node box
@@ -422,13 +435,14 @@ def decompose(d: Idag, sort: SortLike) -> Expression:
     labels = dict(d.nodes)
     n = d.n_in
     # expressions are immutable, so the slices share one instance of each
-    pad, scale, fan_in, cross = cache(Id), cache(_scale), cache(_fan_in), cache(partial(Sym, 1))
-    node = cache(Node)
+    pad, scale, fan_in, cross, node = (
+        _Memo(make).__getitem__ for make in (Id, _scale, _fan_in, partial(Sym, 1), Node)
+    )
     e: Optional[Expression] = None
     for k, nid in enumerate(ts.order):
         live = n + k
         step = _encode_node_slice(live, sorted(wires[k].items()), pad, scale, fan_in, cross)
         box = Ten(pad(live), node(labels[nid])) if live else node(labels[nid])
         e = Seq(step if e is None else Seq(e, step), box)
-    out = _encode(n + len(ts), wires[len(ts) :], pad, scale, cache(_fan_out), fan_in)
+    out = _encode(n + len(ts), wires[len(ts) :], pad, scale, _Memo(_fan_out).__getitem__, fan_in)
     return out if e is None else Seq(e, out)

@@ -12,51 +12,64 @@ Schema:
 "label" is omitted when it is the default "•" and "w" is omitted when it is 1.
 Serialization is deterministic: nodes in sequence order, edges sorted (inputs
 first, then nodes by sequence position, then outputs), compact separators.
-Canonical forms therefore serialize byte-identically iff equal. Reading
-(jsonread) validates a document against this schema and builds the idag
-through algebra.make_idag; it is a module of its own, so code that only
-writes JSON, as eq and normalize do, loads neither.
+Canonical forms therefore serialize byte-identically iff equal.
+
+idag_to_json formats the text straight from the idag's wires: each node id
+is escaped once, by the escaper json.dumps(..., ensure_ascii=False) uses,
+one pass over the wires puts each edge in its source's list, targets in
+ascending order, and each entry is formatted from those pieces, with no
+objects in between. idag_to_obj reads that text back, so the format has one
+writer. Reading (jsonread) validates a document against this schema and
+builds the idag through algebra.make_idag; it is a module of its own, so
+code that only writes JSON, as eq and normalize do, loads neither.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from typing import Any
 
-from .core import DEFAULT_LABEL, Idag, sorted_edges
+from .core import DEFAULT_LABEL, Idag
 from .errors import IdagError, _check_type
 
 
 def idag_to_obj(d: Idag) -> dict[str, Any]:
-    _check_type(d, Idag)
-    nodes = []
-    for nid, lbl in d.nodes:
-        entry: dict[str, Any] = {"id": nid}
-        if lbl != DEFAULT_LABEL:
-            entry["label"] = lbl
-        nodes.append(entry)
-
-    n_in, n_nodes = d.n_in, len(d.nodes)
-    edges = []
-    for s, t, w in sorted_edges(d):
-        entry = {
-            "src": {"in": s} if s < n_in else {"node": d.nodes[s - n_in][0]},
-            "dst": {"node": d.nodes[t][0]} if t < n_nodes else {"out": t - n_nodes},
-        }
-        if w != 1:
-            entry["w"] = w
-        edges.append(entry)
-    return {
-        "mode": d.weights.name,
-        "inputs": d.n_in,
-        "outputs": d.n_out,
-        "nodes": nodes,
-        "edges": edges,
-    }
+    """d's canonical JSON object: idag_to_json's text, read back."""
+    return json.loads(idag_to_json(d))
 
 
 def idag_to_json(d: Idag) -> str:
-    return dumps(idag_to_obj(d))
+    """The canonical JSON text of d. A weight with more digits than Python
+    writes in decimal raises IdagError, as dumps does."""
+    _check_type(d, Idag)
+    n_in = d.n_in
+    ids = [encode_basestring(nid) for nid, _ in d.nodes]
+    nodes = [
+        f'{{"id":{nid}}}' if lbl == DEFAULT_LABEL
+        else f'{{"id":{nid},"label":{encode_basestring(lbl)}}}'
+        for nid, (_, lbl) in zip(ids, d.nodes)
+    ]
+    fed: list[list[tuple[int, int]]] = [[] for _ in range(n_in + len(ids))]  # per source
+    for t, wire in enumerate(d.wires):
+        for s, w in wire.items():
+            fed[s].append((t, w))
+    src = [f'{{"src":{{"in":{i}}}' for i in range(n_in)]
+    src += [f'{{"src":{{"node":{nid}}}' for nid in ids]
+    dst = [f',"dst":{{"node":{nid}}}' for nid in ids]
+    dst += [f',"dst":{{"out":{j}}}' for j in range(d.n_out)]
+    try:
+        edges = [
+            f"{head}{dst[t]}}}" if w == 1 else f'{head}{dst[t]},"w":{int.__repr__(w)}}}'
+            for head, targets in zip(src, fed)
+            for t, w in targets
+        ]
+    except ValueError as exc:
+        raise IdagError(f"cannot write a number: {exc}") from None
+    return (
+        f'{{"mode":"{d.weights.name}","inputs":{n_in},"outputs":{d.n_out},'
+        f'"nodes":[{",".join(nodes)}],"edges":[{",".join(edges)}]}}'
+    )
 
 
 def dumps(value: Any) -> str:
@@ -66,5 +79,3 @@ def dumps(value: Any) -> str:
         return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
     except ValueError as exc:
         raise IdagError(f"cannot write a number: {exc}") from None
-
-

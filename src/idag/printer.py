@@ -33,49 +33,58 @@ def print_expression(e: Expression) -> str:
     wrapped when it is a ";" chain right of ";" or on either side of "*",
     or a "*" chain right of "*".
 
-    Each piece is dispatched on its exact class. An atom's text is made
-    once per object and kept by identity, so an atom shared across e is
-    spelled once. A subclass of Seq or Ten sends the whole of e through
-    map_atoms first, which rebuilds its composites as the base classes;
-    _atom_text reads any other class that is none of the eleven through
-    terms._as_base. A str in e is an unknown atom: punctuation on the stack
-    is a _Text."""
+    A composite's text starts with its left part's, so, as models._walk
+    does, the printer goes down each left spine at once, to the atom at its
+    bottom: each composite on the way writes "(" when its left part is
+    wrapped and pushes its right part with the punctuation around it. The
+    stack holds only punctuation and right parts. Each term is dispatched
+    on its exact class. An atom's text is made once per object and kept by
+    identity, so an atom shared across e is spelled once. A subclass of Seq
+    or Ten sends the whole of e through map_atoms first, which rebuilds its
+    composites as the base classes; _atom_text reads any other class that
+    is none of the eleven through terms._as_base. A str in e is an unknown
+    atom: punctuation on the stack is a _Text."""
     out: list[str] = []
     stack: list = [e]
     texts: dict[int, str] = {}  # id(atom) -> its text; e keeps each atom alive
     while stack:
-        a = stack.pop()
-        kind = type(a)
-        if kind is _Text:
-            out.append(a)
-        elif kind is Seq:
-            then = a.then
-            if type(then) is Seq:
-                stack += (_CLOSE, then, _SEQ_OPEN, a.first)
-            else:
-                stack += (then, _SEQ, a.first)
-        elif kind is Ten:
-            left, right = a.left, a.right
-            right_kind = type(right)
-            if type(left) is Seq:
-                out.append("(")
-                if right_kind is Seq or right_kind is Ten:
-                    stack += (_CLOSE, right, _CLOSE_TEN_OPEN, left)
+        x = stack.pop()
+        if type(x) is _Text:
+            out.append(x)
+            continue
+        while True:  # down the left spine, to the atom at its bottom
+            kind = type(x)
+            if kind is Seq:
+                then = x.then
+                if type(then) is Seq:
+                    stack += (_CLOSE, then, _SEQ_OPEN)
                 else:
-                    stack += (right, _CLOSE_TEN, left)
-            elif right_kind is Seq or right_kind is Ten:
-                stack += (_CLOSE, right, _TEN_OPEN, left)
+                    stack += (then, _SEQ)
+                x = x.first
+            elif kind is Ten:
+                right = x.right
+                right_kind = type(right)
+                if type(x.left) is Seq:
+                    out.append("(")
+                    if right_kind is Seq or right_kind is Ten:
+                        stack += (_CLOSE, right, _CLOSE_TEN_OPEN)
+                    else:
+                        stack += (right, _CLOSE_TEN)
+                elif right_kind is Seq or right_kind is Ten:
+                    stack += (_CLOSE, right, _TEN_OPEN)
+                else:
+                    stack += (right, _TEN)
+                x = x.left
             else:
-                stack += (right, _TEN, left)
-        else:
-            text = texts.get(id(a))
-            if text is None:
-                if isinstance(a, (Seq, Ten)):
-                    from .builders import map_atoms
+                text = texts.get(id(x))
+                if text is None:
+                    if isinstance(x, (Seq, Ten)):
+                        from .builders import map_atoms
 
-                    return print_expression(map_atoms(e, lambda x: x))
-                text = texts[id(a)] = _atom_text(a)
-            out.append(text)
+                        return print_expression(map_atoms(e, lambda x: x))
+                    text = texts[id(x)] = _atom_text(x)
+                out.append(text)
+                break
     return "".join(out)
 
 

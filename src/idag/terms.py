@@ -30,11 +30,15 @@ not parse (parse_errors) are modules of their own, imported on first use.
 
 Expression nodes are immutable slotted classes. Parsing scans the text
 for tokens once, one token per atom, resolves each distinct token once and
-computes line and column only when it raises. Printing spells each
-distinct atom object once. Parsing and walks over expressions (arity
-checking, printing, evaluation) are iterative, so deeply parenthesized
-text and the deeply chained composites produced by decomposition do not
-hit the interpreter recursion limit.
+computes line and column only when it raises. The scan tries punctuation,
+the most common token, first, and takes the blanks after each token with
+it, so it steps over no blank one character at a time; parse_errors finds
+positions with the same token pattern, without the blanks. Printing goes
+down each left spine at once and spells each distinct atom object once.
+Parsing and walks over expressions (arity checking, printing, evaluation)
+are iterative, so deeply parenthesized text and the deeply chained
+composites produced by decomposition do not hit the interpreter recursion
+limit.
 
 Atoms check their own fields when built (UnsupportedGenerator unless a
 width is a non-negative int, a bool not counting, and a label a str), so
@@ -450,16 +454,23 @@ def validate_for_mode(e: Expression, mode: WeightSystem, labels=None) -> None:
 
 # a node label: an identifier or a number token
 _LABEL = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+"
+_PUNCT = r"[;*()\[\],]"
 # the parts of expression text: identifiers, numbers and punctuation
-_PART = r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[;*()\[\],]"
+_PART = rf"{_LABEL}|{_PUNCT}"
 # The tokens of expression text. A well-formed id(n), sym(n,m) or
 # node[label], with any whitespace between its parts, is one token; every
 # other part is a token of its own. So an id, sym or node[ left as a token
-# of its own begins a malformed atom.
-_TOKEN_RE = re.compile(
-    r"id\s*\(\s*[0-9]+\s*\)|sym\s*\(\s*[0-9]+\s*,\s*[0-9]+\s*\)"
-    rf"|node\s*\[\s*(?:{_LABEL})\s*\]|{_PART}"
+# of its own begins a malformed atom. Punctuation, the most common token,
+# is tried first; no punctuation character begins another token.
+_TOKEN = (
+    rf"{_PUNCT}|id\s*\(\s*[0-9]+\s*\)|sym\s*\(\s*[0-9]+\s*,\s*[0-9]+\s*\)"
+    rf"|node\s*\[\s*(?:{_LABEL})\s*\]|{_LABEL}"
 )
+# each token alone, for the positions parse_errors reports
+_TOKEN_RE = re.compile(_TOKEN)
+# parse's scan: each token, and the blanks after it with it, so that
+# findall, which returns the token, fails only on blanks before the first
+_SCAN_RE = re.compile(rf"({_TOKEN})\s*")
 # A character that is neither whitespace nor part of a token. Line breaks
 # are whitespace, so one scan of the whole text yields the tokens of each
 # line in turn.
@@ -509,7 +520,7 @@ def parse(text: str) -> Expression:
         from .parse_errors import stray_error
 
         raise stray_error(text, stray)
-    tokens: list = _TOKEN_RE.findall(text)
+    tokens: list = _SCAN_RE.findall(text)
     if not tokens:
         raise ExprSyntaxError(1, 1, "empty expression")
     atoms = dict(_KEYWORD_ATOMS)  # token -> (atom, inputs, outputs)

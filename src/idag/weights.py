@@ -8,8 +8,9 @@ zero must drop the entry entirely.
 
 WeightSystem.weighted_sum is the only code that adds or multiplies weights;
 algebra.concat, the matrix product and the models' wire walk all call it. It
-sums exact Python ints, and in BOOL sets each nonzero sum to 1, which is
-saturating addition because BOOL weights are never negative.
+sums exact Python ints; in BOOL, whose weights are 0 or 1, it takes the
+union of the rows of weight 1, which is saturating addition because BOOL
+weights are never negative.
 """
 
 from __future__ import annotations
@@ -39,10 +40,17 @@ class WeightSystem(Frozen):
         """The sum of w times row over the (row, w) terms, as {key: nonzero
         value}: a key whose sum is zero is left out, and in BOOL every other
         sum is 1. Rows hold nonzero values only. A single term of weight 1
-        returns its row itself, so treat the result as read-only."""
+        returns its row itself, so treat the result as read-only. In BOOL,
+        where rows hold only 1s and weights are 0 or 1, the sum is the
+        union of the rows of weight 1."""
         if len(terms) == 1 and terms[0][1] == 1:
             return terms[0][0]  # type: ignore[return-value]
         acc: dict = {}
+        if self is BOOL:
+            for row, w in terms:
+                if w:
+                    acc.update(row)
+            return acc
         for row, w in terms:
             if w == 1 and not acc:
                 acc.update(row)
@@ -52,7 +60,7 @@ class WeightSystem(Frozen):
                 acc[k] = get(k, 0) + v * w
         if 0 in acc.values():
             acc = {k: v for k, v in acc.items() if v}
-        return dict.fromkeys(acc, 1) if self is BOOL else acc
+        return acc
 
     @property
     def antipode_enabled(self) -> bool:

@@ -770,3 +770,22 @@ def test_iso_matches_brute_force_oracle(rng):
     for d1, d2 in itertools.combinations(pool, 2):
         assert (is_isomorphic(d1, d2) is not None) == (_brute_force_iso(d1, d2) is not None)
         assert (canonical_form(d1) == canonical_form(d2)) == (_brute_force_iso(d1, d2) is not None)
+
+
+def test_interface_profiles_are_sorted_by_wire():
+    # _adjacency sorts only in-profiles of two or more entries; out-profiles
+    # come out in wire order, which is target order
+    rng = random.Random(20261020)
+    for k in range(200):
+        d = random_idag(rng, rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 10), rng.random(),
+                        (BOOL, NAT, INT)[k % 3], labels=("a", "b"))
+        # the same idag with each wire's sources in a random order
+        edges = [(s, t, w) for (s, t), w in d.edges.items()]
+        rng.shuffle(edges)
+        d = make_idag(d.n_in, d.n_out, d.nodes, edges, d.weights)
+        n_in, n = d.n_in, len(d.nodes)
+        ins = [sorted((s, w) for s, w in d.wires[i].items() if s < n_in) for i in range(n)]
+        outs = [sorted((t - n, w) for t in range(n, n + d.n_out) for s, w in d.wires[t].items()
+                       if s == n_in + i) for i in range(n)]
+        keys, _, _ = _adjacency(d)
+        assert keys == [(lbl, tuple(p), tuple(q)) for (_, lbl), p, q in zip(d.nodes, ins, outs)]

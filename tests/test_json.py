@@ -7,7 +7,8 @@ import random
 
 from idag.algebra import make_idag
 from idag.core import In, NodeRef, Out
-from idag.errors import BadEndpoint, SchemaError
+import json_reference
+from idag.errors import BadEndpoint, IdagError, SchemaError
 from idag.jsonio import idag_to_json, idag_to_obj
 from idag.jsonread import idag_from_json
 from idag.randgen import random_idag
@@ -122,3 +123,59 @@ def test_validation_errors_pass_through():
     }
     with pytest.raises(CycleDetected):
         idag_from_json(json.dumps(doc))
+
+
+# idag_to_json formats the text from the wires; json_reference builds the
+# dicts the writer once built, and json.dumps writes them
+
+
+def _reference_text(d):
+    return json.dumps(json_reference.idag_to_obj(d), separators=(",", ":"), ensure_ascii=False)
+
+
+def test_text_matches_the_dict_writer_on_random_idags():
+    rng = random.Random(20261020)
+    for k in range(300):
+        ws = (BOOL, NAT, INT)[k % 3]
+        d = random_idag(
+            rng, rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 12), rng.random(), ws,
+            labels=("•", "x", "y"), id_prefix=rng.choice(("n", "", "é")),
+        )
+        assert idag_to_json(d) == _reference_text(d)
+        assert idag_to_obj(d) == json_reference.idag_to_obj(d)
+
+
+ODD_STRINGS = ['"', "\\", "a\nb", "\x00", "\u2028", " ", "é", "\ud800", "•", "", "\x7f\x1f"]
+
+
+@pytest.mark.parametrize("mode, weights", [
+    (NAT, [2**63, 2**64 + 1, 10**40, 1]),
+    (INT, [-(2**63) - 1, 2**63, -(10**40), -1]),
+])
+def test_text_matches_the_dict_writer_on_odd_ids_labels_and_weights(mode, weights):
+    # labelled nodes with odd ids and labels, then default-labelled ones with
+    # odd ids; each is fed from an input, and each labelled node feeds one
+    # default-labelled node and an output
+    labelled = [(f"{s}{k}", s) for k, s in enumerate(ODD_STRINGS)]
+    plain = [(s, "•") for s in ODD_STRINGS]
+    edges = []
+    for k, (nid, _) in enumerate(labelled + plain):
+        edges.append((In(k % 2), NodeRef(nid), weights[k % len(weights)]))
+    for k, (nid, _) in enumerate(labelled):
+        edges.append((NodeRef(nid), NodeRef(plain[-1 - k][0]), weights[(k + 1) % len(weights)]))
+        edges.append((NodeRef(nid), Out(k % 3), weights[(k + 2) % len(weights)]))
+    d = make_idag(2, 3, labelled + plain, edges, mode)
+    text = idag_to_json(d)
+    assert text == _reference_text(d)
+    assert idag_to_obj(d) == json_reference.idag_to_obj(d)
+    assert json.loads(text) == json_reference.idag_to_obj(d)
+
+
+def test_a_weight_too_long_to_write_raises():
+    d = make_idag(1, 1, [], {(In(0), Out(0)): 10**4300}, NAT)  # 4,301 digits
+    with pytest.raises(IdagError, match="^cannot write a number: "):
+        idag_to_json(d)
+    with pytest.raises(IdagError, match="^cannot write a number: "):
+        idag_to_obj(d)
+    d = make_idag(1, 1, [], {(In(0), Out(0)): -(10**4299)}, INT)  # 4,300 digits
+    assert idag_to_json(d) == _reference_text(d)

@@ -32,6 +32,7 @@ from idag.terms import (
     Sym,
     Ten,
     _GENERATORS,
+    _SCAN_RE,
     _STRAY_RE,
     _TOKEN_RE,
     _path_to,
@@ -322,6 +323,20 @@ def test_tokens_match_the_reference_tokenizer():
         assert _STRAY_RE.search(text) is None
         got = [(m.group(), *_line_column(text, m.start())) for m in _TOKEN_RE.finditer(text)]
         assert got == _joined_atoms(text, want)
+
+
+def test_parse_scan_yields_the_tokens_the_position_scan_finds():
+    # parse's scan takes the blanks after each token with it; the tokens it
+    # returns are those whose positions parse_errors reads
+    rng = random.Random(12)
+    blanks = ["", " ", "\n  ", "\t", "\r\n", "\u2028", "\x1c"]
+    for _ in range(300):
+        text = print_expression(random_expression(rng, max_depth=6, allow_anti=True))
+        text = "".join(c + rng.choice(blanks) if rng.random() < 0.3 else c for c in text)
+        text = rng.choice(blanks) + text + rng.choice(blanks)
+        assert _SCAN_RE.findall(text) == _TOKEN_RE.findall(text)
+    for text in ["", "  ", "id (1 )sym( 2 ,\n3)", "node [ a ]node[", "12abc_3 ;", "id(1)id", "x;;(,"]:
+        assert _SCAN_RE.findall(text) == _TOKEN_RE.findall(text)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from idag.errors import AntipodeWeight, InvalidWeight, ZeroWeight
@@ -46,6 +48,26 @@ def test_weighted_sum_drops_zero_sums():
         assert ws.weighted_sum([({0: 1, 3: 1}, 0)]) == {}
         assert ws.weighted_sum([({0: 1}, 0), ({2: 1}, 1)]) == {2: 1}
     assert BOOL.weighted_sum([]) == {}
+
+
+def test_bool_sum_is_the_general_sum_set_to_1():
+    # BOOL rows hold only 1s and BOOL weights are 0 or 1: the union of the
+    # rows of weight 1 is the entrywise sum with every nonzero sum set to 1
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        terms = [
+            (dict.fromkeys(rng.sample(range(10), rng.randint(0, 6)), 1), rng.randint(0, 1))
+            for _ in range(rng.randint(0, 5))
+        ]
+        sums: dict = {}
+        for r, w in terms:
+            for k, v in r.items():
+                sums[k] = sums.get(k, 0) + v * w
+        want = {k: 1 for k, v in sums.items() if v}
+        got = BOOL.weighted_sum(terms)
+        assert got == want == dict.fromkeys(NAT.weighted_sum(terms), 1)
+        # first-seen key order, as the general sum gives with no zero weight
+        assert list(got) == list(dict.fromkeys(k for r, w in terms if w for k in r))
 
 
 def test_weighted_sum_single_unit_term_returns_its_row():
