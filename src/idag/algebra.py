@@ -188,17 +188,14 @@ def from_permutation(perm: Sequence[int], mode: WeightSystem = BOOL) -> Idag:
     return Idag(mode, n, n, (), tuple({i: 1} for i in inverse))
 
 
-def _crossing(n: int, m: int) -> list[int]:
-    """The permutation crossing the first n of n+m wires over the last m:
-    wire i goes to m+i, wire n+j to j. Raises as _check_widths does."""
+def symmetry(n: int, m: int, mode: WeightSystem = BOOL) -> Idag:
+    """The (n+m, m+n)-idag crossing the first n wires over the last m:
+    input i goes to output m+i, input n+j to output j."""
     _check_widths("width", n, m)
     _check_widths("width", n + m)
-    return [m + i for i in range(n)] + list(range(m))
-
-
-def symmetry(n: int, m: int, mode: WeightSystem = BOOL) -> Idag:
-    """The (n+m, m+n)-idag crossing the first n wires over the last m."""
-    return from_permutation(_crossing(n, m), mode)
+    _check_type(mode, WeightSystem)
+    wires = tuple({n + j: 1} for j in range(m)) + tuple({i: 1} for i in range(n))
+    return Idag(mode, n + m, n + m, (), wires)
 
 
 def _freshen(taken: set[str], ids: Iterable[str]) -> dict[str, str]:

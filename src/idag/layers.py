@@ -5,10 +5,10 @@ the k-th slice as a weight matrix, taken from d's wires renumbered along the
 sorting with no transpose (_slice). encode_relation renders any matrix as
 an expression by the encoder decompose() runs. interpret() gives d's value
 in a model along a sorting without expression syntax: the models walked
-natively (FreeIdagModel and MatrixModel) read d's own wires along the
-sorting as a free image, through the reader evaluate() ends in, and other
-models compose the slices. decompose() and interpret() exist so tests can
-play them against each other.
+natively (models._NATIVE: FreeIdagModel and MatrixModel) read d's own
+wires along the sorting as a free image in the model's weights, through the
+reader evaluate() ends in, and other models compose the slices. decompose()
+and interpret() exist so tests can play them against each other.
 
 Different sortings yield different expressions with equal value in every
 model; transposition_identities() checks the five local identities that
@@ -82,13 +82,12 @@ def interpret(d: Idag, sort: SortLike, model: Model):
     ts, wires = _along(d, sort)
     labels = dict(d.nodes)
     n = d.n_in
-    weights_of = _NATIVE.get(type(model))
-    if weights_of is not None:
+    if type(model) in _NATIVE:
         # unless d's weight system is the model's, when every weight of d is
         # valid, relation checks d's weights as the matrix whose columns are
         # all of d's wires, by column, then by row: the order in which the
         # slices meet them, so errors match the fold's
-        if d.weights is not weights_of(model):
+        if d.weights is not model.weights:
             model.relation(MatrixMorphism(d.weights, n + len(ts), wires))
         return model._read_image(n, [labels[nid] for nid in ts.order], wires)
     _check_type(model, Model)

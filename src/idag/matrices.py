@@ -11,8 +11,8 @@ and from matrices with no transpose.
 MatrixModel reads a value off a free image (see models._walk) as its path
 sums: entry (i, j) sums, over the paths from input i to output j, edge
 weights times node images, and the values at the outputs are the matrix's
-columns. Importing this module adds MatrixModel to the models evaluate()
-walks natively (models._NATIVE).
+columns. Importing this module adds MatrixModel to the set of model
+classes evaluate() walks natively (models._NATIVE), in its weights.
 
 Matrix columns are sparse dicts of Python ints, so their arithmetic is
 exact at every magnitude. Every sum of weight products here (the matrix
@@ -21,7 +21,6 @@ product, the path sums) is WeightSystem.weighted_sum.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .algebra import _check_widths, _shifted, from_permutation, identity
@@ -218,4 +217,4 @@ class MatrixModel(Model, Frozen):
         return MatrixMorphism(self.weights, n_in, tuple(values[len(values) - n_out :]))
 
 
-_NATIVE[MatrixModel] = attrgetter("weights")
+_NATIVE.add(MatrixModel)

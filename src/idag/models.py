@@ -22,19 +22,18 @@ is walked once; the walk dispatches on each term's class, reads each atom's
 fields as they are (atoms check them when built, see terms), and reads the
 generator images from that table on each call, running copy-, merge-, unit-
 and discard-shaped ones inline; layers.interpret() takes d's own wires along
-the sorting. The models walked natively are the keys of _NATIVE, which the
-matrices module extends with MatrixModel when it is imported, so evaluate()
-tells them apart by one lookup of the model's class. Other models,
-subclasses and wrapping models take the compose/tensor fold, which tests use
-as the reference.
+the sorting. The models walked natively are the classes in _NATIVE, which
+the matrices module extends with MatrixModel when it is imported, so
+evaluate() tells them apart by one lookup of the model's class and walks in
+model.weights. Other models, subclasses and wrapping models take the
+compose/tensor fold, which tests use as the reference.
 
 Every sum of weight products in the walk is WeightSystem.weighted_sum.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import terms
 from .core import MAX_WIDTH, Idag, canonical_form
@@ -85,16 +84,13 @@ class Model:
         return self.symmetry(n, 0)
 
     def symmetry(self, n: int, m: int):
-        """relation of the BOOL matrix crossing the first n of n+m wires
-        over the last m (algebra.symmetry's wires); its entries, all 1, are
-        valid in every weight system."""
-        from .algebra import _check_widths
+        """relation of the BOOL matrix whose columns are algebra.symmetry's
+        wires; its entries, all 1, are valid in every weight system."""
+        from .algebra import symmetry
         from .matrices import MatrixMorphism
 
-        _check_widths("width", n, m)  # before any sum of them, as _crossing
-        _check_widths("width", n + m)
-        cols = tuple({n + j: 1} for j in range(m)) + tuple({i: 1} for i in range(n))
-        return self.relation(MatrixMorphism(BOOL, n + m, cols))
+        d = symmetry(n, m)
+        return self.relation(MatrixMorphism(BOOL, d.n_in, d.wires))
 
     def generator(self, gen: Expression):
         raise NotImplementedError
@@ -115,17 +111,17 @@ class Model:
 
 
 class FreeIdagModel(Model, Frozen):
-    """Evaluation into idags themselves; free for the equational theory the
-    mode selects."""
+    """Evaluation into idags themselves; free for the equational theory of
+    its weight system."""
 
-    __slots__ = ("mode",)
+    __slots__ = ("weights",)
 
-    def __init__(self, mode: WeightSystem = BOOL) -> None:
-        _check_type(mode, WeightSystem)
-        object.__setattr__(self, "mode", mode)
+    def __init__(self, weights: WeightSystem = BOOL) -> None:
+        _check_type(weights, WeightSystem)
+        object.__setattr__(self, "weights", weights)
 
     def generator(self, gen: Expression) -> Idag:
-        return free_generator_image(gen, self.mode)
+        return free_generator_image(gen, self.weights)
 
     def compose(self, first: Idag, then: Idag) -> Idag:
         from .algebra import concat
@@ -142,8 +138,8 @@ class FreeIdagModel(Model, Frozen):
         from .matrices import MatrixMorphism, _check_columns
 
         _check_type(mat, MatrixMorphism)
-        _check_columns(mat.cols, self.mode.check_edge_weight)
-        return Idag(self.mode, mat.n_in, mat.n_out, (), mat.cols)
+        _check_columns(mat.cols, self.weights.check_edge_weight)
+        return Idag(self.weights, mat.n_in, mat.n_out, (), mat.cols)
 
     def equal(self, a: Idag, b: Idag) -> bool:
         return canonical_form(a) == canonical_form(b)
@@ -154,12 +150,12 @@ class FreeIdagModel(Model, Frozen):
         """The free image as an idag, which stores it as it is (see _walk
         for its form); node k gets the id str(k)."""
         nodes = tuple((str(k), lbl) for k, lbl in enumerate(labels))
-        return Idag(self.mode, n_in, len(wires) - len(nodes), nodes, tuple(wires))
+        return Idag(self.weights, n_in, len(wires) - len(nodes), nodes, tuple(wires))
 
 
-# the models evaluate() walks natively, by class, each with a reader of the
-# weight system its walk runs in; matrices adds MatrixModel
-_NATIVE: dict[type, Callable[[Model], WeightSystem]] = {FreeIdagModel: attrgetter("mode")}
+# the classes of the models evaluate() walks natively, in their weights;
+# matrices adds MatrixModel
+_NATIVE: set[type] = {FreeIdagModel}
 
 
 def evaluate(e: Expression, model: Model):
@@ -171,9 +167,8 @@ def evaluate(e: Expression, model: Model):
     MatrixModel type-check e in the walk that builds its image; other
     models check it with arity_of before their fold.
     """
-    weights_of = _NATIVE.get(type(model))
-    if weights_of is not None:
-        return model._read_image(*_typed_walk(e, weights_of(model)))
+    if type(model) in _NATIVE:
+        return model._read_image(*_typed_walk(e, model.weights))
     _check_type(model, Model)
     arity_of(e)
 

@@ -48,7 +48,7 @@ made without its __init__ (object.__new__) is outside this contract.
 
 Typing is checked while an expression is built: parse compares widths at
 each ";" as it reads, and the models' walk (models._walk) checks each
-composite as it runs. arity_of walks an expression on its own only to name
+composite as it runs. arity_of folds an expression on its own only to name
 the error of an ill-typed one, or for models without a native walk.
 """
 
@@ -75,9 +75,10 @@ from .weights import WeightSystem
 class Expression(Frozen):
     """Base class; subclasses are immutable slotted classes forming the AST.
 
-    Equality, hashing and repr are written iteratively here instead of
-    taking Frozen's field-tuple versions: decomposition produces composites
-    tens of thousands of levels deep, and those recurse once per level.
+    Equality, hashing, repr and pickling are written iteratively here
+    instead of taking Frozen's field-tuple versions: decomposition produces
+    composites tens of thousands of levels deep, and those recurse once per
+    level. Expressions are immutable, so a copy is the expression itself.
     """
 
     __slots__ = ()
@@ -132,6 +133,11 @@ class Expression(Frozen):
             seq=lambda _, a, b: f"Seq(first={a}, then={b})",
             ten=lambda _, a, b: f"Ten(left={a}, right={b})",
         )
+
+    def __deepcopy__(self, memo: Optional[dict] = None) -> "Expression":
+        return self
+
+    __copy__ = __deepcopy__
 
 
 def _atom_fields(a: "Expression") -> tuple:
@@ -229,6 +235,21 @@ class Seq(Expression):
         _set_first(self, first)
         _set_then(self, then)
 
+    def __reduce__(self) -> tuple:
+        """The postfix of the parts, by fold, which _from_postfix reads
+        back: the atoms in order, and per step None for the next atom or the
+        class that joins the last two parts. Atoms keep Record's reduce."""
+        atoms: list = []
+        ops: list = []
+
+        def atom(a: Expression) -> None:
+            atoms.append(a)
+            ops.append(None)
+
+        join = lambda node, _a, _b: ops.append(type(node))
+        fold(self, atom, join, join)
+        return _from_postfix, (atoms, ops)
+
 
 class Ten(Expression):
     """left stacked above right."""
@@ -238,6 +259,21 @@ class Ten(Expression):
     def __init__(self, left: Expression, right: Expression) -> None:
         _set_left(self, left)
         _set_right(self, right)
+
+    __reduce__ = Seq.__reduce__
+
+
+def _from_postfix(atoms: list, ops: list) -> Expression:
+    """The expression a composite's __reduce__ wrote."""
+    built: list = []
+    next_atom = iter(atoms).__next__
+    for op in ops:
+        if op is None:
+            built.append(next_atom())
+        else:
+            b = built.pop()
+            built[-1] = op(built[-1], b)
+    return built[0]
 
 
 # Seq and Ten are built once per composite, so they set their fields through
@@ -329,9 +365,6 @@ def _interprets(mode: WeightSystem, cls: type) -> bool:
     return cls is not Anti or mode.antipode_enabled
 
 
-# arity_of's stack marks: the composite below has both parts done
-_SEQ_DONE = object()
-_TEN_DONE = object()
 _GENERATOR_ARITY = {cls: (n_in, len(outs)) for cls, (_, n_in, outs) in _GENERATORS.items()}
 
 
@@ -339,38 +372,14 @@ def arity_of(e: Expression) -> tuple[int, int]:
     """(inputs, outputs) of e; raises UnsupportedGenerator on what is not
     an atom (see _as_base), and TypeMismatch at the first ill-typed
     sequential composite (leftmost-innermost), naming its position by an
-    attribute path from the root.
+    attribute path from the root."""
 
-    One post-order walk over an explicit stack. The inputs and outputs of
-    finished subterms sit in one flat list, two entries each; a composite
-    leaves a mark under its parts, and the mark combines their entries."""
-    stack: list = [e]
-    widths: list[int] = []
-    while stack:
-        x = stack.pop()
-        if x is _TEN_DONE:
-            b_out = widths.pop()
-            b_in = widths.pop()
-            widths[-2] += b_in
-            widths[-1] += b_out
-        elif x is _SEQ_DONE:
-            b_out = widths.pop()
-            b_in = widths.pop()
-            x = stack.pop()
-            if widths[-1] != b_in:
-                raise TypeMismatch(_path_to(e, x), widths[-1], b_in)
-            widths[-1] = b_out
-        elif isinstance(x, Seq):
-            stack += (x, _SEQ_DONE, x.then, x.first)
-        elif isinstance(x, Ten):
-            stack += (_TEN_DONE, x.right, x.left)
-        elif type(x) is Id:
-            widths += (x.n, x.n)
-        elif type(x) is Node:
-            widths += (1, 1)
-        else:
-            widths += _GENERATOR_ARITY.get(type(x)) or _atom_arity(x)
-    return widths[0], widths[1]
+    def seq(node: Seq, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        if a[1] != b[0]:
+            raise TypeMismatch(_path_to(e, node), a[1], b[0])
+        return a[0], b[1]
+
+    return fold(e, _atom_arity, seq, lambda _, a, b: (a[0] + b[0], a[1] + b[1]))
 
 
 def _atom_arity(a: Expression) -> tuple[int, int]:

@@ -7,12 +7,14 @@ from idag.algebra import identity, make_idag, symmetry
 from idag.builders import seq_all
 from idag.core import MAX_WIDTH, In, NodeRef, Out, is_isomorphic, transitive_closure
 from idag.errors import (
+    BadEndpoint,
     IdagError,
     InterfaceMismatch,
     InvalidWeight,
     ModeMismatch,
     SizeLimitExceeded,
     UnsupportedGenerator,
+    WrongArgumentType,
 )
 from idag.loops import LoopsModel, LoopsMorphism, loops_eval
 from idag.matrices import MatrixModel, matrix, matrix_identity, matrix_permutation
@@ -370,6 +372,12 @@ def test_wiring_widths_are_checked_before_they_are_summed(model):
         assert _raised(lambda: model.symmetry(1, bad)) == _raised(lambda: symmetry(1, bad))
     past = (SizeLimitExceeded, f"width {MAX_WIDTH + 1} exceeds the bound {MAX_WIDTH}")
     assert _raised(lambda: model.symmetry(MAX_WIDTH, 1)) == past
+
+
+def test_symmetry_checks_its_widths_then_their_sum_then_its_mode():
+    assert _raised(lambda: symmetry(-1, 1, None))[0] is BadEndpoint
+    assert _raised(lambda: symmetry(MAX_WIDTH, 1, None))[0] is SizeLimitExceeded
+    assert _raised(lambda: symmetry(1, 1, None))[0] is WrongArgumentType
 
 
 # ---------------------------------------------------------------------------

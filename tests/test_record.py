@@ -43,7 +43,7 @@ _VALUES = [
     ),
     (matrix([[1, 2], [0, 3]], NAT), "MatrixMorphism(NAT, ((1, 2), (0, 3)))", None),
     (LoopsMorphism((1, 0), (("a",), ())), "LoopsMorphism(perm=(1, 0), words=(('a',), ()))", ((1, 0), (("a",), ()))),
-    (FreeIdagModel(NAT), "FreeIdagModel(mode=NAT)", (NAT,)),
+    (FreeIdagModel(NAT), "FreeIdagModel(weights=NAT)", (NAT,)),
     (MatrixModel(INT, {"a": 2}), "MatrixModel(weights=INT, lambda_images={'a': 2})", None),
     (LoopsModel(), "LoopsModel()", ()),
 ]
@@ -116,7 +116,7 @@ def test_constructors_keep_names_defaults_and_checks():
     assert TheoryMode(weights=NAT) == TheoryMode(NAT, frozenset(), None)
     assert EqReport(False, identity(1), identity(1)).witness is None
     assert MatrixModel() == MatrixModel(NAT, {}) and MatrixModel().lambda_images == {}
-    assert FreeIdagModel().mode is BOOL
+    assert FreeIdagModel().weights is BOOL
     with pytest.raises(ModeMismatch):
         TheoryMode(NAT, frozenset({TRANSITIVE}))
     with pytest.raises(ModeMismatch):
@@ -138,6 +138,6 @@ class _Sub(FreeIdagModel):
 
 def test_subclasses_keep_the_fields_of_their_bases():
     sub = _Sub(NAT)
-    assert repr(sub) == "_Sub(mode=NAT)" and sub != FreeIdagModel(NAT)
+    assert repr(sub) == "_Sub(weights=NAT)" and sub != FreeIdagModel(NAT)
     assert sub == _Sub(NAT) != _Sub(INT) and hash(sub) == hash((NAT,))
     assert pickle.loads(pickle.dumps(sub)) == sub == copy.deepcopy(sub)

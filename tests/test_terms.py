@@ -35,7 +35,6 @@ from idag.terms import (
     _SCAN_RE,
     _STRAY_RE,
     _TOKEN_RE,
-    _path_to,
     arity_of,
     atoms,
     fold,
@@ -242,6 +241,22 @@ def test_deeply_nested_parentheses():
     with pytest.raises(ExprSyntaxError) as exc:
         parse("(" * depth + "id(1)" + ")" * (depth - 1))
     assert (exc.value.line, exc.value.column) == (1, 2 * depth + 5)
+
+
+def test_deep_expressions_pickle_and_copy():
+    n = 20_000
+    atoms_ = [Node(str(k % 7)) if k % 3 else Id(1) for k in range(n)]
+    left = right = row = atoms_[0]
+    for a in atoms_[1:]:
+        left, right, row = Seq(left, a), Seq(a, right), Ten(row, a)
+    d = random_idag(random.Random(3), 2, 3, 300, 0.02, INT, labels=("a", "b"))
+    for e in (left, right, row, decompose(d, default_sorting(d))):
+        twin = pickle.loads(pickle.dumps(e))
+        assert twin == e and twin is not e
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+    # parts that are not expressions come back as they were
+    odd = Seq(3, Ten((Id(1),), Seq(None, Id(2))))
+    assert repr(pickle.loads(pickle.dumps(odd))) == repr(odd)
 
 
 def _reference_tokens(text):
@@ -646,33 +661,36 @@ def test_expression_nodes_are_slotted_and_immutable(e, text):
             setattr(e, name, Id(1))
     assert repr(e) == text
     assert hash(e) == _ref_hash(e)
-    for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
-        assert twin == e and twin is not e
-        assert repr(twin) == text and hash(twin) == hash(e)
+    # immutable, so a copy is the expression itself
+    assert copy.copy(e) is e and copy.deepcopy(e) is e
+    twin = pickle.loads(pickle.dumps(e))
+    assert twin == e and twin is not e
+    assert repr(twin) == text and hash(twin) == hash(e)
 
 
 # ---------------------------------------------------------------------------
-# The arity walk as it was before the flat-stack loop, kept as its oracle: a
-# fold with one result tuple per subterm.
+# arity_of's oracle: plain recursion, which shares no traversal with
+# terms.fold and names an ill-typed composite by the path it reached it
+# along; for expressions of bounded depth.
 
 
-def _ref_arity_of(e: Expression) -> tuple[int, int]:
-    def atom(a):
-        if isinstance(a, (Id, Sym)):
-            return (_width(a), _width(a))
-        if type(a) is Node:
-            return (1, 1)
-        if type(a) not in _GENERATORS:
-            raise UnsupportedGenerator(f"unknown atom {a!r}")
-        _, n_in, outs = _GENERATORS[type(a)]
-        return (n_in, len(outs))
-
-    def seq(node, a, b):
+def _ref_arity_of(e: Expression, path: str = "expr") -> tuple[int, int]:
+    if isinstance(e, (Seq, Ten)):
+        names = ("first", "then") if isinstance(e, Seq) else ("left", "right")
+        a, b = (_ref_arity_of(getattr(e, name), f"{path}.{name}") for name in names)
+        if isinstance(e, Ten):
+            return (a[0] + b[0], a[1] + b[1])
         if a[1] != b[0]:
-            raise TypeMismatch(_path_to(e, node), a[1], b[0])
+            raise TypeMismatch(path, a[1], b[0])
         return (a[0], b[1])
-
-    return fold(e, atom, seq, lambda _, a, b: (a[0] + b[0], a[1] + b[1]))
+    if isinstance(e, (Id, Sym)):
+        return (_width(e), _width(e))
+    if type(e) is Node:
+        return (1, 1)
+    if type(e) not in _GENERATORS:
+        raise UnsupportedGenerator(f"unknown atom {e!r}")
+    _, n_in, outs = _GENERATORS[type(e)]
+    return (n_in, len(outs))
 
 
 class _Label(str):
@@ -695,14 +713,18 @@ def test_arity_of_matches_the_reference_fold():
     bad = [Box()]
     rng = random.Random(11)
     well_typed = [random_expression(rng, max_depth=rng.randint(1, 8), allow_anti=True) for _ in range(300)]
-    for n in (8, 64):
-        d = random_idag(rng, 2, 3, n, 0.3, INT, labels=("a", "b"))
-        well_typed.append(decompose(d, default_sorting(d)))
-    outcomes = set()
     for e in well_typed:
         assert arity_of(e) == _ref_arity_of(e)
+    # decompositions are too deep for the recursion: the walk that
+    # evaluates them counts their interface
+    for n in (8, 64, 300):
+        d = random_idag(rng, 2, 3, n, 0.3, INT, labels=("a", "b"))
+        e = decompose(d, default_sorting(d))
+        value = evaluate(e, FreeIdagModel(INT))
+        assert arity_of(e) == (value.n_in, value.n_out) == (2, 3)
+    outcomes = set()
     for _ in range(600):
-        parts = [rng.choice(well_typed[:300] + odd) for _ in range(4)]
+        parts = [rng.choice(well_typed + odd) for _ in range(4)]
         if rng.random() < 0.3:
             parts[rng.randrange(4)] = rng.choice(bad)
         e = Seq(Ten(parts[0], _SubSeq(parts[1], Id(0))), Ten(parts[2], Seq(parts[3], Id(1))))

@@ -175,8 +175,7 @@ def evaluate(e: Expression, model):
     """e's value in a FreeIdagModel or MatrixModel."""
     assert type(model) in (FreeIdagModel, MatrixModel)
     n_in, _ = arity_of(e)
-    mode = model.mode if type(model) is FreeIdagModel else model.weights
-    return model._read_image(n_in, *walk(e, n_in, mode))
+    return model._read_image(n_in, *walk(e, n_in, model.weights))
 
 
 def _normal_form(e: Expression, tm, n_in: Optional[int] = None):
