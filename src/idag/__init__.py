@@ -20,8 +20,8 @@ _NAMES_BY_MODULE = {
         "Vertex", "canonical_form", "is_isomorphic", "prune_dangling", "transitive_closure",
     ),
     "decomposition": (
-        "TopSort", "decompose", "default_sorting", "is_topological_sorting",
-        "permutation_expression", "topological_sortings",
+        "decompose", "default_sorting", "is_topological_sorting", "permutation_expression",
+        "topological_sortings",
     ),
     "dot": ("idag_to_dot",),
     "equivalence": (

@@ -34,7 +34,6 @@ from .errors import IdagError, IndexOutOfRange
 from .weights import BY_NAME
 
 if TYPE_CHECKING:
-    from .decomposition import TopSort
     from .equivalence import TheoryMode
 
 
@@ -76,7 +75,7 @@ def _emit_idag(d: Idag, fmt: str) -> None:
         _print(idag_to_json(d))
 
 
-def _pick_sorting(d: Idag, spec: str) -> TopSort:
+def _pick_sorting(d: Idag, spec: str) -> tuple[str, ...]:
     from .decomposition import default_sorting, topological_sortings
 
     if spec == "default":
@@ -135,7 +134,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     sort = _pick_sorting(d, args.sorting)
     text = print_expression(decompose(d, sort))
     if args.format == "json":
-        _print(dumps({"expression": text, "sorting": list(sort.order)}))
+        _print(dumps({"expression": text, "sorting": list(sort)}))
     else:
         _print(text)
     return 0
@@ -153,18 +152,6 @@ def _on_idags(operation: Callable[..., Idag]) -> Callable[[argparse.Namespace], 
         return 0
 
     return run
-
-
-def _compose(first: Idag, second: Idag) -> Idag:
-    from .algebra import concat
-
-    return concat(second, first)
-
-
-def _tensor(first: Idag, second: Idag) -> Idag:
-    from .algebra import juxt
-
-    return juxt(first, second)
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
@@ -215,9 +202,9 @@ _COMMANDS: dict[str, tuple] = {
     "decompose": ("idag JSON -> expression",
                   ("idag",), ("--sorting",), ("text", "json"), _cmd_decompose),
     "compose": ("sequential composite of two idag JSONs (first feeds second)",
-                ("first", "second"), (), _IDAG_FORMATS, _on_idags(_compose)),
+                ("first", "second"), (), _IDAG_FORMATS, _on_idags(Idag.__rshift__)),
     "tensor": ("parallel composite of two idag JSONs",
-               ("first", "second"), (), _IDAG_FORMATS, _on_idags(_tensor)),
+               ("first", "second"), (), _IDAG_FORMATS, _on_idags(Idag.__matmul__)),
     "closure": ("transitive closure of a bool idag",
                 ("idag",), (), _IDAG_FORMATS, _on_idags(transitive_closure)),
     "prune": ("delete dangling nodes of a bool idag",

@@ -37,54 +37,36 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from functools import partial
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import _is_permutation
 from .builders import seq_all, ten_all
 from .core import Idag, _renumbered
 from .errors import NotATopologicalSorting, NotBijective, _check_type
-from .record import Frozen
 from .terms import Anti, Delta, Eps, Eta, Expression, Id, Nabla, Node, Seq, Sym, Ten
 
 
-class TopSort(Frozen):
-    """A topological sorting: the idag's node ids, every edge pointing
-    forward."""
-
-    __slots__ = ("order",)
-
-    def __init__(self, order: tuple[str, ...]) -> None:
-        object.__setattr__(self, "order", order)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-
-SortLike = Union[TopSort, Sequence[str]]
-
-
-def _along(d: Idag, sort: SortLike) -> tuple[TopSort, tuple[dict[int, int], ...]]:
-    """The sorting as a TopSort, and d's wires renumbered along it: node
-    sort[k] becomes source n_in+k and its wire comes k-th, then the outputs'
-    wires. Raises NotATopologicalSorting unless sort lists each node id
-    once, as a str, with every edge pointing forward, and for anything that
-    is neither a TopSort nor an iterable other than a str, and
-    WrongArgumentType for a d that is not an Idag."""
+def _along(d: Idag, sort: Iterable[str]) -> tuple[tuple[str, ...], tuple[dict[int, int], ...]]:
+    """The sorting as a tuple of node ids, and d's wires renumbered along
+    it: node sort[k] becomes source n_in+k and its wire comes k-th, then the
+    outputs' wires. Raises NotATopologicalSorting unless sort is an iterable
+    other than a str that lists each node id once, as a str, with every
+    edge pointing forward, and WrongArgumentType for a d that is not an
+    Idag."""
     _check_type(d, Idag)
-    order = sort.order if isinstance(sort, TopSort) else sort
-    if isinstance(order, str) or not isinstance(order, Iterable):
+    if isinstance(sort, str) or not isinstance(sort, Iterable):
         raise NotATopologicalSorting(f"{sort!r} is not a sequence of node ids")
-    ts = sort if isinstance(sort, TopSort) else TopSort(tuple(order))
+    order = tuple(sort)
     pos = d._position()
-    at = [pos.get(nid, -1) if isinstance(nid, str) else -1 for nid in ts.order]
+    at = [pos.get(nid, -1) if isinstance(nid, str) else -1 for nid in order]
     if len(at) == len(set(at) - {-1}) == len(pos):  # each node once
         wires = _renumbered(d, at)
         if all(s < live for live, wire in enumerate(wires[: len(at)], d.n_in) for s in wire):
-            return ts, wires
-    raise NotATopologicalSorting(f"{list(ts.order)!r} does not sort {d!r}")
+            return order, wires
+    raise NotATopologicalSorting(f"{list(order)!r} does not sort {d!r}")
 
 
-def is_topological_sorting(d: Idag, sort: SortLike) -> bool:
+def is_topological_sorting(d: Idag, sort: Iterable[str]) -> bool:
     """True when sort lists each node id of d once, as a str, with every
     edge pointing forward; False for anything else."""
     try:
@@ -136,11 +118,11 @@ class _Placement:
         insort(self.ready, k)
         return k
 
-    def sorting(self) -> TopSort:
-        return TopSort(tuple(self.ids[k] for k in self.order))
+    def sorting(self) -> tuple[str, ...]:
+        return tuple(self.ids[k] for k in self.order)
 
 
-def topological_sortings(d: Idag) -> Iterator[TopSort]:
+def topological_sortings(d: Idag) -> Iterator[tuple[str, ...]]:
     """All topological sortings, lazily, in lexicographic node-id order; the
     first is the deterministic default sorting. On backtracking, a position
     takes the least ready node above the one it held."""
@@ -158,7 +140,7 @@ def topological_sortings(d: Idag) -> Iterator[TopSort]:
         place(ready[at])
 
 
-def default_sorting(d: Idag) -> TopSort:
+def default_sorting(d: Idag) -> tuple[str, ...]:
     return next(topological_sortings(d))
 
 
@@ -423,7 +405,7 @@ class _Memo(dict):
         return value
 
 
-def decompose(d: Idag, sort: SortLike) -> Expression:
+def decompose(d: Idag, sort: Iterable[str]) -> Expression:
     """An expression evaluating to d (up to isomorphism in the free model,
     exactly in matrix models): encoded slices interleaved with one node box
     per sorted node. Every slice is built from d's wires: node slices from
@@ -431,7 +413,7 @@ def decompose(d: Idag, sort: SortLike) -> Expression:
     runs, from the outputs' wires. The slices share each id(k), weight
     gadget, fan-out, fan-in, crossing sym(1,b) and node box the call
     builds."""
-    ts, wires = _along(d, sort)
+    order, wires = _along(d, sort)
     labels = dict(d.nodes)
     n = d.n_in
     # expressions are immutable, so the slices share one instance of each
@@ -439,10 +421,12 @@ def decompose(d: Idag, sort: SortLike) -> Expression:
         _Memo(make).__getitem__ for make in (Id, _scale, _fan_in, partial(Sym, 1), Node)
     )
     e: Optional[Expression] = None
-    for k, nid in enumerate(ts.order):
+    for k, nid in enumerate(order):
         live = n + k
         step = _encode_node_slice(live, sorted(wires[k].items()), pad, scale, fan_in, cross)
         box = Ten(pad(live), node(labels[nid])) if live else node(labels[nid])
         e = Seq(step if e is None else Seq(e, step), box)
-    out = _encode(n + len(ts), wires[len(ts) :], pad, scale, _Memo(_fan_out).__getitem__, fan_in)
+    out = _encode(
+        n + len(order), wires[len(order) :], pad, scale, _Memo(_fan_out).__getitem__, fan_in
+    )
     return out if e is None else Seq(e, out)

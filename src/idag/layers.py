@@ -18,8 +18,10 @@ matrices.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .core import Idag
-from .decomposition import SortLike, _along, _encode, _fan_in, _fan_out, _scale
+from .decomposition import _along, _encode, _fan_in, _fan_out, _scale
 from .errors import IndexOutOfRange, NotAdjacentTransposition, _check_type
 from .matrices import MatrixMorphism, matrix_permutation
 from .models import _NATIVE, Model
@@ -28,7 +30,7 @@ from .terms import Expression, Id, Node
 from .weights import INT, NAT
 
 
-def layer(d: Idag, sort: SortLike, k: int) -> MatrixMorphism:
+def layer(d: Idag, sort: Iterable[str], k: int) -> MatrixMorphism:
     """The k-th slice of d along the sorting, as a weight matrix, whose
     columns are wires of d renumbered along the sorting.
 
@@ -37,8 +39,8 @@ def layer(d: Idag, sort: SortLike, k: int) -> MatrixMorphism:
     n+l from the l-th emitted node). For k = |N| the shape is (n+|N|) x m,
     and the columns are the outputs' wires.
     """
-    ts, wires = _along(d, sort)
-    total = len(ts.order)
+    order, wires = _along(d, sort)
+    total = len(order)
     if type(k) is not int or not 0 <= k <= total:
         raise IndexOutOfRange(f"layer index {k} not in 0..{total}")
     return _slice(d, wires, k)
@@ -70,7 +72,7 @@ def encode_relation(mat: MatrixMorphism) -> Expression:
     return _encode(mat.n_in, mat.cols, Id, _scale, _fan_out, _fan_in)
 
 
-def interpret(d: Idag, sort: SortLike, model: Model):
+def interpret(d: Idag, sort: Iterable[str], model: Model):
     """d's value in a model along the sorting, bypassing expression syntax.
 
     FreeIdagModel and MatrixModel read d's own wires along the sorting as a
@@ -79,7 +81,7 @@ def interpret(d: Idag, sort: SortLike, model: Model):
     decompose(); evaluate(decompose(d, s), model) must agree with
     interpret(d, s, model) in every model, which the tests exercise.
     """
-    ts, wires = _along(d, sort)
+    order, wires = _along(d, sort)
     labels = dict(d.nodes)
     n = d.n_in
     if type(model) in _NATIVE:
@@ -88,11 +90,11 @@ def interpret(d: Idag, sort: SortLike, model: Model):
         # all of d's wires, by column, then by row: the order in which the
         # slices meet them, so errors match the fold's
         if d.weights is not model.weights:
-            model.relation(MatrixMorphism(d.weights, n + len(ts), wires))
-        return model._read_image(n, [labels[nid] for nid in ts.order], wires)
+            model.relation(MatrixMorphism(d.weights, n + len(order), wires))
+        return model._read_image(n, [labels[nid] for nid in order], wires)
     _check_type(model, Model)
     mor = model.relation(_slice(d, wires, 0))
-    for k, nid in enumerate(ts.order):
+    for k, nid in enumerate(order):
         box = model.generator(Node(labels[nid]))
         if n + k > 0:
             box = model.tensor(model.identity(n + k), box)
@@ -154,7 +156,7 @@ def _block_swap(n_prefix: int, n_suffix: int, ws) -> MatrixMorphism:
 
 
 def transposition_identities(
-    d: Idag, sort_a: SortLike, sort_b: SortLike, i: int
+    d: Idag, sort_a: Iterable[str], sort_b: Iterable[str], i: int
 ) -> TranspositionReport:
     """Check the five identities relating the slices of two sortings that
     differ by swapping positions i and i+1.
@@ -166,14 +168,14 @@ def transposition_identities(
     """
     sa, wa = _along(d, sort_a)
     sb, wb = _along(d, sort_b)
-    total = len(sa.order)
+    total = len(sa)
     if type(i) is not int or not 0 <= i <= total - 2:
         raise IndexOutOfRange(f"swap position {i} not in 0..{total - 2}")
-    swapped = list(sa.order)
+    swapped = list(sa)
     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-    if list(sb.order) != swapped:
+    if list(sb) != swapped:
         raise NotAdjacentTransposition(
-            f"{list(sb.order)!r} is not {list(sa.order)!r} with positions "
+            f"{list(sb)!r} is not {list(sa)!r} with positions "
             f"{i} and {i + 1} swapped"
         )
     n = d.n_in
@@ -202,9 +204,9 @@ def transposition_identities(
     scalars = {lbl: 2 + k for k, lbl in enumerate(sorted({lbl for _, lbl in d.nodes}))}
     labels = dict(d.nodes)
     node_ok = True
-    for ts, slices in ((sa, la), (sb, lb)):
+    for order, slices in ((sa, la), (sb, lb)):
         mid = MatrixMorphism(box_ws, n + i + 1, slices[i + 1].cols)
-        scalar = scalars[labels[ts.order[i]]]
+        scalar = scalars[labels[order[i]]]
         # the box on wire n+i, before mid and after it
         if _box(n + i + 1, n + i, scalar, box_ws).then(mid) != mid.then(
             _box(n + i + 2, n + i, scalar, box_ws)

@@ -44,13 +44,6 @@ def _draw_weight(rng: random.Random, mode: WeightSystem) -> int:
     return 1
 
 
-def _check_probability(what: str, p: float) -> None:
-    if not isinstance(p, (int, float)):
-        raise IdagError(f"{what} {p!r} is not a number")
-    if not 0 <= p <= 1:
-        raise IdagError(f"{what} {p} outside [0, 1]")
-
-
 def _label_pool(labels: Collection) -> list:
     """The labels to draw from, in an order that does not depend on the
     hash seed: a Sequence's own, otherwise sorted by their text."""
@@ -79,7 +72,10 @@ def random_idag(
     WrongArgumentType unless rng is a random.Random and labels a collection
     other than a str."""
     _check_type(rng, random.Random)
-    _check_probability("edge_prob", edge_prob)
+    if not isinstance(edge_prob, (int, float)):
+        raise IdagError(f"edge_prob {edge_prob!r} is not a number")
+    if not 0 <= edge_prob <= 1:
+        raise IdagError(f"edge_prob {edge_prob} outside [0, 1]")
     _check_collection(labels, Collection)
     if not labels:
         raise IdagError("no node labels to draw from")
@@ -109,29 +105,26 @@ def random_idag(
     return make_idag(n_in, n_out, nodes, edges, mode)
 
 
+# the probability that an entry of random_matrix is nonzero
+MATRIX_DENSITY = 0.6
+
+
 def random_matrix(
-    rng: random.Random,
-    n: int,
-    m: int,
-    mode: WeightSystem,
-    max_abs: int = 4,
-    density: float = 0.6,
+    rng: random.Random, n: int, m: int, mode: WeightSystem, max_abs: int = 4
 ) -> MatrixMorphism:
-    """A random n x m matrix: each entry is nonzero with probability density,
-    of magnitude at most max_abs. Raises IdagError unless max_abs is a
-    positive int and density a number in [0, 1], BadEndpoint or
-    SizeLimitExceeded for a bad n or m, and WrongArgumentType unless rng
-    is a random.Random."""
+    """A random n x m matrix: each entry is nonzero with probability
+    MATRIX_DENSITY, of magnitude at most max_abs. Raises IdagError unless
+    max_abs is a positive int, BadEndpoint or SizeLimitExceeded for a bad n
+    or m, and WrongArgumentType unless rng is a random.Random."""
     _check_type(rng, random.Random)
     _check_widths("width", n, m)
     if type(max_abs) is not int or max_abs < 1:
         raise IdagError(f"max_abs {max_abs!r} is not a positive int")
-    _check_probability("density", density)
     rows = []
     for _ in range(n):
         row = []
         for _ in range(m):
-            if rng.random() >= density:
+            if rng.random() >= MATRIX_DENSITY:
                 row.append(0)
             elif mode is BOOL:
                 row.append(1)
@@ -149,6 +142,9 @@ def random_matrix(
 # random_expression's deepest max_depth, well under the recursion limit;
 # expressions already reach thousands of atoms at this depth
 MAX_EXPRESSION_DEPTH = 64
+# the most wires random_expression passes from one part of a sequential
+# composite to the next
+MAX_SEQ_WIDTH = 6
 
 
 def random_expression(
@@ -156,12 +152,11 @@ def random_expression(
     max_depth: int = 4,
     allow_anti: bool = False,
     labels: Sequence[str] = (DEFAULT_LABEL, "x", "y"),
-    max_width: int = 6,
 ) -> Expression:
     """A random well-typed expression; every AST constructor can occur.
     Node labels are drawn as in random_idag.
-    Raises IdagError when labels is empty, or when max_depth or max_width
-    is not a non-negative int (a bool is not one) or max_depth exceeds
+    Raises IdagError when labels is empty, or when max_depth is not a
+    non-negative int (a bool is not one) or exceeds
     MAX_EXPRESSION_DEPTH: generation recurses once per level, and
     WrongArgumentType unless rng is a random.Random and labels a collection
     other than a str."""
@@ -169,9 +164,8 @@ def random_expression(
     _check_collection(labels, Collection)
     if not labels:
         raise IdagError("no node labels to draw from")
-    for what, value in (("max_depth", max_depth), ("max_width", max_width)):
-        if type(value) is not int or value < 0:
-            raise IdagError(f"{what} {value!r} is not a non-negative int")
+    if type(max_depth) is not int or max_depth < 0:
+        raise IdagError(f"max_depth {max_depth!r} is not a non-negative int")
     if max_depth > MAX_EXPRESSION_DEPTH:
         raise IdagError(f"max_depth {max_depth} exceeds {MAX_EXPRESSION_DEPTH}")
     pool = _label_pool(labels)
@@ -220,7 +214,7 @@ def random_expression(
         if roll < 0.5:
             e1 = gen(width, depth - 1)
             mid = arity_of(e1)[1]
-            if mid > max_width:
+            if mid > MAX_SEQ_WIDTH:
                 return e1
             return Seq(e1, gen(mid, depth - 1))
         if roll < 0.8 and width >= 1:

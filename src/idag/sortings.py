@@ -13,7 +13,7 @@ import random
 from itertools import accumulate, combinations
 
 from .core import Idag
-from .decomposition import TopSort, _Placement
+from .decomposition import _Placement
 from .errors import SearchBudgetExceeded, _check_type
 
 
@@ -89,7 +89,7 @@ def count_topological_sortings(d: Idag) -> int:
     return _Counter(d).count()
 
 
-def sample_topological_sorting(d: Idag, rng: random.Random) -> TopSort:
+def sample_topological_sorting(d: Idag, rng: random.Random) -> tuple[str, ...]:
     """One topological sorting drawn uniformly: at each position, one draw r
     below the number of ways to finish, and the first ready node in id order
     at which the running sum of ways to finish exceeds r. Raises

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 
-from idag.decomposition import TopSort
 from idag.errors import SearchBudgetExceeded
 from idag.sortings import MAX_DOWN_SETS
 
@@ -76,7 +75,7 @@ def count_topological_sortings(d) -> int:
     return count((1 << len(below)) - 1)
 
 
-def sample_topological_sorting(d, rng: random.Random) -> TopSort:
+def sample_topological_sorting(d, rng: random.Random) -> tuple[str, ...]:
     """One sorting drawn uniformly: per position, one draw below the count
     of the remaining nodes, spent on the ready nodes in id order."""
     ids, succ = _order_index(d)
@@ -94,4 +93,4 @@ def sample_topological_sorting(d, rng: random.Random) -> TopSort:
                 remaining ^= 1 << k
                 break
             r -= c
-    return TopSort(tuple(order))
+    return tuple(order)

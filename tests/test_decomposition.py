@@ -11,7 +11,6 @@ from idag.algebra import identity, make_idag
 from idag.builders import seq_all
 from idag.core import Idag, In, NodeRef, Out, canonical_form, is_isomorphic
 from idag.decomposition import (
-    TopSort,
     decompose,
     default_sorting,
     is_topological_sorting,
@@ -69,7 +68,7 @@ def _chain(weights, mode):
 
 
 def test_five_sortings(dag31):
-    got = [s.order for s in topological_sortings(dag31)]
+    got = list(topological_sortings(dag31))
     assert got == [
         ("a", "b", "c", "d"),
         ("a", "c", "b", "d"),
@@ -79,12 +78,12 @@ def test_five_sortings(dag31):
     ]
     assert sorted(got) == sorted(_sortings_by_filter(dag31))
     assert count_topological_sortings(dag31) == 5
-    assert default_sorting(dag31).order == ("a", "b", "c", "d")
+    assert default_sorting(dag31) == ("a", "b", "c", "d")
 
 
 def test_node_free_has_one_empty_sorting():
     d = make_idag(2, 2, [], [(In(0), Out(1))])
-    assert [s.order for s in topological_sortings(d)] == [()]
+    assert list(topological_sortings(d)) == [()]
     assert count_topological_sortings(d) == 1
 
 
@@ -92,12 +91,12 @@ def test_chain_has_one_sorting():
     from idag.core import NodeRef
 
     d = make_idag(0, 0, ["p", "q", "r"], [(NodeRef("p"), NodeRef("q")), (NodeRef("q"), NodeRef("r"))])
-    assert [s.order for s in topological_sortings(d)] == [("p", "q", "r")]
+    assert list(topological_sortings(d)) == [("p", "q", "r")]
 
 
 def test_default_sorting_of_a_long_chain():
     d = _chain([1] * 1201, BOOL)
-    assert default_sorting(d).order == tuple(f"n{k}" for k in range(1, 1201))
+    assert default_sorting(d) == tuple(f"n{k}" for k in range(1, 1201))
 
 
 def test_default_sorting_of_a_long_descending_chain_is_fast():
@@ -108,7 +107,7 @@ def test_default_sorting_of_a_long_descending_chain_is_fast():
     verts = [In(0)] + [NodeRef(i) for i in ids] + [Out(0)]
     d = make_idag(1, 1, ids, list(zip(verts, verts[1:])))
     t0 = time.perf_counter()
-    order = default_sorting(d).order
+    order = default_sorting(d)
     assert time.perf_counter() - t0 < 0.3
     assert order == tuple(ids)
 
@@ -119,7 +118,7 @@ def test_default_sorting_of_a_long_chain_takes_linear_memory():
     d = _chain([1] * (n + 1), BOOL)
     tracemalloc.start()
     try:
-        order = default_sorting(d).order
+        order = default_sorting(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -133,7 +132,7 @@ def test_counting_and_sampling_a_long_chain(rng):
     n = 10_000
     d = _chain([1] * (n + 1), BOOL)
     order = tuple(f"n{k}" for k in range(1, n + 1))
-    runs = [(count_topological_sortings, 1), (lambda d: sample_topological_sorting(d, rng).order, order)]
+    runs = [(count_topological_sortings, 1), (lambda d: sample_topological_sorting(d, rng), order)]
     for run, want in runs:
         t0 = time.perf_counter()
         assert run(d) == want
@@ -163,9 +162,9 @@ def test_counting_matches_enumeration(rng):
         d = random_idag(rng, rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 6), 0.4, BOOL)
         sortings = list(topological_sortings(d))
         assert count_topological_sortings(d) == len(sortings)
-        assert len(set(s.order for s in sortings)) == len(sortings)
+        assert len(set(sortings)) == len(sortings)
         assert all(is_topological_sorting(d, s) for s in sortings)
-        assert [s.order for s in sortings] == _sortings_by_filter(d)
+        assert sortings == _sortings_by_filter(d)
 
 
 def test_counting_and_sampling_match_the_bit_mask_reference():
@@ -183,27 +182,46 @@ def test_counting_and_sampling_match_the_bit_mask_reference():
         assert ours.getstate() == ref.getstate()
 
 
+def test_the_sorting_routines_return_tuples_of_ids(dag31, rng):
+    for s in (default_sorting(dag31), sample_topological_sorting(dag31, rng), *topological_sortings(dag31)):
+        assert type(s) is tuple and all(type(nid) is str for nid in s)
+
+
 def test_sampling_is_valid_and_covers(dag31, rng):
     seen = set()
     for _ in range(400):
         s = sample_topological_sorting(dag31, rng)
         assert is_topological_sorting(dag31, s)
-        seen.add(s.order)
+        seen.add(s)
     assert len(seen) == 5
 
 
 def test_is_topological_sorting_negatives(dag31):
-    assert not is_topological_sorting(dag31, TopSort(("b", "a", "c", "d")))
-    assert not is_topological_sorting(dag31, TopSort(("a", "b", "c")))
-    assert not is_topological_sorting(dag31, TopSort(("a", "b", "c", "z")))
+    assert not is_topological_sorting(dag31, ("b", "a", "c", "d"))
+    assert not is_topological_sorting(dag31, ("a", "b", "c"))
+    assert not is_topological_sorting(dag31, ("a", "b", "c", "z"))
     with pytest.raises(NotATopologicalSorting):
-        decompose(dag31, TopSort(("b", "a", "c", "d")))
+        decompose(dag31, ("b", "a", "c", "d"))
+
+
+@pytest.mark.parametrize("form", [list, tuple, iter], ids=["list", "tuple", "generator"])
+def test_any_iterable_of_ids_is_a_sorting(dag31, form):
+    a, b = ("a", "b", "c", "d"), ("a", "c", "b", "d")
+    model = MatrixModel(NAT, {"a": 2, "b": 3})
+    assert default_sorting(dag31) == a
+    assert is_topological_sorting(dag31, form(a))
+    assert decompose(dag31, form(a)) == decompose(dag31, a)
+    assert layer(dag31, form(a), 2) == layer(dag31, a, 2)
+    assert interpret(dag31, form(a), model) == interpret(dag31, a, model)
+    assert transposition_identities(dag31, form(a), form(b), 1).all_ok
+    with pytest.raises(NotATopologicalSorting, match=r"\['b', 'a', 'c', 'd'\] does not sort"):
+        decompose(dag31, form(("b", "a", "c", "d")))
 
 
 @pytest.mark.parametrize("sort", [["a", "b", "c", 1], [None] * 4, [["x"]] * 4], ids=["int", "None", "list"])
 def test_sortings_of_ids_that_are_not_strings_are_refused(dag31, sort):
     assert not is_topological_sorting(dag31, sort)
-    assert not is_topological_sorting(dag31, TopSort(tuple(sort)))
+    assert not is_topological_sorting(dag31, tuple(sort))
     runs = [
         lambda: decompose(dag31, sort),
         lambda: layer(dag31, sort, 0),
@@ -221,7 +239,6 @@ def test_sortings_of_ids_that_are_not_strings_are_refused(dag31, sort):
 def test_sortings_that_are_not_iterables_of_ids_are_refused(dag31, sort):
     # "abcd" lists dag31's node ids as characters: a str is one id, not a sorting
     assert not is_topological_sorting(dag31, sort)
-    assert not is_topological_sorting(dag31, TopSort(sort))
     runs = [
         lambda: decompose(dag31, sort),
         lambda: layer(dag31, sort, 0),
@@ -295,7 +312,7 @@ def test_layer_bounds(dag31):
     with pytest.raises(IndexOutOfRange):
         layer(dag31, s, -1)
     with pytest.raises(NotATopologicalSorting):
-        layer(dag31, TopSort(("b", "a", "c", "d")), 0)
+        layer(dag31, ("b", "a", "c", "d"), 0)
 
 
 def test_layers_multiply_to_the_relation(dag31):
@@ -383,7 +400,7 @@ def test_encode_a_heavy_entry_in_linear_time():
 
 def test_decompose_node_free_is_relation_encoding():
     d = make_idag(2, 2, [], {(In(0), Out(1)): 1, (In(1), Out(0)): 1})
-    e = decompose(d, TopSort(()))
+    e = decompose(d, ())
     assert e == encode_relation(matrix([[0, 1], [1, 0]], BOOL))
 
 
@@ -395,8 +412,8 @@ def test_decompose_round_trip(dag31):
 
 
 def test_decompose_other_sorting_same_value(dag31):
-    a = decompose(dag31, TopSort(("a", "b", "c", "d")))
-    b = decompose(dag31, TopSort(("a", "c", "b", "d")))
+    a = decompose(dag31, ("a", "b", "c", "d"))
+    b = decompose(dag31, ("a", "c", "b", "d"))
     assert a != b
     assert print_expression(a) != print_expression(b)
     free = FreeIdagModel(BOOL)
@@ -407,7 +424,7 @@ def _decompose_by_slice_matrices(d, s):
     # the reference: the matrix-based encoder on every slice matrix
     labels = dict(d.nodes)
     parts = [encode_reference.encode_relation(layer(d, s, 0))]
-    for k, nid in enumerate(s.order):
+    for k, nid in enumerate(s):
         box = Node(labels[nid])
         if d.n_in + k > 0:
             box = Ten(Id(d.n_in + k), box)
@@ -491,7 +508,7 @@ def test_decompose_matches_the_slice_matrices_at_the_benchmark_widths(rng):
         d = _wide_idag(rng, ws)
         assert any(w != 1 for wire in d.wires[:64] for w in wire.values())
         model = MatrixModel(ws, {"a": 2, "b": -1 if ws is INT else 3})
-        s = TopSort(d.node_ids) if k < 2 else default_sorting(d)
+        s = d.node_ids if k < 2 else default_sorting(d)
         got, want = decompose(d, s), _decompose_by_slice_matrices(d, s)
         assert got == want
         assert print_expression(got) == print_expression(want)
@@ -544,7 +561,7 @@ def test_decompose_and_evaluate_400_nodes():
 
 def test_interpret_identity():
     for model in (FreeIdagModel(NAT), MatrixModel(NAT)):
-        got = interpret(identity(3), TopSort(()), model)
+        got = interpret(identity(3), (), model)
         assert model.equal(got, model.identity(3))
 
 
@@ -677,9 +694,7 @@ def test_interpret_worked_example_all_sortings(dag31):
 
 
 def test_transposition_worked_example(dag31):
-    rep = transposition_identities(
-        dag31, TopSort(("a", "b", "c", "d")), TopSort(("a", "c", "b", "d")), 1
-    )
+    rep = transposition_identities(dag31, ("a", "b", "c", "d"), ("a", "c", "b", "d"), 1)
     assert rep.all_ok
     assert rep.position == 1
     assert rep.prefix_layers_equal
@@ -696,8 +711,8 @@ def test_transposition_rejects_equal_sortings(dag31):
 
 
 def test_transposition_rejects_bad_index(dag31):
-    a = TopSort(("a", "b", "c", "d"))
-    b = TopSort(("a", "c", "b", "d"))
+    a = ("a", "b", "c", "d")
+    b = ("a", "c", "b", "d")
     with pytest.raises(IndexOutOfRange):
         transposition_identities(dag31, a, b, 3)
     with pytest.raises(NotAdjacentTransposition):
@@ -705,7 +720,7 @@ def test_transposition_rejects_bad_index(dag31):
 
 
 def test_transposition_rejects_non_sorting(dag31):
-    a = TopSort(("a", "b", "c", "d"))
-    bad = TopSort(("b", "a", "c", "d"))
+    a = ("a", "b", "c", "d")
+    bad = ("b", "a", "c", "d")
     with pytest.raises(NotATopologicalSorting):
         transposition_identities(dag31, bad, a, 0)

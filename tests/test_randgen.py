@@ -11,8 +11,8 @@ from idag.algebra import make_idag
 from idag.errors import BadEndpoint, IdagError, UnsupportedGenerator
 from idag.models import FreeIdagModel, evaluate
 from idag.printer import print_expression
-from idag.randgen import random_expression, random_idag, random_matrix
-from idag.terms import arity_of
+from idag.randgen import MATRIX_DENSITY, MAX_SEQ_WIDTH, random_expression, random_idag, random_matrix
+from idag.terms import arity_of, fold
 from idag.weights import BOOL, INT, NAT
 
 
@@ -92,15 +92,11 @@ def test_negative_sizes_raise(shape):
         lambda rng: random_expression(rng, labels=()),
         lambda rng: random_matrix(rng, 2, 2, NAT, max_abs=0),
         lambda rng: random_matrix(rng, 2, 2, NAT, max_abs=2.5),
-        lambda rng: random_matrix(rng, 2, 2, NAT, density="x"),
         lambda rng: random_matrix(rng, "2", 2, NAT),
         lambda rng: random_expression(rng, max_depth="x"),
         lambda rng: random_expression(rng, max_depth=True),
         lambda rng: random_expression(rng, max_depth=-1),
         lambda rng: random_expression(rng, max_depth=10**6),
-        lambda rng: random_expression(rng, max_width="x"),
-        lambda rng: random_expression(rng, max_width=False),
-        lambda rng: random_expression(rng, max_width=-1),
     ],
     ids=[
         "idag-no-labels",
@@ -110,15 +106,11 @@ def test_negative_sizes_raise(shape):
         "expression-no-labels",
         "matrix-max-abs-0",
         "matrix-max-abs-float",
-        "matrix-density-str",
         "matrix-width-str",
         "expression-depth-str",
         "expression-depth-bool",
         "expression-depth-negative",
         "expression-depth-too-deep",
-        "expression-width-str",
-        "expression-width-bool",
-        "expression-width-negative",
     ],
 )
 def test_bad_arguments_raise_idag_error(call):
@@ -170,6 +162,23 @@ def test_random_expressions_evaluable():
     for _ in range(100):
         e = random_expression(rng, allow_anti=False)
         evaluate(e, FreeIdagModel(BOOL))
+
+
+def test_random_expression_composes_through_at_most_max_seq_width():
+    rng = random.Random(4)
+    widths = []
+    for _ in range(300):
+        e = random_expression(rng, max_depth=rng.randint(1, 6))
+        seq = lambda node, _a, _b: widths.append(arity_of(node.first)[1])
+        fold(e, lambda a: None, seq, lambda *_: None)
+    assert max(widths) == MAX_SEQ_WIDTH
+
+
+def test_random_matrix_entries_are_nonzero_at_matrix_density():
+    rng = random.Random(8)
+    matrices = [random_matrix(rng, 6, 6, (BOOL, NAT, INT)[k % 3]) for k in range(60)]
+    entries = [v for m in matrices for row in m.entries for v in row]
+    assert abs(sum(v != 0 for v in entries) / len(entries) - MATRIX_DENSITY) < 0.03
 
 
 def test_random_matrix_shapes():

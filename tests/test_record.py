@@ -9,7 +9,6 @@ import pytest
 
 from idag.algebra import identity, make_idag
 from idag.core import In, NodeRef, Out
-from idag.decomposition import TopSort
 from idag.equivalence import TRANSITIVE, EqReport, TheoryMode, equal_mod_theory
 from idag.errors import ModeMismatch
 from idag.layers import TranspositionReport
@@ -33,7 +32,6 @@ _VALUES = [
         "TheoryMode(weights=BOOL, quotients=frozenset({'transitive'}), labels=frozenset({'a'}))",
         (BOOL, frozenset({TRANSITIVE}), frozenset({"a"})),
     ),
-    (TopSort(("a", "b")), "TopSort(order=('a', 'b'))", (("a", "b"),)),
     (
         TranspositionReport(1, True, False, True, True, False),
         "TranspositionReport(position=1, prefix_layers_equal=True, swapped_pair_composite_equal=False, "

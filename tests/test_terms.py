@@ -256,7 +256,8 @@ def test_deep_expressions_pickle_and_copy():
         assert copy.copy(e) is e and copy.deepcopy(e) is e
     # parts that are not expressions come back as they were
     odd = Seq(3, Ten((Id(1),), Seq(None, Id(2))))
-    assert repr(pickle.loads(pickle.dumps(odd))) == repr(odd)
+    twin = pickle.loads(pickle.dumps(odd))
+    assert twin == odd and repr(twin) == repr(odd)
 
 
 def _reference_tokens(text):
@@ -732,6 +733,40 @@ def test_arity_of_matches_the_reference_fold():
         assert _outcome(arity_of, e) == want
         outcomes.add(want[0] if isinstance(want, tuple) else str)
     assert outcomes == {str, TypeMismatch, UnsupportedGenerator}
+
+
+class _Box(Expression):
+    __slots__ = ("v",)
+
+    def __init__(self, v) -> None:
+        object.__setattr__(self, "v", v)
+
+
+class _TaggedId(Id):
+    __slots__ = ("tag",)
+
+    def __init__(self, n: int, tag: str) -> None:
+        super().__init__(n)
+        object.__setattr__(self, "tag", tag)
+
+
+def test_parts_outside_the_eleven_classes_compare_by_their_values():
+    # other expressions by Record's field tuple, other parts by their own
+    # ==, hash and repr
+    assert Seq(3, 3) != Seq(4, 4) and Ten("a", "b") != Ten("c", "d")
+    assert Seq(3, 3) == Seq(3, 3) and hash(Seq(3, 3)) == hash(Seq(3, 3))
+    assert len({Seq(3, 3), Seq(4, 4)}) == 2
+    assert _Box(1) != _Box(2) and Seq(_Box(1), Id(1)) != Seq(_Box(2), Id(1))
+    assert _Box(1) == _Box(1) and hash(_Box(1)) == hash(_Box(1))
+    assert _TaggedId(1, "a") != _TaggedId(1, "b") and _TaggedId(1, "a") == _TaggedId(1, "a")
+    assert repr(Seq(3, "x")) == "Seq(first=3, then='x')"
+    text = "Ten(left=_Box(v=Id(n=2)), right=_TaggedId(n=1, tag='a'))"
+    assert repr(Ten(_Box(Id(2)), _TaggedId(1, "a"))) == text
+    # an unhashable part compares by its own == but leaves the composite
+    # unhashable
+    assert Seq([1], Id(1)) == Seq([1], Id(1)) and Seq([1], Id(1)) != Seq([2], Id(1))
+    with pytest.raises(TypeError):
+        hash(Seq([1], Id(1)))
 
 
 class _SubNode(Node):
