@@ -3,6 +3,12 @@
 Generation is deterministic for a fixed seed, whatever the hash seed:
 candidates and labels are visited in a fixed order (see _label_pool) and
 every random draw goes through the supplied random.Random.
+random_idag writes an idag in the form core.Idag stores, one {source:
+weight} wire per node and per output, without building vertex objects or
+validating again what is valid by construction; its draws are those of the
+make_idag route it replaced, one per candidate pair, so every seed gives the
+same idag. random_expression carries each part's output width up from the
+atoms instead of typing the part again.
 Used by the CLI's random command, the selftest suites and the test corpus
 builders.
 """
@@ -13,9 +19,9 @@ import random
 from collections.abc import Collection, Sequence
 from typing import TYPE_CHECKING
 
-from .algebra import _check_widths, make_idag
-from .core import DEFAULT_LABEL, Idag, In, NodeRef, Out, Vertex
-from .errors import IdagError, _check_collection, _check_type
+from .algebra import _check_widths
+from .core import DEFAULT_LABEL, Idag
+from .errors import BadEndpoint, IdagError, _check_collection, _check_type
 from .terms import (
     Anti,
     Delta,
@@ -28,7 +34,7 @@ from .terms import (
     Seq,
     Sym,
     Ten,
-    arity_of,
+    _atom_arity,
 )
 from .weights import BOOL, INT, NAT, WeightSystem
 
@@ -66,13 +72,15 @@ def random_idag(
     order, so a set draws the same under every hash seed. Every admissible
     edge is included independently with probability edge_prob; nat/int
     weights are drawn uniformly from {1..3} / {-3..-1, 1..3}. Raises
-    IdagError unless edge_prob is a number in [0, 1] and labels is not
-    empty, BadEndpoint unless the widths and node count are non-negative
-    ints, SizeLimitExceeded when one is past MAX_WIDTH, and
-    WrongArgumentType unless rng is a random.Random and labels a collection
-    other than a str."""
+    IdagError unless edge_prob is a number in [0, 1] (a bool is not one)
+    and labels is not empty, BadEndpoint unless the widths and node count
+    are non-negative ints and every drawn label is a str, SizeLimitExceeded
+    when one is past MAX_WIDTH, and WrongArgumentType unless rng is a
+    random.Random, id_prefix a str, mode a WeightSystem and labels a
+    collection other than a str."""
     _check_type(rng, random.Random)
-    if not isinstance(edge_prob, (int, float)):
+    _check_type(id_prefix, str)
+    if type(edge_prob) is bool or not isinstance(edge_prob, (int, float)):
         raise IdagError(f"edge_prob {edge_prob!r} is not a number")
     if not 0 <= edge_prob <= 1:
         raise IdagError(f"edge_prob {edge_prob} outside [0, 1]")
@@ -81,28 +89,30 @@ def random_idag(
         raise IdagError("no node labels to draw from")
     _check_widths("node count", n_nodes)
     _check_widths("interface width", n_in, n_out)
+    _check_type(mode, WeightSystem)
     pool = _label_pool(labels)
-    node_ids = [f"{id_prefix}{k}" for k in range(n_nodes)]
-    nodes = [(nid, rng.choice(pool)) for nid in node_ids]
-    edges: list[tuple[Vertex, Vertex, int]] = []
+    nodes = tuple((f"{id_prefix}{k}", rng.choice(pool)) for k in range(n_nodes))
+    for spec in nodes:
+        if not isinstance(spec[1], str):
+            raise BadEndpoint(f"node ids and labels must be strings: {spec!r}")
+    # sources are numbered as Idag stores them: inputs, then nodes; targets
+    # index wires: nodes, then outputs
+    wires: list[dict[int, int]] = [{} for _ in range(n_nodes + n_out)]
+    draw = rng.random
 
-    def maybe(src: Vertex, dst: Vertex) -> None:
-        if rng.random() < edge_prob:
-            edges.append((src, dst, _draw_weight(rng, mode)))
+    def connect(sources: Sequence[int], targets: Sequence[int]) -> None:
+        for s in sources:
+            for t in targets:
+                if draw() < edge_prob:
+                    wires[t][s] = _draw_weight(rng, mode)
 
-    for i in range(n_in):
-        for k in range(n_nodes):
-            maybe(In(i), NodeRef(node_ids[k]))
+    outputs = range(n_nodes, n_nodes + n_out)
+    connect(range(n_in), range(n_nodes))
     for k in range(n_nodes):
-        for l in range(k + 1, n_nodes):
-            maybe(NodeRef(node_ids[k]), NodeRef(node_ids[l]))
-    for i in range(n_in):
-        for j in range(n_out):
-            maybe(In(i), Out(j))
-    for k in range(n_nodes):
-        for j in range(n_out):
-            maybe(NodeRef(node_ids[k]), Out(j))
-    return make_idag(n_in, n_out, nodes, edges, mode)
+        connect((n_in + k,), range(k + 1, n_nodes))
+    connect(range(n_in), outputs)
+    connect(range(n_in, n_in + n_nodes), outputs)
+    return Idag(mode, n_in, n_out, nodes, tuple(wires))
 
 
 # the probability that an entry of random_matrix is nonzero
@@ -170,8 +180,9 @@ def random_expression(
         raise IdagError(f"max_depth {max_depth} exceeds {MAX_EXPRESSION_DEPTH}")
     pool = _label_pool(labels)
 
-    def atom_row(width: int, depth: int) -> Expression:
-        # a tensor of atoms consuming exactly `width` wires
+    def atom_row(width: int) -> tuple[Expression, int]:
+        # a tensor of atoms consuming exactly `width` wires, and its output
+        # width, read off the arity table as arity_of reads it
         parts: list[Expression] = []
         remaining = width
         while remaining > 0:
@@ -201,25 +212,27 @@ def random_expression(
         if rng.random() < 0.15:
             parts.insert(rng.randrange(len(parts) + 1), Eta())
         if not parts:
-            return Id(0)
+            return Id(0), 0
         e = parts[0]
         for p in parts[1:]:
             e = Ten(e, p)
-        return e
+        return e, sum(_atom_arity(p)[1] for p in parts)
 
-    def gen(width: int, depth: int) -> Expression:
+    def gen(width: int, depth: int) -> tuple[Expression, int]:
+        # an expression with `width` inputs, and its output width
         if depth <= 0:
-            return atom_row(width, depth)
+            return atom_row(width)
         roll = rng.random()
         if roll < 0.5:
-            e1 = gen(width, depth - 1)
-            mid = arity_of(e1)[1]
+            e1, mid = gen(width, depth - 1)
             if mid > MAX_SEQ_WIDTH:
-                return e1
-            return Seq(e1, gen(mid, depth - 1))
+                return e1, mid
+            e2, out = gen(mid, depth - 1)
+            return Seq(e1, e2), out
         if roll < 0.8 and width >= 1:
             a = rng.randint(0, width)
-            return Ten(gen(a, depth - 1), gen(width - a, depth - 1))
-        return atom_row(width, depth)
+            (e1, out1), (e2, out2) = gen(a, depth - 1), gen(width - a, depth - 1)
+            return Ten(e1, e2), out1 + out2
+        return atom_row(width)
 
-    return gen(rng.randint(0, 4), max_depth)
+    return gen(rng.randint(0, 4), max_depth)[0]

@@ -639,6 +639,7 @@ def run_selftest(seed: int = 0, out: Callable[[str], None] = print) -> bool:
     ok = True
     out("selftest: acceptance suites at reduced scale")
     for idx, runner in enumerate(REDUCED):
+        t_suite = time.perf_counter()
         try:
             res = runner(seed)
         except Exception as exc:  # noqa: BLE001 - a crashed suite is a failure
@@ -646,7 +647,7 @@ def run_selftest(seed: int = 0, out: Callable[[str], None] = print) -> bool:
             ok = False
             continue
         status = "ok" if res.ok else "FAIL"
-        out(f"  {res.name}: {res.cases} cases, {status}")
+        out(f"  {res.name}: {res.cases} cases, {status} ({time.perf_counter() - t_suite:.2f} s)")
         if not res.ok:
             ok = False
             for f in res.failures[:3]:

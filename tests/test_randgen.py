@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -7,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import idag
+import randgen_reference
+from idag import randgen
 from idag.algebra import make_idag
-from idag.errors import BadEndpoint, IdagError, UnsupportedGenerator
+from idag.core import Idag
+from idag.errors import BadEndpoint, IdagError, UnsupportedGenerator, WrongArgumentType
 from idag.models import FreeIdagModel, evaluate
 from idag.printer import print_expression
 from idag.randgen import MATRIX_DENSITY, MAX_SEQ_WIDTH, random_expression, random_idag, random_matrix
@@ -66,7 +70,10 @@ def test_a_sequence_of_labels_draws_in_its_own_order():
     assert a != random_idag(random.Random(1), 1, 1, 6, 0.5, labels=("a", "b", "c"))
 
 
-@pytest.mark.parametrize("labels", [{"a", 1}, {1, 2}, {None, "b"}])
+_NOT_ALL_STR = [{"a", 1}, {1, 2}, {None, "b"}]
+
+
+@pytest.mark.parametrize("labels", _NOT_ALL_STR)
 def test_labels_that_are_not_all_str_keep_their_errors(labels):
     # not a TypeError from sorting them
     with pytest.raises(BadEndpoint):
@@ -76,47 +83,100 @@ def test_labels_that_are_not_all_str_keep_their_errors(labels):
             random_expression(random.Random(seed), max_depth=6, labels=labels)
 
 
-@pytest.mark.parametrize("shape", [(2, 2, -3), (-1, 2, 3), (2, -1, 3)])
+_NEGATIVE_SIZES = [(2, 2, -3), (-1, 2, 3), (2, -1, 3)]
+
+
+@pytest.mark.parametrize("shape", _NEGATIVE_SIZES)
 def test_negative_sizes_raise(shape):
     with pytest.raises(BadEndpoint):
         random_idag(random.Random(1), *shape, 0.5)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda rng: random_idag(rng, 0, 0, 3, 0.5, labels=()),
-        lambda rng: random_idag(rng, 0, 0, 3, "x"),
-        lambda rng: random_idag(rng, 0, 0, 3, 1.5),
-        lambda rng: random_idag(rng, 0, 0, 3, float("nan")),
-        lambda rng: random_expression(rng, labels=()),
-        lambda rng: random_matrix(rng, 2, 2, NAT, max_abs=0),
-        lambda rng: random_matrix(rng, 2, 2, NAT, max_abs=2.5),
-        lambda rng: random_matrix(rng, "2", 2, NAT),
-        lambda rng: random_expression(rng, max_depth="x"),
-        lambda rng: random_expression(rng, max_depth=True),
-        lambda rng: random_expression(rng, max_depth=-1),
-        lambda rng: random_expression(rng, max_depth=10**6),
-    ],
-    ids=[
-        "idag-no-labels",
-        "idag-prob-str",
-        "idag-prob-above-1",
-        "idag-prob-nan",
-        "expression-no-labels",
-        "matrix-max-abs-0",
-        "matrix-max-abs-float",
-        "matrix-width-str",
-        "expression-depth-str",
-        "expression-depth-bool",
-        "expression-depth-negative",
-        "expression-depth-too-deep",
-    ],
-)
-def test_bad_arguments_raise_idag_error(call):
-    # each of these used to escape as IndexError, ValueError or TypeError
+# (generator, arguments after rng, keyword arguments)
+_BAD_ARGUMENTS = {
+    "idag-no-labels": ("random_idag", (0, 0, 3, 0.5), {"labels": ()}),
+    "idag-prob-str": ("random_idag", (0, 0, 3, "x"), {}),
+    "idag-prob-above-1": ("random_idag", (0, 0, 3, 1.5), {}),
+    "idag-prob-nan": ("random_idag", (0, 0, 3, float("nan")), {}),
+    "idag-prob-bool": ("random_idag", (0, 0, 3, True), {}),
+    "idag-mode-str": ("random_idag", (0, 0, 3, 0.5, "nat"), {}),
+    "idag-prefix-none": ("random_idag", (0, 0, 3, 0.5), {"id_prefix": None}),
+    "expression-no-labels": ("random_expression", (), {"labels": ()}),
+    "matrix-max-abs-0": ("random_matrix", (2, 2, NAT), {"max_abs": 0}),
+    "matrix-max-abs-float": ("random_matrix", (2, 2, NAT), {"max_abs": 2.5}),
+    "matrix-width-str": ("random_matrix", ("2", 2, NAT), {}),
+    "expression-depth-str": ("random_expression", (), {"max_depth": "x"}),
+    "expression-depth-bool": ("random_expression", (), {"max_depth": True}),
+    "expression-depth-negative": ("random_expression", (), {"max_depth": -1}),
+    "expression-depth-too-deep": ("random_expression", (), {"max_depth": 10**6}),
+}
+# the reference copy took these: True as edge_prob 1, None as prefix "None"
+_TIGHTENED = {"idag-prob-bool", "idag-prefix-none"}
+
+
+@pytest.mark.parametrize("case", list(_BAD_ARGUMENTS))
+def test_bad_arguments_raise_idag_error(case):
+    # each of these used to escape as IndexError, ValueError or TypeError,
+    # or, for the tightened ones, to draw
+    name, args, kwargs = _BAD_ARGUMENTS[case]
     with pytest.raises(IdagError):
-        call(random.Random(1))
+        getattr(randgen, name)(random.Random(1), *args, **kwargs)
+
+
+def test_a_bool_edge_prob_and_a_prefix_that_is_not_a_str_are_refused():
+    with pytest.raises(IdagError, match="edge_prob True is not a number"):
+        random_idag(random.Random(1), 0, 0, 3, True)
+    with pytest.raises(WrongArgumentType, match="expected str, not NoneType"):
+        random_idag(random.Random(1), 0, 0, 3, 0.5, id_prefix=None)
+
+
+def _outcome(generate, seed, args, kwargs):
+    """What generate(Random(seed), *args, **kwargs) gives: its idag with each
+    wire's items in order, or its printed expression, and the random state
+    after; or the class and message of the IdagError it raises."""
+    rng = random.Random(seed)
+    try:
+        drawn = generate(rng, *args, **kwargs)
+    except IdagError as exc:
+        return type(exc), str(exc)
+    if isinstance(drawn, Idag):
+        return drawn, [list(w.items()) for w in drawn.wires], rng.getstate()
+    return print_expression(drawn), rng.getstate()
+
+
+def _assert_draws_as_the_reference(name, seed, *args, **kwargs):
+    ours = _outcome(getattr(randgen, name), seed, args, kwargs)
+    assert ours == _outcome(getattr(randgen_reference, name), seed, args, kwargs), (name, seed, args, kwargs)
+
+
+@pytest.mark.parametrize("mode", [BOOL, NAT, INT], ids=repr)
+def test_random_idag_draws_as_its_reference_copy(mode):
+    label_sets = (("b", "a"), ["a", "c", "b"], {"c", "a", "b"})
+    grid = itertools.product(range(4), range(4), (0, 1, 2, 17, 64), (0, 0.3, 1), label_sets)
+    for seed, (n_in, n_out, n_nodes, p, labels) in enumerate(grid):
+        _assert_draws_as_the_reference("random_idag", seed, n_in, n_out, n_nodes, p, mode, labels)
+
+
+def test_a_large_random_idag_draws_as_its_reference_copy():
+    _assert_draws_as_the_reference("random_idag", 11, 2, 3, 2048, 0.02, NAT, ("a", "b"))
+
+
+def test_random_expression_draws_as_its_reference_copy():
+    for seed in range(300):
+        labels = (("x", "y"), ["y", "x", "z"], {"z", "x"})[seed % 3]
+        _assert_draws_as_the_reference("random_expression", seed, seed % 9, seed % 2 == 0, labels)
+
+
+def test_bad_arguments_raise_as_in_the_reference_copy():
+    for case, (name, args, kwargs) in _BAD_ARGUMENTS.items():
+        if name != "random_matrix" and case not in _TIGHTENED:
+            _assert_draws_as_the_reference(name, 1, *args, **kwargs)
+    for shape in _NEGATIVE_SIZES:
+        _assert_draws_as_the_reference("random_idag", 1, *shape, 0.5)
+    for labels in _NOT_ALL_STR:
+        _assert_draws_as_the_reference("random_idag", 1, 0, 0, 20, 0.5, labels=labels)
+        for seed in range(20):
+            _assert_draws_as_the_reference("random_expression", seed, max_depth=6, labels=labels)
 
 
 def test_edge_prob_zero_gives_isolated_nodes():

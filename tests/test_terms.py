@@ -14,6 +14,7 @@ from idag.core import DEFAULT_LABEL, MAX_WIDTH
 from idag.decomposition import decompose, default_sorting
 from idag.equivalence import normalize
 from idag.errors import ExprSyntaxError, IdagError, SizeLimitExceeded, TypeMismatch, UnsupportedGenerator
+from idag.loops import LoopsModel
 from idag.matrices import MatrixModel
 from idag.models import FreeIdagModel, evaluate
 from idag.parse_errors import _line_column
@@ -243,14 +244,21 @@ def test_deeply_nested_parentheses():
     assert (exc.value.line, exc.value.column) == (1, 2 * depth + 5)
 
 
-def test_deep_expressions_pickle_and_copy():
+@pytest.fixture(scope="module")
+def deep_expressions():
+    """Left, right and tensor spines of 20,000 atoms, and the decomposition
+    of a sparse 2,000-node idag (mean in-degree about 2)."""
     n = 20_000
     atoms_ = [Node(str(k % 7)) if k % 3 else Id(1) for k in range(n)]
     left = right = row = atoms_[0]
     for a in atoms_[1:]:
         left, right, row = Seq(left, a), Seq(a, right), Ten(row, a)
-    d = random_idag(random.Random(3), 2, 3, 300, 0.02, INT, labels=("a", "b"))
-    for e in (left, right, row, decompose(d, default_sorting(d))):
+    d = random_idag(random.Random(3), 2, 3, 2_000, 0.002, INT, labels=("a", "b"))
+    return [left, right, row, decompose(d, default_sorting(d))]
+
+
+def test_deep_expressions_pickle_and_copy(deep_expressions):
+    for e in deep_expressions:
         twin = pickle.loads(pickle.dumps(e))
         assert twin == e and twin is not e
         assert copy.copy(e) is e and copy.deepcopy(e) is e
@@ -258,6 +266,30 @@ def test_deep_expressions_pickle_and_copy():
     odd = Seq(3, Ten((Id(1),), Seq(None, Id(2))))
     twin = pickle.loads(pickle.dumps(odd))
     assert twin == odd and repr(twin) == repr(odd)
+
+
+# the public calls on an expression of any depth; each returns or raises
+# an IdagError (the loops model refuses the decomposition's delta and nabla)
+_DEEP_CALLS = {
+    "repr": repr,
+    "hash": hash,
+    "print_expression": print_expression,
+    "parse ==": lambda e: parse(print_expression(e)) == e,
+    "arity_of": arity_of,
+    "normalize": lambda e: normalize(e, INT),
+    "evaluate-free": lambda e: evaluate(e, FreeIdagModel(INT)),
+    "evaluate-matrix": lambda e: evaluate(e, MatrixModel(INT)),
+    "evaluate-loops": lambda e: evaluate(e, LoopsModel()),
+}
+
+
+@pytest.mark.parametrize("call", list(_DEEP_CALLS))
+def test_deep_expressions_raise_no_recursion_error(deep_expressions, call):
+    for e in deep_expressions:
+        try:
+            _DEEP_CALLS[call](e)
+        except IdagError:
+            pass
 
 
 def _reference_tokens(text):
