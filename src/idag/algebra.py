@@ -102,7 +102,7 @@ def make_idag(
                 raise BadEndpoint(f"input index {src.index} out of range 0..{n_in - 1}")
             s = src.index
         elif isinstance(src, NodeRef):
-            if src.id not in pos:
+            if not isinstance(src.id, str) or src.id not in pos:
                 raise BadEndpoint(f"unknown source node {src.id!r}")
             s = n_in + pos[src.id]
         else:
@@ -114,7 +114,7 @@ def make_idag(
                 raise BadEndpoint(f"output index {dst.index} out of range 0..{n_out - 1}")
             t = n_nodes + dst.index
         elif isinstance(dst, NodeRef):
-            if dst.id not in pos:
+            if not isinstance(dst.id, str) or dst.id not in pos:
                 raise BadEndpoint(f"unknown target node {dst.id!r}")
             t = pos[dst.id]
         else:
@@ -214,7 +214,7 @@ def concat(second: Idag, first: Idag) -> Idag:
     """Sequential composite: run first, feed its outputs into second.
 
     Each wire of second reads border source j as first's wire into output
-    j, so it becomes the weighted sum (WeightSystem.weighted_sum) of those
+    j, so it becomes the weighted sum (WeightSystem._weighted_sum) of those
     wires, as in models._walk; a sum that cancels to zero drops the edge.
     Node ids of first survive unchanged; clashing ids of second get primed.
     """
@@ -233,7 +233,7 @@ def concat(second: Idag, first: Idag) -> Idag:
     mid = first.n_out
     # second's nodes follow first's, on sources no border wire holds
     shift = first.n_in + n_first - mid
-    weighted_sum = first.weights.weighted_sum
+    weighted_sum = first.weights._weighted_sum
 
     def route(wire: dict[int, int]) -> dict[int, int]:
         terms = [(border[s], w) for s, w in wire.items() if s < mid]

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .errors import IndexOutOfRange, UnsupportedGenerator, _check_type
+from .algebra import _check_widths
+from .core import MAX_WIDTH
+from .errors import IndexOutOfRange, SizeLimitExceeded, UnsupportedGenerator, _check_type
 from .terms import Expression, Id, Seq, Sym, Ten, fold
 
 
@@ -41,7 +43,7 @@ def ten_all(parts: Sequence[Expression]) -> Expression:
     e: Optional[Expression] = None
     wires = 0  # width of the identities since the last other part
     for p in parts:
-        if isinstance(p, Id):
+        if type(p) is Id:
             wires += p.n
             continue
         _expression(p)
@@ -67,8 +69,14 @@ def map_atoms(e: Expression, fn: Callable[[Expression], Expression]) -> Expressi
 
 def expand_symmetry(n: int, m: int) -> Expression:
     """Sym(n, m) written with only sym(1,1), identities, ; and *; raises as
-    Sym(n, m) does on widths that are not non-negative ints."""
+    Sym(n, m) does on widths that are not non-negative ints, then as
+    algebra.symmetry does on a width past MAX_WIDTH, and SizeLimitExceeded
+    when it would take more than MAX_WIDTH crossings, n * m."""
     Sym(n, m)
+    _check_widths("width", n, m)
+    _check_widths("width", n + m)
+    if n * m > MAX_WIDTH:
+        raise SizeLimitExceeded("crossings", n * m, MAX_WIDTH)
     if n == 0 or m == 0:
         return Id(n + m)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Union
 
-from .errors import ModeMismatch, WrongArgumentType, _check_type
+from .errors import BadEndpoint, ModeMismatch, WrongArgumentType, _check_type
 from .record import Frozen
 from .weights import BOOL, WeightSystem
 
@@ -34,8 +34,9 @@ DEFAULT_LABEL = "•"
 CANONICAL_SEARCH_BUDGET = 10**6
 
 # The most wires, nodes or interface positions a width may ask for. Widths
-# enter at make_idag, the algebra constructors, random_idag, parse and the
-# expression walk, and each is checked there before anything is allocated.
+# enter at make_idag, the algebra constructors, random_idag, parse,
+# expand_symmetry and the expression walk, and each is checked there before
+# anything is allocated.
 MAX_WIDTH = 10**6
 
 
@@ -150,7 +151,12 @@ class Idag(Frozen):
             return positions
 
     def label_of(self, node_id: str) -> str:
-        return self.nodes[self._position()[node_id]][1]
+        """The label of the node with this id; BadEndpoint for an unknown
+        id, and for one that is not a str."""
+        pos = self._position()
+        if not isinstance(node_id, str) or node_id not in pos:
+            raise BadEndpoint(f"unknown node {node_id!r}")
+        return self.nodes[pos[node_id]][1]
 
     @property
     def edges(self) -> Mapping[Edge, int]:
@@ -162,16 +168,16 @@ class Idag(Frozen):
         )
 
     def weight(self, src: Vertex, dst: Vertex) -> int:
-        """Weight of the edge src -> dst, zero if absent or if an index is
-        not an int (a bool is not one)."""
+        """Weight of the edge src -> dst, zero if absent, if an index is
+        not an int (a bool is not one) or a node id not a str."""
         pos = self._position()
         if isinstance(src, In) and type(src.index) is int and 0 <= src.index < self.n_in:
             s = src.index
-        elif isinstance(src, NodeRef) and src.id in pos:
+        elif isinstance(src, NodeRef) and isinstance(src.id, str) and src.id in pos:
             s = self.n_in + pos[src.id]
         else:
             return 0
-        if isinstance(dst, NodeRef) and dst.id in pos:
+        if isinstance(dst, NodeRef) and isinstance(dst.id, str) and dst.id in pos:
             t = pos[dst.id]
         elif isinstance(dst, Out) and type(dst.index) is int and 0 <= dst.index < self.n_out:
             t = len(self.nodes) + dst.index

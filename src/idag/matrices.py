@@ -11,17 +11,18 @@ and from matrices with no transpose.
 MatrixModel reads a value off a free image (see models._walk) as its path
 sums: entry (i, j) sums, over the paths from input i to output j, edge
 weights times node images, and the values at the outputs are the matrix's
-columns. Importing this module adds MatrixModel to the set of model
+columns. A node image is an int entry of the weight system, given per
+label. Importing this module adds MatrixModel to the set of model
 classes evaluate() walks natively (models._NATIVE), in its weights.
 
 Matrix columns are sparse dicts of Python ints, so their arithmetic is
 exact at every magnitude. Every sum of weight products here (the matrix
-product, the path sums) is WeightSystem.weighted_sum.
+product, the path sums) is WeightSystem._weighted_sum.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import _check_widths, _shifted, from_permutation, identity
 from .errors import InterfaceMismatch, InvalidWeight, ModeMismatch, _check_type
@@ -62,7 +63,7 @@ class MatrixMorphism(Frozen):
             raise InterfaceMismatch(
                 f"cannot feed {self.n_out} outputs into {other.n_in} inputs"
             )
-        weighted_sum, cols = self.weights.weighted_sum, self.cols
+        weighted_sum, cols = self.weights._weighted_sum, self.cols
         return MatrixMorphism(
             self.weights,
             self.n_in,
@@ -146,15 +147,17 @@ def matrix_permutation(perm: Sequence[int], weights: WeightSystem) -> MatrixMorp
 
 
 class MatrixModel(Model, Frozen):
-    """Evaluation into weight matrices. lambda_images supplies a 1 x 1 matrix
-    per node label; unlisted labels act as the identity wire."""
+    """Evaluation into weight matrices. lambda_images maps a node label to
+    its image, an int entry of the weight system; unlisted labels act as
+    the identity wire, image 1. An image is checked when evaluation reads
+    it: InvalidWeight unless it is a valid entry."""
 
     __slots__ = ("weights", "lambda_images")
 
     def __init__(
         self,
         weights: WeightSystem = NAT,
-        lambda_images: Optional[Mapping[str, Union[int, MatrixMorphism]]] = None,
+        lambda_images: Optional[Mapping[str, int]] = None,
     ) -> None:
         _check_type(weights, WeightSystem)
         lambda_images = {} if lambda_images is None else lambda_images
@@ -163,18 +166,8 @@ class MatrixModel(Model, Frozen):
         object.__setattr__(self, "lambda_images", lambda_images)
 
     def _lambda(self, label: str) -> int:
-        """The scalar of label's 1 x 1 image."""
-        img = self.lambda_images.get(label)
-        if img is None:
-            return 1
-        if isinstance(img, MatrixMorphism):
-            if img.weights is not self.weights:
-                raise ModeMismatch(
-                    f"lambda image for {label!r}: {img.weights!r} vs {self.weights!r}"
-                )
-            if (img.n_in, img.n_out) != (1, 1):
-                raise InterfaceMismatch(f"lambda image for {label!r} must be 1x1")
-            return img.cols[0].get(0, 0)
+        """label's image, checked as an entry."""
+        img = self.lambda_images.get(label, 1)
         self.weights.check_value(img)
         return img
 
@@ -208,7 +201,7 @@ class MatrixModel(Model, Frozen):
         each source, then each output, its {input: coefficient} value, and
         the outputs' values are the matrix's columns; node images come from
         _lambda, once per label."""
-        weighted_sum = self.weights.weighted_sum
+        weighted_sum = self.weights._weighted_sum
         scalar = {lbl: self._lambda(lbl) for lbl in dict.fromkeys(labels)}
         n_out = len(wires) - len(labels)
         values = [{i: 1} for i in range(n_in)]

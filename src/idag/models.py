@@ -18,17 +18,19 @@ its path sums. The free images of the node-free generators are defined once,
 in terms._GENERATORS, so a generator's matrix image too is the path sum of
 its free image. evaluate() builds e's image by one walk that touches only
 the wires each atom consumes and type-checks e as it goes, so a well-typed e
-is walked once; the walk dispatches on each term's class, reads each atom's
-fields as they are (atoms check them when built, see terms), and reads the
-generator images from that table on each call, running copy-, merge-, unit-
-and discard-shaped ones inline; layers.interpret() takes d's own wires along
-the sorting. The models walked natively are the classes in _NATIVE, which
-the matrices module extends with MatrixModel when it is imported, so
-evaluate() tells them apart by one lookup of the model's class and walks in
-model.weights. Other models, subclasses and wrapping models take the
-compose/tensor fold, which tests use as the reference.
+is walked once. The walk dispatches on each term's exact class, so a
+class outside the eleven expression classes is an unknown atom to it, as to
+every reader (see terms). It reads each atom's fields as they are (atoms
+check them when built), and reads the generator images from that table on
+each call, running copy-, merge-, unit- and discard-shaped ones inline;
+layers.interpret() takes d's own wires along the sorting. The models
+walked natively are the classes in _NATIVE, which the matrices module
+extends with MatrixModel when it is imported, so evaluate() tells them
+apart by one lookup of the model's class and walks in model.weights.
+Other models, subclasses and wrapping models take the compose/tensor
+fold, which tests use as the reference.
 
-Every sum of weight products in the walk is WeightSystem.weighted_sum.
+Every sum of weight products in the walk is WeightSystem._weighted_sum.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import terms
 from .core import MAX_WIDTH, Idag, canonical_form
-from .errors import SizeLimitExceeded, _check_type
+from .errors import SizeLimitExceeded, UnsupportedGenerator, _check_type
 from .terms import (
     Expression,
     Id,
@@ -45,7 +47,6 @@ from .terms import (
     Seq,
     Sym,
     Ten,
-    _as_base,
     _atom_arity,
     _generator_image,
     _interprets,
@@ -173,9 +174,9 @@ def evaluate(e: Expression, model: Model):
     arity_of(e)
 
     def atom(a: Expression):
-        if isinstance(a, Id):
+        if type(a) is Id:
             return model.identity(a.n)
-        if isinstance(a, Sym):
+        if type(a) is Sym:
             return model.symmetry(a.n, a.m)
         return model.generator(a)
 
@@ -213,9 +214,9 @@ def _input_count(e: Expression) -> int:
     stack = [e]
     while stack:
         x = stack.pop()
-        if isinstance(x, Seq):
+        if type(x) is Seq:
             stack.append(x.first)
-        elif isinstance(x, Ten):
+        elif type(x) is Ten:
             stack += (x.left, x.right)
         else:
             n += _atom_arity(x)[0]
@@ -243,15 +244,14 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
     behind the private _THEN marker, so no term of e (a tuple or an int,
     say) is read as a stack entry. The node-free generators' images are
     read from terms._GENERATORS on each call, and an output that is one
-    input with weight 1 takes that input's wire itself, as weighted_sum
+    input with weight 1 takes that input's wire itself, as _weighted_sum
     would return it. A class whose image there is a copy, a merge, a unit
     (no input, one output with no edge) or a discard (one input, no output)
     runs inline: a copy inserts its input's wire once more, a merge sums its
-    two wires by one weighted_sum, a unit inserts an empty wire and a
+    two wires by one _weighted_sum, a unit inserts an empty wire and a
     discard deletes its wire. A crossing of one wire over m moves that wire
-    by one pop and one insert. Any other class is read through
-    terms._as_base, and anti outside int mode raises through
-    _generator_image.
+    by one pop and one insert. Anti outside int mode raises through
+    _generator_image, and any other class is an unknown atom.
 
     Typing is checked with no width arithmetic. No atom may read past the
     wire list, and a well-typed `then` consumes exactly the outputs of its
@@ -263,7 +263,7 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
     n_in = _input_count(e)
     if n_in > MAX_WIDTH:
         raise SizeLimitExceeded("input count", n_in, MAX_WIDTH)
-    weighted_sum = mode.weighted_sum
+    weighted_sum = mode._weighted_sum
     # per generator class: its input count and, per output, the input it
     # passes on unchanged or the (input, weight) terms it sums; the classes
     # whose image is a copy (one input passed on to two outputs), a merge
@@ -354,7 +354,7 @@ def _walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[
             else:
                 if kind in terms._GENERATORS:
                     _generator_image(x, mode)  # raises on anti outside int mode
-                x = _as_base(x)
+                raise UnsupportedGenerator(f"unknown atom {x!r}")
     return n_in, labels, ins + wires
 
 

@@ -2,7 +2,9 @@
 
 print_expression writes the text that terms.parse reads back to an equal
 expression, with minimal parentheses. Atoms check their fields when
-built, so it refuses only what the syntax cannot write.
+built, so it refuses only what the syntax cannot write: a label that is
+no identifier or number, and, as every reader does, an atom of a class
+outside the eleven expression classes.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import re
 
 from .core import DEFAULT_LABEL, MAX_WIDTH
 from .errors import SizeLimitExceeded, UnsupportedGenerator
-from .terms import _GENERATORS, _LABEL, Expression, Id, Node, Seq, Sym, Ten, _as_base, _atom_arity
+from .terms import _GENERATORS, _LABEL, Expression, Id, Node, Seq, Sym, Ten, _atom_arity
 
 
 # the whole of a printable label: \Z, unlike $, matches no final newline
@@ -39,11 +41,8 @@ def print_expression(e: Expression) -> str:
     wrapped and pushes its right part with the punctuation around it. The
     stack holds only punctuation and right parts. Each term is dispatched
     on its exact class. An atom's text is made once per object and kept by
-    identity, so an atom shared across e is spelled once. A subclass of Seq
-    or Ten sends the whole of e through map_atoms first, which rebuilds its
-    composites as the base classes; _atom_text reads any other class that
-    is none of the eleven through terms._as_base. A str in e is an unknown
-    atom: punctuation on the stack is a _Text."""
+    identity, so an atom shared across e is spelled once. A str in e is an
+    unknown atom: punctuation on the stack is a _Text."""
     out: list[str] = []
     stack: list = [e]
     texts: dict[int, str] = {}  # id(atom) -> its text; e keeps each atom alive
@@ -78,10 +77,6 @@ def print_expression(e: Expression) -> str:
             else:
                 text = texts.get(id(x))
                 if text is None:
-                    if isinstance(x, (Seq, Ten)):
-                        from .builders import map_atoms
-
-                        return print_expression(map_atoms(e, lambda x: x))
                     text = texts[id(x)] = _atom_text(x)
                 out.append(text)
                 break
@@ -107,4 +102,4 @@ def _atom_text(a: Expression) -> str:
         raise UnsupportedGenerator(
             f"label {a.label!r} has no expression syntax; use identifier or number labels"
         )
-    return _atom_text(_as_base(a))
+    raise UnsupportedGenerator(f"unknown atom {a!r}")

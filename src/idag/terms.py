@@ -43,11 +43,13 @@ limit.
 Atoms check their own fields when built (UnsupportedGenerator unless a
 width is a non-negative int, a bool not counting, and a label a str), so
 walks read them unchecked; MAX_WIDTH is left to parse and the models'
-walk. _as_base alone reads a class that is none of the eleven in a walk;
-equality, hashing and repr read any other expression by Record's field
-tuple and repr, and a part that is not an expression by its own, so a
-composite with an unhashable part compares but does not hash. An atom
-made without its __init__ (object.__new__) is outside this contract.
+walk. Every reader dispatches on a term's exact class, so a class that
+is none of the eleven expression classes, a subclass of one included, is
+an unknown atom (UnsupportedGenerator) to each. Equality, hashing and repr
+read it by Record's field tuple and repr, and a part that is not an
+expression by its own, so a composite with an unhashable part compares
+but does not hash. An atom made without its __init__ (object.__new__) is
+outside this contract.
 
 Typing is checked while an expression is built: parse compares widths at
 each ";" as it reads, and the models' walk (models._walk) checks each
@@ -109,12 +111,10 @@ class Expression(Frozen):
                 continue
             if type(a) is not type(b):
                 return False
-            if isinstance(a, Seq):
-                assert isinstance(b, Seq)
+            if type(a) is Seq:
                 stack.append((a.then, b.then))
                 stack.append((a.first, b.first))
-            elif isinstance(a, Ten):
-                assert isinstance(b, Ten)
+            elif type(a) is Ten:
                 stack.append((a.right, b.right))
                 stack.append((a.left, b.left))
             elif _atom_fields(a) != _atom_fields(b):
@@ -241,7 +241,10 @@ class Seq(Expression):
     def __reduce__(self) -> tuple:
         """The postfix of the parts, by fold, which _from_postfix reads
         back: the atoms in order, and per step None for the next atom or the
-        class that joins the last two parts. Atoms keep Record's reduce."""
+        class that joins the last two parts. Atoms keep Record's reduce, and
+        so does a subclass, which fold reads as an atom."""
+        if type(self) is not Seq and type(self) is not Ten:
+            return Frozen.__reduce__(self)
         atoms: list = []
         ops: list = []
 
@@ -295,12 +298,13 @@ def fold(
     ten: Callable[[Ten, T, T], T],
 ) -> T:
     """Iterative post-order fold; the workhorse behind arity checking,
-    hashing, repr and evaluation in models without a native walk."""
+    hashing, repr and evaluation in models without a native walk. A term
+    that is not exactly a Seq or Ten is an atom."""
     stack: list[tuple[Expression, bool]] = [(e, False)]
     results: list[T] = []
     while stack:
         node, ready = stack.pop()
-        if isinstance(node, Seq):
+        if type(node) is Seq:
             if ready:
                 b = results.pop()
                 a = results.pop()
@@ -309,7 +313,7 @@ def fold(
                 stack.append((node, True))
                 stack.append((node.then, False))
                 stack.append((node.first, False))
-        elif isinstance(node, Ten):
+        elif type(node) is Ten:
             if ready:
                 b = results.pop()
                 a = results.pop()
@@ -328,10 +332,10 @@ def atoms(e: Expression) -> Iterator[Expression]:
     stack = [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, Seq):
+        if type(node) is Seq:
             stack.append(node.then)
             stack.append(node.first)
-        elif isinstance(node, Ten):
+        elif type(node) is Ten:
             stack.append(node.right)
             stack.append(node.left)
         else:
@@ -373,9 +377,9 @@ _GENERATOR_ARITY = {cls: (n_in, len(outs)) for cls, (_, n_in, outs) in _GENERATO
 
 def arity_of(e: Expression) -> tuple[int, int]:
     """(inputs, outputs) of e; raises UnsupportedGenerator on what is not
-    an atom (see _as_base), and TypeMismatch at the first ill-typed
-    sequential composite (leftmost-innermost), naming its position by an
-    attribute path from the root."""
+    an atom, and TypeMismatch at the first ill-typed sequential composite
+    (leftmost-innermost), naming its position by an attribute path from
+    the root."""
 
     def seq(node: Seq, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         if a[1] != b[0]:
@@ -397,23 +401,7 @@ def _atom_arity(a: Expression) -> tuple[int, int]:
         return (1, 1)
     if kind in _GENERATOR_ARITY:
         return _GENERATOR_ARITY[kind]
-    return _atom_arity(_as_base(a))
-
-
-def _as_base(x: object) -> Expression:
-    """x, of a class that is none of the eleven expression classes, rebuilt
-    by the constructor of its base class Seq, Ten, Id or Sym, which checks
-    its fields; UnsupportedGenerator on anything else, as a Node or
-    generator subclass or what is not an expression."""
-    if isinstance(x, Seq):
-        return Seq(x.first, x.then)
-    if isinstance(x, Ten):
-        return Ten(x.left, x.right)
-    if isinstance(x, Id):
-        return Id(x.n)
-    if isinstance(x, Sym):
-        return Sym(x.n, x.m)
-    raise UnsupportedGenerator(f"unknown atom {x!r}")
+    raise UnsupportedGenerator(f"unknown atom {a!r}")
 
 
 def _path_to(root: Expression, target: Expression) -> str:
@@ -432,10 +420,10 @@ def _path_to(root: Expression, target: Expression) -> str:
                 path, name = path
                 names.append(name)
             return ".".join(["expr"] + names[::-1])
-        if isinstance(node, Seq):
+        if type(node) is Seq:
             stack.append((node.then, (path, "then")))
             stack.append((node.first, (path, "first")))
-        elif isinstance(node, Ten):
+        elif type(node) is Ten:
             stack.append((node.right, (path, "right")))
             stack.append((node.left, (path, "left")))
     raise ValueError(f"{target!r} does not occur in the expression")
@@ -458,7 +446,7 @@ def validate_for_mode(e: Expression, mode: WeightSystem, labels=None) -> None:
         elif kind in _GENERATORS:
             _generator_image(a, mode)
         elif kind is not Id and kind is not Sym:
-            _as_base(a)
+            raise UnsupportedGenerator(f"unknown atom {a!r}")
 
 
 # ---------------------------------------------------------------------------

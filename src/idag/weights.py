@@ -6,11 +6,12 @@ additive inverses, so only INT enables the antipode generator. Edges store
 nonzero weights; zero means "no edge", which is why a sum that cancels to
 zero must drop the entry entirely.
 
-WeightSystem.weighted_sum is the only code that adds or multiplies weights;
-algebra.concat, the matrix product and the models' wire walk all call it. It
-sums exact Python ints; in BOOL, whose weights are 0 or 1, it takes the
-union of the rows of weight 1, which is saturating addition because BOOL
-weights are never negative.
+WeightSystem._weighted_sum is the only code that adds or multiplies
+weights; algebra.concat, the matrix product and the models' wire walk all
+call it. It is private: it reads rows it trusts and checks no argument,
+since it runs once per merge. It sums exact Python ints; in BOOL, whose
+weights are 0 or 1, it takes the union of the rows of weight 1, which is
+saturating addition because BOOL weights are never negative.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class WeightSystem(Frozen):
     def __reduce__(self):
         return self.name.upper() if BY_NAME.get(self.name) is self else super().__reduce__()
 
-    def weighted_sum(self, terms: Sequence[tuple[Mapping, int]]) -> dict:
+    def _weighted_sum(self, terms: Sequence[tuple[Mapping, int]]) -> dict:
         """The sum of w times row over the (row, w) terms, as {key: nonzero
         value}: a key whose sum is zero is left out, and in BOOL every other
         sum is 1. Rows hold nonzero values only. A single term of weight 1

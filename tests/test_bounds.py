@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from idag.algebra import from_permutation, identity, make_idag, symmetry
+from idag.builders import expand_symmetry
 from idag.core import MAX_WIDTH
 from idag.equivalence import equal_mod_theory, normalize
 from idag.errors import BadEndpoint, ExprSyntaxError, SizeLimitExceeded, TypeMismatch
@@ -47,6 +48,10 @@ def test_every_entry_point_checks_the_bound():
     _raises_bound(random_idag, rng, 1, 1, over, 0.5)
     _raises_bound(parse, f"id({HUGE})")
     _raises_bound(parse, f"sym({MAX_WIDTH},1)")
+    # expand_symmetry builds n * m sym(1,1) atoms: widths, then crossings
+    _raises_bound(expand_symmetry, 10**7, 10**7)
+    _raises_bound(expand_symmetry, MAX_WIDTH, 1)
+    _raises_bound(expand_symmetry, 1001, 1000)
     for e in (Id(over), Seq(Sym(MAX_WIDTH, 1), Sym(1, MAX_WIDTH))):
         _raises_bound(evaluate, e, FreeIdagModel(BOOL))
         _raises_bound(evaluate, e, MatrixModel(NAT))

@@ -78,6 +78,12 @@ def test_bad_endpoints():
         make_idag(1, 1, [], [(In(0), NodeRef("ghost"))])
     with pytest.raises(BadEndpoint):
         make_idag(-1, 0, [], {})
+    # a node id that is not a str is unknown, even an unhashable one
+    for nid in ([], 3):
+        with pytest.raises(BadEndpoint, match="^unknown source node "):
+            make_idag(1, 1, ["a"], [(NodeRef(nid), Out(0))])
+        with pytest.raises(BadEndpoint, match="^unknown target node "):
+            make_idag(1, 1, ["a"], [(In(0), NodeRef(nid))])
 
 
 @pytest.mark.parametrize(

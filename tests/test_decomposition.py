@@ -20,9 +20,7 @@ from idag.decomposition import (
 from idag.errors import (
     AntipodeWeight,
     IndexOutOfRange,
-    InterfaceMismatch,
     InvalidWeight,
-    ModeMismatch,
     NotAdjacentTransposition,
     NotATopologicalSorting,
     NotBijective,
@@ -578,13 +576,13 @@ def test_interpret_matches_eval_of_decompose(rng):
 def test_interpret_path_sums_match_the_fold(rng):
     # FreeIdagModel and MatrixModel read d's wires as a free image (the matrix
     # model by one path-sum pass); a wrapped model takes the slice-by-slice
-    # fold, which stays the reference. Labels: "x" has an int image, "y" a
-    # matrix image, "z" the zero image, "•" none
+    # fold, which stays the reference. Labels: "x" and "y" have drawn
+    # images, "z" the zero image, "•" none
     seen = set()
     for k in range(150):
         ws = (BOOL, NAT, INT)[k % 3]
         lo, hi = {BOOL: (0, 1), NAT: (0, 3), INT: (-3, 3)}[ws]
-        images = {"x": rng.randint(lo, hi), "y": matrix([[rng.randint(lo, hi)]], ws), "z": 0}
+        images = {"x": rng.randint(lo, hi), "y": rng.randint(lo, hi), "z": 0}
         model = MatrixModel(ws, images)
         labels = ("•", "x", "y", "z")
         d = random_idag(
@@ -611,8 +609,7 @@ def test_interpret_path_sums_and_fold_raise_alike():
     out_of_order = make_idag(2, 1, ["p"], [(In(1), p, -3), (In(0), p, -2), (p, Out(0))], INT)
     assert list(out_of_order.wires[0].items()) == [(1, -3), (0, -2)]  # not in source order
     cases = [
-        (node, MatrixModel(NAT, {"x": matrix([[2]], INT)}), ModeMismatch),
-        (node, MatrixModel(NAT, {"x": matrix([[1, 1]], NAT)}), InterfaceMismatch),
+        (node, MatrixModel(NAT, {"x": matrix([[2]], NAT)}), InvalidWeight),
         (node, MatrixModel(NAT, {"x": -1}), InvalidWeight),
         (node, MatrixModel(BOOL, {"x": 2}), InvalidWeight),
         # d's weights must be entries of the model's weight system

@@ -2,7 +2,10 @@
 by an import must occur as a Name node somewhere in the module. Every
 function or class a module defines at top level is used in the package,
 unless it is public. No module imports dataclasses, whose import and
-per-class code generation would dominate the start-up of a CLI command."""
+per-class code generation would dominate the start-up of a CLI command.
+No module tells terms apart by isinstance or issubclass with a concrete
+term class, which would read a subclass as its base class: every reader
+dispatches on a term's exact class."""
 
 import ast
 import symtable
@@ -144,3 +147,58 @@ def test_public_names_are_not_modules():
     # the package root imports lazily but still lists and reaches everything
     assert set(idag.__all__) <= set(dir(idag))
     assert idag.sortings.MAX_DOWN_SETS == 10**5
+
+
+# the concrete term classes; Expression, which tells terms from other
+# parts, is not one of them
+_TERM_CLASSES = {"Eta", "Nabla", "Eps", "Delta", "Node", "Anti", "Id", "Sym", "Seq", "Ten"}
+
+
+def _term_class_checks(text: str) -> list[str]:
+    """Each isinstance or issubclass call in text whose class argument
+    names a concrete term class, alone or in a tuple, as source text, in
+    the order of their lines."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("isinstance", "issubclass")
+            and len(node.args) == 2
+        ):
+            continue
+        spec = node.args[1]
+        classes = spec.elts if isinstance(spec, ast.Tuple) else [spec]
+        names = {c.id if isinstance(c, ast.Name) else getattr(c, "attr", None) for c in classes}
+        if names & _TERM_CLASSES:
+            found.append((node.lineno, ast.unparse(node)))
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_isinstance_with_a_term_class(path):
+    assert _term_class_checks(path.read_text()) == []
+
+
+def test_the_term_class_guard_finds_subclass_checks():
+    # a fold that reads a Seq subclass as a Seq, and a chain builder that
+    # reads an Id subclass as an Id; Expression and other classes pass
+    text = (
+        "def fold(node):\n"
+        "    if isinstance(node, Seq):\n"
+        "        return 1\n"
+        "    elif isinstance(node, terms.Ten):\n"
+        "        return 2\n"
+        "def ten_all(parts):\n"
+        "    return [p for p in parts if isinstance(p, (int, Id))]\n"
+        "def other(x, cls):\n"
+        "    return isinstance(x, Expression) or issubclass(cls, (Idag, WeightSystem))\n"
+        "def kind(cls):\n"
+        "    return issubclass(cls, Node)\n"
+    )
+    assert _term_class_checks(text) == [
+        "isinstance(node, Seq)",
+        "isinstance(node, terms.Ten)",
+        "isinstance(p, (int, Id))",
+        "issubclass(cls, Node)",
+    ]

@@ -137,8 +137,11 @@ def test_matrix_lambda_images():
     mm = MatrixModel(NAT, {"x": 3})
     assert evaluate(Node("x"), mm).entries == ((3,),)
     assert evaluate(Node("unlisted"), mm).entries == ((1,),)
-    mm2 = MatrixModel(INT, {"x": matrix([[-2]], INT)})
+    mm2 = MatrixModel(INT, {"x": -2})
     assert evaluate(Seq(Node("x"), Node("x")), mm2).entries == ((4,),)
+    # an image is an int: a 1 x 1 matrix is not one
+    with pytest.raises(InvalidWeight):
+        evaluate(Node("x"), MatrixModel(INT, {"x": matrix([[-2]], INT)}))
 
 
 def test_matrix_rejects_anti_without_negatives():
@@ -279,12 +282,12 @@ def test_free_evaluation_matches_the_fold(seed):
 @given(st.integers(0, 10**9))
 def test_matrix_evaluation_matches_the_fold(seed):
     # MatrixModel runs on a wire list as well; the fold stays the reference.
-    # "x" has an int image, "y" a matrix image, the default label none
+    # "x" and "y" have images, the default label none
     rng = random.Random(seed)
     ws = (BOOL, NAT, INT)[seed % 3]
     e = random_expression(rng, max_depth=rng.randint(1, 5), allow_anti=ws is INT)
     lo, hi = {BOOL: (0, 1), NAT: (0, 3), INT: (-3, 3)}[ws]
-    model = MatrixModel(ws, {"x": rng.randint(lo, hi), "y": matrix([[rng.randint(lo, hi)]], ws)})
+    model = MatrixModel(ws, {"x": rng.randint(lo, hi), "y": rng.randint(lo, hi)})
     fast = evaluate(e, model)
     assert (fast.n_in, fast.n_out) == arity_of(e)
     assert fast == evaluate(e, Forwarding(model))
@@ -299,8 +302,7 @@ def test_matrix_walk_and_fold_raise_alike():
         (Seq(Nabla(), Nabla()), MatrixModel(NAT), TypeMismatch),
         (hopf, MatrixModel(NAT), UnsupportedGenerator),
         (hopf, MatrixModel(BOOL), UnsupportedGenerator),
-        (boxed, MatrixModel(NAT, {"x": matrix([[2]], INT)}), ModeMismatch),
-        (boxed, MatrixModel(NAT, {"x": matrix([[1, 1]], NAT)}), InterfaceMismatch),
+        (boxed, MatrixModel(NAT, {"x": matrix([[2]], NAT)}), InvalidWeight),
         (boxed, MatrixModel(NAT, {"x": -1}), InvalidWeight),
     ]
     for e, model, error in cases:

@@ -8,11 +8,12 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idag import terms
 from idag.algebra import from_permutation
 from idag.builders import expand_symmetry, seq_all, ten_all
 from idag.core import DEFAULT_LABEL, MAX_WIDTH
 from idag.decomposition import decompose, default_sorting
-from idag.equivalence import normalize
+from idag.equivalence import equal_mod_theory, normalize
 from idag.errors import ExprSyntaxError, IdagError, SizeLimitExceeded, TypeMismatch, UnsupportedGenerator
 from idag.loops import LoopsModel
 from idag.matrices import MatrixModel
@@ -559,8 +560,8 @@ def _width(a: Id | Sym) -> int:
 def _ref_print(e: Expression) -> str:
     def atom(a: Expression) -> tuple[str, int]:
         # levels: 0 atom, 1 tensor chain, 2 seq chain
-        if isinstance(a, (Id, Sym)):
-            return (f"id({a.n})" if isinstance(a, Id) else f"sym({a.n},{a.m})", 0)
+        if type(a) is Id or type(a) is Sym:
+            return (f"id({a.n})" if type(a) is Id else f"sym({a.n},{a.m})", 0)
         if type(a) in _GENERATORS:
             return (_GENERATORS[type(a)][0], 0)
         if type(a) is Node:
@@ -708,21 +709,22 @@ def test_expression_nodes_are_slotted_and_immutable(e, text):
 
 
 def _ref_arity_of(e: Expression, path: str = "expr") -> tuple[int, int]:
-    if isinstance(e, (Seq, Ten)):
-        names = ("first", "then") if isinstance(e, Seq) else ("left", "right")
+    kind = type(e)
+    if kind is Seq or kind is Ten:
+        names = ("first", "then") if kind is Seq else ("left", "right")
         a, b = (_ref_arity_of(getattr(e, name), f"{path}.{name}") for name in names)
-        if isinstance(e, Ten):
+        if kind is Ten:
             return (a[0] + b[0], a[1] + b[1])
         if a[1] != b[0]:
             raise TypeMismatch(path, a[1], b[0])
         return (a[0], b[1])
-    if isinstance(e, (Id, Sym)):
+    if kind is Id or kind is Sym:
         return (_width(e), _width(e))
-    if type(e) is Node:
+    if kind is Node:
         return (1, 1)
-    if type(e) not in _GENERATORS:
+    if kind not in _GENERATORS:
         raise UnsupportedGenerator(f"unknown atom {e!r}")
-    _, n_in, outs = _GENERATORS[type(e)]
+    _, n_in, outs = _GENERATORS[kind]
     return (n_in, len(outs))
 
 
@@ -730,20 +732,30 @@ class _Label(str):
     pass
 
 
-class _WideId(Id):
-    __slots__ = ()
-
-
-class _SubSeq(Seq):
-    __slots__ = ()
+# A subclass of each of the eleven expression classes, named _Sub<class>
+# at module level so that pickle finds it, with one instance of each.
+_SUBCLASS_INSTANCES = {}
+for _base, _args in [
+    (Eta, ()),
+    (Nabla, ()),
+    (Eps, ()),
+    (Delta, ()),
+    (Node, ("a",)),
+    (Anti, ()),
+    (Id, (2,)),
+    (Sym, (1, 2)),
+    (Seq, (Delta(), Nabla())),
+    (Ten, (Node("a"), Id(1))),
+    (Expression, ()),
+]:
+    _cls = type(f"_Sub{_base.__name__}", (_base,), {"__slots__": ()})
+    globals()[_cls.__name__] = _cls
+    _SUBCLASS_INSTANCES[_base.__name__] = _cls(*_args)
 
 
 def test_arity_of_matches_the_reference_fold():
-    class Box(Expression):
-        __slots__ = ()
-
-    odd = [Node(_Label("x")), _WideId(2), _SubSeq(Delta(), Nabla()), Id(0), Sym(0, 2)]
-    bad = [Box()]
+    odd = [Node(_Label("x")), Id(0), Sym(0, 2)]
+    bad = [_SUBCLASS_INSTANCES[name] for name in ("Expression", "Id", "Seq")]
     rng = random.Random(11)
     well_typed = [random_expression(rng, max_depth=rng.randint(1, 8), allow_anti=True) for _ in range(300)]
     for e in well_typed:
@@ -760,7 +772,7 @@ def test_arity_of_matches_the_reference_fold():
         parts = [rng.choice(well_typed + odd) for _ in range(4)]
         if rng.random() < 0.3:
             parts[rng.randrange(4)] = rng.choice(bad)
-        e = Seq(Ten(parts[0], _SubSeq(parts[1], Id(0))), Ten(parts[2], Seq(parts[3], Id(1))))
+        e = Seq(Ten(parts[0], Seq(parts[1], Id(0))), Ten(parts[2], Seq(parts[3], Id(1))))
         want = _outcome(_ref_arity_of, e)
         assert _outcome(arity_of, e) == want
         outcomes.add(want[0] if isinstance(want, tuple) else str)
@@ -801,37 +813,35 @@ def test_parts_outside_the_eleven_classes_compare_by_their_values():
         hash(Seq([1], Id(1)))
 
 
-class _SubNode(Node):
-    __slots__ = ()
-
-
-def test_a_node_subclass_is_an_unknown_atom():
-    # a Node subclass has no base class to be read as: every reader of an
-    # expression rejects it, as arity_of does
-    e = _SubNode("a")
-    for read in (
-        print_expression,
+@pytest.mark.parametrize("base", list(_SUBCLASS_INSTANCES))
+def test_every_reader_rejects_a_subclass_of_an_expression_class(base):
+    # a term is built of the eleven classes alone: every reader dispatches
+    # on the exact class, so a subclass is an unknown atom, at the root and
+    # under a composite of the base classes
+    sub = _SUBCLASS_INSTANCES[base]
+    message = "^unknown atom " + re.escape(repr(sub)) + "$"
+    readers = (
         arity_of,
-        lambda e: validate_for_mode(e, BOOL),
-        lambda e: evaluate(e, FreeIdagModel()),
-        lambda e: evaluate(e, MatrixModel()),
-        lambda e: normalize(e, BOOL),
-    ):
-        for x in (e, Seq(Id(1), Ten(Id(0), e))):
-            with pytest.raises(UnsupportedGenerator, match=r"^unknown atom _SubNode\(label='a'\)$"):
-                read(x)
-
-
-def test_print_reads_subclasses_as_their_base_class():
-    # exact-class dispatch sends these through its fallbacks
-    rng = random.Random(5)
-    odd = [_SubSeq(Delta(), Nabla()), _WideId(2), Node(_Label("x")), Sym(0, 2)]
-    for _ in range(300):
-        parts = [rng.choice(odd + [random_expression(rng, max_depth=3, allow_anti=True)]) for _ in range(4)]
-        shapes = [
-            Seq(Ten(parts[0], _SubSeq(parts[1], Id(0))), Ten(parts[2], Seq(parts[3], Id(1)))),
-            Ten(Ten(parts[0], parts[1]), _SubSeq(parts[2], parts[3])),
-            _SubSeq(parts[0], _SubSeq(parts[1], Ten(parts[2], parts[3]))),
-        ]
-        for e in shapes:
-            assert print_expression(e) == _ref_print(e)
+        lambda e: validate_for_mode(e, INT),
+        print_expression,
+        lambda e: evaluate(e, FreeIdagModel(INT)),
+        lambda e: evaluate(e, MatrixModel(INT)),
+        lambda e: evaluate(e, LoopsModel()),
+        lambda e: normalize(e, INT),
+        lambda e: equal_mod_theory(e, e, INT),
+    )
+    for e in (sub, Seq(Id(1), Ten(Id(0), sub)), Ten(sub, Seq(Id(1), Id(1)))):
+        for read in readers:
+            with pytest.raises(UnsupportedGenerator, match=message):
+                read(e)
+        # the same instances are values: ==, hash and repr by their fields,
+        # and they pickle and copy
+        twin = pickle.loads(pickle.dumps(e))
+        assert twin == e and twin is not e and hash(twin) == hash(e) and repr(twin) == repr(e)
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+    assert type(pickle.loads(pickle.dumps(sub))) is type(sub)
+    assert sub == type(sub)(*sub._astuple()) and hash(sub) == hash(type(sub)(*sub._astuple()))
+    assert repr(sub).startswith(f"_Sub{base}(")
+    if base != "Expression":
+        plain = getattr(terms, base)(*sub._astuple())
+        assert sub != plain and Seq(sub, Id(1)) != Seq(plain, Id(1))

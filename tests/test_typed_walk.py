@@ -28,7 +28,7 @@ from idag.decomposition import decompose, default_sorting
 from idag.equivalence import TRANSITIVE, TheoryMode, equal_mod_theory, normalize
 from idag.errors import ArityMismatch, ExprSyntaxError, TypeMismatch, UnsupportedGenerator
 from idag.jsonio import idag_to_json
-from idag.matrices import MatrixModel, MatrixMorphism, matrix
+from idag.matrices import MatrixModel, MatrixMorphism
 from idag.models import FreeIdagModel, evaluate
 from idag.printer import print_expression
 from idag.randgen import random_expression, random_idag
@@ -71,10 +71,11 @@ class _SubNode(Node):
 
 
 _SWAPS = [Delta(), Nabla(), Eta(), Eps(), Anti(), Node("x"), Node("zz"), Id(2), Sym(1, 1), Id(0)]
-_ODD = [Node(_Label("x")), _WideId(2), _SubSeq(Delta(), Nabla()), Sym(0, 2)]
-# terms that are not atoms; an atom with a bad width or label is not built
-# (test_terms and test_validation check that its constructor raises)
-_BAD = [_Box(), _SubNode("x")]
+_ODD = [Node(_Label("x")), Sym(0, 2)]
+# terms that are not atoms: a class outside the eleven, a subclass of one
+# included; an atom with a bad width or label is not built (test_terms and
+# test_validation check that its constructor raises)
+_BAD = [_Box(), _SubNode("x"), _WideId(2), _SubSeq(Delta(), Nabla())]
 _MODES = [
     TheoryMode(BOOL),
     TheoryMode(NAT),
@@ -120,7 +121,7 @@ def _expression(rng):
     parts = [rng.choice([e, random_expression(rng, max_depth=2)] + _ODD + _SWAPS) for _ in range(4)]
     if rng.random() < 0.2:
         parts[rng.randrange(4)] = rng.choice(_BAD)
-    return Seq(Ten(parts[0], _SubSeq(parts[1], Id(0))), Ten(parts[2], Seq(parts[3], Id(1))))
+    return Seq(Ten(parts[0], Seq(parts[1], Id(0))), Ten(parts[2], Seq(parts[3], Id(1))))
 
 
 def _text(rng, e):
@@ -166,7 +167,7 @@ def _report(e1, e2, mode):
 
 def _matrix_model(rng, mode):
     lo, hi = {BOOL: (0, 1), NAT: (0, 3), INT: (-3, 3)}[mode]
-    return MatrixModel(mode, {"x": rng.randint(lo, hi), "y": matrix([[rng.randint(lo, hi)]], mode)})
+    return MatrixModel(mode, {"x": rng.randint(lo, hi), "y": rng.randint(lo, hi)})
 
 
 def _check_case(rng):

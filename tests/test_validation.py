@@ -316,6 +316,7 @@ def test_chains_are_built_of_expressions(build, message):
         build()
 
 
+_ONE_NODE = make_idag(1, 1, [("p", "x")], [(In(0), NodeRef("p")), (NodeRef("p"), Out(0))], NAT)
 # the wrong-typed values the fuzz below draws arguments from
 _POOL = (
     None,
@@ -324,7 +325,7 @@ _POOL = (
     1.5,
     True,
     [],
-    make_idag(1, 1, [("p", "x")], [(In(0), NodeRef("p")), (NodeRef("p"), Out(0))], NAT),
+    _ONE_NODE,
     parse("delta ; nabla"),
     TheoryMode(NAT),
     _crown(),
@@ -364,12 +365,27 @@ def test_public_callables_raise_only_idag_errors_on_wrong_types():
 
 
 def test_model_and_morphism_methods_raise_only_idag_errors_on_wrong_types():
-    # every public method of each model and morphism class, at each arity
-    # its signature admits, on every tuple of pool values and morphisms of
-    # both kinds, which meet each other's methods too
+    # every public method of each model and morphism class, of an idag, the
+    # weight systems, a theory mode and an equality report, at each arity
+    # its signature admits, on every tuple of pool values, vertices with
+    # ids and indices of the wrong type, and morphisms of both kinds, which
+    # meet each other's methods too
     morphisms = (matrix([[1, 2]], NAT), matrix([[-1]], INT), LoopsMorphism((1, 0), (("x",), ())))
-    pool = _POOL + morphisms
-    instances = (FreeIdagModel(NAT), MatrixModel(NAT), MatrixModel(INT, {"x": -2}), LoopsModel(), *morphisms)
+    pool = _POOL + morphisms + (NodeRef([]), NodeRef(3), In([]))
+    report = equal_mod_theory(parse("delta ; nabla"), parse("id(1)"), NAT)
+    instances = (
+        FreeIdagModel(NAT),
+        MatrixModel(NAT),
+        MatrixModel(INT, {"x": -2}),
+        LoopsModel(),
+        *morphisms,
+        _ONE_NODE,
+        BOOL,
+        NAT,
+        INT,
+        TheoryMode(NAT),
+        report,
+    )
     calls = 0
     for obj in instances:
         for name, method in inspect.getmembers(obj, inspect.ismethod):

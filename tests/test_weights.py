@@ -17,13 +17,13 @@ def row(a):
 
 
 def add(ws, a, b):
-    """a + b in ws, as weighted_sum computes it (zero is an absent key)."""
-    return ws.weighted_sum([(row(a), 1), (row(b), 1)]).get(0, 0)
+    """a + b in ws, as _weighted_sum computes it (zero is an absent key)."""
+    return ws._weighted_sum([(row(a), 1), (row(b), 1)]).get(0, 0)
 
 
 def mul(ws, a, b):
-    """a * b in ws, as weighted_sum computes it."""
-    return ws.weighted_sum([(row(a), b)]).get(0, 0)
+    """a * b in ws, as _weighted_sum computes it."""
+    return ws._weighted_sum([(row(a), b)]).get(0, 0)
 
 
 def test_bool_saturates():
@@ -42,12 +42,12 @@ def test_nat_int_arithmetic():
 
 def test_weighted_sum_drops_zero_sums():
     # an INT sum that cancels leaves no key, the others keep theirs
-    assert INT.weighted_sum([({0: 2, 1: 1}, 1), ({0: 1}, -2)]) == {1: 1}
+    assert INT._weighted_sum([({0: 2, 1: 1}, 1), ({0: 1}, -2)]) == {1: 1}
     # a zero-weight term leaves no key, in BOOL too
     for ws in (BOOL, NAT, INT):
-        assert ws.weighted_sum([({0: 1, 3: 1}, 0)]) == {}
-        assert ws.weighted_sum([({0: 1}, 0), ({2: 1}, 1)]) == {2: 1}
-    assert BOOL.weighted_sum([]) == {}
+        assert ws._weighted_sum([({0: 1, 3: 1}, 0)]) == {}
+        assert ws._weighted_sum([({0: 1}, 0), ({2: 1}, 1)]) == {2: 1}
+    assert BOOL._weighted_sum([]) == {}
 
 
 def test_bool_sum_is_the_general_sum_set_to_1():
@@ -64,15 +64,15 @@ def test_bool_sum_is_the_general_sum_set_to_1():
             for k, v in r.items():
                 sums[k] = sums.get(k, 0) + v * w
         want = {k: 1 for k, v in sums.items() if v}
-        got = BOOL.weighted_sum(terms)
-        assert got == want == dict.fromkeys(NAT.weighted_sum(terms), 1)
+        got = BOOL._weighted_sum(terms)
+        assert got == want == dict.fromkeys(NAT._weighted_sum(terms), 1)
         # first-seen key order, as the general sum gives with no zero weight
         assert list(got) == list(dict.fromkeys(k for r, w in terms if w for k in r))
 
 
 def test_weighted_sum_single_unit_term_returns_its_row():
     r = {4: 2, 1: -1}
-    assert INT.weighted_sum([(r, 1)]) is r
+    assert INT._weighted_sum([(r, 1)]) is r
 
 
 def test_antipode_flag():

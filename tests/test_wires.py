@@ -20,6 +20,7 @@ from idag.core import (
     prune_dangling,
     transitive_closure,
 )
+from idag.errors import BadEndpoint
 from idag.jsonio import idag_to_json
 from idag.jsonread import idag_from_json
 from idag.models import FreeIdagModel, _walk, evaluate
@@ -101,7 +102,11 @@ def test_edges_view_is_read_only(dag23):
 
 def test_label_of_and_weight_read_by_position(dag23):
     assert [dag23.label_of(nid) for nid in dag23.node_ids] == [lbl for _, lbl in dag23.nodes]
-    with pytest.raises(KeyError):
-        dag23.label_of("nope")
+    for nid in ("nope", [], 3):
+        with pytest.raises(BadEndpoint, match="^unknown node "):
+            dag23.label_of(nid)
     assert dag23.weight(Out(0), In(0)) == 0 and dag23.weight(In(9), Out(0)) == 0
     assert dag23.weight(NodeRef("nope"), Out(0)) == 0
+    # a node id that is not a str is unknown, even an unhashable one
+    assert dag23.weight(NodeRef([]), Out(0)) == 0 == dag23.weight(In(0), NodeRef([]))
+    assert dag23.weight(NodeRef(3), Out(0)) == 0

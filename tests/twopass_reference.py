@@ -136,7 +136,7 @@ def parse(text: str) -> Expression:
 def walk(e: Expression, n_in: int, mode) -> tuple[list[str], list[dict[int, int]]]:
     """The free image of an e that arity_of has checked and found to have
     n_in inputs: its node labels, then its node and output wires."""
-    weighted_sum = mode.weighted_sum
+    weighted_sum = mode._weighted_sum
     labels: list[str] = []
     ins: list[dict[int, int]] = []
     wires = [{i: 1} for i in range(n_in)]

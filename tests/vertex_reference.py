@@ -73,7 +73,7 @@ def concat(second: VIdag, first: VIdag) -> VIdag:
             edges[(NodeRef(ren[src.id]), dst2)] = w
     for src, outs in border.items():
         routes = [(from_border[j], w) for j, w in outs.items() if j in from_border]
-        for dst2, w in first.weights.weighted_sum(routes).items():
+        for dst2, w in first.weights._weighted_sum(routes).items():
             edges[(src, dst2)] = w
     return VIdag(first.weights, first.n_in, second.n_out, nodes, edges)
 
