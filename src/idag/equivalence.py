@@ -138,6 +138,7 @@ class EqReport(Frozen):
     report built with the forms given."""
 
     __slots__ = ("equal", "normal_form_left", "normal_form_right", "witness", "_images")
+    __hash__ = None  # type: ignore[assignment]  # its forms are idags
 
     def __init__(
         self,

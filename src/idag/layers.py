@@ -5,10 +5,10 @@ the k-th slice as a weight matrix, taken from d's wires renumbered along the
 sorting with no transpose (_slice). encode_relation renders any matrix as
 an expression by the encoder decompose() runs. interpret() gives d's value
 in a model along a sorting without expression syntax: the models walked
-natively (models._NATIVE: FreeIdagModel and MatrixModel) read d's own
-wires along the sorting as a free image in the model's weights, through the
-reader evaluate() ends in, and other models compose the slices. decompose()
-and interpret() exist so tests can play them against each other.
+natively (models._NATIVE) read d's own wires along the sorting as a free
+image in the model's weights, through the reader evaluate() ends in; other
+models compose the slices, as evaluate() has them do. decompose() and
+interpret() exist so tests can play them against each other.
 
 Different sortings yield different expressions with equal value in every
 model; transposition_identities() checks the five local identities that
@@ -75,11 +75,11 @@ def encode_relation(mat: MatrixMorphism) -> Expression:
 def interpret(d: Idag, sort: Iterable[str], model: Model):
     """d's value in a model along the sorting, bypassing expression syntax.
 
-    FreeIdagModel and MatrixModel read d's own wires along the sorting as a
-    free image: the free model in O(N + E), path sums in O(in-degree x
-    inputs) per node. Other models compose the slices. Independent of
-    decompose(); evaluate(decompose(d, s), model) must agree with
-    interpret(d, s, model) in every model, which the tests exercise.
+    The native models read d's own wires along the sorting as a free
+    image: the free model in O(N + E), path sums in O(in-degree x inputs)
+    per node. Other models compose the slices. Independent of decompose();
+    evaluate(decompose(d, s), model) must agree with interpret(d, s, model)
+    in every model, which the tests exercise.
     """
     order, wires = _along(d, sort)
     labels = dict(d.nodes)
@@ -88,7 +88,7 @@ def interpret(d: Idag, sort: Iterable[str], model: Model):
         # unless d's weight system is the model's, when every weight of d is
         # valid, relation checks d's weights as the matrix whose columns are
         # all of d's wires, by column, then by row: the order in which the
-        # slices meet them, so errors match the fold's
+        # slices meet them, so errors match the slice fold's
         if d.weights is not model.weights:
             model.relation(MatrixMorphism(d.weights, n + len(order), wires))
         return model._read_image(n, [labels[nid] for nid in order], wires)

@@ -1,27 +1,30 @@
 """The loops model: morphisms as permutations of wires with label words.
 
 LoopsModel interprets only wires, crossings and node boxes: a morphism is a
-permutation together with one label word per input wire, composition
-composing permutations and concatenating words. Wires and crossings reach
-it as every model's do, as permutation matrices through relation. It has
-no native walk, so evaluate() folds an expression into it by compose and
-tensor.
+permutation together with one label word per input wire. It reads a value
+off a free image in INT (see models._walk), so it refuses in one place, its
+reader, which takes exactly the images that are wirings: it evaluates
+delta ; (eps * id(1)) and anti ; anti, but not delta or delta ; nabla.
+Importing this module adds LoopsModel to models._NATIVE.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .algebra import _is_permutation
-from .errors import InterfaceMismatch, UnsupportedGenerator, _check_type
+from .errors import UnsupportedGenerator, _check_type
 from .matrices import MatrixMorphism
-from .models import Model, evaluate
+from .models import _NATIVE, Model, evaluate
 from .record import Frozen
-from .terms import Expression, Node
+from .terms import Expression
+from .weights import INT
 
 
 class LoopsMorphism(Frozen):
     """A morphism of the loops model: a permutation of the wires plus one
-    label word per input wire. Composition multiplies permutations and
-    prepends the later word (so sequential boxes accumulate on the left)."""
+    label word per input wire. Input i lands on output perm[i], and its
+    word lists the labels it meets, the last first."""
 
     __slots__ = ("perm", "words")
 
@@ -33,20 +36,6 @@ class LoopsMorphism(Frozen):
     def n(self) -> int:
         return len(self.perm)
 
-    def then(self, other: "LoopsMorphism") -> "LoopsMorphism":
-        _check_type(other, LoopsMorphism)
-        if self.n != other.n:
-            raise InterfaceMismatch(f"cannot feed {self.n} wires into {other.n}")
-        perm = tuple(other.perm[self.perm[i]] for i in range(self.n))
-        words = tuple(other.words[self.perm[i]] + self.words[i] for i in range(self.n))
-        return LoopsMorphism(perm, words)
-
-    def tensor(self, other: "LoopsMorphism") -> "LoopsMorphism":
-        _check_type(other, LoopsMorphism)
-        n = self.n
-        perm = self.perm + tuple(n + p for p in other.perm)
-        return LoopsMorphism(perm, self.words + other.words)
-
 
 class LoopsModel(Model, Frozen):
     """Evaluation into permutations-with-words; supports only wires,
@@ -54,18 +43,7 @@ class LoopsModel(Model, Frozen):
 
     __slots__ = ()
 
-    def generator(self, gen: Expression) -> LoopsMorphism:
-        if type(gen) is Node:
-            return LoopsMorphism((0,), ((gen.label,),))
-        raise UnsupportedGenerator(f"loops model does not interpret {gen!r}")
-
-    def compose(self, first: LoopsMorphism, then: LoopsMorphism) -> LoopsMorphism:
-        _check_type(first, LoopsMorphism)
-        return first.then(then)
-
-    def tensor(self, a: LoopsMorphism, b: LoopsMorphism) -> LoopsMorphism:
-        _check_type(a, LoopsMorphism)
-        return a.tensor(b)
+    weights = INT
 
     def relation(self, mat: MatrixMorphism) -> LoopsMorphism:
         """mat as a permutation: each column must hold one entry, a 1, in a
@@ -81,6 +59,30 @@ class LoopsModel(Model, Frozen):
         _check_type(a, LoopsMorphism)
         _check_type(b, LoopsMorphism)
         return a == b
+
+    def _read_image(
+        self, n_in: int, labels: Sequence[str], wires: Sequence[dict[int, int]]
+    ) -> LoopsMorphism:
+        """The value of a free image (see models._walk) that is a wiring:
+        each wire holds one source with weight 1, and each input and node is
+        read once. Each input's chain, source s feeding wire succ[s], passes
+        its nodes on the way to its output."""
+        n_nodes = len(labels)
+        succ = {s: j for j, wire in enumerate(wires) if len(wire) == 1 for s, w in wire.items() if w == 1}
+        if not len(succ) == len(wires) == n_in + n_nodes:
+            raise UnsupportedGenerator("loops model interprets only wires, crossings and node boxes")
+        perm, words = [], []
+        for j in (succ[i] for i in range(n_in)):
+            word = []
+            while j < n_nodes:
+                word.append(labels[j])
+                j = succ[n_in + j]
+            perm.append(j - n_nodes)
+            words.append(tuple(reversed(word)))
+        return LoopsMorphism(tuple(perm), tuple(words))
+
+
+_NATIVE.add(LoopsModel)
 
 
 def loops_eval(e: Expression) -> LoopsMorphism:

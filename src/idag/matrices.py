@@ -150,9 +150,10 @@ class MatrixModel(Model, Frozen):
     """Evaluation into weight matrices. lambda_images maps a node label to
     its image, an int entry of the weight system; unlisted labels act as
     the identity wire, image 1. An image is checked when evaluation reads
-    it: InvalidWeight unless it is a valid entry."""
+    it: InvalidWeight unless it is a valid entry; the model keeps a copy."""
 
     __slots__ = ("weights", "lambda_images")
+    __hash__ = None  # type: ignore[assignment]  # lambda_images is a dict
 
     def __init__(
         self,
@@ -163,7 +164,7 @@ class MatrixModel(Model, Frozen):
         lambda_images = {} if lambda_images is None else lambda_images
         _check_type(lambda_images, Mapping)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "lambda_images", lambda_images)
+        object.__setattr__(self, "lambda_images", dict(lambda_images))
 
     def _lambda(self, label: str) -> int:
         """label's image, checked as an entry."""

@@ -11,24 +11,21 @@ over the weight system, and LoopsModel (in loops) as permutations with one
 label word per wire; each module is imported on first use, so evaluating
 in the free model loads neither.
 
-The free model is initial, so FreeIdagModel and MatrixModel read a value off
-a free image, node labels and wires (see _walk), each with one reader,
-_read_image: the free model returns the image as an idag, the matrix model
-its path sums. The free images of the node-free generators are defined once,
-in terms._GENERATORS, so a generator's matrix image too is the path sum of
-its free image. evaluate() builds e's image by one walk that touches only
-the wires each atom consumes and type-checks e as it goes, so a well-typed e
-is walked once. The walk dispatches on each term's exact class, so a
-class outside the eleven expression classes is an unknown atom to it, as to
-every reader (see terms). It reads each atom's fields as they are (atoms
-check them when built), and reads the generator images from that table on
-each call, running copy-, merge-, unit- and discard-shaped ones inline;
-layers.interpret() takes d's own wires along the sorting. The models
-walked natively are the classes in _NATIVE, which the matrices module
-extends with MatrixModel when it is imported, so evaluate() tells them
-apart by one lookup of the model's class and walks in model.weights.
-Other models, subclasses and wrapping models take the compose/tensor
-fold, which tests use as the reference.
+The free model is initial, so a value in any model is read off a free
+image in the model's weights, node labels and wires (see _walk), which
+evaluate() builds by one walk that touches only the wires each atom
+consumes and type-checks e as it goes, so a well-typed e is walked once.
+The models walked natively are the classes in _NATIVE, which the matrices
+and loops modules extend when imported. Each reads the image with one
+reader, _read_image: the free model returns it as an idag, the matrix
+model its path sums, the loops model its chains. Any other model gets the
+image slice by slice (layers.interpret). The free images of the node-free
+generators are defined once, in terms._GENERATORS. The walk dispatches on
+each term's exact class, so a class outside the eleven expression classes
+is an unknown atom to it, as to every reader (see terms). It reads each
+atom's fields as they are (atoms check them when built), and reads the
+generator images from that table on each call, running copy-, merge-,
+unit- and discard-shaped ones inline.
 
 Every sum of weight products in the walk is WeightSystem._weighted_sum.
 """
@@ -39,7 +36,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import terms
 from .core import MAX_WIDTH, Idag, canonical_form
-from .errors import SizeLimitExceeded, UnsupportedGenerator, _check_type
+from .errors import SizeLimitExceeded, UnsupportedGenerator, WrongArgumentType, _check_type
 from .terms import (
     Expression,
     Id,
@@ -51,7 +48,6 @@ from .terms import (
     _generator_image,
     _interprets,
     arity_of,
-    fold,
 )
 from .record import Frozen
 from .weights import BOOL, WeightSystem
@@ -76,10 +72,19 @@ def free_generator_image(gen: Expression, mode: WeightSystem) -> Idag:
 
 class Model:
     """Evaluation target: images for generators plus PROP structure. A
-    model defines generator, compose, tensor, relation and equal; identity
-    and symmetry read their permutation matrices through relation."""
+    model defines generator, compose, tensor, relation and equal (each
+    raises UnsupportedGenerator here); identity and symmetry read their
+    permutation matrices through relation."""
 
     __slots__ = ()
+
+    @property
+    def weights(self) -> WeightSystem:
+        """The weight system evaluate() walks in: that of identity(0)."""
+        weights = getattr(self.identity(0), "weights", None)
+        if not isinstance(weights, WeightSystem):
+            raise WrongArgumentType(f"{type(self).__name__} names no weight system in identity(0)")
+        return weights
 
     def identity(self, n: int):
         return self.symmetry(n, 0)
@@ -94,21 +99,21 @@ class Model:
         return self.relation(MatrixMorphism(BOOL, d.n_in, d.wires))
 
     def generator(self, gen: Expression):
-        raise NotImplementedError
+        raise UnsupportedGenerator(f"{type(self).__name__} does not define generator")
 
     def compose(self, first, then):
         """Diagrammatic order: first, then then."""
-        raise NotImplementedError
+        raise UnsupportedGenerator(f"{type(self).__name__} does not define compose")
 
     def tensor(self, a, b):
-        raise NotImplementedError
+        raise UnsupportedGenerator(f"{type(self).__name__} does not define tensor")
 
     def relation(self, mat: MatrixMorphism):
         """The morphism a plain weight matrix denotes in this model."""
-        raise NotImplementedError
+        raise UnsupportedGenerator(f"{type(self).__name__} does not define relation")
 
     def equal(self, a, b) -> bool:
-        raise NotImplementedError
+        raise UnsupportedGenerator(f"{type(self).__name__} does not define equal")
 
 
 class FreeIdagModel(Model, Frozen):
@@ -155,7 +160,7 @@ class FreeIdagModel(Model, Frozen):
 
 
 # the classes of the models evaluate() walks natively, in their weights;
-# matrices adds MatrixModel
+# matrices adds MatrixModel and loops LoopsModel
 _NATIVE: set[type] = {FreeIdagModel}
 
 
@@ -164,28 +169,18 @@ def evaluate(e: Expression, model: Model):
 
     Raises TypeMismatch if e is ill-typed, UnsupportedGenerator if the
     model lacks an image for a generator occurring in e, and
-    WrongArgumentType if model is not a Model. FreeIdagModel and
-    MatrixModel type-check e in the walk that builds its image; other
-    models check it with arity_of before their fold.
+    WrongArgumentType if model is not a Model. e is walked once, to its
+    free image in model.weights, which type-checks it; a native model reads
+    its value off that image, and any other model gets the image slice by
+    slice (layers.interpret).
     """
     if type(model) in _NATIVE:
         return model._read_image(*_typed_walk(e, model.weights))
     _check_type(model, Model)
-    arity_of(e)
+    from .layers import interpret
 
-    def atom(a: Expression):
-        if type(a) is Id:
-            return model.identity(a.n)
-        if type(a) is Sym:
-            return model.symmetry(a.n, a.m)
-        return model.generator(a)
-
-    return fold(
-        e,
-        atom,
-        lambda _n, a, b: model.compose(a, b),
-        lambda _n, a, b: model.tensor(a, b),
-    )
+    image = evaluate(e, FreeIdagModel(model.weights))
+    return interpret(image, image.node_ids, model)
 
 
 def _typed_walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[int, int]]]:

@@ -234,8 +234,8 @@ _EXPR_ROUTE = 2
 class _SliceFold(FreeIdagModel):
     """The free model, but interpret composes its slices: interpret reads a
     free image only for the native model classes themselves, so a subclass
-    takes the compose/tensor fold. The suites use it to check slice
-    semantics, not just that interpret hands d back."""
+    takes the slice fold. The suites use it to check slice semantics, not
+    just that interpret hands d back."""
 
 
 def _gather_sortings(d: Idag, cap: int, rng: random.Random) -> list[tuple[str, ...]]:

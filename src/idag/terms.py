@@ -54,7 +54,7 @@ outside this contract.
 Typing is checked while an expression is built: parse compares widths at
 each ";" as it reads, and the models' walk (models._walk) checks each
 composite as it runs. arity_of folds an expression on its own only to name
-the error of an ill-typed one, or for models without a native walk.
+the error of an ill-typed one.
 """
 
 from __future__ import annotations
@@ -298,8 +298,8 @@ def fold(
     ten: Callable[[Ten, T, T], T],
 ) -> T:
     """Iterative post-order fold; the workhorse behind arity checking,
-    hashing, repr and evaluation in models without a native walk. A term
-    that is not exactly a Seq or Ten is an atom."""
+    hashing, repr and pickling. A term that is not exactly a Seq or Ten is
+    an atom."""
     stack: list[tuple[Expression, bool]] = [(e, False)]
     results: list[T] = []
     while stack:

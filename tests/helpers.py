@@ -53,8 +53,8 @@ def consume_row(rng, width, wiring_only):
 
 class Forwarding(Model):
     """Passes every call to the wrapped model. evaluate() sees only a Model,
-    so it folds compose and tensor even around a FreeIdagModel: the
-    reference for the free model's wire-list evaluation."""
+    so it hands the wrapper the free image slice by slice even around a
+    FreeIdagModel, in the weight system of the wrapped model's identity(0)."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -79,6 +79,31 @@ class Forwarding(Model):
 
     def equal(self, a, b):
         return self.inner.equal(a, b)
+
+
+def _logged(name):
+    def method(self, *args):
+        self.calls.append((name, args))
+        return getattr(self.inner, name)(*args)
+
+    return method
+
+
+class Recording(Model):
+    """Passes every call to the wrapped model and logs it in calls, as
+    (method name, arguments)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    identity = _logged("identity")
+    symmetry = _logged("symmetry")
+    generator = _logged("generator")
+    compose = _logged("compose")
+    tensor = _logged("tensor")
+    relation = _logged("relation")
+    equal = _logged("equal")
 
 
 def run_capped(args, stdin="", cap=1_500_000_000):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from idag.algebra import identity, make_idag, symmetry
 from idag.builders import seq_all
 from idag.core import MAX_WIDTH, In, NodeRef, Out, is_isomorphic, transitive_closure
+from idag.decomposition import decompose
 from idag.errors import (
     BadEndpoint,
     IdagError,
@@ -19,9 +20,13 @@ from idag.errors import (
 from idag.loops import LoopsModel, LoopsMorphism, loops_eval
 from idag.matrices import MatrixModel, matrix, matrix_identity, matrix_permutation
 from idag.models import FreeIdagModel, Model, evaluate, free_generator_image
+from idag.layers import interpret
 from idag.randgen import random_expression, random_matrix
+from idag.sortings import sample_topological_sorting
 from idag.terms import Anti, Delta, Eps, Eta, Id, Nabla, Node, Seq, Sym, Ten, arity_of, parse
 from idag.weights import BOOL, INT, NAT
+
+import fold_reference
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +170,59 @@ def test_loops_examples():
 
 
 def test_loops_rejects_structural_generators():
-    for e in (Eta(), Nabla(), Eps(), Delta(), Anti()):
-        with pytest.raises(UnsupportedGenerator):
+    # alone, and in composites whose free image in INT is not a wiring
+    for e in (Eta(), Nabla(), Eps(), Delta(), Anti(), parse("delta ; nabla"), parse("nabla ; delta")):
+        with pytest.raises(UnsupportedGenerator, match="^loops model interprets only wires, crossings and node boxes$"):
             evaluate(e, LoopsModel())
 
 
 def test_loops_composition_formula():
-    a = LoopsMorphism((1, 0), (("x",), ()))
-    b = LoopsMorphism((0, 1), (("u",), ("v",)))
-    c = a.then(b)
+    a = parse("(node[x] * id(1)) ; sym(1,1)")
+    b = parse("node[u] * node[v]")
+    assert loops_eval(a) == LoopsMorphism((1, 0), (("x",), ()))
+    assert loops_eval(b) == LoopsMorphism((0, 1), (("u",), ("v",)))
+    c = loops_eval(Seq(a, b))
     assert c.perm == (1, 0)
     # wire 0 passes through a (word x, lands on 1), then picks up b's word at 1
     assert c.words == (("v", "x"), ("u",))
+
+
+def test_loops_model_reads_composites_whose_image_is_a_wiring():
+    wirings = {
+        "delta ; (eps * id(1))": LoopsMorphism((0,), ((),)),
+        "anti ; anti": LoopsMorphism((0,), ((),)),
+        "eta ; eps": LoopsMorphism((), ()),
+        "delta ; (id(1) * eps) ; node[x]": LoopsMorphism((0,), (("x",),)),
+        "(delta ; (eps * node[y])) * id(1) ; sym(1,1)": LoopsMorphism((1, 0), (("y",), ())),
+    }
+    for text, want in wirings.items():
+        assert loops_eval(parse(text)) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_loops_model_reads_chain_idags_on_both_routes(seed):
+    # an idag of disjoint chains, wired to its outputs by a random
+    # permutation: its decomposition copies each wire a node reads and
+    # discards the copy, yet its value is a wiring
+    rng = random.Random(seed)
+    n = rng.randint(0, 5)
+    targets = list(range(n))
+    rng.shuffle(targets)
+    nodes, edges = [], []
+    for i, target in enumerate(targets):
+        at = In(i)
+        for k in range(rng.randint(0, 3)):
+            nid = f"{i}.{k}"
+            nodes.append((nid, rng.choice(("x", "y"))))
+            edges.append((at, NodeRef(nid)))
+            at = NodeRef(nid)
+        edges.append((at, Out(target)))
+    d = make_idag(n, n, nodes, edges, rng.choice((BOOL, NAT, INT)))
+    s = sample_topological_sorting(d, rng)
+    got = interpret(d, s, LoopsModel())
+    assert evaluate(decompose(d, s), LoopsModel()) == got
+    assert (got.perm, got.words) == _free_path_reading(d)
 
 
 def _free_path_reading(d):
@@ -217,7 +263,7 @@ def test_loops_agrees_with_free_model(seed):
 # PROP laws, uniformly over models
 
 
-from helpers import Forwarding, consume_row as _consume_row  # noqa: E402
+from helpers import Forwarding, Recording, consume_row as _consume_row  # noqa: E402
 
 
 def _models_for(seed):
@@ -267,8 +313,9 @@ def test_model_interchange_and_symmetry(seed):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10**9))
 def test_free_evaluation_matches_the_fold(seed):
-    # evaluate() runs FreeIdagModel on a wire list; a wrapped model takes the
-    # compose/tensor fold, which stays the reference
+    # evaluate() runs FreeIdagModel on a wire list, and a wrapped model gets
+    # that image slice by slice; the compose/tensor fold over e is the
+    # reference
     rng = random.Random(seed)
     ws = (BOOL, NAT, INT)[seed % 3]
     e = random_expression(rng, max_depth=rng.randint(1, 5), allow_anti=ws is INT)
@@ -276,12 +323,13 @@ def test_free_evaluation_matches_the_fold(seed):
     fast = evaluate(e, free)
     assert (fast.n_in, fast.n_out) == arity_of(e)
     assert is_isomorphic(fast, evaluate(e, Forwarding(free))) is not None
+    assert is_isomorphic(fast, fold_reference.evaluate(e, free)) is not None
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10**9))
 def test_matrix_evaluation_matches_the_fold(seed):
-    # MatrixModel runs on a wire list as well; the fold stays the reference.
+    # MatrixModel runs on a wire list as well; the fold is the reference.
     # "x" and "y" have images, the default label none
     rng = random.Random(seed)
     ws = (BOOL, NAT, INT)[seed % 3]
@@ -291,6 +339,7 @@ def test_matrix_evaluation_matches_the_fold(seed):
     fast = evaluate(e, model)
     assert (fast.n_in, fast.n_out) == arity_of(e)
     assert fast == evaluate(e, Forwarding(model))
+    assert fast == fold_reference.evaluate(e, model)
 
 
 def test_matrix_walk_and_fold_raise_alike():
@@ -305,10 +354,81 @@ def test_matrix_walk_and_fold_raise_alike():
         (boxed, MatrixModel(NAT, {"x": matrix([[2]], NAT)}), InvalidWeight),
         (boxed, MatrixModel(NAT, {"x": -1}), InvalidWeight),
     ]
+    routes = (evaluate, lambda e, model: evaluate(e, Forwarding(model)), fold_reference.evaluate)
     for e, model, error in cases:
-        for route in (model, Forwarding(model)):
+        for run in routes:
             with pytest.raises(error):
-                evaluate(e, route)
+                run(e, model)
+
+
+# ---------------------------------------------------------------------------
+# one route: a model outside the native ones gets the free image by slices
+
+
+_ROUTED = [
+    "delta ; (node[x] * node[y]) ; sym(1,1) ; nabla ; node[z]",
+    "(node[x] * id(2)) ; (id(1) * sym(1,1)) ; (nabla * node[y]) ; sym(1,1)",
+    "eta * id(1) ; (node[x] * delta) ; (id(1) * eps * node[y])",
+    "id(0)",
+    "sym(2,1) ; id(3)",
+]
+
+
+def test_a_wrapping_model_is_asked_only_for_slices_and_node_boxes():
+    rng = random.Random(35)
+    exprs = [parse(text) for text in _ROUTED]
+    exprs += [random_expression(rng, max_depth=4, labels=("x", "y")) for _ in range(20)]
+    for ws in (BOOL, NAT, INT):
+        for e in exprs:
+            image = evaluate(e, FreeIdagModel(ws))
+            for model in (FreeIdagModel(ws), MatrixModel(ws, {"x": 0, "y": 1})):
+                recording = Recording(model)
+                got = evaluate(e, recording)
+                names = [name for name, _ in recording.calls]
+                boxes = [args[0] for name, args in recording.calls if name == "generator"]
+                assert boxes == [Node(label) for _, label in image.nodes]
+                assert names.count("relation") == len(image.nodes) + 1
+                assert "symmetry" not in names
+                if type(model) is FreeIdagModel:
+                    assert is_isomorphic(got, evaluate(e, model)) is not None
+                else:
+                    assert got == evaluate(e, model)
+
+
+def test_a_models_weights_are_those_of_its_identity():
+    assert Forwarding(MatrixModel(INT)).weights is INT
+    assert Forwarding(FreeIdagModel(NAT)).weights is NAT
+    assert _NoWiring(MatrixModel(BOOL)).weights is BOOL
+    assert LoopsModel().weights is INT and MatrixModel(BOOL).weights is BOOL
+    # a loops morphism names no weight system
+    with pytest.raises(WrongArgumentType, match="^Forwarding names no weight system"):
+        Forwarding(LoopsModel()).weights
+    with pytest.raises(WrongArgumentType, match="^Forwarding names no weight system"):
+        evaluate(Node("x"), Forwarding(LoopsModel()))
+
+
+def test_a_model_that_defines_nothing_raises_an_idag_error():
+    d = make_idag(1, 1, [("p", "x")], [(In(0), NodeRef("p")), (NodeRef("p"), Out(0))])
+    calls = [
+        ("relation", lambda: evaluate(parse("id(1)"), Model())),
+        ("relation", lambda: interpret(d, ["p"], Model())),
+        ("relation", lambda: Model().weights),
+        ("generator", lambda: Model().generator(Node("x"))),
+        ("compose", lambda: Model().compose(1, 2)),
+        ("tensor", lambda: Model().tensor(1, 2)),
+        ("equal", lambda: Model().equal(1, 2)),
+    ]
+    for method, call in calls:
+        with pytest.raises(UnsupportedGenerator, match=f"^Model does not define {method}$"):
+            call()
+
+
+def test_a_matrix_model_keeps_its_own_images():
+    images = {"x": 2}
+    model = MatrixModel(NAT, images)
+    images["x"] = 5
+    assert evaluate(Node("x"), model).entries == ((2,),)
+    assert model == MatrixModel(NAT, {"x": 2})
 
 
 # ---------------------------------------------------------------------------

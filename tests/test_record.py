@@ -4,20 +4,22 @@ no field assignment, slots, and pickle and deepcopy round trips."""
 
 import copy
 import pickle
+from collections.abc import Hashable
 
 import pytest
 
 from idag.algebra import identity, make_idag
+from idag.builders import seq_all
 from idag.core import In, NodeRef, Out
 from idag.equivalence import TRANSITIVE, EqReport, TheoryMode, equal_mod_theory
 from idag.errors import ModeMismatch
 from idag.layers import TranspositionReport
 from idag.loops import LoopsModel, LoopsMorphism
 from idag.matrices import MatrixModel, matrix
-from idag.models import FreeIdagModel
+from idag.models import FreeIdagModel, evaluate
 from idag.record import Record
 from idag.selftest import SuiteResult
-from idag.terms import parse
+from idag.terms import Id, parse
 from idag.weights import BOOL, INT, NAT, WeightSystem
 
 # (value, its repr, its field values in constructor order)
@@ -97,6 +99,7 @@ def test_unhashable_values_stay_unhashable():
     for value in (d, MatrixModel(), report, SuiteResult("s", 1, [])):
         with pytest.raises(TypeError):
             hash(value)
+        assert not isinstance(value, Hashable)
     with pytest.raises(AttributeError):
         d.n_in = 2
     # an idag holds plain wires, so it pickles and copies
@@ -139,3 +142,19 @@ def test_subclasses_keep_the_fields_of_their_bases():
     assert repr(sub) == "_Sub(weights=NAT)" and sub != FreeIdagModel(NAT)
     assert sub == _Sub(NAT) != _Sub(INT) and hash(sub) == hash((NAT,))
     assert pickle.loads(pickle.dumps(sub)) == sub == copy.deepcopy(sub)
+
+
+def test_values_of_ten_thousand_nodes_or_columns_pickle():
+    # an idag of 10^4 nodes, the eager report of an equal pair and the lazy
+    # report of an unequal pair of such idags, and a matrix of 10^4 columns
+    diamond = parse("delta ; (node[a] * node[b]) ; nabla")
+    e = seq_all([diamond] * 5_000)
+    d = evaluate(e, FreeIdagModel(NAT))
+    assert len(d.nodes) == 10_000
+    eager = equal_mod_theory(e, e, NAT)
+    lazy = equal_mod_theory(e, seq_all([e, parse("node[c]")]), NAT)
+    assert eager.equal and not lazy.equal
+    wide = evaluate(Id(10_000), MatrixModel(INT))
+    assert wide.n_out == 10_000
+    for value in (d, eager, lazy, wide):
+        assert pickle.loads(pickle.dumps(value)) == value

@@ -270,7 +270,8 @@ def test_deep_expressions_pickle_and_copy(deep_expressions):
 
 
 # the public calls on an expression of any depth; each returns or raises
-# an IdagError (the loops model refuses the decomposition's delta and nabla)
+# an IdagError (the loops model refuses the decomposition, whose free image
+# is not a wiring)
 _DEEP_CALLS = {
     "repr": repr,
     "hash": hash,

@@ -19,6 +19,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fold_reference
 import twopass_reference as ref
 from helpers import Forwarding
 from idag import equivalence, models, terms
@@ -321,8 +322,9 @@ def test_the_walk_reads_copy_and_merge_shapes_off_the_table(monkeypatch, ws):
     # images close to a copy and a merge but not equal to them: a merge
     # weighting its second input by 2 and a copy to three outputs, with the
     # arity table to match. The walk must take their shapes from the table
-    # on this call, so it agrees with the reference walk and with the
-    # compose/tensor fold, which read each image generically
+    # on this call, so it agrees with the reference walk, with the slice
+    # fold of a wrapping model and with the compose/tensor fold, which read
+    # each image generically
     monkeypatch.setitem(terms._GENERATORS, Nabla, ("nabla", 2, (((0, 1), (1, 2)),)))
     monkeypatch.setitem(terms._GENERATORS, Delta, ("delta", 1, (((0, 1),),) * 3))
     monkeypatch.setitem(terms._GENERATOR_ARITY, Delta, (1, 3))
@@ -336,6 +338,7 @@ def test_the_walk_reads_copy_and_merge_shapes_off_the_table(monkeypatch, ws):
             got = evaluate(e, model)
             assert _value(got) == _value(ref.evaluate(e, model))
             assert model.equal(got, evaluate(e, Forwarding(model)))
+            assert model.equal(got, fold_reference.evaluate(e, model))
     assert evaluate(Delta(), MatrixModel(ws)).entries == ((1, 1, 1),)
     assert evaluate(Nabla(), MatrixModel(ws)).entries == ((1,), (2,))
 
@@ -363,5 +366,6 @@ def test_the_walk_reads_unit_and_discard_shapes_off_the_table(monkeypatch, ws):
             got = evaluate(e, model)
             assert _value(got) == _value(ref.evaluate(e, model))
             assert model.equal(got, evaluate(e, Forwarding(model)))
+            assert model.equal(got, fold_reference.evaluate(e, model))
     assert evaluate(Eta(), MatrixModel(ws)).n_out == 2
     assert evaluate(Eps(), MatrixModel(ws)).entries == ((2,),)

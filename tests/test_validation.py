@@ -217,14 +217,14 @@ def test_a_mode_keeps_its_sets_frozen():
         lambda: MatrixModel().tensor(3, 4),
         lambda: MatrixModel().equal(matrix([[1]], NAT), 3),
         lambda: LoopsModel().relation(3),
-        lambda: LoopsModel().compose(3, 4),
-        lambda: LoopsModel().tensor(3, 4),
+        lambda: LoopsModel().equal(3, 4),
+        lambda: LoopsModel().equal(LoopsMorphism((0,), ((),)), None),
         lambda: FreeIdagModel().compose(3, 4),
         lambda: FreeIdagModel().relation("x"),
         lambda: matrix([[1]], NAT).then(3),
         lambda: matrix([[1]], NAT).tensor(None),
-        lambda: LoopsMorphism((0,), ((),)).then(None),
-        lambda: LoopsMorphism((0,), ((),)).tensor(3),
+        lambda: FreeIdagModel().tensor(3, 4),
+        lambda: FreeIdagModel().equal(identity(1), 3),
     ],
 )
 def test_idag_and_model_arguments_must_be_idags_and_models(call):
