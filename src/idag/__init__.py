@@ -44,7 +44,7 @@ _NAMES_BY_MODULE = {
     ),
     "loops": ("LoopsModel", "LoopsMorphism", "loops_eval"),
     "matrices": ("MatrixModel", "MatrixMorphism", "matrix", "matrix_identity", "matrix_permutation"),
-    "models": ("FreeIdagModel", "evaluate", "free_generator_image"),
+    "models": ("FreeIdagModel", "evaluate"),
     "printer": ("print_expression",),
     "randgen": ("random_expression", "random_idag", "random_matrix"),
     "sortings": ("count_topological_sortings", "sample_topological_sorting"),

@@ -7,8 +7,9 @@ an expression by the encoder decompose() runs. interpret() gives d's value
 in a model along a sorting without expression syntax: the models walked
 natively (models._NATIVE) read d's own wires along the sorting as a free
 image in the model's weights, through the reader evaluate() ends in; other
-models compose the slices, as evaluate() has them do. decompose() and
-interpret() exist so tests can play them against each other.
+models compose the slices, each wiring entering through their relation,
+as evaluate() has them do. decompose() and interpret() exist so tests can
+play them against each other.
 
 Different sortings yield different expressions with equal value in every
 model; transposition_identities() checks the five local identities that
@@ -23,11 +24,11 @@ from typing import Iterable
 from .core import Idag
 from .decomposition import _along, _encode, _fan_in, _fan_out, _scale
 from .errors import IndexOutOfRange, NotAdjacentTransposition, _check_type
-from .matrices import MatrixMorphism, matrix_permutation
+from .matrices import MatrixMorphism, _check_columns, matrix_identity, matrix_permutation
 from .models import _NATIVE, Model
 from .record import Frozen
 from .terms import Expression, Id, Node
-from .weights import INT, NAT
+from .weights import BOOL, INT, NAT
 
 
 def layer(d: Idag, sort: Iterable[str], k: int) -> MatrixMorphism:
@@ -69,6 +70,7 @@ def encode_relation(mat: MatrixMorphism) -> Expression:
     output slice; mat's columns are its wires.
     """
     _check_type(mat, MatrixMorphism)
+    _check_columns(mat, INT.check_value)
     return _encode(mat.n_in, mat.cols, Id, _scale, _fan_out, _fan_in)
 
 
@@ -77,27 +79,36 @@ def interpret(d: Idag, sort: Iterable[str], model: Model):
 
     The native models read d's own wires along the sorting as a free
     image: the free model in O(N + E), path sums in O(in-degree x inputs)
-    per node. Other models compose the slices. Independent of decompose();
-    evaluate(decompose(d, s), model) must agree with interpret(d, s, model)
-    in every model, which the tests exercise.
+    per node. Other models compose the slices (_fold_slices). Independent
+    of decompose(); evaluate(decompose(d, s), model) must agree with
+    interpret(d, s, model) in every model, which the tests exercise.
     """
+    if type(model) not in _NATIVE:
+        return _fold_slices(d, sort, model)
     order, wires = _along(d, sort)
     labels = dict(d.nodes)
-    n = d.n_in
-    if type(model) in _NATIVE:
-        # unless d's weight system is the model's, when every weight of d is
-        # valid, relation checks d's weights as the matrix whose columns are
-        # all of d's wires, by column, then by row: the order in which the
-        # slices meet them, so errors match the slice fold's
-        if d.weights is not model.weights:
-            model.relation(MatrixMorphism(d.weights, n + len(order), wires))
-        return model._read_image(n, [labels[nid] for nid in order], wires)
+    # unless d's weight system is the model's, when every weight of d is
+    # valid, relation checks d's weights as the matrix whose columns are all
+    # of d's wires, by column, then by row: the order in which the slices
+    # meet them, so errors match the slice fold's
+    if d.weights is not model.weights:
+        model.relation(MatrixMorphism(d.weights, d.n_in + len(order), wires))
+    return model._read_image(d.n_in, [labels[nid] for nid in order], wires)
+
+
+def _fold_slices(d: Idag, sort: Iterable[str], model: Model):
+    """d's value in model along the sorting by composing its slices: the
+    relation of each slice, and each node box beside the relation of the
+    BOOL identity on the wires left of it, valid in every weight system."""
+    order, wires = _along(d, sort)
     _check_type(model, Model)
+    labels = dict(d.nodes)
+    n = d.n_in
     mor = model.relation(_slice(d, wires, 0))
     for k, nid in enumerate(order):
         box = model.generator(Node(labels[nid]))
         if n + k > 0:
-            box = model.tensor(model.identity(n + k), box)
+            box = model.tensor(model.relation(matrix_identity(n + k, BOOL)), box)
         mor = model.compose(mor, box)
         mor = model.compose(mor, model.relation(_slice(d, wires, k + 1)))
     return mor

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .algebra import _is_permutation
 from .errors import UnsupportedGenerator, _check_type
-from .matrices import MatrixMorphism
+from .matrices import MatrixMorphism, _check_columns
 from .models import _NATIVE, Model, evaluate
 from .record import Frozen
 from .terms import Expression
@@ -49,6 +49,7 @@ class LoopsModel(Model, Frozen):
         """mat as a permutation: each column must hold one entry, a 1, in a
         row no other column uses."""
         _check_type(mat, MatrixMorphism)
+        _check_columns(mat, INT.check_value)
         inverse = [i for col in mat.cols if len(col) == 1 for i, w in col.items() if w == 1]
         if not mat.n_in == len(mat.cols) == len(inverse) or not _is_permutation(inverse):
             raise UnsupportedGenerator("loops model interprets only permutations")

@@ -22,10 +22,11 @@ product, the path sums) is WeightSystem._weighted_sum.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import _check_widths, _shifted, from_permutation, identity
-from .errors import InterfaceMismatch, InvalidWeight, ModeMismatch, _check_type
+from .errors import BadEndpoint, InterfaceMismatch, InvalidWeight, ModeMismatch, ZeroWeight, _check_type
 from .models import _NATIVE, Model, _typed_walk
 from .record import Frozen
 from .terms import Expression
@@ -95,12 +96,29 @@ class MatrixMorphism(Frozen):
         }
 
 
-def _check_columns(cols: Sequence[dict[int, int]], check: Callable[[int], None]) -> None:
-    """Run check on each entry, by column, then by row, so an error depends
-    on the matrix and not on its columns' dict order."""
-    for col in cols:
+def _check_columns(mat: MatrixMorphism, check: Callable[[int], None]) -> None:
+    """Check mat's widths as algebra's constructors do, each row as an int
+    in range(mat.n_in), and each entry by check and as nonzero. A valid
+    matrix is checked on its distinct rows and entries; else the first fault
+    by column, then by row, is named, so errors ignore dict order."""
+    n_in, cols = mat.n_in, mat.cols
+    _check_widths("width", n_in, len(cols))
+    try:  # an unhashable entry, say, is named by the loop below
+        rows, entries = set(chain(*cols)), set(chain(*map(dict.values, cols)))
+        if {*map(type, rows), *map(type, entries)} <= {int} and 0 not in entries:
+            if min(rows, default=0) >= 0 and max(rows, default=-1) < n_in:
+                for w in entries:
+                    check(w)
+                return
+    except (TypeError, InvalidWeight):
+        pass
+    for j, col in enumerate(cols):
+        if not all(type(i) is int and 0 <= i < n_in for i in col):
+            raise BadEndpoint(f"column {j} has a row that is not an int in range({n_in})")
         for i in sorted(col):
             check(col[i])
+            if col[i] == 0:
+                raise ZeroWeight("zero weight: omit the edge instead")
 
 
 def matrix(
@@ -185,7 +203,7 @@ class MatrixModel(Model, Frozen):
 
     def relation(self, mat: MatrixMorphism) -> MatrixMorphism:
         _check_type(mat, MatrixMorphism)
-        _check_columns(mat.cols, self.weights.check_value)
+        _check_columns(mat, self.weights.check_value)
         return MatrixMorphism(self.weights, mat.n_in, mat.cols)
 
     def equal(self, a: MatrixMorphism, b: MatrixMorphism) -> bool:

@@ -1,8 +1,8 @@
 """Models: where expressions evaluate.
 
 A model gives each generator an image and composes images along the PROP
-structure (Model). id and sym are permutations, node-free idags with 0/1
-weights, so Model reads them once for every model through its relation.
+structure (Model). Every node-free morphism, id and sym among them, is a
+weight matrix, so wiring enters every model through its relation.
 Three models ship with the package. FreeIdagModel, here, interprets every
 generator as a small idag and composes with concat/juxt; it is free, so two
 expressions are equal modulo the equational theory iff their images here
@@ -19,13 +19,13 @@ The models walked natively are the classes in _NATIVE, which the matrices
 and loops modules extend when imported. Each reads the image with one
 reader, _read_image: the free model returns it as an idag, the matrix
 model its path sums, the loops model its chains. Any other model gets the
-image slice by slice (layers.interpret). The free images of the node-free
-generators are defined once, in terms._GENERATORS. The walk dispatches on
-each term's exact class, so a class outside the eleven expression classes
-is an unknown atom to it, as to every reader (see terms). It reads each
-atom's fields as they are (atoms check them when built), and reads the
-generator images from that table on each call, running copy-, merge-,
-unit- and discard-shaped ones inline.
+image slice by slice (layers._fold_slices). The free images of the
+node-free generators are defined once, in terms._GENERATORS. The walk
+dispatches on each term's exact class, so a class outside the eleven
+expression classes is an unknown atom to it, as to every reader (see
+terms). It reads each atom's fields as they are (atoms check them when
+built), and reads the generator images from that table on each call,
+running copy-, merge-, unit- and discard-shaped ones inline.
 
 Every sum of weight products in the walk is WeightSystem._weighted_sum.
 """
@@ -56,47 +56,23 @@ if TYPE_CHECKING:
     from .matrices import MatrixMorphism
 
 
-# ---------------------------------------------------------------------------
-# Generator images in the free model
-
-
-def free_generator_image(gen: Expression, mode: WeightSystem) -> Idag:
-    """The idag a single generator evaluates to in the free model; a node
-    box's node gets the id "0"."""
-    return FreeIdagModel(mode)._read_image(*_typed_walk(gen, mode))
-
-
-# ---------------------------------------------------------------------------
-# Models
-
-
 class Model:
     """Evaluation target: images for generators plus PROP structure. A
     model defines generator, compose, tensor, relation and equal (each
-    raises UnsupportedGenerator here); identity and symmetry read their
-    permutation matrices through relation."""
+    raises UnsupportedGenerator here); every node-free morphism, id and
+    sym among them, is the relation of its weight matrix."""
 
     __slots__ = ()
 
     @property
     def weights(self) -> WeightSystem:
-        """The weight system evaluate() walks in: that of identity(0)."""
-        weights = getattr(self.identity(0), "weights", None)
-        if not isinstance(weights, WeightSystem):
-            raise WrongArgumentType(f"{type(self).__name__} names no weight system in identity(0)")
-        return weights
-
-    def identity(self, n: int):
-        return self.symmetry(n, 0)
-
-    def symmetry(self, n: int, m: int):
-        """relation of the BOOL matrix whose columns are algebra.symmetry's
-        wires; its entries, all 1, are valid in every weight system."""
-        from .algebra import symmetry
+        """The weight system evaluate() walks in: that of relation(0 x 0)."""
         from .matrices import MatrixMorphism
 
-        d = symmetry(n, m)
-        return self.relation(MatrixMorphism(BOOL, d.n_in, d.wires))
+        weights = getattr(self.relation(MatrixMorphism(BOOL, 0, ())), "weights", None)
+        if not isinstance(weights, WeightSystem):
+            raise WrongArgumentType(f"{type(self).__name__} names no weight system in its 0 x 0 relation")
+        return weights
 
     def generator(self, gen: Expression):
         raise UnsupportedGenerator(f"{type(self).__name__} does not define generator")
@@ -127,7 +103,7 @@ class FreeIdagModel(Model, Frozen):
         object.__setattr__(self, "weights", weights)
 
     def generator(self, gen: Expression) -> Idag:
-        return free_generator_image(gen, self.weights)
+        return self._read_image(*_typed_walk(gen, self.weights))
 
     def compose(self, first: Idag, then: Idag) -> Idag:
         from .algebra import concat
@@ -144,7 +120,7 @@ class FreeIdagModel(Model, Frozen):
         from .matrices import MatrixMorphism, _check_columns
 
         _check_type(mat, MatrixMorphism)
-        _check_columns(mat.cols, self.weights.check_edge_weight)
+        _check_columns(mat, self.weights.check_edge_weight)
         return Idag(self.weights, mat.n_in, mat.n_out, (), mat.cols)
 
     def equal(self, a: Idag, b: Idag) -> bool:
@@ -172,15 +148,15 @@ def evaluate(e: Expression, model: Model):
     WrongArgumentType if model is not a Model. e is walked once, to its
     free image in model.weights, which type-checks it; a native model reads
     its value off that image, and any other model gets the image slice by
-    slice (layers.interpret).
+    slice (layers._fold_slices).
     """
     if type(model) in _NATIVE:
         return model._read_image(*_typed_walk(e, model.weights))
     _check_type(model, Model)
-    from .layers import interpret
+    from .layers import _fold_slices
 
     image = evaluate(e, FreeIdagModel(model.weights))
-    return interpret(image, image.node_ids, model)
+    return _fold_slices(image, image.node_ids, model)
 
 
 def _typed_walk(e: Expression, mode: WeightSystem) -> tuple[int, list[str], list[dict[int, int]]]:

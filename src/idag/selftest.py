@@ -30,7 +30,7 @@ from .decomposition import decompose, default_sorting, topological_sortings
 from .equivalence import equal_mod_theory, normalize
 from .errors import IdagError
 from .jsonio import idag_to_json
-from .layers import encode_relation, interpret, transposition_identities
+from .layers import _fold_slices, encode_relation, interpret, transposition_identities
 from .matrices import MatrixModel
 from .models import FreeIdagModel, evaluate
 from .printer import print_expression
@@ -231,13 +231,6 @@ _LABELS = ("•", "x", "y")
 _EXPR_ROUTE = 2
 
 
-class _SliceFold(FreeIdagModel):
-    """The free model, but interpret composes its slices: interpret reads a
-    free image only for the native model classes themselves, so a subclass
-    takes the slice fold. The suites use it to check slice semantics, not
-    just that interpret hands d back."""
-
-
 def _gather_sortings(d: Idag, cap: int, rng: random.Random) -> list[tuple[str, ...]]:
     if count_topological_sortings(d) <= 50:
         return list(itertools.islice(topological_sortings(d), cap))
@@ -254,12 +247,11 @@ def suite_sort_invariance(
     random BOOL idag evaluates to the same value in the free model and in
     NAT/INT matrix models with random node images. The first _EXPR_ROUTE
     sortings go through the full expression (decompose + evaluate); the rest
-    compose slices directly (interpret), which also cross-checks the two
+    compose slices directly (_fold_slices), which also cross-checks the two
     routes against each other."""
     rng = random.Random(seed)
     failures: list[str] = []
     free = FreeIdagModel(BOOL)
-    fold = _SliceFold(BOOL)
     for case in range(n_idags):
         d = random_idag(
             rng,
@@ -280,7 +272,7 @@ def suite_sort_invariance(
                 values = (evaluate(e, free), evaluate(e, nat), evaluate(e, intm))
             else:
                 values = (
-                    interpret(d, s, fold),
+                    _fold_slices(d, s, free),
                     interpret(d, s, nat),
                     interpret(d, s, intm),
                 )
@@ -338,13 +330,13 @@ def suite_transpositions(seed: int = 4, n_cases: int = 120) -> SuiteResult:
 def suite_compositionality(seed: int = 5, n_pairs: int = 120) -> SuiteResult:
     """Stacked sortings: interpreting a sequential or parallel composite
     along the concatenation of the factors' sortings equals composing the
-    factors' interpretations. Free model, slices composed (_SliceFold),
+    factors' interpretations. Free model, slices composed (_fold_slices),
     canonical-form equality."""
     rng = random.Random(seed)
     failures: list[str] = []
     for case in range(n_pairs):
         ws = (BOOL, NAT, INT)[case % 3]
-        free = _SliceFold(ws)
+        free = FreeIdagModel(ws)
         mid = rng.randint(0, 4)
         d1 = random_idag(
             rng, rng.randint(0, 4), mid, rng.randint(0, 5), 0.4, ws,
@@ -359,15 +351,15 @@ def suite_compositionality(seed: int = 5, n_pairs: int = 120) -> SuiteResult:
         stacked = s1 + s2
 
         comp = concat(d2, d1)
-        lhs = interpret(comp, stacked, free)
-        rhs = concat(interpret(d2, s2, free), interpret(d1, s1, free))
+        lhs = _fold_slices(comp, stacked, free)
+        rhs = concat(_fold_slices(d2, s2, free), _fold_slices(d1, s1, free))
         if canonical_form(lhs) != canonical_form(rhs):
             failures.append(f"case {case}: concat compositionality")
             continue
 
         tens = juxt(d1, d2)
-        lhs = interpret(tens, stacked, free)
-        rhs = juxt(interpret(d1, s1, free), interpret(d2, s2, free))
+        lhs = _fold_slices(tens, stacked, free)
+        rhs = juxt(_fold_slices(d1, s1, free), _fold_slices(d2, s2, free))
         if canonical_form(lhs) != canonical_form(rhs):
             failures.append(f"case {case}: juxt compositionality")
     return SuiteResult("compositionality", n_pairs * 2, failures)

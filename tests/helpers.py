@@ -54,16 +54,10 @@ def consume_row(rng, width, wiring_only):
 class Forwarding(Model):
     """Passes every call to the wrapped model. evaluate() sees only a Model,
     so it hands the wrapper the free image slice by slice even around a
-    FreeIdagModel, in the weight system of the wrapped model's identity(0)."""
+    FreeIdagModel, in the weight system of the wrapped model's relation."""
 
     def __init__(self, inner):
         self.inner = inner
-
-    def identity(self, n):
-        return self.inner.identity(n)
-
-    def symmetry(self, n, m):
-        return self.inner.symmetry(n, m)
 
     def generator(self, gen):
         return self.inner.generator(gen)
@@ -97,8 +91,6 @@ class Recording(Model):
         self.inner = inner
         self.calls = []
 
-    identity = _logged("identity")
-    symmetry = _logged("symmetry")
     generator = _logged("generator")
     compose = _logged("compose")
     tensor = _logged("tensor")

@@ -558,9 +558,8 @@ def test_decompose_and_evaluate_400_nodes():
 
 
 def test_interpret_identity():
-    for model in (FreeIdagModel(NAT), MatrixModel(NAT)):
-        got = interpret(identity(3), (), model)
-        assert model.equal(got, model.identity(3))
+    assert interpret(identity(3), (), FreeIdagModel(NAT)) == identity(3, NAT)
+    assert interpret(identity(3), (), MatrixModel(NAT)) == matrix_identity(3, NAT)
 
 
 def test_interpret_matches_eval_of_decompose(rng):

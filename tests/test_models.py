@@ -16,11 +16,12 @@ from idag.errors import (
     SizeLimitExceeded,
     UnsupportedGenerator,
     WrongArgumentType,
+    ZeroWeight,
 )
 from idag.loops import LoopsModel, LoopsMorphism, loops_eval
-from idag.matrices import MatrixModel, matrix, matrix_identity, matrix_permutation
-from idag.models import FreeIdagModel, Model, evaluate, free_generator_image
-from idag.layers import interpret
+from idag.matrices import MatrixModel, MatrixMorphism, matrix, matrix_identity, matrix_permutation
+from idag.models import FreeIdagModel, Model, evaluate
+from idag.layers import encode_relation, interpret
 from idag.randgen import random_expression, random_matrix
 from idag.sortings import sample_topological_sorting
 from idag.terms import Anti, Delta, Eps, Eta, Id, Nabla, Node, Seq, Sym, Ten, arity_of, parse
@@ -34,17 +35,20 @@ import fold_reference
 
 
 def test_free_images():
-    assert free_generator_image(Eta(), BOOL) == make_idag(0, 1, [], {})
-    assert free_generator_image(Nabla(), BOOL) == make_idag(2, 1, [], [(In(0), Out(0)), (In(1), Out(0))])
-    assert free_generator_image(Eps(), BOOL) == make_idag(1, 0, [], {})
-    assert free_generator_image(Delta(), BOOL) == make_idag(1, 2, [], [(In(0), Out(0)), (In(0), Out(1))])
-    node = free_generator_image(Node("x"), NAT)
-    assert len(node.nodes) == 1 and node.label_of(node.node_ids[0]) == "x"
-    assert node.weight(In(0), NodeRef(node.node_ids[0])) == 1
-    anti = free_generator_image(Anti(), INT)
+    free = FreeIdagModel(BOOL)
+    assert evaluate(Eta(), free) == make_idag(0, 1, [], {})
+    assert evaluate(Nabla(), free) == make_idag(2, 1, [], [(In(0), Out(0)), (In(1), Out(0))])
+    assert evaluate(Eps(), free) == make_idag(1, 0, [], {})
+    assert evaluate(Delta(), free) == make_idag(1, 2, [], [(In(0), Out(0)), (In(0), Out(1))])
+    node = evaluate(Node("x"), FreeIdagModel(NAT))
+    assert node == make_idag(1, 1, [("0", "x")], [(In(0), NodeRef("0")), (NodeRef("0"), Out(0))], NAT)
+    anti = evaluate(Anti(), FreeIdagModel(INT))
     assert dict(anti.edges) == {(In(0), Out(0)): -1}
     with pytest.raises(UnsupportedGenerator):
-        free_generator_image(Anti(), NAT)
+        evaluate(Anti(), FreeIdagModel(NAT))
+    # a generator's value is its image, whichever method is asked
+    for gen, ws in ((Node("x"), NAT), (Anti(), INT), (Delta(), BOOL)):
+        assert FreeIdagModel(ws).generator(gen) == evaluate(gen, FreeIdagModel(ws))
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +385,26 @@ def test_a_wrapping_model_is_asked_only_for_slices_and_node_boxes():
     for ws in (BOOL, NAT, INT):
         for e in exprs:
             image = evaluate(e, FreeIdagModel(ws))
+            # the slices, a pad beside each node box with a wire left of
+            # it, and the weights probe, the relation of the 0 x 0 matrix
+            pads = sum(1 for k in range(len(image.nodes)) if image.n_in + k > 0)
             for model in (FreeIdagModel(ws), MatrixModel(ws, {"x": 0, "y": 1})):
                 recording = Recording(model)
                 got = evaluate(e, recording)
                 names = [name for name, _ in recording.calls]
                 boxes = [args[0] for name, args in recording.calls if name == "generator"]
                 assert boxes == [Node(label) for _, label in image.nodes]
-                assert names.count("relation") == len(image.nodes) + 1
-                assert "symmetry" not in names
+                assert names.count("relation") == len(image.nodes) + 1 + pads + 1
                 if type(model) is FreeIdagModel:
                     assert is_isomorphic(got, evaluate(e, model)) is not None
                 else:
                     assert got == evaluate(e, model)
 
 
-def test_a_models_weights_are_those_of_its_identity():
+def test_a_models_weights_are_those_of_its_relation():
     assert Forwarding(MatrixModel(INT)).weights is INT
     assert Forwarding(FreeIdagModel(NAT)).weights is NAT
-    assert _NoWiring(MatrixModel(BOOL)).weights is BOOL
+    assert Forwarding(MatrixModel(BOOL)).weights is BOOL
     assert LoopsModel().weights is INT and MatrixModel(BOOL).weights is BOOL
     # a loops morphism names no weight system
     with pytest.raises(WrongArgumentType, match="^Forwarding names no weight system"):
@@ -432,16 +438,46 @@ def test_a_matrix_model_keeps_its_own_images():
 
 
 # ---------------------------------------------------------------------------
-# wiring derived from relation: id and sym are permutation matrices
+# wiring enters every model through relation: id and sym are permutation
+# matrices
 
 
-class _NoWiring(Forwarding):
-    """Passes generator, compose, tensor, relation and equal to the wrapped
-    model, and takes id and sym from Model, as a model that defines only
-    those five does."""
+def test_a_model_is_five_methods_and_its_weights():
+    public = {name for name in dir(Model) if not name.startswith("_")}
+    assert public == {"generator", "compose", "tensor", "relation", "equal", "weights"}
+    for cls in (FreeIdagModel, MatrixModel, LoopsModel):
+        assert not hasattr(cls, "identity") and not hasattr(cls, "symmetry")
 
-    identity = Model.identity
-    symmetry = Model.symmetry
+
+class _Asked(Recording):
+    """A Recording that also logs the public name of every attribute read."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.asked = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_") and name not in ("inner", "calls", "asked"):
+            object.__getattribute__(self, "asked").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_a_wrapping_model_is_asked_only_for_the_five_methods_and_weights():
+    rng = random.Random(36)
+    exprs = [parse(text) for text in _ROUTED] + [parse("sym(1,1) ; node[x] * node[y]")]
+    exprs += [random_expression(rng, max_depth=4, labels=("x", "y")) for _ in range(10)]
+    allowed = {"weights", "generator", "compose", "tensor", "relation"}
+    for model in (FreeIdagModel(NAT), MatrixModel(INT, {"x": 2}), LoopsModel()):
+        for e in exprs:
+            image = evaluate(e, FreeIdagModel(INT))
+            for run in (lambda m: evaluate(e, m), lambda m: interpret(image, image.node_ids, m)):
+                asked = _Asked(model)
+                try:
+                    run(asked)
+                except IdagError:
+                    pass  # the loops model names no weight system, nor images
+                assert asked.asked <= allowed
+                assert {name for name, _ in asked.calls} <= allowed
 
 
 @settings(max_examples=60, deadline=None)
@@ -457,21 +493,24 @@ def test_a_model_without_wiring_evaluates_wide_ids_and_syms(seed):
     lo, hi = {BOOL: (0, 1), NAT: (0, 3), INT: (-3, 3)}[ws]
     model = MatrixModel(ws, {"x": rng.randint(lo, hi), "y": rng.randint(lo, hi)})
     for x in (e, wide):
-        assert evaluate(x, _NoWiring(model)) == evaluate(x, model)
+        assert evaluate(x, Forwarding(model)) == evaluate(x, model)
+        assert fold_reference.evaluate(x, model) == evaluate(x, model)
 
 
 def test_each_models_wiring_is_its_own_construction():
     for n in range(5):
-        assert LoopsModel().identity(n) == LoopsMorphism(tuple(range(n)), ((),) * n)
+        ident = matrix_identity(n, BOOL)
+        assert LoopsModel().relation(ident) == LoopsMorphism(tuple(range(n)), ((),) * n)
         for ws in (BOOL, NAT, INT):
-            assert FreeIdagModel(ws).identity(n) == identity(n, ws)
-            assert MatrixModel(ws).identity(n) == matrix_identity(n, ws)
+            assert FreeIdagModel(ws).relation(ident) == identity(n, ws)
+            assert MatrixModel(ws).relation(ident) == matrix_identity(n, ws)
         for m in range(5):
             perm = [m + i for i in range(n)] + list(range(m))  # wire i to m+i
-            assert LoopsModel().symmetry(n, m) == LoopsMorphism(tuple(perm), ((),) * (n + m))
+            cross = matrix_permutation(perm, BOOL)
+            assert LoopsModel().relation(cross) == LoopsMorphism(tuple(perm), ((),) * (n + m))
             for ws in (BOOL, NAT, INT):
-                assert FreeIdagModel(ws).symmetry(n, m) == symmetry(n, m, ws)
-                assert MatrixModel(ws).symmetry(n, m) == matrix_permutation(perm, ws)
+                assert FreeIdagModel(ws).relation(cross) == symmetry(n, m, ws)
+                assert MatrixModel(ws).relation(cross) == matrix_permutation(perm, ws)
 
 
 def _raised(call):
@@ -485,15 +524,56 @@ def _raised(call):
 _BAD_WIDTHS = (-1, True, None, 1.5, MAX_WIDTH + 1)
 
 
-@pytest.mark.parametrize("model", [FreeIdagModel(), MatrixModel(INT), LoopsModel(), _NoWiring(MatrixModel())], ids=lambda m: type(m).__name__)
+_MODELS = [FreeIdagModel(), MatrixModel(INT), LoopsModel(), Forwarding(MatrixModel())]
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=lambda m: type(m).__name__)
 def test_wiring_widths_are_checked_before_they_are_summed(model):
-    # each error is the algebra constructors' own, class and message
+    # a matrix's widths raise the algebra constructors' own errors, class
+    # and message, before any row is read
     for bad in _BAD_WIDTHS:
-        assert _raised(lambda: model.identity(bad)) == _raised(lambda: identity(bad))
-        assert _raised(lambda: model.symmetry(bad, 1)) == _raised(lambda: symmetry(bad, 1))
-        assert _raised(lambda: model.symmetry(1, bad)) == _raised(lambda: symmetry(1, bad))
+        want = _raised(lambda: identity(bad))
+        assert _raised(lambda: model.relation(MatrixMorphism(BOOL, bad, ({0: 1},)))) == want
     past = (SizeLimitExceeded, f"width {MAX_WIDTH + 1} exceeds the bound {MAX_WIDTH}")
-    assert _raised(lambda: model.symmetry(MAX_WIDTH, 1)) == past
+    assert _raised(lambda: model.relation(MatrixMorphism(BOOL, 0, ({},) * (MAX_WIDTH + 1)))) == past
+
+
+_MALFORMED = [
+    # a row outside 0..n_in-1, or not an int
+    (MatrixMorphism(BOOL, 1, ({5: 1},)), BadEndpoint, "^column 0 has a row that is not an int in range\\(1\\)$"),
+    (MatrixMorphism(BOOL, 2, ({0: 1}, {-1: 1})), BadEndpoint, "^column 1 has a row "),
+    (MatrixMorphism(BOOL, 2, ({True: 1},)), BadEndpoint, "^column 0 has a row "),
+    (MatrixMorphism(BOOL, 2, ({"0": 1},)), BadEndpoint, "^column 0 has a row "),
+    # an explicit zero, which an absent entry already denotes
+    (MatrixMorphism(NAT, 1, ({0: 0},)), ZeroWeight, "^zero weight: omit the edge instead$"),
+    (MatrixMorphism(INT, 2, ({0: 1, 1: 0},)), ZeroWeight, "^zero weight"),
+    # an entry that is not an int, hashable or not
+    (MatrixMorphism(INT, 1, ({0: [1]},)), InvalidWeight, " \\[1\\] is not an integer$"),
+    (MatrixMorphism(INT, 1, ({0: 1.0},)), InvalidWeight, " 1.0 is not an integer$"),
+]
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=lambda m: type(m).__name__)
+def test_relation_rejects_malformed_matrices(model):
+    for mat, error, message in _MALFORMED:
+        with pytest.raises(error, match=message):
+            model.relation(mat)
+
+
+def test_encode_relation_rejects_malformed_matrices():
+    for mat, error, message in _MALFORMED:
+        with pytest.raises(error, match=message):
+            encode_relation(mat)
+
+
+def test_an_explicit_zero_is_refused_not_misjudged():
+    # ({0: 0},) and ({},) have the same entries, ((0,),); a relation that
+    # kept the zero would make model.equal call the two unequal
+    model = MatrixModel(NAT)
+    assert MatrixMorphism(NAT, 1, ({0: 0},)).entries == MatrixMorphism(NAT, 1, ({},)).entries
+    with pytest.raises(ZeroWeight):
+        model.relation(MatrixMorphism(NAT, 1, ({0: 0},)))
+    assert model.equal(model.relation(MatrixMorphism(NAT, 1, ({},))), matrix([[0]], NAT))
 
 
 def test_symmetry_checks_its_widths_then_their_sum_then_its_mode():
@@ -559,7 +639,7 @@ def test_generator_table_serves_parser_printer_and_models():
         for ws in (BOOL, NAT, INT):
             if cls is Anti and ws is not INT:
                 continue
-            img = free_generator_image(cls(), ws)
+            img = evaluate(cls(), FreeIdagModel(ws))
             mat = MatrixModel(ws).generator(cls())
             assert arity_of(cls()) == (img.n_in, img.n_out) == (mat.n_in, mat.n_out)
 

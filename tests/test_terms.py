@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idag import terms
-from idag.algebra import from_permutation
-from idag.builders import expand_symmetry, seq_all, ten_all
+from idag.algebra import from_permutation, symmetry
+from idag.builders import expand_symmetry, map_atoms, seq_all, ten_all
 from idag.core import DEFAULT_LABEL, MAX_WIDTH
 from idag.decomposition import decompose, default_sorting
 from idag.equivalence import equal_mod_theory, normalize
 from idag.errors import ExprSyntaxError, IdagError, SizeLimitExceeded, TypeMismatch, UnsupportedGenerator
 from idag.loops import LoopsModel
-from idag.matrices import MatrixModel
+from idag.matrices import MatrixModel, MatrixMorphism
 from idag.models import FreeIdagModel, evaluate
 from idag.parse_errors import _line_column
 from idag.printer import _IDENT_RE, print_expression
@@ -211,9 +211,9 @@ def test_expand_symmetry_agrees_with_block_form():
             if n + m > 6:
                 continue
             got = evaluate(expand_symmetry(n, m), free)
-            assert got == free.symmetry(n, m)
-            mm = MatrixModel(NAT)
-            assert evaluate(expand_symmetry(n, m), mm) == mm.symmetry(n, m)
+            assert got == symmetry(n, m)
+            mat = MatrixMorphism(NAT, n + m, symmetry(n, m).wires)
+            assert evaluate(expand_symmetry(n, m), MatrixModel(NAT)) == mat
 
 
 def test_expand_symmetry_2_1_wiring():
@@ -282,6 +282,11 @@ _DEEP_CALLS = {
     "evaluate-free": lambda e: evaluate(e, FreeIdagModel(INT)),
     "evaluate-matrix": lambda e: evaluate(e, MatrixModel(INT)),
     "evaluate-loops": lambda e: evaluate(e, LoopsModel()),
+    "equal_mod_theory-bool": lambda e: equal_mod_theory(e, e, BOOL).equal,
+    "equal_mod_theory-nat": lambda e: equal_mod_theory(e, e, NAT).equal,
+    "equal_mod_theory-int": lambda e: equal_mod_theory(e, e, INT).equal,
+    "validate_for_mode": lambda e: validate_for_mode(e, INT),
+    "map_atoms": lambda e: map_atoms(e, lambda a: a) == e,
 }
 
 

@@ -39,7 +39,7 @@ from idag.jsonread import idag_from_json
 from idag.layers import encode_relation, interpret, layer, transposition_identities
 from idag.loops import LoopsModel, LoopsMorphism
 from idag.matrices import MatrixModel, matrix, matrix_identity, matrix_permutation
-from idag.models import FreeIdagModel, evaluate, free_generator_image
+from idag.models import FreeIdagModel, evaluate
 from idag.randgen import random_expression, random_idag, random_matrix
 from idag.sortings import count_topological_sortings, sample_topological_sorting
 from idag.terms import Id, Node, Seq, Ten, arity_of, parse, validate_for_mode
@@ -196,7 +196,7 @@ def test_a_mode_keeps_its_sets_frozen():
         lambda: FreeIdagModel(None),
         lambda: MatrixModel(None),
         lambda: random_matrix(random.Random(1), 1, 1, None),
-        lambda: free_generator_image(Node("x"), None),
+        lambda: symmetry(1, 1, None),
         lambda: validate_for_mode(Id(1), None),
         # and so is every other argument
         lambda: parse(None),
