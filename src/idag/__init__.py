@@ -42,7 +42,7 @@ _NAMES_BY_MODULE = {
         "TranspositionReport", "encode_relation", "interpret", "layer",
         "transposition_identities",
     ),
-    "loops": ("LoopsModel", "LoopsMorphism", "loops_eval"),
+    "loops": ("LoopsModel", "LoopsMorphism"),
     "matrices": ("MatrixModel", "MatrixMorphism", "matrix", "matrix_identity", "matrix_permutation"),
     "models": ("FreeIdagModel", "evaluate"),
     "printer": ("print_expression",),

@@ -35,6 +35,7 @@ from .errors import (
     ModeMismatch,
     NotBijective,
     SizeLimitExceeded,
+    ZeroWeight,
     _check_collection,
     _check_type,
     _int_text,
@@ -119,7 +120,9 @@ def make_idag(
             t = pos[dst.id]
         else:
             raise BadEndpoint(f"edge target cannot be {dst!r}")
-        mode.check_edge_weight(w)
+        mode.check_value(w)
+        if w == 0:
+            raise ZeroWeight("zero weight: omit the edge instead")
         if s in wires[t]:
             raise BadEndpoint(f"duplicate edge {src!r} -> {dst!r}")
         wires[t][s] = w

@@ -70,7 +70,7 @@ def encode_relation(mat: MatrixMorphism) -> Expression:
     output slice; mat's columns are its wires.
     """
     _check_type(mat, MatrixMorphism)
-    _check_columns(mat, INT.check_value)
+    _check_columns(mat, INT)
     return _encode(mat.n_in, mat.cols, Id, _scale, _fan_out, _fan_in)
 
 
@@ -79,20 +79,22 @@ def interpret(d: Idag, sort: Iterable[str], model: Model):
 
     The native models read d's own wires along the sorting as a free
     image: the free model in O(N + E), path sums in O(in-degree x inputs)
-    per node. Other models compose the slices (_fold_slices). Independent
-    of decompose(); evaluate(decompose(d, s), model) must agree with
-    interpret(d, s, model) in every model, which the tests exercise.
+    per node. When d's weight system is not the model's, they first check
+    d's wires as weights of the model's, as the slices' relations do,
+    without asking the model. Other models compose the slices
+    (_fold_slices). Independent of decompose(); evaluate(decompose(d, s),
+    model) must agree with interpret(d, s, model) in every model, which the
+    tests exercise.
     """
     if type(model) not in _NATIVE:
         return _fold_slices(d, sort, model)
     order, wires = _along(d, sort)
     labels = dict(d.nodes)
-    # unless d's weight system is the model's, when every weight of d is
-    # valid, relation checks d's weights as the matrix whose columns are all
-    # of d's wires, by column, then by row: the order in which the slices
-    # meet them, so errors match the slice fold's
+    # by column, then by row: the order in which the slices meet d's
+    # weights, so errors match the slice fold's; in the model's own weight
+    # system every weight of d is valid
     if d.weights is not model.weights:
-        model.relation(MatrixMorphism(d.weights, d.n_in + len(order), wires))
+        _check_columns(MatrixMorphism(d.weights, d.n_in + len(order), wires), model.weights)
     return model._read_image(d.n_in, [labels[nid] for nid in order], wires)
 
 

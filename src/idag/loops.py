@@ -15,9 +15,8 @@ from typing import Sequence
 from .algebra import _is_permutation
 from .errors import UnsupportedGenerator, _check_type
 from .matrices import MatrixMorphism, _check_columns
-from .models import _NATIVE, Model, evaluate
+from .models import _NATIVE, Model
 from .record import Frozen
-from .terms import Expression
 from .weights import INT
 
 
@@ -49,7 +48,7 @@ class LoopsModel(Model, Frozen):
         """mat as a permutation: each column must hold one entry, a 1, in a
         row no other column uses."""
         _check_type(mat, MatrixMorphism)
-        _check_columns(mat, INT.check_value)
+        _check_columns(mat, INT)
         inverse = [i for col in mat.cols if len(col) == 1 for i, w in col.items() if w == 1]
         if not mat.n_in == len(mat.cols) == len(inverse) or not _is_permutation(inverse):
             raise UnsupportedGenerator("loops model interprets only permutations")
@@ -84,8 +83,3 @@ class LoopsModel(Model, Frozen):
 
 
 _NATIVE.add(LoopsModel)
-
-
-def loops_eval(e: Expression) -> LoopsMorphism:
-    """Evaluate a node/sym/id expression in the loops model."""
-    return evaluate(e, LoopsModel())

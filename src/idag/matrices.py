@@ -23,7 +23,7 @@ product, the path sums) is WeightSystem._weighted_sum.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .algebra import _check_widths, _shifted, from_permutation, identity
 from .errors import BadEndpoint, InterfaceMismatch, InvalidWeight, ModeMismatch, ZeroWeight, _check_type
@@ -38,7 +38,10 @@ class MatrixMorphism(Frozen):
     matrix over a weight system, stored as the wires of a node-free idag
     (see core.Idag): one {row: entry} dict per column. Columns hold nonzero
     entries only, so equal matrices have equal columns. Treat instances as
-    immutable."""
+    immutable. The constructor trusts its columns, as Idag's does, since the
+    products that then and tensor build are valid by construction: matrix
+    is the checked way to build one, and relation and encode_relation check
+    what they are given."""
 
     __slots__ = ("weights", "n_in", "cols")
 
@@ -96,27 +99,30 @@ class MatrixMorphism(Frozen):
         }
 
 
-def _check_columns(mat: MatrixMorphism, check: Callable[[int], None]) -> None:
-    """Check mat's widths as algebra's constructors do, each row as an int
-    in range(mat.n_in), and each entry by check and as nonzero. A valid
-    matrix is checked on its distinct rows and entries; else the first fault
-    by column, then by row, is named, so errors ignore dict order."""
+def _check_columns(mat: MatrixMorphism, weights: WeightSystem) -> None:
+    """Check mat's columns as a tuple of dicts and its widths as algebra's
+    constructors do, each row as an int in range(mat.n_in), and each entry
+    as a nonzero weight of weights (WeightSystem.check_value). A valid
+    matrix is checked on its distinct rows and entries; else the first
+    fault by column, then by row, is named, so errors ignore dict order."""
     n_in, cols = mat.n_in, mat.cols
+    _check_type(cols, tuple)
     _check_widths("width", n_in, len(cols))
     try:  # an unhashable entry, say, is named by the loop below
         rows, entries = set(chain(*cols)), set(chain(*map(dict.values, cols)))
         if {*map(type, rows), *map(type, entries)} <= {int} and 0 not in entries:
             if min(rows, default=0) >= 0 and max(rows, default=-1) < n_in:
                 for w in entries:
-                    check(w)
+                    weights.check_value(w)
                 return
     except (TypeError, InvalidWeight):
         pass
     for j, col in enumerate(cols):
+        _check_type(col, dict)
         if not all(type(i) is int and 0 <= i < n_in for i in col):
             raise BadEndpoint(f"column {j} has a row that is not an int in range({n_in})")
         for i in sorted(col):
-            check(col[i])
+            weights.check_value(col[i])
             if col[i] == 0:
                 raise ZeroWeight("zero weight: omit the edge instead")
 
@@ -168,7 +174,8 @@ class MatrixModel(Model, Frozen):
     """Evaluation into weight matrices. lambda_images maps a node label to
     its image, an int entry of the weight system; unlisted labels act as
     the identity wire, image 1. An image is checked when evaluation reads
-    it: InvalidWeight unless it is a valid entry; the model keeps a copy."""
+    it: InvalidWeight unless it is a weight of the system; the model keeps
+    a copy."""
 
     __slots__ = ("weights", "lambda_images")
     __hash__ = None  # type: ignore[assignment]  # lambda_images is a dict
@@ -185,7 +192,7 @@ class MatrixModel(Model, Frozen):
         object.__setattr__(self, "lambda_images", dict(lambda_images))
 
     def _lambda(self, label: str) -> int:
-        """label's image, checked as an entry."""
+        """label's image, checked as a weight."""
         img = self.lambda_images.get(label, 1)
         self.weights.check_value(img)
         return img
@@ -203,7 +210,7 @@ class MatrixModel(Model, Frozen):
 
     def relation(self, mat: MatrixMorphism) -> MatrixMorphism:
         _check_type(mat, MatrixMorphism)
-        _check_columns(mat, self.weights.check_value)
+        _check_columns(mat, self.weights)
         return MatrixMorphism(self.weights, mat.n_in, mat.cols)
 
     def equal(self, a: MatrixMorphism, b: MatrixMorphism) -> bool:

@@ -120,7 +120,7 @@ class FreeIdagModel(Model, Frozen):
         from .matrices import MatrixMorphism, _check_columns
 
         _check_type(mat, MatrixMorphism)
-        _check_columns(mat, self.weights.check_edge_weight)
+        _check_columns(mat, self.weights)
         return Idag(self.weights, mat.n_in, mat.n_out, (), mat.cols)
 
     def equal(self, a: Idag, b: Idag) -> bool:

@@ -372,9 +372,6 @@ def _interprets(mode: WeightSystem, cls: type) -> bool:
     return cls is not Anti or mode.antipode_enabled
 
 
-_GENERATOR_ARITY = {cls: (n_in, len(outs)) for cls, (_, n_in, outs) in _GENERATORS.items()}
-
-
 def arity_of(e: Expression) -> tuple[int, int]:
     """(inputs, outputs) of e; raises UnsupportedGenerator on what is not
     an atom, and TypeMismatch at the first ill-typed sequential composite
@@ -399,8 +396,9 @@ def _atom_arity(a: Expression) -> tuple[int, int]:
         return (a.n + a.m, a.n + a.m)
     if kind is Node:
         return (1, 1)
-    if kind in _GENERATOR_ARITY:
-        return _GENERATOR_ARITY[kind]
+    if kind in _GENERATORS:
+        _, n_in, outs = _GENERATORS[kind]
+        return (n_in, len(outs))
     raise UnsupportedGenerator(f"unknown atom {a!r}")
 
 

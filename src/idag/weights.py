@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import AntipodeWeight, InvalidWeight, ZeroWeight
+from .errors import AntipodeWeight, InvalidWeight
 from .record import Frozen
 
 
@@ -27,6 +27,8 @@ class WeightSystem(Frozen):
 
     Use the module singletons BOOL, NAT, INT; identity of these objects is
     what mode checks compare, so they pickle and copy as themselves.
+    check_value is the one test of whether a number is a weight of the
+    system: edges, matrix entries and node images all pass through it.
     """
 
     __slots__ = ("name",)
@@ -67,25 +69,15 @@ class WeightSystem(Frozen):
     def antipode_enabled(self) -> bool:
         return self.name == "int"
 
-    def check_edge_weight(self, w: int) -> None:
-        """Validate w as a stored (necessarily nonzero) edge weight."""
+    def check_value(self, w: int) -> None:
+        """Validate w as a weight of this system, zero included: an edge
+        refuses zero itself, as zero means "no edge"."""
         if not isinstance(w, int) or isinstance(w, bool):
             raise InvalidWeight(f"weight {w!r} is not an integer")
-        if w == 0:
-            raise ZeroWeight("zero weight: omit the edge instead")
         if w < 0 and not self.antipode_enabled:
             raise AntipodeWeight(f"negative weight {w} requires int mode")
-        if self.name == "bool" and w != 1:
-            raise InvalidWeight(f"bool mode admits only weight 1, got {w}")
-
-    def check_value(self, w: int) -> None:
-        """Validate w as a matrix entry (zero allowed)."""
-        if not isinstance(w, int) or isinstance(w, bool):
-            raise InvalidWeight(f"entry {w!r} is not an integer")
-        if w < 0 and not self.antipode_enabled:
-            raise AntipodeWeight(f"negative entry {w} requires int mode")
         if self.name == "bool" and w not in (0, 1):
-            raise InvalidWeight(f"bool mode admits only entries 0 and 1, got {w}")
+            raise InvalidWeight(f"bool mode admits only weights 0 and 1, got {w}")
 
     def __repr__(self) -> str:
         return self.name.upper()

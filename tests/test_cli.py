@@ -230,6 +230,21 @@ def test_random_negative_node_count_is_a_clean_error(capsys):
     assert captured.err == "error: negative node count -3\n"
 
 
+def test_json_weight_refusals_exit_2_with_one_error_line(capsys):
+    # the JSON reader's edge weights are checked by their weight system, in
+    # one wording, and a refusal is one error line and exit 2
+    cases = [
+        ("bool", 0, "error: zero weight: omit the edge instead\n"),
+        ("nat", -1, "error: negative weight -1 requires int mode\n"),
+        ("bool", 2, "error: bool mode admits only weights 0 and 1, got 2\n"),
+    ]
+    for mode, w, message in cases:
+        edge = {"src": {"in": 0}, "dst": {"out": 0}, "w": w}
+        d = {"mode": mode, "inputs": 1, "outputs": 1, "nodes": [], "edges": [edge]}
+        assert main(["decompose", json.dumps(d)]) == 2
+        assert capsys.readouterr() == ("", message)
+
+
 def test_entry_point_subprocess():
     r = run_cli("eq", "sym(1,1) ; sym(1,1)", "id(2)")
     assert r.returncode == 0, r.stderr

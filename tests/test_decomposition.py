@@ -25,6 +25,7 @@ from idag.errors import (
     NotATopologicalSorting,
     NotBijective,
     SearchBudgetExceeded,
+    UnsupportedGenerator,
 )
 from idag.layers import encode_relation, interpret, layer, transposition_identities
 from idag.loops import LoopsModel
@@ -640,17 +641,49 @@ def test_interpret_path_sums_and_fold_raise_alike():
 
 def test_two_bad_entries_are_named_column_first():
     # entry (0, 1) is -2 and entry (1, 0) is -3: by column, then by row,
-    # -3 comes first, in both relations and in native and fold interpret
+    # -3 comes first, in both relations and in native and fold interpret,
+    # all with one message
+    want = "^negative weight -3 requires int mode$"
     mat = matrix([[0, -2], [-3, 0]], INT)
-    with pytest.raises(AntipodeWeight, match="^negative entry -3 "):
-        MatrixModel(NAT).relation(mat)
-    with pytest.raises(AntipodeWeight, match="^negative weight -3 "):
-        FreeIdagModel(NAT).relation(mat)
     d = make_idag(2, 2, [], {(In(1), Out(0)): -3, (In(0), Out(1)): -2}, INT)
     for model in (MatrixModel(NAT), FreeIdagModel(NAT)):
+        with pytest.raises(AntipodeWeight, match=want):
+            model.relation(mat)
         for route in (model, Forwarding(model)):
-            with pytest.raises(AntipodeWeight, match=" -3 "):
+            with pytest.raises(AntipodeWeight, match=want):
                 interpret(d, default_sorting(d), route)
+
+
+def test_interpret_into_loops_refuses_a_non_wiring_idag_alike_in_every_weight_system():
+    # a node feeding two outputs is no wiring: the reader refuses it with
+    # one class and message, whatever the idag's weight system
+    edges = [(In(0), NodeRef("a")), (NodeRef("a"), Out(0)), (NodeRef("a"), Out(1))]
+    for ws in (BOOL, NAT, INT):
+        d = make_idag(1, 2, ["a"], edges, ws)
+        with pytest.raises(UnsupportedGenerator, match="^loops model interprets only wires, crossings and node boxes$"):
+            interpret(d, ["a"], LoopsModel())
+
+
+def test_interpret_asks_no_native_model_for_a_relation(monkeypatch):
+    # an idag whose weight system is not the model's has its weights checked
+    # by the weight system, not by the model: with every native relation
+    # refusing, each valid cross-weight idag still has the value of the same
+    # wires in the model's own weight system
+    for cls in (FreeIdagModel, MatrixModel, LoopsModel):
+        monkeypatch.setattr(cls, "relation", lambda self, mat: pytest.fail("relation called"))
+    rng = random.Random(37)
+    chain = [(In(0), NodeRef("p")), (NodeRef("p"), NodeRef("q")), (NodeRef("q"), Out(0))]
+    for ws, model_ws in ((BOOL, NAT), (BOOL, INT), (NAT, INT)):
+        wiring = make_idag(1, 1, ["p", "q"], chain, ws)
+        dags = [random_idag(rng, 2, 2, 6, 0.4, ws, labels=("x", "y")) for _ in range(5)] + [wiring]
+        models = (FreeIdagModel(model_ws), MatrixModel(model_ws, {"x": 2, "y": 3}))
+        cases = [(d, model) for d in dags for model in models]
+        if model_ws is INT:
+            cases.append((wiring, LoopsModel()))
+        for d, model in cases:
+            s = default_sorting(d)
+            same = Idag(model_ws, d.n_in, d.n_out, d.nodes, d.wires)
+            assert model.equal(interpret(d, s, model), interpret(same, s, model))
 
 
 def test_free_interpret_of_800_nodes():

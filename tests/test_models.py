@@ -18,7 +18,7 @@ from idag.errors import (
     WrongArgumentType,
     ZeroWeight,
 )
-from idag.loops import LoopsModel, LoopsMorphism, loops_eval
+from idag.loops import LoopsModel, LoopsMorphism
 from idag.matrices import MatrixModel, MatrixMorphism, matrix, matrix_identity, matrix_permutation
 from idag.models import FreeIdagModel, Model, evaluate
 from idag.layers import encode_relation, interpret
@@ -165,12 +165,12 @@ def test_matrix_rejects_anti_without_negatives():
 
 
 def test_loops_examples():
-    assert loops_eval(parse("node[x] ; node[y]")) == LoopsMorphism((0,), (("y", "x"),))
-    assert loops_eval(parse("sym(1,1)")) == LoopsMorphism((1, 0), ((), ()))
-    assert loops_eval(parse("(node[x] * id(1)) ; sym(1,1)")) == LoopsMorphism(
+    assert evaluate(parse("node[x] ; node[y]"), LoopsModel()) == LoopsMorphism((0,), (("y", "x"),))
+    assert evaluate(parse("sym(1,1)"), LoopsModel()) == LoopsMorphism((1, 0), ((), ()))
+    assert evaluate(parse("(node[x] * id(1)) ; sym(1,1)"), LoopsModel()) == LoopsMorphism(
         (1, 0), (("x",), ())
     )
-    assert loops_eval(Id(3)) == LoopsMorphism((0, 1, 2), ((), (), ()))
+    assert evaluate(Id(3), LoopsModel()) == LoopsMorphism((0, 1, 2), ((), (), ()))
 
 
 def test_loops_rejects_structural_generators():
@@ -183,9 +183,9 @@ def test_loops_rejects_structural_generators():
 def test_loops_composition_formula():
     a = parse("(node[x] * id(1)) ; sym(1,1)")
     b = parse("node[u] * node[v]")
-    assert loops_eval(a) == LoopsMorphism((1, 0), (("x",), ()))
-    assert loops_eval(b) == LoopsMorphism((0, 1), (("u",), ("v",)))
-    c = loops_eval(Seq(a, b))
+    assert evaluate(a, LoopsModel()) == LoopsMorphism((1, 0), (("x",), ()))
+    assert evaluate(b, LoopsModel()) == LoopsMorphism((0, 1), (("u",), ("v",)))
+    c = evaluate(Seq(a, b), LoopsModel())
     assert c.perm == (1, 0)
     # wire 0 passes through a (word x, lands on 1), then picks up b's word at 1
     assert c.words == (("v", "x"), ("u",))
@@ -200,7 +200,7 @@ def test_loops_model_reads_composites_whose_image_is_a_wiring():
         "(delta ; (eps * node[y])) * id(1) ; sym(1,1)": LoopsMorphism((1, 0), (("y",), ())),
     }
     for text, want in wirings.items():
-        assert loops_eval(parse(text)) == want
+        assert evaluate(parse(text), LoopsModel()) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,7 +256,7 @@ def test_loops_agrees_with_free_model(seed):
     width = rng.randint(0, 4)
     rows = [_consume_row(rng, width, True) for _ in range(rng.randint(1, 4))]
     e = seq_all(rows)
-    got = loops_eval(e)
+    got = evaluate(e, LoopsModel())
     d = evaluate(e, FreeIdagModel(BOOL))
     perm, words = _free_path_reading(d)
     assert got.perm == perm
@@ -550,6 +550,10 @@ _MALFORMED = [
     # an entry that is not an int, hashable or not
     (MatrixMorphism(INT, 1, ({0: [1]},)), InvalidWeight, " \\[1\\] is not an integer$"),
     (MatrixMorphism(INT, 1, ({0: 1.0},)), InvalidWeight, " 1.0 is not an integer$"),
+    # columns in a list, whose sums and tensors a tuple would not meet, or
+    # a column that is not a dict
+    (MatrixMorphism(BOOL, 1, [{0: 1}]), WrongArgumentType, "^expected tuple, not list$"),
+    (MatrixMorphism(BOOL, 2, ([1],)), WrongArgumentType, "^expected dict, not list$"),
 ]
 
 

@@ -320,14 +320,13 @@ def test_a_copy_or_merge_short_of_wires_raises_arity_ofs_error():
 @pytest.mark.parametrize("ws", [NAT, INT])
 def test_the_walk_reads_copy_and_merge_shapes_off_the_table(monkeypatch, ws):
     # images close to a copy and a merge but not equal to them: a merge
-    # weighting its second input by 2 and a copy to three outputs, with the
-    # arity table to match. The walk must take their shapes from the table
-    # on this call, so it agrees with the reference walk, with the slice
-    # fold of a wrapping model and with the compose/tensor fold, which read
-    # each image generically
+    # weighting its second input by 2 and a copy to three outputs, whose
+    # arities come from the same table. The walk must take their shapes
+    # from the table on this call, so it agrees with the reference walk,
+    # with the slice fold of a wrapping model and with the compose/tensor
+    # fold, which read each image generically
     monkeypatch.setitem(terms._GENERATORS, Nabla, ("nabla", 2, (((0, 1), (1, 2)),)))
     monkeypatch.setitem(terms._GENERATORS, Delta, ("delta", 1, (((0, 1),),) * 3))
-    monkeypatch.setitem(terms._GENERATOR_ARITY, Delta, (1, 3))
     rng = random.Random(7)
     cases = [random_expression(rng, max_depth=4, allow_anti=ws is INT, labels=("x", "y")) for _ in range(60)]
     cases += [Delta(), Nabla(), Seq(Delta(), Ten(Nabla(), Id(1))), Seq(Delta(), Ten(Id(1), Nabla()))]
@@ -348,9 +347,7 @@ def test_the_walk_reads_unit_and_discard_shapes_off_the_table(monkeypatch, ws):
     # as above, for images close to a unit and a discard: a unit with two
     # empty outputs and a discard that passes its input on with weight 2
     monkeypatch.setitem(terms._GENERATORS, Eta, ("eta", 0, ((), ())))
-    monkeypatch.setitem(terms._GENERATOR_ARITY, Eta, (0, 2))
     monkeypatch.setitem(terms._GENERATORS, Eps, ("eps", 1, (((0, 2),),)))
-    monkeypatch.setitem(terms._GENERATOR_ARITY, Eps, (1, 1))
     rng = random.Random(7)
     cases = [random_expression(rng, max_depth=4, allow_anti=ws is INT, labels=("x", "y")) for _ in range(60)]
     cases += [

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from idag.algebra import make_idag
+from idag.core import In, Out
 from idag.errors import AntipodeWeight, InvalidWeight, ZeroWeight
 from idag.weights import BOOL, BY_NAME, INT, NAT
 
@@ -82,20 +84,25 @@ def test_antipode_flag():
 
 
 def test_edge_weight_validation():
+    # check_value is the one check of a weight; zero is a weight, which an
+    # edge refuses because zero means "no edge"
     for ws in (BOOL, NAT, INT):
-        with pytest.raises(ZeroWeight):
-            ws.check_edge_weight(0)
-    with pytest.raises(InvalidWeight):
-        BOOL.check_edge_weight(2)
+        ws.check_value(0)
+        with pytest.raises(ZeroWeight, match="^zero weight: omit the edge instead$"):
+            make_idag(1, 1, [], {(In(0), Out(0)): 0}, ws)
+    with pytest.raises(InvalidWeight, match="^bool mode admits only weights 0 and 1, got 2$"):
+        BOOL.check_value(2)
+    with pytest.raises(AntipodeWeight, match="^negative weight -1 requires int mode$"):
+        NAT.check_value(-1)
     with pytest.raises(AntipodeWeight):
-        NAT.check_edge_weight(-1)
-    with pytest.raises(AntipodeWeight):
-        BOOL.check_edge_weight(-1)
-    INT.check_edge_weight(-1)
-    NAT.check_edge_weight(3)
-    with pytest.raises(InvalidWeight):
+        BOOL.check_value(-1)
+    INT.check_value(-1)
+    NAT.check_value(3)
+    with pytest.raises(InvalidWeight, match="^weight True is not an integer$"):
         # bool is an int subtype; reject it anyway
-        NAT.check_edge_weight(True)
+        NAT.check_value(True)
+    with pytest.raises(InvalidWeight, match="^weight 1.5 is not an integer$"):
+        make_idag(1, 1, [], {(In(0), Out(0)): 1.5}, INT)
 
 
 def test_semiring_laws_spot():
