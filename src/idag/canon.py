@@ -29,15 +29,6 @@ class _Cells(Record):
 
     __slots__ = ("colors", "order", "where", "size", "count")
 
-    def __init__(
-        self, colors: list[int], order: list[int], where: list[int], size: list[int], count: int
-    ) -> None:
-        self.colors = colors
-        self.order = order
-        self.where = where
-        self.size = size
-        self.count = count
-
     @classmethod
     def of(cls, keys: Sequence) -> _Cells:
         """The nodes with equal keys as cells, in key order."""

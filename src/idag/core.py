@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .errors import BadEndpoint, ModeMismatch, WrongArgumentType, _check_type
 from .record import Frozen
-from .weights import BOOL, WeightSystem
+from .weights import BOOL
 
 DEFAULT_LABEL = "•"
 
@@ -40,8 +40,9 @@ CANONICAL_SEARCH_BUDGET = 10**6
 MAX_WIDTH = 10**6
 
 
-# In, Out and NodeRef key the edge view, so each spells out == and hash;
-# both agree with Frozen's field-tuple versions.
+# Idag.edges builds In, Out and NodeRef on every read and keys its view by
+# them, so each keeps its own constructor, == and hash: Record's generic
+# ones take about twice as long. == and hash agree with Frozen's.
 
 
 class In(Frozen):
@@ -122,20 +123,6 @@ class Idag(Frozen):
 
     __slots__ = ("weights", "n_in", "n_out", "nodes", "wires", "_positions")
     __hash__ = None  # type: ignore[assignment]  # wires are dicts
-
-    def __init__(
-        self,
-        weights: WeightSystem,
-        n_in: int,
-        n_out: int,
-        nodes: tuple[tuple[str, str], ...],
-        wires: tuple[dict[int, int], ...],
-    ) -> None:
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "n_in", n_in)
-        object.__setattr__(self, "n_out", n_out)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "wires", wires)
 
     @property
     def node_ids(self) -> tuple[str, ...]:

@@ -224,8 +224,7 @@ def permutation_expression(perm: Sequence[int]) -> Expression:
         if q:
             steps.append(ten_all([Id(p), Sym(k, q), Id(c - 1 - top)]))
         before, after = prev[first], succ[last]
-        if before >= 0 and perm[before] > perm[first]:
-            descents -= 1
+        # before is bound for an open output not in perm[first]..top: lower
         if after < c:
             descents -= 1
             prev[after] = before

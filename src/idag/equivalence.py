@@ -67,9 +67,7 @@ class TheoryMode(Frozen):
             raise ModeMismatch(f"unknown quotients {sorted(unknown)}")
         if quotients and weights is not BOOL:
             raise ModeMismatch(f"quotients require bool mode, got {weights!r}")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "quotients", quotients)
-        object.__setattr__(self, "labels", None if labels is None else _names(labels, "labels"))
+        super().__init__(weights, quotients, None if labels is None else _names(labels, "labels"))
 
     @property
     def antipode_enabled(self) -> bool:
@@ -127,8 +125,9 @@ def _same_interfaces(a1: tuple[int, int], a2: tuple[int, int]) -> None:
 
 
 class EqReport(Frozen):
-    """Outcome of an equality query, with both normal forms and, when equal,
-    the node correspondence between them.
+    """Outcome of an equality query: the verdict and both normal forms.
+    The forms are canonical, so the verdict is equal exactly when they are
+    the same idag, node ids included.
 
     equal_mod_theory may leave the normal forms of an unequal pair to be
     computed: such a report holds the two quotiented images, and each form
@@ -137,27 +136,14 @@ class EqReport(Frozen):
     pickling and to_json_obj read the forms, so they are those of the
     report built with the forms given."""
 
-    __slots__ = ("equal", "normal_form_left", "normal_form_right", "witness", "_images")
+    __slots__ = ("equal", "normal_form_left", "normal_form_right", "_images")
     __hash__ = None  # type: ignore[assignment]  # its forms are idags
-
-    def __init__(
-        self,
-        equal: bool,
-        normal_form_left: Idag,
-        normal_form_right: Idag,
-        witness: Optional[dict[str, str]] = None,
-    ) -> None:
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "normal_form_left", normal_form_left)
-        object.__setattr__(self, "normal_form_right", normal_form_right)
-        object.__setattr__(self, "witness", witness)
 
     @classmethod
     def _unequal(cls, image_left: Idag, image_right: Idag) -> "EqReport":
         """The report of an unequal pair whose forms are not yet computed."""
         report = cls.__new__(cls)
         object.__setattr__(report, "equal", False)
-        object.__setattr__(report, "witness", None)
         object.__setattr__(report, "_images", (image_left, image_right))
         return report
 
@@ -179,7 +165,8 @@ class EqReport(Frozen):
 
 
 def equal_mod_theory(e1: Expression, e2: Expression, mode: ModeLike) -> EqReport:
-    """Decide e1 = e2 modulo the mode's equational theory.
+    """Decide e1 = e2 modulo the mode's equational theory: they are equal
+    exactly when their normal forms are the same idag.
 
     Raises ArityMismatch when the two expressions do not even share an
     interface; that is an error, not inequality. Typing errors in either
@@ -204,6 +191,4 @@ def equal_mod_theory(e1: Expression, e2: Expression, mode: ModeLike) -> EqReport
     if _invariant(q1) != _invariant(q2):
         return EqReport._unequal(q1, q2)
     nf1, nf2 = canonical_form(q1), canonical_form(q2)
-    equal = nf1 == nf2
-    witness = {nid: nid for nid in nf1.node_ids} if equal else None
-    return EqReport(equal, nf1, nf2, witness)
+    return EqReport(nf1 == nf2, nf1, nf2)

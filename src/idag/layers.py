@@ -129,31 +129,9 @@ class TranspositionReport(Frozen):
         "node_box_slides_past_next_layer",
     )
 
-    def __init__(
-        self,
-        position: int,
-        prefix_layers_equal: bool,
-        swapped_pair_composite_equal: bool,
-        swap_threads_middle_layers: bool,
-        swap_absorbed_by_final_layer: bool,
-        node_box_slides_past_next_layer: bool,
-    ) -> None:
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "prefix_layers_equal", prefix_layers_equal)
-        object.__setattr__(self, "swapped_pair_composite_equal", swapped_pair_composite_equal)
-        object.__setattr__(self, "swap_threads_middle_layers", swap_threads_middle_layers)
-        object.__setattr__(self, "swap_absorbed_by_final_layer", swap_absorbed_by_final_layer)
-        object.__setattr__(self, "node_box_slides_past_next_layer", node_box_slides_past_next_layer)
-
     @property
     def all_ok(self) -> bool:
-        return (
-            self.prefix_layers_equal
-            and self.swapped_pair_composite_equal
-            and self.swap_threads_middle_layers
-            and self.swap_absorbed_by_final_layer
-            and self.node_box_slides_past_next_layer
-        )
+        return all(self._astuple()[1:])
 
 
 def _box(width: int, at: int, scalar: int, ws) -> MatrixMorphism:

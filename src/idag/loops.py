@@ -27,10 +27,6 @@ class LoopsMorphism(Frozen):
 
     __slots__ = ("perm", "words")
 
-    def __init__(self, perm: tuple[int, ...], words: tuple[tuple[str, ...], ...]) -> None:
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "words", words)
-
     @property
     def n(self) -> int:
         return len(self.perm)

@@ -45,11 +45,6 @@ class MatrixMorphism(Frozen):
 
     __slots__ = ("weights", "n_in", "cols")
 
-    def __init__(self, weights: WeightSystem, n_in: int, cols: tuple[dict[int, int], ...]) -> None:
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "n_in", n_in)
-        object.__setattr__(self, "cols", cols)
-
     @property
     def n_out(self) -> int:
         return len(self.cols)
@@ -188,8 +183,7 @@ class MatrixModel(Model, Frozen):
         _check_type(weights, WeightSystem)
         lambda_images = {} if lambda_images is None else lambda_images
         _check_type(lambda_images, Mapping)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "lambda_images", dict(lambda_images))
+        super().__init__(weights, dict(lambda_images))
 
     def _lambda(self, label: str) -> int:
         """label's image, checked as a weight."""

@@ -100,7 +100,7 @@ class FreeIdagModel(Model, Frozen):
 
     def __init__(self, weights: WeightSystem = BOOL) -> None:
         _check_type(weights, WeightSystem)
-        object.__setattr__(self, "weights", weights)
+        super().__init__(weights)
 
     def generator(self, gen: Expression) -> Idag:
         return self._read_image(*_typed_walk(gen, self.weights))

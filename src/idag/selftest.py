@@ -42,12 +42,9 @@ from .weights import BOOL, INT, NAT, WeightSystem
 
 
 class SuiteResult(Record):
-    __slots__ = ("name", "cases", "failures")
+    """One suite's name, its number of cases and its failure messages."""
 
-    def __init__(self, name: str, cases: int, failures: list[str]) -> None:
-        self.name = name
-        self.cases = cases
-        self.failures = failures
+    __slots__ = ("name", "cases", "failures")
 
     @property
     def ok(self) -> bool:

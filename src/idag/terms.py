@@ -188,6 +188,10 @@ class Delta(Expression):
     __slots__ = ()
 
 
+# Node, Id and Sym check their fields when built, so each keeps its own
+# constructor.
+
+
 class Node(Expression):
     """Labelled box on one wire: 1 -> 1; the label is a str."""
 
@@ -282,8 +286,9 @@ def _from_postfix(atoms: list, ops: list) -> Expression:
     return built[0]
 
 
-# Seq and Ten are built once per composite, so they set their fields through
-# the slot descriptors; Frozen.__setattr__ still refuses assignment.
+# Seq and Ten are built once per composite, and a decomposition builds tens
+# of thousands, so each keeps its own constructor, which sets its two fields
+# through their slot descriptors without Record's generic argument handling.
 _set_first, _set_then = Seq.first.__set__, Seq.then.__set__
 _set_left, _set_right = Ten.left.__set__, Ten.right.__set__
 

@@ -33,9 +33,6 @@ class WeightSystem(Frozen):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
-
     def __reduce__(self):
         return self.name.upper() if BY_NAME.get(self.name) is self else super().__reduce__()
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idag.decomposition as decomposition
+import idag.layers as layers
 from idag.algebra import identity, make_idag
 from idag.builders import seq_all
 from idag.core import Idag, In, NodeRef, Out, canonical_form, is_isomorphic
@@ -215,6 +216,22 @@ def test_any_iterable_of_ids_is_a_sorting(dag31, form):
     assert transposition_identities(dag31, form(a), form(b), 1).all_ok
     with pytest.raises(NotATopologicalSorting, match=r"\['b', 'a', 'c', 'd'\] does not sort"):
         decompose(dag31, form(("b", "a", "c", "d")))
+
+
+def test_each_transposition_identity_can_fail(dag31, monkeypatch):
+    # a swap that does not cross the two wires breaks the three identities
+    # that thread it; a box scaling the last wire breaks the node-box one
+    a, b = ("a", "b", "c", "d"), ("a", "c", "b", "d")
+    verdicts = lambda r: r._astuple()[1:]  # noqa: E731
+    assert verdicts(transposition_identities(dag31, a, b, 1)) == (True,) * 5
+    with monkeypatch.context() as m:
+        m.setattr(layers, "_block_swap", lambda n_prefix, n_suffix, ws: matrix_identity(n_prefix + 2 + n_suffix, ws))
+        report = transposition_identities(dag31, a, b, 1)
+        assert verdicts(report) == (True, False, False, False, True) and not report.all_ok
+    box = layers._box
+    monkeypatch.setattr(layers, "_box", lambda width, at, scalar, ws: box(width, width - 1, scalar, ws))
+    report = transposition_identities(dag31, a, b, 1)
+    assert verdicts(report) == (True, True, True, True, False) and not report.all_ok
 
 
 @pytest.mark.parametrize("sort", [["a", "b", "c", 1], [None] * 4, [["x"]] * 4], ids=["int", "None", "list"])

@@ -93,6 +93,29 @@ def test_parse_errors():
         )
 
 
+def _doc(nodes=(), edges=()):
+    return {"mode": "bool", "inputs": 1, "outputs": 1, "nodes": list(nodes), "edges": list(edges)}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_doc(edges=[{"src": 5, "dst": {"out": 0}}]), "bad src endpoint 5"),
+        (_doc(edges=[{"src": {"node": 3}, "dst": {"out": 0}}]), "node reference must be a string, got 3"),
+        ({**_doc(), "nodes": {}}, "nodes and edges must be arrays"),
+        (_doc(nodes=["p"]), "bad node entry 'p'"),
+        (_doc(nodes=[{"id": 1}]), "bad node entry {'id': 1}"),
+        (_doc(nodes=[{"id": "p", "x": 1}]), "unknown node fields ['x']"),
+        (_doc(edges=[{"src": {"in": 0}}]), "bad edge entry {'src': {'in': 0}}"),
+        (_doc(edges=[{"src": {"in": 0}, "dst": {"out": 0}, "q": 1}]), "unknown edge fields ['q']"),
+    ],
+)
+def test_schema_refusals_name_the_entry(doc, message):
+    with pytest.raises(SchemaError) as exc:
+        idag_from_json(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 def test_booleans_are_not_integers():
     # bool is an int in Python; accepted, true/false would be echoed back, so
     # equal idags would serialize to different bytes

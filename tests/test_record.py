@@ -2,20 +2,23 @@
 the repr text, == (same class, equal fields), the hash of the field tuple,
 no field assignment, slots, and pickle and deepcopy round trips."""
 
+import ast
 import copy
 import pickle
 from collections.abc import Hashable
+from pathlib import Path
 
 import pytest
 
+import idag
 from idag.algebra import identity, make_idag
 from idag.builders import seq_all
 from idag.core import In, NodeRef, Out
 from idag.equivalence import TRANSITIVE, EqReport, TheoryMode, equal_mod_theory
-from idag.errors import ModeMismatch
+from idag.errors import ModeMismatch, WrongArgumentType
 from idag.layers import TranspositionReport
 from idag.loops import LoopsModel, LoopsMorphism
-from idag.matrices import MatrixModel, matrix
+from idag.matrices import MatrixModel, MatrixMorphism, matrix
 from idag.models import FreeIdagModel, evaluate
 from idag.record import Record
 from idag.selftest import SuiteResult
@@ -95,7 +98,6 @@ def test_equality_needs_the_same_class():
 def test_unhashable_values_stay_unhashable():
     d = make_idag(1, 1, ["a"], [(In(0), NodeRef("a")), (NodeRef("a"), Out(0))])
     report = equal_mod_theory(parse("delta ; nabla"), parse("id(1)"), BOOL)
-    assert report.witness is not None
     for value in (d, MatrixModel(), report, SuiteResult("s", 1, [])):
         with pytest.raises(TypeError):
             hash(value)
@@ -109,13 +111,13 @@ def test_unhashable_values_stay_unhashable():
     assert copy.copy(d) == d and repr(d) == "Idag(BOOL, 1->1, nodes=['a'], 2 edges)"
     assert repr(report) == (
         "EqReport(equal=True, normal_form_left=Idag(BOOL, 1->1, nodes=[], 1 edges), "
-        "normal_form_right=Idag(BOOL, 1->1, nodes=[], 1 edges), witness={})"
+        "normal_form_right=Idag(BOOL, 1->1, nodes=[], 1 edges))"
     )
 
 
 def test_constructors_keep_names_defaults_and_checks():
     assert TheoryMode(weights=NAT) == TheoryMode(NAT, frozenset(), None)
-    assert EqReport(False, identity(1), identity(1)).witness is None
+    assert EqReport(False, identity(1), identity(1))._astuple() == (False, identity(1), identity(1))
     assert MatrixModel() == MatrixModel(NAT, {}) and MatrixModel().lambda_images == {}
     assert FreeIdagModel().weights is BOOL
     with pytest.raises(ModeMismatch):
@@ -158,3 +160,83 @@ def test_values_of_ten_thousand_nodes_or_columns_pickle():
     assert wide.n_out == 10_000
     for value in (d, eager, lazy, wide):
         assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_a_value_takes_its_fields_by_position_or_by_name():
+    cols = ({0: 2},)
+    assert MatrixMorphism(NAT, 1, cols) == MatrixMorphism(weights=NAT, n_in=1, cols=cols) == MatrixMorphism(NAT, cols=cols, n_in=1)
+    assert SuiteResult(name="s", cases=1, failures=[]) == SuiteResult("s", 1, [])
+    refusals = [
+        (lambda: MatrixMorphism(NAT, 1), "MatrixMorphism is missing fields ['cols']"),
+        (lambda: MatrixMorphism(NAT), "MatrixMorphism is missing fields ['n_in', 'cols']"),
+        (lambda: MatrixMorphism(NAT, 1, cols, 4), "MatrixMorphism takes 3 fields, got 4"),
+        (lambda: MatrixMorphism(NAT, 1, cols, n_in=1), "MatrixMorphism got field 'n_in' twice"),
+        (lambda: MatrixMorphism(NAT, 1, cols=cols, rows=cols), "MatrixMorphism has no field 'rows'"),
+        (lambda: WeightSystem(), "WeightSystem is missing fields ['name']"),
+        (lambda: LoopsModel(INT), "LoopsModel takes 0 fields, got 1"),
+        # a slot whose name starts with an underscore is a cache, not a field
+        (lambda: EqReport(True, identity(1), identity(1), _images=()), "EqReport has no field '_images'"),
+    ]
+    for build, message in refusals:
+        with pytest.raises(WrongArgumentType) as exc:
+            build()
+        assert str(exc.value) == message and isinstance(exc.value, TypeError)
+
+
+# classes that keep a constructor which only sets their fields: Idag.edges
+# builds In, Out and NodeRef on every read, and every composite is a Seq or
+# a Ten, so each skips the generic argument handling
+_OWN_CONSTRUCTORS = ["In", "NodeRef", "Out", "Seq", "Ten"]
+
+
+def _only_sets_fields(init: ast.FunctionDef) -> bool:
+    """Whether each statement of init assigns to self, passes self to a
+    setter or calls super().__init__, apart from a docstring."""
+    for stmt in init.body:
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
+            continue
+        if isinstance(stmt, ast.Assign) and all(
+            isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self"
+            for t in stmt.targets
+        ):
+            continue
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+            call = stmt.value
+            if call.args and isinstance(call.args[0], ast.Name) and call.args[0].id == "self":
+                continue
+            func = call.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "__init__"
+                and isinstance(func.value, ast.Call)
+                and isinstance(func.value.func, ast.Name)
+                and func.value.func.id == "super"
+            ):
+                continue
+        return False
+    return True
+
+
+def test_no_value_class_writes_a_constructor_that_only_sets_fields():
+    # Record's constructor sets the fields; a class writes its own only to
+    # check its arguments
+    classes = [
+        node
+        for path in sorted(Path(idag.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+    records = {"Record"}
+    grown = True
+    while grown:
+        before = len(records)
+        records |= {c.name for c in classes if any(isinstance(b, ast.Name) and b.id in records for b in c.bases)}
+        grown = len(records) > before
+    found = sorted(
+        c.name
+        for c in classes
+        if c.name in records
+        for item in c.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__" and _only_sets_fields(item)
+    )
+    assert found == _OWN_CONSTRUCTORS

@@ -28,6 +28,7 @@ from idag.errors import (
     BadEndpoint,
     IdagError,
     IndexOutOfRange,
+    InvalidWeight,
     ModeMismatch,
     NotBijective,
     SchemaError,
@@ -83,6 +84,25 @@ def test_widths_must_be_non_negative_ints(build):
 def test_malformed_node_and_edge_specs_are_refused(build):
     with pytest.raises(BadEndpoint):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: make_idag(2, 1, [], [(In(0), In(1))]), BadEndpoint, "edge target cannot be In(index=1)"),
+        (
+            lambda: make_idag(1, 1, [], [(In(0), Out(0)), (In(0), Out(0))]),
+            BadEndpoint,
+            "duplicate edge In(index=0) -> Out(index=0)",
+        ),
+        (lambda: matrix([], NAT), InvalidWeight, "cannot infer the output arity of an empty matrix"),
+    ],
+    ids=["input as target", "duplicate edge", "empty matrix"],
+)
+def test_shapes_no_idag_or_matrix_has_are_refused(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 @pytest.mark.parametrize(
